@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"clmids/internal/anomaly"
-	"clmids/internal/bpe"
 	"clmids/internal/commercial"
 	"clmids/internal/core"
 	"clmids/internal/corpus"
@@ -164,17 +163,6 @@ func inferBenchFixture(b *testing.B) (*core.Pipeline, []string) {
 		pcfg := core.TinyExperiment().Pipeline
 		pcfg.Pretrain.Epochs = 1
 		inferBenchPl, inferBenchErr = core.BuildPipeline(train.Lines(), pcfg)
-		if inferBenchErr == nil {
-			// Mirror clmtrain: the trained tokenizer carries a fitted
-			// token-length estimator, so the engine benchmarks exercise the
-			// estimator-bucketed lazy-encode path a bundle-served process runs.
-			est, err := bpe.FitEstimator(inferBenchPl.Tok, train.Lines())
-			if err != nil {
-				inferBenchErr = err
-				return
-			}
-			inferBenchPl.Tok.SetEstimator(est)
-		}
 		inferBenchStr = test.Lines()
 		inferBenchDS = test
 		inferBenchTrain = train.Lines()
@@ -242,31 +230,6 @@ func BenchmarkEncodeCold(b *testing.B) {
 	b.StopTimer()
 	if sink == 0 {
 		b.Fatal("encode sink is zero; fixture broken")
-	}
-	b.ReportMetric(float64(inferBenchWindow)*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
-}
-
-// BenchmarkEstimate prices the token-length estimator against the encode
-// path it lets the engine skip: one estimate per line, cache state as the
-// serving engine would see it (warm from prior traffic).
-func BenchmarkEstimate(b *testing.B) {
-	pl, lines := inferBenchFixture(b)
-	maxLen := pl.Model.Encoder.Config().MaxSeqLen
-	est := pl.Tok.Estimator()
-	if est == nil {
-		b.Fatal("fixture tokenizer has no estimator")
-	}
-	sink := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, l := range inferBenchWindowAt(lines, i) {
-			sink += est.EstimateForModel(pl.Tok, l, maxLen)
-		}
-	}
-	b.StopTimer()
-	if sink == 0 {
-		b.Fatal("estimate sink is zero; fixture broken")
 	}
 	b.ReportMetric(float64(inferBenchWindow)*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
 }

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -70,7 +69,6 @@ func run(args []string) error {
 	cascade := fs.Bool("cascade", false, "score through the cascade: rarity pre-filter -> int8 triage -> f64 confirm (with -bundle the bundle must carry a cascade section; without, thresholds are calibrated from the baseline)")
 	modalityPin := fs.String("modality", "", "expected log modality ("+modality.FlagHelp()+"): a bundle or pipeline trained for another modality is rejected; empty accepts whatever the artifact carries")
 	follow := fs.Bool("follow", false, "stream mode: score lines as they arrive, with session aggregation")
-	shards := fs.Int("shards", 1, "follow mode detector shards keyed by hash(user) (0 = GOMAXPROCS); follow mode scores line by line, so this costs a scorer replica per shard and buys parity with a sharded clmserve, not throughput")
 	user := fs.String("user", "stdin", "user attributed to plain-text lines in follow mode")
 	contextN := fs.Int("context", 1, "follow mode: session lines joined per scoring input (§IV-C)")
 	aggregation := fs.String("aggregation", "decay", "follow mode session aggregation: max | mean | decay")
@@ -175,23 +173,7 @@ func run(args []string) error {
 		cfg.LineThreshold = *lineThr
 		cfg.SessionThreshold = *sessThr
 		cfg.IdleTimeout = *idle
-		if *shards <= 0 {
-			*shards = runtime.GOMAXPROCS(0)
-		}
-		// Follow mode submits one event per Process call, so sharding here
-		// cannot parallelize anything; the flag exists to exercise the
-		// exact session/routing semantics of a sharded clmserve from a
-		// one-process tail (verdicts are identical either way). Each extra
-		// shard costs one scorer replica (engine scratch + LRU).
-		replicas, err := core.ReplicateScorer(scorer, *shards)
-		if err != nil {
-			return err
-		}
-		det, err := stream.NewShardedDetector(replicas, cfg)
-		if err != nil {
-			return err
-		}
-		return followInput(*input, *user, det, os.Stdout)
+		return followInput(*input, *user, stream.NewDetector(scorer, cfg), os.Stdout)
 	}
 	return batchDetect(scorer, ids, *method, *input, *top)
 }
@@ -237,17 +219,9 @@ func batchDetect(scorer tuning.Scorer, ids *commercial.IDS, method, input string
 	return nil
 }
 
-// sessionDetector is the follow-mode surface of internal/stream, satisfied
-// by both Detector and ShardedDetector.
-type sessionDetector interface {
-	Process(events []stream.Event) ([]stream.Verdict, error)
-	EvictIdle(now int64) int
-	Stats() stream.Stats
-}
-
 // followInput tails the input through the session-aware detector, printing
 // one verdict line per event as it arrives.
-func followInput(path, user string, det sessionDetector, w io.Writer) error {
+func followInput(path, user string, det *stream.Detector, w io.Writer) error {
 	var r io.Reader
 	if path == "-" {
 		r = os.Stdin

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 
-	"clmids/internal/bpe"
 	"clmids/internal/commercial"
 	"clmids/internal/core"
 	"clmids/internal/corpus"
@@ -123,17 +122,6 @@ func run(args []string) error {
 	pl, err := core.BuildPipeline(ds.Lines(), pcfg)
 	if err != nil {
 		return err
-	}
-	// Fit the token-length estimator on the training log and attach it to
-	// the tokenizer: serving engines length-bucket batches without encoding,
-	// and the coefficients ride any bundle emitted below. The estimate is
-	// advisory — a failed fit costs throughput, never scores — so a fit
-	// error is reported and skipped, not fatal.
-	if est, eerr := bpe.FitEstimator(pl.Tok, ds.Lines()); eerr != nil {
-		fmt.Printf("token-length estimator fit skipped: %v\n", eerr)
-	} else {
-		pl.Tok.SetEstimator(est)
-		fmt.Printf("fitted token-length estimator (fit MAE %.3f tokens)\n", est.MAE)
 	}
 	if err := pl.SaveDir(*out); err != nil {
 		return err

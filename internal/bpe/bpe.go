@@ -60,16 +60,9 @@ type Tokenizer struct {
 	// integer-keyed merge table, the bounded LRU of encoded pre-tokens
 	// (an atomic pointer so ResetEncodeCache is safe mid-serving), and
 	// the pool of per-word merge-loop scratch arenas.
-	merges     map[uint64]mergeVal
-	wholeWords map[string]uint8
-	twoGram    [1024]uint64
-	maxTokLen  int
-	cache      atomic.Pointer[wordCache]
-	scratch    sync.Pool
-
-	// est is the optional token-count estimator riding this tokenizer
-	// (advisory only; see estimator.go).
-	est atomic.Pointer[Estimator]
+	merges  map[uint64]mergeVal
+	cache   atomic.Pointer[wordCache]
+	scratch sync.Pool
 }
 
 // newSeeded returns a tokenizer holding only specials and byte symbols.

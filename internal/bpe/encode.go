@@ -51,53 +51,9 @@ func (t *Tokenizer) finalize() {
 		}
 		t.merges[mergeKey(int32(a), int32(b))] = mergeVal{rank: int32(r), id: int32(m)}
 	}
-	// Index vocabulary tokens that cover a whole pre-token, for the
-	// estimator's single-probe "this field is one token" feature. Learned
-	// tokens contain a space only as the GPT-2-style prefix, so stripping it
-	// keys the table by bare field bytes.
-	t.wholeWords = make(map[string]uint8, len(t.inv))
-	t.twoGram = [1024]uint64{}
-	t.maxTokLen = 0
-	for i := NumSpecials; i < len(t.inv); i++ {
-		s := t.inv[i]
-		// Key the table by bare field bytes: learned tokens contain a space
-		// only as the GPT-2-style prefix. The estimator's greedy parse probes
-		// the same table mid-word, so the bits mean "token in this space
-		// form", not only "whole pre-token".
-		bare := s
-		if len(s) > 1 && s[0] == ' ' {
-			t.wholeWords[s[1:]] |= wholeWithSpace
-			bare = s[1:]
-		} else if !strings.Contains(s, " ") {
-			t.wholeWords[s] |= wholeBare
-		} else {
-			continue
-		}
-		if len(bare) > t.maxTokLen {
-			t.maxTokLen = len(bare)
-		}
-		// The bigram bitmap backs the estimator's compressibility feature:
-		// bit (a<<8|b) set means bytes a,b fuse into one learned token.
-		if len(s) == 2 && s[0] != ' ' {
-			idx := uint32(s[0])<<8 | uint32(s[1])
-			t.twoGram[idx>>6] |= 1 << (idx & 63)
-		}
-	}
-	// Cap the estimator's greedy-parse probe depth: beyond this, longer
-	// vocabulary tokens are rare enough that extra probes cost more than
-	// the accuracy they buy.
-	if t.maxTokLen > 32 {
-		t.maxTokLen = 32
-	}
 	t.cache.Store(newWordCache(wordCacheCap))
 	t.scratch = sync.Pool{New: func() any { return new(encodeScratch) }}
 }
-
-// Whole-word table flags: which space forms of a field are single tokens.
-const (
-	wholeBare      = uint8(1) // the bare field is one token (first field of a line)
-	wholeWithSpace = uint8(2) // " "+field is one token (every later field)
-)
 
 // spaceSymID is the byte symbol every non-first pre-token starts with.
 const spaceSymID = int32(NumSpecials + ' ')
@@ -388,19 +344,6 @@ func (c *wordCache) get(key wordKey) ([]int32, bool) {
 	}
 	s.moveToFront(ent)
 	return ent.ids, true
-}
-
-// peek returns the token count cached for key without touching recency —
-// the estimator's exactness probe; it must not perturb eviction order.
-func (c *wordCache) peek(key wordKey) (int, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ent, ok := s.items[key]
-	if !ok {
-		return 0, false
-	}
-	return len(ent.ids), true
 }
 
 // put inserts ids under key, evicting the shard's least-recently-used entry

@@ -31,7 +31,6 @@ import (
 //	                  content-derived version, per-section sha256
 //	preprocess.json   Fig. 2 filter state
 //	tokenizer.txt     BPE vocabulary + merges
-//	estimator.json    token-length estimator weights (when fitted)
 //	model.gob         serving backbone weights
 //	scorer.bin        method head (tuning.SaveScorerHead)
 //
@@ -64,17 +63,11 @@ var ErrModalityMismatch = errors.New("core: bundle modality mismatch")
 // rarityFile only exists in cascade bundles (manifest Cascade != nil): it
 // carries the rung-0 rarity table, and such bundles also carry quant.gob
 // (int8) so one artifact cold-starts both model rungs over one backbone.
-// estimatorFile only exists when the pipeline's tokenizer carries a fitted
-// token-length estimator (manifest Estimator = true): it rides along so a
-// served bundle length-buckets without encoding, exactly like the process
-// that trained it. The estimate is advisory, so a bundle without the
-// section scores identically — just a little slower on cold lines.
 const (
-	manifestFile  = "manifest.json"
-	scorerFile    = "scorer.bin"
-	quantFile     = "quant.gob"
-	rarityFile    = "rarity.bin"
-	estimatorFile = "estimator.json"
+	manifestFile = "manifest.json"
+	scorerFile   = "scorer.bin"
+	quantFile    = "quant.gob"
+	rarityFile   = "rarity.bin"
 )
 
 // BundleProvenance records where a bundle's supervision came from, so a
@@ -118,10 +111,6 @@ type BundleManifest struct {
 	// triage rung cold-starts from pinned weights, and their confirm rung is
 	// always the canonical float64 path.
 	Cascade *tuning.CascadeParams `json:"cascade,omitempty"`
-	// Estimator records that the bundle carries the estimator.json section:
-	// the tokenizer's fitted token-length estimator, restored onto the
-	// loaded tokenizer so serving buckets batches without encoding.
-	Estimator bool `json:"estimator,omitempty"`
 	// CreatedUnix is the save time (informational; not part of Version).
 	CreatedUnix int64            `json:"created_unix"`
 	Provenance  BundleProvenance `json:"provenance"`
@@ -193,13 +182,6 @@ func SaveBundle(dir string, pl *Pipeline, bs *BuiltScorer, version string) (*Bun
 			save func(*bytes.Buffer) error
 		}{rarityFile, func(b *bytes.Buffer) error { return bs.Cascade.Rarity.Save(b) }})
 	}
-	est := pl.Tok.Estimator()
-	if est != nil {
-		sections = append(sections, struct {
-			name string
-			save func(*bytes.Buffer) error
-		}{estimatorFile, func(b *bytes.Buffer) error { return est.Save(b) }})
-	}
 	m := &BundleManifest{
 		Format:      BundleFormat,
 		Version:     version,
@@ -217,7 +199,6 @@ func SaveBundle(dir string, pl *Pipeline, bs *BuiltScorer, version string) (*Bun
 		params := bs.Cascade.Params
 		m.Cascade = &params
 	}
-	m.Estimator = est != nil
 	for _, s := range sections {
 		var buf bytes.Buffer
 		if err := s.save(&buf); err != nil {
@@ -269,9 +250,6 @@ func SectionFiles(m *BundleManifest) []string {
 	}
 	if m.Cascade != nil {
 		names = append(names, rarityFile)
-	}
-	if m.Estimator {
-		names = append(names, estimatorFile)
 	}
 	return names
 }
@@ -382,13 +360,6 @@ func LoadScorerBundle(dir string) (*LoadedBundle, error) {
 	}
 	if lb.Tok, err = bpe.Load(bytes.NewReader(raw[tokenizerFile])); err != nil {
 		return nil, fmt.Errorf("core: bundle %s: %w", tokenizerFile, err)
-	}
-	if m.Estimator {
-		est, err := bpe.LoadEstimator(bytes.NewReader(raw[estimatorFile]))
-		if err != nil {
-			return nil, fmt.Errorf("core: bundle %s: %w", estimatorFile, err)
-		}
-		lb.Tok.SetEstimator(est)
 	}
 	if lb.Model, err = model.Load(bytes.NewReader(raw[modelFile])); err != nil {
 		return nil, fmt.Errorf("core: bundle %s: %w", modelFile, err)

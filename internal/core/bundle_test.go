@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -9,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"clmids/internal/bpe"
 	"clmids/internal/commercial"
 	"clmids/internal/corpus"
 	"clmids/internal/faults"
@@ -347,83 +348,72 @@ func TestBundleCorruptTyped(t *testing.T) {
 	}
 }
 
-// TestBundleEstimatorRoundTrip pins the estimator section: a tokenizer
-// carrying a fitted token-length estimator saves it as a fifth section,
-// loading restores it onto the loaded tokenizer, scores stay byte-identical
-// with or without it (it is advisory), and a corrupted section is rejected
-// like any other.
-func TestBundleEstimatorRoundTrip(t *testing.T) {
+// TestBundleLoadsLegacyEstimatorSection: bundles written before the
+// token-length estimator was removed carry an estimator.json section, an
+// "estimator": true manifest key and that section's checksum. The key is
+// now unknown and the file is never listed, so such a bundle must load and
+// score byte-identically to the same bundle without them.
+func TestBundleLoadsLegacyEstimatorSection(t *testing.T) {
 	f := getBundleFixture(t)
 	bs, err := BuildScorerFull(f.pl, ScorerConfig{Method: "pca", Seed: 1}, f.baseLines, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := bs.Scorer.Score(f.evalLines)
+	dir := t.TempDir()
+	if _, err := SaveBundle(dir, f.pl, bs, ""); err != nil {
+		t.Fatal(err)
+	}
+	want := loadAndScore(t, dir, f.evalLines)
+
+	// Turn the bundle into one an estimator-era clmtrain would have written.
+	est := []byte("clmids-estimator v1\n{\"weights\":[0.5,0.25,0,0,0,0,0,0,0,0,0,0,0,1],\"mae\":0.4}\n")
+	if err := os.WriteFile(filepath.Join(dir, "estimator.json"), est, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestFile)
+	mj, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]json.RawMessage
+	if err := json.Unmarshal(mj, &man); err != nil {
+		t.Fatal(err)
+	}
+	var sums map[string]string
+	if err := json.Unmarshal(man["checksums"], &sums); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(est)
+	sums["estimator.json"] = hex.EncodeToString(sum[:])
+	if man["checksums"], err = json.Marshal(sums); err != nil {
+		t.Fatal(err)
+	}
+	man["estimator"] = json.RawMessage("true")
+	if mj, err = json.MarshalIndent(man, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, mj, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	est, err := bpe.FitEstimator(f.pl.Tok, f.baseLines)
-	if err != nil {
-		t.Fatalf("FitEstimator: %v", err)
-	}
-	f.pl.Tok.SetEstimator(est)
-	t.Cleanup(func() { f.pl.Tok.SetEstimator(nil) })
-
-	// A fresh replica (cold caches) now serves through the estimator-bucketed
-	// path; the estimate is advisory, so scores must not move.
-	reps, err := ReplicateScorer(bs.Scorer, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := reps[1].Score(f.evalLines)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := loadAndScore(t, dir, f.evalLines)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("estimator changed score of line %d: %v vs %v", i, got[i], want[i])
+			t.Fatalf("legacy bundle diverges at line %d: %v vs %v", i, got[i], want[i])
 		}
 	}
+}
 
-	dir := t.TempDir()
-	man, err := SaveBundle(dir, f.pl, bs, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !man.Estimator || len(man.Checksums) != 5 {
-		t.Fatalf("manifest missing estimator section: %+v", man)
-	}
-	if secs := SectionFiles(man); secs[len(secs)-1] != "estimator.json" {
-		t.Fatalf("SectionFiles omits estimator: %v", secs)
-	}
+// loadAndScore loads the bundle in dir and scores lines with it.
+func loadAndScore(t *testing.T, dir string, lines []string) []float64 {
+	t.Helper()
 	lb, err := LoadScorerBundle(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("load %s: %v", dir, err)
 	}
-	loaded := lb.Tok.Estimator()
-	if loaded == nil {
-		t.Fatal("loaded tokenizer has no estimator")
-	}
-	if loaded.Weights != est.Weights || loaded.MAE != est.MAE {
-		t.Fatalf("estimator round trip drifted: %+v vs %+v", loaded, est)
-	}
-	lgot, err := lb.Scorer.Score(f.evalLines)
+	scores, err := lb.Scorer.Score(lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if lgot[i] != want[i] {
-			t.Fatalf("loaded bundle diverges at line %d: %v vs %v", i, lgot[i], want[i])
-		}
-	}
-
-	// A damaged estimator section is corruption, same as every other section.
-	dst := filepath.Join(t.TempDir(), "bad-est")
-	if err := faults.CorruptBundleCopy(dir, dst, "estimator.json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadScorerBundle(dst); !errors.Is(err, ErrBundleCorrupt) {
-		t.Fatalf("corrupt estimator section: error %v, want ErrBundleCorrupt", err)
-	}
+	return scores
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"testing"
 	"time"
 
@@ -194,14 +195,23 @@ func waitHealthy(t *testing.T, rt *Router, n int) {
 // attack user whose lines score high enough to trip the session threshold
 // partway through. Events are in time order, chunked later by the caller.
 func chainEvents(nUsers, perUser int) []stream.Event {
+	users := make([]string, nUsers)
+	for u := range users {
+		users[u] = fmt.Sprintf("user-%02d", u)
+	}
+	return chainEventsFor(users, perUser)
+}
+
+// chainEventsFor is chainEvents over caller-chosen benign user names.
+func chainEventsFor(users []string, perUser int) []stream.Event {
 	var evs []stream.Event
 	base := int64(1_700_000_000)
 	attackLines := pickLines(3, func(s float64) bool { return s >= 0.85 })
 	benign := pickLines(8, func(s float64) bool { return s <= 0.4 })
 	for step := 0; step < perUser; step++ {
-		for u := 0; u < nUsers; u++ {
+		for u, user := range users {
 			evs = append(evs, stream.Event{
-				User: fmt.Sprintf("user-%02d", u),
+				User: user,
 				Time: base + int64(step*10+u),
 				Line: benign[(step*7+u*3)%len(benign)],
 			})
@@ -209,11 +219,37 @@ func chainEvents(nUsers, perUser int) []stream.Event {
 		// The attack chain advances one high-scoring step per round.
 		evs = append(evs, stream.Event{
 			User: "mallory",
-			Time: base + int64(step*10+nUsers),
+			Time: base + int64(step*10+len(users)),
 			Line: attackLines[step%len(attackLines)],
 		})
 	}
 	return evs
+}
+
+// spreadUsers picks n "user-NNN" names round-robin across the replicas
+// that own them on the router's current ring, so a test's traffic reaches
+// every replica whatever ports the replicas happened to bind.
+func spreadUsers(rt *Router, n int) []string {
+	rt.mu.Lock()
+	byOwner := make(map[string][]string)
+	for i := 0; i < 1000; i++ {
+		u := fmt.Sprintf("user-%03d", i)
+		owner := rt.ring.Lookup(u)
+		byOwner[owner] = append(byOwner[owner], u)
+	}
+	rt.mu.Unlock()
+	owners := make([]string, 0, len(byOwner))
+	for o := range byOwner {
+		owners = append(owners, o)
+	}
+	sort.Strings(owners)
+	var users []string
+	for i := 0; len(users) < n; i++ {
+		if o := byOwner[owners[i%len(owners)]]; i/len(owners) < len(o) {
+			users = append(users, o[i/len(owners)])
+		}
+	}
+	return users
 }
 
 // pickLines scans candidate strings for n lines whose fake score matches

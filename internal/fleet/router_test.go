@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -29,7 +30,7 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 	ref := newTestService(t)
 	defer ref.Close()
 
-	events := chainEvents(12, 8)
+	events := chainEventsFor(spreadUsers(rt, 12), 8)
 	var fleetVerdicts, refVerdicts []stream.Verdict
 	for _, chunk := range chunked(events, 25) {
 		fleetVerdicts = append(fleetVerdicts, scoreHTTP(t, front.URL, chunk)...)
@@ -158,8 +159,26 @@ func TestEjectionReadmissionStateMachine(t *testing.T) {
 func TestConfigMismatchHeldOut(t *testing.T) {
 	good := newTestReplica(t)
 	divergent := newDivergentReplica(t)
-	rt := newTestRouter(t, nil, good, divergent)
+	// The first replica to pass a probe donates the fleet's reference
+	// config, so keep the divergent one down until the good one has.
+	divergent.kill()
+	var heldOut atomic.Bool
+	rt := newTestRouter(t, func(c *Config) {
+		c.Logf = func(format string, args ...any) {
+			msg := fmt.Sprintf(format, args...)
+			t.Log(msg)
+			if strings.Contains(msg, divergent.srv.URL) && strings.Contains(msg, "held out") {
+				heldOut.Store(true)
+			}
+		}
+	}, good, divergent)
 	waitHealthy(t, rt, 1)
+	divergent.revive()
+	for deadline := time.Now().Add(5 * time.Second); !heldOut.Load(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the revived divergent replica never had its config checked")
+		}
+	}
 
 	st := rt.Stats()
 	for _, r := range st.Replicas {
@@ -375,6 +394,50 @@ func TestHedgedRequestWinsOverStalledPrimary(t *testing.T) {
 	}
 	if st := rt.Stats(); st.Hedges == 0 || st.HedgeWins == 0 {
 		t.Fatalf("expected a hedge win, stats: %+v", st)
+	}
+}
+
+// An over-long line is bad input, not a sick replica. A 300 KB line of '<'
+// fits the router's 1 MiB line cap, but the router's JSON encoding escapes
+// each '<' to six bytes, so the owning replica's scanner rejects it. The
+// replica must score the event queued before it and report the line as
+// unparsable; the router then aborts the chunk without retrying, failing
+// over, or ejecting anyone.
+func TestOverlongLineEjectsNoReplica(t *testing.T) {
+	reps := []*testReplica{newTestReplica(t), newTestReplica(t)}
+	rt := newTestRouter(t, nil, reps...)
+	waitHealthy(t, rt, 2)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	body := `{"user":"u","time":1,"line":"ls"}` + "\n" +
+		`{"user":"u","time":2,"line":"` + strings.Repeat("<", 300_000) + `"}` + "\n"
+	resp, err := http.Post(front.URL+"/score", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /score: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	var scored int64
+	for _, rep := range reps {
+		scored += rep.svc.Stats().Events
+	}
+	if scored != 1 {
+		t.Fatalf("replicas scored %d events, want the 1 before the over-long line", scored)
+	}
+	// The fleet keeps serving, over the same connections.
+	if vs := scoreHTTP(t, front.URL, chainEvents(4, 2)); len(vs) != 10 {
+		t.Fatalf("after the over-long line: %d verdicts, want 10", len(vs))
+	}
+	st := rt.Stats()
+	if st.Retries != 0 || st.Failovers != 0 {
+		t.Fatalf("over-long line caused retries or failovers: %+v", st)
+	}
+	for _, r := range st.Replicas {
+		if r.Ejections != 0 || !r.Ready {
+			t.Fatalf("over-long line ejected a replica: %+v", r)
+		}
 	}
 }
 

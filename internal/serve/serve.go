@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -401,7 +402,27 @@ func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]
 		}
 	}
 	if err := sc.Err(); err != nil {
-		enc.Encode(ErrorRecord{Error: err.Error(), Code: CodeInternal})
+		rec := ErrorRecord{Error: err.Error(), Code: CodeInternal}
+		if errors.Is(err, bufio.ErrTooLong) {
+			// An over-long line is bad input, not a replica fault: score the
+			// events before it, then report the line as unparsable so no
+			// client (or router) retries it. The scanner cannot resume past
+			// it, so the stream ends here.
+			if !flush() {
+				return
+			}
+			// Drain the rest of the body (bounded) so the connection stays
+			// reusable: closing it after a keep-alive response races the
+			// client's next request into an EOF, which the fleet router
+			// takes for a dead replica.
+			io.CopyN(io.Discard, r.Body, 8<<20)
+			rec = ErrorRecord{
+				Error: fmt.Sprintf("line %d: %v", lineNo+1, err),
+				Code:  CodeUnparsable,
+				Line:  lineNo + 1,
+			}
+		}
+		enc.Encode(rec)
 		out.Flush()
 		return
 	}

@@ -24,11 +24,8 @@ import (
 // Below the embedding cache sits a second, cheaper LRU over encoded token
 // sequences: a line whose embedding was evicted (or requested under the
 // other feature kind) skips tokenization entirely. Lines missing both
-// caches are length-bucketed by the tokenizer's estimator when one is
-// attached — the tokenizer runs lazily inside the batch workers — so the
-// scheduler never pays encoding cost just to sort. The estimate is
-// strictly advisory: it picks which batch a line lands in, never its
-// tokens or its score.
+// caches are encoded upfront in parallel, and their exact token counts
+// drive the length bucketing.
 //
 // An Engine must only be used while its encoder's weights are frozen:
 // cached embeddings are never invalidated. Methods are safe for concurrent
@@ -280,24 +277,18 @@ func (e *Engine) run(lines []string, feat int) (*tensor.Matrix, error) {
 // computeInto tokenizes the missed lines, buckets them by token length,
 // and runs the batches across workers, writing rows of out in place.
 //
-// Token sequences come from three tiers. The encoded-line LRU serves
-// repeat lines without touching the tokenizer. Remaining lines are either
-// encoded upfront in parallel (no estimator attached, exact lengths for
-// bucketing) or length-bucketed by the tokenizer's estimator and encoded
-// lazily inside the batch workers. The estimate is strictly advisory: a
-// wrong guess lands a line in a less uniform batch — at worst growing one
-// worker's scratch arena once — but the tokens fed to the model, and so
-// every score, are identical either way.
+// Token sequences come from two sources. The encoded-line LRU serves
+// repeat lines without touching the tokenizer; the remaining lines are
+// encoded upfront in parallel, so every bucketing length is exact.
 func (e *Engine) computeInto(lines, keys []string, misses []int, feat int, out *tensor.Matrix) error {
 	mcfg := e.enc.Config()
-	seqs := make([][]int, len(misses)) // nil = encode lazily in the worker
-	lens := make([]int, len(misses))   // bucketing key; exact when seqs[m] != nil
+	seqs := make([][]int, len(misses))
 
 	encHits := 0
 	if e.encCache != nil {
 		for m := range misses {
 			if seq, ok := e.encCache.get(keys[misses[m]]); ok {
-				seqs[m], lens[m] = seq, len(seq)
+				seqs[m] = seq
 				encHits++
 			}
 		}
@@ -305,27 +296,17 @@ func (e *Engine) computeInto(lines, keys []string, misses []int, feat int, out *
 	e.encodedHits.Add(int64(encHits))
 	e.encodedMisses.Add(int64(len(misses) - encHits))
 
-	if est := e.tok.Estimator(); est != nil {
-		for m := range misses {
-			if seqs[m] == nil {
-				lens[m] = est.EstimateForModel(e.tok, lines[misses[m]], mcfg.MaxSeqLen)
+	e.parallel(len(misses), func(lo, hi int) {
+		for m := lo; m < hi; m++ {
+			if seqs[m] != nil {
+				continue
+			}
+			seqs[m] = e.tok.EncodeForModel(lines[misses[m]], mcfg.MaxSeqLen)
+			if e.encCache != nil {
+				e.encCache.put(keys[misses[m]], seqs[m])
 			}
 		}
-	} else {
-		e.parallel(len(misses), func(lo, hi int) error {
-			for m := lo; m < hi; m++ {
-				if seqs[m] != nil {
-					continue
-				}
-				seqs[m] = e.tok.EncodeForModel(lines[misses[m]], mcfg.MaxSeqLen)
-				lens[m] = len(seqs[m])
-				if e.encCache != nil {
-					e.encCache.put(keys[misses[m]], seqs[m])
-				}
-			}
-			return nil
-		})
-	}
+	})
 
 	// Length bucketing: sorting by token count makes each batch's
 	// sequences uniform, so the token budget yields evenly-sized batches
@@ -336,14 +317,14 @@ func (e *Engine) computeInto(lines, keys []string, misses []int, feat int, out *
 		order[m] = m
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return lens[order[a]] < lens[order[b]]
+		return len(seqs[order[a]]) < len(seqs[order[b]])
 	})
 
 	// Greedy batch assembly under the line and token budgets.
 	var batches []batchSpec
 	lo, tokens := 0, 0
 	for at, m := range order {
-		n := lens[m]
+		n := len(seqs[m])
 		if at > lo && (at-lo >= e.cfg.BatchLines || tokens+n > e.cfg.BatchTokens) {
 			batches = append(batches, batchSpec{lo, at})
 			lo, tokens = at, 0
@@ -368,19 +349,8 @@ func (e *Engine) computeInto(lines, keys []string, misses []int, feat int, out *
 			b := batches[bi]
 			var batch model.Batch
 			for _, m := range order[b.lo:b.hi] {
-				if seq := seqs[m]; seq != nil {
-					batch.IDs = append(batch.IDs, seq...)
-					batch.Lens = append(batch.Lens, len(seq))
-					continue
-				}
-				// Estimator path: first touch of this line, encoded here,
-				// straight into the batch buffer.
-				pre := len(batch.IDs)
-				batch.IDs = e.tok.AppendForModel(batch.IDs, lines[misses[m]], mcfg.MaxSeqLen)
-				batch.Lens = append(batch.Lens, len(batch.IDs)-pre)
-				if e.encCache != nil {
-					e.encCache.put(keys[misses[m]], batch.IDs[pre:])
-				}
+				batch.IDs = append(batch.IDs, seqs[m]...)
+				batch.Lens = append(batch.Lens, len(seqs[m]))
 			}
 			dst := pooled
 			if n := b.hi - b.lo; n > dst.Rows {
@@ -406,18 +376,18 @@ func (e *Engine) computeInto(lines, keys []string, misses []int, feat int, out *
 	})
 }
 
-// parallel splits [0, n) across the engine's workers and returns the first
-// error. With one worker (or tiny n) it runs inline.
-func (e *Engine) parallel(n int, fn func(lo, hi int) error) error {
+// parallel splits [0, n) across the engine's workers. With one worker (or
+// tiny n) it runs inline.
+func (e *Engine) parallel(n int, fn func(lo, hi int)) {
 	workers := e.cfg.Workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		return fn(0, n)
+		fn(0, n)
+		return
 	}
 	chunk := (n + workers - 1) / workers
-	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
@@ -429,18 +399,12 @@ func (e *Engine) parallel(n int, fn func(lo, hi int) error) error {
 			break
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			errs[w] = fn(lo, hi)
-		}(w, lo, hi)
+			fn(lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fanOut runs min(Workers, n) copies of a self-scheduling worker loop and

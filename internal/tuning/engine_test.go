@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"clmids/internal/bpe"
 	"clmids/internal/tensor"
 )
 
@@ -244,75 +243,6 @@ func TestEngineEncodedCacheBounded(t *testing.T) {
 		}
 		if n := engine.CacheStats().EncodedEntries; n > 4 {
 			t.Fatalf("pass %d: encoded cache holds %d entries, cap 4", pass, n)
-		}
-	}
-}
-
-// TestEngineEstimatorLazyEncode runs the estimator-bucketed path (workers
-// encode lazily) against the tape path: outputs must stay byte-identical
-// across cache configurations and tight batch budgets.
-func TestEngineEstimatorLazyEncode(t *testing.T) {
-	f := getFixture(t)
-	lines := engineFixtureLines(f)
-	want, err := EmbedLinesTape(f.mdl.Encoder, f.tok, lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := bpe.FitEstimator(f.tok, f.trainX)
-	if err != nil {
-		t.Fatalf("FitEstimator: %v", err)
-	}
-	f.tok.SetEstimator(est)
-	t.Cleanup(func() { f.tok.SetEstimator(nil) })
-	for _, cfg := range []EngineConfig{
-		{},
-		{CacheLines: -1, EncodedCacheLines: 32},
-		{CacheLines: -1, EncodedCacheLines: -1},
-		{BatchLines: 2, BatchTokens: 1, Workers: 3, CacheLines: 8},
-	} {
-		engine := NewEngine(f.mdl.Encoder, f.tok, cfg)
-		for pass := 0; pass < 2; pass++ {
-			got, err := engine.EmbedLines(lines)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Data {
-				if want.Data[i] != got.Data[i] {
-					t.Fatalf("cfg %+v pass %d: element %d: engine %g, tape %g",
-						cfg, pass, i, got.Data[i], want.Data[i])
-				}
-			}
-		}
-	}
-}
-
-// TestEngineEstimatorAdvisoryOnly is the invariant the whole estimator
-// design leans on: bucketing is the only consumer of the estimate, so even
-// a wildly wrong estimator — one that mis-buckets every line in either
-// direction — must leave every output byte identical.
-func TestEngineEstimatorAdvisoryOnly(t *testing.T) {
-	f := getFixture(t)
-	lines := engineFixtureLines(f)
-	want, err := EmbedLinesTape(f.mdl.Encoder, f.tok, lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.tok.SetEstimator(nil) })
-	for name, bias := range map[string]float64{"always-huge": 1e6, "always-one": -1e6} {
-		bad := &bpe.Estimator{}
-		bad.Weights[0] = bias
-		f.tok.SetEstimator(bad)
-		// Tight budgets so mis-bucketing actually changes batch composition.
-		cfg := EngineConfig{BatchLines: 3, BatchTokens: 8, Workers: 4, CacheLines: -1, EncodedCacheLines: -1}
-		got, err := NewEngine(f.mdl.Encoder, f.tok, cfg).EmbedLines(lines)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("%s: element %d: engine %g, tape %g — estimate leaked into scores",
-					name, i, got.Data[i], want.Data[i])
-			}
 		}
 	}
 }
