@@ -1,25 +1,18 @@
 // Command clmdetect scores command lines for intrusion likelihood with a
-// trained pipeline (see clmtrain) and one of the paper's detection methods.
-//
-// Supervision comes from the simulated commercial IDS applied to a labeled
-// baseline log; detection then generalizes beyond those rules.
+// versioned scorer bundle (-bundle dir, built by clmtrain -bundle). The
+// bundle carries the backbone, tokenizer, and one of the paper's detection
+// heads, and its manifest selects the method: no baseline log is read and
+// no tuning runs. Lines also matched by the simulated commercial IDS rules
+// are marked, showing where detection generalizes beyond them.
 //
 // Batch usage:
-//
-//	clmdetect -model model/ -baseline data/train.jsonl \
-//	          -method classifier -input data/test.jsonl -top 20
-//
-// With -bundle the scorer cold-starts from a versioned bundle emitted by
-// clmtrain -bundle: no baseline log is read and no tuning runs — the
-// bundle's manifest selects the method.
 //
 //	clmdetect -bundle bundle/ -input data/test.jsonl -top 20
 //
 // Streaming usage (-follow tails the input, scoring each line as it
 // arrives through a session-aware detector; see internal/stream):
 //
-//	tail -F /var/log/commands.log | clmdetect -model model/ \
-//	          -baseline data/train.jsonl -method retrieval -follow \
+//	tail -F /var/log/commands.log | clmdetect -bundle bundle/ -follow \
 //	          -context 3 -session-threshold 0.8
 //
 // -input accepts a JSONL log or a plain-text file with one command line per
@@ -57,17 +50,12 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("clmdetect", flag.ContinueOnError)
-	bundle := fs.String("bundle", "", "scorer bundle directory (cold start: no baseline, no tuning; the manifest selects the method)")
-	modelDir := fs.String("model", "model", "trained pipeline directory (ignored with -bundle)")
-	baseline := fs.String("baseline", "train.jsonl", "labeled baseline log (JSONL) for supervision (ignored with -bundle)")
-	method := fs.String("method", "classifier", "detection method: classifier | retrieval | reconstruction | pca (ignored with -bundle)")
+	bundle := fs.String("bundle", "", "scorer bundle directory built by clmtrain -bundle (required; the manifest selects the method)")
 	input := fs.String("input", "-", "lines to score: JSONL, plain text, or - for stdin")
 	top := fs.Int("top", 20, "how many highest-scored lines to print (batch mode)")
-	epochs := fs.Int("epochs", 8, "classifier tuning epochs")
-	seed := fs.Int64("seed", 1, "tuning seed")
-	precision := fs.String("precision", "", "serve-path precision: float64 | float32 | int8 (with -bundle the manifest decides unless this overrides)")
-	cascade := fs.Bool("cascade", false, "score through the cascade: rarity pre-filter -> int8 triage -> f64 confirm (with -bundle the bundle must carry a cascade section; without, thresholds are calibrated from the baseline)")
-	modalityPin := fs.String("modality", "", "expected log modality ("+modality.FlagHelp()+"): a bundle or pipeline trained for another modality is rejected; empty accepts whatever the artifact carries")
+	precision := fs.String("precision", "", "serve-path precision: float64 | float32 | int8 (the bundle manifest decides unless this overrides)")
+	cascade := fs.Bool("cascade", false, "score through the cascade: rarity pre-filter -> int8 triage -> f64 confirm (the bundle must carry a cascade section, see clmtrain -cascade)")
+	modalityPin := fs.String("modality", "", "expected log modality ("+modality.FlagHelp()+"): a bundle trained for another modality is rejected; empty accepts whatever the bundle carries")
 	follow := fs.Bool("follow", false, "stream mode: score lines as they arrive, with session aggregation")
 	user := fs.String("user", "stdin", "user attributed to plain-text lines in follow mode")
 	contextN := fs.Int("context", 1, "follow mode: session lines joined per scoring input (§IV-C)")
@@ -79,8 +67,8 @@ func run(args []string) error {
 		return err
 	}
 
-	// "" follows the bundle manifest (float64 on the legacy path); an
-	// explicit value is validated before anything loads.
+	// "" follows the bundle manifest; an explicit value is validated before
+	// anything loads.
 	var prec model.Precision
 	if *precision != "" {
 		var err error
@@ -92,73 +80,34 @@ func run(args []string) error {
 		return fmt.Errorf("-cascade and -precision are mutually exclusive: the cascade serves int8 triage with float64 confirm")
 	}
 	// A typoed modality fails here with the registered list, before the
-	// model loads — the same fast-fail UX as -method.
+	// bundle loads.
 	if *modalityPin != "" {
 		if err := modality.Validate(*modalityPin); err != nil {
 			return err
 		}
 	}
 
-	ids := commercial.Default()
-	var scorer tuning.Scorer
-	if *bundle != "" {
-		// Cold start: the bundle carries backbone, tokenizer, and head —
-		// nothing is re-tuned and no baseline log is opened.
-		lb, err := core.LoadScorerBundle(*bundle)
-		if err != nil {
+	if *bundle == "" {
+		return fmt.Errorf("-bundle is required: build a scorer bundle with clmtrain -bundle dir")
+	}
+	lb, err := core.LoadScorerBundle(*bundle)
+	if err != nil {
+		return err
+	}
+	if *modalityPin != "" {
+		if err := lb.CheckModality(*modalityPin); err != nil {
 			return err
 		}
-		if *modalityPin != "" {
-			if err := lb.CheckModality(*modalityPin); err != nil {
-				return err
-			}
-		}
-		scorer, *method = lb.Scorer, lb.Manifest.Method
-		if *cascade {
-			if scorer, err = core.BuildCascade(lb.Scorer, lb.Cascade); err != nil {
-				return err
-			}
-		}
-		if *precision != "" {
-			if err := tuning.SetScorerPrecision(scorer, prec); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Fail a typoed method before the model loads and tuning starts.
-		if err := core.ValidateMethod(*method); err != nil {
+	}
+	var scorer tuning.Scorer = lb.Scorer
+	if *cascade {
+		if scorer, err = core.BuildCascade(lb.Scorer, lb.Cascade); err != nil {
 			return err
 		}
-		pl, err := core.LoadPipeline(*modelDir)
-		if err != nil {
+	}
+	if *precision != "" {
+		if err := tuning.SetScorerPrecision(scorer, prec); err != nil {
 			return err
-		}
-		if pin := modality.Canonical(*modalityPin); *modalityPin != "" && pl.Pre.Modality() != pin {
-			return fmt.Errorf("%w: pipeline %s is %q, -modality wants %q",
-				core.ErrModalityMismatch, *modelDir, pl.Pre.Modality(), pin)
-		}
-		baseLines, err := readBaseline(*baseline)
-		if err != nil {
-			return err
-		}
-		labels, err := ids.Label(baseLines, commercial.DefaultNoise(), *seed)
-		if err != nil {
-			return err
-		}
-		scorer, err = core.BuildScorer(pl, core.ScorerConfig{
-			Method: *method, Epochs: *epochs, Seed: *seed, Precision: prec,
-		}, baseLines, labels)
-		if err != nil {
-			return err
-		}
-		if *cascade {
-			art, err := core.CalibrateCascade(scorer, pl.Pre.Modality(), baseLines, core.DefaultCascadeConfig())
-			if err != nil {
-				return err
-			}
-			if scorer, err = core.BuildCascade(scorer, art); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -175,7 +124,7 @@ func run(args []string) error {
 		cfg.IdleTimeout = *idle
 		return followInput(*input, *user, stream.NewDetector(scorer, cfg), os.Stdout)
 	}
-	return batchDetect(scorer, ids, *method, *input, *top)
+	return batchDetect(scorer, commercial.Default(), lb.Manifest.Method, *input, *top)
 }
 
 // batchDetect is the one-shot mode: score everything, print the top lines.
@@ -299,19 +248,6 @@ func followInput(path, user string, det *stream.Detector, w io.Writer) error {
 	fmt.Fprintf(w, "-- %d events, %d line alerts, %d session alerts, %d sessions --\n",
 		st.Events, st.LineAlerts, st.SessionAlerts, st.SessionsStarted)
 	return nil
-}
-
-func readBaseline(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ds, err := corpus.ReadJSONL(f)
-	if err != nil {
-		return nil, err
-	}
-	return ds.Lines(), nil
 }
 
 // readInput accepts JSONL (detected by a leading '{'), plain text, or "-"

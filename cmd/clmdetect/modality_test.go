@@ -13,35 +13,18 @@ import (
 // TestDetectRejectsUnknownModality: the typo fails in milliseconds with
 // the registered list, before any artifact is opened.
 func TestDetectRejectsUnknownModality(t *testing.T) {
-	err := run([]string{"-model", "/nonexistent", "-modality", "syslog", "-input", "-"})
+	err := run([]string{"-modality", "syslog", "-input", "-"})
 	if err == nil || !strings.Contains(err.Error(), "powershell") ||
 		!strings.Contains(err.Error(), "flows") {
 		t.Fatalf("unknown modality error does not list registered names: %v", err)
 	}
 }
 
-// TestDetectModalityPin: -modality pins the artifact's log type — the
-// matching pin passes on both the bundle and legacy paths, and a
-// cross-modality pin is rejected with the typed mismatch error before a
-// single line is scored.
+// TestDetectModalityPin: -modality pins the bundle's log type — the
+// matching pin passes, and a cross-modality pin is rejected with the typed
+// mismatch error before a single line is scored.
 func TestDetectModalityPin(t *testing.T) {
-	modelDir, dataPath := buildFixture(t)
-	pl, err := core.LoadPipeline(modelDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseLines, err := readBaseline(dataPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := core.BuildScorerFull(pl, core.ScorerConfig{Method: "pca"}, baseLines, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundleDir := t.TempDir()
-	if _, err := core.SaveBundle(bundleDir, pl, bs, "pin-test"); err != nil {
-		t.Fatal(err)
-	}
+	bundleDir, _ := bundleFor(t, "pca")
 	input := filepath.Join(t.TempDir(), "lines.txt")
 	if err := os.WriteFile(input, []byte("ls -la /srv\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -50,13 +33,8 @@ func TestDetectModalityPin(t *testing.T) {
 	if err := run([]string{"-bundle", bundleDir, "-modality", "shell", "-input", input}); err != nil {
 		t.Fatalf("matching pin rejected a shell bundle: %v", err)
 	}
-	err = run([]string{"-bundle", bundleDir, "-modality", "flows", "-input", input})
+	err := run([]string{"-bundle", bundleDir, "-modality", "flows", "-input", input})
 	if !errors.Is(err, core.ErrModalityMismatch) {
-		t.Fatalf("bundle path: error %v, want ErrModalityMismatch", err)
-	}
-	err = run([]string{"-model", modelDir, "-baseline", dataPath, "-method", "pca",
-		"-modality", "flows", "-input", input})
-	if !errors.Is(err, core.ErrModalityMismatch) {
-		t.Fatalf("legacy path: error %v, want ErrModalityMismatch", err)
+		t.Fatalf("error %v, want ErrModalityMismatch", err)
 	}
 }

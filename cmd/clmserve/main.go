@@ -1,15 +1,11 @@
 // Command clmserve is the streaming detection daemon: it serves
 // NDJSON-over-HTTP scoring with session-aware aggregation (see
-// internal/stream) over one of the paper's detection methods, obtained one
-// of two ways:
-//
-//   - -bundle dir: cold start from a versioned scorer bundle (see clmtrain
-//     -bundle and internal/core). No baseline corpus is read and no tuning
-//     runs at startup — the bundle carries the backbone, tokenizer, and
-//     method head, and the daemon is ready as soon as they deserialize.
-//   - -model + -baseline: legacy warm start — load a trained pipeline,
-//     build the method scorer over a labeled baseline log at startup
-//     (minutes for the tuned methods).
+// internal/stream) over one of the paper's detection methods, cold-started
+// from a versioned scorer bundle (-bundle dir, built by clmtrain -bundle;
+// see internal/core). No baseline corpus is read and no tuning runs at
+// startup — the bundle carries the backbone, tokenizer, and method head,
+// its manifest names the method, and the daemon is ready as soon as they
+// deserialize.
 //
 // Usage:
 //
@@ -28,7 +24,7 @@
 //	              bundle version; with -cascade, the per-rung traffic
 //	              split: cleared / triaged / escalated).
 //	GET  /healthz liveness: 200 from the moment the socket is open, even
-//	              during the potentially minutes-long scorer build/load.
+//	              while the bundle is still loading.
 //	GET  /readyz  readiness: 503 until the scorer is serving — the probe
 //	              load balancers should route on.
 //	POST /reload  hot-swap the scorer from ?bundle=dir (default: the
@@ -74,9 +70,7 @@ import (
 	"syscall"
 	"time"
 
-	"clmids/internal/commercial"
 	"clmids/internal/core"
-	"clmids/internal/corpus"
 	"clmids/internal/fleet"
 	"clmids/internal/modality"
 	"clmids/internal/model"
@@ -94,13 +88,8 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("clmserve", flag.ContinueOnError)
-	bundleDir := fs.String("bundle", "", "scorer bundle directory (cold start: no baseline, no tuning); the initial /reload and SIGHUP source (rebound by an explicit /reload?bundle=dir)")
-	modelDir := fs.String("model", "model", "trained pipeline directory (ignored with -bundle)")
-	baseline := fs.String("baseline", "train.jsonl", "labeled baseline log (JSONL) for supervision (ignored with -bundle)")
-	method := fs.String("method", "retrieval", "detection method: classifier | retrieval | reconstruction | pca (ignored with -bundle: the manifest decides)")
+	bundleDir := fs.String("bundle", "", "scorer bundle directory built by clmtrain -bundle (required; with -router, optional: the default rolling-reload source); the initial /reload and SIGHUP source (rebound by an explicit /reload?bundle=dir)")
 	addr := fs.String("addr", ":8080", "listen address")
-	epochs := fs.Int("epochs", 8, "classifier tuning epochs")
-	seed := fs.Int64("seed", 1, "tuning seed")
 	contextN := fs.Int("context", 1, "session lines joined per scoring input (§IV-C)")
 	aggregation := fs.String("aggregation", "decay", "session aggregation: max | mean | decay")
 	lineThr := fs.Float64("line-threshold", 0, "per-line alert threshold (0 disables)")
@@ -115,23 +104,22 @@ func run(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "session checkpoint file: restored at startup, rewritten every -checkpoint-interval and after draining (empty disables)")
 	ckptInterval := fs.Duration("checkpoint-interval", time.Minute, "how often to rewrite the session checkpoint")
 	shards := fs.Int("shards", 0, "detector shards keyed by hash(user) (0 = GOMAXPROCS); each shard scores concurrently on its own scorer replica")
-	modalityPin := fs.String("modality", "", "pin the served log modality ("+modality.FlagHelp()+"): the startup artifact and every reload must match, or they are rejected; empty adopts the first loaded artifact's modality")
-	precision := fs.String("precision", "", "serve-path precision: float64 | float32 | int8 (with -bundle the manifest decides unless this overrides; applies at startup, reloads follow their bundle's manifest)")
-	cascade := fs.Bool("cascade", false, "serve the scoring cascade: rarity pre-filter -> int8 triage -> f64 confirm (with -bundle the bundle must carry a cascade section, see clmtrain -cascade; without, thresholds are calibrated from the baseline at startup); per-rung traffic shows in /stats")
+	modalityPin := fs.String("modality", "", "pin the served log modality ("+modality.FlagHelp()+"): the startup bundle and every reload must match, or they are rejected; empty adopts the startup bundle's modality")
+	precision := fs.String("precision", "", "serve-path precision: float64 | float32 | int8 (the bundle manifest decides unless this overrides; applies at startup, reloads follow their bundle's manifest)")
+	cascade := fs.Bool("cascade", false, "serve the scoring cascade: rarity pre-filter -> int8 triage -> f64 confirm (the bundle must carry a cascade section, see clmtrain -cascade); per-rung traffic shows in /stats")
 	pprofAddr := fs.String("pprof", "", "expose net/http/pprof on this extra debug listener (e.g. 127.0.0.1:6060); scoring, liveness, and readiness stay on -addr")
 	drainTimeout := fs.Duration("drain-timeout", 0, "bound the SIGTERM/SIGINT drain: after this long a wedged shard is abandoned and the final checkpoint covers what drained (0 waits forever)")
-	router := fs.Bool("router", false, "run as a fleet router over -replicas instead of serving a scorer: consistent-hash user -> replica, health-probed ejection/readmission, retry/backoff/hedging, session failover, rolling /reload")
+	router := fs.Bool("router", false, "run as a fleet router over -replicas instead of serving a scorer: consistent-hash user -> replica, health-probed ejection/readmission, retry/backoff, session failover, rolling /reload")
 	replicasFlag := fs.String("replicas", "", "comma-separated replica base URLs for -router mode (e.g. http://127.0.0.1:8081,http://127.0.0.1:8082)")
 	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "router health-probe period per replica")
 	requestTimeout := fs.Duration("request-timeout", 15*time.Second, "router per-request timeout for proxied score/export/import calls")
-	hedgeAfter := fs.Duration("hedge-after", 0, "router: hedge a stalled score request to the failover successor after this long (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *router {
-		// Router mode: no scorer, no baseline — just the fleet tier. The
-		// -bundle flag doubles as the default rolling-reload source.
-		return runRouter(*addr, *replicasFlag, *bundleDir, *batch, *probeInterval, *requestTimeout, *hedgeAfter)
+		// Router mode: no scorer — just the fleet tier. The -bundle flag
+		// doubles as the default rolling-reload source.
+		return runRouter(*addr, *replicasFlag, *bundleDir, *batch, *probeInterval, *requestTimeout)
 	}
 	if *shards <= 0 {
 		*shards = runtime.GOMAXPROCS(0)
@@ -140,8 +128,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// "" means follow the bundle manifest (or float64 on the legacy path);
-	// validate an explicit value before any loading happens.
+	// "" means follow the bundle manifest; validate an explicit value
+	// before any loading happens.
 	var prec model.Precision
 	if *precision != "" {
 		var err error
@@ -159,17 +147,15 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Fail a typoed method or modality in milliseconds, not after loading
-	// the model; the modality error lists the registered names.
-	if *bundleDir == "" {
-		if err := core.ValidateMethod(*method); err != nil {
-			return err
-		}
-	}
+	// Fail a typoed modality in milliseconds, not after loading the bundle;
+	// the error lists the registered names.
 	if *modalityPin != "" {
 		if err := modality.Validate(*modalityPin); err != nil {
 			return err
 		}
+	}
+	if *bundleDir == "" {
+		return errors.New("-bundle is required: build a scorer bundle with clmtrain -bundle dir")
 	}
 
 	scfg := stream.DefaultConfig()
@@ -182,9 +168,9 @@ func run(args []string) error {
 
 	// The socket opens before the scorer exists: /healthz answers 200
 	// immediately (liveness) while /readyz and /score answer 503 until the
-	// build/load below finishes, so restart supervisors see a live process
+	// bundle load below finishes, so restart supervisors see a live process
 	// and load balancers see a not-yet-ready replica instead of a black
-	// hole during the (potentially minutes-long) warm start.
+	// hole while the bundle deserializes.
 	d := serve.NewDaemon(*bundleDir, *cascade)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -213,60 +199,44 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "clmserve: pprof debug listener on http://%s/debug/pprof/\n", dln.Addr())
 	}
 
-	// Register signals before the (potentially minutes-long) scorer
-	// build/load: SIGHUP's default disposition kills the process, so an
-	// early reload request must be queued for the serving loop below, not
-	// terminate a warming replica.
+	// Register signals before the bundle load: SIGHUP's default
+	// disposition kills the process, so an early reload request must be
+	// queued for the serving loop below, not terminate a loading replica.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
 
-	var scorer tuning.Scorer
-	version, served := "", ""
-	if *bundleDir != "" {
-		lb, err := core.LoadScorerBundle(*bundleDir)
-		if err != nil {
+	lb, err := core.LoadScorerBundle(*bundleDir)
+	if err != nil {
+		server.Close()
+		return err
+	}
+	if *modalityPin != "" {
+		// The pin wins over the artifact: a bundle trained for another
+		// modality is rejected before it ever scores a line.
+		if err := lb.CheckModality(*modalityPin); err != nil {
 			server.Close()
 			return err
 		}
-		if *modalityPin != "" {
-			// The pin wins over the artifact: a bundle trained for another
-			// modality is rejected before it ever scores a line.
-			if err := lb.CheckModality(*modalityPin); err != nil {
-				server.Close()
-				return err
-			}
-		}
-		scorer, version, *method = lb.Scorer, lb.Manifest.Version, lb.Manifest.Method
-		served = lb.Modality()
-		fmt.Fprintf(os.Stderr, "clmserve: loaded %s bundle %s (modality %s, no tuning)\n", *method, version, served)
-		if *cascade {
-			if scorer, err = core.BuildCascade(lb.Scorer, lb.Cascade); err != nil {
-				server.Close()
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "clmserve: serving the scoring cascade (clear<=%.3g, escalate>=%.4g)\n",
-				lb.Cascade.Params.ClearThreshold, lb.Cascade.Params.EscalateLow)
-		}
-		if *precision != "" {
-			// Startup override: rebind the serving engine before any
-			// replica exists; the head and backbone are untouched.
-			if err := tuning.SetScorerPrecision(scorer, prec); err != nil {
-				server.Close()
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "clmserve: serving at %s precision\n", prec)
-		}
-	} else {
-		scorer, served, err = buildScorerFromBaseline(*modelDir, *baseline, *method, *epochs, *seed, prec, *cascade)
-		if err != nil {
+	}
+	var scorer tuning.Scorer = lb.Scorer
+	method, version, served := lb.Manifest.Method, lb.Manifest.Version, lb.Modality()
+	fmt.Fprintf(os.Stderr, "clmserve: loaded %s bundle %s (modality %s, no tuning)\n", method, version, served)
+	if *cascade {
+		if scorer, err = core.BuildCascade(lb.Scorer, lb.Cascade); err != nil {
 			server.Close()
 			return err
 		}
-		if pin := modality.Canonical(*modalityPin); *modalityPin != "" && served != pin {
+		fmt.Fprintf(os.Stderr, "clmserve: serving the scoring cascade (clear<=%.3g, escalate>=%.4g)\n",
+			lb.Cascade.Params.ClearThreshold, lb.Cascade.Params.EscalateLow)
+	}
+	if *precision != "" {
+		// Startup override: rebind the serving engine before any replica
+		// exists; the head and backbone are untouched.
+		if err := tuning.SetScorerPrecision(scorer, prec); err != nil {
 			server.Close()
-			return fmt.Errorf("%w: pipeline %s is %q, server pinned to %q",
-				core.ErrModalityMismatch, *modelDir, served, pin)
+			return err
 		}
+		fmt.Fprintf(os.Stderr, "clmserve: serving at %s precision\n", prec)
 	}
 
 	// One scorer replica per shard: the frozen backbone and fitted
@@ -346,7 +316,7 @@ func run(args []string) error {
 	}
 
 	fmt.Fprintf(os.Stderr, "clmserve: %s scorer serving %s logs on %s (%d shards, overload=%s)\n",
-		*method, served, ln.Addr(), *shards, overloadPolicy)
+		method, served, ln.Addr(), *shards, overloadPolicy)
 
 	for {
 		select {
@@ -399,69 +369,12 @@ func run(args []string) error {
 	}
 }
 
-// buildScorerFromBaseline is the legacy warm start: load the pipeline and
-// tune the method head over the labeled baseline log; prec selects the
-// serving engine's arithmetic rung (tuning itself always runs in float64).
-// The returned modality is the pipeline's, so the caller can enforce a
-// -modality pin and stamp the serving stats.
-func buildScorerFromBaseline(modelDir, baseline, method string, epochs int, seed int64, prec model.Precision, cascade bool) (tuning.Scorer, string, error) {
-	pl, err := core.LoadPipeline(modelDir)
-	if err != nil {
-		return nil, "", err
-	}
-	served := pl.Pre.Modality()
-	bf, err := os.Open(baseline)
-	if err != nil {
-		return nil, "", err
-	}
-	ds, err := corpus.ReadJSONL(bf)
-	bf.Close()
-	if err != nil {
-		return nil, "", err
-	}
-	baseLines := ds.Lines()
-	var labels []bool
-	if served == modality.Shell {
-		labels, err = commercial.Default().Label(baseLines, commercial.DefaultNoise(), seed)
-		if err != nil {
-			return nil, "", err
-		}
-	} else {
-		// The commercial IDS rule set is shell-only; other modalities use the
-		// in-box oracle carried by the labeled baseline log.
-		labels = make([]bool, len(ds.Samples))
-		for i, s := range ds.Samples {
-			labels[i] = s.Label == corpus.Intrusion && s.InBox
-		}
-	}
-	fmt.Fprintf(os.Stderr, "clmserve: building %s scorer over %d baseline lines...\n", method, len(baseLines))
-	sc, err := core.BuildScorer(pl, core.ScorerConfig{
-		Method: method, Epochs: epochs, Seed: seed, Precision: prec,
-	}, baseLines, labels)
-	if err != nil || !cascade {
-		return sc, served, err
-	}
-	// Cascade warm start: calibrate the rung-0 table and escalation band
-	// against this scorer's own scores of the baseline, then compose.
-	art, err := core.CalibrateCascade(sc, served, baseLines, core.DefaultCascadeConfig())
-	if err != nil {
-		return nil, "", err
-	}
-	casc, err := core.BuildCascade(sc, art)
-	if err != nil {
-		return nil, "", err
-	}
-	fmt.Fprintf(os.Stderr, "clmserve: calibrated scoring cascade (clear<=%.3g, escalate>=%.4g)\n",
-		art.Params.ClearThreshold, art.Params.EscalateLow)
-	return casc, served, nil
-}
-
-// runRouter is -router mode: no scorer, no baseline — the process becomes
-// the fleet tier (internal/fleet) over the given replicas, serving the
-// same NDJSON /score protocol with health-probed ejection/readmission,
-// retry/backoff/hedging, session failover, and rolling zero-drop /reload
-// (also on SIGHUP). bundleDir is the default rolling-reload source.
-func runRouter(addr, replicaList, bundleDir string, chunk int, probeInterval, requestTimeout, hedgeAfter time.Duration) error {
+// runRouter is -router mode: no scorer — the process becomes the fleet
+// tier (internal/fleet) over the given replicas, serving the same NDJSON
+// /score protocol with health-probed ejection/readmission, retry/backoff,
+// session failover, and rolling zero-drop /reload (also on SIGHUP).
+// bundleDir is the default rolling-reload source.
+func runRouter(addr, replicaList, bundleDir string, chunk int, probeInterval, requestTimeout time.Duration) error {
 	var addrs []string
 	for _, a := range strings.Split(replicaList, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -475,7 +388,6 @@ func runRouter(addr, replicaList, bundleDir string, chunk int, probeInterval, re
 		Replicas:       addrs,
 		ProbeInterval:  probeInterval,
 		RequestTimeout: requestTimeout,
-		HedgeAfter:     hedgeAfter,
 		Chunk:          chunk,
 		BundleDir:      bundleDir,
 		Logf: func(format string, args ...any) {

@@ -226,17 +226,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown aggregation") {
 		t.Fatalf("bad aggregation: %v", err)
 	}
-	// A typoed method fails up front, before any model or baseline loads.
-	if err := run([]string{"-method", "retrieva1"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown method") ||
-		!strings.Contains(err.Error(), "classifier") {
-		t.Fatalf("bad method not rejected with the valid list: %v", err)
-	}
-	if err := run([]string{"-model", "/nonexistent", "-addr", "127.0.0.1:0"}); err == nil {
-		t.Fatal("missing model accepted")
-	}
 	if err := run([]string{"-bundle", "/nonexistent", "-addr", "127.0.0.1:0"}); err == nil {
 		t.Fatal("missing bundle accepted")
+	}
+}
+
+// TestServeRequiresBundle: a bundle is the only way to give a replica a
+// scorer, and its absence fails before the listener opens — an unusable
+// -addr would otherwise be the error — with a message that says how to
+// make one.
+func TestServeRequiresBundle(t *testing.T) {
+	err := run([]string{"-addr", "not-an-addr"})
+	if err == nil || !strings.Contains(err.Error(), "-bundle") ||
+		!strings.Contains(err.Error(), "clmtrain -bundle") {
+		t.Fatalf("missing -bundle: %v", err)
 	}
 }
 

@@ -128,7 +128,7 @@ func newModalityService(t *testing.T, f *serveFixture) *stream.Service {
 }
 
 // TestServeRejectsUnknownModality: a typoed -modality fails fast with the
-// registered list, the same UX as a typoed -method.
+// registered list, before any bundle loads.
 func TestServeRejectsUnknownModality(t *testing.T) {
 	err := run([]string{"-modality", "syslog"})
 	if err == nil || !strings.Contains(err.Error(), "powershell") ||

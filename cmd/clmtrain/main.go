@@ -133,9 +133,9 @@ func run(args []string) error {
 		return nil
 	}
 	// Bundle emit: the training log doubles as the labeled baseline. On the
-	// shell modality supervision comes from the simulated commercial IDS —
-	// the same signal clmserve's warm start would derive, computed once here
-	// instead of at every service start. The IDS rule set is shell-only, so
+	// shell modality supervision comes from the simulated commercial IDS,
+	// computed once here so that serving never reads a corpus or tunes a
+	// head. The IDS rule set is shell-only, so
 	// other modalities fall back to the in-box oracle the log itself carries
 	// (an intrusion record whose variant is marked in-box), mirroring a rule
 	// set that knows exactly the known patterns.

@@ -26,7 +26,7 @@ const (
 	// the suffix as unacknowledged and fail it over).
 	ReplicaTorn
 	// ReplicaSlow delays each response by the hold duration but answers
-	// correctly — tail latency, not failure (what hedging is for).
+	// correctly — tail latency, not failure.
 	ReplicaSlow
 )
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,7 +108,8 @@ func newTestReplicaCfg(t *testing.T, cfg stream.Config) *testReplica {
 	d := serve.NewDaemon("", false)
 	d.Attach(rep.svc, "shell")
 	inner := serve.NewHandler(d, 64)
-	var unreadyUntil time.Time
+	// Written by /reload, read by concurrent /readyz probes.
+	var unreadyUntil atomic.Int64 // unix nanoseconds
 	mux := http.NewServeMux()
 	mux.HandleFunc("/reload", func(w http.ResponseWriter, r *http.Request) {
 		version := "v-" + r.URL.Query().Get("bundle")
@@ -116,13 +118,13 @@ func newTestReplicaCfg(t *testing.T, cfg stream.Config) *testReplica {
 		default:
 		}
 		if rep.unreadyWindow > 0 {
-			unreadyUntil = time.Now().Add(rep.unreadyWindow)
+			unreadyUntil.Store(time.Now().Add(rep.unreadyWindow).UnixNano())
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]string{"version": version})
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if time.Now().Before(unreadyUntil) {
+		if time.Now().UnixNano() < unreadyUntil.Load() {
 			http.Error(w, "reloading", http.StatusServiceUnavailable)
 			return
 		}

@@ -32,14 +32,11 @@ type RouterStats struct {
 	Replicas        []ReplicaStatus `json:"replicas"`
 	HealthyReplicas int             `json:"healthy_replicas"`
 	// Events counts events routed; Retries same-target retry attempts;
-	// Failovers re-partitions after a target fell out mid-chunk; Hedges /
-	// HedgeWins speculative requests launched and won; Imports / Exports
-	// session migrations landed and sourced live.
+	// Failovers re-partitions after a target fell out mid-chunk; Imports /
+	// Exports session migrations landed and sourced live.
 	Events    int64 `json:"events"`
 	Retries   int64 `json:"retries"`
 	Failovers int64 `json:"failovers"`
-	Hedges    int64 `json:"hedges"`
-	HedgeWins int64 `json:"hedge_wins"`
 	Imports   int64 `json:"imports"`
 	Exports   int64 `json:"exports"`
 	// TrackedSessions is the live shadow-window count; Modality and Config
@@ -74,8 +71,6 @@ func (rt *Router) Stats() RouterStats {
 	st.Events = rt.events.Load()
 	st.Retries = rt.retries.Load()
 	st.Failovers = rt.failovers.Load()
-	st.Hedges = rt.hedges.Load()
-	st.HedgeWins = rt.hedgeWins.Load()
 	st.Imports = rt.imports.Load()
 	st.Exports = rt.exports.Load()
 	return st

@@ -61,7 +61,7 @@ func (rt *Router) RollingReload(ctx context.Context, dir string) ([]ReplicaReloa
 			return done, fmt.Errorf("fleet: reload of %s failed: %w", rep.addr, err)
 		}
 		// The replica answered /readyz itself; don't make its users wait
-		// ReadmitAfter probe ticks to come home.
+		// readmitAfter probe ticks to come home.
 		rt.forceReady(rep)
 		done = append(done, ReplicaReload{Addr: rep.addr, Version: version})
 		rt.cfg.Logf("fleet: replica %s reloaded to %s", rep.addr, version)
@@ -84,7 +84,7 @@ func (rt *Router) forceReady(rep *replica) {
 	}
 	rt.mu.Lock()
 	rep.consecFails = 0
-	rep.consecOKs = rt.cfg.ReadmitAfter
+	rep.consecOKs = readmitAfter
 	if !rep.ready && rep.cfgOK {
 		rep.ready = true
 		rep.readmissions++

@@ -4,19 +4,22 @@
 // stream.ShardedDetector's hash(user) → shard. Robustness is the point:
 // per-replica health probing with an ejection/readmission state machine,
 // per-request timeouts with capped exponential backoff (Retry-After
-// honored on 429), optional hedged requests for tail latency, session
-// failover that migrates per-user windows across replicas (live export
-// from a draining replica, verdict-built shadow windows when the source
-// died), and a rolling fleet reload that never takes more than one replica
-// out of rotation.
+// honored on 429), session failover that migrates per-user windows across
+// replicas (live export from a draining replica, verdict-built shadow
+// windows when the source died), and a rolling fleet reload that never
+// takes more than one replica out of rotation.
 package fleet
 
-import "sort"
+import (
+	"sort"
+	"strconv"
+)
 
 // fnv1a is the same FNV-1a math stream.shardOf uses, one level up: the
 // fleet ring and the in-process shard router agree on the hash family, so
 // the fleet tier is the natural outer ring of the same partitioning story.
-func fnv1a(s string) uint32 {
+// The []byte form hashes vnode labels without a string allocation.
+func fnv1a[T string | []byte](s T) uint32 {
 	h := uint32(2166136261) // FNV-1a offset basis
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -32,7 +35,7 @@ type ringPoint struct {
 }
 
 // Ring is an immutable consistent-hash ring over a set of replica
-// addresses, each owning VNodes virtual points. Lookup maps a user to the
+// addresses, each owning vnodes virtual points. Lookup maps a user to the
 // first point clockwise of hash(user): when a replica joins or leaves,
 // only the users whose arcs touched it move — the property that keeps a
 // replica ejection from reshuffling every session in the fleet (a plain
@@ -41,29 +44,24 @@ type Ring struct {
 	points []ringPoint
 }
 
-// DefaultVNodes is the virtual-node count per replica when Config.VNodes
-// is zero: enough points that a 2–16 replica fleet balances within a few
-// percent, cheap enough that ring rebuilds stay microseconds.
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per replica: enough points that a 2–16
+// replica fleet balances within a few percent, cheap enough that ring
+// rebuilds stay microseconds.
+const vnodes = 64
 
 // BuildRing constructs a ring over addrs with vnodes virtual points per
-// replica (DefaultVNodes when <= 0). An empty addrs yields an empty ring
-// (Lookup returns ""). Construction is deterministic in the set — order
-// of addrs does not matter.
-func BuildRing(addrs []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// replica. An empty addrs yields an empty ring (Lookup returns "").
+// Construction is deterministic in the set — order of addrs does not
+// matter.
+func BuildRing(addrs []string) *Ring {
 	r := &Ring{points: make([]ringPoint, 0, len(addrs)*vnodes)}
 	var buf []byte
 	for _, a := range addrs {
 		for i := 0; i < vnodes; i++ {
 			// addr "#" i: distinct, stable virtual point labels.
-			buf = buf[:0]
-			buf = append(buf, a...)
-			buf = append(buf, '#')
-			buf = appendInt(buf, i)
-			r.points = append(r.points, ringPoint{hash: fnv1aBytes(buf), addr: a})
+			buf = append(append(buf[:0], a...), '#')
+			buf = strconv.AppendInt(buf, int64(i), 10)
+			r.points = append(r.points, ringPoint{hash: fnv1a(buf), addr: a})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -75,32 +73,6 @@ func BuildRing(addrs []string, vnodes int) *Ring {
 		return r.points[i].addr < r.points[j].addr
 	})
 	return r
-}
-
-// fnv1aBytes is fnv1a over a byte slice (the vnode label path — avoids a
-// string allocation per point).
-func fnv1aBytes(b []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// appendInt appends the decimal form of a small non-negative int.
-func appendInt(b []byte, v int) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [10]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
 }
 
 // Empty reports whether the ring has no points (no healthy replicas).
@@ -118,22 +90,4 @@ func (r *Ring) Lookup(user string) string {
 		i = 0
 	}
 	return r.points[i].addr
-}
-
-// LookupExcluding returns the owner of user on the ring with addr's points
-// removed — the hedge/failover successor: where user would land if addr
-// left the ring. "" when no other replica remains.
-func (r *Ring) LookupExcluding(user, addr string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := fnv1a(user)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	for k := 0; k < len(r.points); k++ {
-		p := r.points[(i+k)%len(r.points)]
-		if p.addr != addr {
-			return p.addr
-		}
-	}
-	return ""
 }

@@ -13,12 +13,37 @@ func ringAddrs(n int) []string {
 	return addrs
 }
 
+// The ring's placements are part of the serving contract: the warm-fleet
+// benchmark gives its router two fixed addresses so that the corpus's 40
+// users split 20/20, and a change to the hash, the vnode count or the vnode
+// labels would silently move that split. Pin it exactly.
+func TestRingGoldenPlacements(t *testing.T) {
+	const a, b = "http://127.0.0.1:8003", "http://127.0.0.1:8004"
+	r := BuildRing([]string{a, b})
+	counts := map[string]int{}
+	for i := 0; i < 40; i++ {
+		u := fmt.Sprintf("user%03d", i)
+		want := b
+		if i >= 20 {
+			want = a
+		}
+		got := r.Lookup(u)
+		if got != want {
+			t.Errorf("%s placed on %s, want %s", u, got, want)
+		}
+		counts[got]++
+	}
+	if counts[a] != 20 || counts[b] != 20 {
+		t.Fatalf("user000–user039 split %v, want 20/20", counts)
+	}
+}
+
 // The ring must be a pure function of the replica set: insertion order
 // cannot change any user's owner.
 func TestRingDeterministicInSet(t *testing.T) {
 	addrs := ringAddrs(4)
-	a := BuildRing(addrs, 0)
-	b := BuildRing([]string{addrs[3], addrs[1], addrs[0], addrs[2]}, 0)
+	a := BuildRing(addrs)
+	b := BuildRing([]string{addrs[3], addrs[1], addrs[0], addrs[2]})
 	for i := 0; i < 1000; i++ {
 		u := fmt.Sprintf("user-%d", i)
 		if a.Lookup(u) != b.Lookup(u) {
@@ -32,8 +57,8 @@ func TestRingDeterministicInSet(t *testing.T) {
 // from reshuffling every session in the fleet.
 func TestRingRemovalMovesOnlyOrphans(t *testing.T) {
 	addrs := ringAddrs(4)
-	full := BuildRing(addrs, 0)
-	without := BuildRing(addrs[:3], 0) // replica-3 ejected
+	full := BuildRing(addrs)
+	without := BuildRing(addrs[:3]) // replica-3 ejected
 	moved, kept := 0, 0
 	for i := 0; i < 2000; i++ {
 		u := fmt.Sprintf("user-%d", i)
@@ -60,7 +85,7 @@ func TestRingRemovalMovesOnlyOrphans(t *testing.T) {
 // replicas should own a sane share, not a sliver.
 func TestRingBalance(t *testing.T) {
 	addrs := ringAddrs(4)
-	r := BuildRing(addrs, 0)
+	r := BuildRing(addrs)
 	counts := map[string]int{}
 	const n = 8000
 	for i := 0; i < n; i++ {
@@ -74,31 +99,14 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// LookupExcluding must agree with a ring built without the excluded
-// replica — it is the failover successor.
-func TestLookupExcludingMatchesRemoval(t *testing.T) {
-	addrs := ringAddrs(3)
-	full := BuildRing(addrs, 0)
-	without := BuildRing(addrs[1:], 0) // exclude addrs[0]
-	for i := 0; i < 1000; i++ {
-		u := fmt.Sprintf("user-%d", i)
-		if got, want := full.LookupExcluding(u, addrs[0]), without.Lookup(u); got != want {
-			t.Fatalf("user %s: LookupExcluding=%s, ring-without=%s", u, got, want)
-		}
-	}
-}
-
 // Empty and single-replica rings degrade sanely.
 func TestRingEdgeCases(t *testing.T) {
-	empty := BuildRing(nil, 0)
-	if !empty.Empty() || empty.Lookup("u") != "" || empty.LookupExcluding("u", "x") != "" {
+	empty := BuildRing(nil)
+	if !empty.Empty() || empty.Lookup("u") != "" {
 		t.Fatal("empty ring should return no owner")
 	}
-	one := BuildRing(ringAddrs(1), 0)
+	one := BuildRing(ringAddrs(1))
 	if one.Lookup("anyone") != ringAddrs(1)[0] {
 		t.Fatal("single-replica ring must own everyone")
-	}
-	if one.LookupExcluding("anyone", ringAddrs(1)[0]) != "" {
-		t.Fatal("excluding the only replica must leave no successor")
 	}
 }

@@ -27,19 +27,9 @@ type Config struct {
 	// fixed for the router's lifetime (health decides rotation, not
 	// membership).
 	Replicas []string
-	// VNodes is the virtual-node count per replica on the hash ring
-	// (default DefaultVNodes).
-	VNodes int
-	// ProbeInterval is the health-probe period per replica (default 500ms);
-	// ProbeTimeout bounds each probe request (default: ProbeInterval).
+	// ProbeInterval is the health-probe period per replica, and the bound
+	// on each probe request (default 500ms).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// EjectAfter is the consecutive probe failures that eject a replica
-	// from the ring; ReadmitAfter the consecutive successes that readmit
-	// it. Defaults 2 and 2. Data-path transport failures eject immediately
-	// — the probe thresholds only smooth flapping.
-	EjectAfter   int
-	ReadmitAfter int
 	// RequestTimeout bounds each proxied /score, export, and import call
 	// (default 15s).
 	RequestTimeout time.Duration
@@ -50,10 +40,6 @@ type Config struct {
 	RetryMax  int
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// HedgeAfter launches a speculative request to the user's failover
-	// successor when the primary has not answered within this duration;
-	// first success wins. 0 disables hedging.
-	HedgeAfter time.Duration
 	// Chunk caps events per proxied Submit (default 512).
 	Chunk int
 	// BundleDir is the default rolling-reload source (empty: /reload
@@ -75,21 +61,15 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// ejectAfter is the consecutive probe failures that eject a replica from
+// the ring; readmitAfter the consecutive successes that readmit it.
+// Data-path transport failures eject immediately — the probe thresholds
+// only smooth flapping.
+const ejectAfter, readmitAfter = 2, 2
+
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
-	}
-	if c.EjectAfter <= 0 {
-		c.EjectAfter = 2
-	}
-	if c.ReadmitAfter <= 0 {
-		c.ReadmitAfter = 2
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 15 * time.Second
@@ -147,8 +127,8 @@ type replica struct {
 }
 
 // Router consistent-hashes user → replica over the configured fleet and
-// proxies the NDJSON /score protocol with retries, backoff, hedging, and
-// session failover. Create with New, then Start the health probes.
+// proxies the NDJSON /score protocol with retries, backoff, and session
+// failover. Create with New, then Start the health probes.
 type Router struct {
 	cfg Config
 
@@ -170,8 +150,7 @@ type Router struct {
 
 	reloadMu sync.Mutex // serializes rolling reloads
 
-	events, retries, hedges, hedgeWins atomic.Int64
-	failovers, imports, exports        atomic.Int64
+	events, retries, failovers, imports, exports atomic.Int64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -190,7 +169,7 @@ func New(cfg Config) (*Router, error) {
 		byAddr:  make(map[string]*replica, len(cfg.Replicas)),
 		owners:  make(map[string]string),
 		shadows: make(map[string]*shadowWindow),
-		ring:    BuildRing(nil, cfg.VNodes),
+		ring:    BuildRing(nil),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		stop:    make(chan struct{}),
 	}
@@ -268,7 +247,7 @@ func (rt *Router) probeOnce(rep *replica) {
 }
 
 func (rt *Router) checkReady(rep *replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.addr+"/readyz", nil)
 	if err != nil {
@@ -287,7 +266,7 @@ func (rt *Router) checkReady(rep *replica) bool {
 // modality against the fleet's. The first verified replica donates the
 // fleet-wide reference.
 func (rt *Router) verifyConfig(rep *replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.addr+"/stats", nil)
 	if err != nil {
@@ -326,8 +305,8 @@ func (rt *Router) verifyConfig(rep *replica) bool {
 	return true
 }
 
-// noteProbe advances the ejection/readmission state machine: EjectAfter
-// consecutive failures take a replica out of the ring, ReadmitAfter
+// noteProbe advances the ejection/readmission state machine: ejectAfter
+// consecutive failures take a replica out of the ring, readmitAfter
 // consecutive successes put it back.
 func (rt *Router) noteProbe(rep *replica, ok bool) {
 	rt.mu.Lock()
@@ -335,7 +314,7 @@ func (rt *Router) noteProbe(rep *replica, ok bool) {
 	if ok {
 		rep.consecFails = 0
 		rep.consecOKs++
-		if !rep.ready && rep.consecOKs >= rt.cfg.ReadmitAfter && rep.cfgOK {
+		if !rep.ready && rep.consecOKs >= readmitAfter && rep.cfgOK {
 			rep.ready = true
 			rep.readmissions++
 			rt.rebuildRingLocked()
@@ -345,7 +324,7 @@ func (rt *Router) noteProbe(rep *replica, ok bool) {
 	}
 	rep.consecOKs = 0
 	rep.consecFails++
-	if rep.ready && rep.consecFails >= rt.cfg.EjectAfter {
+	if rep.ready && rep.consecFails >= ejectAfter {
 		rt.ejectLocked(rep, "probe failures")
 	}
 }
@@ -388,7 +367,7 @@ func (rt *Router) rebuildRingLocked() {
 			addrs = append(addrs, r.addr)
 		}
 	}
-	rt.ring = BuildRing(addrs, rt.cfg.VNodes)
+	rt.ring = BuildRing(addrs)
 }
 
 // Ready reports whether the router can serve: at least one healthy replica
@@ -409,7 +388,7 @@ type work struct {
 }
 
 // Route scores one chunk of events across the fleet: partition by ring,
-// deliver each group with migration/retry/hedging, fail surviving events
+// deliver each group with migration/retry, fail surviving events
 // over to successors as replicas fall out, and return verdicts in input
 // order. An error means some events were definitively not scored (none
 // are silently dropped: the caller sees either a full verdict set or an
@@ -506,7 +485,7 @@ func (rt *Router) partition(pending []work) map[string]work {
 }
 
 // deliverGroup sends one replica's share of a chunk: migrate any users
-// whose windows live elsewhere, then score with retry/backoff/hedging.
+// whose windows live elsewhere, then score with retry/backoff.
 // Verdicts received are committed — they scatter into out and fold into
 // the shadows immediately, so a mid-group failure re-routes only the
 // unanswered suffix. Returns the remaining (unscored) work; err wraps
@@ -526,7 +505,7 @@ func (rt *Router) deliverGroup(ctx context.Context, addr string, g work, out []s
 		if attempt > 0 {
 			rt.retries.Add(1)
 		}
-		verdicts, class, retryAfter, err := rt.scoreHedged(ctx, rep, g.evs)
+		verdicts, class, retryAfter, err := rt.scoreOnce(ctx, rep, g.evs)
 		if len(verdicts) > 0 {
 			rt.applyVerdicts(addr, verdicts)
 			for i, v := range verdicts {
@@ -661,7 +640,7 @@ func (rt *Router) migrate(ctx context.Context, target *replica, users []string) 
 			}
 		}
 		if buf == nil {
-			b, err := rt.shadowCheckpoint(us, false)
+			b, err := rt.shadowCheckpoint(us)
 			if err != nil {
 				return err
 			}
@@ -747,123 +726,6 @@ const (
 	classInternal
 	classUnparsable
 )
-
-// scoreHedged runs scoreOnce against rep, optionally racing a hedge
-// against the user's failover successor when the primary stalls past
-// HedgeAfter. The hedge is a speculative failover: its target gets the
-// group's shadow windows imported first, and whichever side answers first
-// wins. A hedge win ejects the stalled primary (its state is now behind);
-// a hedge loss clears the speculatively imported windows off the hedge
-// target so no state lingers where the users don't live.
-func (rt *Router) scoreHedged(ctx context.Context, rep *replica, evs []stream.Event) ([]stream.Verdict, int, time.Duration, error) {
-	if rt.cfg.HedgeAfter <= 0 {
-		return rt.scoreOnce(ctx, rep, evs)
-	}
-	type res struct {
-		verdicts   []stream.Verdict
-		class      int
-		retryAfter time.Duration
-		err        error
-	}
-	primaryCtx, cancelPrimary := context.WithCancel(ctx)
-	defer cancelPrimary()
-	primCh := make(chan res, 1)
-	go func() {
-		v, c, ra, err := rt.scoreOnce(primaryCtx, rep, evs)
-		primCh <- res{v, c, ra, err}
-	}()
-	timer := time.NewTimer(rt.cfg.HedgeAfter)
-	defer timer.Stop()
-	select {
-	case r := <-primCh:
-		return r.verdicts, r.class, r.retryAfter, r.err
-	case <-ctx.Done():
-		return nil, classTransport, 0, ctx.Err()
-	case <-timer.C:
-	}
-	// Primary stalled. Pick the successor for this group's first user.
-	users := groupUsers(evs)
-	rt.mu.Lock()
-	hedgeAddr := rt.ring.LookupExcluding(users[0], rep.addr)
-	rt.mu.Unlock()
-	hedgeRep := rt.byAddr[hedgeAddr]
-	if hedgeRep == nil || hedgeAddr == rep.addr {
-		r := <-primCh
-		return r.verdicts, r.class, r.retryAfter, r.err
-	}
-	rt.hedges.Add(1)
-	hedgeCtx, cancelHedge := context.WithCancel(ctx)
-	defer cancelHedge()
-	hedgeCh := make(chan res, 1)
-	go func() {
-		// The hedge target must see the sessions before the events: import
-		// the router's shadows (current through every committed verdict),
-		// then score.
-		buf, err := rt.shadowCheckpoint(users, false)
-		if err == nil {
-			err = rt.importTo(hedgeCtx, hedgeRep, buf)
-		}
-		if err != nil {
-			hedgeCh <- res{nil, classTransport, 0, err}
-			return
-		}
-		v, c, ra, err := rt.scoreOnce(hedgeCtx, hedgeRep, evs)
-		hedgeCh <- res{v, c, ra, err}
-	}()
-	for {
-		select {
-		case r := <-primCh:
-			if r.class == classOK {
-				cancelHedge()
-				// Scrub the hedge target: delete the speculatively imported
-				// (and possibly half-scored) windows so stale state never
-				// shadows a future legitimate migration there.
-				if buf, err := rt.shadowCheckpoint(users, true); err == nil {
-					if err := rt.importTo(ctx, hedgeRep, buf); err != nil {
-						rt.cfg.Logf("fleet: hedge cleanup on %s failed: %v", hedgeAddr, err)
-					}
-				}
-				return r.verdicts, r.class, r.retryAfter, r.err
-			}
-			// Primary failed after the hedge launched: ride the hedge if it
-			// is still in flight (or already won); hedgeCh is nil when the
-			// hedge died first.
-			if hedgeCh != nil {
-				if h := <-hedgeCh; h.class == classOK {
-					rt.hedgeWins.Add(1)
-					rt.eject(rep, "lost hedge race")
-					rt.applyOwners(hedgeAddr, users)
-					return h.verdicts, h.class, h.retryAfter, h.err
-				}
-			}
-			return r.verdicts, r.class, r.retryAfter, r.err
-		case h := <-hedgeCh:
-			if h.class != classOK {
-				// Hedge died first; keep waiting on the primary.
-				hedgeCh = nil
-				continue
-			}
-			rt.hedgeWins.Add(1)
-			cancelPrimary()
-			<-primCh // reap
-			rt.eject(rep, "lost hedge race")
-			rt.applyOwners(hedgeAddr, users)
-			return h.verdicts, h.class, h.retryAfter, h.err
-		case <-ctx.Done():
-			return nil, classTransport, 0, ctx.Err()
-		}
-	}
-}
-
-// applyOwners pins users to addr (hedge wins move ownership without a
-// migrate call).
-func (rt *Router) applyOwners(addr string, users []string) {
-	rt.mu.Lock()
-	for _, u := range users {
-		rt.owners[u] = addr
-	}
-	rt.mu.Unlock()
-}
 
 // scoreOnce performs one NDJSON /score exchange. Verdicts returned are
 // committed on the replica even when err != nil (a torn stream yields the
@@ -954,10 +816,4 @@ func parseRetryAfter(v string) time.Duration {
 		return time.Duration(secs) * time.Second
 	}
 	return 0
-}
-
-// IsOverloaded reports whether err carries an overload class — the
-// router's /score maps it to 429 exactly like a single replica's shed.
-func IsOverloaded(err error) bool {
-	return errors.Is(err, stream.ErrOverloaded)
 }

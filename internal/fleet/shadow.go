@@ -52,17 +52,11 @@ func applyShadow(sw *shadowWindow, v stream.Verdict, cfg stream.Config) *shadowW
 
 // shadowCheckpoint serializes the named users' shadow windows (skipping
 // users with no shadow) as a "clmids-sessions v1" checkpoint suitable for
-// POST /sessions/import on the failover target. clear=true writes an
-// empty window per user instead — the import-side delete marker that
-// scrubs a hedge loser's speculatively ingested state.
-func (rt *Router) shadowCheckpoint(users []string, clear bool) (*bytes.Buffer, error) {
+// POST /sessions/import on the failover target.
+func (rt *Router) shadowCheckpoint(users []string) (*bytes.Buffer, error) {
 	rt.mu.Lock()
 	windows := make([]stream.SessionWindow, 0, len(users))
 	for _, u := range users {
-		if clear {
-			windows = append(windows, stream.SessionWindow{User: u})
-			continue
-		}
 		sw, ok := rt.shadows[u]
 		if !ok || len(sw.entries) == 0 {
 			continue
@@ -93,7 +87,7 @@ func (rt *Router) ExportShadow(w io.Writer, users []string) error {
 		}
 		rt.mu.Unlock()
 	}
-	buf, err := rt.shadowCheckpoint(users, false)
+	buf, err := rt.shadowCheckpoint(users)
 	if err != nil {
 		return err
 	}

@@ -109,9 +109,8 @@ func TestExportImportSelectedUsers(t *testing.T) {
 }
 
 // TestImportEmptyWindowDeletes: a checkpoint record with no window entries
-// is a delete marker — the fleet router uses it to scrub speculative hedge
-// imports — and removes the session outright instead of installing an
-// empty one.
+// is a delete marker and removes the session outright instead of
+// installing an empty one.
 func TestImportEmptyWindowDeletes(t *testing.T) {
 	cfg := DefaultConfig()
 	det := NewDetector(&stubScorer{}, cfg)
