@@ -61,7 +61,12 @@ func newTestService(t *testing.T) *stream.Service {
 
 func newTestServiceCfg(t *testing.T, cfg stream.Config) *stream.Service {
 	t.Helper()
-	det, err := stream.NewShardedDetector([]tuning.Scorer{fakeScorer{}, fakeScorer{}}, cfg)
+	return newTestServiceOver(t, cfg, fakeScorer{})
+}
+
+func newTestServiceOver(t *testing.T, cfg stream.Config, sc tuning.Scorer) *stream.Service {
+	t.Helper()
+	det, err := stream.NewShardedDetector([]tuning.Scorer{sc, sc}, cfg)
 	if err != nil {
 		t.Fatalf("detector: %v", err)
 	}
@@ -100,8 +105,14 @@ func newDivergentReplica(t *testing.T) *testReplica {
 
 func newTestReplicaCfg(t *testing.T, cfg stream.Config) *testReplica {
 	t.Helper()
+	return newReplicaOver(t, newTestServiceCfg(t, cfg))
+}
+
+// newReplicaOver serves svc as a test replica.
+func newReplicaOver(t *testing.T, svc *stream.Service) *testReplica {
+	t.Helper()
 	rep := &testReplica{
-		svc:     newTestServiceCfg(t, cfg),
+		svc:     svc,
 		fault:   faults.NewReplicaFault(),
 		reloads: make(chan string, 16),
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -17,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clmids/internal/serve"
 	"clmids/internal/stream"
 )
 
@@ -736,14 +738,19 @@ func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Even
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
 
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
+	// Not pooled: the transport may still read a request body after Do
+	// returns, so its bytes must outlive this call. Sized for unescaped
+	// strings and the widest time.
+	const fixed = len(`{"user":"","time":,"line":""}`+"\n") + len("-9223372036854775808")
+	size := 0
 	for i := range evs {
-		if err := enc.Encode(&evs[i]); err != nil {
-			return nil, classInternal, 0, err
-		}
+		size += len(evs[i].User) + len(evs[i].Line) + fixed
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.addr+"/score", bytes.NewReader(body.Bytes()))
+	body := make([]byte, 0, size)
+	for i := range evs {
+		body = serve.AppendEvent(body, &evs[i])
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.addr+"/score", bytes.NewReader(body))
 	if err != nil {
 		return nil, classInternal, 0, err
 	}
@@ -767,32 +774,44 @@ func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Even
 	}
 
 	verdicts := make([]stream.Verdict, 0, len(evs))
-	dec := json.NewDecoder(resp.Body)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(resp.Body)
+	defer func() {
+		br.Reset(nil)
+		readers.Put(br)
+	}()
+	var long []byte
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if err == io.EOF {
-				break
-			}
+		line, err := readLine(br, &long)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
 			return verdicts, classTransport, 0, fmt.Errorf("replica %s: response stream: %v", rep.addr, err)
 		}
-		var probe struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		if json.Unmarshal(raw, &probe) == nil && probe.Error != "" {
-			class := classInternal
-			switch probe.Code {
-			case "overloaded":
-				class = classOverloaded
-			case "unparsable":
-				class = classUnparsable
-			}
-			return verdicts, class, 0, fmt.Errorf("replica %s: %s", rep.addr, probe.Error)
+		if len(line) == 0 {
+			continue
 		}
 		var v stream.Verdict
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return verdicts, classTransport, 0, fmt.Errorf("replica %s: bad verdict line: %v", rep.addr, err)
+		if !serve.DecodeVerdict(line, &v) {
+			// Error records, and any line not in the canonical verdict shape.
+			var probe struct {
+				Error string `json:"error"`
+				Code  string `json:"code"`
+			}
+			if json.Unmarshal(line, &probe) == nil && probe.Error != "" {
+				class := classInternal
+				switch probe.Code {
+				case serve.CodeOverloaded:
+					class = classOverloaded
+				case serve.CodeUnparsable:
+					class = classUnparsable
+				}
+				return verdicts, class, 0, fmt.Errorf("replica %s: %s", rep.addr, probe.Error)
+			}
+			if err := json.Unmarshal(line, &v); err != nil {
+				return verdicts, classTransport, 0, fmt.Errorf("replica %s: bad verdict line: %v", rep.addr, err)
+			}
 		}
 		if len(verdicts) == len(evs) {
 			return verdicts, classTransport, 0, fmt.Errorf("replica %s: more verdicts than events", rep.addr)
@@ -804,6 +823,32 @@ func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Even
 		return verdicts, classTransport, 0, fmt.Errorf("replica %s: response truncated at %d/%d verdicts", rep.addr, len(verdicts), len(evs))
 	}
 	return verdicts, classOK, 0, nil
+}
+
+// readers recycles scoreOnce's response readers.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 16<<10) }}
+
+// readLine returns the next line of br without its newline, assembling a
+// line longer than br's buffer in *long. It returns io.EOF at the end of
+// the stream, and io.ErrUnexpectedEOF when the stream ends mid-line: a
+// replica ends every line it sends, so an unended one is torn.
+func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		*long = append((*long)[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = br.ReadSlice('\n')
+			*long = append(*long, line...)
+		}
+		line = *long
+	}
+	if err == io.EOF && len(line) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, err
+	}
+	return line[:len(line)-1], nil
 }
 
 // parseRetryAfter reads a delay-seconds Retry-After value ("1", "2");

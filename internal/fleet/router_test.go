@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -350,6 +351,90 @@ func TestTornResponseFailsOverSuffix(t *testing.T) {
 	for _, r := range st.Replicas {
 		if strings.HasPrefix(r.Addr, torn.srv.URL) && r.Ready {
 			t.Fatalf("torn replica still in rotation: %+v", r)
+		}
+	}
+}
+
+// nanScorer is fakeScorer, except that an input containing "poison" scores
+// NaN, which no JSON verdict can carry.
+type nanScorer struct{}
+
+func (nanScorer) Score(inputs []string) ([]float64, error) {
+	out, _ := fakeScorer{}.Score(inputs)
+	for i, s := range inputs {
+		if strings.Contains(s, "poison") {
+			out[i] = math.NaN()
+		}
+	}
+	return out, nil
+}
+
+// A verdict a replica cannot encode must tear its response, not shorten
+// it: the router scatters verdicts by position, so a silently dropped line
+// would hand every later verdict, and its shadow-window update, to the
+// wrong event. No verdict may be attributed to another event, and no event
+// may enter a shadow window twice.
+func TestUnencodableVerdictMisattributesNothing(t *testing.T) {
+	cfg := testSessionConfig()
+	reps := []*testReplica{
+		newReplicaOver(t, newTestServiceOver(t, cfg, nanScorer{})),
+		newReplicaOver(t, newTestServiceOver(t, cfg, nanScorer{})),
+	}
+	rt := newTestRouter(t, nil, reps...)
+	waitHealthy(t, rt, 2)
+
+	// Four users on one replica, the first one's last event poisoned, so
+	// other users' events follow it in that replica's response.
+	ring := BuildRing([]string{reps[0].srv.URL, reps[1].srv.URL})
+	var users []string
+	for i := 0; len(users) < 4; i++ {
+		if u := fmt.Sprintf("nan-user-%d", i); ring.Lookup(u) == reps[0].srv.URL {
+			users = append(users, u)
+		}
+	}
+	var evs []stream.Event
+	for step := 0; step < 3; step++ {
+		for j, u := range users {
+			line := fmt.Sprintf("cmd --step=%d", step)
+			if step == 2 && j == 0 {
+				line = "poison"
+			}
+			evs = append(evs, stream.Event{User: u, Time: int64(100 + 10*step + j), Line: line})
+		}
+	}
+
+	vs, err := rt.Route(context.Background(), evs)
+	for i, v := range vs {
+		if v.User != evs[i].User || v.Time != evs[i].Time || v.Line != evs[i].Line {
+			t.Errorf("verdict %d is for %s@%d %q, but event %d is %s@%d %q",
+				i, v.User, v.Time, v.Line, i, evs[i].User, evs[i].Time, evs[i].Line)
+		}
+	}
+	if err == nil {
+		t.Fatalf("Route returned %d verdicts for a chunk whose poisoned event no replica can answer", len(vs))
+	}
+
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, u := range users {
+		var own []stream.Event
+		for _, ev := range evs {
+			if ev.User == u {
+				own = append(own, ev)
+			}
+		}
+		sw := rt.shadows[u]
+		if sw == nil {
+			continue
+		}
+		if len(sw.entries) > len(own) {
+			t.Fatalf("user %s: %d shadow entries for %d events", u, len(sw.entries), len(own))
+		}
+		for k, e := range sw.entries {
+			if e.Time != own[k].Time || e.Line != own[k].Line {
+				t.Fatalf("user %s: shadow entry %d is %d %q, want the user's event %d %q",
+					u, k, e.Time, e.Line, own[k].Time, own[k].Line)
+			}
 		}
 	}
 }

