@@ -234,62 +234,19 @@ func BenchmarkEncodeCold(b *testing.B) {
 	b.ReportMetric(float64(inferBenchWindow)*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
 }
 
-// BenchmarkInferenceThroughput measures the forward-only batched inference
-// engine in its deployment configuration: steady-state scoring of a
-// recurrent log stream with a warm LRU cache sized to the traffic's
-// working set. Lines the stream has shown before skip the encoder; the
-// measurement starts after one full pass over the stream, i.e. at the
-// recurrence regime a long-running detector converges to. Compare lines/s
-// with BenchmarkInferenceThroughputCold (every line novel, cache off) and
-// BenchmarkInferenceThroughputTape (the seed's autograd path) for the full
-// picture; CHANGES.md records all three.
-func BenchmarkInferenceThroughput(b *testing.B) {
-	pl, lines := inferBenchFixture(b)
-	ecfg := tuning.DefaultEngineConfig()
-	ecfg.CacheLines = 16384
-	engine := tuning.NewEngine(pl.Model.Encoder, pl.Tok, ecfg)
-	for i := 0; i < len(lines)/inferBenchWindow; i++ { // converge the cache
-		if _, err := engine.EmbedLines(inferBenchWindowAt(lines, i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.EmbedLines(inferBenchWindowAt(lines, i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(inferBenchWindow)*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
-}
-
-// BenchmarkInferenceThroughputCold is the engine's worst case: the cache is
-// disabled, so only within-call dedup and the tape-free kernels help and
+// BenchmarkInferenceThroughputCold is the engine's embedding path, which
+// nothing caches: only within-call dedup and the tape-free kernels help and
 // every unique line pays full encoder cost.
 func BenchmarkInferenceThroughputCold(b *testing.B) {
-	pl, lines := inferBenchFixture(b)
-	ecfg := tuning.DefaultEngineConfig()
-	ecfg.CacheLines = 0
-	engine := tuning.NewEngine(pl.Model.Encoder, pl.Tok, ecfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.EmbedLines(inferBenchWindowAt(lines, i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(inferBenchWindow)*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
+	coldBenchAtPrecision(b, model.PrecisionFloat64)
 }
 
-// coldBenchAtPrecision is BenchmarkInferenceThroughputCold's body with the
-// engine pinned to one rung of the precision ladder: cache off, every
-// unique line pays full encoder cost at that precision.
+// coldBenchAtPrecision is the cold embedding benchmark with the engine
+// pinned to one rung of the precision ladder: every unique line pays full
+// encoder cost at that precision.
 func coldBenchAtPrecision(b *testing.B, prec model.Precision) {
 	pl, lines := inferBenchFixture(b)
 	ecfg := tuning.DefaultEngineConfig()
-	ecfg.CacheLines = 0
 	ecfg.Precision = prec
 	engine := tuning.NewEngine(pl.Model.Encoder, pl.Tok, ecfg)
 	b.ReportAllocs()
@@ -331,7 +288,7 @@ func BenchmarkInferenceThroughputTape(b *testing.B) {
 	b.ReportMetric(float64(inferBenchWindow)*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
 }
 
-// cascadeBenchScorer builds a cold (cache off) cascade over the bench
+// cascadeBenchScorer builds a cold (memo off) cascade over the bench
 // fixture: the f64 retrieval scorer as the confirm rung, its int8 variant
 // as the triage rung, and a rarity table calibrated on the training split —
 // the composition clmserve -cascade serves. Retrieval (not PCA) because
@@ -377,7 +334,7 @@ func cascadeBenchScorer(b *testing.B) *tuning.CascadeScorer {
 	return casc
 }
 
-// BenchmarkCascadeCold measures the scoring cascade's worst case: caches
+// BenchmarkCascadeCold measures the scoring cascade's worst case: memos
 // off, every uncleared line pays full encoder cost on the int8 triage rung
 // and escalations pay it again at float64. The acceptance bar (ROADMAP item
 // 1) is ≥3× BenchmarkInferenceThroughputCold's f64 lines/s; the per-rung
@@ -428,7 +385,7 @@ func BenchmarkCascadeRarityFilter(b *testing.B) {
 }
 
 // streamBenchScorer builds the unsupervised PCA scorer over the bench
-// fixture with an explicit engine cache size (0 disables), so the warm and
+// fixture with an explicit engine memo size (0 disables), so the warm and
 // cold streaming benchmarks share one construction.
 func streamBenchScorer(b *testing.B, cacheLines int) tuning.Scorer {
 	b.Helper()
@@ -481,18 +438,16 @@ func streamBenchRun(b *testing.B, scorer tuning.Scorer, warmPasses int) {
 
 // BenchmarkStreamingThroughput measures the streaming serving layer in its
 // deployment configuration: a recurrent event stream replayed through the
-// bounded-queue service over a warm LRU-cached scorer — the steady state a
-// long-running clmserve converges to. Compare with
-// BenchmarkStreamingThroughputCold (cache off: every unique line pays full
-// encoder cost, bounding the layer's worst case from below) and with the
-// raw-engine BenchmarkInferenceThroughput pair to see what the session and
-// queue machinery costs on top of scoring.
+// bounded-queue service over a scorer with a warm score memo — the steady
+// state a long-running clmserve converges to. Compare with
+// BenchmarkStreamingThroughputCold (memo off: every unique line pays full
+// encoder cost, bounding the layer's worst case from below).
 func BenchmarkStreamingThroughput(b *testing.B) {
 	streamBenchRun(b, streamBenchScorer(b, 16384), 1)
 }
 
-// BenchmarkStreamingThroughputCold is the same stack with the embedding
-// cache disabled.
+// BenchmarkStreamingThroughputCold is the same stack with the score memo
+// disabled.
 func BenchmarkStreamingThroughputCold(b *testing.B) {
 	streamBenchRun(b, streamBenchScorer(b, 0), 0)
 }
@@ -500,9 +455,9 @@ func BenchmarkStreamingThroughputCold(b *testing.B) {
 // BenchmarkShardedThroughput is the scaling curve of the sharded streaming
 // stack: the same replayed stream through a ShardedService at 1/2/4/8
 // shards, each shard owning a scorer replica (shared frozen backbone,
-// per-shard LRU) with a warm cache. One full pass warms every shard before
-// measurement. On a multi-core runner the warm-LRU bottleneck — the
-// coalescing worker's session updates and cache probes — parallelizes
+// per-shard memo) with a warm memo. One full pass warms every shard before
+// measurement. On a multi-core runner the warm-memo bottleneck — the
+// coalescing worker's session updates and memo probes — parallelizes
 // across shards, so lines/s should grow with shards up to the core count
 // (the CI gate records the curve; the 4-shard point is the acceptance
 // metric on 4-vCPU runners). On a single core the curve is flat and the
@@ -532,8 +487,8 @@ func BenchmarkShardedThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			// One full pass warms every shard's LRU (each replica sees only
-			// its own users' lines, so one pass converges all caches).
+			// One full pass warms every shard's memo (each replica sees only
+			// its own users' lines, so one pass converges all memos).
 			windows := len(inferBenchDS.Samples) / inferBenchWindow
 			for i := 0; i < windows; i++ {
 				submit()

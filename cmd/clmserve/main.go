@@ -20,7 +20,7 @@
 //	              response: NDJSON verdicts, one per event, in order.
 //	              503 until the scorer is ready.
 //	GET  /stats   JSON snapshot of detector + queue counters, aggregated
-//	              and per shard (queue depth, LRU hit rate, active scorer
+//	              and per shard (queue depth, memo hit rate, active scorer
 //	              bundle version; with -cascade, the per-rung traffic
 //	              split: cleared / triaged / escalated).
 //	GET  /healthz liveness: 200 from the moment the socket is open, even
@@ -240,7 +240,7 @@ func run(args []string) error {
 	}
 
 	// One scorer replica per shard: the frozen backbone and fitted
-	// artifacts are shared, only engine scratch + LRU cache replicate.
+	// artifacts are shared, only engine scratch + score memo replicate.
 	replicas, err := core.ReplicateScorer(scorer, *shards)
 	if err != nil {
 		server.Close()

@@ -190,7 +190,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two shards of 8: the aggregate is the sum, the breakdown is per shard
-	// with LRU cache counters (the PCA scorer runs on a cached engine).
+	// with score-memo counters (the PCA scorer runs on a memoizing engine).
 	if st.QueueCapacity != 16 {
 		t.Fatalf("queue capacity %d, want 16", st.QueueCapacity)
 	}

@@ -265,10 +265,15 @@ func TestReadyzReportsDegraded(t *testing.T) {
 		t.Fatalf("healthy /readyz: %d %q", code, body)
 	}
 
-	// Wedge scoring and fill the queues past high water.
+	// Wedge scoring and fill the queues past high water. Each wedged worker
+	// may have coalesced up to BatchEvents requests before blocking, so
+	// submit enough that one of the two shards must still queue two: 2 ×
+	// (BatchEvents + QueueRequests). Release on every exit, or a failure
+	// leaves Close waiting on the wedged batch.
 	gate.Hold()
+	defer gate.Release()
 	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 2*(scfg.BatchEvents+scfg.QueueRequests); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

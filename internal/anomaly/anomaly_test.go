@@ -3,8 +3,10 @@ package anomaly
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"clmids/internal/linalg"
 	"clmids/internal/tensor"
 )
 
@@ -328,6 +330,97 @@ func BenchmarkRetrievalScore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ret.Score(row)
+	}
+}
+
+// referenceRetrievalScore is Retrieval.Score as it was before the index
+// norms were hoisted: linalg.Cosine against every malicious row.
+func referenceRetrievalScore(r *Retrieval, row []float64) float64 {
+	k := r.K
+	if k > r.malicious.Rows {
+		k = r.malicious.Rows
+	}
+	best := make([]float64, 0, k)
+	for i := 0; i < r.malicious.Rows; i++ {
+		sim := linalg.Cosine(r.malicious.Row(i), row)
+		if len(best) < k {
+			best = append(best, sim)
+			sort.Float64s(best)
+			continue
+		}
+		if sim > best[0] {
+			pos := sort.SearchFloat64s(best, sim)
+			copy(best[:pos-1], best[1:pos])
+			best[pos-1] = sim
+		}
+	}
+	sum := 0.0
+	for _, v := range best {
+		sum += v
+	}
+	return sum / float64(len(best))
+}
+
+// TestRetrievalScoreMatchesCosineReference: hoisting the norms must not
+// move a single bit. Random indexes carry all-zero rows, queries include
+// the zero vector, and K covers 1NN, a small K and K beyond the index.
+func TestRetrievalScoreMatchesCosineReference(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 40; trial++ {
+		dim, n := 1+r.Intn(48), 2+r.Intn(60)
+		x := tensor.NewMatrix(n, dim)
+		labels := make([]bool, n)
+		labels[0] = true
+		for i := 0; i < n; i++ {
+			labels[i] = labels[i] || r.Intn(3) == 0
+			if r.Intn(5) == 0 {
+				continue // all-zero row
+			}
+			for j := range x.Row(i) {
+				x.Row(i)[j] = r.NormFloat64() * math.Pow(10, float64(r.Intn(7)-3))
+			}
+		}
+		queries := [][]float64{make([]float64, dim)}
+		for q := 0; q < 8; q++ {
+			row := make([]float64, dim)
+			for j := range row {
+				row[j] = r.NormFloat64()
+			}
+			queries = append(queries, row, x.Row(r.Intn(n)))
+		}
+		for _, k := range []int{1, 3, n + 5} {
+			ret := NewRetrieval(k)
+			if err := ret.FitLabeled(x, labels); err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range queries {
+				got, want := ret.Score(q), referenceRetrievalScore(ret, q)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d k=%d query %d: Score %v, reference %v", trial, k, qi, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRetrievalScoreAllocFree pins the per-query scan at zero allocations
+// for small K: the top-k buffer lives on the stack.
+func TestRetrievalScoreAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	x := clusterData(r, 200, 0, 48)
+	labels := make([]bool, 200)
+	for i := range labels {
+		labels[i] = i%4 == 0
+	}
+	for _, k := range []int{1, 3, 8} {
+		ret := NewRetrieval(k)
+		if err := ret.FitLabeled(x, labels); err != nil {
+			t.Fatal(err)
+		}
+		row := x.Row(7)
+		if n := testing.AllocsPerRun(100, func() { ret.Score(row) }); n != 0 {
+			t.Errorf("k=%d: Score allocates %v times per call", k, n)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ type Retrieval struct {
 	K int
 
 	malicious *tensor.Matrix
+	malNorms  []float64 // linalg.Norm of each malicious row, fixed at fit
 	all       *tensor.Matrix
 	labels    []bool
 }
@@ -53,14 +54,17 @@ func (r *Retrieval) FitLabeled(x *tensor.Matrix, labels []bool) error {
 		return fmt.Errorf("anomaly: retrieval needs at least one malicious-labeled line")
 	}
 	mal := tensor.NewMatrix(nMal, x.Cols)
+	norms := make([]float64, nMal)
 	at := 0
 	for i, l := range labels {
 		if l {
 			copy(mal.Row(at), x.Row(i))
+			norms[at] = linalg.Norm(mal.Row(at))
 			at++
 		}
 	}
 	r.malicious = mal
+	r.malNorms = norms
 	r.all = x
 	r.labels = labels
 	return nil
@@ -69,6 +73,11 @@ func (r *Retrieval) FitLabeled(x *tensor.Matrix, labels []bool) error {
 // Score implements the modified method: average cosine similarity between
 // the test embedding and its K nearest malicious training embeddings.
 // Higher means more intrusion-like.
+//
+// Each similarity is linalg.Cosine's arithmetic, Dot(row_i, q)/(‖row_i‖·‖q‖)
+// with a zero norm scoring 0, so scores are bitwise Cosine's; only the norms
+// are hoisted: the index norms were computed at fit, the query norm once
+// per call. For K ≤ 8 the call does not allocate.
 func (r *Retrieval) Score(row []float64) float64 {
 	if r.malicious == nil {
 		panic("anomaly: Retrieval.Score before FitLabeled")
@@ -78,9 +87,17 @@ func (r *Retrieval) Score(row []float64) float64 {
 		k = r.malicious.Rows
 	}
 	// Track the k LARGEST similarities.
-	best := make([]float64, 0, k)
-	for i := 0; i < r.malicious.Rows; i++ {
-		sim := linalg.Cosine(r.malicious.Row(i), row)
+	var buf [8]float64
+	best := buf[:0]
+	if k > len(buf) {
+		best = make([]float64, 0, k)
+	}
+	qn := linalg.Norm(row)
+	for i, rn := range r.malNorms {
+		sim := 0.0
+		if rn != 0 && qn != 0 {
+			sim = linalg.Dot(r.malicious.Row(i), row) / (rn * qn)
+		}
 		if len(best) < k {
 			best = append(best, sim)
 			sort.Float64s(best)

@@ -290,7 +290,7 @@ func (lb *LoadedBundle) CheckModality(want string) error {
 
 // LoadScorerBundle restores a bundle saved by SaveBundle: it verifies the
 // manifest format and every section checksum, then deserializes the
-// backbone, tokenizer, and head into the same LRU-cached engine-backed
+// backbone, tokenizer, and head into the same memoizing engine-backed
 // scorer BuildScorer would have produced — no baseline corpus, no tuning.
 // Scores from a float64 bundle are byte-identical to the freshly built
 // scorer's; a low-precision bundle additionally installs its quantized

@@ -48,8 +48,8 @@ func ValidateMethod(method string) error {
 // ReplicateScorer turns one built scorer into n scorers that score
 // byte-identically: the original first, then n-1 replicas sharing every
 // frozen artifact (backbone weights, trained head, fitted PCA or retrieval
-// index) while owning their own inference engine (scratch pool + LRU
-// cache). This is the construction the sharded streaming detector uses —
+// index) while owning their own inference engine (scratch pool + score
+// memo). This is the construction the sharded streaming detector uses —
 // one replica per shard, no re-tuning, no cross-shard lock contention.
 // Every method BuildScorer returns is replicable.
 func ReplicateScorer(s tuning.Scorer, n int) ([]tuning.Scorer, error) {
@@ -75,9 +75,9 @@ type BuiltScorer struct {
 }
 
 // BuildScorer constructs the requested §III/§IV method over the pipeline's
-// backbone. Every returned scorer holds a persistent LRU-cached inference
+// backbone. Every returned scorer holds a persistent memoizing inference
 // engine (the backbone is frozen after construction), so a long-running
-// service amortizes the encoder across repeated log lines, and every
+// service scores a repeated log line once, and every
 // returned scorer is safe for concurrent Score calls.
 //
 // baseLines is the labeled baseline log; labels carries its (noisy)

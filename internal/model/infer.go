@@ -180,7 +180,7 @@ func (e *Encoder) InferForward(batch Batch, s *InferScratch) (*tensor.Matrix, er
 // [dstRow, dstRow+batch.Size()) — the inference-path equivalent of
 // EmbedLines for one batch. The forward pass runs at the scratch's
 // precision rung; dst rows are always canonical float64, so downstream
-// consumers (embedding LRU, detector heads) never see precision.
+// consumers (detector heads) never see precision.
 func (e *Encoder) InferEmbedInto(batch Batch, s *InferScratch, dst *tensor.Matrix, dstRow int) error {
 	if s != nil && s.prec.Low() {
 		h, err := e.InferForward32(batch, s)

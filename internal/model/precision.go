@@ -110,7 +110,7 @@ func lowerLinear(w, b *tensor.Matrix, quant bool) lowLinear {
 // and caching them on first use (rows quantize once at load, never per
 // call). The encoder's float64 weights must be frozen by the time this is
 // called — the cache is never invalidated, exactly like the inference
-// engine's embedding LRU. Safe for concurrent use.
+// engine's score memo. Safe for concurrent use.
 func (e *Encoder) Lowered(p Precision) (*LowWeights, error) {
 	switch p {
 	case PrecisionFloat32, PrecisionInt8:

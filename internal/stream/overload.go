@@ -227,9 +227,9 @@ func (s *Service) observeShard(sh *svcShard, st *shardDegrade, saturated bool, n
 }
 
 // shiftShard installs the scorer for ladder[rung] on one shard. Rung 0
-// restores the original base scorer (warm LRU and all); lower rungs derive
-// a fresh variant from the base via tuning.AtPrecision — replication and
-// engine rebinding happen before the swap, so the scoring pause is the
+// restores the original base scorer (warm score memo and all); lower rungs
+// derive a fresh variant from the base via tuning.AtPrecision — replication
+// and engine rebinding happen before the swap, so the scoring pause is the
 // pointer exchange. Returns whether the shift took effect.
 func (s *Service) shiftShard(sh *svcShard, st *shardDegrade, rung int) bool {
 	st.mu.Lock()

@@ -73,10 +73,10 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 }
 
 // ShardServiceStats is one shard's slice of a stats snapshot: its detector
-// counters, its queue state, and — when the shard's scorer runs on an
-// LRU-cached engine — its cache counters. Per-shard queue depth exposes
-// load skew (hot users hashing to one shard); the hit rate exposes cache
-// effectiveness per replica.
+// counters, its queue state, and — when the shard's scorer runs through
+// an engine's score memo — its memo counters. Per-shard queue depth
+// exposes load skew (hot users hashing to one shard); the hit rate exposes
+// memo effectiveness per replica.
 type ShardServiceStats struct {
 	Shard int `json:"shard"`
 	Stats

@@ -18,8 +18,8 @@ import (
 //
 // Scorers are typically replicas of one built scorer (core.ReplicateScorer
 // / tuning.Replicas): they share the frozen backbone weights and every
-// fitted artifact, replicating only the engine's scratch pool and LRU
-// cache, so N shards cost N×(scratch + cache rows), never N× the model.
+// fitted artifact, replicating only the engine's scratch pool and score
+// memo, so N shards cost N×(scratch + memo entries), never N× the model.
 type ShardedDetector struct {
 	dets []*Detector
 }

@@ -335,7 +335,7 @@ type cacheStatScorer struct {
 func (c *cacheStatScorer) CacheStats() tuning.CacheStats { return c.stats }
 
 // TestShardedServiceCacheStats: per-shard service stats surface each
-// scorer's LRU counters and hit rate.
+// scorer's memo counters and hit rate.
 func TestShardedServiceCacheStats(t *testing.T) {
 	scorers := []tuning.Scorer{
 		&cacheStatScorer{stats: tuning.CacheStats{Hits: 30, Misses: 10, Entries: 7}},

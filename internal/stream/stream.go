@@ -1,7 +1,7 @@
 // Package stream is the online serving layer of the IDS: it ingests
 // timestamped (user, line) events, maintains sliding per-user session
 // windows, scores incrementally through a Scorer (in deployment an
-// LRU-cached inference engine), and aggregates line scores into
+// inference engine behind a score memo), and aggregates line scores into
 // session-level verdicts.
 //
 // The paper's setting is ~30M command lines per day streaming in from

@@ -169,7 +169,7 @@ func InferAttentionInto32(q, k, v *Matrix32, heads int, lens []int, scores, kt, 
 
 // InferMeanPoolInto32 average-pools token rows of x into one float64 row
 // per segment, widening as it accumulates: the pooled embedding is the
-// boundary back to the canonical float64 world (LRU cache, detector heads),
+// boundary back to the canonical float64 world (detector heads),
 // so the sum runs in float64 to spend no extra precision at the hand-off.
 func InferMeanPoolInto32(x *Matrix32, lens []int, dst *Matrix, dstRow int) {
 	total := 0

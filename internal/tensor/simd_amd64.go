@@ -8,7 +8,7 @@ package tensor
 // hosts and other architectures. The assembly computes the same sums in a
 // different association order, which is within the low rungs' documented
 // tolerance; within one process the kernels are deterministic, so dedup,
-// LRU hits, and repeated scoring stay exactly reproducible.
+// score-memo hits, and repeated scoring stay exactly reproducible.
 
 // haveSIMD gates the AVX2 kernels: AVX2 + FMA + OS-enabled YMM state.
 // haveVNNI additionally gates the AVX-512 VNNI int8 kernel.

@@ -109,7 +109,9 @@ func (p CascadeParams) Validate() error {
 
 // CascadeStats counts how much traffic each rung absorbed since the scorer
 // (replica) was built. Cleared+Triaged sums to the lines scored; Escalated
-// is the subset of Triaged that also paid the f64 confirm pass.
+// is the subset of Triaged that also went to the f64 confirm rung. A line
+// counts on every rung it is handed to, whether that rung's score memo
+// answered it or not.
 type CascadeStats struct {
 	// Cleared counts lines rung 0 settled without a model call.
 	Cleared int64 `json:"cleared"`
@@ -129,7 +131,7 @@ type CascadeStatser interface {
 
 // CascadeScorer composes the three rungs behind the plain Scorer interface.
 // It is replicable (replicas share the immutable rarity table and frozen
-// model artifacts, and carry their own engines, LRU caches, and counters),
+// model artifacts, and carry their own engines, score memos, and counters),
 // cache-aware (CacheStats sums both model rungs), and precision-switchable
 // (the degradation ladder shifts the confirm rung, so an overloaded shard
 // confirms escalations at f32/int8 instead of stalling).
@@ -249,8 +251,8 @@ func (c *CascadeScorer) CascadeStats() CascadeStats {
 
 // Replicate returns an independent same-scoring cascade: the rarity table
 // and params are shared (immutable), both model rungs are replicated
-// (shared frozen artifacts, fresh engine scratch and LRU), and the traffic
-// counters start at zero.
+// (shared frozen artifacts, fresh engine scratch and an empty memo), and
+// the traffic counters start at zero.
 func (c *CascadeScorer) Replicate() Scorer {
 	// Constructor-checked: both rungs are Replicable.
 	return &CascadeScorer{
@@ -261,8 +263,7 @@ func (c *CascadeScorer) Replicate() Scorer {
 	}
 }
 
-// CacheStats sums the embedding-cache counters of every rung that serves
-// from an LRU-cached engine.
+// CacheStats sums the score-memo counters of both model rungs.
 func (c *CascadeScorer) CacheStats() CacheStats {
 	var out CacheStats
 	for _, s := range []Scorer{c.triage, c.confirm} {
@@ -271,9 +272,6 @@ func (c *CascadeScorer) CacheStats() CacheStats {
 			out.Hits += st.Hits
 			out.Misses += st.Misses
 			out.Entries += st.Entries
-			out.EncodedHits += st.EncodedHits
-			out.EncodedMisses += st.EncodedMisses
-			out.EncodedEntries += st.EncodedEntries
 		}
 	}
 	return out

@@ -77,9 +77,9 @@ func (c ClassifierConfig) withDefaults(encHidden int) ClassifierConfig {
 // and an unconditioned head trains poorly on them.
 //
 // The backbone is frozen by construction, so the classifier holds a
-// persistent LRU-cached inference engine: repeated lines in a production
-// stream skip the encoder. Score and ScoreFeatures never touch the autograd
-// tape and are safe for concurrent use.
+// persistent memoizing inference engine: repeated lines in a production
+// stream skip the encoder and the head. Score and ScoreFeatures never touch
+// the autograd tape and are safe for concurrent use.
 type Classifier struct {
 	engine   *Engine
 	head     *nn.MLP
@@ -94,13 +94,13 @@ var (
 )
 
 // Replicate returns an independent replica sharing the frozen backbone,
-// trained head, and standardizer; only the engine (scratch pool + LRU
-// cache) is replicated. Replicas score byte-identically and concurrently.
+// trained head, and standardizer; only the engine (scratch pool + score
+// memo) is replicated. Replicas score byte-identically and concurrently.
 func (c *Classifier) Replicate() Scorer {
 	return &Classifier{engine: c.engine.Clone(), head: c.head, std: c.std, meanPool: c.meanPool}
 }
 
-// CacheStats snapshots the serving engine's embedding-cache counters.
+// CacheStats snapshots the serving engine's score-memo counters.
 func (c *Classifier) CacheStats() CacheStats { return c.engine.CacheStats() }
 
 // TrainClassifier tunes the head on (lines, labels) with the backbone
@@ -193,12 +193,11 @@ func (c ClassifierConfig) features(engine *Engine, lines []string) (*tensor.Matr
 
 // Score implements Scorer: the softmax probability of the intrusion class.
 func (c *Classifier) Score(lines []string) ([]float64, error) {
-	cfg := ClassifierConfig{MeanPoolFeatures: c.meanPool}
-	feats, err := cfg.features(c.engine, lines)
-	if err != nil {
-		return nil, err
+	feat := FeatureCLS
+	if c.meanPool {
+		feat = FeatureMean
 	}
-	return c.ScoreFeatures(feats), nil
+	return c.engine.Score(lines, feat, c.ScoreFeatures)
 }
 
 // ScoreFeatures scores pre-extracted raw [CLS] features (standardization is

@@ -61,46 +61,69 @@ func concurrencyScorers(t *testing.T) map[string]Scorer {
 // TestScorersConcurrentScore pins the serving contract: every method
 // scorer's Score must be safe for concurrent use (run with -race in CI)
 // and concurrent results must equal serial ones exactly — the scoring path
-// is deterministic, cache hit or miss.
+// is deterministic, memo hit or miss. Each scorer runs with its default
+// memo and with an 8-entry memo that evicts on nearly every insert, and
+// the memo counters must account for every distinct input of every call.
 func TestScorersConcurrentScore(t *testing.T) {
 	scorers := concurrencyScorers(t)
 	f := getFixture(t)
 	lines := append(append([]string(nil), f.testPos...), f.testNeg...)
 
-	for name, s := range scorers {
+	for name, base := range scorers {
 		t.Run(name, func(t *testing.T) {
-			want, err := s.Score(lines)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const goroutines = 8
-			got := make([][]float64, goroutines)
-			errs := make([]error, goroutines)
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					// Overlapping windows, so goroutines share cache
-					// entries and in-flight computations.
-					win := lines[g%4:]
-					got[g], errs[g] = s.Score(win)
-				}(g)
-			}
-			wg.Wait()
-			for g := 0; g < goroutines; g++ {
-				if errs[g] != nil {
-					t.Fatalf("goroutine %d: %v", g, errs[g])
+			for _, s := range []Scorer{base, withMemo(base, 8)} {
+				want, err := s.Score(lines)
+				if err != nil {
+					t.Fatal(err)
 				}
-				off := g % 4
-				for i, v := range got[g] {
-					if v != want[off+i] {
-						t.Fatalf("goroutine %d line %d: concurrent %g, serial %g", g, i, v, want[off+i])
+				probes := distinct(lines)
+				const goroutines = 8
+				got := make([][]float64, goroutines)
+				errs := make([]error, goroutines)
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					probes += distinct(lines[g%4:])
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						// Overlapping windows, so goroutines share memo
+						// entries and in-flight computations.
+						win := lines[g%4:]
+						got[g], errs[g] = s.Score(win)
+					}(g)
+				}
+				wg.Wait()
+				for g := 0; g < goroutines; g++ {
+					if errs[g] != nil {
+						t.Fatalf("goroutine %d: %v", g, errs[g])
 					}
+					off := g % 4
+					for i, v := range got[g] {
+						if v != want[off+i] {
+							t.Fatalf("goroutine %d line %d: concurrent %g, serial %g", g, i, v, want[off+i])
+						}
+					}
+				}
+				st := s.(CacheStatser).CacheStats()
+				if st.Hits+st.Misses != probes {
+					t.Fatalf("memo counted %d hits + %d misses, want %d distinct probes", st.Hits, st.Misses, probes)
+				}
+				if capacity := engineOf(s).cfg.CacheLines; st.Entries > capacity {
+					t.Fatalf("memo holds %d entries, cap %d", st.Entries, capacity)
 				}
 			}
 		})
 	}
+}
+
+// withMemo returns a replica of s whose engine memo holds capacity entries.
+func withMemo(s Scorer, capacity int) Scorer {
+	r := s.(Replicable).Replicate()
+	e := engineOf(r)
+	cfg := e.cfg
+	cfg.CacheLines = capacity
+	swapEngine(r, NewEngine(e.enc, e.tok, cfg))
+	return r
 }
 
 // TestScorersEmptyInput: scoring zero lines returns zero scores on every

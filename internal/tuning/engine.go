@@ -13,37 +13,32 @@ import (
 	"clmids/internal/tensor"
 )
 
-// Engine is the forward-only batched inference engine: it scores command
+// Engine is the forward-only batched inference engine: it embeds command
 // lines through the tape-free model.InferForward path instead of the
-// autograd tape, dedupes repeated lines, buckets the remainder by token
-// length into uniform batches, and fans those batches out across
-// GOMAXPROCS workers, each with its own pooled scratch arena. An optional
-// LRU cache keyed by the whitespace-normalized line exploits the heavy
-// duplication of real command logs across calls.
+// autograd tape, dedupes repeated lines, encodes the rest in parallel,
+// buckets them by exact token length into uniform batches, and fans those
+// batches out across GOMAXPROCS workers, each with its own pooled scratch
+// arena.
 //
-// Below the embedding cache sits a second, cheaper LRU over encoded token
-// sequences: a line whose embedding was evicted (or requested under the
-// other feature kind) skips tokenization entirely. Lines missing both
-// caches are encoded upfront in parallel, and their exact token counts
-// drive the length bucketing.
+// Score puts a score memo in front of that path: an LRU keyed by the exact
+// scorer input that holds the method head's final score. Real command logs
+// are duplicate-heavy, and a repeated input costs one memo probe, skipping
+// the tokenizer, the backbone and the head. EmbedLines and CLSLines are
+// uncached; they serve training and experiments.
 //
 // An Engine must only be used while its encoder's weights are frozen:
-// cached embeddings are never invalidated. Methods are safe for concurrent
+// memoized scores are never invalidated. Methods are safe for concurrent
 // use.
 type Engine struct {
 	enc *model.Encoder
 	tok *bpe.Tokenizer
 	cfg EngineConfig
 
-	pool     sync.Pool          // *model.InferScratch, one per active worker
-	cache    *lruCache[float64] // embedding rows; nil when disabled
-	encCache *lruCache[int]     // encoded token sequences; nil when disabled
+	pool sync.Pool // *model.InferScratch, one per active worker
+	memo *lruCache // final scores by exact input; nil when disabled
 
-	cacheHits   atomic.Int64 // representatives served from the embedding LRU
-	cacheMisses atomic.Int64 // representatives that missed the embedding LRU
-
-	encodedHits   atomic.Int64 // embedding misses served from the encoded LRU
-	encodedMisses atomic.Int64 // embedding misses that paid tokenizer cost
+	memoHits   atomic.Int64 // distinct inputs answered by the memo
+	memoMisses atomic.Int64 // distinct inputs that ran the forward path
 }
 
 // EngineConfig sizes the inference engine. The zero value selects defaults.
@@ -57,29 +52,27 @@ type EngineConfig struct {
 	BatchTokens int
 	// Workers caps the batch-level fan-out (default GOMAXPROCS).
 	Workers int
-	// CacheLines enables an LRU embedding cache holding up to this many
-	// normalized lines per feature kind (0 disables; negative also
-	// disables).
+	// CacheLines bounds Score's memo: up to this many distinct inputs keep
+	// their final score (0 or negative disables the memo).
 	CacheLines int
-	// EncodedCacheLines enables an LRU over encoded token sequences holding
-	// up to this many normalized lines, shared by both feature kinds. The
-	// zero value follows CacheLines (the encoded cache is far cheaper per
-	// entry than an embedding row, so matching capacities is a safe floor);
-	// negative disables.
-	EncodedCacheLines int
 	// Precision selects the serve-path arithmetic rung (the zero value is
 	// float64, the canonical path). On the low rungs every worker scratch
 	// is a float32 arena and the encoder's weights are lowered once at
-	// engine construction; embeddings leaving the engine — and therefore
-	// everything the LRU caches — stay canonical float64, so cache hits
-	// and verdict aggregation are precision-stable.
+	// engine construction; embeddings leaving the engine stay canonical
+	// float64, so the heads and verdict aggregation run unchanged.
 	Precision model.Precision
 }
 
 // DefaultEngineConfig returns the deployment defaults: tape-path batch
-// geometry, full-machine fan-out, and a 4096-line cache.
+// geometry, full-machine fan-out, and a 16,384-entry score memo.
+//
+// The memo's size is a byte budget, not a working-set guess. It replaced a
+// 4096-row embedding LRU and a 4096-line token-sequence LRU, about 3.4 MB
+// per engine at hidden width 48. A memo entry (key bytes, list node, map
+// slot, one float64) measures about 165 B with a 61-byte key, so 16,384
+// entries take about 2.7 MB.
 func DefaultEngineConfig() EngineConfig {
-	return EngineConfig{BatchLines: embedBatchSize, BatchTokens: 2048, CacheLines: 4096}
+	return EngineConfig{BatchLines: embedBatchSize, BatchTokens: 2048, CacheLines: 16384}
 }
 
 // NewEngine builds an inference engine over a frozen encoder + tokenizer.
@@ -95,9 +88,6 @@ func NewEngine(enc *model.Encoder, tok *bpe.Tokenizer, cfg EngineConfig) *Engine
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.EncodedCacheLines == 0 {
-		cfg.EncodedCacheLines = cfg.CacheLines
 	}
 	if cfg.Precision == "" {
 		cfg.Precision = model.PrecisionFloat64
@@ -116,10 +106,7 @@ func NewEngine(enc *model.Encoder, tok *bpe.Tokenizer, cfg EngineConfig) *Engine
 		return model.NewInferScratchPrec(enc.Config(), cfg.BatchTokens, cfg.Precision)
 	}
 	if cfg.CacheLines > 0 {
-		e.cache = newLRUCache[float64](cfg.CacheLines)
-	}
-	if cfg.EncodedCacheLines > 0 {
-		e.encCache = newLRUCache[int](cfg.EncodedCacheLines)
+		e.memo = newLRUCache(cfg.CacheLines)
 	}
 	return e
 }
@@ -131,7 +118,8 @@ func (e *Engine) Precision() model.Precision { return e.cfg.Precision }
 // tokenizer with the same configuration except the precision rung — the
 // construction serving paths use to honor a requested precision on a
 // scorer whose head was trained (always) in float64. Like Clone, the new
-// engine owns its scratch pool, LRU cache, and counters.
+// engine owns its scratch pool, an empty score memo, and its counters, so
+// a score computed at one rung never answers for another.
 func (e *Engine) WithPrecision(p model.Precision) *Engine {
 	cfg := e.cfg
 	cfg.Precision = p
@@ -140,27 +128,28 @@ func (e *Engine) WithPrecision(p model.Precision) *Engine {
 
 // Clone returns a fresh engine over the same frozen encoder and tokenizer
 // with the same configuration. The clone shares only the immutable
-// backbone weights; its scratch pool, LRU cache, and counters are its own,
-// so clones scale across shards without contending on mutable state.
-// Replica memory cost is the scratch arenas plus CacheLines embedding rows
-// — the model weights are never duplicated.
+// backbone weights; its scratch pool, score memo, and counters are its
+// own, so clones scale across shards without contending on mutable state.
+// Replica memory cost is the scratch arenas plus up to CacheLines memo
+// entries — the model weights are never duplicated.
 func (e *Engine) Clone() *Engine {
 	return NewEngine(e.enc, e.tok, e.cfg)
 }
 
-// CacheStats is a snapshot of an engine's LRU cache counters. Hits and
-// Misses count embedding-cache probes of deduplicated representatives (a
-// within-call duplicate never probes); Entries is the live entry count.
-// The Encoded counters mirror them for the encoded-line LRU, which only
-// representatives that missed the embedding cache ever probe.
+// CacheStats is a snapshot of an engine's score-memo counters. Hits and
+// Misses count memo probes of distinct inputs (a within-call duplicate
+// never probes); Entries is the live entry count.
 type CacheStats struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Entries int   `json:"entries"`
 
-	EncodedHits    int64 `json:"encoded_hits"`
-	EncodedMisses  int64 `json:"encoded_misses"`
-	EncodedEntries int   `json:"encoded_entries"`
+	// EncodedHits and EncodedMisses are always zero: the token-sequence LRU
+	// they counted is gone. They stay only because the benchmark still
+	// reads them, and go when a benchmark change retires its
+	// tuning.encoded_hit_rate metric.
+	EncodedHits   int64 `json:"encoded_hits,omitempty"`
+	EncodedMisses int64 `json:"encoded_misses,omitempty"`
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any probe.
@@ -171,37 +160,84 @@ func (s CacheStats) HitRate() float64 {
 	return 0
 }
 
-// CacheStats snapshots the engine's cache counters. With a cache disabled
+// CacheStats snapshots the engine's memo counters. With the memo disabled
 // every probe of it counts as a miss.
 func (e *Engine) CacheStats() CacheStats {
-	s := CacheStats{
-		Hits: e.cacheHits.Load(), Misses: e.cacheMisses.Load(),
-		EncodedHits: e.encodedHits.Load(), EncodedMisses: e.encodedMisses.Load(),
-	}
-	if e.cache != nil {
-		s.Entries = e.cache.len()
-	}
-	if e.encCache != nil {
-		s.EncodedEntries = e.encCache.len()
-	}
-	return s
+	return CacheStats{Hits: e.memoHits.Load(), Misses: e.memoMisses.Load(), Entries: e.memo.len()}
 }
 
-// feature kinds for cache keys and batch dispatch.
+// Feature selects the backbone output a method head reads.
+type Feature int
+
 const (
-	featMean = iota // mean-pooled embedding, f(t) of Eq. (1)
-	featCLS         // [CLS] hidden state
+	// FeatureMean is the mean-pooled embedding, f(t) of Eq. (1).
+	FeatureMean Feature = iota
+	// FeatureCLS is the [CLS] hidden state.
+	FeatureCLS
 )
 
 // EmbedLines returns mean-pooled embeddings, one row per line — the
-// engine-backed equivalent of the package-level EmbedLines.
+// engine-backed equivalent of the package-level EmbedLines. It bypasses
+// the memo.
 func (e *Engine) EmbedLines(lines []string) (*tensor.Matrix, error) {
-	return e.run(lines, featMean)
+	return e.run(lines, FeatureMean)
 }
 
-// CLSLines returns the [CLS] hidden states, one row per line.
+// CLSLines returns the [CLS] hidden states, one row per line. It bypasses
+// the memo.
 func (e *Engine) CLSLines(lines []string) (*tensor.Matrix, error) {
-	return e.run(lines, featCLS)
+	return e.run(lines, FeatureCLS)
+}
+
+// Score returns head's score for each line, memoized by exact input. Each
+// distinct input probes the memo once. The misses are embedded as feat
+// through the dedup → bucket → forward path, and head scores them as one
+// matrix, one row per missed input. Head must return one score per row and
+// score each row independently of the others, as every method head does:
+// then a memo hit is bitwise the score a recompute would give, whatever
+// batch either came from. The memo holds one head's scores, so an engine
+// serves one scorer; Clone and WithPrecision start an empty memo.
+func (e *Engine) Score(lines []string, feat Feature, head func(*tensor.Matrix) []float64) ([]float64, error) {
+	out := make([]float64, len(lines))
+	first := make(map[string]int, len(lines))
+	var misses, dups []int
+	for i, ln := range lines {
+		if _, seen := first[ln]; seen {
+			dups = append(dups, i)
+			continue
+		}
+		first[ln] = i
+		if s, ok := e.memo.get(ln); ok {
+			out[i] = s
+			continue
+		}
+		misses = append(misses, i)
+	}
+	e.memoHits.Add(int64(len(first) - len(misses)))
+	e.memoMisses.Add(int64(len(misses)))
+
+	if len(misses) > 0 {
+		sub := make([]string, len(misses))
+		for m, i := range misses {
+			sub[m] = lines[i]
+		}
+		emb, err := e.run(sub, feat)
+		if err != nil {
+			return nil, err
+		}
+		scores := head(emb)
+		if len(scores) != len(sub) {
+			return nil, fmt.Errorf("tuning: head returned %d scores for %d lines", len(scores), len(sub))
+		}
+		for m, i := range misses {
+			out[i] = scores[m]
+			e.memo.put(lines[i], scores[m])
+		}
+	}
+	for _, i := range dups {
+		out[i] = out[first[lines[i]]]
+	}
+	return out, nil
 }
 
 // normalizeLine collapses whitespace, which is exactly the equivalence the
@@ -212,12 +248,12 @@ func normalizeLine(line string) string {
 }
 
 // batchSpec is one unit of worker work: consecutive entries of the
-// length-sorted miss list.
+// length-sorted line list.
 type batchSpec struct {
 	lo, hi int
 }
 
-func (e *Engine) run(lines []string, feat int) (*tensor.Matrix, error) {
+func (e *Engine) run(lines []string, feat Feature) (*tensor.Matrix, error) {
 	mcfg := e.enc.Config()
 	// An empty request is a normal streaming event (e.g. flushing an empty
 	// session window), not an error: return a 0-row matrix of the right
@@ -229,40 +265,22 @@ func (e *Engine) run(lines []string, feat int) (*tensor.Matrix, error) {
 
 	// Dedup: identical normalized lines embed identically, so compute each
 	// one once and fan the row out afterwards.
-	keys := make([]string, len(lines))
 	repOf := make([]int, len(lines))
 	firstOf := make(map[string]int, len(lines))
 	var reps []int
 	for i, ln := range lines {
-		keys[i] = normalizeLine(ln)
-		if j, ok := firstOf[keys[i]]; ok {
+		key := normalizeLine(ln)
+		if j, ok := firstOf[key]; ok {
 			repOf[i] = j
 			continue
 		}
-		firstOf[keys[i]] = i
+		firstOf[key] = i
 		repOf[i] = i
 		reps = append(reps, i)
 	}
 
-	// Cache probe on the representatives.
-	misses := reps
-	if e.cache != nil {
-		misses = misses[:0:0]
-		for _, i := range reps {
-			if row, ok := e.cache.get(cacheKey(feat, keys[i])); ok {
-				copy(out.Row(i), row)
-				continue
-			}
-			misses = append(misses, i)
-		}
-		e.cacheHits.Add(int64(len(reps) - len(misses)))
-	}
-	e.cacheMisses.Add(int64(len(misses)))
-
-	if len(misses) > 0 {
-		if err := e.computeInto(lines, keys, misses, feat, out); err != nil {
-			return nil, err
-		}
+	if err := e.computeInto(lines, reps, feat, out); err != nil {
+		return nil, err
 	}
 
 	// Fan rows out to duplicates.
@@ -274,37 +292,15 @@ func (e *Engine) run(lines []string, feat int) (*tensor.Matrix, error) {
 	return out, nil
 }
 
-// computeInto tokenizes the missed lines, buckets them by token length,
-// and runs the batches across workers, writing rows of out in place.
-//
-// Token sequences come from two sources. The encoded-line LRU serves
-// repeat lines without touching the tokenizer; the remaining lines are
+// computeInto tokenizes the given lines, buckets them by token length, and
+// runs the batches across workers, writing rows of out in place. Lines are
 // encoded upfront in parallel, so every bucketing length is exact.
-func (e *Engine) computeInto(lines, keys []string, misses []int, feat int, out *tensor.Matrix) error {
+func (e *Engine) computeInto(lines []string, reps []int, feat Feature, out *tensor.Matrix) error {
 	mcfg := e.enc.Config()
-	seqs := make([][]int, len(misses))
-
-	encHits := 0
-	if e.encCache != nil {
-		for m := range misses {
-			if seq, ok := e.encCache.get(keys[misses[m]]); ok {
-				seqs[m] = seq
-				encHits++
-			}
-		}
-	}
-	e.encodedHits.Add(int64(encHits))
-	e.encodedMisses.Add(int64(len(misses) - encHits))
-
-	e.parallel(len(misses), func(lo, hi int) {
+	seqs := make([][]int, len(reps))
+	e.parallel(len(reps), func(lo, hi int) {
 		for m := lo; m < hi; m++ {
-			if seqs[m] != nil {
-				continue
-			}
-			seqs[m] = e.tok.EncodeForModel(lines[misses[m]], mcfg.MaxSeqLen)
-			if e.encCache != nil {
-				e.encCache.put(keys[misses[m]], seqs[m])
-			}
+			seqs[m] = e.tok.EncodeForModel(lines[reps[m]], mcfg.MaxSeqLen)
 		}
 	})
 
@@ -312,7 +308,7 @@ func (e *Engine) computeInto(lines, keys []string, misses []int, feat int, out *
 	// sequences uniform, so the token budget yields evenly-sized batches
 	// and worker latency stays predictable. Ties break by original order
 	// to keep runs deterministic.
-	order := make([]int, len(misses))
+	order := make([]int, len(reps))
 	for m := range order {
 		order[m] = m
 	}
@@ -357,7 +353,7 @@ func (e *Engine) computeInto(lines, keys []string, misses []int, feat int, out *
 				dst = tensor.NewMatrix(n, mcfg.Hidden)
 			}
 			var err error
-			if feat == featCLS {
+			if feat == FeatureCLS {
 				err = e.enc.InferCLSInto(batch, scratch, dst, 0)
 			} else {
 				err = e.enc.InferEmbedInto(batch, scratch, dst, 0)
@@ -366,11 +362,7 @@ func (e *Engine) computeInto(lines, keys []string, misses []int, feat int, out *
 				return fmt.Errorf("tuning: inference batch of %d lines: %w", b.hi-b.lo, err)
 			}
 			for r, m := range order[b.lo:b.hi] {
-				line := misses[m]
-				copy(out.Row(line), dst.Row(r))
-				if e.cache != nil {
-					e.cache.put(cacheKey(feat, keys[line]), dst.Row(r))
-				}
+				copy(out.Row(reps[m]), dst.Row(r))
 			}
 		}
 	})
@@ -435,58 +427,57 @@ func (e *Engine) fanOut(n int, worker func() error) error {
 	return nil
 }
 
-// cacheKey prefixes the normalized line with the feature kind so mean-pool
-// and [CLS] rows never collide.
-func cacheKey(feat int, norm string) string {
-	if feat == featCLS {
-		return "c\x00" + norm
-	}
-	return "m\x00" + norm
-}
-
-// lruCache is a mutex-guarded LRU over slices — embedding rows (float64)
-// and encoded token sequences (int) share the one implementation.
-type lruCache[E any] struct {
+// lruCache is the score memo: a mutex-guarded LRU from exact scorer input
+// to final score. A nil *lruCache is a disabled memo that never hits.
+type lruCache struct {
 	mu    sync.Mutex
 	cap   int
-	items map[string]*lruEntry[E]
-	head  *lruEntry[E] // most recent
-	tail  *lruEntry[E] // least recent
+	items map[string]*lruEntry
+	head  *lruEntry // most recent
+	tail  *lruEntry // least recent
 }
 
-type lruEntry[E any] struct {
+type lruEntry struct {
 	key        string
-	row        []E
-	prev, next *lruEntry[E]
+	score      float64
+	prev, next *lruEntry
 }
 
-func newLRUCache[E any](capacity int) *lruCache[E] {
-	return &lruCache[E]{cap: capacity, items: make(map[string]*lruEntry[E], capacity)}
+// newLRUCache sizes nothing up front: the map grows with the entries, so
+// an engine that never scores (training, experiments) costs no memo bytes.
+func newLRUCache(capacity int) *lruCache {
+	return &lruCache{cap: capacity, items: make(map[string]*lruEntry)}
 }
 
-// get returns the cached row (shared slice; callers copy or read, never
-// mutate).
-func (c *lruCache[E]) get(key string) ([]E, bool) {
+// get returns the memoized score and refreshes the entry.
+func (c *lruCache) get(key string) (float64, bool) {
+	if c == nil {
+		return 0, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return 0, false
 	}
 	c.moveToFront(ent)
-	return ent.row, true
+	return ent.score, true
 }
 
-// put inserts a copy of row, evicting the least-recently-used entry when
-// full.
-func (c *lruCache[E]) put(key string, row []E) {
+// put inserts score under key, evicting the least-recently-used entry when
+// full. A key already present is only refreshed: a concurrent caller
+// computed the same bits.
+func (c *lruCache) put(key string, score float64) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ent, ok := c.items[key]; ok {
 		c.moveToFront(ent)
 		return
 	}
-	ent := &lruEntry[E]{key: key, row: append([]E(nil), row...)}
+	ent := &lruEntry{key: key, score: score}
 	c.items[key] = ent
 	c.pushFront(ent)
 	if len(c.items) > c.cap {
@@ -496,14 +487,17 @@ func (c *lruCache[E]) put(key string, row []E) {
 	}
 }
 
-// len reports the live entry count (test hook).
-func (c *lruCache[E]) len() int {
+// len reports the live entry count.
+func (c *lruCache) len() int {
+	if c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)
 }
 
-func (c *lruCache[E]) pushFront(ent *lruEntry[E]) {
+func (c *lruCache) pushFront(ent *lruEntry) {
 	ent.prev = nil
 	ent.next = c.head
 	if c.head != nil {
@@ -515,7 +509,7 @@ func (c *lruCache[E]) pushFront(ent *lruEntry[E]) {
 	}
 }
 
-func (c *lruCache[E]) unlink(ent *lruEntry[E]) {
+func (c *lruCache) unlink(ent *lruEntry) {
 	if ent.prev != nil {
 		ent.prev.next = ent.next
 	} else {
@@ -529,7 +523,7 @@ func (c *lruCache[E]) unlink(ent *lruEntry[E]) {
 	ent.prev, ent.next = nil, nil
 }
 
-func (c *lruCache[E]) moveToFront(ent *lruEntry[E]) {
+func (c *lruCache) moveToFront(ent *lruEntry) {
 	if c.head == ent {
 		return
 	}

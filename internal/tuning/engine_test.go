@@ -2,8 +2,10 @@ package tuning
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"clmids/internal/model"
 	"clmids/internal/tensor"
 )
 
@@ -41,7 +43,7 @@ func TestEngineMatchesTapePath(t *testing.T) {
 				t.Fatal(err)
 			}
 			engine := NewEngine(f.mdl.Encoder, f.tok, DefaultEngineConfig())
-			for pass := 0; pass < 2; pass++ { // pass 1 serves from the LRU cache
+			for pass := 0; pass < 2; pass++ { // pass 1 recomputes: no row is cached
 				got, err := tc.eng(engine)
 				if err != nil {
 					t.Fatal(err)
@@ -80,33 +82,131 @@ func TestEngineSmallBudgets(t *testing.T) {
 	}
 }
 
-// TestEngineCacheEviction pins the LRU behavior: capacity bounds the entry
-// count and evicted lines still score correctly on recompute.
-func TestEngineCacheEviction(t *testing.T) {
+// TestEngineMemoEviction pins the memo's bound: under eviction pressure
+// from a tiny memo the entry count never exceeds capacity, and evicted
+// inputs score exactly as before on recompute.
+func TestEngineMemoEviction(t *testing.T) {
 	f := getFixture(t)
-	cfg := DefaultEngineConfig()
-	cfg.CacheLines = 4
-	engine := NewEngine(f.mdl.Encoder, f.tok, cfg)
+	det := testPCAScorer(t).Detector()
+	ref := NewPCAScorer(NewEngine(f.mdl.Encoder, f.tok, EngineConfig{}), det) // memo off
+	sc := NewPCAScorer(NewEngine(f.mdl.Encoder, f.tok, EngineConfig{CacheLines: 4, Workers: 4}), det)
 
 	lines := f.trainX[:12]
-	want, err := EmbedLinesTape(f.mdl.Encoder, f.tok, lines)
+	want, err := ref.Score(lines)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 3; pass++ {
-		got, err := engine.EmbedLines(lines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("pass %d: element %d mismatch", pass, i)
+		for _, w := range [][2]int{{0, 12}, {0, 3}, {0, 3}, {9, 12}} {
+			got, err := sc.Score(lines[w[0]:w[1]])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("pass %d window %v", pass, w), got, want[w[0]:w[1]])
+			if n := sc.CacheStats().Entries; n > 4 {
+				t.Fatalf("pass %d: memo holds %d entries, cap 4", pass, n)
 			}
 		}
-		if n := engine.cache.len(); n > 4 {
-			t.Fatalf("pass %d: cache holds %d entries, cap 4", pass, n)
+	}
+	if st := sc.CacheStats(); st.Hits == 0 {
+		t.Fatalf("a repeated 3-line window never hit a 4-entry memo: %+v", st)
+	}
+}
+
+// TestEngineMemoMatchesRecompute is the memo's correctness contract: for
+// every method at f64 and int8, a memo hit is bitwise the score a fresh
+// recompute gives, whether the memo was filled one line at a time or in
+// batches of any size.
+func TestEngineMemoMatchesRecompute(t *testing.T) {
+	lines := engineFixtureLines(getFixture(t))
+	for name, s := range concurrencyScorers(t) {
+		for _, prec := range []model.Precision{model.PrecisionFloat64, model.PrecisionInt8} {
+			t.Run(name+"/"+string(prec), func(t *testing.T) {
+				at := func() Scorer {
+					sc, err := AtPrecision(s, prec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return sc
+				}
+				want, err := at().Score(lines)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, split := range []int{1, 3, 7} {
+					sc := at()
+					for lo := 0; lo < len(lines); lo += split {
+						hi := min(lo+split, len(lines))
+						got, err := sc.Score(lines[lo:hi])
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameBits(t, fmt.Sprintf("split %d fill", split), got, want[lo:hi])
+					}
+					before := sc.(CacheStatser).CacheStats()
+					got, err := sc.Score(lines)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if after := sc.(CacheStatser).CacheStats(); after.Misses != before.Misses {
+						t.Fatalf("split %d: warm pass missed %d inputs", split, after.Misses-before.Misses)
+					}
+					sameBits(t, fmt.Sprintf("split %d hit", split), got, want)
+				}
+			})
 		}
 	}
+}
+
+// sameBits fails unless got and want are bitwise equal.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d scores, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: line %d: %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestEngineMemoCountsDistinctInputs: every distinct input of a call
+// probes the memo exactly once, so Hits+Misses is the running count of
+// distinct inputs per call. A within-call duplicate never probes, and a
+// miss is counted once, not again by the forward path.
+func TestEngineMemoCountsDistinctInputs(t *testing.T) {
+	f := getFixture(t)
+	sc := testPCAScorer(t)
+	lines := engineFixtureLines(f)
+	calls := [][]string{lines, lines, append(append([]string(nil), f.testNeg[:6]...), lines[:4]...)}
+	var probes int64
+	for c, call := range calls {
+		if _, err := sc.Score(call); err != nil {
+			t.Fatal(err)
+		}
+		probes += distinct(call)
+		st := sc.CacheStats()
+		if st.Hits+st.Misses != probes {
+			t.Fatalf("call %d: hits %d + misses %d, want %d distinct probes", c, st.Hits, st.Misses, probes)
+		}
+		if c == 0 && (st.Hits != 0 || int64(st.Entries) != st.Misses) {
+			t.Fatalf("cold call: %+v, want all misses, one entry each", st)
+		}
+		if c == 1 && st.Hits != distinct(lines) {
+			t.Fatalf("warm call: %d hits, want %d", st.Hits, distinct(lines))
+		}
+	}
+}
+
+// distinct counts the distinct inputs of one call: the memo probes each
+// once.
+func distinct(in []string) int64 {
+	seen := make(map[string]bool)
+	for _, ln := range in {
+		seen[ln] = true
+	}
+	return int64(len(seen))
 }
 
 // TestEngineEmptyInput pins the streaming contract: flushing an empty
@@ -139,111 +239,30 @@ func TestNormalizeLine(t *testing.T) {
 }
 
 func TestLRUCache(t *testing.T) {
-	c := newLRUCache[float64](2)
-	c.put("a", []float64{1})
-	c.put("b", []float64{2})
+	c := newLRUCache(2)
+	c.put("a", 1)
+	c.put("b", 2)
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("c", []float64{3}) // evicts b (a was refreshed)
+	c.put("c", 3) // evicts b (a was refreshed)
 	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted")
 	}
 	if _, ok := c.get("a"); !ok {
 		t.Error("a should survive")
 	}
-	if row, ok := c.get("c"); !ok || row[0] != 3 {
-		t.Errorf("c = %v, %v", row, ok)
+	if v, ok := c.get("c"); !ok || v != 3 {
+		t.Errorf("c = %v, %v", v, ok)
 	}
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
 	}
-	// Stored rows are copies: mutating the source must not corrupt the
-	// cache.
-	src := []float64{9}
-	c.put("d", src)
-	src[0] = -1
-	if row, _ := c.get("d"); row[0] != 9 {
-		t.Errorf("cache shares caller memory: %v", row)
-	}
-}
-
-// TestEngineEncodedCache pins the encoded-line LRU tier: with the
-// embedding cache off, repeat calls must serve token sequences from the
-// encoded cache (hits accrue, entries stay bounded) and both feature kinds
-// share the same entries — all without changing a single output bit.
-func TestEngineEncodedCache(t *testing.T) {
-	f := getFixture(t)
-	lines := engineFixtureLines(f)
-	want, err := EmbedLinesTape(f.mdl.Encoder, f.tok, lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := EngineConfig{CacheLines: -1, EncodedCacheLines: 64}
-	engine := NewEngine(f.mdl.Encoder, f.tok, cfg)
-	reps := int64(engine.CacheStats().EncodedMisses) // 0 before traffic
-	if reps != 0 {
-		t.Fatalf("fresh engine has encoded misses: %d", reps)
-	}
-	for pass := 0; pass < 2; pass++ {
-		got, err := engine.EmbedLines(lines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("pass %d: element %d mismatch", pass, i)
-			}
-		}
-	}
-	st := engine.CacheStats()
-	if st.EncodedHits == 0 {
-		t.Fatal("second pass never hit the encoded cache")
-	}
-	if st.EncodedMisses == 0 || st.EncodedHits != st.EncodedMisses {
-		t.Fatalf("want one hit per first-pass miss, got hits=%d misses=%d", st.EncodedHits, st.EncodedMisses)
-	}
-	if st.EncodedEntries == 0 || st.EncodedEntries > 64 {
-		t.Fatalf("encoded entries %d outside (0, 64]", st.EncodedEntries)
-	}
-	// CLS rows need the same token sequences: the encoded cache is shared
-	// across feature kinds, so this call is all hits.
-	if _, err := engine.CLSLines(lines); err != nil {
-		t.Fatal(err)
-	}
-	st2 := engine.CacheStats()
-	if st2.EncodedMisses != st.EncodedMisses {
-		t.Fatalf("CLS pass re-encoded %d lines", st2.EncodedMisses-st.EncodedMisses)
-	}
-}
-
-// TestEngineEncodedCacheBounded forces eviction pressure on a tiny encoded
-// cache and checks correctness survives it.
-func TestEngineEncodedCacheBounded(t *testing.T) {
-	f := getFixture(t)
-	var lines []string
-	for i := 0; i < 60; i++ {
-		lines = append(lines, fmt.Sprintf("tail -n %d /var/log/app%d.log", i, i))
-	}
-	cfg := EngineConfig{CacheLines: -1, EncodedCacheLines: 4, Workers: 4}
-	engine := NewEngine(f.mdl.Encoder, f.tok, cfg)
-	want, err := EmbedLinesTape(f.mdl.Encoder, f.tok, lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		got, err := engine.EmbedLines(lines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("pass %d: element %d mismatch", pass, i)
-			}
-		}
-		if n := engine.CacheStats().EncodedEntries; n > 4 {
-			t.Fatalf("pass %d: encoded cache holds %d entries, cap 4", pass, n)
-		}
+	// A disabled (nil) memo never hits and holds nothing.
+	var off *lruCache
+	off.put("a", 1)
+	if _, ok := off.get("a"); ok || off.len() != 0 {
+		t.Error("nil memo stored an entry")
 	}
 }
 

@@ -4,7 +4,7 @@
 // — classifier MLP weights and standardizer, fitted PCA, retrieval index,
 // reconstruction tuner's final projection. SaveScorerHead persists the
 // head; LoadScorerHead rebuilds the exact serving scorer over a restored
-// backbone, with the same persistent LRU-cached engine BuildScorer-style
+// backbone, with the same persistent memoizing engine BuildScorer-style
 // construction produces, so loaded scorers score byte-identically to
 // freshly tuned ones and replicate across shards the same way.
 //
@@ -126,7 +126,7 @@ func SaveScorerHead(w io.Writer, s Scorer) error {
 // LoadScorerHead reads a head written by SaveScorerHead and rebuilds the
 // serving scorer over the (frozen) backbone and tokenizer it was trained
 // with — for the reconstruction method that backbone is the tuned encoder.
-// The returned scorer holds a fresh default-configured LRU-cached engine
+// The returned scorer holds a fresh default-configured memoizing engine
 // and is Replicable, exactly like a freshly built one. The method name is
 // returned so callers can cross-check it against manifest metadata.
 func LoadScorerHead(r io.Reader, enc *model.Encoder, tok *bpe.Tokenizer) (Scorer, string, error) {

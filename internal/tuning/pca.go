@@ -5,13 +5,14 @@ import (
 	"clmids/internal/bpe"
 	"clmids/internal/linalg"
 	"clmids/internal/model"
+	"clmids/internal/tensor"
 )
 
 // PCAScorer is the unsupervised §III detector lifted to raw command lines:
 // embed with the frozen pre-trained encoder, score by PCA reconstruction
 // error. It never tunes the backbone, so it scores through a persistent
-// LRU-cached inference engine — repeated log lines skip the encoder — and
-// Score is safe for concurrent use.
+// memoizing inference engine — repeated log lines skip the encoder and the
+// projection — and Score is safe for concurrent use.
 type PCAScorer struct {
 	engine *Engine
 	det    *anomaly.PCADetector
@@ -29,7 +30,7 @@ func (s *PCAScorer) Replicate() Scorer {
 	return &PCAScorer{engine: s.engine.Clone(), det: s.det}
 }
 
-// CacheStats snapshots the serving engine's embedding-cache counters.
+// CacheStats snapshots the serving engine's score-memo counters.
 func (s *PCAScorer) CacheStats() CacheStats { return s.engine.CacheStats() }
 
 // TrainPCA fits the unsupervised PCA detector on the baseline lines. No
@@ -51,7 +52,8 @@ func TrainPCA(enc *model.Encoder, tok *bpe.Tokenizer, lines []string, opts linal
 // NewPCAScorer composes a scorer from an existing engine and an already
 // fitted detector, for callers that size the engine themselves (e.g. the
 // streaming throughput benchmarks). The engine's encoder must be the one
-// the detector was fitted over, and must stay frozen.
+// the detector was fitted over, and must stay frozen; the scorer owns the
+// engine's memo, so do not serve another scorer from the same engine.
 func NewPCAScorer(engine *Engine, det *anomaly.PCADetector) *PCAScorer {
 	return &PCAScorer{engine: engine, det: det}
 }
@@ -59,11 +61,9 @@ func NewPCAScorer(engine *Engine, det *anomaly.PCADetector) *PCAScorer {
 // Score implements Scorer: Eq. (1) reconstruction error under the frozen
 // backbone.
 func (s *PCAScorer) Score(lines []string) ([]float64, error) {
-	emb, err := s.engine.EmbedLines(lines)
-	if err != nil {
-		return nil, err
-	}
-	return anomaly.Scores(s.det, emb), nil
+	return s.engine.Score(lines, FeatureMean, func(emb *tensor.Matrix) []float64 {
+		return anomaly.Scores(s.det, emb)
+	})
 }
 
 // Detector exposes the fitted PCA model.

@@ -11,9 +11,9 @@ import (
 // precision); the precision rung is a property of the serving engine only.
 // SetScorerPrecision rebinds a built scorer's engine to a different rung —
 // the frozen backbone, trained head, and fitted artifacts are untouched,
-// and the engine's embedding LRU starts empty (cached rows are float64
-// either way, but rows computed at different rungs differ in the low bits,
-// so a swap never mixes provenance within one cache).
+// and the new engine's score memo starts empty (scores computed at
+// different rungs differ in the low bits, so a swap never mixes provenance
+// within one memo).
 
 // PrecisionSwitcher is implemented by scorers that can report their serving
 // rung and stamp out an independent variant of themselves at another rung —
@@ -45,7 +45,7 @@ func ScorerPrecision(s Scorer) (model.Precision, bool) {
 // AtPrecision returns an independent scorer serving at precision p while s
 // keeps serving untouched at its own rung: a PrecisionSwitcher delegates,
 // any other Replicable engine-backed scorer is replicated (shared frozen
-// artifacts, fresh engine scratch + empty LRU) and its replica's engine
+// artifacts, fresh engine scratch + empty memo) and its replica's engine
 // rebound to p before it ever scores. This is the off-hot-path half of a
 // precision downshift; installing the result goes through the stream
 // layer's SwapScorer so no in-flight batch mixes rungs.

@@ -17,7 +17,7 @@ func testBackbone(t *testing.T) (*model.Encoder, *bpe.Tokenizer) {
 	return f.mdl.Encoder, f.tok
 }
 
-// testLines is a scoring stream with duplicates (exercises dedup + LRU).
+// testLines is a scoring stream with duplicates (exercises dedup + memo).
 func testLines(t *testing.T) []string {
 	t.Helper()
 	return engineFixtureLines(getFixture(t))
@@ -37,21 +37,18 @@ func testPCAScorer(t *testing.T) *PCAScorer {
 }
 
 // engineAt builds an engine over the shared test backbone at one rung.
-func engineAt(t *testing.T, prec model.Precision, cacheLines int) (*Engine, []string) {
+func engineAt(t *testing.T, prec model.Precision) (*Engine, []string) {
 	t.Helper()
 	enc, tok := testBackbone(t)
 	cfg := DefaultEngineConfig()
-	cfg.CacheLines = cacheLines
 	cfg.Precision = prec
 	return NewEngine(enc, tok, cfg), testLines(t)
 }
 
 // TestEnginePrecisionParity bounds the low-rung embeddings against the
-// float64 engine and pins determinism across repeated calls (the LRU keeps
-// canonical float64 rows, so a cache hit returns exactly the first
-// computation).
+// float64 engine and pins determinism across repeated calls at every rung.
 func TestEnginePrecisionParity(t *testing.T) {
-	f64e, lines := engineAt(t, model.PrecisionFloat64, 64)
+	f64e, lines := engineAt(t, model.PrecisionFloat64)
 	want, err := f64e.EmbedLines(lines)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +57,7 @@ func TestEnginePrecisionParity(t *testing.T) {
 		prec model.Precision
 		tol  float64
 	}{{model.PrecisionFloat32, 1e-3}, {model.PrecisionInt8, 0.2}} {
-		e, _ := engineAt(t, tc.prec, 64)
+		e, _ := engineAt(t, tc.prec)
 		if e.Precision() != tc.prec {
 			t.Fatalf("engine precision %q, want %q", e.Precision(), tc.prec)
 		}
@@ -79,18 +76,15 @@ func TestEnginePrecisionParity(t *testing.T) {
 			t.Errorf("%s: worst relative deviation %g > %g", tc.prec, worst, tc.tol)
 		}
 
-		// Cached pass: rows must be byte-identical to the first pass.
+		// Repeat pass: rows must be byte-identical to the first pass.
 		again, err := e.EmbedLines(lines)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range got.Data {
 			if got.Data[i] != again.Data[i] {
-				t.Fatalf("%s: cached row diverges at %d", tc.prec, i)
+				t.Fatalf("%s: repeated row diverges at %d", tc.prec, i)
 			}
-		}
-		if st := e.CacheStats(); st.Hits == 0 {
-			t.Errorf("%s: second pass hit the encoder, not the LRU", tc.prec)
 		}
 
 		// Clones inherit the rung and score identically.

@@ -78,7 +78,7 @@ func (c ReconsConfig) withDefaults() ReconsConfig {
 // ReconsTuner is a trained reconstruction-based detector: the tuned
 // encoder f(·) and the final PCA model W. Training is the only phase that
 // mutates f; once TrainReconstruction returns, the encoder is frozen, so
-// the tuner scores through a persistent LRU-cached inference engine and
+// the tuner scores through a persistent memoizing inference engine and
 // Score is safe for concurrent use.
 type ReconsTuner struct {
 	engine *Engine
@@ -98,7 +98,7 @@ func (r *ReconsTuner) Replicate() Scorer {
 	return &ReconsTuner{engine: r.engine.Clone(), pca: r.pca}
 }
 
-// CacheStats snapshots the serving engine's embedding-cache counters.
+// CacheStats snapshots the serving engine's score-memo counters.
 func (r *ReconsTuner) CacheStats() CacheStats { return r.engine.CacheStats() }
 
 // TrainReconstruction runs the alternating optimization of §IV-A.
@@ -201,7 +201,7 @@ func TrainReconstruction(enc *model.Encoder, tok *bpe.Tokenizer, lines []string,
 	}
 
 	// Final W from the final f. Tuning is over, so the tuner can hold a
-	// cached engine over the now-frozen encoder.
+	// memoizing engine over the now-frozen encoder.
 	engine := NewEngine(enc, tok, DefaultEngineConfig())
 	emb, err := engine.EmbedLines(fitLines)
 	if err != nil {
@@ -242,11 +242,7 @@ func reconsBatchLoss(enc *model.Encoder, seqs [][]int, rows []int, y []float64,
 
 // Score implements Scorer: Eq. (1) under the tuned f and final W.
 func (r *ReconsTuner) Score(lines []string) ([]float64, error) {
-	emb, err := r.engine.EmbedLines(lines)
-	if err != nil {
-		return nil, err
-	}
-	return r.pca.ReconstructionErrors(emb), nil
+	return r.engine.Score(lines, FeatureMean, r.pca.ReconstructionErrors)
 }
 
 // PCA exposes the final fitted projection.

@@ -1,7 +1,11 @@
 package tuning
 
 import (
+	"fmt"
 	"testing"
+
+	"clmids/internal/model"
+	"clmids/internal/tensor"
 )
 
 // TestScorerReplicasScoreIdentically pins the sharding contract: for every
@@ -36,12 +40,23 @@ func TestScorerReplicasScoreIdentically(t *testing.T) {
 					}
 				}
 			}
-			// Replica caches are independent: the original's warm entries
-			// must not appear in a fresh replica before it scores.
-			fresh := s.(Replicable).Replicate()
-			if cs, ok := fresh.(CacheStatser); ok {
-				if st := cs.CacheStats(); st.Entries != 0 || st.Hits != 0 {
-					t.Fatalf("fresh replica cache not empty: %+v", st)
+			// Replica memos are independent: the original's warm entries
+			// must not appear in a fresh replica or a precision variant
+			// before it scores.
+			if st := s.(CacheStatser).CacheStats(); st.Entries == 0 {
+				t.Fatalf("original memo stayed empty: %+v", st)
+			}
+			fresh := []Scorer{s.(Replicable).Replicate()}
+			for _, p := range []model.Precision{model.PrecisionFloat64, model.PrecisionInt8} {
+				v, err := AtPrecision(s, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh = append(fresh, v)
+			}
+			for i, sc := range fresh {
+				if st := sc.(CacheStatser).CacheStats(); st != (CacheStats{}) {
+					t.Fatalf("fresh scorer %d starts with memo state %+v", i, st)
 				}
 			}
 		})
@@ -71,40 +86,45 @@ func TestReplicasRequiresReplicable(t *testing.T) {
 }
 
 // TestEngineCloneIndependence: a cloned engine shares the frozen weights
-// (identical outputs) but owns its cache and counters.
+// (identical outputs) but owns its memo and counters.
 func TestEngineCloneIndependence(t *testing.T) {
 	f := getFixture(t)
 	cfg := DefaultEngineConfig()
 	cfg.CacheLines = 64
 	eng := NewEngine(f.mdl.Encoder, f.tok, cfg)
 	lines := f.testPos
+	// A per-row head: each line's score is the sum of its embedding.
+	rowSums := func(x *tensor.Matrix) []float64 {
+		out := make([]float64, x.Rows)
+		for i := range out {
+			for _, v := range x.Row(i) {
+				out[i] += v
+			}
+		}
+		return out
+	}
 
-	want, err := eng.EmbedLines(lines)
+	want, err := eng.Score(lines, FeatureMean, rowSums)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.CacheStats(); st.Misses == 0 || st.Entries == 0 {
-		t.Fatalf("original engine recorded no cache activity: %+v", st)
+		t.Fatalf("original engine recorded no memo activity: %+v", st)
 	}
 
 	clone := eng.Clone()
-	if st := clone.CacheStats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("clone inherited cache state: %+v", st)
+	if st := clone.CacheStats(); st != (CacheStats{}) {
+		t.Fatalf("clone inherited memo state: %+v", st)
 	}
-	got, err := clone.EmbedLines(lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("element %d: clone %g, original %g", i, got.Data[i], want.Data[i])
+	for pass := 0; pass < 2; pass++ {
+		got, err := clone.Score(lines, FeatureMean, rowSums)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameBits(t, fmt.Sprintf("clone pass %d", pass), got, want)
 	}
-	// A second pass over the same lines is all hits.
-	if _, err := clone.EmbedLines(lines); err != nil {
-		t.Fatal(err)
-	}
-	if st := clone.CacheStats(); st.Hits == 0 || st.HitRate() <= 0 {
-		t.Fatalf("clone cache never hit: %+v", st)
+	// The second pass over the same lines is all hits.
+	if st := clone.CacheStats(); st.Hits == 0 || st.Hits != st.Misses {
+		t.Fatalf("clone memo: %+v, want one hit per first-pass miss", st)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // with the frozen pre-trained encoder, then score by average cosine
 // similarity to the k nearest malicious-labeled training embeddings. It
 // requires no tuning of the language model, so it holds a persistent
-// inference engine whose LRU cache survives across Score calls — repeated
-// lines in a production log stream skip the encoder entirely.
+// inference engine whose score memo survives across Score calls — repeated
+// lines in a production log stream skip the encoder and the index scan.
 type RetrievalScorer struct {
 	engine *Engine
 	ret    *anomaly.Retrieval
@@ -29,13 +29,14 @@ func (r *RetrievalScorer) Replicate() Scorer {
 	return &RetrievalScorer{engine: r.engine.Clone(), ret: r.ret}
 }
 
-// CacheStats snapshots the serving engine's embedding-cache counters.
+// CacheStats snapshots the serving engine's score-memo counters.
 func (r *RetrievalScorer) CacheStats() CacheStats { return r.engine.CacheStats() }
 
 // NewRetrievalScorer wraps an already-fitted retrieval index behind the
 // given serving engine — the composition TrainRetrieval builds, exposed for
-// callers that need a non-default engine configuration (a cache-off engine
-// for cold benchmarks, a custom batch geometry).
+// callers that need a non-default engine configuration (a memo-off engine
+// for cold benchmarks, a custom batch geometry). The scorer owns the
+// engine's memo: do not serve another scorer from the same engine.
 func NewRetrievalScorer(engine *Engine, ret *anomaly.Retrieval) *RetrievalScorer {
 	return &RetrievalScorer{engine: engine, ret: ret}
 }
@@ -58,14 +59,10 @@ func TrainRetrieval(enc *model.Encoder, tok *bpe.Tokenizer, lines []string, labe
 	return &RetrievalScorer{engine: engine, ret: ret}, nil
 }
 
-// Score implements Scorer: embedding runs on the batched inference engine
-// and the kNN scans fan out across cores.
+// Score implements Scorer: memo misses are embedded on the batched
+// inference engine and their kNN scans fan out across cores.
 func (r *RetrievalScorer) Score(lines []string) ([]float64, error) {
-	emb, err := r.engine.EmbedLines(lines)
-	if err != nil {
-		return nil, err
-	}
-	return r.ret.ScoreBatch(emb), nil
+	return r.engine.Score(lines, FeatureMean, r.ret.ScoreBatch)
 }
 
 // Retrieval exposes the underlying index (for the majority-vote ablation).

@@ -33,7 +33,7 @@ type Scorer interface {
 // replicas without re-tuning: the replica shares every frozen artifact
 // (backbone weights, trained head, fitted PCA / retrieval index /
 // standardizer) and replicates only mutable serving state — the inference
-// engine's scratch pool and LRU cache. Replicas therefore score
+// engine's scratch pool and score memo. Replicas therefore score
 // byte-identically to the original while never contending on a lock, which
 // is what lets a sharded streaming detector scale across cores.
 type Replicable interface {
@@ -42,11 +42,11 @@ type Replicable interface {
 	Replicate() Scorer
 }
 
-// CacheStatser is implemented by scorers whose serving path runs on an
-// LRU-cached inference engine; services surface the stats per shard so
-// load skew and cache effectiveness stay observable.
+// CacheStatser is implemented by scorers whose serving path runs through
+// an engine's score memo; services surface the stats per shard so load
+// skew and memo effectiveness stay observable.
 type CacheStatser interface {
-	// CacheStats snapshots the scorer's embedding-cache counters.
+	// CacheStats snapshots the scorer's score-memo counters.
 	CacheStats() CacheStats
 }
 
@@ -79,25 +79,19 @@ const embedBatchSize = 32
 // EmbedLines runs the (frozen) encoder over lines and returns mean-pooled
 // embeddings, one row per line — the f(t) of Eq. (1); empty input yields a
 // 0-row matrix (a streaming flush of an empty window is normal, not an
-// error). Scoring goes through
-// the tape-free batched inference engine (deduped, length-bucketed,
-// parallel); the engine is transient, so no embedding outlives the call
-// and a subsequently tuned encoder can never serve stale rows. Long-lived
-// scorers over a frozen encoder should hold a NewEngine with a cache
-// instead.
+// error). Scoring goes through the tape-free batched inference engine
+// (deduped, length-bucketed, parallel) on a transient engine, and engine
+// embeddings are never cached, so an encoder tuned between calls is always
+// read fresh.
 func EmbedLines(enc *model.Encoder, tok *bpe.Tokenizer, lines []string) (*tensor.Matrix, error) {
-	cfg := DefaultEngineConfig()
-	cfg.CacheLines = 0
-	return NewEngine(enc, tok, cfg).EmbedLines(lines)
+	return NewEngine(enc, tok, DefaultEngineConfig()).EmbedLines(lines)
 }
 
 // CLSLines runs the (frozen) encoder over lines and returns the [CLS]
 // hidden states — the classification head's input. Like EmbedLines it runs
 // on a transient inference engine.
 func CLSLines(enc *model.Encoder, tok *bpe.Tokenizer, lines []string) (*tensor.Matrix, error) {
-	cfg := DefaultEngineConfig()
-	cfg.CacheLines = 0
-	return NewEngine(enc, tok, cfg).CLSLines(lines)
+	return NewEngine(enc, tok, DefaultEngineConfig()).CLSLines(lines)
 }
 
 // EmbedLinesTape is the original autograd-tape extraction path, kept as the
