@@ -1,7 +1,9 @@
 // Command clmtrain trains the IDS backbone — pre-processing filter, BPE
 // tokenizer, and masked-LM pre-trained encoder — on a JSONL log produced by
-// clmgen (or any file in the same format), and saves it to a directory for
-// clmdetect.
+// clmgen (or any file in the same format), and saves its three parts to
+// the -out directory (preprocess.json, tokenizer.txt, model.gob). Serving
+// does not read that directory: clmdetect and clmserve start only from a
+// scorer bundle.
 //
 // Usage:
 //

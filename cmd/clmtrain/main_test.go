@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"clmids/internal/bpe"
 	"clmids/internal/core"
 	"clmids/internal/corpus"
+	"clmids/internal/model"
+	"clmids/internal/preprocess"
 )
 
 func TestTrainProducesLoadablePipeline(t *testing.T) {
@@ -39,12 +42,28 @@ func TestTrainProducesLoadablePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	pl, err := core.LoadPipeline(out)
-	if err != nil {
-		t.Fatalf("LoadPipeline: %v", err)
+	// Each -out part reads back through its own package's loader.
+	open := func(name string) *os.File {
+		t.Helper()
+		f, err := os.Open(filepath.Join(out, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
 	}
-	if pl.Tok.VocabSize() == 0 {
+	if _, err := preprocess.Load(open("preprocess.json")); err != nil {
+		t.Fatalf("preprocess.Load: %v", err)
+	}
+	tok, err := bpe.Load(open("tokenizer.txt"))
+	if err != nil {
+		t.Fatalf("bpe.Load: %v", err)
+	}
+	if tok.VocabSize() == 0 {
 		t.Error("empty tokenizer after training")
+	}
+	if _, err := model.Load(open("model.gob")); err != nil {
+		t.Fatalf("model.Load: %v", err)
 	}
 }
 

@@ -4,7 +4,7 @@
 // versioned bundle, cold-loads the bundle the way a serving fleet replica
 // would (no baseline corpus, no tuning), verifies the loaded scorer is
 // byte-identical, and finishes with a zero-downtime hot-reload on a live
-// sharded streaming detector — the library-level equivalent of
+// sharded streaming service — the library-level equivalent of
 //
 //	clmtrain -data train.jsonl -out model/ -bundle bundle/ -method retrieval
 //	clmserve -bundle bundle/ &
@@ -81,7 +81,7 @@ func main() {
 	}
 	fmt.Printf("cold-loaded scorer matches the trained one on %d lines exactly\n", len(eval))
 
-	// 4. Hot-reload: swap a refreshed bundle into a live sharded detector
+	// 4. Hot-reload: swap a refreshed bundle into a live sharded service
 	// between batches. Here the "new" bundle is the same artifact loaded
 	// again; in production it is the retrained drift-refresh.
 	replicas, err := clmids.ReplicateScorer(loaded.Scorer, 4)
@@ -95,12 +95,14 @@ func main() {
 		log.Fatal(err)
 	}
 	det.SetScorerVersion(manifest.Version)
+	svc := stream.NewShardedService(det, stream.ServiceConfig{})
+	defer svc.Close()
 
 	events := make([]stream.Event, 0, len(eval))
 	for i, line := range eval {
 		events = append(events, stream.Event{User: fmt.Sprintf("u%d", i%7), Time: int64(1700000000 + i), Line: line})
 	}
-	if _, err := det.Process(events); err != nil {
+	if _, err := svc.Submit(events); err != nil {
 		log.Fatal(err)
 	}
 
@@ -108,13 +110,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := det.SwapScorer(refreshed.Scorer, refreshed.Manifest.Version+"-refresh"); err != nil {
+	if err := svc.SwapScorer(refreshed.Scorer, refreshed.Manifest.Version+"-refresh"); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := det.Process(events); err != nil {
+	if _, err := svc.Submit(events); err != nil {
 		log.Fatal(err)
 	}
-	st := det.Stats()
+	st := svc.Stats()
 	fmt.Printf("hot-reloaded to %s with %d events scored and zero dropped\n",
 		st.ScorerVersion, st.Events)
 }

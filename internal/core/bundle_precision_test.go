@@ -137,7 +137,7 @@ func TestQuantizedBundleSharesHead(t *testing.T) {
 }
 
 // TestHotSwapFloat64ToInt8UnderLoad hot-swaps a float64 scorer for the
-// int8 build of the same head on a live sharded detector and checks the
+// int8 build of the same head on a live sharded service and checks the
 // stream keeps flowing with scores within the ladder tolerance.
 func TestHotSwapFloat64ToInt8UnderLoad(t *testing.T) {
 	f := getBundleFixture(t)
@@ -168,12 +168,14 @@ func TestHotSwapFloat64ToInt8UnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	det.SetScorerVersion(lbF64.Manifest.Version)
+	svc := stream.NewShardedService(det, stream.ServiceConfig{})
+	defer svc.Close()
 
 	events := make([]stream.Event, len(f.evalLines))
 	for i, line := range f.evalLines {
 		events[i] = stream.Event{User: "u" + string(rune('a'+i%5)), Time: int64(1000 + i), Line: line}
 	}
-	pre, err := det.Process(events)
+	pre, err := svc.Submit(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +184,13 @@ func TestHotSwapFloat64ToInt8UnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.SwapScorer(lbI8.Scorer, lbI8.Manifest.Version); err != nil {
+	if err := svc.SwapScorer(lbI8.Scorer, lbI8.Manifest.Version); err != nil {
 		t.Fatal(err)
 	}
 	if det.ScorerVersion() != lbI8.Manifest.Version {
 		t.Fatalf("version %q after swap", det.ScorerVersion())
 	}
-	post, err := det.Process(events)
+	post, err := svc.Submit(events)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"clmids/internal/bpe"
-	"clmids/internal/model"
-	"clmids/internal/preprocess"
 )
 
 // File names inside a saved pipeline directory.
@@ -46,39 +42,4 @@ func writeFile(path string, save func(w io.Writer) error) error {
 		return fmt.Errorf("core: closing %s: %w", path, err)
 	}
 	return nil
-}
-
-// LoadPipeline restores a pipeline saved with SaveDir. The pre-training
-// history is not persisted.
-func LoadPipeline(dir string) (*Pipeline, error) {
-	pf, err := os.Open(filepath.Join(dir, preprocessFile))
-	if err != nil {
-		return nil, fmt.Errorf("core: opening filter state: %w", err)
-	}
-	defer pf.Close()
-	pre, err := preprocess.Load(pf)
-	if err != nil {
-		return nil, err
-	}
-
-	tf, err := os.Open(filepath.Join(dir, tokenizerFile))
-	if err != nil {
-		return nil, fmt.Errorf("core: opening tokenizer: %w", err)
-	}
-	defer tf.Close()
-	tok, err := bpe.Load(tf)
-	if err != nil {
-		return nil, err
-	}
-
-	mf, err := os.Open(filepath.Join(dir, modelFile))
-	if err != nil {
-		return nil, fmt.Errorf("core: opening model: %w", err)
-	}
-	defer mf.Close()
-	mdl, err := model.Load(mf)
-	if err != nil {
-		return nil, err
-	}
-	return &Pipeline{Pre: pre, Tok: tok, Model: mdl}, nil
 }

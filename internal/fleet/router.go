@@ -139,7 +139,7 @@ type Router struct {
 	byAddr  map[string]*replica
 	ring    *Ring
 	owners  map[string]string // user → replica addr holding their window
-	shadows map[string]*shadowWindow
+	shadows map[string]*stream.SessionWindow
 
 	sessCfgKnown bool
 	sessCfg      stream.Config
@@ -170,7 +170,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		byAddr:  make(map[string]*replica, len(cfg.Replicas)),
 		owners:  make(map[string]string),
-		shadows: make(map[string]*shadowWindow),
+		shadows: make(map[string]*stream.SessionWindow),
 		ring:    BuildRing(nil),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		stop:    make(chan struct{}),

@@ -427,10 +427,10 @@ func TestUnencodableVerdictMisattributesNothing(t *testing.T) {
 		if sw == nil {
 			continue
 		}
-		if len(sw.entries) > len(own) {
-			t.Fatalf("user %s: %d shadow entries for %d events", u, len(sw.entries), len(own))
+		if len(sw.Entries) > len(own) {
+			t.Fatalf("user %s: %d shadow entries for %d events", u, len(sw.Entries), len(own))
 		}
-		for k, e := range sw.entries {
+		for k, e := range sw.Entries {
 			if e.Time != own[k].Time || e.Line != own[k].Line {
 				t.Fatalf("user %s: shadow entry %d is %d %q, want the user's event %d %q",
 					u, k, e.Time, e.Line, own[k].Time, own[k].Line)

@@ -3,52 +3,25 @@ package fleet
 import (
 	"bytes"
 	"io"
+	"slices"
 
 	"clmids/internal/stream"
 )
 
-// shadowWindow is the router's mirror of one user's session window on
-// whatever replica owns them. The router sees every committed verdict, and
-// a Verdict carries exactly the fields a checkpoint WindowEntry needs
-// (Time, Line, ContextScore) — so by replaying the verdict stream through
-// the same idle-gap/trim rules as Detector.begin, the router holds a
-// faithful copy of each user's window without ever asking replicas for it.
-// When a replica dies mid-session (kill -9 — nothing to export), the
-// shadow is serialized through stream.WriteSessionsCheckpoint and imported
-// into the failover successor, so an attack chain split across the crash
-// still trips its session alarm with byte-identical scores.
+// The router mirrors each user's session window on whatever replica owns
+// them. It sees every committed verdict, and a Verdict carries exactly the
+// fields a stream.WindowEntry needs (Time, Line, ContextScore), so by
+// folding the verdict stream through stream.SessionWindow.Append — the
+// same idle-gap and trim rules the replica's detector applies — the router
+// holds a faithful copy of each user's window without ever asking replicas
+// for it. When a replica dies mid-session (kill -9 — nothing to export),
+// the shadow is serialized through stream.WriteSessionsCheckpoint and
+// imported into the failover successor, so an attack chain split across
+// the crash still trips its session alarm with byte-identical scores.
 //
 // Shadows only ever reflect verdicts the router committed to clients:
 // events a dead replica half-ingested but never answered for are re-scored
 // on the successor, never double-counted.
-type shadowWindow struct {
-	last    int64
-	entries []stream.WindowEntry
-}
-
-// applyShadow folds one committed verdict into the user's shadow window,
-// mirroring Detector.begin exactly: an event-time gap over IdleTimeout
-// closes the window and starts fresh; entries append in arrival order and
-// trim to the last MaxSessionLines. Returns the (possibly new) window.
-func applyShadow(sw *shadowWindow, v stream.Verdict, cfg stream.Config) *shadowWindow {
-	if sw == nil {
-		sw = &shadowWindow{}
-	}
-	if len(sw.entries) > 0 && v.Time-sw.last > cfg.IdleTimeout {
-		sw.entries = sw.entries[:0]
-	}
-	sw.last = v.Time
-	sw.entries = append(sw.entries, stream.WindowEntry{
-		Time:  v.Time,
-		Line:  v.Line,
-		Score: v.ContextScore,
-	})
-	if over := len(sw.entries) - cfg.MaxSessionLines; over > 0 {
-		n := copy(sw.entries, sw.entries[over:])
-		sw.entries = sw.entries[:n]
-	}
-	return sw
-}
 
 // shadowCheckpoint serializes the named users' shadow windows (skipping
 // users with no shadow) as a "clmids-sessions v1" checkpoint suitable for
@@ -57,13 +30,9 @@ func (rt *Router) shadowCheckpoint(users []string) (*bytes.Buffer, error) {
 	rt.mu.Lock()
 	windows := make([]stream.SessionWindow, 0, len(users))
 	for _, u := range users {
-		sw, ok := rt.shadows[u]
-		if !ok || len(sw.entries) == 0 {
-			continue
+		if sw := rt.shadows[u]; sw != nil {
+			windows = append(windows, stream.SessionWindow{User: u, Last: sw.Last, Entries: slices.Clone(sw.Entries)})
 		}
-		ents := make([]stream.WindowEntry, len(sw.entries))
-		copy(ents, sw.entries)
-		windows = append(windows, stream.SessionWindow{User: u, Last: sw.last, Entries: ents})
 	}
 	cfg, modality, hw := rt.sessCfg, rt.modality, rt.highWater
 	rt.mu.Unlock()
@@ -101,7 +70,12 @@ func (rt *Router) ExportShadow(w io.Writer, users []string) error {
 func (rt *Router) applyVerdicts(addr string, verdicts []stream.Verdict) {
 	rt.mu.Lock()
 	for _, v := range verdicts {
-		rt.shadows[v.User] = applyShadow(rt.shadows[v.User], v, rt.sessCfg)
+		sw := rt.shadows[v.User]
+		if sw == nil {
+			sw = &stream.SessionWindow{User: v.User}
+			rt.shadows[v.User] = sw
+		}
+		sw.Append(stream.WindowEntry{Time: v.Time, Line: v.Line, Score: v.ContextScore}, rt.sessCfg)
 		rt.owners[v.User] = addr
 		if v.Time > rt.highWater {
 			rt.highWater = v.Time
@@ -113,7 +87,7 @@ func (rt *Router) applyVerdicts(addr string, verdicts []stream.Verdict) {
 	if rt.highWater-rt.lastSweep > rt.sessCfg.IdleTimeout && rt.sessCfg.IdleTimeout > 0 {
 		rt.lastSweep = rt.highWater
 		for u, sw := range rt.shadows {
-			if rt.highWater-sw.last > rt.sessCfg.IdleTimeout {
+			if rt.highWater-sw.Last > rt.sessCfg.IdleTimeout {
 				delete(rt.shadows, u)
 				delete(rt.owners, u)
 			}

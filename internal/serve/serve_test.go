@@ -1,16 +1,20 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"clmids/internal/stream"
 )
@@ -210,6 +214,103 @@ type discardWriter struct{ h http.Header }
 func (d *discardWriter) Header() http.Header         { return d.h }
 func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardWriter) WriteHeader(int)             {}
+
+// flushingWriter flushes after every Write, so verdicts reach the client
+// as soon as the handler writes them; Unwrap keeps EnableFullDuplex
+// reaching the server's own writer.
+type flushingWriter struct{ http.ResponseWriter }
+
+func (f flushingWriter) Write(b []byte) (int, error) {
+	n, err := f.ResponseWriter.Write(b)
+	f.ResponseWriter.(http.Flusher).Flush()
+	return n, err
+}
+
+func (f flushingWriter) Unwrap() http.ResponseWriter { return f.ResponseWriter }
+
+// TestScoreFullDuplex: over a real HTTP/1 connection, the client reads the
+// first chunk's verdicts before it has written the second chunk. A handler
+// that buffered the whole body, or an HTTP/1 server that consumes the
+// unread body before the first response write (what EnableFullDuplex
+// turns off), deadlocks here and fails on the timeout.
+func TestScoreFullDuplex(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		HandleScoreFunc(echoSubmit(new([]stream.Event)), 2, flushingWriter{w}, r)
+	}))
+	defer srv.Close()
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/score", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		resp *http.Response
+		err  error
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		resp, err := srv.Client().Do(req)
+		replies <- reply{resp, err}
+	}()
+	chunk := func(users ...string) {
+		t.Helper()
+		var body []byte
+		for i, u := range users {
+			body = AppendEvent(body, &stream.Event{User: u, Time: int64(i + 1), Line: "ls"})
+		}
+		if _, err := pw.Write(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			pw.CloseWithError(errors.New("test timed out"))
+			t.Fatalf("%s: no response while the request body is still open", what)
+		}
+	}
+
+	chunk("a", "b")
+	var rep reply
+	within("response headers", func() { rep = <-replies })
+	if rep.err != nil {
+		t.Fatal(rep.err)
+	}
+	defer rep.resp.Body.Close()
+	br := bufio.NewReader(rep.resp.Body)
+	readUsers := func(n int) []string {
+		var users []string
+		within("verdicts", func() {
+			for len(users) < n {
+				line, err := br.ReadBytes('\n')
+				if err != nil {
+					return
+				}
+				var v stream.Verdict
+				if json.Unmarshal(line, &v) == nil {
+					users = append(users, v.User)
+				}
+			}
+		})
+		return users
+	}
+	if got := readUsers(2); strings.Join(got, ",") != "a,b" {
+		t.Fatalf("first chunk's verdicts %v, want [a b]", got)
+	}
+	chunk("c", "d")
+	pw.Close()
+	if got := readUsers(2); strings.Join(got, ",") != "c,d" {
+		t.Fatalf("second chunk's verdicts %v, want [c d]", got)
+	}
+	if rest, _ := io.ReadAll(br); len(rest) != 0 {
+		t.Fatalf("unexpected trailing response bytes %q", rest)
+	}
+}
 
 // BenchmarkHandleScore runs one 512-event request through HandleScoreFunc
 // over a submit that answers at once: NDJSON decode plus verdict encode,

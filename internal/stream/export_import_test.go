@@ -14,9 +14,9 @@ import (
 // string-matching.
 func TestRestoreSessionsMismatchTypedErrors(t *testing.T) {
 	cfg := DefaultConfig()
-	det := NewDetector(&stubScorer{}, cfg)
+	det := oneShard(t, &stubScorer{}, cfg)
 	det.SetModality("shell")
-	if _, err := det.Process([]Event{ev("u", 1, "ls")}); err != nil {
+	if _, err := det.Shard(0).Process([]Event{ev("u", 1, "ls")}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -27,7 +27,7 @@ func TestRestoreSessionsMismatchTypedErrors(t *testing.T) {
 
 	badCfg := cfg
 	badCfg.IdleTimeout = cfg.IdleTimeout + 1
-	mismatched := NewDetector(&stubScorer{}, badCfg)
+	mismatched := oneShard(t, &stubScorer{}, badCfg)
 	mismatched.SetModality("shell")
 	err := mismatched.RestoreSessions(bytes.NewReader(good))
 	if !errors.Is(err, ErrCheckpointIncompatible) {
@@ -37,7 +37,7 @@ func TestRestoreSessionsMismatchTypedErrors(t *testing.T) {
 		t.Fatalf("config mismatch misclassified as corruption: %v", err)
 	}
 
-	wrongModality := NewDetector(&stubScorer{}, cfg)
+	wrongModality := oneShard(t, &stubScorer{}, cfg)
 	wrongModality.SetModality("powershell")
 	err = wrongModality.RestoreSessions(bytes.NewReader(good))
 	if !errors.Is(err, ErrCheckpointIncompatible) {
@@ -62,8 +62,8 @@ func TestRestoreSessionsMismatchTypedErrors(t *testing.T) {
 // detector are untouched.
 func TestExportImportSelectedUsers(t *testing.T) {
 	cfg := shardedTestConfig()
-	src := NewDetector(&hashScorer{}, cfg)
-	if _, err := src.Process([]Event{
+	src := oneShard(t, &hashScorer{}, cfg)
+	if _, err := src.Shard(0).Process([]Event{
 		ev("alice", 10, "ls"), ev("bob", 11, "pwd"), ev("carol", 12, "id"),
 	}); err != nil {
 		t.Fatal(err)
@@ -74,8 +74,8 @@ func TestExportImportSelectedUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := NewDetector(&hashScorer{}, cfg)
-	if _, err := dst.Process([]Event{
+	dst := oneShard(t, &hashScorer{}, cfg)
+	if _, err := dst.Shard(0).Process([]Event{
 		ev("bob", 5, "old-bob-state"), ev("dave", 6, "make"),
 	}); err != nil {
 		t.Fatal(err)
@@ -95,11 +95,11 @@ func TestExportImportSelectedUsers(t *testing.T) {
 	// bob's window must now be the source's, not the stale local one: the
 	// next verdicts for alice and bob match the source detector's exactly.
 	next := []Event{ev("alice", 20, "whoami"), ev("bob", 21, "uname -a")}
-	want, err := src.Process(next)
+	want, err := src.Shard(0).Process(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dst.Process(next)
+	got, err := dst.Shard(0).Process(next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +113,9 @@ func TestExportImportSelectedUsers(t *testing.T) {
 // installing an empty one.
 func TestImportEmptyWindowDeletes(t *testing.T) {
 	cfg := DefaultConfig()
-	det := NewDetector(&stubScorer{}, cfg)
+	det := oneShard(t, &stubScorer{}, cfg)
 	det.SetModality("shell")
-	if _, err := det.Process([]Event{ev("ghost", 1, "ls"), ev("keeper", 2, "pwd")}); err != nil {
+	if _, err := det.Shard(0).Process([]Event{ev("ghost", 1, "ls"), ev("keeper", 2, "pwd")}); err != nil {
 		t.Fatal(err)
 	}
 	if st := det.Stats(); st.ActiveSessions != 2 {
@@ -144,11 +144,11 @@ func TestExportImportPreservesChainAlarm(t *testing.T) {
 	step1 := ev("mallory", 100, "step1: stage payload")
 	step2 := ev("mallory", 110, "step2: exfiltrate")
 
-	ref := NewDetector(chainScorer{}, cfg)
-	if _, err := ref.Process([]Event{step1}); err != nil {
+	ref := oneShard(t, chainScorer{}, cfg)
+	if _, err := ref.Shard(0).Process([]Event{step1}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Process([]Event{step2})
+	want, err := ref.Shard(0).Process([]Event{step2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestExportImportPreservesChainAlarm(t *testing.T) {
 		t.Fatal("reference run did not trip the chain alarm; test scorer broken")
 	}
 
-	primary := NewDetector(chainScorer{}, cfg)
-	if _, err := primary.Process([]Event{step1}); err != nil {
+	primary := oneShard(t, chainScorer{}, cfg)
+	if _, err := primary.Shard(0).Process([]Event{step1}); err != nil {
 		t.Fatal(err)
 	}
 	var handoff bytes.Buffer
@@ -165,14 +165,14 @@ func TestExportImportPreservesChainAlarm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	failover := NewDetector(chainScorer{}, cfg)
-	if _, err := failover.Process([]Event{ev("bystander", 105, "make test")}); err != nil {
+	failover := oneShard(t, chainScorer{}, cfg)
+	if _, err := failover.Shard(0).Process([]Event{ev("bystander", 105, "make test")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := failover.ImportSessions(&handoff); err != nil {
 		t.Fatal(err)
 	}
-	got, err := failover.Process([]Event{step2})
+	got, err := failover.Shard(0).Process([]Event{step2})
 	if err != nil {
 		t.Fatal(err)
 	}

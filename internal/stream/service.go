@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,8 +156,12 @@ type svcShard struct {
 // same worker. Cross-shard scoring runs concurrently — that is the whole
 // point — while scoring parallelism within a shard still lives inside the
 // engine-backed scorer.
+//
+// The embedded ShardedDetector supplies the session surface: checkpoints
+// (Save/Restore/Export/ImportSessions), EvictIdle, HighWater, Config,
+// ScorerVersion and Modality.
 type Service struct {
-	sd     *ShardedDetector
+	*ShardedDetector
 	cfg    ServiceConfig
 	shards []*svcShard
 
@@ -181,17 +184,17 @@ type Service struct {
 // NewService starts a single-shard service over det — the unsharded
 // configuration, kept for callers that bring their own Detector.
 func NewService(det *Detector, cfg ServiceConfig) *Service {
-	return NewShardedService(newShardedFromDetectors([]*Detector{det}), cfg)
+	return NewShardedService(&ShardedDetector{dets: []*Detector{det}}, cfg)
 }
 
 // NewShardedService starts one queue + coalescing worker per shard of sd,
 // plus — under the degrade policy — the overload monitor.
 func NewShardedService(sd *ShardedDetector, cfg ServiceConfig) *Service {
 	s := &Service{
-		sd:          sd,
-		cfg:         cfg.withDefaults(),
-		closing:     make(chan struct{}),
-		monitorDone: make(chan struct{}),
+		ShardedDetector: sd,
+		cfg:             cfg.withDefaults(),
+		closing:         make(chan struct{}),
+		monitorDone:     make(chan struct{}),
 	}
 	s.shards = make([]*svcShard, sd.Shards())
 	s.deg = make([]*shardDegrade, sd.Shards())
@@ -231,15 +234,14 @@ func (s *Service) Submit(events []Event) ([]Verdict, error) {
 // user's single shard queue, so per-user order within one Submit is always
 // preserved.
 //
-// Error semantics: each shard's coalesced scoring batch is atomic (it
-// rolls back on failure, Detector.Process semantics), but shards coalesce
+// Error semantics: each shard's coalesced batch is one atomic
+// Detector.Process (nothing commits on failure), but shards coalesce
 // independently, so when a multi-shard Submit returns an error — a scoring
 // failure, cancellation, or shed mid-enqueue — events already accepted by
-// other shards have been (or will be) ingested. The shed policy pre-checks
-// every involved shard's queue before enqueueing anything, so a shed
-// rejection is usually, but not guaranteedly, all-or-nothing. Synchronous
-// callers needing all-or-nothing across shards should use
-// ShardedDetector.Process, which two-phase commits.
+// other shards have been (or will be) ingested, and a retry should resend
+// only the failed shard's events. The shed policy pre-checks every
+// involved shard's queue before enqueueing anything, so a shed rejection
+// is usually, but not guaranteedly, all-or-nothing.
 func (s *Service) SubmitContext(ctx context.Context, events []Event) ([]Verdict, error) {
 	if len(events) == 0 {
 		return nil, nil
@@ -277,7 +279,12 @@ func (s *Service) SubmitContext(ctx context.Context, events []Event) ([]Verdict,
 		}
 	}
 
-	parts, pos := partitionEvents(events, n)
+	parts, pos := make([][]Event, n), make([][]int, n)
+	for i, ev := range events {
+		sh := shardOf(ev.User, n)
+		parts[sh] = append(parts[sh], ev)
+		pos[sh] = append(pos[sh], i)
+	}
 	involved := make([]*svcShard, 0, n)
 	for sh := 0; sh < n; sh++ {
 		if len(parts[sh]) > 0 {
@@ -322,7 +329,9 @@ func (s *Service) SubmitContext(ctx context.Context, events []Event) ([]Verdict,
 			errs = append(errs, fmt.Errorf("shard %d: %w", p.shard, res.err))
 			continue
 		}
-		scatter(out, pos[p.shard], res.verdicts)
+		for k, v := range res.verdicts {
+			out[pos[p.shard][k]] = v
+		}
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
@@ -397,8 +406,8 @@ func (s *Service) Close() {
 // state, aggregated across shards, with the per-shard breakdown attached.
 func (s *Service) Stats() ServiceStats {
 	st := ServiceStats{
-		Stats:          s.sd.Stats(),
-		Config:         s.sd.Config(),
+		Stats:          s.ShardedDetector.Stats(),
+		Config:         s.Config(),
 		OverloadPolicy: s.cfg.Overload.String(),
 		ShedRequests:   s.shed.Load(),
 		Shards:         make([]ShardServiceStats, len(s.shards)),
@@ -448,65 +457,12 @@ func (s *Service) Stats() ServiceStats {
 func (s *Service) SwapScorer(sc tuning.Scorer, version string) error {
 	s.degMu.Lock()
 	defer s.degMu.Unlock()
-	if err := s.sd.SwapScorer(sc, version); err != nil {
+	if err := s.ShardedDetector.SwapScorer(sc, version); err != nil {
 		return err
 	}
 	s.initDegrade()
 	return nil
 }
-
-// ScorerVersion returns the active scorer artifact version.
-func (s *Service) ScorerVersion() string { return s.sd.ScorerVersion() }
-
-// SetModality stamps the served log modality on every shard (surfaced in
-// Stats; reloads cannot change it because mismatched bundles are rejected).
-func (s *Service) SetModality(m string) { s.sd.SetModality(m) }
-
-// Modality returns the stamped log modality.
-func (s *Service) Modality() string { return s.sd.Modality() }
-
-// Sharded exposes the wrapped sharded detector.
-func (s *Service) Sharded() *ShardedDetector { return s.sd }
-
-// Detector exposes shard 0's detector — the whole detector for a
-// single-shard service. Sweeps and stats should prefer EvictIdle,
-// HighWater, and Stats, which fan out across every shard.
-func (s *Service) Detector() *Detector { return s.sd.Shard(0) }
-
-// EvictIdle fans the idle-session sweep out across every shard and
-// returns the total evicted.
-func (s *Service) EvictIdle(now int64) int { return s.sd.EvictIdle(now) }
-
-// HighWater returns the latest event time seen across all shards.
-func (s *Service) HighWater() int64 { return s.sd.HighWater() }
-
-// SaveSessions checkpoints the underlying detector's sessions; see
-// ShardedDetector.SaveSessions.
-func (s *Service) SaveSessions(w io.Writer) error { return s.sd.SaveSessions(w) }
-
-// RestoreSessions restores a checkpoint into the underlying detector; see
-// ShardedDetector.RestoreSessions. Meant for startup, before traffic.
-func (s *Service) RestoreSessions(r io.Reader) error { return s.sd.RestoreSessions(r) }
-
-// ExportSessions writes the named users' windows (everyone when users is
-// nil) as a checkpoint stream; see ShardedDetector.ExportSessions. Safe
-// during live serving — the fleet drain/handoff path.
-func (s *Service) ExportSessions(w io.Writer, users []string) error {
-	return s.sd.ExportSessions(w, users)
-}
-
-// ImportSessions merges a checkpoint's user windows into the live
-// detector, replacing only the carried users; see
-// ShardedDetector.ImportSessions. Safe during live serving — the fleet
-// failover path.
-func (s *Service) ImportSessions(r io.Reader) (int, error) {
-	return s.sd.ImportSessions(r)
-}
-
-// Config returns the resolved session configuration the service runs
-// (surfaced in Stats so a fleet router can verify every replica agrees
-// before trusting cross-replica session handoffs).
-func (s *Service) Config() Config { return s.sd.Config() }
 
 // CloseTimeout is Close bounded by a deadline: it drains like Close but
 // gives up waiting after d, returning false — the wedged-shard case, where

@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"clmids/internal/tuning"
 )
@@ -11,9 +10,10 @@ import (
 // ShardedDetector partitions the streaming detector across N shards keyed
 // by hash(user) % N. Each shard is a full Detector — its own session map,
 // its own stats, its own scorer — so shards score concurrently while every
-// event of one user lands on one shard in arrival order. Per-user session
-// verdicts are therefore byte-identical to an unsharded Detector on the
-// same stream (TestShardedEquivalence pins this); only the within-call
+// event of one user lands on one shard in arrival order. Service drives
+// the shards (one coalescing worker per shard); per-user session verdicts
+// are byte-identical to an unsharded Detector on the same stream
+// (TestShardedServiceEquivalence pins this), and only the within-batch
 // scoring dedup changes, because dedup is per shard.
 //
 // Scorers are typically replicas of one built scorer (core.ReplicateScorer
@@ -42,12 +42,6 @@ func NewShardedDetector(scorers []tuning.Scorer, cfg Config) (*ShardedDetector, 
 	return &ShardedDetector{dets: dets}, nil
 }
 
-// newShardedFromDetectors wraps pre-built shards (Service's constructor
-// path for the single-shard NewService compatibility case).
-func newShardedFromDetectors(dets []*Detector) *ShardedDetector {
-	return &ShardedDetector{dets: dets}
-}
-
 // shardOf routes a user to a shard: FNV-1a over the user key, mod N. The
 // same function routes Service.Submit requests, so queueing and processing
 // agree on ownership. The hash is inlined (not hash/fnv) because this runs
@@ -64,122 +58,22 @@ func shardOf(user string, n int) int {
 	return int(h % uint32(n))
 }
 
-// partitionEvents splits events across n > 1 shards preserving relative
-// order, returning per-shard event slices and each event's original
-// position so verdicts can be scattered back into input order. Callers
-// fast-path n == 1 (no partition, no scatter).
-func partitionEvents(events []Event, n int) (parts [][]Event, pos [][]int) {
-	parts = make([][]Event, n)
-	pos = make([][]int, n)
-	for i, ev := range events {
-		sh := shardOf(ev.User, n)
-		parts[sh] = append(parts[sh], ev)
-		pos[sh] = append(pos[sh], i)
-	}
-	return parts, pos
-}
-
 // Shards returns the shard count.
 func (d *ShardedDetector) Shards() int { return len(d.dets) }
 
-// Shard exposes one shard's detector (tests and EvictIdle fan-out).
+// Shard exposes one shard's detector (the Service's per-shard workers,
+// tests).
 func (d *ShardedDetector) Shard(i int) *Detector { return d.dets[i] }
 
 // Config returns the shared resolved configuration.
 func (d *ShardedDetector) Config() Config { return d.dets[0].Config() }
 
-// scatter writes one shard's verdicts back into their original input
-// positions.
-func scatter(out []Verdict, pos []int, vs []Verdict) {
-	for k, v := range vs {
-		out[pos[k]] = v
-	}
-}
-
-// Process routes events to their shards, runs the shards concurrently,
-// and returns verdicts in input order. Events must be time-ordered per
-// user, exactly as for Detector.Process; distinct users interleave
-// freely. Safe for concurrent use: shard pipeline mutexes are acquired in
-// ascending shard order (the cheap sessionize phase), so two overlapping
-// multi-shard calls serialize instead of deadlocking, while the expensive
-// scoring phase still runs on every shard in parallel.
-//
-// Failure is all-or-nothing: no shard commits until every involved shard
-// has scored (two-phase commit over Detector's begin/score/commit/abort),
-// so one shard's scoring error rolls the whole batch back on every shard
-// — exactly the unsharded retry-safety contract — and Process returns a
-// joined error with no verdicts.
-func (d *ShardedDetector) Process(events []Event) ([]Verdict, error) {
-	if len(events) == 0 {
-		return nil, nil
-	}
-	n := len(d.dets)
-	if n == 1 {
-		return d.dets[0].Process(events)
-	}
-	parts, pos := partitionEvents(events, n)
-
-	// Phase 1a, ascending shard order: sessionize, taking each shard's
-	// pipeline lock. The fixed order is the deadlock discipline. The
-	// deferred sweep aborts whatever has begun but not finished — the
-	// scoring-error path, and panics on this goroutine (begin of a later
-	// shard, commit), so shard pipelines never stay wedged.
-	batches := make([]*procBatch, n)
-	defer func() {
-		for _, b := range batches {
-			if b != nil && !b.finished {
-				b.abort()
-			}
-		}
-	}()
-	for sh := 0; sh < n; sh++ {
-		if len(parts[sh]) > 0 {
-			batches[sh] = d.dets[sh].begin(parts[sh])
-		}
-	}
-
-	// Phase 1b, in parallel per shard: score, commit nothing.
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for sh, b := range batches {
-		if b == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(sh int, b *procBatch) {
-			defer wg.Done()
-			if err := b.score(); err != nil {
-				errs[sh] = fmt.Errorf("shard %d: %w", sh, err)
-			}
-		}(sh, b)
-	}
-	wg.Wait()
-
-	// Phase 2: any failure aborts every shard (the deferred sweep);
-	// otherwise all commit.
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	out := make([]Verdict, len(events))
-	for sh, b := range batches {
-		if b != nil {
-			scatter(out, pos[sh], b.commit())
-		}
-	}
-	return out, nil
-}
-
 // SwapScorer hot-reloads the detector: it replicates the new scorer once
 // per shard (tuning.Replicas — shared frozen artifacts, per-shard engine),
-// then swaps every shard atomically between batches. The swap is
-// two-phase, mirroring Process: phase 1 acquires every shard's pipeline
-// mutex in ascending order (the same deadlock discipline Process uses), so
-// it waits for every in-flight batch to commit and blocks new ones; phase
-// 2 installs one replica per shard and stamps the version, then releases.
-// No batch ever scores on a mix of old and new scorers — not even a
-// multi-shard ShardedDetector.Process, whose shards all begin before any
-// scores — and nothing is dropped: callers blocked on the pipeline mutexes
-// simply proceed on the new scorer.
+// then swaps shard by shard through Detector.SwapScorer. Each shard's swap
+// lands between its batches, so no batch scores on a mix of old and new
+// scorers and nothing is dropped; a request spanning shards may see
+// shards on either side of the swap while it is in progress.
 //
 // Replication happens before any lock is taken, so the scoring pause is
 // the pointer swap, not the artifact load — swap cost is off the hot path.
@@ -188,17 +82,8 @@ func (d *ShardedDetector) SwapScorer(s tuning.Scorer, version string) error {
 	if err != nil {
 		return err
 	}
-	for _, det := range d.dets {
-		det.procMu.Lock()
-	}
 	for i, det := range d.dets {
-		det.mu.Lock() // Stats' cache probe reads the scorer under mu
-		det.scorer = scorers[i]
-		det.version = version
-		det.mu.Unlock()
-	}
-	for _, det := range d.dets {
-		det.procMu.Unlock()
+		det.SwapScorer(scorers[i], version)
 	}
 	return nil
 }
@@ -240,17 +125,8 @@ func (d *ShardedDetector) Stats() Stats {
 	total := Stats{ScorerVersion: d.ScorerVersion(), Modality: d.Modality()}
 	for _, det := range d.dets {
 		s := det.Stats()
-		total.Events += s.Events
-		total.ScoredInputs += s.ScoredInputs
-		total.LineAlerts += s.LineAlerts
-		total.SessionAlerts += s.SessionAlerts
-		total.SessionsStarted += s.SessionsStarted
-		total.SessionsIdleClosed += s.SessionsIdleClosed
-		total.SessionsEvicted += s.SessionsEvicted
+		total.addCounters(s)
 		total.ActiveSessions += s.ActiveSessions
-		total.ScorerPanics += s.ScorerPanics
-		total.QuarantinedInputs += s.QuarantinedInputs
-		total.QuarantineHits += s.QuarantineHits
 		if s.Cascade != nil {
 			if total.Cascade == nil {
 				total.Cascade = &tuning.CascadeStats{}
@@ -266,16 +142,6 @@ func (d *ShardedDetector) Stats() Stats {
 		}
 	}
 	return total
-}
-
-// ShardStats returns each shard's own counter snapshot, in shard order —
-// the load-skew view (hot users hashing to one shard show up here).
-func (d *ShardedDetector) ShardStats() []Stats {
-	out := make([]Stats, len(d.dets))
-	for i, det := range d.dets {
-		out[i] = det.Stats()
-	}
-	return out
 }
 
 // EvictIdle fans the idle-session sweep out across every shard and returns

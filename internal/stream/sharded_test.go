@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,64 +69,13 @@ func replayEvents(t *testing.T, users, total int) []Event {
 	return events
 }
 
-// TestShardedEquivalence is the tentpole invariant: a corpus.Replayer
-// stream processed through a 4-shard detector yields byte-identical
-// per-event verdicts and identical aggregate stats to the unsharded
-// detector — sharding changes throughput, never results. (ScoredInputs is
-// excluded: within-batch dedup is per shard, so the sharded figure may
-// exceed the unsharded one when a line repeats across shards.)
-func TestShardedEquivalence(t *testing.T) {
-	events := replayEvents(t, 16, 1800)
-	cfg := shardedTestConfig()
-
-	single := NewDetector(&hashScorer{}, cfg)
-	scorers := make([]tuning.Scorer, 4)
-	for i := range scorers {
-		scorers[i] = &hashScorer{}
-	}
-	sharded, err := NewShardedDetector(scorers, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const window = 257 // odd size: windows split mid-session
-	for at := 0; at < len(events); at += window {
-		end := at + window
-		if end > len(events) {
-			end = len(events)
-		}
-		want, err := single.Process(events[at:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sharded.Process(events[at:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("event %d+%d: sharded verdict %+v, unsharded %+v", at, i, got[i], want[i])
-			}
-		}
-	}
-
-	wantSt, gotSt := single.Stats(), sharded.Stats()
-	wantSt.ScoredInputs, gotSt.ScoredInputs = 0, 0
-	if !reflect.DeepEqual(wantSt, gotSt) {
-		t.Fatalf("stats diverge:\nsharded   %+v\nunsharded %+v", gotSt, wantSt)
-	}
-	if single.HighWater() != sharded.HighWater() {
-		t.Fatalf("high water: sharded %d, unsharded %d", sharded.HighWater(), single.HighWater())
-	}
-	// The idle sweep evicts the same sessions either way.
-	if w, g := single.EvictIdle(single.HighWater()), sharded.EvictIdle(sharded.HighWater()); w != g {
-		t.Fatalf("EvictIdle: sharded %d, unsharded %d", g, w)
-	}
-}
-
-// TestShardedServiceEquivalence runs the same stream through the
-// asynchronous sharded service: Submit's partition/scatter must return
-// verdicts in input order, identical to the unsharded detector.
+// TestShardedServiceEquivalence is the sharding invariant: a
+// corpus.Replayer stream submitted through a 4-shard service yields
+// byte-identical per-event verdicts, in input order, and identical
+// aggregate stats to the unsharded detector — sharding changes throughput,
+// never results. (ScoredInputs is excluded: within-batch dedup is per
+// shard, so the sharded figure may exceed the unsharded one when a line
+// repeats across shards.)
 func TestShardedServiceEquivalence(t *testing.T) {
 	events := replayEvents(t, 16, 1500)
 	cfg := shardedTestConfig()
@@ -165,6 +115,18 @@ func TestShardedServiceEquivalence(t *testing.T) {
 	st := svc.Stats()
 	if st.Events != int64(len(events)) {
 		t.Fatalf("service events %d, want %d", st.Events, len(events))
+	}
+	wantSt, gotSt := single.Stats(), st.Stats
+	wantSt.ScoredInputs, gotSt.ScoredInputs = 0, 0
+	if !reflect.DeepEqual(wantSt, gotSt) {
+		t.Fatalf("stats diverge:\nsharded   %+v\nunsharded %+v", gotSt, wantSt)
+	}
+	if single.HighWater() != svc.HighWater() {
+		t.Fatalf("high water: sharded %d, unsharded %d", svc.HighWater(), single.HighWater())
+	}
+	// The idle sweep evicts the same sessions either way.
+	if w, g := single.EvictIdle(single.HighWater()), svc.EvictIdle(svc.HighWater()); w != g {
+		t.Fatalf("EvictIdle: sharded %d, unsharded %d", g, w)
 	}
 	if len(st.Shards) != 4 {
 		t.Fatalf("per-shard stats: %d entries, want 4", len(st.Shards))
@@ -307,7 +269,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 				// One producer per user submitting serially: the session
 				// must grow monotonically (capped by the sliding window).
 				wantLines := i + 1
-				if max := svc.Sharded().Config().MaxSessionLines; wantLines > max {
+				if max := svc.Config().MaxSessionLines; wantLines > max {
 					wantLines = max
 				}
 				if vs[0].SessionLines != wantLines {
@@ -369,18 +331,20 @@ func TestShardedServiceCacheStats(t *testing.T) {
 	}
 }
 
-// TestShardedProcessShardError: one shard's scoring failure aborts the
-// whole batch on every shard (two-phase commit), so a retry of the same
-// events never double-ingests — the unsharded retry-safety contract.
-func TestShardedProcessShardError(t *testing.T) {
-	// The flaky scorer owns whichever users hash to shard 1; find a user
-	// per shard.
+// TestServiceShardErrorIsPerShard pins the one batch contract: each
+// shard's coalesced batch is one atomic Detector.Process. A Submit that
+// spans a healthy and a failing shard returns the failing shard's error;
+// the healthy shard's events commit exactly once, the failing shard
+// commits nothing, and resubmitting only the failed events ingests them
+// once.
+func TestServiceShardErrorIsPerShard(t *testing.T) {
 	flaky := &flakyScorer{failing: true}
-	scorers := []tuning.Scorer{&stubScorer{def: 0.25}, flaky}
-	sharded, err := NewShardedDetector(scorers, DefaultConfig())
+	sharded, err := NewShardedDetector([]tuning.Scorer{&stubScorer{def: 0.25}, flaky}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc := NewShardedService(sharded, ServiceConfig{})
+	defer svc.Close()
 	var ok0, bad1 string
 	for i := 0; ok0 == "" || bad1 == ""; i++ {
 		u := fmt.Sprintf("u%d", i)
@@ -393,79 +357,34 @@ func TestShardedProcessShardError(t *testing.T) {
 		}
 	}
 	events := []Event{ev(ok0, 1, "x"), ev(bad1, 2, "y")}
-	if _, err := sharded.Process(events); err == nil {
-		t.Fatal("shard error swallowed")
+	if _, err := svc.Submit(events); err == nil || !strings.Contains(err.Error(), "shard 1: ") {
+		t.Fatalf("Submit error %v, want shard 1's scoring failure", err)
 	}
-	st := sharded.Stats()
-	if st.ActiveSessions != 0 || st.SessionsStarted != 0 || st.ScoredInputs != 0 {
-		t.Fatalf("batch not fully rolled back across shards: %+v", st)
+	healthy, failed := svc.Shard(0).Stats(), svc.Shard(1).Stats()
+	if healthy.Events != 1 || healthy.ActiveSessions != 1 || healthy.SessionsStarted != 1 {
+		t.Fatalf("healthy shard did not commit its event once: %+v", healthy)
 	}
-	if st.Events != 2 { // failed events still count as seen
-		t.Fatalf("events %d, want 2", st.Events)
+	if failed.ActiveSessions != 0 || failed.SessionsStarted != 0 || failed.ScoredInputs != 0 {
+		t.Fatalf("failing shard not rolled back: %+v", failed)
+	}
+	if failed.Events != 1 { // failed events still count as seen
+		t.Fatalf("failing shard events %d, want 1", failed.Events)
 	}
 
-	// The retry ingests every event exactly once.
+	// Resubmitting only the failed shard's events ingests them once.
 	flaky.failing = false
-	vs, err := sharded.Process(events)
+	vs, err := svc.Submit(events[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range vs {
-		if v.SessionLines != 1 {
-			t.Fatalf("retried event %d: session lines %d, want 1 (no double ingest)", i, v.SessionLines)
-		}
+	if vs[0].SessionLines != 1 {
+		t.Fatalf("resubmitted event: session lines %d, want 1 (no double ingest)", vs[0].SessionLines)
 	}
-	if st := sharded.Stats(); st.ActiveSessions != 2 || st.Events != 4 {
-		t.Fatalf("post-retry stats: %+v", st)
+	if st := svc.Shard(0).Stats(); st.Events != 1 || st.SessionsStarted != 1 {
+		t.Fatalf("resubmit touched the healthy shard: %+v", st)
 	}
-}
-
-// TestShardedConcurrentProcess: ShardedDetector.Process must be safe for
-// concurrent use — overlapping multi-shard calls serialize via ascending
-// lock order instead of deadlocking (ABBA on shard pipeline mutexes).
-// Guarded by a watchdog so a reintroduced deadlock fails fast instead of
-// hanging the suite.
-func TestShardedConcurrentProcess(t *testing.T) {
-	scorers := make([]tuning.Scorer, 2)
-	for i := range scorers {
-		scorers[i] = &hashScorer{}
-	}
-	sharded, err := NewShardedDetector(scorers, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every call spans both shards, maximizing lock-order collisions.
-	const goroutines = 8
-	const rounds = 50
-	done := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			for i := 0; i < rounds; i++ {
-				_, err := sharded.Process([]Event{
-					ev(fmt.Sprintf("a%d", g), int64(i), "x"),
-					ev(fmt.Sprintf("b%d", g), int64(i), "y"),
-				})
-				if err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}(g)
-	}
-	watchdog := time.After(30 * time.Second)
-	for g := 0; g < goroutines; g++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-watchdog:
-			t.Fatal("concurrent Process calls deadlocked")
-		}
-	}
-	if st := sharded.Stats(); st.Events != goroutines*rounds*2 {
-		t.Fatalf("events %d, want %d", st.Events, goroutines*rounds*2)
+	if st := svc.Stats(); st.ActiveSessions != 2 || st.SessionsStarted != 2 || st.Events != 3 {
+		t.Fatalf("post-resubmit stats: %+v", st.Stats)
 	}
 }
 

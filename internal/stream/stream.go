@@ -9,17 +9,21 @@
 // package closes that gap with two pieces:
 //
 //   - Detector: the synchronous core. Process consumes an ordered slice of
-//     events, updates session state, and returns one Verdict per event.
-//     Scoring inside a batch is deduplicated and issued as a single Score
-//     call, so the engine's batching and cache do the heavy lifting.
-//   - Service (service.go): the asynchronous front. A bounded queue with
-//     blocking backpressure, a coalescing worker that merges small requests
-//     into full scoring batches, and a graceful drain on Close.
+//     events as one atomic batch, updates session state, and returns one
+//     Verdict per event. Scoring inside a batch is deduplicated and issued
+//     as a single Score call, so the engine's batching and cache do the
+//     heavy lifting.
+//   - Service (service.go): the asynchronous front over a ShardedDetector.
+//     Per-shard bounded queues with backpressure, one coalescing worker per
+//     shard that merges small requests into full scoring batches (each one
+//     Detector.Process), and a graceful drain on Close.
 //
 // Session semantics: a session is a per-user run of events whose
 // event-time gaps stay within IdleTimeout; a larger gap closes the session
 // and starts a fresh one. Within a session, only the most recent
-// MaxSessionLines events are retained (sliding window). When ContextWindow
+// MaxSessionLines events are retained (sliding window). SessionWindow's
+// Append is the one implementation of these rules, shared by the
+// detector, checkpoint restore and the fleet router's shadows. When ContextWindow
 // is greater than one, each event is scored as the join of its most recent
 // in-gap session lines — the §IV-C multi-line input built online — so
 // attack chains whose individual lines look benign still produce a high
@@ -212,7 +216,7 @@ type Stats struct {
 	// ActiveSessions is the live session count at snapshot time.
 	ActiveSessions int `json:"active_sessions"`
 	// ScorerPanics counts scorer panics recovered by the batch pipeline.
-	// Cumulative resilience knowledge: never rolled back by an abort.
+	// Cumulative resilience knowledge: kept even when the batch fails.
 	ScorerPanics int64 `json:"scorer_panics,omitempty"`
 	// QuarantinedInputs counts scoring inputs isolated as poison (the
 	// scorer reproducibly panicked on them alone); QuarantineHits counts
@@ -238,17 +242,77 @@ type Stats struct {
 	Modality string `json:"modality,omitempty"`
 }
 
-// entry is one retained window line.
-type entry struct {
-	time  int64
-	line  string
-	score float64 // context score; filled in after batch scoring
+// addCounters adds o's cumulative counters into s: how shards sum into a
+// service total and how a restore folds checkpointed counters back in.
+func (s *Stats) addCounters(o Stats) {
+	s.Events += o.Events
+	s.ScoredInputs += o.ScoredInputs
+	s.LineAlerts += o.LineAlerts
+	s.SessionAlerts += o.SessionAlerts
+	s.SessionsStarted += o.SessionsStarted
+	s.SessionsIdleClosed += o.SessionsIdleClosed
+	s.SessionsEvicted += o.SessionsEvicted
+	s.ScorerPanics += o.ScorerPanics
+	s.QuarantinedInputs += o.QuarantinedInputs
+	s.QuarantineHits += o.QuarantineHits
 }
 
-// session is the per-user sliding window.
-type session struct {
-	last    int64
-	entries []entry
+// WindowEntry is one window line with its committed context score, so a
+// session aggregate (live, restored, or rebuilt by the fleet router from
+// the verdicts it has seen: Verdict carries Time, Line, ContextScore)
+// resumes exactly where it left off.
+type WindowEntry struct {
+	// Time is the event time of the line, in Unix seconds.
+	Time int64
+	// Line is the raw command line.
+	Line string
+	// Score is the committed context score of the line — what entered the
+	// session aggregate.
+	Score float64
+}
+
+// SessionWindow is one user's sliding window: the detector's live session,
+// a checkpoint record, and the fleet router's shadow of a replica's
+// session are all this type, kept by the same Append rules.
+type SessionWindow struct {
+	// User keys the session.
+	User string
+	// Last is the time of the user's most recent event.
+	Last int64
+	// Entries is the retained window, oldest first. An imported
+	// SessionWindow with no entries removes the user's session — the
+	// clear-on-handoff case.
+	Entries []WindowEntry
+}
+
+// Append folds one line into the window under cfg's session rules: an
+// event-time gap over IdleTimeout since Last empties the window (the
+// session closes and a fresh one starts), the entry appends, and the
+// window trims to its newest MaxSessionLines. cfg must be resolved, as
+// Detector.Config and the /stats config are. Reports whether the gap
+// closed a session.
+func (w *SessionWindow) Append(e WindowEntry, cfg Config) (closed bool) {
+	if len(w.Entries) > 0 && e.Time-w.Last > cfg.IdleTimeout {
+		w.Entries, closed = w.Entries[:0], true
+	}
+	w.Last = e.Time
+	w.Entries = append(w.Entries, e)
+	if over := len(w.Entries) - cfg.MaxSessionLines; over > 0 {
+		n := copy(w.Entries, w.Entries[over:])
+		w.Entries = w.Entries[:n]
+	}
+	return closed
+}
+
+// tail copies the newest n lines of w (nil: no session yet) into a
+// scratch window a batch's context joins can grow without touching w.
+func (w *SessionWindow) tail(n int) *SessionWindow {
+	t := &SessionWindow{Entries: make([]WindowEntry, 0, n+1)}
+	if w != nil {
+		t.Last = w.Last
+		t.Entries = append(t.Entries, w.Entries[max(0, len(w.Entries)-n):]...)
+	}
+	return t
 }
 
 // Detector is the synchronous streaming core. Methods are safe for
@@ -256,7 +320,7 @@ type session struct {
 // parallelism lives inside the engine-backed scorer, not across batches),
 // which also keeps per-user event order deterministic. Session and
 // counter state sits behind a separate short-lived mutex so Stats and
-// EvictIdle never block behind an in-flight scoring call.
+// checkpoint snapshots never block behind an in-flight scoring call.
 type Detector struct {
 	scorer tuning.Scorer
 	cfg    Config
@@ -264,7 +328,7 @@ type Detector struct {
 	procMu sync.Mutex // serializes Process end to end
 
 	mu        sync.Mutex // guards sessions + stats, never held while scoring
-	sessions  map[string]*session
+	sessions  map[string]*SessionWindow
 	stats     Stats
 	highWater int64  // latest event time seen, for event-time EvictIdle sweeps
 	version   string // active scorer artifact version, surfaced in Stats
@@ -289,38 +353,24 @@ func NewDetector(scorer tuning.Scorer, cfg Config) *Detector {
 	return &Detector{
 		scorer:   scorer,
 		cfg:      cfg.withDefaults(),
-		sessions: make(map[string]*session),
+		sessions: make(map[string]*SessionWindow),
 	}
 }
 
-// pending records one event's window snapshot between the state pass and
-// the verdict pass.
+// pending is one event's scoring-input indices between the sessionize
+// pass and the commit pass.
 type pending struct {
-	sess *session
-	idx  int // entry index at snapshot time
-	lo   int // window start at snapshot time
-	raw  int // scoring-input index of the raw line
-	ctx  int // scoring-input index of the context join
-	ctxS string
+	raw, ctx int    // scoring-input indices of the raw line and its context join
+	ctxS     string // the context join, when one was attached
 }
 
-// sessUndo snapshots one user's pre-batch session state so a scoring
-// failure can roll the batch's mutations back instead of leaving
-// zero-scored entries in the windows.
-type sessUndo struct {
-	user string
-	prev *session // map value before the batch (nil = absent)
-	len  int      // prev's entry count before the batch
-	last int64    // prev's last-event time before the batch
-}
-
-// Process consumes events in order and returns one verdict per event.
-// Events must be time-ordered per user (the natural log order); distinct
-// users interleave freely. On scorer error the batch's session mutations
-// are rolled back (events still count in Stats) and the error is
-// returned, so a transient failure neither dilutes session aggregates
-// with zero scores nor grows windows past their cap — a producer may
-// safely retry the same events.
+// Process consumes events in order and returns one verdict per event, as
+// one atomic batch. Events must be time-ordered per user (the natural log
+// order); distinct users interleave freely. Session windows change only
+// once the whole batch has scored, so on scorer error only the Events
+// counter moves and the error is returned: a transient failure neither
+// dilutes session aggregates with zero scores nor grows windows past their
+// cap, and a producer may safely retry the same events.
 //
 // A panicking scorer does not propagate: the panic is recovered, the batch
 // bisected to isolate the poison input, which is quarantined (scored at
@@ -330,127 +380,99 @@ func (d *Detector) Process(events []Event) ([]Verdict, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
-	b := d.begin(events)
-	// A panicking scorer must not leave the pipeline mutex held and the
-	// batch half-applied: roll back before the panic propagates, so a
-	// caller that recovers still has a usable detector.
-	defer func() {
-		if !b.finished {
-			b.abort()
-		}
-	}()
-	if err := b.score(); err != nil {
-		b.abort()
+	d.procMu.Lock()
+	defer d.procMu.Unlock()
+	inputs, pend := d.sessionize(events)
+	scores, err := d.score(inputs)
+	if err != nil {
 		return nil, err
 	}
-	return b.commit(), nil
+	return d.commit(events, pend, scores), nil
 }
 
-// procBatch is one batch's in-flight state between the sessionize pass
-// and the verdict pass. The three phases — begin (sessionize + build
-// inputs), score, then commit or abort — are split out so a sharded
-// detector can two-phase commit across shards: every shard scores before
-// any shard commits, and one shard's failure aborts all of them. begin
-// acquires the detector's pipeline mutex; exactly one of commit or abort
-// must follow to release it (Go mutexes are not goroutine-affine, so the
-// committing goroutine need not be the beginning one).
-type procBatch struct {
-	d      *Detector
-	events []Event
-	inputs []string
-	pend   []pending
-	undos  []sessUndo
-	scores []float64
-
-	started, idleClosed int64 // this batch's share, for abort
-	hwBefore            int64
-	finished            bool // set by commit/abort; guards panic recovery
-}
-
-// begin runs pass 1 (under the state lock): sessionize, build scoring
-// inputs (deduplicated), snapshot per-user undo state.
-func (d *Detector) begin(events []Event) *procBatch {
-	d.procMu.Lock()
-	b := &procBatch{d: d, events: events}
-
-	d.mu.Lock()
-	b.hwBefore = d.highWater // only Process (procMu-serialized) writes it
-	b.inputs = make([]string, 0, len(events))
+// sessionize runs pass 1 under the state lock: it builds each event's
+// scoring inputs (deduplicated), the raw line and, when ContextWindow > 1,
+// its §IV-C context join. Session windows are only read: the join comes
+// from a per-batch copy of each user's window tail that follows the same
+// SessionWindow.Append rules, so a failed batch has nothing to undo.
+func (d *Detector) sessionize(events []Event) ([]string, []pending) {
+	inputs := make([]string, 0, len(events))
 	inputAt := make(map[string]int, len(events))
 	intern := func(s string) int {
 		if at, ok := inputAt[s]; ok {
 			return at
 		}
-		inputAt[s] = len(b.inputs)
-		b.inputs = append(b.inputs, s)
-		return len(b.inputs) - 1
+		inputAt[s] = len(inputs)
+		inputs = append(inputs, s)
+		return len(inputs) - 1
 	}
-	seen := make(map[string]bool)
-	b.pend = make([]pending, len(events))
-	for i, ev := range events {
-		sess := d.sessions[ev.User]
-		if !seen[ev.User] {
-			seen[ev.User] = true
-			u := sessUndo{user: ev.User, prev: sess}
-			if sess != nil {
-				u.len, u.last = len(sess.entries), sess.last
-			}
-			b.undos = append(b.undos, u)
-		}
-		if sess == nil {
-			sess = &session{}
-			d.sessions[ev.User] = sess
-			b.started++
-		} else if len(sess.entries) > 0 && ev.Time-sess.last > d.cfg.IdleTimeout {
-			// Idle gap: close the session, open a fresh one. The old
-			// object stays reachable from earlier pendings in this batch.
-			sess = &session{}
-			d.sessions[ev.User] = sess
-			b.idleClosed++
-			b.started++
-		}
-		sess.last = ev.Time
-		sess.entries = append(sess.entries, entry{time: ev.Time, line: ev.Line})
-		idx := len(sess.entries) - 1
-		lo := idx + 1 - d.cfg.MaxSessionLines
-		if lo < 0 {
-			lo = 0
-		}
-		ctxS := d.contextJoin(sess, idx)
-		b.pend[i] = pending{
-			sess: sess, idx: idx, lo: lo,
-			raw: intern(ev.Line), ctx: intern(ctxS), ctxS: ctxS,
-		}
-		if ev.Time > d.highWater {
-			d.highWater = ev.Time
-		}
+	// A join reaches back at most ContextWindow lines and never past the
+	// sliding window, so a tail that long is all it needs.
+	tailCfg := d.cfg
+	tailCfg.MaxSessionLines = min(d.cfg.ContextWindow, d.cfg.MaxSessionLines)
+	var tails map[string]*SessionWindow
+	if d.cfg.ContextWindow > 1 {
+		tails = make(map[string]*SessionWindow)
 	}
+	pend := make([]pending, len(events))
 
-	d.stats.SessionsStarted += b.started
-	d.stats.SessionsIdleClosed += b.idleClosed
-	d.stats.ScoredInputs += int64(len(b.inputs))
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.stats.Events += int64(len(events))
-	d.mu.Unlock()
-	return b
+	for i, ev := range events {
+		p := pending{raw: intern(ev.Line)}
+		p.ctx = p.raw
+		if d.cfg.ContextWindow > 1 {
+			tail := tails[ev.User]
+			if tail == nil {
+				tail = d.sessions[ev.User].tail(tailCfg.MaxSessionLines)
+				tails[ev.User] = tail
+			}
+			tail.Append(WindowEntry{Time: ev.Time, Line: ev.Line}, tailCfg)
+			if p.ctxS = d.contextJoin(tail.Entries); p.ctxS != "" {
+				p.ctx = intern(p.ctxS)
+			}
+		}
+		pend[i] = p
+	}
+	return inputs, pend
 }
 
-// score runs pass 2 (no state lock, so Stats/EvictIdle stay responsive):
-// one batched scoring call for the whole request, hardened against a
-// panicking scorer. Inputs already in quarantine are served the quarantine
-// score without touching the scorer; a panic on the rest is recovered and
-// the batch bisected to isolate the poison input (see scoreResilient).
-// Plain scorer errors still abort the whole batch — they are transient and
+// contextJoin builds the §IV-C multi-line input for the newest line of a
+// sessionize tail: preceding lines attach while consecutive gaps stay
+// within ContextGap, joined with the shell separator — the online
+// equivalent of tuning.BuildContexts. Empty when nothing attaches.
+func (d *Detector) contextJoin(tail []WindowEntry) string {
+	lo := len(tail) - 1
+	for lo > 0 && tail[lo].Time-tail[lo-1].Time <= d.cfg.ContextGap {
+		lo--
+	}
+	if lo == len(tail)-1 {
+		return ""
+	}
+	parts := make([]string, 0, len(tail)-lo)
+	for _, e := range tail[lo:] {
+		parts = append(parts, e.Line)
+	}
+	return strings.Join(parts, " ; ")
+}
+
+// score runs pass 2 (no state lock, so Stats stays responsive): one
+// batched scoring call for the whole request, hardened against a panicking
+// scorer. Inputs already in quarantine are served the quarantine score
+// without touching the scorer; a panic on the rest is recovered and the
+// batch bisected to isolate the poison input (see scoreResilient). Plain
+// scorer errors still fail the whole batch — they are transient and
 // retryable, unlike a reproducible panic.
-func (b *procBatch) score() error {
-	d := b.d
-	scores := make([]float64, len(b.inputs))
-	live, liveIdx := b.inputs, []int(nil)
+func (d *Detector) score(inputs []string) ([]float64, error) {
+	scores := make([]float64, len(inputs))
+	live, liveIdx := inputs, []int(nil)
 	if d.quarLen.Load() > 0 {
-		live = make([]string, 0, len(b.inputs))
-		liveIdx = make([]int, 0, len(b.inputs))
+		live = make([]string, 0, len(inputs))
+		liveIdx = make([]int, 0, len(inputs))
 		var hits int64
 		d.mu.Lock()
-		for i, in := range b.inputs {
+		for i, in := range inputs {
 			if _, poison := d.quar[in]; poison {
 				scores[i] = d.cfg.QuarantineScore
 				hits++
@@ -468,21 +490,18 @@ func (b *procBatch) score() error {
 			out = make([]float64, len(live))
 		}
 		if err := d.scoreResilient(live, out); err != nil {
-			return fmt.Errorf("stream: scoring %d inputs: %w", len(b.inputs), err)
+			return nil, fmt.Errorf("stream: scoring %d inputs: %w", len(inputs), err)
 		}
-		if liveIdx != nil {
-			for k, i := range liveIdx {
-				scores[i] = out[k]
-			}
+		for k, i := range liveIdx {
+			scores[i] = out[k]
 		}
 	}
-	b.scores = scores
-	return nil
+	return scores, nil
 }
 
 // callScorer invokes the scorer once, converting a panic into a flagged
 // error so the pipeline can tell a crashing replica (isolate the poison)
-// from a failing one (abort and retry). It also normalizes the
+// from a failing one (fail the batch for a retry). It also normalizes the
 // wrong-length-result bug class into an error.
 func callScorer(sc tuning.Scorer, inputs []string) (scores []float64, err error, panicked bool) {
 	defer func() {
@@ -502,7 +521,7 @@ func callScorer(sc tuning.Scorer, inputs []string) (scores []float64, err error,
 // quarantined (counter + sample in Stats, remembered so future batches skip
 // it), and given the quarantine score — the shard keeps serving. A panic
 // that does not reproduce on the isolated input (a transient crash) costs
-// one retry and quarantines nothing. Non-panic errors abort the whole
+// one retry and quarantines nothing. Non-panic errors fail the whole
 // batch, preserving the transient-failure retry contract.
 func (d *Detector) scoreResilient(inputs []string, out []float64) error {
 	sc := d.scorer // stable: procMu is held for the whole batch
@@ -558,8 +577,8 @@ func (d *Detector) bisect(sc tuning.Scorer, inputs []string, out []float64) erro
 }
 
 // notePanic counts one recovered scorer panic. Like the quarantine set,
-// this is cumulative operational knowledge, deliberately not rolled back
-// when a batch later aborts.
+// this is cumulative operational knowledge, kept even when the batch
+// later fails.
 func (d *Detector) notePanic() {
 	d.mu.Lock()
 	d.stats.ScorerPanics++
@@ -586,50 +605,33 @@ func (d *Detector) quarantine(input string) {
 	d.mu.Unlock()
 }
 
-// abort rolls the batch's session mutations back; the failed events still
-// count in Events, everything else reverts by delta (a concurrent
-// EvictIdle between the passes keeps its own increments).
-func (b *procBatch) abort() {
-	d := b.d
+// commit runs pass 3 (state lock again): append each event's scored line
+// to its user's window, aggregate, and emit the verdicts in order.
+func (d *Detector) commit(events []Event, pend []pending, scores []float64) []Verdict {
+	out := make([]Verdict, len(events))
 	d.mu.Lock()
-	d.highWater = b.hwBefore
-	d.stats.SessionsStarted -= b.started
-	d.stats.SessionsIdleClosed -= b.idleClosed
-	d.stats.ScoredInputs -= int64(len(b.inputs))
-	for _, u := range b.undos {
-		if u.prev == nil {
-			delete(d.sessions, u.user)
-			continue
+	defer d.mu.Unlock()
+	d.stats.ScoredInputs += int64(len(scores))
+	for i, ev := range events {
+		p := pend[i]
+		sess := d.sessions[ev.User]
+		if sess == nil {
+			sess = &SessionWindow{User: ev.User}
+			d.sessions[ev.User] = sess
+			d.stats.SessionsStarted++
 		}
-		d.sessions[u.user] = u.prev
-		u.prev.entries = u.prev.entries[:u.len]
-		u.prev.last = u.last
-	}
-	d.mu.Unlock()
-	b.finished = true
-	d.procMu.Unlock()
-}
-
-// commit runs pass 3 (state lock again): fill window scores in order,
-// aggregate, emit verdicts.
-func (b *procBatch) commit() []Verdict {
-	d := b.d
-	d.mu.Lock()
-	out := make([]Verdict, len(b.events))
-	for i, ev := range b.events {
-		p := b.pend[i]
-		ctxScore := b.scores[p.ctx]
-		p.sess.entries[p.idx].score = ctxScore
+		if sess.Append(WindowEntry{Time: ev.Time, Line: ev.Line, Score: scores[p.ctx]}, d.cfg) {
+			d.stats.SessionsIdleClosed++
+			d.stats.SessionsStarted++
+		}
+		d.highWater = max(d.highWater, ev.Time)
 		v := Verdict{
-			User: ev.User, Time: ev.Time, Line: ev.Line,
-			LineScore:    b.scores[p.raw],
-			ContextScore: ctxScore,
-			SessionLines: p.idx - p.lo + 1,
+			User: ev.User, Time: ev.Time, Line: ev.Line, Context: p.ctxS,
+			LineScore:    scores[p.raw],
+			ContextScore: scores[p.ctx],
+			SessionScore: d.aggregate(sess.Entries),
+			SessionLines: len(sess.Entries),
 		}
-		if p.ctx != p.raw {
-			v.Context = p.ctxS
-		}
-		v.SessionScore = d.aggregate(p.sess.entries[p.lo : p.idx+1])
 		if d.cfg.LineThreshold > 0 && v.LineScore >= d.cfg.LineThreshold {
 			v.LineAlert = true
 			d.stats.LineAlerts++
@@ -640,78 +642,31 @@ func (b *procBatch) commit() []Verdict {
 		}
 		out[i] = v
 	}
-
-	// Trim windows the batch grew past the cap (deferred so within-batch
-	// snapshots kept stable indices). The shift is in place — snapshots
-	// are not read after this point — so a saturated session reuses its
-	// backing array instead of allocating per event.
-	for _, p := range b.pend {
-		if over := len(p.sess.entries) - d.cfg.MaxSessionLines; over > 0 {
-			n := copy(p.sess.entries, p.sess.entries[over:])
-			p.sess.entries = p.sess.entries[:n]
-		}
-	}
-	d.mu.Unlock()
-	b.finished = true
-	d.procMu.Unlock()
 	return out
 }
 
-// contextJoin builds the §IV-C multi-line input for the entry at idx: up
-// to ContextWindow-1 preceding window lines whose consecutive gaps stay
-// within ContextGap, joined with the shell separator — the online
-// equivalent of tuning.BuildContexts.
-func (d *Detector) contextJoin(sess *session, idx int) string {
-	if d.cfg.ContextWindow <= 1 {
-		return sess.entries[idx].line
-	}
-	// Context never reaches past the sliding window: lines evicted by the
-	// max-length cap are gone for context purposes too.
-	floor := idx + 1 - d.cfg.MaxSessionLines
-	if floor < 0 {
-		floor = 0
-	}
-	lo := idx
-	last := sess.entries[idx].time
-	for lo > floor && idx-lo < d.cfg.ContextWindow-1 {
-		if last-sess.entries[lo-1].time > d.cfg.ContextGap {
-			break
-		}
-		lo--
-		last = sess.entries[lo].time
-	}
-	if lo == idx {
-		return sess.entries[idx].line
-	}
-	parts := make([]string, 0, idx-lo+1)
-	for k := lo; k <= idx; k++ {
-		parts = append(parts, sess.entries[k].line)
-	}
-	return strings.Join(parts, " ; ")
-}
-
 // aggregate folds window scores into the session score.
-func (d *Detector) aggregate(window []entry) float64 {
+func (d *Detector) aggregate(window []WindowEntry) float64 {
 	switch d.cfg.Aggregation {
 	case AggMean:
 		sum := 0.0
 		for _, e := range window {
-			sum += e.score
+			sum += e.Score
 		}
 		return sum / float64(len(window))
 	case AggDecay:
 		w, num, den := 1.0, 0.0, 0.0
 		for k := len(window) - 1; k >= 0; k-- {
-			num += w * window[k].score
+			num += w * window[k].Score
 			den += w
 			w *= d.cfg.Decay
 		}
 		return num / den
 	default: // AggMax
-		best := window[0].score
+		best := window[0].Score
 		for _, e := range window[1:] {
-			if e.score > best {
-				best = e.score
+			if e.Score > best {
+				best = e.Score
 			}
 		}
 		return best
@@ -775,13 +730,16 @@ func (d *Detector) Modality() string {
 // EvictIdle removes sessions whose last event is more than IdleTimeout
 // seconds before now, bounding memory across a large user population, and
 // returns how many were evicted. Services call it periodically with the
-// stream's high-water event time.
+// stream's high-water event time. It waits for an in-flight batch to
+// commit, so a sweep never lands between a batch's passes.
 func (d *Detector) EvictIdle(now int64) int {
+	d.procMu.Lock()
+	defer d.procMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
 	for user, sess := range d.sessions {
-		if now-sess.last > d.cfg.IdleTimeout {
+		if now-sess.Last > d.cfg.IdleTimeout {
 			delete(d.sessions, user)
 			n++
 		}

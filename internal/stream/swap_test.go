@@ -67,7 +67,9 @@ func TestSwapScorerVersionPropagation(t *testing.T) {
 		t.Fatalf("aggregate stats version %q", got)
 	}
 	// The swap installed the new generation on every shard.
-	vs, err := sd.Process([]Event{ev("a", 1, "x"), ev("b", 1, "y"), ev("c", 1, "z"), ev("d", 1, "w")})
+	svc := NewShardedService(sd, ServiceConfig{})
+	defer svc.Close()
+	vs, err := svc.Submit([]Event{ev("a", 1, "x"), ev("b", 1, "y"), ev("c", 1, "z"), ev("d", 1, "w")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +90,20 @@ func TestSwapScorerRejectsNonReplicable(t *testing.T) {
 		t.Fatal("non-replicable scorer accepted for a 2-shard swap")
 	}
 	// The failed swap left the old scorers in place.
-	if _, err := sd.Process([]Event{ev("a", 1, "x")}); err != nil {
+	svc := NewShardedService(sd, ServiceConfig{})
+	defer svc.Close()
+	if _, err := svc.Submit([]Event{ev("a", 1, "x"), ev("b", 1, "y")}); err != nil {
 		t.Fatalf("detector broken after failed swap: %v", err)
 	}
 }
 
 // TestSwapScorerUnderLoad is the hot-reload acceptance test: a 4-shard
-// detector processes a Replayer stream from several producers while the
-// scorer is swapped repeatedly. Every event must be scored (zero drops),
-// every returned score must be one of the known generations, and no
-// Process call may observe two generations — the two-phase swap holds
-// every shard's pipeline lock, so a multi-shard batch is entirely old or
-// entirely new. Run under -race in CI.
+// service scores a Replayer stream from several producers while the scorer
+// is swapped repeatedly, shard by shard. Every event must be scored (zero
+// drops), every returned score must be one of the known generations, and
+// no shard's part of a Submit may observe two generations — each shard's
+// batch is one Detector.Process, and the swap lands between batches. Run
+// under -race in CI.
 func TestSwapScorerUnderLoad(t *testing.T) {
 	ccfg := corpus.DefaultConfig()
 	ccfg.TrainLines = 400
@@ -118,6 +122,8 @@ func TestSwapScorerUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	sd.SetScorerVersion("gen-1")
+	svc := NewShardedService(sd, ServiceConfig{QueueRequests: 4, BatchEvents: 64})
+	defer svc.Close()
 
 	const (
 		producers = 3
@@ -152,16 +158,20 @@ func TestSwapScorerUnderLoad(t *testing.T) {
 						Line: s.Line,
 					}
 				}
-				vs, err := sd.Process(events)
+				vs, err := svc.Submit(events)
 				if err != nil {
 					t.Errorf("producer %d batch %d: %v", p, b, err)
 					return
 				}
 				scored.Add(int64(len(vs)))
-				first := vs[0].LineScore
+				var first [4]float64
 				hi := maxGen.Load()
 				for _, v := range vs {
-					if v.LineScore != first {
+					sh := shardOf(v.User, 4)
+					if first[sh] == 0 {
+						first[sh] = v.LineScore
+					}
+					if v.LineScore != first[sh] {
 						mixed.Add(1)
 					}
 					if v.LineScore < 1 || v.LineScore > float64(hi) {
