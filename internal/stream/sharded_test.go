@@ -69,13 +69,68 @@ func replayEvents(t *testing.T, users, total int) []Event {
 	return events
 }
 
-// TestShardedServiceEquivalence is the sharding invariant: a
-// corpus.Replayer stream submitted through a 4-shard service yields
-// byte-identical per-event verdicts, in input order, and identical
-// aggregate stats to the unsharded detector — sharding changes throughput,
-// never results. (ScoredInputs is excluded: within-batch dedup is per
-// shard, so the sharded figure may exceed the unsharded one when a line
-// repeats across shards.)
+// TestShardedEquivalence is the sharding invariant: a corpus.Replayer
+// stream submitted through a 4-shard service yields byte-identical
+// per-event verdicts and identical aggregate stats to the unsharded
+// detector — sharding changes throughput, never results. (ScoredInputs is
+// excluded: within-batch dedup is per shard, so the sharded figure may
+// exceed the unsharded one when a line repeats across shards.)
+func TestShardedEquivalence(t *testing.T) {
+	events := replayEvents(t, 16, 1800)
+	cfg := shardedTestConfig()
+
+	single := NewDetector(&hashScorer{}, cfg)
+	scorers := make([]tuning.Scorer, 4)
+	for i := range scorers {
+		scorers[i] = &hashScorer{}
+	}
+	sharded, err := NewShardedDetector(scorers, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewShardedService(sharded, ServiceConfig{QueueRequests: 4, BatchEvents: 64})
+	defer svc.Close()
+
+	const window = 257 // odd size: windows split mid-session
+	for at := 0; at < len(events); at += window {
+		end := at + window
+		if end > len(events) {
+			end = len(events)
+		}
+		want, err := single.Process(events[at:end])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := svc.Submit(events[at:end])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("event %d+%d: sharded verdict %+v, unsharded %+v", at, i, got[i], want[i])
+			}
+		}
+	}
+
+	wantSt, gotSt := single.Stats(), sharded.Stats()
+	wantSt.ScoredInputs, gotSt.ScoredInputs = 0, 0
+	if !reflect.DeepEqual(wantSt, gotSt) {
+		t.Fatalf("stats diverge:\nsharded   %+v\nunsharded %+v", gotSt, wantSt)
+	}
+	if single.HighWater() != sharded.HighWater() {
+		t.Fatalf("high water: sharded %d, unsharded %d", sharded.HighWater(), single.HighWater())
+	}
+	// The idle sweep evicts the same sessions either way.
+	if w, g := single.EvictIdle(single.HighWater()), sharded.EvictIdle(sharded.HighWater()); w != g {
+		t.Fatalf("EvictIdle: sharded %d, unsharded %d", g, w)
+	}
+}
+
+// TestShardedServiceEquivalence runs a stream through the asynchronous
+// sharded service: Submit's partition/scatter must return verdicts in
+// input order, identical to the unsharded detector, and the service's
+// totals must match both the unsharded detector and its own per-shard
+// breakdown.
 func TestShardedServiceEquivalence(t *testing.T) {
 	events := replayEvents(t, 16, 1500)
 	cfg := shardedTestConfig()
