@@ -242,8 +242,8 @@ func BenchmarkInferenceThroughputCold(b *testing.B) {
 }
 
 // coldBenchAtPrecision is the cold embedding benchmark with the engine
-// pinned to one rung of the precision ladder: every unique line pays full
-// encoder cost at that precision.
+// pinned to one serving precision: every unique line pays full encoder
+// cost at that precision.
 func coldBenchAtPrecision(b *testing.B, prec model.Precision) {
 	pl, lines := inferBenchFixture(b)
 	ecfg := tuning.DefaultEngineConfig()
@@ -260,15 +260,9 @@ func coldBenchAtPrecision(b *testing.B, prec model.Precision) {
 	b.ReportMetric(float64(inferBenchWindow)*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
 }
 
-// BenchmarkInferenceThroughputColdF32 is the cold engine on the float32
-// rung: identical batch geometry, half the GEMM memory traffic.
-func BenchmarkInferenceThroughputColdF32(b *testing.B) {
-	coldBenchAtPrecision(b, model.PrecisionFloat32)
-}
-
-// BenchmarkInferenceThroughputColdInt8 is the cold engine on the int8
-// rung: quantized weights, int32 accumulation, float32 activations. The
-// acceptance bar for the precision ladder is ≥2× the float64 cold rate.
+// BenchmarkInferenceThroughputColdInt8 is the cold engine at int8:
+// quantized weights, int32 accumulation, float32 activations. The
+// acceptance bar for the int8 path is ≥2× the float64 cold rate.
 func BenchmarkInferenceThroughputColdInt8(b *testing.B) {
 	coldBenchAtPrecision(b, model.PrecisionInt8)
 }
@@ -291,8 +285,8 @@ func BenchmarkInferenceThroughputTape(b *testing.B) {
 // cascadeBenchScorer builds a cold (memo off) cascade over the bench
 // fixture: the f64 retrieval scorer as the confirm rung, its int8 variant
 // as the triage rung, and a rarity table calibrated on the training split —
-// the composition clmserve -cascade serves. Retrieval (not PCA) because
-// calibration needs O(1)-magnitude scores; the tiny PCA head's
+// the composition clmserve serves from a cascade bundle. Retrieval (not
+// PCA) because calibration needs O(1)-magnitude scores; the tiny PCA head's
 // reconstruction errors sit at the float rounding floor, where the int8
 // rung's quantization noise swamps the escalation band.
 func cascadeBenchScorer(b *testing.B) *tuning.CascadeScorer {

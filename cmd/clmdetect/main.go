@@ -1,8 +1,10 @@
 // Command clmdetect scores command lines for intrusion likelihood with a
 // versioned scorer bundle (-bundle dir, built by clmtrain -bundle). The
 // bundle carries the backbone, tokenizer, and one of the paper's detection
-// heads, and its manifest selects the method: no baseline log is read and
-// no tuning runs. Lines also matched by the simulated commercial IDS rules
+// heads, and its manifest alone decides what scores: the method, float64
+// or int8, and the scoring cascade when the bundle carries a cascade
+// section (clmtrain -cascade; batch mode then prints the per-rung split).
+// No baseline log is read and no tuning runs. Lines also matched by the simulated commercial IDS rules
 // are marked, showing where detection generalizes beyond them.
 //
 // Batch usage:
@@ -36,7 +38,6 @@ import (
 	"clmids/internal/core"
 	"clmids/internal/corpus"
 	"clmids/internal/modality"
-	"clmids/internal/model"
 	"clmids/internal/stream"
 	"clmids/internal/tuning"
 )
@@ -50,11 +51,9 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("clmdetect", flag.ContinueOnError)
-	bundle := fs.String("bundle", "", "scorer bundle directory built by clmtrain -bundle (required; the manifest selects the method)")
+	bundle := fs.String("bundle", "", "scorer bundle directory built by clmtrain -bundle (required; the manifest selects the method, precision and cascade)")
 	input := fs.String("input", "-", "lines to score: JSONL, plain text, or - for stdin")
 	top := fs.Int("top", 20, "how many highest-scored lines to print (batch mode)")
-	precision := fs.String("precision", "", "serve-path precision: float64 | float32 | int8 (the bundle manifest decides unless this overrides)")
-	cascade := fs.Bool("cascade", false, "score through the cascade: rarity pre-filter -> int8 triage -> f64 confirm (the bundle must carry a cascade section, see clmtrain -cascade)")
 	modalityPin := fs.String("modality", "", "expected log modality ("+modality.FlagHelp()+"): a bundle trained for another modality is rejected; empty accepts whatever the bundle carries")
 	follow := fs.Bool("follow", false, "stream mode: score lines as they arrive, with session aggregation")
 	user := fs.String("user", "stdin", "user attributed to plain-text lines in follow mode")
@@ -67,18 +66,6 @@ func run(args []string) error {
 		return err
 	}
 
-	// "" follows the bundle manifest; an explicit value is validated before
-	// anything loads.
-	var prec model.Precision
-	if *precision != "" {
-		var err error
-		if prec, err = model.ParsePrecision(*precision); err != nil {
-			return err
-		}
-	}
-	if *cascade && *precision != "" {
-		return fmt.Errorf("-cascade and -precision are mutually exclusive: the cascade serves int8 triage with float64 confirm")
-	}
 	// A typoed modality fails here with the registered list, before the
 	// bundle loads.
 	if *modalityPin != "" {
@@ -99,16 +86,9 @@ func run(args []string) error {
 			return err
 		}
 	}
-	var scorer tuning.Scorer = lb.Scorer
-	if *cascade {
-		if scorer, err = core.BuildCascade(lb.Scorer, lb.Cascade); err != nil {
-			return err
-		}
-	}
-	if *precision != "" {
-		if err := tuning.SetScorerPrecision(scorer, prec); err != nil {
-			return err
-		}
+	scorer, err := lb.Serving()
+	if err != nil {
+		return err
 	}
 
 	if *follow {

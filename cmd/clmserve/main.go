@@ -4,8 +4,11 @@
 // from a versioned scorer bundle (-bundle dir, built by clmtrain -bundle;
 // see internal/core). No baseline corpus is read and no tuning runs at
 // startup — the bundle carries the backbone, tokenizer, and method head,
-// its manifest names the method, and the daemon is ready as soon as they
-// deserialize.
+// and the daemon is ready as soon as they deserialize. The manifest alone
+// decides the served stack: method, float64 or int8, and the scoring
+// cascade when the bundle carries a cascade section (clmtrain -cascade);
+// no flag overrides it, and a reload serves exactly what the new bundle
+// says.
 //
 // Usage:
 //
@@ -21,8 +24,8 @@
 //	              503 until the scorer is ready.
 //	GET  /stats   JSON snapshot of detector + queue counters, aggregated
 //	              and per shard (queue depth, memo hit rate, active scorer
-//	              bundle version; with -cascade, the per-rung traffic
-//	              split: cleared / triaged / escalated).
+//	              bundle version, serving precision; on a cascade bundle,
+//	              the per-rung traffic split: cleared / triaged / escalated).
 //	GET  /healthz liveness: 200 from the moment the socket is open, even
 //	              while the bundle is still loading.
 //	GET  /readyz  readiness: 503 until the scorer is serving — the probe
@@ -42,7 +45,7 @@
 // shard's worker falls behind, -overload decides what /score does: block
 // (HTTP-level backpressure through TCP, the default), shed (429 +
 // Retry-After), or degrade (keep accepting and downshift saturated shards
-// down the precision ladder, recovering on calm — see internal/stream).
+// to int8, recovering on calm — see internal/stream).
 // A malformed NDJSON line yields a per-line error record in the response
 // stream; the connection and every well-formed line keep scoring.
 //
@@ -73,10 +76,8 @@ import (
 	"clmids/internal/core"
 	"clmids/internal/fleet"
 	"clmids/internal/modality"
-	"clmids/internal/model"
 	"clmids/internal/serve"
 	"clmids/internal/stream"
-	"clmids/internal/tuning"
 )
 
 func main() {
@@ -98,15 +99,13 @@ func run(args []string) error {
 	maxLines := fs.Int("max-session-lines", 64, "sliding window length per session")
 	queue := fs.Int("queue", 64, "bounded ingest queue per shard (requests); full queue blocks /score")
 	batch := fs.Int("batch", 512, "events coalesced per scoring batch per shard")
-	overload := fs.String("overload", "block", "full-queue policy: block (backpressure) | shed (429 + Retry-After) | degrade (downshift saturated shards down the precision ladder, recover on calm)")
-	degradeAfter := fs.Duration("degrade-after", 2*time.Second, "sustained saturation before the degrade policy downshifts a shard one precision rung")
-	recoverAfter := fs.Duration("recover-after", 15*time.Second, "sustained calm before a degraded shard shifts one rung back up")
+	overload := fs.String("overload", "block", "full-queue policy: block (backpressure) | shed (429 + Retry-After) | degrade (downshift saturated shards to int8, recover on calm)")
+	degradeAfter := fs.Duration("degrade-after", 2*time.Second, "sustained saturation before the degrade policy downshifts a shard to int8")
+	recoverAfter := fs.Duration("recover-after", 15*time.Second, "sustained calm before a degraded shard shifts back to its native precision")
 	checkpoint := fs.String("checkpoint", "", "session checkpoint file: restored at startup, rewritten every -checkpoint-interval and after draining (empty disables)")
 	ckptInterval := fs.Duration("checkpoint-interval", time.Minute, "how often to rewrite the session checkpoint")
 	shards := fs.Int("shards", 0, "detector shards keyed by hash(user) (0 = GOMAXPROCS); each shard scores concurrently on its own scorer replica")
 	modalityPin := fs.String("modality", "", "pin the served log modality ("+modality.FlagHelp()+"): the startup bundle and every reload must match, or they are rejected; empty adopts the startup bundle's modality")
-	precision := fs.String("precision", "", "serve-path precision: float64 | float32 | int8 (the bundle manifest decides unless this overrides; applies at startup, reloads follow their bundle's manifest)")
-	cascade := fs.Bool("cascade", false, "serve the scoring cascade: rarity pre-filter -> int8 triage -> f64 confirm (the bundle must carry a cascade section, see clmtrain -cascade); per-rung traffic shows in /stats")
 	pprofAddr := fs.String("pprof", "", "expose net/http/pprof on this extra debug listener (e.g. 127.0.0.1:6060); scoring, liveness, and readiness stay on -addr")
 	drainTimeout := fs.Duration("drain-timeout", 0, "bound the SIGTERM/SIGINT drain: after this long a wedged shard is abandoned and the final checkpoint covers what drained (0 waits forever)")
 	router := fs.Bool("router", false, "run as a fleet router over -replicas instead of serving a scorer: consistent-hash user -> replica, health-probed ejection/readmission, retry/backoff, session failover, rolling /reload")
@@ -128,21 +127,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// "" means follow the bundle manifest; validate an explicit value
-	// before any loading happens.
-	var prec model.Precision
-	if *precision != "" {
-		var err error
-		if prec, err = model.ParsePrecision(*precision); err != nil {
-			return err
-		}
-	}
-	if *cascade && *precision != "" {
-		// The cascade pins its own rungs (int8 triage, f64 confirm); a
-		// flat-precision override contradicts it.
-		return errors.New("-cascade and -precision are mutually exclusive: the cascade serves int8 triage with float64 confirm")
-	}
-
 	agg, err := stream.ParseAggregation(*aggregation)
 	if err != nil {
 		return err
@@ -171,7 +155,7 @@ func run(args []string) error {
 	// bundle load below finishes, so restart supervisors see a live process
 	// and load balancers see a not-yet-ready replica instead of a black
 	// hole while the bundle deserializes.
-	d := serve.NewDaemon(*bundleDir, *cascade)
+	d := serve.NewDaemon(*bundleDir, false)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -218,25 +202,16 @@ func run(args []string) error {
 			return err
 		}
 	}
-	var scorer tuning.Scorer = lb.Scorer
+	scorer, err := lb.Serving()
+	if err != nil {
+		server.Close()
+		return err
+	}
 	method, version, served := lb.Manifest.Method, lb.Manifest.Version, lb.Modality()
 	fmt.Fprintf(os.Stderr, "clmserve: loaded %s bundle %s (modality %s, no tuning)\n", method, version, served)
-	if *cascade {
-		if scorer, err = core.BuildCascade(lb.Scorer, lb.Cascade); err != nil {
-			server.Close()
-			return err
-		}
+	if c := lb.Cascade; c != nil {
 		fmt.Fprintf(os.Stderr, "clmserve: serving the scoring cascade (clear<=%.3g, escalate>=%.4g)\n",
-			lb.Cascade.Params.ClearThreshold, lb.Cascade.Params.EscalateLow)
-	}
-	if *precision != "" {
-		// Startup override: rebind the serving engine before any replica
-		// exists; the head and backbone are untouched.
-		if err := tuning.SetScorerPrecision(scorer, prec); err != nil {
-			server.Close()
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "clmserve: serving at %s precision\n", prec)
+			c.Params.ClearThreshold, c.Params.EscalateLow)
 	}
 
 	// One scorer replica per shard: the frozen backbone and fitted

@@ -14,7 +14,9 @@
 // log, then the -method head — and emits a versioned scorer bundle
 // (internal/core): the train-once half of train-once / serve-many.
 // clmserve -bundle and clmdetect -bundle then cold-start from it with no
-// baseline corpus and no tuning.
+// baseline corpus and no tuning, serving exactly what its manifest
+// records: the method, -precision (float64 | int8), and with -cascade the
+// scoring cascade.
 //
 //	clmtrain -data data/train.jsonl -out model/ \
 //	         -bundle bundle/ -method retrieval
@@ -63,7 +65,7 @@ func run(args []string) error {
 	method := fs.String("method", "retrieval", "bundle detection method: classifier | retrieval | reconstruction | pca")
 	bundleEpochs := fs.Int("bundle-epochs", 8, "bundle classifier tuning epochs")
 	bundleVersion := fs.String("bundle-version", "", "bundle version label (default: content-derived)")
-	precision := fs.String("precision", "", "bundle serve-path precision: float64 | float32 | int8 (low rungs add a quantized weight section; the head is trained in float64 either way)")
+	precision := fs.String("precision", "", "bundle serve-path precision: float64 | int8 (int8 adds a quantized weight section; the head is trained in float64 either way)")
 	cascade := fs.Bool("cascade", false, "calibrate the scoring cascade (rarity pre-filter -> int8 triage -> f64 confirm) against the training log and emit its rarity section + thresholds with the bundle")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -78,7 +80,7 @@ func run(args []string) error {
 			return fmt.Errorf("-cascade needs -bundle: the cascade artifact rides the bundle format")
 		}
 		if prec.Low() {
-			return fmt.Errorf("-cascade and a low -precision are mutually exclusive: cascade bundles pin int8 triage under a float64 confirm rung")
+			return fmt.Errorf("-cascade and -precision int8 are mutually exclusive: cascade bundles pin int8 triage under a float64 confirm rung")
 		}
 	}
 	if err := modality.Validate(*mod); err != nil {

@@ -133,3 +133,12 @@ func TestTrainRejectsBadBundleMethod(t *testing.T) {
 		t.Fatalf("bad bundle method: %v", err)
 	}
 }
+
+// TestTrainRejectsFloat32Precision: float32 is no longer a serving
+// precision, and saying so waits for neither the data nor pre-training.
+func TestTrainRejectsFloat32Precision(t *testing.T) {
+	err := run([]string{"-data", "/nonexistent/x.jsonl", "-bundle", t.TempDir(), "-precision", "float32"})
+	if err == nil || !strings.Contains(err.Error(), "float32") || !strings.Contains(err.Error(), "-precision int8") {
+		t.Fatalf("-precision float32: %v", err)
+	}
+}

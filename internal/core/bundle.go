@@ -56,10 +56,10 @@ var ErrModalityMismatch = errors.New("core: bundle modality mismatch")
 
 // File names inside a bundle directory (preprocessFile, tokenizerFile and
 // modelFile are shared with the pipeline layout in io.go). quantFile only
-// exists in low-precision bundles (manifest Precision != float64): it
-// carries the backbone's pre-lowered serving weights — float32 mirrors,
-// or int8 channels + scales — so a cold start installs them instead of
-// re-converting, and the artifact pins the exact serving weights.
+// exists in int8 bundles (manifest Precision int8): it carries the
+// backbone's pre-lowered serving weights — int8 channels + scales — so a
+// cold start installs them instead of re-converting, and the artifact pins
+// the exact serving weights.
 // rarityFile only exists in cascade bundles (manifest Cascade != nil): it
 // carries the rung-0 rarity table, and such bundles also carry quant.gob
 // (int8) so one artifact cold-starts both model rungs over one backbone.
@@ -100,10 +100,12 @@ type BundleManifest struct {
 	Modality string `json:"modality,omitempty"`
 	// Config is the ScorerConfig the head was built with.
 	Config ScorerConfig `json:"config"`
-	// Precision is the serve-path rung the bundle was emitted for; empty
-	// or "float64" means the canonical path (no quantized section). Low
-	// rungs add the quant.gob section holding the lowered backbone
+	// Precision is the serve-path precision the bundle was emitted for;
+	// empty or "float64" means the canonical path (no quantized section).
+	// "int8" adds the quant.gob section holding the lowered backbone
 	// weights, and loading builds the scorer's engine at this precision.
+	// A "float32" manifest (an older build's middle rung) is refused with
+	// a retrain instruction.
 	Precision string `json:"precision,omitempty"`
 	// Cascade carries the calibrated cascade thresholds when the bundle was
 	// emitted with a rung-0 rarity section (clmtrain -cascade); nil
@@ -268,8 +270,20 @@ type LoadedBundle struct {
 	Scorer   tuning.Scorer
 	// Cascade is the restored cascade artifact of a cascade bundle, nil
 	// otherwise. Scorer stays the plain confirm-rung scorer either way;
-	// callers that opted in (-cascade) compose the two with BuildCascade.
+	// Serving composes the two.
 	Cascade *CascadeArtifact
+}
+
+// Serving returns the scorer stack the manifest says to serve: the
+// cascade over Scorer when the bundle carries a cascade section, Scorer
+// itself (already at the manifest precision) otherwise. clmserve,
+// clmdetect and hot reloads all serve through it, so no flag overrides
+// the bundle.
+func (lb *LoadedBundle) Serving() (tuning.Scorer, error) {
+	if lb.Cascade == nil {
+		return lb.Scorer, nil
+	}
+	return BuildCascade(lb.Scorer, lb.Cascade)
 }
 
 // Modality returns the canonical modality the bundle was trained on

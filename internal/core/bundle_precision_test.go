@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"clmids/internal/model"
@@ -11,16 +13,13 @@ import (
 	"clmids/internal/tuning"
 )
 
-// TestQuantizedBundleRoundTrip pins the quantized-bundle contract: a
-// low-precision bundle saves the quant section, records the rung in the
-// manifest, cold-loads into a scorer serving at that rung, and two
-// independent cold loads score byte-identically. Scores stay within the
-// ladder tolerance of the float64 build, and the sibling float64 bundle of
-// the same training run carries an identical head (same seed → the only
-// differing sections are model-precision ones).
+// TestQuantizedBundleRoundTrip pins the quantized-bundle contract: an int8
+// bundle saves the quant section, records the precision in the manifest,
+// cold-loads into a scorer serving at that precision, and two independent
+// cold loads score byte-identically.
 func TestQuantizedBundleRoundTrip(t *testing.T) {
 	f := getBundleFixture(t)
-	for _, prec := range []model.Precision{model.PrecisionFloat32, model.PrecisionInt8} {
+	for _, prec := range []model.Precision{model.PrecisionInt8} {
 		t.Run(string(prec), func(t *testing.T) {
 			cfg := ScorerConfig{Method: tuning.MethodPCA, Seed: 7, Precision: prec}
 			bs, err := BuildScorerFull(f.pl, cfg, f.baseLines, f.labels)
@@ -53,6 +52,11 @@ func TestQuantizedBundleRoundTrip(t *testing.T) {
 			}
 			if p, _ := tuning.ScorerPrecision(lb.Scorer); p != prec {
 				t.Fatalf("loaded scorer serves at %q, want %q", p, prec)
+			}
+			// Without a cascade section the served stack is the scorer
+			// itself, already at the manifest precision.
+			if sv, err := lb.Serving(); err != nil || sv != lb.Scorer {
+				t.Fatalf("Serving() = %T, %v; want the loaded scorer", sv, err)
 			}
 			got, err := lb.Scorer.Score(f.evalLines)
 			if err != nil {
@@ -133,6 +137,48 @@ func TestQuantizedBundleSharesHead(t *testing.T) {
 	}
 	if f64m.Version == i8m.Version {
 		t.Error("content-derived versions collide despite differing precision")
+	}
+}
+
+// TestBundleRejectsFloat32 loads a bundle whose manifest says float32 — the
+// precision clmtrain could once emit — and expects a clear retrain
+// instruction, not a corruption error: the bundle is intact, this build
+// just no longer serves that precision.
+func TestBundleRejectsFloat32(t *testing.T) {
+	f := getBundleFixture(t)
+	bs, err := BuildScorerFull(f.pl,
+		ScorerConfig{Method: tuning.MethodPCA, Seed: 7, Precision: model.PrecisionInt8},
+		f.baseLines, f.labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := SaveBundle(dir, f.pl, bs, ""); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestFile)
+	mj, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(mj), `"precision": "int8"`, `"precision": "float32"`, 1)
+	if edited == string(mj) {
+		t.Fatalf("manifest carries no int8 precision field:\n%s", mj)
+	}
+	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadScorerBundle(dir)
+	if err == nil {
+		t.Fatal("float32 bundle loaded")
+	}
+	if errors.Is(err, ErrBundleCorrupt) {
+		t.Errorf("float32 bundle reported as corrupt: %v", err)
+	}
+	for _, want := range []string{"float32", "-precision int8"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
 

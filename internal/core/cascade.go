@@ -3,7 +3,7 @@ package core
 // Build-time calibration of the scoring cascade. The cascade's thresholds
 // are not tunables an operator guesses at: they are derived from the f64
 // scorer's own score distribution on the fitting corpus, so the composed
-// cascade provably stays inside the precision ladder's parity bounds.
+// cascade provably stays inside the int8 parity bound.
 //
 //   - ClearThreshold: walk calibration lines in ascending rarity order and
 //     extend the cleared prefix as long as the lines inside it that score in
@@ -216,11 +216,11 @@ func quantile(xs []float64, q float64) float64 {
 
 // BuildCascade assembles a serving CascadeScorer from a float64 confirm
 // scorer and a calibrated artifact. The int8 triage rung is derived from
-// the confirm scorer through the precision ladder — shared frozen
-// artifacts, its own engine — so one backbone serves both model rungs.
+// the confirm scorer with tuning.AtPrecision — shared frozen artifacts,
+// its own engine — so one backbone serves both model rungs.
 func BuildCascade(confirm tuning.Scorer, art *CascadeArtifact) (*tuning.CascadeScorer, error) {
 	if art == nil {
-		return nil, fmt.Errorf("core: no cascade artifact (retrain the bundle with -cascade, or supply a baseline to calibrate from)")
+		return nil, fmt.Errorf("core: no cascade artifact (retrain the bundle with -cascade)")
 	}
 	triage, err := tuning.AtPrecision(confirm, model.PrecisionInt8)
 	if err != nil {

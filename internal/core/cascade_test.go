@@ -131,9 +131,13 @@ func TestCascadeBundleRoundTrip(t *testing.T) {
 	if lb.Cascade.Params != art.Params {
 		t.Fatalf("loaded params %+v != calibrated %+v", lb.Cascade.Params, art.Params)
 	}
-	loaded, err := BuildCascade(lb.Scorer, lb.Cascade)
+	// The manifest's cascade section makes Serving compose the cascade.
+	loaded, err := lb.Serving()
 	if err != nil {
 		t.Fatalf("compose loaded: %v", err)
+	}
+	if _, ok := loaded.(*tuning.CascadeScorer); !ok {
+		t.Fatalf("cascade bundle serves %T, want *tuning.CascadeScorer", loaded)
 	}
 	got, err := loaded.Score(f.evalLines)
 	if err != nil {

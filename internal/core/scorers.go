@@ -98,7 +98,7 @@ func BuildScorer(pl *Pipeline, cfg ScorerConfig, baseLines []string, labels []bo
 func BuildScorerFull(pl *Pipeline, cfg ScorerConfig, baseLines []string, labels []bool) (*BuiltScorer, error) {
 	if !cfg.Precision.Valid() {
 		// Reject before minutes of tuning, not after.
-		return nil, fmt.Errorf("core: unknown precision %q (want float64 | float32 | int8)", cfg.Precision)
+		return nil, fmt.Errorf("core: unknown precision %q (want float64 | int8)", cfg.Precision)
 	}
 	bs := &BuiltScorer{
 		Backbone: pl.Model,

@@ -66,7 +66,7 @@ func (c *Control) Injected() int64 { return c.injected.Load() }
 // injects nothing; fields combine (a call can both stall and then error).
 // It forwards Replicable, CacheStatser, and PrecisionSwitcher to the inner
 // scorer so a faulted scorer still fans out across shards, reports cache
-// stats, and rides the precision-degradation ladder.
+// stats, and rides the degrade policy's int8 downshift.
 type Scorer struct {
 	Inner tuning.Scorer
 	Ctl   *Control

@@ -25,14 +25,14 @@ type InferScratch struct {
 	scores []float64
 
 	// Float32 mirrors of the buffers above, allocated instead of the
-	// float64 set on the low-precision rungs (see infer32.go).
+	// float64 set on the int8 path (see infer32.go).
 	x32, q32, k32, v32, attn32, resid32 *tensor.Matrix32
 	ff32                                *tensor.Matrix32
 	scores32                            []float32
 	// kt32/vh32 are the attention kernel's per-head panel scratch
 	// (transposed K, gathered V), capacity MaxSeqLen·headDim.
 	kt32, vh32 []float32
-	// qs is the int8 rung's activation-quantization scratch.
+	// qs is the int8 path's activation-quantization scratch.
 	qs tensor.QuantScratch
 }
 
@@ -43,9 +43,9 @@ func NewInferScratch(cfg Config, maxTokens int) *InferScratch {
 	return NewInferScratchPrec(cfg, maxTokens, PrecisionFloat64)
 }
 
-// NewInferScratchPrec allocates an arena for the given precision rung: the
-// float64 buffer set for PrecisionFloat64, the float32 set (plus the int8
-// quantization scratch when needed) for the low rungs.
+// NewInferScratchPrec allocates an arena for the given precision: the
+// float64 buffer set for PrecisionFloat64, the float32 activation set plus
+// the quantization scratch for PrecisionInt8.
 func NewInferScratchPrec(cfg Config, maxTokens int, prec Precision) *InferScratch {
 	if prec == "" {
 		prec = PrecisionFloat64
@@ -82,13 +82,11 @@ func (s *InferScratch) grow(n int) {
 		headDim := s.cfg.Hidden / s.cfg.Heads
 		s.kt32 = make([]float32, s.cfg.MaxSeqLen*headDim)
 		s.vh32 = make([]float32, s.cfg.MaxSeqLen*headDim)
-		if s.prec == PrecisionInt8 {
-			w := s.cfg.Hidden
-			if s.cfg.FFN > w {
-				w = s.cfg.FFN
-			}
-			s.qs.EnsureQuant(w, w)
+		w := s.cfg.Hidden
+		if s.cfg.FFN > w {
+			w = s.cfg.FFN
 		}
+		s.qs.EnsureQuant(w, w)
 		return
 	}
 	s.x = tensor.NewMatrix(n, s.cfg.Hidden)

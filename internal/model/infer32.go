@@ -6,28 +6,23 @@ import (
 	"clmids/internal/tensor"
 )
 
-// Low-precision tape-free forward pass. The structure is line-for-line the
-// float64 InferForward: embeddings + position rows, embedding LayerNorm,
-// then per block QKV projections, fused attention, output projection,
-// residual + LayerNorm, FFN with GELU, residual + LayerNorm. Activations
-// are float32 throughout; on the int8 rung the six linear weight matmuls
-// per block run through the quantized kernel (dynamic per-row activation
-// scales, int32 accumulate) and everything else stays float32.
+// Int8 tape-free forward pass. The structure is line-for-line the float64
+// InferForward: embeddings + position rows, embedding LayerNorm, then per
+// block QKV projections, fused attention, output projection, residual +
+// LayerNorm, FFN with GELU, residual + LayerNorm. Activations are float32
+// throughout; the six linear weight matmuls per block run through the
+// quantized kernel (dynamic per-row activation scales, int32 accumulate).
 
-// lowLinearInto dispatches one linear layer to the float32 or int8 kernel.
+// lowLinearInto runs one linear layer through the int8 kernel.
 func lowLinearInto(x *tensor.Matrix32, ll *lowLinear, out *tensor.Matrix32, s *InferScratch) {
-	if ll.Q != nil {
-		tensor.InferQuantLinearInto(x, ll.Q, ll.B, out, &s.qs)
-		return
-	}
-	tensor.InferLinearInto32(x, ll.W, ll.B, out)
+	tensor.InferQuantLinearInto(x, ll.Q, ll.B, out, &s.qs)
 }
 
-// InferForward32 runs the encoder forward pass at the scratch's reduced
-// precision rung, writing every intermediate into the float32 arena. The
-// returned hidden-state matrix ([batch.Tokens(), Hidden]) is owned by the
-// scratch and valid until its next use. The encoder's lowered weights for
-// the rung are converted and cached on first use (see Lowered).
+// InferForward32 runs the encoder forward pass on the int8 path, writing
+// every intermediate into the float32 arena. The returned hidden-state
+// matrix ([batch.Tokens(), Hidden]) is owned by the scratch and valid
+// until its next use. The encoder's int8 weights are
+// converted and cached on first use (see Lowered).
 func (e *Encoder) InferForward32(batch Batch, s *InferScratch) (*tensor.Matrix32, error) {
 	if s == nil {
 		return nil, fmt.Errorf("model: InferForward32 needs a scratch arena")

@@ -1,14 +1,13 @@
-// Low-precision serving weights — the model half of the precision ladder.
+// Low-precision serving weights — the model half of the int8 serve path.
 //
 // The float64 encoder stays the canonical representation: training, the
 // golden tests, and every persisted model snapshot are bitwise untouched.
-// For serving, the encoder can be "lowered" once per precision into a
-// LowWeights mirror — float32 copies of every matrix, or int8 quantized
-// linear weights (per-output-channel symmetric scales, tensor.Int8Matrix)
-// with float32 norms/biases/embeddings — which the tape-free inference
-// kernels then run against. Lowering is deterministic, so a quantized
-// bundle section and an on-the-fly conversion of the same float64 weights
-// are byte-identical.
+// For serving, the encoder can be "lowered" once into a LowWeights mirror
+// — int8 quantized linear weights (per-output-channel symmetric scales,
+// tensor.Int8Matrix) with float32 norms/biases/embeddings — which the
+// tape-free inference kernels then run against. Lowering is deterministic,
+// so a quantized bundle section and an on-the-fly conversion of the same
+// float64 weights are byte-identical.
 package model
 
 import (
@@ -20,51 +19,49 @@ import (
 )
 
 // Precision selects the serve-path arithmetic. The zero value means
-// float64 (the canonical path); float32 halves GEMM memory traffic; int8
-// quarters weight traffic again and accumulates in int32.
+// float64 (the canonical path); int8 quarters weight traffic and
+// accumulates in int32, with float32 activations.
 type Precision string
 
-// The precision ladder, fastest-to-most-exact.
+// The two serving precisions.
 const (
 	PrecisionFloat64 Precision = "float64"
-	PrecisionFloat32 Precision = "float32"
 	PrecisionInt8    Precision = "int8"
 )
 
 // ParsePrecision maps flag/manifest spellings to a Precision. The empty
 // string is float64 so zero-valued configs keep today's exact behavior.
+// float32 was a serving precision once; it is rejected with a pointer to
+// the replacement rather than as an unknown spelling.
 func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "", "f64", "float64":
 		return PrecisionFloat64, nil
-	case "f32", "float32":
-		return PrecisionFloat32, nil
 	case "int8", "i8":
 		return PrecisionInt8, nil
+	case "f32", "float32":
+		return "", fmt.Errorf("model: float32 precision is no longer served; retrain the bundle with -precision int8 or the default float64")
 	default:
-		return "", fmt.Errorf("model: unknown precision %q (want float64 | float32 | int8)", s)
+		return "", fmt.Errorf("model: unknown precision %q (want float64 | int8)", s)
 	}
 }
 
-// Valid reports whether p is one of the ladder's rungs ("" counts as
-// float64).
+// Valid reports whether p is a serving precision ("" counts as float64).
 func (p Precision) Valid() bool {
 	switch p {
-	case "", PrecisionFloat64, PrecisionFloat32, PrecisionInt8:
+	case "", PrecisionFloat64, PrecisionInt8:
 		return true
 	}
 	return false
 }
 
-// Low reports whether p selects a reduced-precision serve path.
-func (p Precision) Low() bool { return p == PrecisionFloat32 || p == PrecisionInt8 }
+// Low reports whether p selects the reduced-precision (int8) serve path.
+func (p Precision) Low() bool { return p == PrecisionInt8 }
 
-// lowLinear is one linear layer's serving weights at reduced precision:
-// exactly one of W (float32) or Q (int8 + per-column scales) is set; the
-// bias stays float32 on both rungs (it is added once per output element —
+// lowLinear is one linear layer's int8 serving weights (per-column scales
+// inside Q); the bias stays float32 (it is added once per output element —
 // quantizing it buys nothing).
 type lowLinear struct {
-	W *tensor.Matrix32
 	Q *tensor.Int8Matrix
 	B *tensor.Matrix32 // may be nil
 }
@@ -76,9 +73,9 @@ type lowBlock struct {
 	FFGamma, FFBeta          *tensor.Matrix32
 }
 
-// LowWeights is an encoder's full serving weight set at one reduced
-// precision. It is immutable after construction and safe to share across
-// engines, scratch arenas, and shard replicas.
+// LowWeights is an encoder's full int8 serving weight set. It is
+// immutable after construction and safe to share across engines, scratch
+// arenas, and shard replicas.
 type LowWeights struct {
 	prec     Precision
 	cfg      Config
@@ -88,33 +85,26 @@ type LowWeights struct {
 	blocks   []lowBlock
 }
 
-// Precision returns the rung these weights were lowered to.
+// Precision returns the precision these weights were lowered to (int8).
 func (lw *LowWeights) Precision() Precision { return lw.prec }
 
-// lowerLinear converts one linear layer; quant selects the int8 rung for
-// the weight matrix (biases narrow to float32 either way).
-func lowerLinear(w, b *tensor.Matrix, quant bool) lowLinear {
-	var ll lowLinear
-	if quant {
-		ll.Q = tensor.QuantizeMatrix(w)
-	} else {
-		ll.W = tensor.Narrow(w)
-	}
+// lowerLinear quantizes one linear layer's weight matrix to int8 and
+// narrows its bias to float32.
+func lowerLinear(w, b *tensor.Matrix) lowLinear {
+	ll := lowLinear{Q: tensor.QuantizeMatrix(w)}
 	if b != nil {
 		ll.B = tensor.Narrow(b)
 	}
 	return ll
 }
 
-// Lowered returns the encoder's serving weights at precision p, converting
-// and caching them on first use (rows quantize once at load, never per
+// Lowered returns the encoder's int8 serving weights, converting and
+// caching them on first use (rows quantize once at load, never per
 // call). The encoder's float64 weights must be frozen by the time this is
 // called — the cache is never invalidated, exactly like the inference
 // engine's score memo. Safe for concurrent use.
 func (e *Encoder) Lowered(p Precision) (*LowWeights, error) {
-	switch p {
-	case PrecisionFloat32, PrecisionInt8:
-	default:
+	if !p.Low() {
 		return nil, fmt.Errorf("model: no lowered weights for precision %q", p)
 	}
 	e.lowMu.Lock()
@@ -122,7 +112,6 @@ func (e *Encoder) Lowered(p Precision) (*LowWeights, error) {
 	if lw, ok := e.lowered[p]; ok {
 		return lw, nil
 	}
-	quant := p == PrecisionInt8
 	lw := &LowWeights{
 		prec:     p,
 		cfg:      e.cfg,
@@ -134,12 +123,12 @@ func (e *Encoder) Lowered(p Precision) (*LowWeights, error) {
 	}
 	for i, blk := range e.Blocks {
 		lw.blocks[i] = lowBlock{
-			WQ:        lowerLinear(blk.WQ.W.Val, blk.WQ.B.Val, quant),
-			WK:        lowerLinear(blk.WK.W.Val, blk.WK.B.Val, quant),
-			WV:        lowerLinear(blk.WV.W.Val, blk.WV.B.Val, quant),
-			WO:        lowerLinear(blk.WO.W.Val, blk.WO.B.Val, quant),
-			FF1:       lowerLinear(blk.FF1.W.Val, blk.FF1.B.Val, quant),
-			FF2:       lowerLinear(blk.FF2.W.Val, blk.FF2.B.Val, quant),
+			WQ:        lowerLinear(blk.WQ.W.Val, blk.WQ.B.Val),
+			WK:        lowerLinear(blk.WK.W.Val, blk.WK.B.Val),
+			WV:        lowerLinear(blk.WV.W.Val, blk.WV.B.Val),
+			WO:        lowerLinear(blk.WO.W.Val, blk.WO.B.Val),
+			FF1:       lowerLinear(blk.FF1.W.Val, blk.FF1.B.Val),
+			FF2:       lowerLinear(blk.FF2.W.Val, blk.FF2.B.Val),
 			AttnGamma: tensor.Narrow(blk.AttnNorm.Gamma.Val),
 			AttnBeta:  tensor.Narrow(blk.AttnNorm.Beta.Val),
 			FFGamma:   tensor.Narrow(blk.FFNorm.Gamma.Val),
@@ -181,11 +170,10 @@ type lowSnapshot struct {
 	Prec   string
 	Cfg    Config
 	// F32 holds every float32 matrix in walk order: tok, pos, embGamma,
-	// embBeta, then per block the present lowLinear fields (W only on the
-	// float32 rung) and norm params.
+	// embBeta, then per block the linear biases and norm params.
 	F32 []*tensor.Matrix32
 	// Q holds the quantized linear weights in block order (wq, wk, wv, wo,
-	// ff1, ff2 per block); empty on the float32 rung.
+	// ff1, ff2 per block).
 	Q []*tensor.Int8Matrix
 }
 
@@ -200,11 +188,7 @@ func (lw *LowWeights) walk(f32 func(*tensor.Matrix32), q func(*tensor.Int8Matrix
 	for i := range lw.blocks {
 		b := &lw.blocks[i]
 		for _, ll := range []*lowLinear{&b.WQ, &b.WK, &b.WV, &b.WO, &b.FF1, &b.FF2} {
-			if ll.Q != nil {
-				q(ll.Q)
-			} else {
-				f32(ll.W)
-			}
+			q(ll.Q)
 			if ll.B != nil {
 				f32(ll.B)
 			}
@@ -241,7 +225,7 @@ func LoadLowWeights(r io.Reader) (*LowWeights, error) {
 	}
 	prec := Precision(snap.Prec)
 	if !prec.Low() {
-		return nil, fmt.Errorf("model: lowered-weights precision %q is not a low rung", snap.Prec)
+		return nil, fmt.Errorf("model: lowered-weights precision %q is not int8", snap.Prec)
 	}
 	if err := snap.Cfg.Validate(); err != nil {
 		return nil, err
@@ -290,14 +274,8 @@ func LoadLowWeights(r io.Reader) (*LowWeights, error) {
 		return m
 	}
 	nextLinear := func(in, out int, name string) lowLinear {
-		var ll lowLinear
-		if prec == PrecisionInt8 {
-			ll.Q = nextQ(in, out, name)
-		} else {
-			ll.W = nextF32(in, out, name)
-		}
-		ll.B = nextF32(1, out, name+" bias")
-		return ll
+		q := nextQ(in, out, name)
+		return lowLinear{Q: q, B: nextF32(1, out, name+" bias")}
 	}
 
 	lw.tok = nextF32(cfg.VocabSize, cfg.Hidden, "token embedding")

@@ -4,24 +4,21 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"clmids/internal/tensor"
 )
 
-// lowTol is the relative deviation budget per hidden-state element for the
-// low-precision forward against the float64 golden path on the tiny test
-// encoder (two blocks): float32 rounding plus, on int8, the quantization
-// error of six linear layers per block.
-const (
-	f32Tol  = 1e-4
-	int8Tol = 0.15
-)
+// int8Tol is the relative deviation budget per hidden-state element for
+// the int8 forward against the float64 golden path on the tiny test
+// encoder (two blocks): float32 rounding plus the quantization error of
+// six linear layers per block.
+const int8Tol = 0.15
 
 func TestParsePrecision(t *testing.T) {
 	for in, want := range map[string]Precision{
 		"": PrecisionFloat64, "f64": PrecisionFloat64, "float64": PrecisionFloat64,
-		"f32": PrecisionFloat32, "float32": PrecisionFloat32,
 		"i8": PrecisionInt8, "int8": PrecisionInt8,
 	} {
 		got, err := ParsePrecision(in)
@@ -32,13 +29,24 @@ func TestParsePrecision(t *testing.T) {
 	if _, err := ParsePrecision("bfloat16"); err == nil {
 		t.Error("ParsePrecision accepted an unknown rung")
 	}
+	// float32 is no longer served: both spellings fail with an error that
+	// names it and points at the replacement.
+	for _, in := range []string{"float32", "f32"} {
+		_, err := ParsePrecision(in)
+		if err == nil || !strings.Contains(err.Error(), "float32") || !strings.Contains(err.Error(), "-precision int8") {
+			t.Errorf("ParsePrecision(%q) = %v; want a float32 retrain error", in, err)
+		}
+	}
+	if Precision("float32").Valid() || Precision("float32").Low() {
+		t.Error("float32 still counts as a serving precision")
+	}
 	if !Precision("").Valid() || Precision("int4").Valid() {
 		t.Error("Valid() wrong on edge spellings")
 	}
 }
 
-// TestInferForward32MatchesFloat64 drives the full low-precision forward
-// on both rungs and bounds the deviation from the float64 golden path.
+// TestInferForward32MatchesFloat64 drives the full int8 forward and bounds
+// the deviation from the float64 golden path.
 func TestInferForward32MatchesFloat64(t *testing.T) {
 	enc, err := NewEncoder(tinyConfig(), rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -53,7 +61,7 @@ func TestInferForward32MatchesFloat64(t *testing.T) {
 	for _, tc := range []struct {
 		prec Precision
 		tol  float64
-	}{{PrecisionFloat32, f32Tol}, {PrecisionInt8, int8Tol}} {
+	}{{PrecisionInt8, int8Tol}} {
 		s := NewInferScratchPrec(enc.Config(), batch.Tokens(), tc.prec)
 		if s.Precision() != tc.prec {
 			t.Fatalf("scratch precision %q, want %q", s.Precision(), tc.prec)
@@ -107,7 +115,7 @@ func TestInferEmbedCLSDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := NewInferScratchPrec(enc.Config(), batch.Tokens(), PrecisionFloat32)
+	s := NewInferScratchPrec(enc.Config(), batch.Tokens(), PrecisionInt8)
 	gotEmb := tensor.NewMatrix(batch.Size(), enc.Config().Hidden)
 	gotCLS := tensor.NewMatrix(batch.Size(), enc.Config().Hidden)
 	if err := enc.InferEmbedInto(batch, s, gotEmb, 0); err != nil {
@@ -116,17 +124,18 @@ func TestInferEmbedCLSDispatch(t *testing.T) {
 	if err := enc.InferCLSInto(batch, s, gotCLS, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d := maxAbsDiff(t, wantEmb, gotEmb); d > f32Tol*10 {
+	// The tiny encoder's pooled rows sit ~1e-4 from float64 on int8.
+	if d := maxAbsDiff(t, wantEmb, gotEmb); d > 1e-3 {
 		t.Errorf("embed deviation %g", d)
 	}
-	if d := maxAbsDiff(t, wantCLS, gotCLS); d > f32Tol*10 {
+	if d := maxAbsDiff(t, wantCLS, gotCLS); d > 1e-3 {
 		t.Errorf("cls deviation %g", d)
 	}
 
 	// The float64 entry points must refuse a low-precision scratch and
 	// vice versa, not silently mix rungs.
 	if _, err := enc.InferForward(batch, s); err == nil {
-		t.Error("InferForward accepted a float32 scratch")
+		t.Error("InferForward accepted an int8 scratch")
 	}
 	if _, err := enc.InferForward32(batch, f64s); err == nil {
 		t.Error("InferForward32 accepted a float64 scratch")
@@ -141,7 +150,7 @@ func TestLowWeightsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prec := range []Precision{PrecisionFloat32, PrecisionInt8} {
+	for _, prec := range []Precision{PrecisionInt8} {
 		lw, err := enc.Lowered(prec)
 		if err != nil {
 			t.Fatal(err)

@@ -65,17 +65,16 @@ type Daemon struct {
 	svc       *stream.Service
 	bundleDir string
 	modality  string // the served modality; reloads must match it
-	cascade   bool   // -cascade: reload bundles must carry a cascade section
 
 	reloadMu sync.Mutex // serializes /reload + SIGHUP loads
 }
 
 // NewDaemon returns a not-yet-ready daemon: /healthz answers 200, scoring
 // routes answer 503 until Attach. bundleDir is the default /reload source
-// (empty: reloads need an explicit ?bundle=dir); cascade pins reloads to
-// bundles carrying a cascade section.
-func NewDaemon(bundleDir string, cascade bool) *Daemon {
-	return &Daemon{bundleDir: bundleDir, cascade: cascade}
+// (empty: reloads need an explicit ?bundle=dir). The bool is ignored: each
+// reload serves whatever its bundle's manifest says (cascade or not).
+func NewDaemon(bundleDir string, _ bool) *Daemon {
+	return &Daemon{bundleDir: bundleDir}
 }
 
 // Attach publishes the service and locks in the served modality; the daemon
@@ -98,7 +97,9 @@ func (d *Daemon) Service() (*stream.Service, bool) {
 var ErrNoBundle = errors.New("no bundle directory: started without -bundle; pass ?bundle=dir")
 
 // Reload loads the bundle at dir (default: the active bundle directory)
-// and hot-swaps it into every shard, returning the new version. A
+// and hot-swaps the stack its manifest describes (LoadedBundle.Serving)
+// into every shard, returning the new version: a reload may move a daemon
+// between float64, int8 and cascade bundles. A
 // successful explicit reload rebinds the active directory, so SIGHUP and
 // parameterless reloads keep refreshing whatever is currently serving.
 // The expensive part — deserializing and replicating — happens before the
@@ -132,13 +133,9 @@ func (d *Daemon) Reload(dir string) (string, error) {
 	if err := lb.CheckModality(served); err != nil {
 		return "", err
 	}
-	next := lb.Scorer
-	if d.cascade {
-		// A cascade daemon stays a cascade across reloads: a bundle without
-		// the cascade section is rejected and the old scorer keeps serving.
-		if next, err = core.BuildCascade(lb.Scorer, lb.Cascade); err != nil {
-			return "", err
-		}
+	next, err := lb.Serving()
+	if err != nil {
+		return "", err
 	}
 	if err := svc.SwapScorer(next, lb.Manifest.Version); err != nil {
 		return "", err
@@ -279,7 +276,7 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	// Readiness: route traffic here only once the scorer serves. A shard
-	// held below native precision by the degrade policy is still ready —
+	// held at int8 by the degrade policy is still ready —
 	// degraded capacity beats no capacity — but the state is surfaced so
 	// operators and probes can see it.
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {

@@ -10,18 +10,18 @@ package stream
 //   - shed: refuse with ErrOverloaded; the HTTP layer maps it to 429 +
 //     Retry-After so well-behaved producers back off.
 //   - degrade: keep accepting, but under sustained saturation downshift
-//     the shard's scorer one rung on the precision ladder (float64 →
-//     float32 → int8, PR 5), trading the documented parity bounds for 3-4×
-//     cold throughput; shift back up after sustained calm (hysteresis).
+//     the shard's scorer from its native precision to int8 (on a cascade:
+//     the confirm rung moves to int8), trading the documented int8 parity
+//     bound for ~3× cold throughput; shift back after sustained calm
+//     (hysteresis).
 //
 // Degradation is per shard (a hot user hashing to one shard degrades only
 // that shard) and swaps whole scorers via Detector.SwapScorer, so no batch
-// ever mixes rungs and verdict thresholds stay within the PR 5 parity
-// bounds the corpus harness pins.
+// ever mixes precisions and verdict thresholds stay within the int8
+// parity bound the corpus harness pins.
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,7 +39,7 @@ const (
 	// OverloadShed rejects with ErrOverloaded instead of queueing.
 	OverloadShed
 	// OverloadDegrade blocks like OverloadBlock, and additionally
-	// downshifts saturated shards' scorers down the precision ladder.
+	// downshifts saturated shards' scorers to int8.
 	OverloadDegrade
 )
 
@@ -71,56 +71,29 @@ func ParseOverloadPolicy(s string) (OverloadPolicy, error) {
 	}
 }
 
-// precisionLadder is the degradation order, most exact first.
-var precisionLadder = [...]model.Precision{
-	model.PrecisionFloat64, model.PrecisionFloat32, model.PrecisionInt8,
-}
-
-// rungsFrom returns the ladder from a scorer's native rung downward: a
-// float32-native scorer can only degrade to int8; an int8-native one has
-// nowhere to go.
-func rungsFrom(native model.Precision) []model.Precision {
-	if native == "" {
-		native = model.PrecisionFloat64
-	}
-	for i, p := range precisionLadder {
-		if p == native {
-			return precisionLadder[i:]
-		}
-	}
-	return []model.Precision{native}
-}
-
-// shardDegrade is one shard's degradation state. The hysteresis fields
-// (overAt, calmAt) are only touched under the service's degMu (single
-// monitor discipline); base and ladder sit behind the small local mutex so
-// Stats and /readyz read displayed state without waiting behind an
-// in-flight scorer swap; rung and the shift counters are atomics.
+// shardDegrade is one shard's degradation state. base, lever and the
+// hysteresis fields (overAt, calmAt) are only touched under the service's
+// degMu (single monitor discipline); degraded and the shift counters are
+// atomics, so Stats and /readyz read them without waiting behind an
+// in-flight scorer swap.
 type shardDegrade struct {
-	mu      sync.Mutex // guards base + ladder (rebind on reload vs. readers)
-	base    tuning.Scorer
-	ladder  []model.Precision
-	rung    atomic.Int32 // index into ladder; 0 = native
-	overAt  time.Time    // start of the current saturated stretch (zero: calm)
-	calmAt  time.Time    // start of the current calm stretch while degraded
-	downs   atomic.Int64
-	ups     atomic.Int64
-	lastErr atomic.Value // string: most recent shift failure, for /stats
+	base     tuning.Scorer // the native scorer a recovery restores
+	lever    bool          // base serves above int8: there is a downshift
+	degraded atomic.Bool   // the shard serves base's int8 variant
+	overAt   time.Time     // start of the current saturated stretch (zero: calm)
+	calmAt   time.Time     // start of the current calm stretch while degraded
+	downs    atomic.Int64
+	ups      atomic.Int64
 }
 
-// rebind points one shard's degradation state at a (new) native scorer.
+// rebind points one shard's degradation state at a (new) native scorer. A
+// scorer that reports no precision, or already serves int8, has no lever:
+// the shard still serves, the policy just cannot cheapen it.
 func (st *shardDegrade) rebind(base tuning.Scorer) {
-	ladder := []model.Precision{model.PrecisionFloat64}
-	if native, ok := tuning.ScorerPrecision(base); ok {
-		ladder = rungsFrom(native)
-	}
-	// else: no reported rung — nothing to degrade through; the shard still
-	// serves, the policy just has no lever here.
-	st.mu.Lock()
+	native, ok := tuning.ScorerPrecision(base)
 	st.base = base
-	st.ladder = ladder
-	st.mu.Unlock()
-	st.rung.Store(0)
+	st.lever = ok && !native.Low()
+	st.degraded.Store(false)
 	st.downs.Store(0)
 	st.ups.Store(0)
 	st.overAt, st.calmAt = time.Time{}, time.Time{}
@@ -129,7 +102,7 @@ func (st *shardDegrade) rebind(base tuning.Scorer) {
 // initDegrade (re)binds every shard's degradation state to its current
 // scorer — at service construction, and after a hot reload installs a new
 // artifact (a reload resets degradation: the new bundle serves at its
-// native rung until overload says otherwise). Callers hold degMu.
+// native precision until overload says otherwise). Callers hold degMu.
 func (s *Service) initDegrade() {
 	for i, sh := range s.shards {
 		s.deg[i].rebind(sh.det.scorerRef())
@@ -166,13 +139,13 @@ func (s *Service) monitor() {
 
 // PollOverload runs one overload sampling sweep at the given instant: each
 // shard's queue depth is compared against the high-water mark and the
-// hysteresis clock advanced — downshifting after DegradeAfter of sustained
-// saturation, upshifting after RecoverAfter of sustained calm. The monitor
-// goroutine calls it every OverloadTick; it is exported so drills and
-// tests can drive the hysteresis clock deterministically. A sweep that
-// decides to shift blocks until the shard's in-flight batch commits
-// (SwapScorer semantics): the swap takes effect at the first moment it can
-// influence scoring.
+// hysteresis clock advanced — downshifting to int8 after DegradeAfter of
+// sustained saturation, shifting back after RecoverAfter of sustained
+// calm. The monitor goroutine calls it every OverloadTick; it is exported
+// so drills and tests can drive the hysteresis clock deterministically. A
+// sweep that decides to shift blocks until the shard's in-flight batch
+// commits (SwapScorer semantics): the swap takes effect at the first
+// moment it can influence scoring.
 func (s *Service) PollOverload(now time.Time) {
 	if s.cfg.Overload != OverloadDegrade {
 		return
@@ -188,29 +161,26 @@ func (s *Service) PollOverload(now time.Time) {
 // observeShard advances one shard's hysteresis state machine. Callers hold
 // degMu.
 func (s *Service) observeShard(sh *svcShard, st *shardDegrade, saturated bool, now time.Time) {
-	st.mu.Lock()
-	rungs := len(st.ladder)
-	st.mu.Unlock()
-	if rungs < 2 {
+	if !st.lever {
 		return
 	}
-	rung := int(st.rung.Load())
+	degraded := st.degraded.Load()
 	if saturated {
 		st.calmAt = time.Time{}
 		if st.overAt.IsZero() {
 			st.overAt = now
 			return
 		}
-		if now.Sub(st.overAt) >= s.cfg.DegradeAfter && rung < rungs-1 {
-			if s.shiftShard(sh, st, rung+1) {
+		if now.Sub(st.overAt) >= s.cfg.DegradeAfter && !degraded {
+			if s.shiftShard(sh, st, true) {
 				st.downs.Add(1)
 			}
-			st.overAt = now // the next rung needs its own sustained stretch
+			st.overAt = now
 		}
 		return
 	}
 	st.overAt = time.Time{}
-	if rung == 0 {
+	if !degraded {
 		st.calmAt = time.Time{}
 		return
 	}
@@ -219,56 +189,38 @@ func (s *Service) observeShard(sh *svcShard, st *shardDegrade, saturated bool, n
 		return
 	}
 	if now.Sub(st.calmAt) >= s.cfg.RecoverAfter {
-		if s.shiftShard(sh, st, rung-1) {
+		if s.shiftShard(sh, st, false) {
 			st.ups.Add(1)
 		}
 		st.calmAt = now
 	}
 }
 
-// shiftShard installs the scorer for ladder[rung] on one shard. Rung 0
-// restores the original base scorer (warm score memo and all); lower rungs
-// derive a fresh variant from the base via tuning.AtPrecision — replication
-// and engine rebinding happen before the swap, so the scoring pause is the
-// pointer exchange. Returns whether the shift took effect.
-func (s *Service) shiftShard(sh *svcShard, st *shardDegrade, rung int) bool {
-	st.mu.Lock()
-	base := st.base
-	target := st.ladder[rung]
-	st.mu.Unlock()
-	next := base
-	if rung != 0 {
-		sc, err := tuning.AtPrecision(base, target)
+// shiftShard installs base's int8 variant (down) or base itself (up, warm
+// score memo and all) on one shard. The variant is derived off the hot
+// path via tuning.AtPrecision — replication and engine rebinding happen
+// before the swap, so the scoring pause is the pointer exchange. Returns
+// whether the shift took effect.
+func (s *Service) shiftShard(sh *svcShard, st *shardDegrade, down bool) bool {
+	next := st.base
+	if down {
+		sc, err := tuning.AtPrecision(st.base, model.PrecisionInt8)
 		if err != nil {
-			st.lastErr.Store(err.Error())
 			return false
 		}
 		next = sc
 	}
 	sh.det.SwapScorer(next, sh.det.ScorerVersion())
-	st.rung.Store(int32(rung))
+	st.degraded.Store(down)
 	return true
 }
 
-// info reports one shard's displayed degradation state without waiting
-// behind an in-flight swap.
-func (st *shardDegrade) info() (rung int, precision model.Precision, downs, ups int64) {
-	rung = int(st.rung.Load())
-	st.mu.Lock()
-	if rung >= len(st.ladder) {
-		rung = len(st.ladder) - 1
-	}
-	precision = st.ladder[rung]
-	st.mu.Unlock()
-	return rung, precision, st.downs.Load(), st.ups.Load()
-}
-
-// DegradedShards counts shards currently serving below their native rung.
-// Zero under every policy but degrade.
+// DegradedShards counts shards currently serving below their native
+// precision. Zero under every policy but degrade.
 func (s *Service) DegradedShards() int {
 	n := 0
 	for _, st := range s.deg {
-		if st != nil && st.rung.Load() > 0 {
+		if st != nil && st.degraded.Load() {
 			n++
 		}
 	}

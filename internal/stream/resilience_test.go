@@ -253,9 +253,10 @@ func TestShedPolicy(t *testing.T) {
 }
 
 // precScorer is a Replicable PrecisionSwitcher stub: it scores every line
-// with a constant and remembers which rung it serves at, so degradation
-// tests can watch the ladder without a real model. The gate (shared by
-// every replica and rung variant) lets tests hold a batch in flight.
+// with a constant and remembers which precision it serves at, so
+// degradation tests can watch shifts without a real model. The gate
+// (shared by every replica and precision variant) lets tests hold a batch
+// in flight.
 type precScorer struct {
 	prec  model.Precision
 	gate  *faults.Gate // nil = never blocks
@@ -287,9 +288,10 @@ func (p *precScorer) AtPrecision(prec model.Precision) (tuning.Scorer, error) {
 }
 
 // TestDegradePolicyDownshiftAndRecover drives the hysteresis clock
-// deterministically through PollOverload: sustained saturation walks the
-// shard down the ladder to int8, sustained calm walks it back to float64,
-// and verdicts keep flowing throughout.
+// deterministically through PollOverload: sustained saturation downshifts
+// the shard to int8 in one step, further saturation has nowhere lower to
+// go, sustained calm shifts it back to float64, and verdicts keep flowing
+// throughout.
 func TestDegradePolicyDownshiftAndRecover(t *testing.T) {
 	gate := &faults.Gate{}
 	gate.Hold()
@@ -306,94 +308,75 @@ func TestDegradePolicyDownshiftAndRecover(t *testing.T) {
 	svc := NewService(det, cfg)
 	defer svc.Close()
 
-	// Saturate: one request in flight (blocked on the gate), two queued.
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := svc.Submit([]Event{ev("u", int64(i), "x")}); err != nil {
-				t.Errorf("submit %d: %v", i, err)
-			}
-		}(i)
+	// saturate holds one request in flight (blocked on the gate) with two
+	// queued behind it, sweeps across a full DegradeAfter stretch, then
+	// releases the gate and waits for the requests to finish.
+	saturate := func(from int) {
+		t.Helper()
+		gate.Hold()
+		var wg sync.WaitGroup
+		for i := from; i < from+3; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if _, err := svc.Submit([]Event{ev("u", int64(i), "x")}); err != nil {
+					t.Errorf("submit %d: %v", i, err)
+				}
+			}(i)
+		}
+		waitForQueueDepth(t, svc, 2)
+		t0 := time.Now()
+		svc.PollOverload(t0) // arms the overload clock
+		swept := make(chan struct{})
+		go func() {
+			// A sweep that decides to downshift blocks in SwapScorer until
+			// the in-flight batch commits.
+			svc.PollOverload(t0.Add(cfg.DegradeAfter))
+			close(swept)
+		}()
+		time.Sleep(10 * time.Millisecond)
+		gate.Release()
+		select {
+		case <-swept:
+		case <-time.After(5 * time.Second):
+			t.Fatal("saturated sweep never completed")
+		}
+		wg.Wait()
 	}
-	waitForQueueDepth(t, svc, 2)
 
-	t0 := time.Now()
-	svc.PollOverload(t0) // arms the overload clock
-	shifted := make(chan struct{})
-	go func() {
-		// This sweep decides to downshift and blocks in SwapScorer until
-		// the in-flight batch commits.
-		svc.PollOverload(t0.Add(cfg.DegradeAfter))
-		close(shifted)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	gate.Release()
-	select {
-	case <-shifted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("downshift sweep never completed")
-	}
-	wg.Wait()
-
+	saturate(0)
 	st := svc.Stats()
 	if st.DegradedShards != 1 || !st.Shards[0].Degraded {
 		t.Fatalf("shard not degraded after sustained overload: %+v", st.Shards[0])
 	}
-	if st.Shards[0].Precision != string(model.PrecisionFloat32) || st.Shards[0].Downshifts != 1 {
-		t.Fatalf("first downshift: precision %q downs %d, want float32/1",
+	if st.Shards[0].Precision != string(model.PrecisionInt8) || st.Shards[0].Downshifts != 1 {
+		t.Fatalf("downshift: precision %q downs %d, want int8/1",
 			st.Shards[0].Precision, st.Shards[0].Downshifts)
 	}
 
-	// A calm sweep resets the overload clock (each rung needs its own
-	// sustained stretch), then a second saturation: float32 → int8.
+	// A calm sweep resets the overload clock, then a second saturated
+	// stretch: int8 is the only step down, so nothing shifts.
 	svc.PollOverload(time.Now())
-	gate.Hold()
-	for i := 3; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := svc.Submit([]Event{ev("u", int64(i), "x")}); err != nil {
-				t.Errorf("submit %d: %v", i, err)
-			}
-		}(i)
-	}
-	waitForQueueDepth(t, svc, 2)
-	t1 := time.Now()
-	svc.PollOverload(t1)
-	shifted = make(chan struct{})
-	go func() {
-		svc.PollOverload(t1.Add(cfg.DegradeAfter))
-		close(shifted)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	gate.Release()
-	select {
-	case <-shifted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("second downshift sweep never completed")
-	}
-	wg.Wait()
-	if st := svc.Stats(); st.Shards[0].Precision != string(model.PrecisionInt8) {
-		t.Fatalf("second downshift left precision %q, want int8", st.Shards[0].Precision)
+	saturate(3)
+	if st := svc.Stats(); st.Shards[0].Precision != string(model.PrecisionInt8) || st.Shards[0].Downshifts != 1 {
+		t.Fatalf("second saturation: precision %q downs %d, want int8/1",
+			st.Shards[0].Precision, st.Shards[0].Downshifts)
 	}
 
-	// Recovery: calm sweeps walk back up one rung per RecoverAfter.
+	// Recovery: a calm stretch of RecoverAfter shifts back to native.
 	t2 := time.Now()
 	svc.PollOverload(t2)
-	svc.PollOverload(t2.Add(cfg.RecoverAfter))
-	if st := svc.Stats(); st.Shards[0].Precision != string(model.PrecisionFloat32) {
-		t.Fatalf("first recovery left precision %q, want float32", st.Shards[0].Precision)
+	svc.PollOverload(t2.Add(cfg.RecoverAfter / 2))
+	if st := svc.Stats(); !st.Shards[0].Degraded {
+		t.Fatalf("recovered before RecoverAfter: %+v", st.Shards[0])
 	}
-	t3 := t2.Add(cfg.RecoverAfter)
-	svc.PollOverload(t3.Add(cfg.RecoverAfter))
+	svc.PollOverload(t2.Add(cfg.RecoverAfter))
 	st = svc.Stats()
 	if st.Shards[0].Precision != string(model.PrecisionFloat64) || st.Shards[0].Degraded {
 		t.Fatalf("recovery incomplete: %+v", st.Shards[0])
 	}
-	if st.Shards[0].Upshifts != 2 || st.Shards[0].Downshifts != 2 {
-		t.Fatalf("shift counters %d down / %d up, want 2/2", st.Shards[0].Downshifts, st.Shards[0].Upshifts)
+	if st.Shards[0].Upshifts != 1 || st.Shards[0].Downshifts != 1 {
+		t.Fatalf("shift counters %d down / %d up, want 1/1", st.Shards[0].Downshifts, st.Shards[0].Upshifts)
 	}
 	if st.DegradedShards != 0 {
 		t.Fatalf("DegradedShards = %d after recovery", st.DegradedShards)
@@ -407,7 +390,7 @@ func TestDegradePolicyDownshiftAndRecover(t *testing.T) {
 }
 
 // TestSwapScorerResetsDegradation: a hot reload under the degrade policy
-// rebinds the ladder to the incoming scorer — the new artifact serves at
+// rebinds the degrade state to the incoming scorer — the new artifact serves at
 // its native rung with fresh shift counters.
 func TestSwapScorerResetsDegradation(t *testing.T) {
 	sc := &precScorer{prec: model.PrecisionFloat64, score: 0.1}

@@ -32,17 +32,17 @@ type ServiceConfig struct {
 	BatchEvents int
 
 	// Overload selects what happens when a shard queue saturates: block
-	// (default), shed (ErrOverloaded), or degrade (block + precision
+	// (default), shed (ErrOverloaded), or degrade (block + int8
 	// downshift under sustained overload). See OverloadPolicy.
 	Overload OverloadPolicy
 	// HighWaterFrac is the queue-depth fraction at which a shard counts as
 	// saturated for the degrade policy. Default 0.75.
 	HighWaterFrac float64
 	// DegradeAfter is how long a shard must stay saturated before the
-	// degrade policy downshifts it one precision rung. Default 2s.
+	// degrade policy downshifts it to int8. Default 2s.
 	DegradeAfter time.Duration
 	// RecoverAfter is how long a degraded shard must stay calm before it
-	// shifts one rung back up. Default 15s (recovery is deliberately much
+	// shifts back to its native precision. Default 15s (recovery is deliberately much
 	// slower than degradation: flapping costs a scorer swap each way).
 	RecoverAfter time.Duration
 	// OverloadTick is the monitor's sampling interval. Default 250ms.
@@ -85,11 +85,11 @@ type ShardServiceStats struct {
 	Cache *tuning.CacheStats `json:"cache,omitempty"`
 	// CacheHitRate is Cache's hit rate, 0 without cache stats.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Precision is the shard scorer's serving rung, empty when the scorer
-	// does not report one.
+	// Precision is the shard scorer's serving precision (a cascade reports
+	// its confirm rung's), empty when the scorer does not report one.
 	Precision string `json:"precision,omitempty"`
 	// Degraded reports whether the degrade policy currently holds this
-	// shard below its native precision rung.
+	// shard at int8 below its native precision.
 	Degraded bool `json:"degraded"`
 	// Downshifts / Upshifts count this shard's precision shifts since the
 	// scorer was (re)bound.
@@ -432,9 +432,8 @@ func (s *Service) Stats() ServiceStats {
 			ss.Precision = string(p)
 		}
 		if dg := s.deg[i]; dg != nil {
-			rung, _, downs, ups := dg.info()
-			ss.Degraded = rung > 0
-			ss.Downshifts, ss.Upshifts = downs, ups
+			ss.Degraded = dg.degraded.Load()
+			ss.Downshifts, ss.Upshifts = dg.downs.Load(), dg.ups.Load()
 			if ss.Degraded {
 				st.DegradedShards++
 			}

@@ -5,45 +5,15 @@ import (
 	"math"
 )
 
-// Float32 mirrors of the forward-only inference kernels (infer.go) — the
-// middle rung of the precision ladder. The arithmetic structure (loop
-// order, blocking, fused attention layout) is identical to the float64
-// kernels; only the element type narrows, which halves the memory
-// bandwidth the pure-Go GEMM is bound by. Transcendentals (GELU's tanh,
-// softmax's exp) run through the fastExp32/fastTanh32 approximations,
-// whose ~3e-7 relative error is far below float32 rounding noise. Scores
-// from this path deviate from float64 by O(1e-6) relative per layer; the
-// float64 kernels remain the bitwise-golden reference.
-
-// InferMatMulInto32 computes out = a·b serially with the tiled float32
-// kernel, overwriting out.
-func InferMatMulInto32(a, b, out *Matrix32) {
-	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: InferMatMul32 shapes %dx%d · %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
-	}
-	out.Zero()
-	matMulRows32(a, b, out, 0, a.Rows)
-}
-
-// InferLinearInto32 computes out = x·w + bias (bias broadcast over rows;
-// may be nil), matching InferLinearInto's order: matmul first, bias after.
-func InferLinearInto32(x, w, bias, out *Matrix32) {
-	InferMatMulInto32(x, w, out)
-	if bias == nil {
-		return
-	}
-	if bias.Rows != 1 || bias.Cols != out.Cols {
-		panic(fmt.Sprintf("tensor: InferLinear32 bias %dx%d for %d-wide output",
-			bias.Rows, bias.Cols, out.Cols))
-	}
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		for j, bv := range bias.Data {
-			row[j] += bv
-		}
-	}
-}
+// Float32 mirrors of the non-linear inference kernels (infer.go) — the
+// activation half of the int8 serve path, whose linear layers run through
+// InferQuantLinearInto (quant.go). The arithmetic structure (loop order,
+// fused attention layout) is identical to the float64 kernels; only the
+// element type narrows. Transcendentals (GELU's tanh, softmax's exp) run
+// through the fastExp32/fastTanh32 approximations, whose ~3e-7 relative
+// error is far below float32 rounding noise. These kernels deviate from
+// float64 by O(1e-6) relative per layer; the float64 kernels remain the
+// bitwise-golden reference.
 
 // InferLayerNormInto32 normalizes each row of x and applies gamma/beta
 // (both 1×n), writing into out; out may alias x. Mean and variance
@@ -101,8 +71,8 @@ func InferGELUInPlace32(x *Matrix32) {
 // max(lens)²; kt and vh are per-head panel scratch with capacity ≥
 // max(lens)·(hidden/heads). Per head the kernel transposes K into kt
 // (d×S) and copies V's head columns into vh (S×d, contiguous), turning
-// both the score rows and the output rows into f32MatVec calls — the same
-// FMA kernel the linear layers run on.
+// both the score rows and the output rows into f32MatVec calls (FMA
+// assembly on capable amd64 hosts).
 func InferAttentionInto32(q, k, v *Matrix32, heads int, lens []int, scores, kt, vh []float32, out *Matrix32) {
 	hidden := q.Cols
 	if hidden%heads != 0 {

@@ -352,20 +352,12 @@ func TestQuantScratchReuseAcrossWidths(t *testing.T) {
 
 func TestInferKernels32MatchFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	T, H, FFN, heads := 11, 48, 96, 4
+	T, H, heads := 11, 48, 4
 	lens := []int{4, 6, 1}
 
 	x := NewMatrix(T, H)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
-	}
-	w := NewMatrix(H, FFN)
-	for i := range w.Data {
-		w.Data[i] = rng.NormFloat64() * 0.2
-	}
-	b := NewMatrix(1, FFN)
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64() * 0.1
 	}
 	gamma := NewMatrix(1, H)
 	beta := NewMatrix(1, H)
@@ -385,13 +377,6 @@ func TestInferKernels32MatchFloat64(t *testing.T) {
 			}
 		}
 	}
-
-	// Linear.
-	want := NewMatrix(T, FFN)
-	InferLinearInto(x, w, b, want)
-	got := NewMatrix32(T, FFN)
-	InferLinearInto32(Narrow(x), Narrow(w), Narrow(b), got)
-	check("linear", want, got, 1e-4)
 
 	// LayerNorm.
 	wantLN := NewMatrix(T, H)
@@ -469,20 +454,6 @@ func BenchmarkLinearF64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		InferLinearInto(x, w, bias, out)
 	}
-}
-
-func BenchmarkLinearF32(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	w := NewMatrix(48, 96)
-	for i := range w.Data {
-		w.Data[i] = rng.NormFloat64() * 0.2
-	}
-	w32 := Narrow(w)
-	bias := NewMatrix32(1, 96)
-	out := NewMatrix32(256, 96)
-	benchLinear(b, func(x *Matrix32, _ int) {
-		InferLinearInto32(x, w32, bias, out)
-	})
 }
 
 func BenchmarkLinearInt8(b *testing.B) {

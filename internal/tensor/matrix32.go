@@ -6,11 +6,9 @@ import (
 )
 
 // Matrix32 is a dense row-major matrix of float32 — the activation type of
-// the low-precision serve path. The pure-Go GEMM is bound by memory
-// bandwidth, not arithmetic, so halving the element width roughly halves
-// the cost of streaming a weight panel through cache. float64 remains the
-// canonical training/golden representation; Matrix32 exists only on the
-// forward-only inference path.
+// the int8 serve path (weights are int8, activations, norms and biases
+// float32). float64 remains the canonical training/golden representation;
+// Matrix32 exists only on the forward-only inference path.
 type Matrix32 struct {
 	Rows, Cols int
 	Data       []float32
@@ -62,42 +60,6 @@ func (m *Matrix32) AddInPlace(o *Matrix32) {
 	}
 	for i, v := range o.Data {
 		m.Data[i] += v
-	}
-}
-
-// panelRows32 sizes a cache panel for float32 rows: twice as many rows of
-// the same width fit in the 256 KiB budget as for float64.
-func panelRows32(cols int) int {
-	if cols <= 0 {
-		return 128
-	}
-	r := (256 << 10) / (4 * cols)
-	if r < 16 {
-		return 16
-	}
-	if r > 512 {
-		return 512
-	}
-	return r
-}
-
-// matMulRows32 computes out rows [lo,hi) of a·b in float32: cache-blocked
-// over k so a panel of b stays resident across the rows of a, each
-// (row, panel) pair handled by the f32MatVec kernel (FMA assembly on
-// capable amd64 hosts, register-blocked pure Go elsewhere). out rows must
-// be pre-zeroed.
-func matMulRows32(a, b, out *Matrix32, lo, hi int) {
-	bk := panelRows32(b.Cols)
-	n := b.Cols
-	for k0 := 0; k0 < b.Rows; k0 += bk {
-		k1 := k0 + bk
-		if k1 > b.Rows {
-			k1 = b.Rows
-		}
-		panel := b.Data[k0*n : k1*n]
-		for i := lo; i < hi; i++ {
-			f32MatVec(a.Data[i*a.Cols+k0:i*a.Cols+k1], panel, out.Data[i*n:(i+1)*n])
-		}
 	}
 }
 

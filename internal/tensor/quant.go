@@ -4,7 +4,7 @@ import (
 	"fmt"
 )
 
-// Int8 weight format — the bottom rung of the precision ladder.
+// Int8 weight format — the weights of the int8 serve path.
 //
 // Weights quantize once at load time, symmetrically per output channel
 // (per column of the [in, out] weight matrix): column j stores

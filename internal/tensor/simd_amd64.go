@@ -1,13 +1,13 @@
 package tensor
 
 // SIMD backends for the low-precision serve path. The float64 kernels stay
-// pure Go — they are the bitwise-golden reference — but the float32 and
-// int8 rungs exist to trade exactness for speed, so on amd64 they dispatch
-// to AVX2/FMA (and, for the int8 accumulation, AVX-512 VNNI when present)
-// assembly after a runtime CPUID check; pure-Go fallbacks cover older
-// hosts and other architectures. The assembly computes the same sums in a
-// different association order, which is within the low rungs' documented
-// tolerance; within one process the kernels are deterministic, so dedup,
+// pure Go — they are the bitwise-golden reference — but the int8 path and
+// its float32 activation kernels exist to trade exactness for speed, so
+// on amd64 they dispatch to AVX2/FMA (and, for the int8 accumulation,
+// AVX-512 VNNI when present) assembly after a runtime CPUID check; pure-Go
+// fallbacks cover older hosts and other architectures. The assembly
+// computes the same sums in a different association order, which is
+// within the int8 path's documented tolerance; within one process the kernels are deterministic, so dedup,
 // score-memo hits, and repeated scoring stay exactly reproducible.
 
 // haveSIMD gates the AVX2 kernels: AVX2 + FMA + OS-enabled YMM state.
@@ -112,7 +112,8 @@ func dequantRow32(acc []int32, scales []float32, rowScale float32, bias, out []f
 	dequantRow32Tail(acc[n8:], scales[n8:], rowScale, bias[n8:], out[n8:])
 }
 
-// f32MatVec dispatches one GEMM row to the FMA kernel or the fallback.
+// f32MatVec dispatches one float32 matvec row to the FMA kernel or the
+// fallback.
 func f32MatVec(a, b, out []float32) {
 	if haveSIMD {
 		f32MatVecAsm(a, b, out)

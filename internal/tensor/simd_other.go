@@ -3,7 +3,7 @@
 package tensor
 
 // Non-amd64 builds run the low-precision kernels through the pure-Go
-// fallbacks; the precision ladder still works, it just climbs slower.
+// fallbacks; the int8 path still works, just slower.
 
 func f32MatVec(a, b, out []float32)                 { f32MatVecGo(a, b, out) }
 func int8MatVec(qa []int16, wt []int8, acc []int32) { int8MatVecGo(qa, wt, acc) }

@@ -4,7 +4,7 @@ package tuning
 //
 //	rung 0  rarity pre-filter   zero model calls; clears lines whose every
 //	                            unit is common (rarity ≤ ClearThreshold)
-//	rung 1  int8 triage         the PR 5 low-precision engine scores what
+//	rung 1  int8 triage         the int8 engine scores what
 //	                            rung 0 could not clear
 //	rung 2  f64 confirm         exact re-score of lines whose triage score
 //	                            lands in the escalation band (≥ EscalateLow)
@@ -133,8 +133,8 @@ type CascadeStatser interface {
 // It is replicable (replicas share the immutable rarity table and frozen
 // model artifacts, and carry their own engines, score memos, and counters),
 // cache-aware (CacheStats sums both model rungs), and precision-switchable
-// (the degradation ladder shifts the confirm rung, so an overloaded shard
-// confirms escalations at f32/int8 instead of stalling).
+// (the degrade policy moves the confirm rung to int8, so an overloaded
+// shard confirms escalations at int8 instead of stalling).
 type CascadeScorer struct {
 	rarity  *RarityTable
 	triage  Scorer
@@ -291,7 +291,7 @@ func (c *CascadeScorer) Precision() model.Precision {
 // precision p while the triage rung and thresholds are unchanged — the
 // degradation lever the streaming layer's overload policy pulls. Degrading
 // a cascade therefore cheapens only the escalation band; rung-0 clears and
-// int8 triage already cost as little as the ladder allows.
+// int8 triage already cost as little as they can.
 func (c *CascadeScorer) AtPrecision(p model.Precision) (Scorer, error) {
 	if !p.Valid() {
 		return nil, fmt.Errorf("tuning: unknown precision %q", p)

@@ -55,9 +55,9 @@ type EngineConfig struct {
 	// CacheLines bounds Score's memo: up to this many distinct inputs keep
 	// their final score (0 or negative disables the memo).
 	CacheLines int
-	// Precision selects the serve-path arithmetic rung (the zero value is
-	// float64, the canonical path). On the low rungs every worker scratch
-	// is a float32 arena and the encoder's weights are lowered once at
+	// Precision selects the serve-path arithmetic (the zero value is
+	// float64, the canonical path). At int8 every worker scratch is a
+	// float32 activation arena and the encoder's weights are lowered once at
 	// engine construction; embeddings leaving the engine stay canonical
 	// float64, so the heads and verdict aggregation run unchanged.
 	Precision model.Precision
