@@ -1,11 +1,11 @@
-package main
+package clmids
 
-// Docs mode (-docs): the documentation gate for CI. It enforces the two
-// invariants that keep a growing repo's prose trustworthy without manual
-// review: every intra-repo markdown link resolves to a file that exists,
-// and every exported Go identifier carries a doc comment. Both rot
-// silently — a renamed file breaks the README's quickstart, an undocumented
-// export breaks godoc — and both are mechanical to check.
+// TestDocs is the documentation lint. It enforces the two invariants that
+// keep a growing repo's prose trustworthy without manual review: every
+// intra-repo markdown link resolves to a file that exists, and every
+// exported Go identifier carries a doc comment. Both rot silently — a
+// renamed file breaks the README's quickstart, an undocumented export
+// breaks godoc — and both are mechanical to check.
 
 import (
 	"fmt"
@@ -18,7 +18,19 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"testing"
 )
+
+// TestDocs lints the repository this test runs in, bench/ included.
+func TestDocs(t *testing.T) {
+	problems, err := lintDocs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
 
 // mdLink matches the target of an inline markdown link or image,
 // [text](target); reference-style links are not used in this repo.
@@ -27,7 +39,7 @@ var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 // lintDocs walks the repo at root and returns one problem per violation:
 // a relative markdown link whose target does not exist, or an exported Go
 // identifier without a doc comment. Problems are sorted by file for stable
-// CI output.
+// output.
 func lintDocs(root string) ([]string, error) {
 	var mdFiles, goDirs []string
 	seenDir := map[string]bool{}
@@ -172,5 +184,69 @@ func receiverTypeName(recv *ast.FieldList) string {
 		default:
 			return ""
 		}
+	}
+}
+
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for name, body := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+func TestLintDocsFlagsBrokenLinksAndMissingDocs(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"README.md": "see [design](docs/DESIGN.md), [gone](docs/MISSING.md), " +
+			"[anchor](docs/DESIGN.md#sec), [site](https://example.com/x.md), [self](#top)\n",
+		"docs/DESIGN.md": "back to [readme](../README.md)\n",
+		"pkg/pkg.go": "// Package pkg is linted.\npackage pkg\n\n" +
+			"// Documented is fine.\nfunc Documented() {}\n\n" +
+			"func Undocumented() {}\n\n" +
+			"type hidden struct{}\n\n" +
+			"func (hidden) Exported() {}\n", // unexported receiver: not linted
+		"pkg/pkg_test.go": "package pkg\n\nfunc TestOnly() {}\n",
+	})
+	problems, err := lintDocs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(problems, "\n")
+	if len(problems) != 2 {
+		t.Fatalf("want exactly 2 problems, got %d:\n%s", len(problems), joined)
+	}
+	if !strings.Contains(joined, "MISSING.md") {
+		t.Errorf("broken link not flagged:\n%s", joined)
+	}
+	if !strings.Contains(joined, "Undocumented") {
+		t.Errorf("undocumented export not flagged:\n%s", joined)
+	}
+	for _, never := range []string{"Documented", "example.com", "TestOnly", "Exported"} {
+		if strings.Contains(joined, never) {
+			t.Errorf("false positive on %s:\n%s", never, joined)
+		}
+	}
+}
+
+func TestLintDocsCleanTree(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"README.md":    "[ok](sub/OTHER.md)\n",
+		"sub/OTHER.md": "// grouped decls count as documented via the group comment\n",
+		"pkg/pkg.go": "// Package pkg is linted.\npackage pkg\n\n" +
+			"// Grouped constants share one doc comment.\nconst (\n\tA = 1\n\tB = 2\n)\n",
+	})
+	problems, err := lintDocs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 0 {
+		t.Fatalf("clean tree flagged: %v", problems)
 	}
 }

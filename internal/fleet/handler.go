@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"clmids/internal/serve"
 	"clmids/internal/stream"
@@ -122,17 +121,14 @@ func (rt *Router) Handler() http.Handler {
 	})
 	mux.HandleFunc("/sessions/export", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			http.Error(w, "POST /sessions/export?users=a,b,c", http.StatusMethodNotAllowed)
+			http.Error(w, "POST /sessions/export?users=a&users=b", http.StatusMethodNotAllowed)
 			return
 		}
 		if !rt.Ready() {
 			http.Error(w, ErrNoReplicas.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		var users []string
-		if q := r.URL.Query().Get("users"); q != "" {
-			users = strings.Split(q, ",")
-		}
+		users := r.URL.Query()["users"]
 		w.Header().Set("Content-Type", "application/octet-stream")
 		if err := rt.ExportShadow(w, users); err != nil {
 			rt.cfg.Logf("fleet: shadow export: %v", err)

