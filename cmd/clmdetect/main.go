@@ -142,8 +142,7 @@ func batchDetect(scorer tuning.Scorer, ids *commercial.IDS, method, input string
 	fmt.Println("(* = also flagged by the simulated commercial IDS)")
 	if cs, ok := scorer.(tuning.CascadeStatser); ok {
 		st := cs.CascadeStats()
-		fmt.Printf("cascade rungs: %d cleared, %d int8-triaged, %d f64-confirmed\n",
-			st.Cleared, st.Triaged, st.Escalated)
+		fmt.Printf("cascade rungs: %d int8-triaged, %d f64-confirmed\n", st.Triaged, st.Escalated)
 	}
 	return nil
 }

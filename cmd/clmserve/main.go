@@ -25,7 +25,7 @@
 //	GET  /stats   JSON snapshot of detector + queue counters, aggregated
 //	              and per shard (queue depth, memo hit rate, active scorer
 //	              bundle version, serving precision; on a cascade bundle,
-//	              the per-rung traffic split: cleared / triaged / escalated).
+//	              the per-rung traffic split: triaged / escalated).
 //	GET  /healthz liveness: 200 from the moment the socket is open, even
 //	              while the bundle is still loading.
 //	GET  /readyz  readiness: 503 until the scorer is serving — the probe
@@ -210,8 +210,8 @@ func run(args []string) error {
 	method, version, served := lb.Manifest.Method, lb.Manifest.Version, lb.Modality()
 	fmt.Fprintf(os.Stderr, "clmserve: loaded %s bundle %s (modality %s, no tuning)\n", method, version, served)
 	if c := lb.Cascade; c != nil {
-		fmt.Fprintf(os.Stderr, "clmserve: serving the scoring cascade (clear<=%.3g, escalate>=%.4g)\n",
-			c.Params.ClearThreshold, c.Params.EscalateLow)
+		fmt.Fprintf(os.Stderr, "clmserve: serving the scoring cascade (int8 triage, f64 confirm at escalate>=%.4g)\n",
+			c.Params.EscalateLow)
 	}
 
 	// One scorer replica per shard: the frozen backbone and fitted

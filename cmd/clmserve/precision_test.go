@@ -162,7 +162,7 @@ func TestReloadFollowsManifest(t *testing.T) {
 	}
 	f64Dir := save("f64", func(*core.BuiltScorer) {})
 	int8Dir := save("int8", func(bs *core.BuiltScorer) { bs.Config.Precision = model.PrecisionInt8 })
-	art, err := core.CalibrateCascade(f.bs.Scorer, f.pl.Pre.Modality(), f.test.Lines(), core.DefaultCascadeConfig())
+	art, err := core.CalibrateCascade(f.bs.Scorer, f.test.Lines())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestReloadFollowsManifest(t *testing.T) {
 		if (st.Cascade != nil) != tc.cascade {
 			t.Fatalf("step %d (%s): cascade block %+v, want present=%v", step, name, st.Cascade, tc.cascade)
 		}
-		if tc.cascade && st.Cascade.Cleared+st.Cascade.Triaged == 0 {
+		if tc.cascade && st.Cascade.Triaged == 0 {
 			t.Fatalf("step %d (%s): cascade served no traffic: %+v", step, name, st.Cascade)
 		}
 		for _, ss := range st.Shards {

@@ -66,7 +66,7 @@ func run(args []string) error {
 	bundleEpochs := fs.Int("bundle-epochs", 8, "bundle classifier tuning epochs")
 	bundleVersion := fs.String("bundle-version", "", "bundle version label (default: content-derived)")
 	precision := fs.String("precision", "", "bundle serve-path precision: float64 | int8 (int8 adds a quantized weight section; the head is trained in float64 either way)")
-	cascade := fs.Bool("cascade", false, "calibrate the scoring cascade (rarity pre-filter -> int8 triage -> f64 confirm) against the training log and emit its rarity section + thresholds with the bundle")
+	cascade := fs.Bool("cascade", false, "calibrate the scoring cascade (int8 triage -> f64 confirm) against the training log and emit its escalation threshold with the bundle")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -166,16 +166,14 @@ func run(args []string) error {
 	bs.Provenance.Corpus = *data
 	if *cascade {
 		// Calibrate the cascade against the freshly tuned f64 scorer's own
-		// score distribution on the training log; the artifact (rarity table
-		// + thresholds) rides the bundle so serving needs no corpus.
-		art, err := core.CalibrateCascade(bs.Scorer, pl.Pre.Modality(), baseLines, core.DefaultCascadeConfig())
+		// score distribution on the training log; the escalation floor
+		// rides the bundle manifest so serving needs no corpus.
+		art, err := core.CalibrateCascade(bs.Scorer, baseLines)
 		if err != nil {
 			return err
 		}
 		bs.Cascade = art
-		fmt.Printf("calibrated cascade (clear<=%.3g, clear score %.4g±%.2g, escalate>=%.4g)\n",
-			art.Params.ClearThreshold, art.Params.ClearScore,
-			art.Params.MaxClearDeviation, art.Params.EscalateLow)
+		fmt.Printf("calibrated cascade (int8 triage, f64 confirm at escalate>=%.4g)\n", art.Params.EscalateLow)
 	}
 	man, err := core.SaveBundle(*bundle, pl, bs, *bundleVersion)
 	if err != nil {

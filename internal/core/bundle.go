@@ -54,15 +54,22 @@ var ErrBundleCorrupt = errors.New("core: bundle corrupt")
 // reject the new bundle, keep the old scorer serving.
 var ErrModalityMismatch = errors.New("core: bundle modality mismatch")
 
+// ErrBundleUnsupported flags an intact manifest this build cannot serve:
+// a different bundle format, or an unknown method or precision. Retraining
+// the bundle with this build's clmtrain fixes it; an unknown modality is
+// modality.ErrUnknown instead.
+var ErrBundleUnsupported = errors.New("core: bundle unsupported")
+
 // File names inside a bundle directory (preprocessFile, tokenizerFile and
 // modelFile are shared with the pipeline layout in io.go). quantFile only
 // exists in int8 bundles (manifest Precision int8): it carries the
 // backbone's pre-lowered serving weights — int8 channels + scales — so a
 // cold start installs them instead of re-converting, and the artifact pins
 // the exact serving weights.
-// rarityFile only exists in cascade bundles (manifest Cascade != nil): it
-// carries the rung-0 rarity table, and such bundles also carry quant.gob
-// (int8) so one artifact cold-starts both model rungs over one backbone.
+// Cascade bundles (manifest Cascade != nil) carry quant.gob too, so one
+// artifact cold-starts both rungs over one backbone. rarityFile is the
+// section older cascade bundles carried for a rarity pre-filter: when a
+// manifest still lists it, load verifies its checksum and ignores it.
 const (
 	manifestFile = "manifest.json"
 	scorerFile   = "scorer.bin"
@@ -108,10 +115,10 @@ type BundleManifest struct {
 	// a retrain instruction.
 	Precision string `json:"precision,omitempty"`
 	// Cascade carries the calibrated cascade thresholds when the bundle was
-	// emitted with a rung-0 rarity section (clmtrain -cascade); nil
-	// otherwise. Cascade bundles additionally carry quant.gob (int8) so the
-	// triage rung cold-starts from pinned weights, and their confirm rung is
-	// always the canonical float64 path.
+	// emitted with clmtrain -cascade; nil otherwise. Cascade bundles
+	// additionally carry quant.gob (int8) so the triage rung cold-starts
+	// from pinned weights, and their confirm rung is always the canonical
+	// float64 path.
 	Cascade *tuning.CascadeParams `json:"cascade,omitempty"`
 	// CreatedUnix is the save time (informational; not part of Version).
 	CreatedUnix int64            `json:"created_unix"`
@@ -178,12 +185,6 @@ func SaveBundle(dir string, pl *Pipeline, bs *BuiltScorer, version string) (*Bun
 			return model.SaveLowWeights(b, lw)
 		}})
 	}
-	if bs.Cascade != nil {
-		sections = append(sections, struct {
-			name string
-			save func(*bytes.Buffer) error
-		}{rarityFile, func(b *bytes.Buffer) error { return bs.Cascade.Rarity.Save(b) }})
-	}
 	m := &BundleManifest{
 		Format:      BundleFormat,
 		Version:     version,
@@ -244,13 +245,15 @@ func deriveVersion(checksums map[string]string) string {
 
 // SectionFiles lists the data files a manifest's bundle is made of, in
 // layout order, manifest.json excluded — the surface a fault drill can
-// corrupt or truncate to exercise the load-time verification.
+// corrupt or truncate to exercise the load-time verification. An older
+// cascade bundle's rarity.bin is listed when its manifest checksums it:
+// load verifies it, then ignores it.
 func SectionFiles(m *BundleManifest) []string {
 	names := []string{preprocessFile, tokenizerFile, modelFile, scorerFile}
 	if model.Precision(m.Precision).Low() || m.Cascade != nil {
 		names = append(names, quantFile)
 	}
-	if m.Cascade != nil {
+	if _, legacy := m.Checksums[rarityFile]; legacy {
 		names = append(names, rarityFile)
 	}
 	return names
@@ -314,36 +317,15 @@ func LoadScorerBundle(dir string) (*LoadedBundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading bundle manifest: %w", err)
 	}
-	var m BundleManifest
-	if err := json.Unmarshal(mj, &m); err != nil {
-		return nil, fmt.Errorf("%w: parsing manifest: %v", ErrBundleCorrupt, err)
-	}
-	if m.Format != BundleFormat {
-		return nil, fmt.Errorf("core: unknown bundle format %q (this build reads %q)", m.Format, BundleFormat)
-	}
-	if err := ValidateMethod(m.Method); err != nil {
-		return nil, fmt.Errorf("core: bundle manifest: %w", err)
-	}
-	if err := modality.Validate(m.Modality); err != nil {
-		return nil, fmt.Errorf("core: bundle manifest: %w", err)
-	}
-	prec, err := model.ParsePrecision(m.Precision)
+	m, prec, err := parseManifest(mj)
 	if err != nil {
-		return nil, fmt.Errorf("core: bundle manifest: %w", err)
-	}
-	if m.Cascade != nil {
-		if prec.Low() {
-			return nil, fmt.Errorf("%w: cascade bundle declares low confirm precision %q", ErrBundleCorrupt, m.Precision)
-		}
-		if err := m.Cascade.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBundleCorrupt, err)
-		}
+		return nil, err
 	}
 
 	// Read and verify every section before deserializing any of them: a
 	// truncated or tampered file fails with a checksum error naming the
 	// section, not a decoder panic deep inside gob.
-	names := SectionFiles(&m)
+	names := SectionFiles(m)
 	raw := make(map[string][]byte, len(names))
 	for _, name := range names {
 		want, ok := m.Checksums[name]
@@ -362,7 +344,7 @@ func LoadScorerBundle(dir string) (*LoadedBundle, error) {
 		raw[name] = data
 	}
 
-	lb := &LoadedBundle{Manifest: m}
+	lb := &LoadedBundle{Manifest: *m}
 	if lb.Pre, err = preprocess.Load(bytes.NewReader(raw[preprocessFile])); err != nil {
 		return nil, fmt.Errorf("core: bundle %s: %w", preprocessFile, err)
 	}
@@ -378,7 +360,7 @@ func LoadScorerBundle(dir string) (*LoadedBundle, error) {
 	if lb.Model, err = model.Load(bytes.NewReader(raw[modelFile])); err != nil {
 		return nil, fmt.Errorf("core: bundle %s: %w", modelFile, err)
 	}
-	if wantQuant := quantPrecOf(&m); wantQuant.Low() {
+	if wantQuant := quantPrecOf(m); wantQuant.Low() {
 		lw, err := model.LoadLowWeights(bytes.NewReader(raw[quantFile]))
 		if err != nil {
 			return nil, fmt.Errorf("core: bundle %s: %w", quantFile, err)
@@ -402,19 +384,44 @@ func LoadScorerBundle(dir string) (*LoadedBundle, error) {
 	}
 	lb.Scorer = scorer
 	if m.Cascade != nil {
-		rt, err := tuning.LoadRarity(bytes.NewReader(raw[rarityFile]))
-		if err != nil {
-			return nil, fmt.Errorf("core: bundle %s: %w", rarityFile, err)
-		}
-		if rt.Modality() != lb.Modality() {
-			// Like the filter-state cross-check: the section is
-			// sha256-verified, so a disagreement means a hand-edited manifest.
-			return nil, fmt.Errorf("%w: manifest says modality %q but rarity table is %q",
-				ErrBundleCorrupt, lb.Modality(), rt.Modality())
-		}
-		lb.Cascade = &CascadeArtifact{Params: *m.Cascade, Rarity: rt}
+		lb.Cascade = &CascadeArtifact{Params: *m.Cascade}
 	}
 	return lb, nil
+}
+
+// parseManifest decodes and validates manifest.json: the JSON itself, the
+// format, method, modality and precision, and the cascade block. An
+// unparseable manifest or an impossible cascade block is ErrBundleCorrupt;
+// an intact one this build cannot serve is ErrBundleUnsupported or
+// modality.ErrUnknown. It also returns the serving precision the manifest
+// names. A valid manifest re-marshals to one that parses equal.
+func parseManifest(mj []byte) (*BundleManifest, model.Precision, error) {
+	var m BundleManifest
+	if err := json.Unmarshal(mj, &m); err != nil {
+		return nil, "", fmt.Errorf("%w: parsing manifest: %v", ErrBundleCorrupt, err)
+	}
+	if m.Format != BundleFormat {
+		return nil, "", fmt.Errorf("%w: unknown bundle format %q (this build reads %q)", ErrBundleUnsupported, m.Format, BundleFormat)
+	}
+	if err := ValidateMethod(m.Method); err != nil {
+		return nil, "", fmt.Errorf("%w: %v", ErrBundleUnsupported, err)
+	}
+	if err := modality.Validate(m.Modality); err != nil {
+		return nil, "", fmt.Errorf("core: bundle manifest: %w", err)
+	}
+	prec, err := model.ParsePrecision(m.Precision)
+	if err != nil {
+		return nil, "", fmt.Errorf("%w: %v", ErrBundleUnsupported, err)
+	}
+	if m.Cascade != nil {
+		if prec.Low() {
+			return nil, "", fmt.Errorf("%w: cascade bundle declares low confirm precision %q", ErrBundleCorrupt, m.Precision)
+		}
+		if err := m.Cascade.Validate(); err != nil {
+			return nil, "", fmt.Errorf("%w: %v", ErrBundleCorrupt, err)
+		}
+	}
+	return &m, prec, nil
 }
 
 // quantPrecOf is the precision the bundle's quant.gob section carries:

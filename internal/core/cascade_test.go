@@ -1,10 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"clmids/internal/model"
@@ -12,28 +16,20 @@ import (
 )
 
 // TestCalibrateCascadeShape: calibration must produce a usable operating
-// point on a realistic corpus — a finite clear threshold that actually
-// clears traffic, an escalation band that actually escalates, and a
-// composed cascade whose per-line deviation from f64-only stays within the
-// calibrated + ladder bounds on held-out lines.
+// point on a realistic corpus — an escalation band that escalates some but
+// not all lines, and a composed cascade whose per-line deviation from
+// f64-only stays within the int8 ladder bound on held-out lines.
 func TestCalibrateCascadeShape(t *testing.T) {
 	f := getBundleFixture(t)
 	bs, err := BuildScorerFull(f.pl, ScorerConfig{Method: "retrieval", Seed: 7}, f.baseLines, f.labels)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	art, err := CalibrateCascade(bs.Scorer, f.pl.Pre.Modality(), f.baseLines, DefaultCascadeConfig())
+	art, err := CalibrateCascade(bs.Scorer, f.baseLines)
 	if err != nil {
 		t.Fatalf("calibrate: %v", err)
 	}
 	p := art.Params
-	if math.IsInf(p.ClearThreshold, 0) || p.ClearThreshold >= art.Rarity.MaxRarity() {
-		t.Fatalf("clear threshold %v not inside the fitted rarity range (max %v)",
-			p.ClearThreshold, art.Rarity.MaxRarity())
-	}
-	if p.MaxClearDeviation < 0 {
-		t.Fatalf("negative max clear deviation %v", p.MaxClearDeviation)
-	}
 
 	casc, err := BuildCascade(bs.Scorer, art)
 	if err != nil {
@@ -48,15 +44,15 @@ func TestCalibrateCascadeShape(t *testing.T) {
 		t.Fatalf("f64 score: %v", err)
 	}
 	st := casc.CascadeStats()
-	if st.Cleared == 0 || st.Triaged == 0 || st.Escalated == 0 {
-		t.Fatalf("cascade not exercised on eval lines: %+v", st)
+	if st.Escalated == 0 || st.Escalated >= st.Triaged {
+		t.Fatalf("escalation band not exercised on eval lines: %+v", st)
 	}
-	if st.Cleared+st.Triaged != int64(len(f.evalLines)) {
+	if st.Triaged != int64(len(f.evalLines)) {
 		t.Fatalf("rung counts %+v do not cover %d lines", st, len(f.evalLines))
 	}
-	// Escalated lines are exact; everything else stays within the measured
-	// clear deviation or the int8 ladder bound (documented 0.15).
-	tol := math.Max(p.MaxClearDeviation, 0.15)
+	// Escalated lines are exact; everything else stays within the int8
+	// ladder bound (documented 0.15).
+	const tol = 0.15
 	for i := range want {
 		if got[i] >= p.EscalateLow && want[i] >= p.EscalateLow {
 			continue // confirmed exactly; compared below via deviation too
@@ -77,7 +73,7 @@ func TestCascadeBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	art, err := CalibrateCascade(bs.Scorer, f.pl.Pre.Modality(), f.baseLines, DefaultCascadeConfig())
+	art, err := CalibrateCascade(bs.Scorer, f.baseLines)
 	if err != nil {
 		t.Fatalf("calibrate: %v", err)
 	}
@@ -103,11 +99,10 @@ func TestCascadeBundleRoundTrip(t *testing.T) {
 		t.Fatalf("cascade bundle declares precision %q, want the float64 confirm default", man.Precision)
 	}
 	files := SectionFiles(man)
-	wantFiles := map[string]bool{quantFile: false, rarityFile: false}
+	if !slices.Contains(files, quantFile) || slices.Contains(files, rarityFile) {
+		t.Fatalf("cascade bundle sections %v, want %s and no %s", files, quantFile, rarityFile)
+	}
 	for _, name := range files {
-		if _, tracked := wantFiles[name]; tracked {
-			wantFiles[name] = true
-		}
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("section %s missing on disk: %v", name, err)
 		}
@@ -115,10 +110,8 @@ func TestCascadeBundleRoundTrip(t *testing.T) {
 			t.Fatalf("section %s has no manifest checksum", name)
 		}
 	}
-	for name, seen := range wantFiles {
-		if !seen {
-			t.Fatalf("SectionFiles omits %s for a cascade bundle: %v", name, files)
-		}
+	if _, err := os.Stat(filepath.Join(dir, rarityFile)); !os.IsNotExist(err) {
+		t.Fatalf("cascade bundle wrote %s: %v", rarityFile, err)
 	}
 
 	lb, err := LoadScorerBundle(dir)
@@ -165,34 +158,123 @@ func TestCascadeBundleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCascadeBundleTamperRejected: the rarity section is integrity-checked
-// like every other section — both by the bundle checksum and by the table's
-// own embedded checksum.
+// TestCascadeBundleTamperRejected: a cascade bundle written before the
+// cascade lost its rarity pre-filter carries clear_* keys in the manifest's
+// cascade block and a rarity.bin section. It still loads and serves exactly
+// what the same bundle without those extras serves, and its rarity.bin is
+// still integrity-checked: a flipped byte is ErrBundleCorrupt.
 func TestCascadeBundleTamperRejected(t *testing.T) {
 	f := getBundleFixture(t)
 	bs, err := BuildScorerFull(f.pl, ScorerConfig{Method: "pca", Seed: 7}, f.baseLines, nil)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	if bs.Cascade, err = CalibrateCascade(bs.Scorer, f.pl.Pre.Modality(), f.baseLines, DefaultCascadeConfig()); err != nil {
+	if bs.Cascade, err = CalibrateCascade(bs.Scorer, f.baseLines); err != nil {
 		t.Fatalf("calibrate: %v", err)
 	}
 	dir := t.TempDir()
 	if _, err := SaveBundle(dir, f.pl, bs, ""); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	path := filepath.Join(dir, rarityFile)
-	data, err := os.ReadFile(path)
+	want := servedScores(t, dir, f.evalLines)
+
+	for _, clear := range []string{`"-inf"`, `2.75`} {
+		legacy := t.TempDir()
+		writeLegacyCascadeBundle(t, dir, legacy, clear)
+		if got := servedScores(t, legacy, f.evalLines); !slices.Equal(got, want) {
+			t.Fatalf("clear_threshold %s: legacy bundle serves different scores", clear)
+		}
+
+		path := filepath.Join(legacy, rarityFile)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read %s: %v", rarityFile, err)
+		}
+		data[len(data)/2] ^= 0x01
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatalf("tamper %s: %v", rarityFile, err)
+		}
+		if _, err := LoadScorerBundle(legacy); !errors.Is(err, ErrBundleCorrupt) {
+			t.Fatalf("clear_threshold %s: tampered rarity section: got %v, want ErrBundleCorrupt", clear, err)
+		}
+	}
+}
+
+// writeLegacyCascadeBundle copies the cascade bundle at src to dst and
+// turns it into the shape older builds wrote: rung-0 keys in the
+// manifest's cascade block and a checksummed rarity.bin section.
+func writeLegacyCascadeBundle(t *testing.T, src, dst, clearThreshold string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
 	if err != nil {
-		t.Fatalf("read %s: %v", rarityFile, err)
+		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("tamper %s: %v", rarityFile, err)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := LoadScorerBundle(dir); !errors.Is(err, ErrBundleCorrupt) {
-		t.Fatalf("tampered rarity section: got %v, want ErrBundleCorrupt", err)
+	rarity := []byte("clmids-rarity v1\nmodality shell\ncmd 3\nls 2\ncat 1\n")
+	if err := os.WriteFile(filepath.Join(dst, rarityFile), rarity, 0o644); err != nil {
+		t.Fatal(err)
 	}
+
+	mj, err := os.ReadFile(filepath.Join(src, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(mj, &m); err != nil {
+		t.Fatal(err)
+	}
+	var casc map[string]json.RawMessage
+	if err := json.Unmarshal(m["cascade"], &casc); err != nil {
+		t.Fatal(err)
+	}
+	casc["clear_threshold"] = json.RawMessage(clearThreshold)
+	casc["clear_score"] = json.RawMessage(`0.125`)
+	casc["max_clear_deviation"] = json.RawMessage(`0.0625`)
+	var sums map[string]string
+	if err := json.Unmarshal(m["checksums"], &sums); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(rarity)
+	sums[rarityFile] = hex.EncodeToString(sum[:])
+	for key, v := range map[string]any{"cascade": casc, "checksums": sums} {
+		if m[key], err = json.Marshal(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dst, manifestFile), out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// servedScores loads the bundle at dir and scores lines through the stack
+// its manifest says to serve.
+func servedScores(t *testing.T, dir string, lines []string) []float64 {
+	t.Helper()
+	lb, err := LoadScorerBundle(dir)
+	if err != nil {
+		t.Fatalf("load %s: %v", dir, err)
+	}
+	sc, err := lb.Serving()
+	if err != nil {
+		t.Fatalf("serving %s: %v", dir, err)
+	}
+	scores, err := sc.Score(lines)
+	if err != nil {
+		t.Fatalf("score %s: %v", dir, err)
+	}
+	return scores
 }
 
 // TestCascadeBundleRejectsLowPrecision: the confirm rung is the float64

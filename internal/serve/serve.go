@@ -66,6 +66,10 @@ type Daemon struct {
 	modality  string // the served modality; reloads must match it
 
 	reloadMu sync.Mutex // serializes /reload + SIGHUP loads
+
+	// now stamps events that arrive without a time. It is time.Now except
+	// in tests, which fix it so verdicts are reproducible.
+	now func() time.Time
 }
 
 // NewDaemon returns a not-yet-ready daemon: /healthz answers 200, scoring
@@ -73,7 +77,7 @@ type Daemon struct {
 // (empty: reloads need an explicit ?bundle=dir). The bool is ignored: each
 // reload serves whatever its bundle's manifest says (cascade or not).
 func NewDaemon(bundleDir string, _ bool) *Daemon {
-	return &Daemon{bundleDir: bundleDir}
+	return &Daemon{bundleDir: bundleDir, now: time.Now}
 }
 
 // Attach publishes the service and locks in the served modality; the daemon
@@ -181,7 +185,7 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 			http.Error(w, "scorer loading, not ready", http.StatusServiceUnavailable)
 			return
 		}
-		HandleScore(svc, chunk, w, r)
+		handleScore(svc.SubmitContext, chunk, d.now, w, r)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		svc, ok := d.Service()
@@ -296,7 +300,7 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 	return mux
 }
 
-// HandleScore streams NDJSON events through the service in chunks,
+// HandleScoreFunc streams NDJSON events through submit in chunks,
 // writing NDJSON verdicts back as each chunk completes. Submitting chunk
 // by chunk (rather than slurping the body) keeps memory bounded and
 // propagates queue backpressure to the client through TCP. A malformed
@@ -309,15 +313,17 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 // non-finite score) ends the response torn, after the verdicts before it:
 // a client matching verdicts to events by position must never see a
 // short stream.
-func HandleScore(svc *stream.Service, chunk int, w http.ResponseWriter, r *http.Request) {
-	HandleScoreFunc(svc.SubmitContext, chunk, w, r)
+//
+// Events without a time are stamped with the wall clock on arrival. The
+// fleet router serves the identical protocol by plugging its routed Route
+// in as submit, so clients cannot tell a router from a replica.
+func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error), chunk int, w http.ResponseWriter, r *http.Request) {
+	handleScore(submit, chunk, time.Now, w, r)
 }
 
-// HandleScoreFunc is HandleScore over any submit function — the fleet
-// router serves the identical NDJSON protocol by plugging its routed
-// Route in place of a local service's SubmitContext, so clients cannot
-// tell a router from a replica.
-func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error), chunk int, w http.ResponseWriter, r *http.Request) {
+// handleScore is HandleScoreFunc with the clock that stamps timeless
+// events passed in.
+func handleScore(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error), chunk int, now func() time.Time, w http.ResponseWriter, r *http.Request) {
 	if chunk <= 0 {
 		chunk = 512
 	}
@@ -405,7 +411,7 @@ func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]
 			continue
 		}
 		if ev.Time == 0 {
-			ev.Time = time.Now().Unix()
+			ev.Time = now().Unix()
 		}
 		if ev.User == "" {
 			ev.User = "-"

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"clmids/internal/stream"
+	"clmids/internal/tuning"
 )
 
 // echoSubmit is a submit function that records every event it is handed
@@ -378,4 +379,52 @@ func BenchmarkHandleScore(b *testing.B) {
 	lines64 := float64(b.N) * n
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/lines64, "ns/line")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/lines64, "allocs/line")
+}
+
+// lenScorer scores a line by its length: deterministic, no model.
+type lenScorer struct{}
+
+func (lenScorer) Score(lines []string) ([]float64, error) {
+	out := make([]float64, len(lines))
+	for i, l := range lines {
+		out[i] = float64(len(l))
+	}
+	return out, nil
+}
+
+// TestScoreStampsWithDaemonClock: an event without a time is stamped from
+// the daemon's clock, not the wall clock, so under a fixed clock the
+// verdict carries that time and two fresh daemons answer the same request
+// with the same bytes.
+func TestScoreStampsWithDaemonClock(t *testing.T) {
+	fixed := time.Unix(1700000000, 0)
+	const body = `{"user":"alice","line":"ls -la"}` + "\n" + `{"user":"alice","time":1700000100,"line":"id"}` + "\n"
+	respond := func() []byte {
+		sd, err := stream.NewShardedDetector([]tuning.Scorer{lenScorer{}}, stream.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := stream.NewShardedService(sd, stream.ServiceConfig{})
+		defer svc.Close()
+		d := NewDaemon("", false)
+		d.now = func() time.Time { return fixed }
+		d.Attach(svc, "shell")
+		rec := httptest.NewRecorder()
+		NewHandler(d, 512).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/score", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	first := respond()
+	var v stream.Verdict
+	if err := json.Unmarshal(bytes.SplitN(first, []byte("\n"), 2)[0], &v); err != nil {
+		t.Fatalf("first verdict: %v\n%s", err, first)
+	}
+	if v.Time != fixed.Unix() {
+		t.Fatalf("timeless event stamped %d, want the daemon clock's %d", v.Time, fixed.Unix())
+	}
+	if second := respond(); !bytes.Equal(first, second) {
+		t.Fatalf("identical requests to fresh daemons differ:\n%s\n%s", first, second)
+	}
 }

@@ -131,7 +131,6 @@ func (d *ShardedDetector) Stats() Stats {
 			if total.Cascade == nil {
 				total.Cascade = &tuning.CascadeStats{}
 			}
-			total.Cascade.Cleared += s.Cascade.Cleared
 			total.Cascade.Triaged += s.Cascade.Triaged
 			total.Cascade.Escalated += s.Cascade.Escalated
 		}

@@ -228,8 +228,8 @@ type Stats struct {
 	QuarantineSample []string `json:"quarantine_sample,omitempty"`
 	// Cascade is the per-rung traffic split when the active scorer is a
 	// scoring cascade (tuning.CascadeStatser): how many scoring inputs the
-	// rarity pre-filter cleared, the int8 triage rung scored, and the f64
-	// confirm rung re-scored. Nil for non-cascade scorers.
+	// int8 triage rung scored and the f64 confirm rung re-scored. Nil for
+	// non-cascade scorers.
 	Cascade *tuning.CascadeStats `json:"cascade,omitempty"`
 	// ScorerVersion identifies the active scorer artifact (the bundle
 	// version for bundle-loaded scorers); empty when never set. Set at

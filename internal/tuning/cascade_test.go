@@ -1,7 +1,11 @@
 package tuning
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -32,87 +36,113 @@ func (notReplicable) Score(lines []string) ([]float64, error) {
 	return make([]float64, len(lines)), nil
 }
 
+// TestCascadeRoutesRungs: over random batches with duplicate lines, every
+// line is triaged, exactly the lines whose triage score is at or above
+// EscalateLow (the edge included) take the confirm score, the rest keep
+// the triage score, and the output stays in input order.
 func TestCascadeRoutesRungs(t *testing.T) {
-	rt := fitTestRarity(t, rarityFixtureLines())
-	cleared := "ls -la /tmp"         // dominant in the fixture: low rarity
-	triaged := "tar -xzf backup.tgz" // seen once: above the clear threshold
-	escalated := "nmap -sS 10.0.0.1" // unseen command: maximal rarity
-	params := CascadeParams{
-		ClearThreshold: rt.Rarity(cleared), // exactly the common line clears
-		ClearScore:     0.11,
-		EscalateLow:    0.5,
-	}
-	if r := rt.Rarity(triaged); r <= params.ClearThreshold {
-		t.Fatalf("fixture broken: triaged line rarity %v under clear threshold %v", r, params.ClearThreshold)
-	}
-	triage := &stubRungScorer{scores: map[string]float64{triaged: 0.3, escalated: 0.8}}
-	confirm := &stubRungScorer{scores: map[string]float64{escalated: 0.93}}
-	casc, err := NewCascadeScorer(rt, triage, confirm, params)
-	if err != nil {
-		t.Fatalf("NewCascadeScorer: %v", err)
-	}
-
-	got, err := casc.Score([]string{escalated, cleared, triaged})
-	if err != nil {
-		t.Fatalf("Score: %v", err)
-	}
-	want := []float64{0.93, 0.11, 0.3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("score[%d] = %v, want %v (all: %v)", i, got[i], want[i], got)
+	rng := rand.New(rand.NewSource(26))
+	const low = 0.5
+	for trial := 0; trial < 200; trial++ {
+		vocab := make([]string, 1+rng.Intn(12))
+		triage := &stubRungScorer{scores: map[string]float64{}}
+		confirm := &stubRungScorer{scores: map[string]float64{}}
+		for i := range vocab {
+			vocab[i] = fmt.Sprintf("cmd%d -x %d", trial, i)
+			ts := rng.Float64()
+			if rng.Intn(4) == 0 {
+				ts = low // the band edge escalates
+			}
+			triage.scores[vocab[i]] = ts
+			confirm.scores[vocab[i]] = 10 + rng.Float64()
 		}
-	}
-	if len(triage.calls) != 1 || len(triage.calls[0]) != 2 {
-		t.Fatalf("triage rung saw %v, want one batch of the two uncleared lines", triage.calls)
-	}
-	if len(confirm.calls) != 1 || len(confirm.calls[0]) != 1 || confirm.calls[0][0] != escalated {
-		t.Fatalf("confirm rung saw %v, want only the escalated line", confirm.calls)
-	}
-	st := casc.CascadeStats()
-	if st.Cleared != 1 || st.Triaged != 2 || st.Escalated != 1 {
-		t.Fatalf("CascadeStats = %+v, want 1/2/1", st)
+		lines := make([]string, rng.Intn(40))
+		for i := range lines {
+			lines[i] = vocab[rng.Intn(len(vocab))] // duplicates on purpose
+		}
+		casc, err := NewCascadeScorer(nil, triage, confirm, CascadeParams{EscalateLow: low})
+		if err != nil {
+			t.Fatalf("NewCascadeScorer: %v", err)
+		}
+		got, err := casc.Score(lines)
+		if err != nil {
+			t.Fatalf("trial %d: Score: %v", trial, err)
+		}
+		if len(got) != len(lines) {
+			t.Fatalf("trial %d: %d scores for %d lines", trial, len(got), len(lines))
+		}
+		inBand := 0
+		for i, line := range lines {
+			want := triage.scores[line]
+			if want >= low {
+				want = confirm.scores[line]
+				inBand++
+			}
+			if got[i] != want {
+				t.Fatalf("trial %d: score[%d] (%q) = %v, want %v", trial, i, line, got[i], want)
+			}
+		}
+		st := casc.CascadeStats()
+		if st.Triaged != int64(len(lines)) || st.Escalated != int64(inBand) || st.Cleared != 0 {
+			t.Fatalf("trial %d: CascadeStats = %+v, want triaged %d escalated %d", trial, st, len(lines), inBand)
+		}
+		if inBand == 0 && len(confirm.calls) != 0 {
+			t.Fatalf("trial %d: confirm rung called with an empty band: %v", trial, confirm.calls)
+		}
 	}
 }
 
-func TestCascadeAllClearedSkipsModelRungs(t *testing.T) {
-	rt := fitTestRarity(t, rarityFixtureLines())
-	triage := &stubRungScorer{scores: map[string]float64{}}
-	confirm := &stubRungScorer{scores: map[string]float64{}}
-	casc, err := NewCascadeScorer(rt, triage, confirm, CascadeParams{
-		ClearThreshold: rt.MaxRarity(), ClearScore: 0.2, EscalateLow: 1,
-	})
-	if err != nil {
-		t.Fatalf("NewCascadeScorer: %v", err)
+// failingScorer fails or returns the wrong number of scores, so the
+// cascade's rung error paths can be pinned.
+type failingScorer struct {
+	err   error
+	short bool
+}
+
+func (f failingScorer) Score(lines []string) ([]float64, error) {
+	if f.err != nil {
+		return nil, f.err
 	}
-	got, err := casc.Score([]string{"ls -la /tmp", "cat /etc/hosts"})
-	if err != nil {
-		t.Fatalf("Score: %v", err)
+	out := make([]float64, len(lines))
+	if f.short {
+		out = out[:len(out)-1]
 	}
-	for i, s := range got {
-		if s != 0.2 {
-			t.Fatalf("score[%d] = %v, want the clear score", i, s)
+	for i := range out {
+		out[i] = 1 // every line escalates
+	}
+	return out, nil
+}
+
+func (f failingScorer) Replicate() Scorer { return f }
+
+func TestCascadeRungErrorsSurface(t *testing.T) {
+	boom := errors.New("boom")
+	good := failingScorer{}
+	for _, tc := range []struct {
+		name            string
+		triage, confirm Scorer
+		want            string
+	}{
+		{"triage error", failingScorer{err: boom}, good, "triage rung"},
+		{"triage short", failingScorer{short: true}, good, "triage rung returned 1 scores for 2 lines"},
+		{"confirm error", good, failingScorer{err: boom}, "confirm rung"},
+		{"confirm short", good, failingScorer{short: true}, "confirm rung returned 1 scores for 2 lines"},
+	} {
+		casc, err := NewCascadeScorer(nil, tc.triage, tc.confirm, CascadeParams{EscalateLow: 0.5})
+		if err != nil {
+			t.Fatalf("%s: NewCascadeScorer: %v", tc.name, err)
 		}
-	}
-	if len(triage.calls) != 0 || len(confirm.calls) != 0 {
-		t.Fatal("model rungs were called for fully cleared input")
-	}
-	// An unparsable line has infinite rarity and must bypass even a maximal
-	// clear threshold.
-	if _, err := casc.Score([]string{`bad "quote`}); err != nil {
-		t.Fatalf("Score: %v", err)
-	}
-	if len(triage.calls) != 1 {
-		t.Fatal("unparsable line did not reach the triage rung")
+		_, err = casc.Score([]string{"ls", "id"})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 
 func TestCascadeReplicateIsolatesCounters(t *testing.T) {
-	rt := fitTestRarity(t, rarityFixtureLines())
-	triage := &stubRungScorer{scores: map[string]float64{}}
+	triage := &stubRungScorer{scores: map[string]float64{"ls -la /tmp": 0.2}}
 	confirm := &stubRungScorer{scores: map[string]float64{}}
-	casc, err := NewCascadeScorer(rt, triage, confirm, CascadeParams{
-		ClearThreshold: rt.MaxRarity(), ClearScore: 0.2, EscalateLow: 1,
-	})
+	casc, err := NewCascadeScorer(nil, triage, confirm, CascadeParams{EscalateLow: 1})
 	if err != nil {
 		t.Fatalf("NewCascadeScorer: %v", err)
 	}
@@ -130,32 +160,26 @@ func TestCascadeReplicateIsolatesCounters(t *testing.T) {
 	if err != nil || got[0] != 0.2 {
 		t.Fatalf("replica score = %v, %v; want 0.2", got, err)
 	}
-	if st := casc.CascadeStats(); st.Cleared != 1 {
+	if st := casc.CascadeStats(); st.Triaged != 1 {
 		t.Fatalf("original counters %+v changed by replica scoring", st)
 	}
 }
 
 func TestNewCascadeScorerValidation(t *testing.T) {
-	rt := fitTestRarity(t, rarityFixtureLines())
 	ok := &stubRungScorer{scores: map[string]float64{}}
-	params := CascadeParams{ClearThreshold: 1, ClearScore: 0, EscalateLow: 1}
-	if _, err := NewCascadeScorer(nil, ok, ok, params); err == nil {
-		t.Fatal("nil rarity table accepted")
+	params := CascadeParams{EscalateLow: 1}
+	if _, err := NewCascadeScorer(nil, nil, ok, params); err == nil {
+		t.Fatal("nil triage scorer accepted")
 	}
-	if _, err := NewCascadeScorer(rt, notReplicable{}, ok, params); err == nil {
+	if _, err := NewCascadeScorer(nil, notReplicable{}, ok, params); err == nil {
 		t.Fatal("non-replicable triage scorer accepted")
 	}
-	if _, err := NewCascadeScorer(rt, ok, notReplicable{}, params); err == nil {
+	if _, err := NewCascadeScorer(nil, ok, notReplicable{}, params); err == nil {
 		t.Fatal("non-replicable confirm scorer accepted")
 	}
-	bad := params
-	bad.EscalateLow = math.NaN()
-	if _, err := NewCascadeScorer(rt, ok, ok, bad); err == nil {
-		t.Fatal("NaN escalation floor accepted")
-	}
-	bad = params
-	bad.ClearThreshold = math.Inf(1)
-	if _, err := NewCascadeScorer(rt, ok, ok, bad); err == nil {
-		t.Fatal("+Inf clear threshold accepted")
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewCascadeScorer(nil, ok, ok, CascadeParams{EscalateLow: v}); err == nil {
+			t.Fatalf("escalation floor %v accepted", v)
+		}
 	}
 }
