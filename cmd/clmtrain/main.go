@@ -65,7 +65,7 @@ func run(args []string) error {
 	method := fs.String("method", "retrieval", "bundle detection method: classifier | retrieval | reconstruction | pca")
 	bundleEpochs := fs.Int("bundle-epochs", 8, "bundle classifier tuning epochs")
 	bundleVersion := fs.String("bundle-version", "", "bundle version label (default: content-derived)")
-	precision := fs.String("precision", "", "bundle serve-path precision: float64 | int8 (int8 adds a quantized weight section; the head is trained in float64 either way)")
+	precision := fs.String("precision", "", "bundle serve-path precision: float64 | int8 (int8 serves weights lowered from model.gob at load; the head is trained in float64 either way)")
 	cascade := fs.Bool("cascade", false, "calibrate the scoring cascade (int8 triage -> f64 confirm) against the training log and emit its escalation threshold with the bundle")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -1,20 +1,17 @@
 package anomaly
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"clmids/internal/linalg"
 	"clmids/internal/tensor"
 )
 
 // Fitted detectors persist through exported state structs so the artifact
-// layer (core bundles) can embed them in one serialized value, plus
-// Save/Load convenience wrappers for standalone round trips. Everything is
-// plain slices and matrices — no maps — so gob encoding of the same fitted
-// detector is byte-deterministic, which is what lets bundle checksums and
-// content-derived versions work.
+// layer (core bundles) can embed them in one serialized value. Everything
+// is plain slices and matrices — no maps — so gob encoding of the same
+// fitted detector is byte-deterministic, which is what lets bundle
+// checksums and content-derived versions work.
 
 const (
 	pcaDetFormat    = "clmids-pcadet v1"
@@ -54,27 +51,6 @@ func stateFormat(st *PCADetectorState) string {
 		return "<nil>"
 	}
 	return st.Format
-}
-
-// Save writes the fitted detector to w (gob, single value).
-func (d *PCADetector) Save(w io.Writer) error {
-	st, err := d.State()
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(w).Encode(st); err != nil {
-		return fmt.Errorf("anomaly: encoding PCA detector: %w", err)
-	}
-	return nil
-}
-
-// LoadPCADetector reads a detector previously written by Save.
-func LoadPCADetector(r io.Reader) (*PCADetector, error) {
-	var st PCADetectorState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("anomaly: decoding PCA detector: %w", err)
-	}
-	return RestorePCADetector(&st)
 }
 
 // validatePCA checks a deserialized PCA for internal consistency.
@@ -129,27 +105,6 @@ func RestoreRetrieval(st *RetrievalState) (*Retrieval, error) {
 		return nil, fmt.Errorf("anomaly: retrieval state: %w", err)
 	}
 	return ret, nil
-}
-
-// Save writes the fitted index to w (gob, single value).
-func (r *Retrieval) Save(w io.Writer) error {
-	st, err := r.State()
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(w).Encode(st); err != nil {
-		return fmt.Errorf("anomaly: encoding retrieval index: %w", err)
-	}
-	return nil
-}
-
-// LoadRetrieval reads an index previously written by Save.
-func LoadRetrieval(r io.Reader) (*Retrieval, error) {
-	var st RetrievalState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("anomaly: decoding retrieval index: %w", err)
-	}
-	return RestoreRetrieval(&st)
 }
 
 // validMatrix rejects matrices whose header and data disagree — the shape

@@ -151,20 +151,6 @@ func splitQuotedPair(line string) (string, string, error) {
 	return a, b, nil
 }
 
-// MergeList returns the learned merges in rank order, rendered for
-// inspection tools.
-func (t *Tokenizer) MergeList() []string {
-	merges := make([]pair, len(t.ranks))
-	for p, r := range t.ranks {
-		merges[r] = p
-	}
-	out := make([]string, len(merges))
-	for i, p := range merges {
-		out[i] = strconv.Quote(p.a) + "+" + strconv.Quote(p.b)
-	}
-	return out
-}
-
 // TopTokens returns up to n longest learned tokens, longest first; useful
 // for qualitative inspection of what the vocabulary captured (command names,
 // flag clusters, URL fragments).

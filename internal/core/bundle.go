@@ -34,6 +34,10 @@ import (
 //	model.gob         serving backbone weights
 //	scorer.bin        method head (tuning.SaveScorerHead)
 //
+// Every bundle has these four data sections, whatever its precision or
+// cascade: an int8 serving path lowers model.gob's weights at load
+// (model.Encoder.Lowered), so the served int8 weights have one source.
+//
 // Every section serializes deterministically, so re-saving the same built
 // scorer reproduces identical checksums and therefore the same derived
 // version — bundle versions are content addresses, not timestamps.
@@ -61,21 +65,24 @@ var ErrModalityMismatch = errors.New("core: bundle modality mismatch")
 var ErrBundleUnsupported = errors.New("core: bundle unsupported")
 
 // File names inside a bundle directory (preprocessFile, tokenizerFile and
-// modelFile are shared with the pipeline layout in io.go). quantFile only
-// exists in int8 bundles (manifest Precision int8): it carries the
-// backbone's pre-lowered serving weights — int8 channels + scales — so a
-// cold start installs them instead of re-converting, and the artifact pins
-// the exact serving weights.
-// Cascade bundles (manifest Cascade != nil) carry quant.gob too, so one
-// artifact cold-starts both rungs over one backbone. rarityFile is the
-// section older cascade bundles carried for a rarity pre-filter: when a
-// manifest still lists it, load verifies its checksum and ignores it.
+// modelFile are shared with the pipeline layout in io.go). The legacy
+// files are sections older builds wrote and this one no longer reads:
+// quantFile held int8 and cascade bundles' pre-lowered backbone weights,
+// rarityFile older cascade bundles' rarity pre-filter. When a manifest
+// still checksums one, load verifies it and ignores it. The format stays
+// clmids-bundle v1: a build from before quant.gob was dropped refuses a
+// newer int8 or cascade bundle as corrupt (no quant.gob checksum), which
+// fails closed.
 const (
 	manifestFile = "manifest.json"
 	scorerFile   = "scorer.bin"
 	quantFile    = "quant.gob"
 	rarityFile   = "rarity.bin"
 )
+
+// legacyFiles are the sections SectionFiles lists only when a manifest
+// checksums them, in layout order.
+var legacyFiles = []string{quantFile, rarityFile}
 
 // BundleProvenance records where a bundle's supervision came from, so a
 // fleet operator can tell two same-method bundles apart.
@@ -108,17 +115,15 @@ type BundleManifest struct {
 	// Config is the ScorerConfig the head was built with.
 	Config ScorerConfig `json:"config"`
 	// Precision is the serve-path precision the bundle was emitted for;
-	// empty or "float64" means the canonical path (no quantized section).
-	// "int8" adds the quant.gob section holding the lowered backbone
-	// weights, and loading builds the scorer's engine at this precision.
+	// empty or "float64" means the canonical path. "int8" makes loading
+	// build the scorer's engine at int8, lowering model.gob's weights.
 	// A "float32" manifest (an older build's middle rung) is refused with
 	// a retrain instruction.
 	Precision string `json:"precision,omitempty"`
 	// Cascade carries the calibrated cascade thresholds when the bundle was
-	// emitted with clmtrain -cascade; nil otherwise. Cascade bundles
-	// additionally carry quant.gob (int8) so the triage rung cold-starts
-	// from pinned weights, and their confirm rung is always the canonical
-	// float64 path.
+	// emitted with clmtrain -cascade; nil otherwise. The triage rung runs
+	// at int8 on model.gob's lowered weights, and the confirm rung is
+	// always the canonical float64 path.
 	Cascade *tuning.CascadeParams `json:"cascade,omitempty"`
 	// CreatedUnix is the save time (informational; not part of Version).
 	CreatedUnix int64            `json:"created_unix"`
@@ -162,29 +167,6 @@ func SaveBundle(dir string, pl *Pipeline, bs *BuiltScorer, version string) (*Bun
 		{modelFile, func(b *bytes.Buffer) error { return bs.Backbone.Save(b) }},
 		{scorerFile, func(b *bytes.Buffer) error { return tuning.SaveScorerHead(b, bs.Scorer) }},
 	}
-	quantPrec := prec
-	if bs.Cascade != nil {
-		// A cascade bundle serves its confirm rung at float64 but must
-		// cold-start the int8 triage rung from pinned weights too.
-		quantPrec = model.PrecisionInt8
-	}
-	if quantPrec.Low() {
-		// The quantized section is derived deterministically from the
-		// float64 backbone (Lowered caches the conversion), so re-saving
-		// reproduces identical bytes and the content-derived version is
-		// stable across float64 and low-precision emissions of the same
-		// training run only differing in this section.
-		sections = append(sections, struct {
-			name string
-			save func(*bytes.Buffer) error
-		}{quantFile, func(b *bytes.Buffer) error {
-			lw, err := bs.Backbone.Encoder.Lowered(quantPrec)
-			if err != nil {
-				return err
-			}
-			return model.SaveLowWeights(b, lw)
-		}})
-	}
 	m := &BundleManifest{
 		Format:      BundleFormat,
 		Version:     version,
@@ -214,7 +196,7 @@ func SaveBundle(dir string, pl *Pipeline, bs *BuiltScorer, version string) (*Bun
 		m.Checksums[s.name] = hex.EncodeToString(sum[:])
 	}
 	if m.Version == "" {
-		m.Version = deriveVersion(m.Checksums)
+		m.Version = deriveVersion(m)
 	}
 
 	mj, err := json.MarshalIndent(m, "", "  ")
@@ -230,15 +212,25 @@ func SaveBundle(dir string, pl *Pipeline, bs *BuiltScorer, version string) (*Bun
 // deriveVersion hashes the section checksums (in file-name order) into a
 // short content address: two bundles with identical sections always get
 // the same derived version, regardless of when or where they were saved.
-func deriveVersion(checksums map[string]string) string {
-	names := make([]string, 0, len(checksums))
-	for name := range checksums {
+// The int8 and cascade bundles of one training run share every section,
+// so a non-default precision and the cascade block, which decide what the
+// bundle serves, are hashed too; a float64 bundle hashes its checksums
+// alone.
+func deriveVersion(m *BundleManifest) string {
+	names := make([]string, 0, len(m.Checksums))
+	for name := range m.Checksums {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	h := sha256.New()
 	for _, name := range names {
-		fmt.Fprintf(h, "%s %s\n", name, checksums[name])
+		fmt.Fprintf(h, "%s %s\n", name, m.Checksums[name])
+	}
+	if m.Precision != "" {
+		fmt.Fprintf(h, "precision %s\n", m.Precision)
+	}
+	if m.Cascade != nil {
+		fmt.Fprintf(h, "cascade %+v\n", *m.Cascade)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:12]
 }
@@ -246,15 +238,14 @@ func deriveVersion(checksums map[string]string) string {
 // SectionFiles lists the data files a manifest's bundle is made of, in
 // layout order, manifest.json excluded — the surface a fault drill can
 // corrupt or truncate to exercise the load-time verification. An older
-// cascade bundle's rarity.bin is listed when its manifest checksums it:
-// load verifies it, then ignores it.
+// bundle's quant.gob or rarity.bin is listed when its manifest checksums
+// it: load verifies it, then ignores it.
 func SectionFiles(m *BundleManifest) []string {
 	names := []string{preprocessFile, tokenizerFile, modelFile, scorerFile}
-	if model.Precision(m.Precision).Low() || m.Cascade != nil {
-		names = append(names, quantFile)
-	}
-	if _, legacy := m.Checksums[rarityFile]; legacy {
-		names = append(names, rarityFile)
+	for _, name := range legacyFiles {
+		if _, ok := m.Checksums[name]; ok {
+			names = append(names, name)
+		}
 	}
 	return names
 }
@@ -309,9 +300,8 @@ func (lb *LoadedBundle) CheckModality(want string) error {
 // manifest format and every section checksum, then deserializes the
 // backbone, tokenizer, and head into the same memoizing engine-backed
 // scorer BuildScorer would have produced — no baseline corpus, no tuning.
-// Scores from a float64 bundle are byte-identical to the freshly built
-// scorer's; a low-precision bundle additionally installs its quantized
-// section into the backbone and serves at the manifest's precision.
+// Scores are byte-identical to the freshly built scorer's at the manifest's
+// precision; an int8 engine lowers the backbone's weights when it is built.
 func LoadScorerBundle(dir string) (*LoadedBundle, error) {
 	mj, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -360,21 +350,6 @@ func LoadScorerBundle(dir string) (*LoadedBundle, error) {
 	if lb.Model, err = model.Load(bytes.NewReader(raw[modelFile])); err != nil {
 		return nil, fmt.Errorf("core: bundle %s: %w", modelFile, err)
 	}
-	if wantQuant := quantPrecOf(m); wantQuant.Low() {
-		lw, err := model.LoadLowWeights(bytes.NewReader(raw[quantFile]))
-		if err != nil {
-			return nil, fmt.Errorf("core: bundle %s: %w", quantFile, err)
-		}
-		if lw.Precision() != wantQuant {
-			return nil, fmt.Errorf("core: bundle %s is %s but manifest says %s",
-				quantFile, lw.Precision(), wantQuant)
-		}
-		// Install the pinned serving weights; the engine built below finds
-		// them in the encoder's cache instead of re-lowering.
-		if err := lb.Model.Encoder.SetLowered(lw); err != nil {
-			return nil, fmt.Errorf("core: bundle %s: %w", quantFile, err)
-		}
-	}
 	scorer, method, err := tuning.LoadScorerHeadPrec(bytes.NewReader(raw[scorerFile]), lb.Model.Encoder, lb.Tok, prec)
 	if err != nil {
 		return nil, fmt.Errorf("core: bundle %s: %w", scorerFile, err)
@@ -422,17 +397,4 @@ func parseManifest(mj []byte) (*BundleManifest, model.Precision, error) {
 		}
 	}
 	return &m, prec, nil
-}
-
-// quantPrecOf is the precision the bundle's quant.gob section carries:
-// the manifest precision for low-precision bundles, int8 for cascade
-// bundles (whose manifest precision is the float64 confirm rung).
-func quantPrecOf(m *BundleManifest) model.Precision {
-	if p := model.Precision(m.Precision); p.Low() {
-		return p
-	}
-	if m.Cascade != nil {
-		return model.PrecisionInt8
-	}
-	return model.PrecisionFloat64
 }

@@ -99,8 +99,8 @@ func TestCascadeBundleRoundTrip(t *testing.T) {
 		t.Fatalf("cascade bundle declares precision %q, want the float64 confirm default", man.Precision)
 	}
 	files := SectionFiles(man)
-	if !slices.Contains(files, quantFile) || slices.Contains(files, rarityFile) {
-		t.Fatalf("cascade bundle sections %v, want %s and no %s", files, quantFile, rarityFile)
+	if want := []string{preprocessFile, tokenizerFile, modelFile, scorerFile}; !slices.Equal(files, want) {
+		t.Fatalf("cascade bundle sections %v, want %v", files, want)
 	}
 	for _, name := range files {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
@@ -110,8 +110,21 @@ func TestCascadeBundleRoundTrip(t *testing.T) {
 			t.Fatalf("section %s has no manifest checksum", name)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, rarityFile)); !os.IsNotExist(err) {
-		t.Fatalf("cascade bundle wrote %s: %v", rarityFile, err)
+	for _, legacy := range legacyFiles {
+		if _, err := os.Stat(filepath.Join(dir, legacy)); !os.IsNotExist(err) {
+			t.Fatalf("cascade bundle wrote %s: %v", legacy, err)
+		}
+	}
+	// The float64 bundle of the same run shares every section; only the
+	// cascade block tells the two apart, and the derived version hashes it.
+	plain := *bs
+	plain.Cascade = nil
+	f64m, err := SaveBundle(t.TempDir(), f.pl, &plain, "")
+	if err != nil {
+		t.Fatalf("save float64: %v", err)
+	}
+	if f64m.Version == man.Version {
+		t.Fatalf("cascade and float64 bundles share version %s", man.Version)
 	}
 
 	lb, err := LoadScorerBundle(dir)
@@ -158,11 +171,12 @@ func TestCascadeBundleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCascadeBundleTamperRejected: a cascade bundle written before the
-// cascade lost its rarity pre-filter carries clear_* keys in the manifest's
-// cascade block and a rarity.bin section. It still loads and serves exactly
-// what the same bundle without those extras serves, and its rarity.bin is
-// still integrity-checked: a flipped byte is ErrBundleCorrupt.
+// TestCascadeBundleTamperRejected: a cascade bundle written by older
+// builds carries clear_* keys in the manifest's cascade block and
+// checksummed rarity.bin and quant.gob sections. It still loads and serves
+// exactly what the same bundle without those extras serves, and each
+// legacy section is still integrity-checked: a flipped byte is
+// ErrBundleCorrupt.
 func TestCascadeBundleTamperRejected(t *testing.T) {
 	f := getBundleFixture(t)
 	bs, err := BuildScorerFull(f.pl, ScorerConfig{Method: "pca", Seed: 7}, f.baseLines, nil)
@@ -179,31 +193,37 @@ func TestCascadeBundleTamperRejected(t *testing.T) {
 	want := servedScores(t, dir, f.evalLines)
 
 	for _, clear := range []string{`"-inf"`, `2.75`} {
-		legacy := t.TempDir()
-		writeLegacyCascadeBundle(t, dir, legacy, clear)
-		if got := servedScores(t, legacy, f.evalLines); !slices.Equal(got, want) {
-			t.Fatalf("clear_threshold %s: legacy bundle serves different scores", clear)
-		}
-
-		path := filepath.Join(legacy, rarityFile)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read %s: %v", rarityFile, err)
-		}
-		data[len(data)/2] ^= 0x01
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatalf("tamper %s: %v", rarityFile, err)
-		}
-		if _, err := LoadScorerBundle(legacy); !errors.Is(err, ErrBundleCorrupt) {
-			t.Fatalf("clear_threshold %s: tampered rarity section: got %v, want ErrBundleCorrupt", clear, err)
+		for _, tampered := range legacyFiles {
+			legacy := t.TempDir()
+			writeLegacyBundle(t, dir, legacy, map[string][]byte{
+				rarityFile: []byte("clmids-rarity v1\nmodality shell\ncmd 3\nls 2\ncat 1\n"),
+				quantFile:  legacyQuant,
+			}, map[string]string{
+				"clear_threshold":     clear,
+				"clear_score":         `0.125`,
+				"max_clear_deviation": `0.0625`,
+			})
+			if got := servedScores(t, legacy, f.evalLines); !slices.Equal(got, want) {
+				t.Fatalf("clear_threshold %s: legacy bundle serves different scores", clear)
+			}
+			flipByte(t, filepath.Join(legacy, tampered))
+			if _, err := LoadScorerBundle(legacy); !errors.Is(err, ErrBundleCorrupt) {
+				t.Fatalf("clear_threshold %s: tampered %s: got %v, want ErrBundleCorrupt", clear, tampered, err)
+			}
 		}
 	}
 }
 
-// writeLegacyCascadeBundle copies the cascade bundle at src to dst and
-// turns it into the shape older builds wrote: rung-0 keys in the
-// manifest's cascade block and a checksummed rarity.bin section.
-func writeLegacyCascadeBundle(t *testing.T, src, dst, clearThreshold string) {
+// legacyQuant stands in for the quant.gob section older builds wrote into
+// int8 and cascade bundles. This build verifies its checksum and never
+// decodes it, so arbitrary bytes serve.
+var legacyQuant = []byte("clmids-lowweights v1: pre-lowered int8 weights, ignored on load")
+
+// writeLegacyBundle copies the bundle at src to dst and turns it into the
+// shape older builds wrote: every entry of sections written beside the
+// others and checksummed in the manifest, and every entry of cascadeKeys
+// (raw JSON values) added to the manifest's cascade block.
+func writeLegacyBundle(t *testing.T, src, dst string, sections map[string][]byte, cascadeKeys map[string]string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)
 	if err != nil {
@@ -218,10 +238,6 @@ func writeLegacyCascadeBundle(t *testing.T, src, dst, clearThreshold string) {
 			t.Fatal(err)
 		}
 	}
-	rarity := []byte("clmids-rarity v1\nmodality shell\ncmd 3\nls 2\ncat 1\n")
-	if err := os.WriteFile(filepath.Join(dst, rarityFile), rarity, 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	mj, err := os.ReadFile(filepath.Join(src, manifestFile))
 	if err != nil {
@@ -231,21 +247,29 @@ func writeLegacyCascadeBundle(t *testing.T, src, dst, clearThreshold string) {
 	if err := json.Unmarshal(mj, &m); err != nil {
 		t.Fatal(err)
 	}
-	var casc map[string]json.RawMessage
-	if err := json.Unmarshal(m["cascade"], &casc); err != nil {
-		t.Fatal(err)
-	}
-	casc["clear_threshold"] = json.RawMessage(clearThreshold)
-	casc["clear_score"] = json.RawMessage(`0.125`)
-	casc["max_clear_deviation"] = json.RawMessage(`0.0625`)
 	var sums map[string]string
 	if err := json.Unmarshal(m["checksums"], &sums); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(rarity)
-	sums[rarityFile] = hex.EncodeToString(sum[:])
-	for key, v := range map[string]any{"cascade": casc, "checksums": sums} {
-		if m[key], err = json.Marshal(v); err != nil {
+	for name, data := range sections {
+		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		sums[name] = hex.EncodeToString(sum[:])
+	}
+	if m["checksums"], err = json.Marshal(sums); err != nil {
+		t.Fatal(err)
+	}
+	if len(cascadeKeys) > 0 {
+		var casc map[string]json.RawMessage
+		if err := json.Unmarshal(m["cascade"], &casc); err != nil {
+			t.Fatal(err)
+		}
+		for key, v := range cascadeKeys {
+			casc[key] = json.RawMessage(v)
+		}
+		if m["cascade"], err = json.Marshal(casc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,6 +278,19 @@ func writeLegacyCascadeBundle(t *testing.T, src, dst, clearThreshold string) {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dst, manifestFile), out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipByte flips one bit in the middle of the file at path.
+func flipByte(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

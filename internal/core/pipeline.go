@@ -11,7 +11,6 @@ import (
 	"math/rand"
 
 	"clmids/internal/bpe"
-	"clmids/internal/commercial"
 	"clmids/internal/modality"
 	"clmids/internal/model"
 	"clmids/internal/preprocess"
@@ -148,12 +147,6 @@ func (b *memBuffer) Read(p []byte) (int, error) {
 	n := copy(p, b.data[b.off:])
 	b.off += n
 	return n, nil
-}
-
-// Supervise obtains the noisy supervision signal for a set of lines from
-// the simulated commercial IDS (§IV).
-func (p *Pipeline) Supervise(ids *commercial.IDS, lines []string, noise commercial.Noise, seed int64) ([]bool, error) {
-	return ids.Label(lines, noise, seed)
 }
 
 // NewClassifier trains classification-based tuning on the pipeline's

@@ -69,8 +69,8 @@ type BuiltScorer struct {
 	// Provenance records where the head's supervision came from.
 	Provenance BundleProvenance
 	// Cascade, when set (CalibrateCascade), makes SaveBundle emit a cascade
-	// bundle: the int8 quant.gob for the triage rung and the calibrated
-	// escalation floor in the manifest.
+	// bundle: the calibrated escalation floor in the manifest. The int8
+	// triage rung lowers the backbone's weights at load.
 	Cascade *CascadeArtifact
 }
 

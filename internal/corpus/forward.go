@@ -11,10 +11,6 @@ import "clmids/internal/modality"
 // set.
 func BenignCommandNames() []string { return modality.ShellBenignCommandNames() }
 
-// AttackFamilies returns the distinct shell attack family names, for
-// reporting.
-func AttackFamilies() []string { return modality.ShellAttackFamilies() }
-
 // TableIIIPairs returns the paper's Table III (in-box, out-of-box) example
 // pairs. Used by the qualitative analyses (§V-C) and the generalization
 // experiment (E6).

@@ -21,9 +21,9 @@ const (
 	// fault clears or the hold duration elapses — the client's timeout is
 	// what notices.
 	ReplicaBlackhole
-	// ReplicaTorn writes a valid response prefix, then severs the
-	// connection mid-body: the torn-handoff drill (the router must treat
-	// the suffix as unacknowledged and fail it over).
+	// ReplicaTorn sends the response headers, then severs the connection
+	// at the first body write: the torn-handoff drill (the router must
+	// treat the unacknowledged body as lost and fail it over).
 	ReplicaTorn
 	// ReplicaSlow delays each response by the hold duration but answers
 	// correctly — tail latency, not failure.
@@ -38,11 +38,10 @@ const (
 // data path misbehaves (the gray failure the data-path ejection exists
 // for).
 type ReplicaFault struct {
-	mode   atomic.Int64 // -1 = off
-	hold   atomic.Int64 // nanoseconds for Blackhole/Slow
-	hits   atomic.Int64
-	spare  atomic.Bool  // exempt /healthz+/readyz from the fault
-	tornAt atomic.Int64 // bytes of valid prefix before Torn severs
+	mode  atomic.Int64 // -1 = off
+	hold  atomic.Int64 // nanoseconds for Blackhole/Slow
+	hits  atomic.Int64
+	spare atomic.Bool // exempt /healthz+/readyz from the fault
 }
 
 // NewReplicaFault returns an unarmed wrapper (passes through untouched).
@@ -63,10 +62,6 @@ func (f *ReplicaFault) ClearFault() { f.mode.Store(-1) }
 // SetHold sets the Blackhole/Slow hold duration.
 func (f *ReplicaFault) SetHold(d time.Duration) { f.hold.Store(int64(d)) }
 
-// SetTornAt sets how many response bytes ReplicaTorn lets through before
-// severing (0 severs immediately after headers).
-func (f *ReplicaFault) SetTornAt(n int) { f.tornAt.Store(int64(n)) }
-
 // SpareProbes exempts /healthz and /readyz from the fault when v is true:
 // the replica keeps looking healthy while its data path fails — the gray
 // failure only data-path ejection catches.
@@ -75,35 +70,20 @@ func (f *ReplicaFault) SpareProbes(v bool) { f.spare.Store(v) }
 // Hits returns how many requests the fault has intercepted.
 func (f *ReplicaFault) Hits() int64 { return f.hits.Load() }
 
-// tornWriter forwards up to limit bytes then reports the connection
-// severed; the handler's next write fails and the client sees a truncated
-// body.
-type tornWriter struct {
-	http.ResponseWriter
-	remaining int64
-	severed   bool
-}
+// tornWriter lets the response headers through, then reports the
+// connection severed at the first body write: the client sees a status
+// line and a truncated (empty) body.
+type tornWriter struct{ http.ResponseWriter }
 
-func (t *tornWriter) Write(p []byte) (int, error) {
-	if t.severed {
-		return 0, http.ErrAbortHandler
+func (t tornWriter) Write([]byte) (int, error) {
+	t.ResponseWriter.Write(nil) // commits the headers
+	// Abort the handler so no valid bytes follow; the server resets the
+	// connection, which is exactly what a torn network handoff looks like
+	// from the router.
+	if f, ok := t.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
 	}
-	if int64(len(p)) > t.remaining {
-		p = p[:t.remaining]
-	}
-	n, err := t.ResponseWriter.Write(p)
-	t.remaining -= int64(n)
-	if t.remaining <= 0 {
-		t.severed = true
-		// Abort the handler so no further (valid) bytes follow; the
-		// server resets the connection, which is exactly what a torn
-		// network handoff looks like from the router.
-		if f, ok := t.ResponseWriter.(http.Flusher); ok {
-			f.Flush()
-		}
-		panic(http.ErrAbortHandler)
-	}
-	return n, err
+	panic(http.ErrAbortHandler)
 }
 
 // Wrap returns next behind the fault switch.
@@ -133,7 +113,7 @@ func (f *ReplicaFault) Wrap(next http.Handler) http.Handler {
 			}
 			panic(http.ErrAbortHandler)
 		case ReplicaTorn:
-			next.ServeHTTP(&tornWriter{ResponseWriter: w, remaining: f.tornAt.Load()}, r)
+			next.ServeHTTP(tornWriter{w}, r)
 		case ReplicaSlow:
 			io.Copy(io.Discard, r.Body)
 			t := time.NewTimer(time.Duration(f.hold.Load()))

@@ -76,9 +76,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("model: non-positive dimension in %+v", c)
 	case c.Hidden%c.Heads != 0:
 		return fmt.Errorf("model: Hidden %d not divisible by Heads %d", c.Hidden, c.Heads)
-	case c.Dropout < 0 || c.Dropout >= 1:
+	// The negated comparisons below also reject NaN, which a snapshot's
+	// Config can carry.
+	case !(c.Dropout >= 0 && c.Dropout < 1):
 		return fmt.Errorf("model: Dropout %v outside [0,1)", c.Dropout)
-	case c.LayerNormEps <= 0:
+	case !(c.LayerNormEps > 0):
 		return fmt.Errorf("model: LayerNormEps must be positive")
 	}
 	return nil

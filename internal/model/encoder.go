@@ -47,11 +47,11 @@ type Encoder struct {
 	EmbNorm *nn.LayerNorm
 	Blocks  []*Block
 
-	// lowered caches the reduced-precision serving weights per rung (see
-	// precision.go); it is built lazily once the weights are frozen and
-	// never invalidated.
-	lowMu   sync.Mutex
-	lowered map[Precision]*LowWeights
+	// lowered caches the int8 serving weights (see precision.go); it is
+	// built once, lazily, after the weights are frozen and never
+	// invalidated.
+	lowOnce sync.Once
+	lowered *LowWeights
 }
 
 // NewEncoder constructs a randomly initialized encoder.

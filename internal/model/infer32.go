@@ -33,10 +33,7 @@ func (e *Encoder) InferForward32(batch Batch, s *InferScratch) (*tensor.Matrix32
 	if !s.prec.Low() {
 		return nil, fmt.Errorf("model: scratch is %s; use InferForward", s.prec)
 	}
-	lw, err := e.Lowered(s.prec)
-	if err != nil {
-		return nil, err
-	}
+	lw := e.Lowered()
 	if err := batch.Validate(e.cfg.VocabSize, e.cfg.MaxSeqLen); err != nil {
 		return nil, err
 	}

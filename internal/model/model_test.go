@@ -43,6 +43,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Dropout = 1.0 },
 		func(c *Config) { c.LayerNormEps = 0 },
 		func(c *Config) { c.Layers = -1 },
+		func(c *Config) { c.Dropout = math.NaN() },
+		func(c *Config) { c.LayerNormEps = math.NaN() },
 	}
 	for i, mutate := range bad {
 		c := tinyConfig()

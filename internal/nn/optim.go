@@ -160,13 +160,6 @@ func ClipGradNorm(params []*tensor.Tensor, maxNorm float64) float64 {
 	return norm
 }
 
-// ZeroGrads clears all parameter gradients.
-func ZeroGrads(params []*tensor.Tensor) {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-}
-
 // Schedule maps a step index to a learning rate.
 type Schedule interface {
 	// At returns the learning rate for 0-based step.

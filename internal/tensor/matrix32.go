@@ -31,15 +31,6 @@ func Narrow(m *Matrix) *Matrix32 {
 	return out
 }
 
-// Widen converts back to float64 (exact: every float32 is a float64).
-func (m *Matrix32) Widen() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = float64(v)
-	}
-	return out
-}
-
 // Row returns a mutable view of row i.
 func (m *Matrix32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 

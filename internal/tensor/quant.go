@@ -31,7 +31,8 @@ import (
 // broadcast activation pair, with no horizontal reduction anywhere. K pads
 // to KPad (multiple of 32) and N to NPad (multiple of 16) with zeros;
 // padded lanes contribute nothing. The same layout feeds the pure-Go
-// fallback, so a quantized bundle is byte-portable across hosts.
+// fallback, and QuantizeMatrix rounds without fused multiply-adds, so
+// every host lowers the same float64 weights to the same int8 bytes.
 
 // Layout quanta: weight rows pad to int8KPadAlign k's, channels to
 // int8NPadAlign.
@@ -53,36 +54,6 @@ type Int8Matrix struct {
 func (q *Int8Matrix) At(k, j int) int8 {
 	return q.Data[(j/int8NPadAlign)*q.KPad*int8NPadAlign+
 		(k/2)*2*int8NPadAlign+(j%int8NPadAlign)*2+k%2]
-}
-
-// CheckShape validates the matrix against a logical rows×cols shape, for
-// deserialization paths that must reject malformed payloads before use.
-func (q *Int8Matrix) CheckShape(rows, cols int) error {
-	switch {
-	case q.Rows != rows || q.Cols != cols:
-		return fmt.Errorf("tensor: int8 matrix is %dx%d, want %dx%d", q.Rows, q.Cols, rows, cols)
-	// Padding must be exactly canonical: the quantized-linear scratch is
-	// sized from the logical dims, so an oversize-but-consistent pad would
-	// pass here and then overrun the scratch at score time.
-	case q.KPad != (rows+int8KPadAlign-1)&^(int8KPadAlign-1):
-		return fmt.Errorf("tensor: int8 matrix KPad %d invalid for %d rows", q.KPad, rows)
-	case q.NPad != (cols+int8NPadAlign-1)&^(int8NPadAlign-1):
-		return fmt.Errorf("tensor: int8 matrix NPad %d invalid for %d cols", q.NPad, cols)
-	case len(q.Data) != q.NPad*q.KPad:
-		return fmt.Errorf("tensor: int8 matrix holds %d weights, want %d", len(q.Data), q.NPad*q.KPad)
-	case len(q.Scales) != cols:
-		return fmt.Errorf("tensor: int8 matrix has %d scales, want %d", len(q.Scales), cols)
-	}
-	// Pad lanes must stay zero: they feed the accumulators.
-	for j := 0; j < q.NPad; j++ {
-		for k := 0; k < q.KPad; k++ {
-			if (j < cols && k < rows) || q.At(k, j) == 0 {
-				continue
-			}
-			return fmt.Errorf("tensor: int8 matrix has nonzero padding at (%d,%d)", k, j)
-		}
-	}
-	return nil
 }
 
 // QuantizeMatrix quantizes a float64 weight matrix ([in, out] row-major)
@@ -122,8 +93,11 @@ func QuantizeMatrix(m *Matrix) *Int8Matrix {
 	for k := 0; k < m.Rows; k++ {
 		row := m.Row(k)
 		for j, v := range row {
+			// The explicit float64 conversion rounds the product before
+			// roundToInt8 adds 0.5; without it the spec lets arm64, ppc64le
+			// and s390x fuse the two into one FMA and round differently.
 			q.Data[(j/int8NPadAlign)*kPad*int8NPadAlign+
-				(k/2)*2*int8NPadAlign+(j%int8NPadAlign)*2+k%2] = roundToInt8(v * inv[j])
+				(k/2)*2*int8NPadAlign+(j%int8NPadAlign)*2+k%2] = roundToInt8(float64(v * inv[j]))
 		}
 	}
 	return q

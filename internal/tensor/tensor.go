@@ -26,13 +26,6 @@ func Var(m *Matrix) *Tensor { return &Tensor{Val: m, needGrad: true, op: "var"} 
 // Const wraps a matrix as a non-differentiable leaf.
 func Const(m *Matrix) *Tensor { return &Tensor{Val: m, op: "const"} }
 
-// Scalar returns a 1x1 constant tensor.
-func Scalar(v float64) *Tensor {
-	m := NewMatrix(1, 1)
-	m.Data[0] = v
-	return Const(m)
-}
-
 // NeedsGrad reports whether gradients flow into this tensor.
 func (t *Tensor) NeedsGrad() bool { return t.needGrad }
 

@@ -94,11 +94,9 @@ func NewEngine(enc *model.Encoder, tok *bpe.Tokenizer, cfg EngineConfig) *Engine
 	}
 	e := &Engine{enc: enc, tok: tok, cfg: cfg}
 	if cfg.Precision.Low() {
-		// Lower (and on int8, quantize) the frozen weights once, up front:
-		// scoring never pays conversion cost and never races on it.
-		if _, err := enc.Lowered(cfg.Precision); err != nil {
-			panic(fmt.Sprintf("tuning: lowering encoder to %s: %v", cfg.Precision, err))
-		}
+		// Quantize the frozen weights once, up front: scoring never pays
+		// conversion cost.
+		enc.Lowered()
 	} else if !cfg.Precision.Valid() {
 		panic(fmt.Sprintf("tuning: unknown engine precision %q", cfg.Precision))
 	}

@@ -32,15 +32,6 @@ func (r *RetrievalScorer) Replicate() Scorer {
 // CacheStats snapshots the serving engine's score-memo counters.
 func (r *RetrievalScorer) CacheStats() CacheStats { return r.engine.CacheStats() }
 
-// NewRetrievalScorer wraps an already-fitted retrieval index behind the
-// given serving engine — the composition TrainRetrieval builds, exposed for
-// callers that need a non-default engine configuration (a memo-off engine
-// for cold benchmarks, a custom batch geometry). The scorer owns the
-// engine's memo: do not serve another scorer from the same engine.
-func NewRetrievalScorer(engine *Engine, ret *anomaly.Retrieval) *RetrievalScorer {
-	return &RetrievalScorer{engine: engine, ret: ret}
-}
-
 // TrainRetrieval indexes the labeled training lines. k=1 reproduces the
 // paper's 1NN setting.
 func TrainRetrieval(enc *model.Encoder, tok *bpe.Tokenizer, lines []string, labels []bool, k int) (*RetrievalScorer, error) {
