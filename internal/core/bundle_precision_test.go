@@ -23,84 +23,86 @@ import (
 func TestQuantizedBundleRoundTrip(t *testing.T) {
 	f := getBundleFixture(t)
 	prec := model.PrecisionInt8
-	cfg := ScorerConfig{Method: tuning.MethodPCA, Seed: 7, Precision: prec}
-	bs, err := BuildScorerFull(f.pl, cfg, f.baseLines, f.labels)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	if p, _ := tuning.ScorerPrecision(bs.Scorer); p != prec {
-		t.Fatalf("built scorer serves at %q, want %q", p, prec)
-	}
-	want, err := bs.Scorer.Score(f.evalLines)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	man, err := SaveBundle(dir, f.pl, bs, "")
-	if err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if man.Precision != string(prec) {
-		t.Fatalf("manifest precision %q, want %q", man.Precision, prec)
-	}
-	if len(man.Checksums) != 4 {
-		t.Fatalf("int8 bundle checksums %d sections, want 4: %v", len(man.Checksums), man.Checksums)
-	}
-	if _, err := os.Stat(filepath.Join(dir, quantFile)); !os.IsNotExist(err) {
-		t.Fatalf("int8 bundle wrote %s: %v", quantFile, err)
-	}
-
-	lb, err := LoadScorerBundle(dir)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if p, _ := tuning.ScorerPrecision(lb.Scorer); p != prec {
-		t.Fatalf("loaded scorer serves at %q, want %q", p, prec)
-	}
-	// Without a cascade section the served stack is the scorer itself,
-	// already at the manifest precision.
-	if sv, err := lb.Serving(); err != nil || sv != lb.Scorer {
-		t.Fatalf("Serving() = %T, %v; want the loaded scorer", sv, err)
-	}
-	got, err := lb.Scorer.Score(f.evalLines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("line %d: cold-load %g, built %g (same rung must match bitwise)",
-				i, got[i], want[i])
+	t.Run(string(prec), func(t *testing.T) {
+		cfg := ScorerConfig{Method: tuning.MethodPCA, Seed: 7, Precision: prec}
+		bs, err := BuildScorerFull(f.pl, cfg, f.baseLines, f.labels)
+		if err != nil {
+			t.Fatalf("build: %v", err)
 		}
-	}
-
-	// A second independent cold start reproduces the same bytes.
-	lb2, err := LoadScorerBundle(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := lb2.Scorer.Score(f.evalLines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != got2[i] {
-			t.Fatalf("line %d: two cold loads diverge", i)
+		if p, _ := tuning.ScorerPrecision(bs.Scorer); p != prec {
+			t.Fatalf("built scorer serves at %q, want %q", p, prec)
 		}
-	}
+		want, err := bs.Scorer.Score(f.evalLines)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// An older build's int8 bundle carries quant.gob: it loads and serves
-	// exactly what the bundle without it serves, and the section is still
-	// checksum-verified, not ignored unread.
-	legacy := t.TempDir()
-	writeLegacyBundle(t, dir, legacy, map[string][]byte{quantFile: legacyQuant}, nil)
-	if old := servedScores(t, legacy, f.evalLines); !slices.Equal(old, servedScores(t, dir, f.evalLines)) {
-		t.Fatal("int8 bundle with a legacy quant.gob serves different scores")
-	}
-	flipByte(t, filepath.Join(legacy, quantFile))
-	if _, err := LoadScorerBundle(legacy); !errors.Is(err, ErrBundleCorrupt) {
-		t.Fatalf("tampered legacy quant.gob: got %v, want ErrBundleCorrupt", err)
-	}
+		dir := t.TempDir()
+		man, err := SaveBundle(dir, f.pl, bs, "")
+		if err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		if man.Precision != string(prec) {
+			t.Fatalf("manifest precision %q, want %q", man.Precision, prec)
+		}
+		if len(man.Checksums) != 4 {
+			t.Fatalf("int8 bundle checksums %d sections, want 4: %v", len(man.Checksums), man.Checksums)
+		}
+		if _, err := os.Stat(filepath.Join(dir, quantFile)); !os.IsNotExist(err) {
+			t.Fatalf("int8 bundle wrote %s: %v", quantFile, err)
+		}
+
+		lb, err := LoadScorerBundle(dir)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		if p, _ := tuning.ScorerPrecision(lb.Scorer); p != prec {
+			t.Fatalf("loaded scorer serves at %q, want %q", p, prec)
+		}
+		// Without a cascade section the served stack is the scorer itself,
+		// already at the manifest precision.
+		if sv, err := lb.Serving(); err != nil || sv != lb.Scorer {
+			t.Fatalf("Serving() = %T, %v; want the loaded scorer", sv, err)
+		}
+		got, err := lb.Scorer.Score(f.evalLines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("line %d: cold-load %g, built %g (same rung must match bitwise)",
+					i, got[i], want[i])
+			}
+		}
+
+		// A second independent cold start reproduces the same bytes.
+		lb2, err := LoadScorerBundle(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got2, err := lb2.Scorer.Score(f.evalLines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != got2[i] {
+				t.Fatalf("line %d: two cold loads diverge", i)
+			}
+		}
+
+		// An older build's int8 bundle carries quant.gob: it loads and serves
+		// exactly what the bundle without it serves, and the section is still
+		// checksum-verified, not ignored unread.
+		legacy := t.TempDir()
+		writeLegacyBundle(t, dir, legacy, map[string][]byte{quantFile: legacyQuant}, nil)
+		if old := servedScores(t, legacy, f.evalLines); !slices.Equal(old, servedScores(t, dir, f.evalLines)) {
+			t.Fatal("int8 bundle with a legacy quant.gob serves different scores")
+		}
+		flipByte(t, filepath.Join(legacy, quantFile))
+		if _, err := LoadScorerBundle(legacy); !errors.Is(err, ErrBundleCorrupt) {
+			t.Fatalf("tampered legacy quant.gob: got %v, want ErrBundleCorrupt", err)
+		}
+	})
 }
 
 // TestQuantizedBundleSharesHead: the float64 and int8 bundles of one
