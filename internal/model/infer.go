@@ -28,10 +28,10 @@ type InferScratch struct {
 	// float64 set on the int8 path (see infer32.go).
 	x32, q32, k32, v32, attn32, resid32 *tensor.Matrix32
 	ff32                                *tensor.Matrix32
-	scores32                            []float32
-	// kt32/vh32 are the attention kernel's per-head panel scratch
-	// (transposed K, gathered V), capacity MaxSeqLen·headDim.
-	kt32, vh32 []float32
+	// scores32 holds one query row's attention scores and kt32 one
+	// sequence's transposed K, for MaxSeqLen rounded up to the kernel's 8
+	// lanes: capacities Sp and Sp·Hidden.
+	scores32, kt32 []float32
 	// qs is the int8 path's activation-quantization scratch.
 	qs tensor.QuantScratch
 }
@@ -78,10 +78,9 @@ func (s *InferScratch) grow(n int) {
 		s.attn32 = tensor.NewMatrix32(n, s.cfg.Hidden)
 		s.resid32 = tensor.NewMatrix32(n, s.cfg.Hidden)
 		s.ff32 = tensor.NewMatrix32(n, s.cfg.FFN)
-		s.scores32 = make([]float32, s.cfg.MaxSeqLen*s.cfg.MaxSeqLen)
-		headDim := s.cfg.Hidden / s.cfg.Heads
-		s.kt32 = make([]float32, s.cfg.MaxSeqLen*headDim)
-		s.vh32 = make([]float32, s.cfg.MaxSeqLen*headDim)
+		sp := (s.cfg.MaxSeqLen + 7) &^ 7
+		s.scores32 = make([]float32, sp)
+		s.kt32 = make([]float32, sp*s.cfg.Hidden)
 		w := s.cfg.Hidden
 		if s.cfg.FFN > w {
 			w = s.cfg.FFN

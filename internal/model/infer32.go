@@ -6,12 +6,15 @@ import (
 	"clmids/internal/tensor"
 )
 
-// Int8 tape-free forward pass. The structure is line-for-line the float64
+// Int8 tape-free forward pass. The structure follows the float64
 // InferForward: embeddings + position rows, embedding LayerNorm, then per
 // block QKV projections, fused attention, output projection, residual +
 // LayerNorm, FFN with GELU, residual + LayerNorm. Activations are float32
 // throughout; the six linear weight matmuls per block run through the
-// quantized kernel (dynamic per-row activation scales, int32 accumulate).
+// quantized kernel (dynamic per-row activation scales, int32 accumulate),
+// each residual add rides in its LayerNorm's first pass
+// (InferAddLayerNormInto32), and attention is one kernel call per query
+// row and head (InferAttentionInto32).
 
 // lowLinearInto runs one linear layer through the int8 kernel.
 func lowLinearInto(x *tensor.Matrix32, ll *lowLinear, out *tensor.Matrix32, s *InferScratch) {
@@ -63,23 +66,21 @@ func (e *Encoder) InferForward32(batch Batch, s *InferScratch) (*tensor.Matrix32
 			row++
 		}
 	}
-	tensor.InferLayerNormInto32(x, lw.embGamma, lw.embBeta, e.EmbNorm.Eps, x)
+	tensor.InferAddLayerNormInto32(x, nil, lw.embGamma, lw.embBeta, e.EmbNorm.Eps, x)
 
 	for bi := range lw.blocks {
 		blk := &lw.blocks[bi]
 		lowLinearInto(x, &blk.WQ, q, s)
 		lowLinearInto(x, &blk.WK, k, s)
 		lowLinearInto(x, &blk.WV, v, s)
-		tensor.InferAttentionInto32(q, k, v, e.cfg.Heads, batch.Lens, s.scores32, s.kt32, s.vh32, attn)
+		tensor.InferAttentionInto32(q, k, v, e.cfg.Heads, batch.Lens, s.scores32, s.kt32, attn)
 		lowLinearInto(attn, &blk.WO, resid, s)
-		x.AddInPlace(resid)
-		tensor.InferLayerNormInto32(x, blk.AttnGamma, blk.AttnBeta, e.Blocks[bi].AttnNorm.Eps, x)
+		tensor.InferAddLayerNormInto32(x, resid, blk.AttnGamma, blk.AttnBeta, e.Blocks[bi].AttnNorm.Eps, x)
 
 		lowLinearInto(x, &blk.FF1, ff, s)
 		tensor.InferGELUInPlace32(ff)
 		lowLinearInto(ff, &blk.FF2, resid, s)
-		x.AddInPlace(resid)
-		tensor.InferLayerNormInto32(x, blk.FFGamma, blk.FFBeta, e.Blocks[bi].FFNorm.Eps, x)
+		tensor.InferAddLayerNormInto32(x, resid, blk.FFGamma, blk.FFBeta, e.Blocks[bi].FFNorm.Eps, x)
 	}
 	return x, nil
 }

@@ -147,26 +147,28 @@ func TestInferScratchGrows(t *testing.T) {
 
 // TestInferForwardAllocFree pins the headline property of the inference
 // engine: once the scratch arena is warm, scoring a batch allocates
-// nothing.
+// nothing, on the float64 and the int8 forward alike.
 func TestInferForwardAllocFree(t *testing.T) {
 	enc, err := NewEncoder(tinyConfig(), rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := tinyBatch()
-	scratch := NewInferScratch(enc.Config(), batch.Tokens())
-	out := tensor.NewMatrix(batch.Size(), enc.Config().Hidden)
-	// Warm up once (tokenizer-independent path; nothing should be lazy,
-	// but keep the measurement strictly steady-state).
-	if err := enc.InferEmbedInto(batch, scratch, out, 0); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	for _, prec := range []Precision{PrecisionFloat64, PrecisionInt8} {
+		scratch := NewInferScratchPrec(enc.Config(), batch.Tokens(), prec)
+		out := tensor.NewMatrix(batch.Size(), enc.Config().Hidden)
+		// Warm up once (the int8 weights lower on first use; keep the
+		// measurement strictly steady-state).
 		if err := enc.InferEmbedInto(batch, scratch, out, 0); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state inference allocates %.1f objects/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := enc.InferEmbedInto(batch, scratch, out, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state %s inference allocates %.1f objects/op, want 0", prec, allocs)
+		}
 	}
 }

@@ -1,0 +1,169 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// ---- amd64 SIMD kernels vs their pure-Go mirrors ----
+
+// sameBits32 fails the test at the first element whose bits differ.
+func sameBits32(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s [%d]: asm %g (%#08x), go %g (%#08x)", name, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestInt8MatVecKernelsMatchGo: integer arithmetic must agree exactly
+// across every available backend on the shared blocked layout, down to
+// the 4-k KPad quantum (the VNNI loop's step).
+func TestInt8MatVecKernelsMatchGo(t *testing.T) {
+	if !haveSIMD {
+		t.Skip("no AVX2/FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(2))
+	for _, kPad := range []int{4, 8, 12, 32, 48, 52, 64, 96, 100, 3104} {
+		for _, nPad := range []int{16, 32, 48, 96} {
+			qa := make([]int16, kPad)
+			for i := range qa {
+				qa[i] = int16(rng.Intn(255) - 127)
+			}
+			wt := make([]int8, kPad*nPad)
+			for i := range wt {
+				wt[i] = int8(rng.Intn(255) - 127)
+			}
+			want := make([]int32, nPad)
+			int8MatVecGo(qa, wt, want)
+
+			got := make([]int32, nPad)
+			int8MatVecAVX2(qa, wt, got)
+			for j := range want {
+				if want[j] != got[j] {
+					t.Fatalf("AVX2 KPad=%d NPad=%d acc[%d]: asm %d, go %d", kPad, nPad, j, got[j], want[j])
+				}
+			}
+			if haveVNNI {
+				for i := range got {
+					got[i] = 0
+				}
+				int8MatVecVNNI(qa, wt, got)
+				for j := range want {
+					if want[j] != got[j] {
+						t.Fatalf("VNNI KPad=%d NPad=%d acc[%d]: asm %d, go %d", kPad, nPad, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAddLayerNormKernelMatchesGo pins addLayerNormRowAsm to its Go
+// mirror bit for bit — the residual sum written back into x and the
+// normalized row — with and without a residual, into a separate out and
+// in place.
+func TestAddLayerNormKernelMatchesGo(t *testing.T) {
+	if !haveSIMD {
+		t.Skip("no AVX2/FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{4, 8, 12, 48, 64, 96, 768} {
+		gamma := randSlice32(rng, n, 2)
+		beta := randSlice32(rng, n, 1)
+		for _, withResid := range []bool{false, true} {
+			for _, alias := range []bool{false, true} {
+				x := randSlice32(rng, n, 3)
+				for i := range x {
+					x[i] += 0.5 // a nonzero mean exercises the centering
+				}
+				var resid []float32
+				if withResid {
+					resid = randSlice32(rng, n, 1)
+				}
+				xGo := append([]float32(nil), x...)
+				xAsm := append([]float32(nil), x...)
+				outGo, outAsm := xGo, xAsm
+				if !alias {
+					outGo, outAsm = make([]float32, n), make([]float32, n)
+				}
+				addLayerNormRowGo(xGo, resid, gamma, beta, 1e-5, outGo)
+				addLayerNormRowAsm(xAsm, resid, gamma, beta, 1e-5, outAsm)
+				sameBits32(t, "x", xAsm, xGo)
+				sameBits32(t, "out", outAsm, outGo)
+			}
+		}
+	}
+}
+
+// TestAttentionKernelMatchesGo runs packed batches of several sequences
+// through attention32 twice — once per row kernel — and requires
+// bitwise-equal outputs, across head widths that take every YMM/XMM strip
+// and sequence lengths on both sides of each 8-lane pad edge.
+func TestAttentionKernelMatchesGo(t *testing.T) {
+	if !haveSIMD {
+		t.Skip("no AVX2/FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(13))
+	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 48}
+	for _, d := range []int{4, 8, 12, 16, 20, 24, 28, 64} {
+		for _, heads := range []int{1, 3} {
+			hidden := d * heads
+			for _, S := range lengths {
+				// The sequence under test between two others, so row
+				// offsets and the V stride are not trivial.
+				lens := []int{lengths[rng.Intn(len(lengths))], S, lengths[rng.Intn(len(lengths))]}
+				T, maxS := 0, 0
+				for _, l := range lens {
+					T += l
+					maxS = max(maxS, l)
+				}
+				q := &Matrix32{Rows: T, Cols: hidden, Data: randSlice32(rng, T*hidden, 2)}
+				k := &Matrix32{Rows: T, Cols: hidden, Data: randSlice32(rng, T*hidden, 2)}
+				v := &Matrix32{Rows: T, Cols: hidden, Data: randSlice32(rng, T*hidden, 1)}
+				scores := make([]float32, pad8(maxS))
+				kt := make([]float32, pad8(maxS)*hidden)
+				want := NewMatrix32(T, hidden)
+				got := NewMatrix32(T, hidden)
+				attention32(q, k, v, heads, lens, scores, kt, want, attnRowGo)
+				attention32(q, k, v, heads, lens, scores, kt, got, attnRowAsm)
+				sameBits32(t, "attention", got.Data, want.Data)
+			}
+		}
+	}
+}
+
+// TestExpGeluVectorKernels pins the vector exp/GELU against the scalar
+// fast paths within float32 noise.
+func TestExpGeluVectorKernels(t *testing.T) {
+	if !haveSIMD {
+		t.Skip("no AVX2/FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(9))
+	v := make([]float32, 1024)
+	for i := range v {
+		v[i] = (rng.Float32()*2 - 1) * 20
+	}
+	shift := float32(3.7)
+	got := append([]float32(nil), v...)
+	expShiftAsm(got, shift)
+	for i, x := range v {
+		want := math.Exp(float64(x - shift))
+		if rel := math.Abs(float64(got[i])-want) / want; rel > 1e-5 {
+			t.Fatalf("vexp(%g-%g) = %g, want %g", x, shift, got[i], want)
+		}
+	}
+
+	gelu := append([]float32(nil), v...)
+	gelu32Asm(gelu)
+	for i, x := range v {
+		u := math.Sqrt(2/math.Pi) * (float64(x) + 0.044715*float64(x)*float64(x)*float64(x))
+		want := 0.5 * float64(x) * (1 + math.Tanh(u))
+		if diff := math.Abs(float64(gelu[i]) - want); diff > 1e-4*(1+math.Abs(want)) {
+			t.Fatalf("vgelu(%g) = %g, want %g", x, gelu[i], want)
+		}
+	}
+}

@@ -18,106 +18,6 @@ func randSlice32(rng *rand.Rand, n int, scale float32) []float32 {
 	return out
 }
 
-// TestF32MatVecAsmMatchesGo drives the assembly kernel across every strip
-// width and tail combination and checks it against the pure-Go oracle.
-// Association order differs between the two, so comparison is tolerant.
-func TestF32MatVecAsmMatchesGo(t *testing.T) {
-	if !haveSIMD {
-		t.Skip("no AVX2/FMA on this host")
-	}
-	rng := rand.New(rand.NewSource(1))
-	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 33, 48, 96} {
-		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 11, 12, 16, 17, 31, 32, 33, 48, 63, 64, 96, 100} {
-			a := randSlice32(rng, k, 1)
-			b := randSlice32(rng, k*n, 1)
-			init := randSlice32(rng, n, 1)
-			want := append([]float32(nil), init...)
-			got := append([]float32(nil), init...)
-			f32MatVecGo(a, b, want)
-			f32MatVecAsm(a, b, got)
-			for j := range want {
-				if diff := math.Abs(float64(want[j] - got[j])); diff > 1e-4*(1+math.Abs(float64(want[j]))) {
-					t.Fatalf("K=%d N=%d out[%d]: asm %g, go %g", k, n, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
-// TestInt8MatVecKernelsMatchGo: integer arithmetic must agree exactly
-// across every available backend on the shared blocked layout.
-func TestInt8MatVecKernelsMatchGo(t *testing.T) {
-	if !haveSIMD {
-		t.Skip("no AVX2/FMA on this host")
-	}
-	rng := rand.New(rand.NewSource(2))
-	for _, kPad := range []int{32, 64, 96, 3104} {
-		for _, nPad := range []int{16, 32, 48, 96} {
-			qa := make([]int16, kPad)
-			for i := range qa {
-				qa[i] = int16(rng.Intn(255) - 127)
-			}
-			wt := make([]int8, kPad*nPad)
-			for i := range wt {
-				wt[i] = int8(rng.Intn(255) - 127)
-			}
-			want := make([]int32, nPad)
-			int8MatVecGo(qa, wt, want)
-
-			got := make([]int32, nPad)
-			int8MatVecAVX2(qa, wt, got)
-			for j := range want {
-				if want[j] != got[j] {
-					t.Fatalf("AVX2 KPad=%d NPad=%d acc[%d]: asm %d, go %d", kPad, nPad, j, got[j], want[j])
-				}
-			}
-			if haveVNNI {
-				for i := range got {
-					got[i] = 0
-				}
-				int8MatVecVNNI(qa, wt, got)
-				for j := range want {
-					if want[j] != got[j] {
-						t.Fatalf("VNNI KPad=%d NPad=%d acc[%d]: asm %d, go %d", kPad, nPad, j, got[j], want[j])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestExpGeluVectorKernels pins the vector exp/GELU against the scalar
-// fast paths within float32 noise.
-func TestExpGeluVectorKernels(t *testing.T) {
-	if !haveSIMD {
-		t.Skip("no AVX2/FMA on this host")
-	}
-	rng := rand.New(rand.NewSource(9))
-	v := make([]float32, 1024)
-	for i := range v {
-		v[i] = (rng.Float32()*2 - 1) * 20
-	}
-	shift := float32(3.7)
-	got := append([]float32(nil), v...)
-	expShiftAsm(got, shift)
-	for i, x := range v {
-		want := math.Exp(float64(x - shift))
-		if rel := math.Abs(float64(got[i])-want) / want; rel > 1e-5 {
-			t.Fatalf("vexp(%g-%g) = %g, want %g", x, shift, got[i], want)
-		}
-	}
-
-	gelu := append([]float32(nil), v...)
-	gelu32Asm(gelu)
-	for i, x := range v {
-		u := math.Sqrt(2/math.Pi) * (float64(x) + 0.044715*float64(x)*float64(x)*float64(x))
-		want := 0.5 * float64(x) * (1 + math.Tanh(u))
-		if diff := math.Abs(float64(gelu[i]) - want); diff > 1e-4*(1+math.Abs(want)) {
-			t.Fatalf("vgelu(%g) = %g, want %g", x, gelu[i], want)
-		}
-	}
-}
-
 // ---- fast transcendentals ----
 
 func TestFastExp32Accuracy(t *testing.T) {
@@ -315,24 +215,97 @@ func TestQuantScratchReuseAcrossWidths(t *testing.T) {
 	}
 }
 
+// TestInferQuantLinearPadLanes runs layers whose K is not a multiple of
+// the 4-k pad (45) and is one (48) right after a wider layer has filled
+// the shared activation scratch, and checks every output bit against an
+// exact integer reference built from the logical weights: the pad lanes
+// [K, KPad) of the scratch must be zero and contribute nothing.
+func TestInferQuantLinearPadLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const N = 20
+	randW := func(k int) *Matrix {
+		m := NewMatrix(k, N)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		return m
+	}
+	randX := func(k int) *Matrix32 {
+		return &Matrix32{Rows: 3, Cols: k, Data: randSlice32(rng, 3*k, 2)}
+	}
+	var qs QuantScratch
+	bias := &Matrix32{Rows: 1, Cols: N, Data: randSlice32(rng, N, 1)}
+	for _, K := range []int{45, 48} {
+		InferQuantLinearInto(randX(100), QuantizeMatrix(randW(100)), nil, NewMatrix32(3, N), &qs)
+		w := QuantizeMatrix(randW(K))
+		if w.KPad != (K+3)&^3 {
+			t.Fatalf("K=%d: KPad %d, want %d", K, w.KPad, (K+3)&^3)
+		}
+		x := randX(K)
+		got := NewMatrix32(3, N)
+		InferQuantLinearInto(x, w, bias, got, &qs)
+		for k := K; k < w.KPad; k++ {
+			if qs.qa[k] != 0 {
+				t.Fatalf("K=%d: pad lane qa[%d] = %d, want 0", K, k, qs.qa[k])
+			}
+		}
+		for i := 0; i < x.Rows; i++ {
+			xrow := x.Row(i)
+			m := maxAbs32Tail(xrow, 0)
+			inv := 127 / m
+			for j := 0; j < N; j++ {
+				var acc int32
+				for k, v := range xrow {
+					acc += int32(math.RoundToEven(float64(v*inv))) * int32(w.At(k, j))
+				}
+				want := float32(float32(acc)*(m/127)*w.Scales[j]) + bias.Data[j]
+				if g := got.Row(i)[j]; math.Float32bits(g) != math.Float32bits(want) {
+					t.Fatalf("K=%d out(%d,%d) = %g, want %g", K, i, j, g, want)
+				}
+			}
+		}
+	}
+}
+
+// TestQuantRowRoundsHalfToEven: exact .5 ties round to the even integer
+// in the scalar quantizer and in the dispatched one, whose vector part
+// rounds by MXCSR, so one row never mixes two rounding rules.
+func TestQuantRowRoundsHalfToEven(t *testing.T) {
+	x := []float32{0.5, 1.5, 2.5, 3.5, -0.5, -1.5, -2.5, -3.5,
+		126.5, -126.5, 4.5, -4.5, 0.25, -0.75, 5.5, -5.5, 6.5, 7.5}
+	want := []int16{0, 2, 2, 4, 0, -2, -2, -4,
+		126, -126, 4, -4, 0, -1, 6, -6, 6, 8}
+	for name, quant := range map[string]func([]float32, float32, []int16){
+		"quantRow32Tail": quantRow32Tail,
+		"quantRow32":     quantRow32,
+	} {
+		got := make([]int16, len(x))
+		quant(x, 1, got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s(%g) = %d, want %d", name, x[i], got[i], want[i])
+			}
+		}
+	}
+}
+
 // ---- float32 kernels vs float64 golden ----
 
+// TestInferKernels32MatchFloat64 bounds every float32 kernel against its
+// float64 reference. The second shape's widths (a 10-wide LayerNorm row,
+// 2-wide heads) are ones the AVX2 kernels leave to their Go mirrors on
+// every host.
 func TestInferKernels32MatchFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	T, H, heads := 11, 48, 4
+	T := 11
 	lens := []int{4, 6, 1}
-
-	x := NewMatrix(T, H)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
+	randM := func(r, c int) *Matrix {
+		m := NewMatrix(r, c)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		return m
 	}
-	gamma := NewMatrix(1, H)
-	beta := NewMatrix(1, H)
-	for i := 0; i < H; i++ {
-		gamma.Data[i] = 1 + 0.1*rng.NormFloat64()
-		beta.Data[i] = 0.1 * rng.NormFloat64()
-	}
-
 	check := func(name string, want *Matrix, got *Matrix32, tol float64) {
 		t.Helper()
 		if want.Rows != got.Rows || want.Cols != got.Cols {
@@ -345,48 +318,55 @@ func TestInferKernels32MatchFloat64(t *testing.T) {
 		}
 	}
 
-	// LayerNorm.
-	wantLN := NewMatrix(T, H)
-	InferLayerNormInto(x, gamma, beta, 1e-5, wantLN)
-	gotLN := NewMatrix32(T, H)
-	InferLayerNormInto32(Narrow(x), Narrow(gamma), Narrow(beta), 1e-5, gotLN)
-	check("layernorm", wantLN, gotLN, 1e-4)
+	for _, shape := range []struct{ H, heads int }{{48, 4}, {10, 5}} {
+		H, heads := shape.H, shape.heads
+		x := randM(T, H)
+		gamma := NewMatrix(1, H)
+		beta := NewMatrix(1, H)
+		for i := 0; i < H; i++ {
+			gamma.Data[i] = 1 + 0.1*rng.NormFloat64()
+			beta.Data[i] = 0.1 * rng.NormFloat64()
+		}
 
-	// GELU.
-	wantG := x.Clone()
-	InferGELUInPlace(wantG)
-	gotG := Narrow(x)
-	InferGELUInPlace32(gotG)
-	check("gelu", wantG, gotG, 1e-4)
+		// LayerNorm, alone and after a residual add.
+		wantLN := NewMatrix(T, H)
+		InferLayerNormInto(x, gamma, beta, 1e-5, wantLN)
+		gotLN := NewMatrix32(T, H)
+		InferAddLayerNormInto32(Narrow(x), nil, Narrow(gamma), Narrow(beta), 1e-5, gotLN)
+		check("layernorm", wantLN, gotLN, 1e-4)
 
-	// Attention.
-	q := NewMatrix(T, H)
-	k := NewMatrix(T, H)
-	v := NewMatrix(T, H)
-	for i := range q.Data {
-		q.Data[i] = rng.NormFloat64()
-		k.Data[i] = rng.NormFloat64()
-		v.Data[i] = rng.NormFloat64()
-	}
-	wantA := NewMatrix(T, H)
-	scores := make([]float64, 36)
-	InferAttentionInto(q, k, v, heads, lens, scores, wantA)
-	gotA := NewMatrix32(T, H)
-	d := H / heads
-	scores32 := make([]float32, 36)
-	kt := make([]float32, 6*d)
-	vh := make([]float32, 6*d)
-	InferAttentionInto32(Narrow(q), Narrow(k), Narrow(v), heads, lens, scores32, kt, vh, gotA)
-	check("attention", wantA, gotA, 1e-4)
+		resid := randM(T, H)
+		sum := x.Clone()
+		sum.AddInPlace(resid)
+		InferLayerNormInto(sum, gamma, beta, 1e-5, wantLN)
+		x32 := Narrow(x)
+		InferAddLayerNormInto32(x32, Narrow(resid), Narrow(gamma), Narrow(beta), 1e-5, x32)
+		check("add+layernorm", wantLN, x32, 1e-4)
 
-	// MeanPool widens straight into float64.
-	wantP := NewMatrix(len(lens), H)
-	InferMeanPoolInto(x, lens, wantP, 0)
-	gotP := NewMatrix(len(lens), H)
-	InferMeanPoolInto32(Narrow(x), lens, gotP, 0)
-	for i, wv := range wantP.Data {
-		if diff := math.Abs(wv - gotP.Data[i]); diff > 1e-5*(1+math.Abs(wv)) {
-			t.Fatalf("meanpool[%d]: f32 %g, f64 %g", i, gotP.Data[i], wv)
+		// GELU.
+		wantG := x.Clone()
+		InferGELUInPlace(wantG)
+		gotG := Narrow(x)
+		InferGELUInPlace32(gotG)
+		check("gelu", wantG, gotG, 1e-4)
+
+		// Attention.
+		q, k, v := randM(T, H), randM(T, H), randM(T, H)
+		wantA := NewMatrix(T, H)
+		InferAttentionInto(q, k, v, heads, lens, make([]float64, 36), wantA)
+		gotA := NewMatrix32(T, H)
+		InferAttentionInto32(Narrow(q), Narrow(k), Narrow(v), heads, lens, make([]float32, 8), make([]float32, 8*H), gotA)
+		check("attention", wantA, gotA, 1e-4)
+
+		// MeanPool widens straight into float64.
+		wantP := NewMatrix(len(lens), H)
+		InferMeanPoolInto(x, lens, wantP, 0)
+		gotP := NewMatrix(len(lens), H)
+		InferMeanPoolInto32(Narrow(x), lens, gotP, 0)
+		for i, wv := range wantP.Data {
+			if diff := math.Abs(wv - gotP.Data[i]); diff > 1e-5*(1+math.Abs(wv)) {
+				t.Fatalf("meanpool[%d]: f32 %g, f64 %g", i, gotP.Data[i], wv)
+			}
 		}
 	}
 }
@@ -436,4 +416,25 @@ func BenchmarkLinearInt8(b *testing.B) {
 	benchLinear(b, func(x *Matrix32, _ int) {
 		InferQuantLinearInto(x, q, bias, out, &qs)
 	})
+}
+
+// BenchmarkAttention32 runs the int8 path's attention over a 512-line
+// batch shaped like the default encoder's (hidden 48, 4 heads, lines of
+// 4–20 tokens).
+func BenchmarkAttention32(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	lens := make([]int, 512)
+	T := 0
+	for i := range lens {
+		lens[i] = 4 + rng.Intn(17)
+		T += lens[i]
+	}
+	q := &Matrix32{Rows: T, Cols: 48, Data: randSlice32(rng, T*48, 1)}
+	k := &Matrix32{Rows: T, Cols: 48, Data: randSlice32(rng, T*48, 1)}
+	v := &Matrix32{Rows: T, Cols: 48, Data: randSlice32(rng, T*48, 1)}
+	out := NewMatrix32(T, 48)
+	scores, kt := make([]float32, 24), make([]float32, 24*48)
+	for b.Loop() {
+		InferAttentionInto32(q, k, v, 4, lens, scores, kt, out)
+	}
 }

@@ -37,23 +37,6 @@ func (m *Matrix32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols]
 // SameShape reports whether m and o have identical dimensions.
 func (m *Matrix32) SameShape(o *Matrix32) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 
-// Zero sets every element to 0.
-func (m *Matrix32) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// AddInPlace adds o elementwise into m.
-func (m *Matrix32) AddInPlace(o *Matrix32) {
-	if !m.SameShape(o) {
-		panic(fmt.Sprintf("tensor: AddInPlace shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	for i, v := range o.Data {
-		m.Data[i] += v
-	}
-}
-
 // fastExp32 approximates e^x in float32: range-reduce x = k·ln2 + r with
 // |r| ≤ ln2/2, evaluate e^r by a degree-7 Taylor/Horner polynomial, and
 // scale by 2^k through the float32 exponent bits. Maximum relative error is
@@ -113,26 +96,4 @@ func fastTanh32(x float32) float32 {
 		return -t
 	}
 	return t
-}
-
-// softmaxInto32 writes softmax(src) into dst (may alias src) using the
-// numerically stable max-shift; the exponentials run through the
-// vectorized exp kernel where available.
-func softmaxInto32(dst, src []float32) {
-	max := src[0]
-	for _, v := range src[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	copy(dst, src)
-	expShiftInPlace(dst, max)
-	sum := float32(0)
-	for _, e := range dst {
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range dst {
-		dst[i] *= inv
-	}
 }

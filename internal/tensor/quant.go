@@ -29,15 +29,16 @@ import (
 // — so one 32-byte load carries channels j..j+15 for the k-pair, exactly
 // the operand VPMADDWD (AVX2) and VPDPWSSD (AVX-512 VNNI) want against a
 // broadcast activation pair, with no horizontal reduction anywhere. K pads
-// to KPad (multiple of 32) and N to NPad (multiple of 16) with zeros;
-// padded lanes contribute nothing. The same layout feeds the pure-Go
+// to KPad (multiple of 4: two k-pairs, the VNNI loop's step; AVX2 steps by
+// one pair) and N to NPad (multiple of 16) with zeros; padded lanes
+// contribute nothing. The same layout feeds the pure-Go
 // fallback, and QuantizeMatrix rounds without fused multiply-adds, so
 // every host lowers the same float64 weights to the same int8 bytes.
 
 // Layout quanta: weight rows pad to int8KPadAlign k's, channels to
 // int8NPadAlign.
 const (
-	int8KPadAlign = 32
+	int8KPadAlign = 4
 	int8NPadAlign = 16
 )
 

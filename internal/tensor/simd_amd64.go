@@ -5,10 +5,13 @@ package tensor
 // its float32 activation kernels exist to trade exactness for speed, so
 // on amd64 they dispatch to AVX2/FMA (and, for the int8 accumulation,
 // AVX-512 VNNI when present) assembly after a runtime CPUID check; pure-Go
-// fallbacks cover older hosts and other architectures. The assembly
-// computes the same sums in a different association order, which is
-// within the int8 path's documented tolerance; within one process the kernels are deterministic, so dedup,
-// score-memo hits, and repeated scoring stay exactly reproducible.
+// fallbacks cover older hosts and other architectures. The LayerNorm and
+// attention kernels are bitwise equal to their Go mirrors (same lane
+// order, no FMA, and the attention mirror runs the same vector exp); the
+// vector exp and GELU differ from the scalar fastExp32/fastTanh32 in the
+// last bits, inside the int8 path's documented tolerance. Within one
+// process the kernels are deterministic, so dedup, score-memo hits, and
+// repeated scoring stay exactly reproducible.
 
 // haveSIMD gates the AVX2 kernels: AVX2 + FMA + OS-enabled YMM state.
 // haveVNNI additionally gates the AVX-512 VNNI int8 kernel.
@@ -25,22 +28,17 @@ func x86HasAVX2FMA() bool
 // OS-saved ZMM and opmask state (implemented in simd_amd64.s).
 func x86HasAVX512VNNI() bool
 
-// f32MatVecAsm accumulates out[j] += Σ_k a[k]·b[k·N+j] for N = len(out),
-// K = len(a) — one row of a panel GEMM, vectorized 32/16/8/4-wide over j
-// with FMA. b must hold at least K·N elements.
-//
-//go:noescape
-func f32MatVecAsm(a, b, out []float32)
-
 // int8MatVecAVX2 computes acc[j] = Σ_k qa[k]·wt(k,j) over the blocked
-// channel-pair layout with VPMADDWD/VPADDD. len(qa) = KPad (multiple of
-// 32), len(acc) = NPad (multiple of 16), len(wt) = KPad·NPad.
+// channel-pair layout with VPMADDWD/VPADDD, one k-pair per step.
+// len(qa) = KPad (multiple of 4), len(acc) = NPad (multiple of 16),
+// len(wt) = KPad·NPad.
 //
 //go:noescape
 func int8MatVecAVX2(qa []int16, wt []int8, acc []int32)
 
 // int8MatVecVNNI is the same contract fused onto AVX-512 VPDPWSSD:
-// 16-channel blocks accumulate in one ZMM with no widening shuffles.
+// 16-channel blocks accumulate in one ZMM with no widening shuffles, two
+// k-pairs (4 k's, the KPad quantum) per step.
 //
 //go:noescape
 func int8MatVecVNNI(qa []int16, wt []int8, acc []int32)
@@ -71,6 +69,21 @@ func maxAbs32Asm(v []float32) float32
 //
 //go:noescape
 func quantRow32Asm(x []float32, inv float32, qa []int16)
+
+// addLayerNormRowAsm is the AVX2 form of addLayerNormRowGo, bitwise
+// equal to it: x += resid (when resid is non-empty), then out is x's
+// LayerNorm times gamma plus beta. len(x) must be a positive multiple of 4.
+//
+//go:noescape
+func addLayerNormRowAsm(x, resid, gamma, beta []float32, eps float32, out []float32)
+
+// attnRowAsm is the AVX2 form of attnRowGo, bitwise equal to it: one query
+// row of one head's attention, from QKᵀ to the normalized AV row.
+// len(q) = len(out) = d (a multiple of 4), len(scores) = S rounded up to 8,
+// len(kt) ≥ d·len(scores), len(v) ≥ (S-1)·vStride + d.
+//
+//go:noescape
+func attnRowAsm(q, kt, v, scores, out []float32, scale float32, vStride, S int)
 
 // dequantRow32Asm writes out[j] = float32(acc[j])·rowScale·scales[j] +
 // bias[j] for len(out) elements (multiple of 8).
@@ -112,16 +125,6 @@ func dequantRow32(acc []int32, scales []float32, rowScale float32, bias, out []f
 	dequantRow32Tail(acc[n8:], scales[n8:], rowScale, bias[n8:], out[n8:])
 }
 
-// f32MatVec dispatches one float32 matvec row to the FMA kernel or the
-// fallback.
-func f32MatVec(a, b, out []float32) {
-	if haveSIMD {
-		f32MatVecAsm(a, b, out)
-		return
-	}
-	f32MatVecGo(a, b, out)
-}
-
 // int8MatVec dispatches one quantized matvec to the best available kernel.
 func int8MatVec(qa []int16, wt []int8, acc []int32) {
 	if haveVNNI {
@@ -133,6 +136,26 @@ func int8MatVec(qa []int16, wt []int8, acc []int32) {
 		return
 	}
 	int8MatVecGo(qa, wt, acc)
+}
+
+// addLayerNormRow dispatches one residual-add + LayerNorm row to the AVX2
+// kernel (widths that are multiples of 4) or its Go mirror.
+func addLayerNormRow(x, resid, gamma, beta []float32, eps float32, out []float32) {
+	if haveSIMD && len(x)%4 == 0 {
+		addLayerNormRowAsm(x, resid, gamma, beta, eps, out)
+		return
+	}
+	addLayerNormRowGo(x, resid, gamma, beta, eps, out)
+}
+
+// attnRow dispatches one attention query row to the AVX2 kernel (head
+// widths that are multiples of 4) or its Go mirror.
+func attnRow(q, kt, v, scores, out []float32, scale float32, vStride, S int) {
+	if haveSIMD && len(q)%4 == 0 {
+		attnRowAsm(q, kt, v, scores, out, scale, vStride, S)
+		return
+	}
+	attnRowGo(q, kt, v, scores, out, scale, vStride, S)
 }
 
 // expShiftInPlace applies v[i] = exp(v[i]-shift) in place.

@@ -205,139 +205,6 @@ vno:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func f32MatVecAsm(a, b, out []float32)
-//
-// out[j] += Σ_k a[k]·b[k·N+j], K = len(a), N = len(out). Columns are
-// processed in strips of 32/16/8/4 lanes (four/two/one YMM, one XMM
-// accumulator) with a scalar tail; each strip streams the b panel once,
-// broadcasting one a element per k and issuing memory-operand FMAs.
-TEXT ·f32MatVecAsm(SB), NOSPLIT, $0-72
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), R8
-	MOVQ b_base+24(FP), DI
-	MOVQ out_base+48(FP), DX
-	MOVQ out_len+56(FP), R9
-	TESTQ R8, R8
-	JZ   done
-	MOVQ R9, R13
-	SHLQ $2, R13          // b row stride in bytes
-	XORQ R10, R10         // j0
-
-strip32:
-	MOVQ R9, AX
-	SUBQ R10, AX
-	CMPQ AX, $32
-	JLT  strip16
-	LEAQ (DX)(R10*4), BX
-	VMOVUPS (BX), Y0
-	VMOVUPS 32(BX), Y1
-	VMOVUPS 64(BX), Y2
-	VMOVUPS 96(BX), Y3
-	LEAQ (DI)(R10*4), R11
-	XORQ R12, R12
-
-loop32:
-	VBROADCASTSS (SI)(R12*4), Y4
-	VFMADD231PS (R11), Y4, Y0
-	VFMADD231PS 32(R11), Y4, Y1
-	VFMADD231PS 64(R11), Y4, Y2
-	VFMADD231PS 96(R11), Y4, Y3
-	ADDQ R13, R11
-	INCQ R12
-	CMPQ R12, R8
-	JLT  loop32
-	VMOVUPS Y0, (BX)
-	VMOVUPS Y1, 32(BX)
-	VMOVUPS Y2, 64(BX)
-	VMOVUPS Y3, 96(BX)
-	ADDQ $32, R10
-	JMP  strip32
-
-strip16:
-	MOVQ R9, AX
-	SUBQ R10, AX
-	CMPQ AX, $16
-	JLT  strip8
-	LEAQ (DX)(R10*4), BX
-	VMOVUPS (BX), Y0
-	VMOVUPS 32(BX), Y1
-	LEAQ (DI)(R10*4), R11
-	XORQ R12, R12
-
-loop16:
-	VBROADCASTSS (SI)(R12*4), Y4
-	VFMADD231PS (R11), Y4, Y0
-	VFMADD231PS 32(R11), Y4, Y1
-	ADDQ R13, R11
-	INCQ R12
-	CMPQ R12, R8
-	JLT  loop16
-	VMOVUPS Y0, (BX)
-	VMOVUPS Y1, 32(BX)
-	ADDQ $16, R10
-
-strip8:
-	MOVQ R9, AX
-	SUBQ R10, AX
-	CMPQ AX, $8
-	JLT  strip4
-	LEAQ (DX)(R10*4), BX
-	VMOVUPS (BX), Y0
-	LEAQ (DI)(R10*4), R11
-	XORQ R12, R12
-
-loop8:
-	VBROADCASTSS (SI)(R12*4), Y4
-	VFMADD231PS (R11), Y4, Y0
-	ADDQ R13, R11
-	INCQ R12
-	CMPQ R12, R8
-	JLT  loop8
-	VMOVUPS Y0, (BX)
-	ADDQ $8, R10
-
-strip4:
-	MOVQ R9, AX
-	SUBQ R10, AX
-	CMPQ AX, $4
-	JLT  scalarj
-	LEAQ (DX)(R10*4), BX
-	VMOVUPS (BX), X0
-	LEAQ (DI)(R10*4), R11
-	XORQ R12, R12
-
-loop4:
-	VBROADCASTSS (SI)(R12*4), X4
-	VFMADD231PS (R11), X4, X0
-	ADDQ R13, R11
-	INCQ R12
-	CMPQ R12, R8
-	JLT  loop4
-	VMOVUPS X0, (BX)
-	ADDQ $4, R10
-
-scalarj:
-	CMPQ R10, R9
-	JGE  done
-	VMOVSS (DX)(R10*4), X0
-	LEAQ (DI)(R10*4), R11
-	XORQ R12, R12
-
-scalark:
-	VMOVSS (SI)(R12*4), X1
-	VFMADD231SS (R11), X1, X0
-	ADDQ R13, R11
-	INCQ R12
-	CMPQ R12, R8
-	JLT  scalark
-	VMOVSS X0, (DX)(R10*4)
-	INCQ R10
-	JMP  scalarj
-
-done:
-	VZEROUPPER
-	RET
-
 // func int8MatVecAVX2(qa []int16, wt []int8, acc []int32)
 //
 // Blocked channel-pair layout (see Int8Matrix): per 16-channel block, each
@@ -469,9 +336,8 @@ maloop:
 // func quantRow32Asm(x []float32, inv float32, qa []int16)
 //
 // qa[i] = int16(round-to-nearest(x[i]·inv)); len(x) must be a multiple of
-// 8 (qa at least as long). Rounding is MXCSR nearest-even, which may
-// differ from the scalar fallback's half-away-from-zero by one step at
-// exact ties — inside the quantization error bound either way.
+// 8 (qa at least as long). Rounding is MXCSR nearest-even, the same rule
+// as the scalar quantRow32Tail.
 TEXT ·quantRow32Asm(SB), NOSPLIT, $0-56
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), R8
@@ -583,5 +449,476 @@ gloop:
 	JNZ  gloop
 
 gdone:
+	VZEROUPPER
+	RET
+
+// 8-lane int32 lane indices, compared against a live-lane count to build
+// the attention kernel's pad mask.
+DATA ciota<>+0(SB)/4, $0
+DATA ciota<>+4(SB)/4, $1
+DATA ciota<>+8(SB)/4, $2
+DATA ciota<>+12(SB)/4, $3
+DATA ciota<>+16(SB)/4, $4
+DATA ciota<>+20(SB)/4, $5
+DATA ciota<>+24(SB)/4, $6
+DATA ciota<>+28(SB)/4, $7
+GLOBL ciota<>(SB), RODATA, $32
+
+DATA cneginf<>+0(SB)/4, $0xFF800000 // -Inf
+GLOBL cneginf<>(SB), RODATA, $4
+
+// HSUM8: X0's low lane = the sum of Y0's eight lanes in the fixed order
+// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) that hsum8 mirrors. Clobbers X1.
+#define HSUM8 \
+	VEXTRACTF128 $1, Y0, X1 \
+	VADDPS X1, X0, X0       \
+	VMOVHLPS X0, X0, X1     \
+	VADDPS X1, X0, X0       \
+	VMOVSHDUP X0, X1        \
+	VADDSS X1, X0, X0
+
+// func addLayerNormRowAsm(x, resid, gamma, beta []float32, eps float32, out []float32)
+//
+// Bitwise mirror of addLayerNormRowGo: x[i] += resid[i] when resid is
+// non-empty, then out[i] = ((x[i]-mean)·is)·gamma[i] + beta[i] with
+// is = 1/√(var+eps). The mean and variance sums put element i in lane
+// i mod 8 and reduce with HSUM8; every multiply and add rounds on its own
+// (no FMA). len(x) must be a positive multiple of 4, the other slices at
+// least as long; out may alias x.
+TEXT ·addLayerNormRowAsm(SB), NOSPLIT, $0-128
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), R8
+	MOVQ resid_base+24(FP), R11
+	MOVQ resid_len+32(FP), R9
+	MOVQ gamma_base+48(FP), R10
+	MOVQ beta_base+72(FP), R12
+	MOVQ out_base+104(FP), DI
+	MOVQ R8, R13
+	ANDQ $-8, R13            // end of the whole 8-lane blocks
+	VXORPS Y0, Y0, Y0
+	XORQ AX, AX
+	TESTQ R9, R9
+	JZ   sum8
+
+radd8:
+	CMPQ AX, R13
+	JGE  radd4
+	VMOVUPS (SI)(AX*4), Y1
+	VADDPS (R11)(AX*4), Y1, Y1
+	VMOVUPS Y1, (SI)(AX*4)
+	VADDPS Y1, Y0, Y0
+	ADDQ $8, AX
+	JMP  radd8
+
+radd4:
+	CMPQ AX, R8
+	JGE  mean
+	VMOVUPS (SI)(AX*4), X1
+	VADDPS (R11)(AX*4), X1, X1
+	VMOVUPS X1, (SI)(AX*4)
+	VADDPS Y1, Y0, Y0        // lanes 4-7 of Y1 are zero
+	JMP  mean
+
+sum8:
+	CMPQ AX, R13
+	JGE  sum4
+	VADDPS (SI)(AX*4), Y0, Y0
+	ADDQ $8, AX
+	JMP  sum8
+
+sum4:
+	CMPQ AX, R8
+	JGE  mean
+	VMOVUPS (SI)(AX*4), X1
+	VADDPS Y1, Y0, Y0
+
+mean:
+	HSUM8
+	VCVTSI2SSQ R8, X2, X2    // float32(n)
+	VDIVSS X2, X0, X0
+	VBROADCASTSS X0, Y14     // mean
+	VXORPS Y0, Y0, Y0
+	XORQ AX, AX
+
+var8:
+	CMPQ AX, R13
+	JGE  var4
+	VMOVUPS (SI)(AX*4), Y1
+	VSUBPS Y14, Y1, Y1
+	VMULPS Y1, Y1, Y1
+	VADDPS Y1, Y0, Y0
+	ADDQ $8, AX
+	JMP  var8
+
+var4:
+	CMPQ AX, R8
+	JGE  norm
+	VMOVUPS (SI)(AX*4), X1
+	VSUBPS X14, X1, X1
+	VMULPS X1, X1, X1
+	VADDPS Y1, Y0, Y0
+
+norm:
+	HSUM8
+	VDIVSS X2, X0, X0        // variance
+	VADDSS eps+96(FP), X0, X0
+	VSQRTSS X0, X0, X0
+	VMOVSS cone<>(SB), X3
+	VDIVSS X0, X3, X0        // is = 1/√(var+eps)
+	VBROADCASTSS X0, Y13
+	XORQ AX, AX
+
+out8:
+	CMPQ AX, R13
+	JGE  out4
+	VMOVUPS (SI)(AX*4), Y1
+	VSUBPS Y14, Y1, Y1
+	VMULPS Y13, Y1, Y1
+	VMULPS (R10)(AX*4), Y1, Y1
+	VADDPS (R12)(AX*4), Y1, Y1
+	VMOVUPS Y1, (DI)(AX*4)
+	ADDQ $8, AX
+	JMP  out8
+
+out4:
+	CMPQ AX, R8
+	JGE  lndone
+	VMOVUPS (SI)(AX*4), X1
+	VSUBPS X14, X1, X1
+	VMULPS X13, X1, X1
+	VMULPS (R10)(AX*4), X1, X1
+	VADDPS (R12)(AX*4), X1, X1
+	VMOVUPS X1, (DI)(AX*4)
+
+lndone:
+	VZEROUPPER
+	RET
+
+// func attnRowAsm(q, kt, v, scores, out []float32, scale float32, vStride, S int)
+//
+// One query row of one head, bitwise mirror of attnRowGo. With d = len(q)
+// (a multiple of 4) and Sp = len(scores) (S rounded up to 8):
+//
+//	scores[j] = scale·Σ_c q[c]·kt[c·Sp+j]      for all Sp lanes
+//	e_j       = exp(scores[j] - max_{j<S} scores[j])  (EXPCORE, all lanes)
+//	out[c]    = (Σ_{j<S} e_j·v[j·vStride+c]) · (1/Σ_{j<S} e_j)
+//
+// Both dot products accumulate from zero in ascending order with separate
+// multiplies and adds; the exp sum puts lane j in lane j mod 8 and reduces
+// with HSUM8. Pad lanes j ≥ S are masked out of the max and the sum, and AV
+// never reads them.
+TEXT ·attnRowAsm(SB), NOSPLIT, $0-144
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), R8     // d
+	MOVQ kt_base+24(FP), DI
+	MOVQ v_base+48(FP), BX
+	MOVQ scores_base+72(FP), DX
+	MOVQ scores_len+80(FP), R9 // Sp
+	MOVQ out_base+96(FP), CX
+	VBROADCASTSS scale+120(FP), Y15
+	MOVQ vStride+128(FP), R14
+	SHLQ $2, R14             // v row stride in bytes
+	MOVQ R9, R13
+	SHLQ $2, R13             // kt row stride in bytes
+	XORQ R10, R10            // j0
+
+	// QKᵀ in strips of 32 lanes, then one strip of 24, 16 or 8.
+qk32:
+	MOVQ R9, AX
+	SUBQ R10, AX
+	CMPQ AX, $32
+	JLT  qk24
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	LEAQ (DI)(R10*4), R11
+	XORQ R12, R12
+
+qk32loop:
+	VBROADCASTSS (SI)(R12*4), Y4
+	VMULPS (R11), Y4, Y5
+	VMULPS 32(R11), Y4, Y6
+	VMULPS 64(R11), Y4, Y7
+	VMULPS 96(R11), Y4, Y8
+	VADDPS Y5, Y0, Y0
+	VADDPS Y6, Y1, Y1
+	VADDPS Y7, Y2, Y2
+	VADDPS Y8, Y3, Y3
+	ADDQ R13, R11
+	INCQ R12
+	CMPQ R12, R8
+	JLT  qk32loop
+	LEAQ (DX)(R10*4), R11
+	VMULPS Y15, Y0, Y0
+	VMULPS Y15, Y1, Y1
+	VMULPS Y15, Y2, Y2
+	VMULPS Y15, Y3, Y3
+	VMOVUPS Y0, (R11)
+	VMOVUPS Y1, 32(R11)
+	VMOVUPS Y2, 64(R11)
+	VMOVUPS Y3, 96(R11)
+	ADDQ $32, R10
+	JMP  qk32
+
+qk24:
+	CMPQ AX, $24
+	JNE  qk16
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	LEAQ (DI)(R10*4), R11
+	XORQ R12, R12
+
+qk24loop:
+	VBROADCASTSS (SI)(R12*4), Y4
+	VMULPS (R11), Y4, Y5
+	VMULPS 32(R11), Y4, Y6
+	VMULPS 64(R11), Y4, Y7
+	VADDPS Y5, Y0, Y0
+	VADDPS Y6, Y1, Y1
+	VADDPS Y7, Y2, Y2
+	ADDQ R13, R11
+	INCQ R12
+	CMPQ R12, R8
+	JLT  qk24loop
+	LEAQ (DX)(R10*4), R11
+	VMULPS Y15, Y0, Y0
+	VMULPS Y15, Y1, Y1
+	VMULPS Y15, Y2, Y2
+	VMOVUPS Y0, (R11)
+	VMOVUPS Y1, 32(R11)
+	VMOVUPS Y2, 64(R11)
+	JMP  softmax
+
+qk16:
+	CMPQ AX, $16
+	JNE  qk8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	LEAQ (DI)(R10*4), R11
+	XORQ R12, R12
+
+qk16loop:
+	VBROADCASTSS (SI)(R12*4), Y4
+	VMULPS (R11), Y4, Y5
+	VMULPS 32(R11), Y4, Y6
+	VADDPS Y5, Y0, Y0
+	VADDPS Y6, Y1, Y1
+	ADDQ R13, R11
+	INCQ R12
+	CMPQ R12, R8
+	JLT  qk16loop
+	LEAQ (DX)(R10*4), R11
+	VMULPS Y15, Y0, Y0
+	VMULPS Y15, Y1, Y1
+	VMOVUPS Y0, (R11)
+	VMOVUPS Y1, 32(R11)
+	JMP  softmax
+
+qk8:
+	CMPQ AX, $8
+	JNE  softmax
+	VXORPS Y0, Y0, Y0
+	LEAQ (DI)(R10*4), R11
+	XORQ R12, R12
+
+qk8loop:
+	VBROADCASTSS (SI)(R12*4), Y4
+	VMULPS (R11), Y4, Y5
+	VADDPS Y5, Y0, Y0
+	ADDQ R13, R11
+	INCQ R12
+	CMPQ R12, R8
+	JLT  qk8loop
+	VMULPS Y15, Y0, Y0
+	VMOVUPS Y0, (DX)(R10*4)
+
+softmax:
+	// Y7 = live-lane mask of the last block (lane l < S - (Sp-8)).
+	MOVQ S+136(FP), AX
+	SUBQ R9, AX
+	ADDQ $8, AX
+	VMOVD AX, X7
+	VPBROADCASTD X7, Y7
+	VPCMPGTD ciota<>(SB), Y7, Y7
+	VBROADCASTSS cneginf<>(SB), Y5
+	VMOVAPS Y5, Y4
+	MOVQ R9, R12
+	SUBQ $8, R12             // first lane of the last block
+	XORQ AX, AX
+
+max8:
+	CMPQ AX, R12
+	JGE  maxlast
+	VMAXPS (DX)(AX*4), Y4, Y4
+	ADDQ $8, AX
+	JMP  max8
+
+maxlast:
+	VMOVUPS (DX)(AX*4), Y6
+	VBLENDVPS Y7, Y6, Y5, Y6 // pad lanes → -Inf
+	VMAXPS Y6, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VMAXPS X5, X4, X4
+	VPSHUFD $0x4E, X4, X5
+	VMAXPS X5, X4, X4
+	VPSHUFD $0xB1, X4, X5
+	VMAXPS X5, X4, X4
+	VBROADCASTSS X4, Y4      // max over the live lanes
+	EXPSETUP
+	VXORPS Y14, Y14, Y14
+	XORQ AX, AX
+
+exp8:
+	VMOVUPS (DX)(AX*4), Y0
+	VSUBPS Y4, Y0, Y0
+	EXPCORE
+	VMOVUPS Y0, (DX)(AX*4)
+	CMPQ AX, R12
+	JGE  explast
+	VADDPS Y0, Y14, Y14
+	ADDQ $8, AX
+	JMP  exp8
+
+explast:
+	VANDPS Y7, Y0, Y0
+	VADDPS Y0, Y14, Y14
+	VMOVAPS Y14, Y0
+	HSUM8
+	VDIVSS X0, X12, X0       // 1/Σe (X12 holds 1.0)
+	VBROADCASTSS X0, Y15
+
+	// AV in strips of 32 columns, then 16, then one of 12, 8 or 4.
+	MOVQ S+136(FP), R9
+	XORQ R10, R10            // c0
+
+av32:
+	MOVQ R8, AX
+	SUBQ R10, AX
+	CMPQ AX, $32
+	JLT  av16
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	LEAQ (BX)(R10*4), R11
+	XORQ R12, R12
+
+av32loop:
+	VBROADCASTSS (DX)(R12*4), Y4
+	VMULPS (R11), Y4, Y5
+	VMULPS 32(R11), Y4, Y6
+	VMULPS 64(R11), Y4, Y7
+	VMULPS 96(R11), Y4, Y8
+	VADDPS Y5, Y0, Y0
+	VADDPS Y6, Y1, Y1
+	VADDPS Y7, Y2, Y2
+	VADDPS Y8, Y3, Y3
+	ADDQ R14, R11
+	INCQ R12
+	CMPQ R12, R9
+	JLT  av32loop
+	LEAQ (CX)(R10*4), R11
+	VMULPS Y15, Y0, Y0
+	VMULPS Y15, Y1, Y1
+	VMULPS Y15, Y2, Y2
+	VMULPS Y15, Y3, Y3
+	VMOVUPS Y0, (R11)
+	VMOVUPS Y1, 32(R11)
+	VMOVUPS Y2, 64(R11)
+	VMOVUPS Y3, 96(R11)
+	ADDQ $32, R10
+	JMP  av32
+
+av16:
+	CMPQ AX, $16
+	JLT  av12
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	LEAQ (BX)(R10*4), R11
+	XORQ R12, R12
+
+av16loop:
+	VBROADCASTSS (DX)(R12*4), Y4
+	VMULPS (R11), Y4, Y5
+	VMULPS 32(R11), Y4, Y6
+	VADDPS Y5, Y0, Y0
+	VADDPS Y6, Y1, Y1
+	ADDQ R14, R11
+	INCQ R12
+	CMPQ R12, R9
+	JLT  av16loop
+	LEAQ (CX)(R10*4), R11
+	VMULPS Y15, Y0, Y0
+	VMULPS Y15, Y1, Y1
+	VMOVUPS Y0, (R11)
+	VMOVUPS Y1, 32(R11)
+	ADDQ $16, R10
+	SUBQ $16, AX
+
+av12:
+	CMPQ AX, $12
+	JNE  av8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	LEAQ (BX)(R10*4), R11
+	XORQ R12, R12
+
+av12loop:
+	VBROADCASTSS (DX)(R12*4), Y4
+	VMULPS (R11), Y4, Y5
+	VMULPS 32(R11), X4, X6
+	VADDPS Y5, Y0, Y0
+	VADDPS X6, X1, X1
+	ADDQ R14, R11
+	INCQ R12
+	CMPQ R12, R9
+	JLT  av12loop
+	LEAQ (CX)(R10*4), R11
+	VMULPS Y15, Y0, Y0
+	VMULPS X15, X1, X1
+	VMOVUPS Y0, (R11)
+	VMOVUPS X1, 32(R11)
+	JMP  avdone
+
+av8:
+	CMPQ AX, $8
+	JNE  av4
+	VXORPS Y0, Y0, Y0
+	LEAQ (BX)(R10*4), R11
+	XORQ R12, R12
+
+av8loop:
+	VBROADCASTSS (DX)(R12*4), Y4
+	VMULPS (R11), Y4, Y5
+	VADDPS Y5, Y0, Y0
+	ADDQ R14, R11
+	INCQ R12
+	CMPQ R12, R9
+	JLT  av8loop
+	VMULPS Y15, Y0, Y0
+	VMOVUPS Y0, (CX)(R10*4)
+	JMP  avdone
+
+av4:
+	CMPQ AX, $4
+	JNE  avdone
+	VXORPS X0, X0, X0
+	LEAQ (BX)(R10*4), R11
+	XORQ R12, R12
+
+av4loop:
+	VBROADCASTSS (DX)(R12*4), X4
+	VMULPS (R11), X4, X5
+	VADDPS X5, X0, X0
+	ADDQ R14, R11
+	INCQ R12
+	CMPQ R12, R9
+	JLT  av4loop
+	VMULPS X15, X0, X0
+	VMOVUPS X0, (CX)(R10*4)
+
+avdone:
 	VZEROUPPER
 	RET

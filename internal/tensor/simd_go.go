@@ -1,39 +1,11 @@
 package tensor
 
+import "math"
+
 // Pure-Go reference implementations of the low-precision SIMD kernels.
 // They are the portable fallback and the oracle the assembly is tested
-// against (same contract; float comparisons associativity-tolerant,
-// integer comparisons exact).
-
-// f32MatVecGo accumulates out[j] += Σ_k a[k]·b[k·N+j], K = len(a),
-// N = len(out), walking b row-major with four k-rows register-blocked —
-// the scalar shape of the float64 matMulRows inner kernel.
-func f32MatVecGo(a, b, out []float32) {
-	n := len(out)
-	k := 0
-	for ; k+4 <= len(a); k += 4 {
-		a0, a1, a2, a3 := a[k], a[k+1], a[k+2], a[k+3]
-		b0 := b[k*n : (k+1)*n : (k+1)*n]
-		b1 := b[(k+1)*n : (k+2)*n : (k+2)*n]
-		b2 := b[(k+2)*n : (k+3)*n : (k+3)*n]
-		b3 := b[(k+3)*n : (k+4)*n : (k+4)*n]
-		for j := range out {
-			s := out[j]
-			s += a0 * b0[j]
-			s += a1 * b1[j]
-			s += a2 * b2[j]
-			s += a3 * b3[j]
-			out[j] = s
-		}
-	}
-	for ; k < len(a); k++ {
-		av := a[k]
-		brow := b[k*n : (k+1)*n : (k+1)*n]
-		for j, bv := range brow {
-			out[j] += av * bv
-		}
-	}
-}
+// against: the integer kernels, LayerNorm and attention bit for bit, the
+// vector exp and GELU within float32 noise.
 
 // int8MatVecGo computes acc[j] = Σ_k qa[k]·wt(k,j) in int32 over the
 // blocked channel-pair weight layout (see Int8Matrix): block jb holds
@@ -69,23 +41,22 @@ func maxAbs32Tail(v []float32, m float32) float32 {
 	return m
 }
 
-// quantRow32Tail is the scalar quantizer (round half away from zero).
+// quantRow32Tail is the scalar quantizer. It rounds half to even, as
+// quantRow32Asm's VCVTPS2DQ does under the default MXCSR, so a row
+// quantizes by one rule whichever part of it the vector loop covers.
 func quantRow32Tail(x []float32, inv float32, qa []int16) {
 	for i, v := range x {
-		r := v * inv
-		if r >= 0 {
-			qa[i] = int16(r + 0.5)
-		} else {
-			qa[i] = int16(r - 0.5)
-		}
+		qa[i] = int16(math.RoundToEven(float64(v * inv)))
 	}
 }
 
-// dequantRow32Tail is the scalar dequantizer; bias may be nil.
+// dequantRow32Tail is the scalar dequantizer; bias may be nil. The
+// float32 conversion rounds the product before the bias add, as
+// dequantRow32Asm does, on hosts that would otherwise fuse the two.
 func dequantRow32Tail(acc []int32, scales []float32, rowScale float32, bias, out []float32) {
 	if bias != nil {
 		for j := range out {
-			out[j] = float32(acc[j])*rowScale*scales[j] + bias[j]
+			out[j] = float32(float32(acc[j])*rowScale*scales[j]) + bias[j]
 		}
 		return
 	}
@@ -107,5 +78,79 @@ func geluGo(x []float32) {
 	for i, v := range x {
 		u := c * (v + 0.044715*v*v*v)
 		x[i] = 0.5 * v * (1 + fastTanh32(u))
+	}
+}
+
+// hsum8 sums eight lanes in the fixed order ((l0+l4)+(l2+l6)) +
+// ((l1+l5)+(l3+l7)) — the assembly's HSUM8 reduction.
+func hsum8(a *[8]float32) float32 {
+	s0, s1, s2, s3 := a[0]+a[4], a[1]+a[5], a[2]+a[6], a[3]+a[7]
+	return (s0 + s2) + (s1 + s3)
+}
+
+// addLayerNormRowGo adds resid into x (x[i] += resid[i]; resid may be nil)
+// and writes out[i] = ((x[i]-mean)·is)·gamma[i] + beta[i] with
+// is = 1/√(var+eps); out may alias x. Both sums put element i in lane
+// i mod 8 and reduce with hsum8, and every product rounds before it is
+// added (the float32 conversions stop FMA fusion on hosts that have it),
+// so this is bitwise addLayerNormRowAsm.
+func addLayerNormRowGo(x, resid, gamma, beta []float32, eps float32, out []float32) {
+	var acc [8]float32
+	if resid != nil {
+		for i, r := range resid[:len(x)] {
+			x[i] += r
+		}
+	}
+	for i, v := range x {
+		acc[i&7] += v
+	}
+	n := float32(len(x))
+	mean := hsum8(&acc) / n
+	acc = [8]float32{}
+	for i, v := range x {
+		d := v - mean
+		acc[i&7] += float32(d * d)
+	}
+	is := 1 / sqrt32(hsum8(&acc)/n+eps)
+	for i, v := range x {
+		out[i] = float32(float32((v-mean)*is)*gamma[i]) + beta[i]
+	}
+}
+
+// attnRowGo computes one query row of one head's attention, bitwise
+// attnRowAsm: with d = len(q) and Sp = len(scores) (S rounded up to 8),
+// scores[j] = scale·Σ_c q[c]·kt[c·Sp+j] over all Sp lanes, then
+// e_j = exp(scores[j] - max_{j<S}) through the vector exp over all Sp
+// lanes, then out[c] = (Σ_{j<S} e_j·v[j·vStride+c]) · (1/Σ_{j<S} e_j).
+// Dot products run from zero in ascending order with each product
+// rounded; the exp sum uses the hsum8 lane order. Pad lanes (j ≥ S) never
+// reach the max, the sum or AV.
+func attnRowGo(q, kt, v, scores, out []float32, scale float32, vStride, S int) {
+	sp := len(scores)
+	for j := range scores {
+		s := float32(0)
+		for c, qv := range q {
+			s += float32(qv * kt[c*sp+j])
+		}
+		scores[j] = s * scale
+	}
+	top := scores[0]
+	for _, s := range scores[1:S] {
+		if s > top {
+			top = s
+		}
+	}
+	expShiftInPlace(scores, top)
+	var lanes [8]float32
+	for j, e := range scores[:S] {
+		lanes[j&7] += e
+	}
+	inv := 1 / hsum8(&lanes)
+	for c := range out {
+		s := float32(0)
+		for j, e := range scores[:S] {
+			s += float32(e * v[j*vStride+c])
+		}
+		out[c] = s * inv
 	}
 }

@@ -5,7 +5,6 @@ package tensor
 // Non-amd64 builds run the low-precision kernels through the pure-Go
 // fallbacks; the int8 path still works, just slower.
 
-func f32MatVec(a, b, out []float32)                 { f32MatVecGo(a, b, out) }
 func int8MatVec(qa []int16, wt []int8, acc []int32) { int8MatVecGo(qa, wt, acc) }
 func expShiftInPlace(v []float32, shift float32)    { expShiftGo(v, shift) }
 func geluInPlace(v []float32)                       { geluGo(v) }
@@ -16,4 +15,12 @@ func quantRow32(x []float32, inv float32, qa []int16) { quantRow32Tail(x, inv, q
 
 func dequantRow32(acc []int32, scales []float32, rowScale float32, bias, out []float32) {
 	dequantRow32Tail(acc, scales, rowScale, bias, out)
+}
+
+func addLayerNormRow(x, resid, gamma, beta []float32, eps float32, out []float32) {
+	addLayerNormRowGo(x, resid, gamma, beta, eps, out)
+}
+
+func attnRow(q, kt, v, scores, out []float32, scale float32, vStride, S int) {
+	attnRowGo(q, kt, v, scores, out, scale, vStride, S)
 }
