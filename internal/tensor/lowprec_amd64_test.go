@@ -19,42 +19,139 @@ func sameBits32(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-// TestInt8MatVecKernelsMatchGo: integer arithmetic must agree exactly
-// across every available backend on the shared blocked layout, down to
-// the 4-k KPad quantum (the VNNI loop's step).
-func TestInt8MatVecKernelsMatchGo(t *testing.T) {
+// withQuantBackends calls fn once per int8 kernel set this host can run
+// (pure Go, AVX2, AVX-512 VNNI), with the dispatch gates set to select
+// it, and restores the gates afterwards.
+func withQuantBackends(fn func(backend string)) {
+	simd, vnni := haveSIMD, haveVNNI
+	defer func() { haveSIMD, haveVNNI = simd, vnni }()
+	haveSIMD, haveVNNI = false, false
+	fn("go")
+	if simd {
+		haveSIMD = true
+		fn("avx2")
+	}
+	if vnni {
+		haveVNNI = true
+		fn("vnni")
+	}
+}
+
+// tileGuard is the sentinel the tile kernel tests fill past the end of
+// each output slice; a kernel that writes beyond its rows overwrites it.
+const tileGuard = 0x5EA1
+
+// TestInt8TileKernelsMatchGo: integer arithmetic must agree exactly
+// across every available backend on the shared blocked layout, for every
+// row count up to two full groups of four plus a 1-row tail, down to the
+// 4-k KPad quantum (the VNNI loop's step), without writing past the
+// tile's rows.
+func TestInt8TileKernelsMatchGo(t *testing.T) {
 	if !haveSIMD {
 		t.Skip("no AVX2/FMA on this host")
 	}
 	rng := rand.New(rand.NewSource(2))
-	for _, kPad := range []int{4, 8, 12, 32, 48, 52, 64, 96, 100, 3104} {
-		for _, nPad := range []int{16, 32, 48, 96} {
-			qa := make([]int16, kPad)
-			for i := range qa {
-				qa[i] = int16(rng.Intn(255) - 127)
-			}
-			wt := make([]int8, kPad*nPad)
-			for i := range wt {
-				wt[i] = int8(rng.Intn(255) - 127)
-			}
-			want := make([]int32, nPad)
-			int8MatVecGo(qa, wt, want)
+	kernels := map[string]func(qa []int16, wt []int8, acc []int32, rows, kPad, nPad int){
+		"AVX2": int8TileAVX2,
+	}
+	if haveVNNI {
+		kernels["VNNI"] = int8TileVNNI
+	}
+	for rows := 1; rows <= 9; rows++ {
+		for _, kPad := range []int{4, 8, 12, 32, 48, 52, 64, 96, 100, 3104} {
+			for _, nPad := range []int{16, 32, 48, 96} {
+				qa := make([]int16, rows*kPad)
+				for i := range qa {
+					qa[i] = int16(rng.Intn(255) - 127)
+				}
+				wt := make([]int8, kPad*nPad)
+				for i := range wt {
+					wt[i] = int8(rng.Intn(255) - 127)
+				}
+				want := make([]int32, rows*nPad)
+				int8TileGo(qa, wt, want, rows, kPad, nPad)
 
-			got := make([]int32, nPad)
-			int8MatVecAVX2(qa, wt, got)
-			for j := range want {
-				if want[j] != got[j] {
-					t.Fatalf("AVX2 KPad=%d NPad=%d acc[%d]: asm %d, go %d", kPad, nPad, j, got[j], want[j])
+				for name, kern := range kernels {
+					got := make([]int32, rows*nPad+int8NPadAlign)
+					for i := range got {
+						got[i] = tileGuard
+					}
+					kern(qa, wt, got[:rows*nPad], rows, kPad, nPad)
+					for j := range want {
+						if want[j] != got[j] {
+							t.Fatalf("%s rows=%d KPad=%d NPad=%d acc[%d,%d]: asm %d, go %d",
+								name, rows, kPad, nPad, j/nPad, j%nPad, got[j], want[j])
+						}
+					}
+					for j, v := range got[rows*nPad:] {
+						if v != tileGuard {
+							t.Fatalf("%s rows=%d KPad=%d NPad=%d: wrote %d past the tile at +%d",
+								name, rows, kPad, nPad, v, j)
+						}
+					}
 				}
 			}
-			if haveVNNI {
-				for i := range got {
-					got[i] = 0
+		}
+	}
+}
+
+// TestQuantDequantTileKernelsMatchGo pins quantTileAsm and
+// dequantTileAsm to their Go mirrors bit for bit — quantized rows, pad
+// lanes, recorded max-abs and dequantized outputs — across widths on both
+// sides of the 8-lane vector step, with all-zero rows, with and without a
+// bias, and without writing past the tile.
+func TestQuantDequantTileKernelsMatchGo(t *testing.T) {
+	if !haveSIMD {
+		t.Skip("no AVX2/FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(21))
+	for rows := 1; rows <= 9; rows++ {
+		for _, k := range []int{1, 3, 4, 7, 8, 9, 15, 45, 48, 96, 100} {
+			kPad := (k + int8KPadAlign - 1) &^ (int8KPadAlign - 1)
+			x := randSlice32(rng, rows*k, 3)
+			for i := 0; i < rows; i++ {
+				if rng.Intn(3) == 0 {
+					clear(x[i*k : (i+1)*k])
 				}
-				int8MatVecVNNI(qa, wt, got)
-				for j := range want {
-					if want[j] != got[j] {
-						t.Fatalf("VNNI KPad=%d NPad=%d acc[%d]: asm %d, go %d", kPad, nPad, j, got[j], want[j])
+			}
+			wantQ, wantM := make([]int16, rows*kPad), make([]float32, rows)
+			quantTileGo(x, k, kPad, wantQ, wantM)
+			gotQ, gotM := make([]int16, rows*kPad+8), make([]float32, rows)
+			for i := range gotQ {
+				gotQ[i] = tileGuard
+			}
+			quantTileAsm(x, k, kPad, gotQ[:rows*kPad], gotM)
+			sameBits32(t, "rowMax", gotM, wantM)
+			for i := range wantQ {
+				if gotQ[i] != wantQ[i] {
+					t.Fatalf("rows=%d k=%d qa[%d,%d]: asm %d, go %d", rows, k, i/kPad, i%kPad, gotQ[i], wantQ[i])
+				}
+			}
+			for _, v := range gotQ[rows*kPad:] {
+				if v != tileGuard {
+					t.Fatalf("rows=%d k=%d: quantize wrote past the tile", rows, k)
+				}
+			}
+
+			n := k // the output widths take the same tail shapes
+			nPad := (n + int8NPadAlign - 1) &^ (int8NPadAlign - 1)
+			acc := make([]int32, rows*nPad)
+			for i := range acc {
+				acc[i] = int32(rng.Intn(1<<20) - 1<<19)
+			}
+			scales := randSlice32(rng, n, 0.01)
+			for _, bias := range [][]float32{nil, randSlice32(rng, n, 1)} {
+				want := make([]float32, rows*n)
+				dequantTileGo(acc, nPad, wantM, scales, bias, want)
+				got := make([]float32, rows*n+8)
+				for i := range got {
+					got[i] = tileGuard
+				}
+				dequantTileAsm(acc, nPad, wantM, scales, bias, got[:rows*n])
+				sameBits32(t, "dequant", got, want)
+				for _, v := range got[rows*n:] {
+					if v != tileGuard {
+						t.Fatalf("rows=%d n=%d: dequantize wrote past the tile", rows, n)
 					}
 				}
 			}

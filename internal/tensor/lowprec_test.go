@@ -251,7 +251,7 @@ func TestInferQuantLinearPadLanes(t *testing.T) {
 		}
 		for i := 0; i < x.Rows; i++ {
 			xrow := x.Row(i)
-			m := maxAbs32Tail(xrow, 0)
+			m := maxAbsRef(xrow)
 			inv := 127 / m
 			for j := 0; j < N; j++ {
 				var acc int32
@@ -268,25 +268,171 @@ func TestInferQuantLinearPadLanes(t *testing.T) {
 }
 
 // TestQuantRowRoundsHalfToEven: exact .5 ties round to the even integer
-// in the scalar quantizer and in the dispatched one, whose vector part
-// rounds by MXCSR, so one row never mixes two rounding rules.
+// in the Go quantizer and in the dispatched one, whose vector part rounds
+// by MXCSR and whose scalar tail (the last 3 of these 19 lanes on AVX2
+// hosts) by VCVTSS2SI, so one row never mixes two rounding rules. The
+// row's max-abs is 127, so it quantizes at scale 1; the pad lane must be
+// zeroed over whatever the buffer held.
 func TestQuantRowRoundsHalfToEven(t *testing.T) {
 	x := []float32{0.5, 1.5, 2.5, 3.5, -0.5, -1.5, -2.5, -3.5,
-		126.5, -126.5, 4.5, -4.5, 0.25, -0.75, 5.5, -5.5, 6.5, 7.5}
+		126.5, -126.5, 4.5, -4.5, 0.25, -0.75, 5.5, -127, 6.5, 7.5, -5.5}
 	want := []int16{0, 2, 2, 4, 0, -2, -2, -4,
-		126, -126, 4, -4, 0, -1, 6, -6, 6, 8}
-	for name, quant := range map[string]func([]float32, float32, []int16){
-		"quantRow32Tail": quantRow32Tail,
-		"quantRow32":     quantRow32,
+		126, -126, 4, -4, 0, -1, 6, -127, 6, 8, -6}
+	for name, quant := range map[string]func([]float32, int, int, []int16, []float32){
+		"quantTileGo": quantTileGo,
+		"quantTile":   quantTile,
 	} {
-		got := make([]int16, len(x))
-		quant(x, 1, got)
+		got := make([]int16, 20)
+		for i := range got {
+			got[i] = 0x7FFF // stale values the quantizer must overwrite
+		}
+		rowMax := make([]float32, 1)
+		quant(x, len(x), len(got), got, rowMax)
+		if rowMax[0] != 127 {
+			t.Fatalf("%s: rowMax %g, want 127", name, rowMax[0])
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Errorf("%s(%g) = %d, want %d", name, x[i], got[i], want[i])
 			}
 		}
+		if got[len(x)] != 0 {
+			t.Errorf("%s: pad lane %d, want 0", name, got[len(x)])
+		}
 	}
+}
+
+// maxAbsRef returns max|v[i]|.
+func maxAbsRef(v []float32) float32 {
+	m := float32(0)
+	for _, x := range v {
+		m = max(m, float32(math.Abs(float64(x))))
+	}
+	return m
+}
+
+// quantLinearRowsRef is the row-at-a-time int8 linear the tiled kernel
+// must reproduce bit for bit: per row its max-abs, the row quantized at
+// 127/max half to even, an exact integer dot product against the logical
+// weights, and the dequantized product rounded before the bias add; an
+// all-zero row yields the bias (or zeros).
+func quantLinearRowsRef(x *Matrix32, w *Int8Matrix, bias *Matrix32) *Matrix32 {
+	out := NewMatrix32(x.Rows, w.Cols)
+	q := make([]int32, x.Cols)
+	for i := 0; i < x.Rows; i++ {
+		xrow, orow := x.Row(i), out.Row(i)
+		m := maxAbsRef(xrow)
+		if m == 0 {
+			if bias != nil {
+				copy(orow, bias.Data)
+			}
+			continue
+		}
+		inv := 127 / m
+		for k, v := range xrow {
+			q[k] = int32(math.RoundToEven(float64(v * inv)))
+		}
+		for j := range orow {
+			var acc int32
+			for k, qv := range q {
+				acc += qv * int32(w.At(k, j))
+			}
+			v := float32(float32(acc) * (m / 127) * w.Scales[j])
+			if bias != nil {
+				v += bias.Data[j]
+			}
+			orow[j] = v
+		}
+	}
+	return out
+}
+
+// quantLinearCase builds a random int8 linear layer (K→N, with a bias or
+// not) and a rows×K activation batch whose row i is all zeros where bit
+// i mod 64 of zeroMask is set; rows span several magnitudes.
+func quantLinearCase(rng *rand.Rand, rows, K, N int, withBias bool, zeroMask uint64) (x *Matrix32, w *Int8Matrix, bias *Matrix32) {
+	wf := NewMatrix(K, N)
+	for i := range wf.Data {
+		wf.Data[i] = rng.NormFloat64() * 0.2
+	}
+	w = QuantizeMatrix(wf)
+	if withBias {
+		bias = &Matrix32{Rows: 1, Cols: N, Data: randSlice32(rng, N, 1)}
+	}
+	x = NewMatrix32(rows, K)
+	for i := 0; i < rows; i++ {
+		if zeroMask>>(i%64)&1 == 0 {
+			copy(x.Row(i), randSlice32(rng, K, float32(math.Pow(10, float64(rng.Intn(5)-2)))))
+		}
+	}
+	return x, w, bias
+}
+
+// dirtyQuantScratch runs a layer wider than any case below through s, so
+// every scratch lane a later, narrower layer could read holds stale
+// nonzero values.
+func dirtyQuantScratch(rng *rand.Rand, s *QuantScratch) {
+	x, w, bias := quantLinearCase(rng, quantTileRows+3, 160, 160, true, 0)
+	InferQuantLinearInto(x, w, bias, NewMatrix32(x.Rows, 160), s)
+}
+
+// checkTiledMatchesRows runs one case through InferQuantLinearInto on
+// every available backend, each with its own scratch, and requires every
+// output bit to equal the row-at-a-time reference.
+func checkTiledMatchesRows(t *testing.T, rng *rand.Rand, scratch map[string]*QuantScratch, rows, K, N int, withBias bool, zeroMask uint64) {
+	t.Helper()
+	x, w, bias := quantLinearCase(rng, rows, K, N, withBias, zeroMask)
+	want := quantLinearRowsRef(x, w, bias)
+	withQuantBackends(func(backend string) {
+		s := scratch[backend]
+		if s == nil {
+			s = new(QuantScratch)
+			dirtyQuantScratch(rng, s)
+			scratch[backend] = s
+		}
+		got := NewMatrix32(rows, N)
+		InferQuantLinearInto(x, w, bias, got, s)
+		for i, v := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("%s rows=%d K=%d N=%d bias=%v zero=%#x: out(%d,%d) = %g, row reference %g",
+					backend, rows, K, N, withBias, zeroMask, i/N, i%N, got.Data[i], v)
+			}
+		}
+	})
+}
+
+// TestInferQuantLinearTiledMatchesRows: the tiled int8 linear equals the
+// row-at-a-time reference bit for bit on every backend, across row counts
+// on both sides of the 4-row group and the 64-row tile, K on both sides of
+// the 4-k pad and the 8-lane vector step, N on both sides of the 16-channel
+// block, interleaved all-zero rows, with and without a bias, on scratch
+// reused across all of those widths after a wider layer dirtied it.
+func TestInferQuantLinearTiledMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	scratch := map[string]*QuantScratch{}
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 130} {
+		for _, K := range []int{3, 4, 45, 48, 52, 96, 100} {
+			for _, N := range []int{16, 48, 96, 144} {
+				for _, withBias := range []bool{false, true} {
+					zeroMask := rng.Uint64() & rng.Uint64() // about a quarter of the rows
+					checkTiledMatchesRows(t, rng, scratch, rows, K, N, withBias, zeroMask)
+				}
+			}
+		}
+	}
+}
+
+// FuzzInferQuantLinear is TestInferQuantLinearTiledMatchesRows over
+// fuzzed shapes (rows 1–140, K and N 1–128), seeds, bias presence and
+// zero-row masks.
+func FuzzInferQuantLinear(f *testing.F) {
+	f.Add(uint8(5), uint8(47), uint8(95), int64(1), true, uint64(0b10010))
+	f.Add(uint8(129), uint8(2), uint8(15), int64(2), false, uint64(1<<63|1))
+	f.Fuzz(func(t *testing.T, rows8, k8, n8 uint8, seed int64, withBias bool, zeroMask uint64) {
+		rows, K, N := 1+int(rows8)%140, 1+int(k8)%128, 1+int(n8)%128
+		rng := rand.New(rand.NewSource(seed))
+		checkTiledMatchesRows(t, rng, map[string]*QuantScratch{}, rows, K, N, withBias, zeroMask)
+	})
 }
 
 // ---- float32 kernels vs float64 golden ----
@@ -373,16 +519,15 @@ func TestInferKernels32MatchFloat64(t *testing.T) {
 
 // ---- micro-benchmarks for the kernel rungs ----
 
-func benchLinear(b *testing.B, run func(x *Matrix32, i int)) {
-	rng := rand.New(rand.NewSource(5))
-	x := NewMatrix32(256, 48)
-	for i := range x.Data {
-		x.Data[i] = rng.Float32()*2 - 1
+// benchBatchLens draws the line lengths of a 512-line batch shaped like
+// the serve path's (4–20 tokens a line) and returns them with their sum.
+func benchBatchLens(rng *rand.Rand) (lens []int, T int) {
+	lens = make([]int, 512)
+	for i := range lens {
+		lens[i] = 4 + rng.Intn(17)
+		T += lens[i]
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(x, i)
-	}
+	return lens, T
 }
 
 func BenchmarkLinearF64(b *testing.B) {
@@ -403,19 +548,29 @@ func BenchmarkLinearF64(b *testing.B) {
 	}
 }
 
+// BenchmarkLinearInt8 runs the int8 linear at the default encoder's three
+// weight shapes (QKV and output projections 48→48, FFN in 48→96, FFN out
+// 96→48) over the token rows of a 512-line batch, and reports ns/line.
 func BenchmarkLinearInt8(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	w := NewMatrix(48, 96)
-	for i := range w.Data {
-		w.Data[i] = rng.NormFloat64() * 0.2
+	for _, shape := range []struct{ K, N int }{{48, 48}, {48, 96}, {96, 48}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.K, shape.N), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			lens, T := benchBatchLens(rng)
+			w := NewMatrix(shape.K, shape.N)
+			for i := range w.Data {
+				w.Data[i] = rng.NormFloat64() * 0.2
+			}
+			q := QuantizeMatrix(w)
+			bias := &Matrix32{Rows: 1, Cols: shape.N, Data: randSlice32(rng, shape.N, 0.1)}
+			x := &Matrix32{Rows: T, Cols: shape.K, Data: randSlice32(rng, T*shape.K, 1)}
+			out := NewMatrix32(T, shape.N)
+			var qs QuantScratch
+			for b.Loop() {
+				InferQuantLinearInto(x, q, bias, out, &qs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lens)), "ns/line")
+		})
 	}
-	q := QuantizeMatrix(w)
-	bias := NewMatrix32(1, 96)
-	out := NewMatrix32(256, 96)
-	var qs QuantScratch
-	benchLinear(b, func(x *Matrix32, _ int) {
-		InferQuantLinearInto(x, q, bias, out, &qs)
-	})
 }
 
 // BenchmarkAttention32 runs the int8 path's attention over a 512-line
@@ -423,12 +578,7 @@ func BenchmarkLinearInt8(b *testing.B) {
 // 4–20 tokens).
 func BenchmarkAttention32(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	lens := make([]int, 512)
-	T := 0
-	for i := range lens {
-		lens[i] = 4 + rng.Intn(17)
-		T += lens[i]
-	}
+	lens, T := benchBatchLens(rng)
 	q := &Matrix32{Rows: T, Cols: 48, Data: randSlice32(rng, T*48, 1)}
 	k := &Matrix32{Rows: T, Cols: 48, Data: randSlice32(rng, T*48, 1)}
 	v := &Matrix32{Rows: T, Cols: 48, Data: randSlice32(rng, T*48, 1)}

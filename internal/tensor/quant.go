@@ -135,27 +135,41 @@ func (q *Int8Matrix) Dequantize32() *Matrix32 {
 	return out
 }
 
+// quantTileRows is the row tile of InferQuantLinearInto: the batch is
+// quantized, multiplied and dequantized this many rows at a time, so the
+// scratch stays a fixed multiple of the layer width however many tokens a
+// batch holds. A multiple of 4, the matmul kernel's row group.
+const quantTileRows = 64
+
 // QuantScratch is the caller-owned working memory of the quantized linear
-// kernel: the current activation row quantized to int8 range (widened to
-// int16, the accumulation kernels' operand width) and the int32
-// accumulator row. Sized by EnsureQuant for the widest K (input) and N
-// (output) the caller will see.
+// kernel, for one row tile: the tile's activations quantized to int8
+// range (widened to int16, the accumulation kernels' operand width; one
+// KPad-wide row each), the int32 accumulators (one NPad-wide row each)
+// and each row's max-abs. Sized by EnsureQuant for the widest K (input)
+// and N (output) the caller will see.
 type QuantScratch struct {
-	qa  []int16
-	acc []int32
+	qa     []int16
+	acc    []int32
+	rowMax []float32
 }
 
 // EnsureQuant grows the scratch to serve matmuls with inputs up to k wide
-// and outputs up to n wide, both rounded up to the kernel layout quanta.
-// Pad lanes of the activation buffer stay zero.
+// and outputs up to n wide, both rounded up to the kernel layout quanta:
+// quantTileRows rows of each. The scratch is shared by layers of
+// different widths, so no lane of it is assumed zero: the quantize pass
+// writes every lane of each row it uses, the pad lanes [K, KPad)
+// included, before the matmul reads it.
 func (s *QuantScratch) EnsureQuant(k, n int) {
 	kPad := (k + int8KPadAlign - 1) &^ (int8KPadAlign - 1)
 	nPad := (n + int8NPadAlign - 1) &^ (int8NPadAlign - 1)
-	if len(s.qa) < kPad {
-		s.qa = make([]int16, kPad)
+	if len(s.qa) < quantTileRows*kPad {
+		s.qa = make([]int16, quantTileRows*kPad)
 	}
-	if len(s.acc) < nPad {
-		s.acc = make([]int32, nPad)
+	if len(s.acc) < quantTileRows*nPad {
+		s.acc = make([]int32, quantTileRows*nPad)
+	}
+	if s.rowMax == nil {
+		s.rowMax = make([]float32, quantTileRows)
 	}
 }
 
@@ -164,7 +178,14 @@ func (s *QuantScratch) EnsureQuant(k, n int) {
 // with its own dynamic scale, multiplied against the pre-quantized weights
 // with int32 accumulation, and dequantized into float32 with the fused
 // row×column scale. bias (float32, may be nil) is added after the matmul,
-// matching the float paths' operation order.
+// matching the float paths' operation order; an all-zero row yields
+// exactly the bias (or zeros).
+//
+// Rows run in tiles of quantTileRows, three kernel calls per tile: one
+// quantizes every row (max-abs and round-half-even fused, pad lanes
+// zeroed), one multiplies four rows at a time against each weight block,
+// and one dequantizes. Each row's result depends on that row alone, so
+// the tiling changes no output bit.
 func InferQuantLinearInto(x *Matrix32, w *Int8Matrix, bias *Matrix32, out *Matrix32, s *QuantScratch) {
 	if x.Cols != w.Rows || out.Rows != x.Rows || out.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: InferQuantLinear shapes %dx%d · %dx%d -> %dx%d",
@@ -176,38 +197,17 @@ func InferQuantLinearInto(x *Matrix32, w *Int8Matrix, bias *Matrix32, out *Matri
 	}
 	K, N := w.Rows, w.Cols
 	s.EnsureQuant(K, N)
-	qa := s.qa[:w.KPad]
-	acc := s.acc[:w.NPad]
-	for i := 0; i < x.Rows; i++ {
-		xrow := x.Row(i)
-		orow := out.Row(i)
-
-		// Dynamic per-row activation scale.
-		maxAbs := maxAbs32(xrow)
-		if maxAbs == 0 {
-			if bias != nil {
-				copy(orow, bias.Data)
-			} else {
-				for j := range orow {
-					orow[j] = 0
-				}
-			}
-			continue
-		}
-		quantRow32(xrow, 127/maxAbs, qa)
-		// The pad must be zero: the scratch is shared across layers of
-		// different widths, so a previous wider row may have left values
-		// in [K, KPad).
-		for k := K; k < w.KPad; k++ {
-			qa[k] = 0
-		}
-
-		int8MatVec(qa, w.Data, acc)
-
-		var biasRow []float32
-		if bias != nil {
-			biasRow = bias.Data
-		}
-		dequantRow32(acc, w.Scales, maxAbs/127, biasRow, orow)
+	var biasRow []float32
+	if bias != nil {
+		biasRow = bias.Data
+	}
+	for r0 := 0; r0 < x.Rows; r0 += quantTileRows {
+		rows := min(quantTileRows, x.Rows-r0)
+		qa := s.qa[:rows*w.KPad]
+		acc := s.acc[:rows*w.NPad]
+		rowMax := s.rowMax[:rows]
+		quantTile(x.Data[r0*K:(r0+rows)*K], K, w.KPad, qa, rowMax)
+		int8Tile(qa, w.Data, acc, rows, w.KPad, w.NPad)
+		dequantTile(acc, w.NPad, rowMax, w.Scales, biasRow, out.Data[r0*N:(r0+rows)*N])
 	}
 }

@@ -14,7 +14,7 @@ package tensor
 // repeated scoring stay exactly reproducible.
 
 // haveSIMD gates the AVX2 kernels: AVX2 + FMA + OS-enabled YMM state.
-// haveVNNI additionally gates the AVX-512 VNNI int8 kernel.
+// haveVNNI additionally gates the AVX-512 VNNI int8 matmul kernel.
 var (
 	haveSIMD = x86HasAVX2FMA()
 	haveVNNI = haveSIMD && x86HasAVX512VNNI()
@@ -28,20 +28,39 @@ func x86HasAVX2FMA() bool
 // OS-saved ZMM and opmask state (implemented in simd_amd64.s).
 func x86HasAVX512VNNI() bool
 
-// int8MatVecAVX2 computes acc[j] = Σ_k qa[k]·wt(k,j) over the blocked
-// channel-pair layout with VPMADDWD/VPADDD, one k-pair per step.
-// len(qa) = KPad (multiple of 4), len(acc) = NPad (multiple of 16),
-// len(wt) = KPad·NPad.
+// quantTileAsm is the AVX2 form of quantTileGo, bitwise equal to it:
+// per row of the tile, max-abs, then the row scaled by 127/max and
+// rounded to nearest-even (VCVTPS2DQ, VCVTSS2SI for the k mod 8 tail),
+// then the pad lanes [k, kPad) zeroed. len(x) = len(rowMax)·k,
+// len(qa) ≥ len(rowMax)·kPad.
 //
 //go:noescape
-func int8MatVecAVX2(qa []int16, wt []int8, acc []int32)
+func quantTileAsm(x []float32, k, kPad int, qa []int16, rowMax []float32)
 
-// int8MatVecVNNI is the same contract fused onto AVX-512 VPDPWSSD:
-// 16-channel blocks accumulate in one ZMM with no widening shuffles, two
-// k-pairs (4 k's, the KPad quantum) per step.
+// int8TileAVX2 is the AVX2 form of int8TileGo: four rows at a time, each
+// k-pair of a 16-channel weight block is sign-extended once and fed to
+// the four rows' VPMADDWD/VPADDD chains. A group of 1–3 rows at the end
+// repeats its last row in the missing slots, which only rewrites that
+// row's own values. kPad is a multiple of 4 (two k-pairs), nPad of 16.
 //
 //go:noescape
-func int8MatVecVNNI(qa []int16, wt []int8, acc []int32)
+func int8TileAVX2(qa []int16, wt []int8, acc []int32, rows, kPad, nPad int)
+
+// int8TileVNNI is the same contract fused onto AVX-512 VPDPWSSD with
+// broadcast activation pairs: each weight k-quad is sign-extended once
+// into two ZMMs that feed eight independent accumulators (four rows ×
+// two k-pair phases).
+//
+//go:noescape
+func int8TileVNNI(qa []int16, wt []int8, acc []int32, rows, kPad, nPad int)
+
+// dequantTileAsm is the AVX2 form of dequantTileGo, bitwise equal to it:
+// per row, out = float32(acc)·(rowMax/127)·scales (+ bias), or a copy of
+// the bias (or zeros) where rowMax is 0. bias may be nil. len(out) =
+// len(rowMax)·len(scales), acc rows are nPad wide.
+//
+//go:noescape
+func dequantTileAsm(acc []int32, nPad int, rowMax, scales, bias, out []float32)
 
 // expShiftAsm applies v[i] = exp(v[i] - shift) in place, 8 lanes at a
 // time, with the same range reduction and degree-7 polynomial as
@@ -59,17 +78,6 @@ func expShiftAsm(v []float32, shift float32)
 //go:noescape
 func gelu32Asm(v []float32)
 
-// maxAbs32Asm returns max|v[i]| over len(v) (multiple of 8, nonzero).
-//
-//go:noescape
-func maxAbs32Asm(v []float32) float32
-
-// quantRow32Asm writes qa[i] = int16(round(x[i]·inv)) for len(x) elements
-// (multiple of 8); rounding is nearest-even.
-//
-//go:noescape
-func quantRow32Asm(x []float32, inv float32, qa []int16)
-
 // addLayerNormRowAsm is the AVX2 form of addLayerNormRowGo, bitwise
 // equal to it: x += resid (when resid is non-empty), then out is x's
 // LayerNorm times gamma plus beta. len(x) must be a positive multiple of 4.
@@ -85,57 +93,36 @@ func addLayerNormRowAsm(x, resid, gamma, beta []float32, eps float32, out []floa
 //go:noescape
 func attnRowAsm(q, kt, v, scores, out []float32, scale float32, vStride, S int)
 
-// dequantRow32Asm writes out[j] = float32(acc[j])·rowScale·scales[j] +
-// bias[j] for len(out) elements (multiple of 8).
-//
-//go:noescape
-func dequantRow32Asm(acc []int32, scales []float32, rowScale float32, bias, out []float32)
-
-// maxAbs32 returns max|v[i]|.
-func maxAbs32(v []float32) float32 {
-	n8 := 0
-	m := float32(0)
-	if haveSIMD && len(v) >= 8 {
-		n8 = len(v) &^ 7
-		m = maxAbs32Asm(v[:n8])
-	}
-	return maxAbs32Tail(v[n8:], m)
-}
-
-// quantRow32 fills qa[:len(x)] with the symmetric int8-range quantization
-// of x at scale 1/inv.
-func quantRow32(x []float32, inv float32, qa []int16) {
-	n8 := 0
-	if haveSIMD && len(x) >= 8 {
-		n8 = len(x) &^ 7
-		quantRow32Asm(x[:n8], inv, qa)
-	}
-	quantRow32Tail(x[n8:], inv, qa[n8:])
-}
-
-// dequantRow32 writes out[j] = acc[j]·rowScale·scales[j] (+ bias[j] when
-// bias is non-nil).
-func dequantRow32(acc []int32, scales []float32, rowScale float32, bias, out []float32) {
-	if bias == nil || !haveSIMD || len(out) < 8 {
-		dequantRow32Tail(acc, scales, rowScale, bias, out)
+// quantTile dispatches the quantize pass of one row tile.
+func quantTile(x []float32, k, kPad int, qa []int16, rowMax []float32) {
+	if haveSIMD {
+		quantTileAsm(x, k, kPad, qa, rowMax)
 		return
 	}
-	n8 := len(out) &^ 7
-	dequantRow32Asm(acc, scales, rowScale, bias, out[:n8])
-	dequantRow32Tail(acc[n8:], scales[n8:], rowScale, bias[n8:], out[n8:])
+	quantTileGo(x, k, kPad, qa, rowMax)
 }
 
-// int8MatVec dispatches one quantized matvec to the best available kernel.
-func int8MatVec(qa []int16, wt []int8, acc []int32) {
+// int8Tile dispatches the matmul pass of one row tile to the best
+// available kernel.
+func int8Tile(qa []int16, wt []int8, acc []int32, rows, kPad, nPad int) {
 	if haveVNNI {
-		int8MatVecVNNI(qa, wt, acc)
+		int8TileVNNI(qa, wt, acc, rows, kPad, nPad)
 		return
 	}
 	if haveSIMD {
-		int8MatVecAVX2(qa, wt, acc)
+		int8TileAVX2(qa, wt, acc, rows, kPad, nPad)
 		return
 	}
-	int8MatVecGo(qa, wt, acc)
+	int8TileGo(qa, wt, acc, rows, kPad, nPad)
+}
+
+// dequantTile dispatches the dequantize pass of one row tile.
+func dequantTile(acc []int32, nPad int, rowMax, scales, bias, out []float32) {
+	if haveSIMD {
+		dequantTileAsm(acc, nPad, rowMax, scales, bias, out)
+		return
+	}
+	dequantTileGo(acc, nPad, rowMax, scales, bias, out)
 }
 
 // addLayerNormRow dispatches one residual-add + LayerNorm row to the AVX2

@@ -205,93 +205,202 @@ vno:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func int8MatVecAVX2(qa []int16, wt []int8, acc []int32)
+// TILEROWS points AX, BX, R11, R12 at the qa rows of the next group of
+// four (row stride R8 bytes) and stores the acc byte offsets of rows 1–3
+// (row stride R10 bytes) in the frame at o1, o2, o3. With CX < 4 rows
+// left, the missing slots repeat the last row: its values are computed
+// and stored again, and nothing outside the tile is touched.
+#define TILEROWS \
+	XORQ    R9, R9            \
+	LEAQ    (AX)(R8*1), BX    \
+	CMPQ    CX, $1            \
+	CMOVQLE AX, BX            \
+	CMOVQGT R10, R9           \
+	MOVQ    R9, o1-8(SP)      \
+	LEAQ    (BX)(R8*1), R11   \
+	LEAQ    (R9)(R10*1), R14  \
+	CMPQ    CX, $2            \
+	CMOVQLE BX, R11           \
+	CMOVQLE R9, R14           \
+	MOVQ    R14, o2-16(SP)    \
+	LEAQ    (R11)(R8*1), R12  \
+	LEAQ    (R14)(R10*1), R9  \
+	CMPQ    CX, $3            \
+	CMOVQLE R11, R12          \
+	CMOVQLE R14, R9           \
+	MOVQ    R9, o3-24(SP)
+
+// func int8TileAVX2(qa []int16, wt []int8, acc []int32, rows, kPad, nPad int)
 //
 // Blocked channel-pair layout (see Int8Matrix): per 16-channel block, each
 // k-pair contributes 32 consecutive weight bytes (channel-major pairs).
-// The kernel broadcasts the activation pair as one dword, sign-extends the
-// weight pairs, and VPMADDWD+VPADDD accumulates 8 channels per YMM — no
-// horizontal reduction anywhere.
-TEXT ·int8MatVecAVX2(SB), NOSPLIT, $0-72
-	MOVQ qa_base+0(FP), SI
-	MOVQ qa_len+8(FP), R8    // KPad
-	MOVQ wt_base+24(FP), DI
+// Four rows at a time: each k-pair's weights are sign-extended once into
+// Y8/Y9 (channels 0–7, 8–15) and multiplied by each row's broadcast
+// activation pair with VPMADDWD; VPADDD accumulates into Y0–Y7 (row r in
+// Y(2r), Y(2r+1)) — no horizontal reduction anywhere.
+TEXT ·int8TileAVX2(SB), NOSPLIT, $24-96
+	MOVQ qa_base+0(FP), AX
+	MOVQ wt_base+24(FP), R13
 	MOVQ acc_base+48(FP), DX
-	MOVQ acc_len+56(FP), R9  // NPad
-	MOVQ R8, R14
-	SHLQ $1, R14             // qa byte length
-	SHRQ $4, R9              // 16-channel blocks
-	TESTQ R9, R9
-	JZ   done
+	MOVQ rows+72(FP), CX
+	MOVQ kPad+80(FP), R8
+	MOVQ nPad+88(FP), R10
+	SHLQ $1, R8              // qa row stride in bytes, also the k bound
+	SHLQ $2, R10             // acc row stride in bytes
+	TESTQ R8, R8
+	JZ   adone
+	TESTQ R10, R10
+	JZ   adone
+	TESTQ CX, CX
+	JLE  adone
 
-blockloop:
+agroup:
+	TILEROWS
+	MOVQ R13, DI             // weights, block 0
+	MOVQ DX, SI              // acc of the group's row 0, block 0
+	MOVQ R10, R9
+	SHRQ $6, R9              // 16-channel blocks: nPad/16
+
+ablock:
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
-	XORQ R12, R12            // qa byte offset
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	XORQ R14, R14            // qa byte offset
 
-kloop:
-	VPBROADCASTD (SI)(R12*1), Y2
-	VPMOVSXBW (DI), Y3
-	VPMOVSXBW 16(DI), Y4
-	VPMADDWD Y2, Y3, Y3
-	VPMADDWD Y2, Y4, Y4
-	VPADDD Y3, Y0, Y0
-	VPADDD Y4, Y1, Y1
+ak:
+	VPMOVSXBW (DI), Y8
+	VPMOVSXBW 16(DI), Y9
+	VPBROADCASTD (AX)(R14*1), Y10
+	VPMADDWD Y10, Y8, Y11
+	VPMADDWD Y10, Y9, Y12
+	VPADDD Y11, Y0, Y0
+	VPADDD Y12, Y1, Y1
+	VPBROADCASTD (BX)(R14*1), Y10
+	VPMADDWD Y10, Y8, Y11
+	VPMADDWD Y10, Y9, Y12
+	VPADDD Y11, Y2, Y2
+	VPADDD Y12, Y3, Y3
+	VPBROADCASTD (R11)(R14*1), Y10
+	VPMADDWD Y10, Y8, Y11
+	VPMADDWD Y10, Y9, Y12
+	VPADDD Y11, Y4, Y4
+	VPADDD Y12, Y5, Y5
+	VPBROADCASTD (R12)(R14*1), Y10
+	VPMADDWD Y10, Y8, Y11
+	VPMADDWD Y10, Y9, Y12
+	VPADDD Y11, Y6, Y6
+	VPADDD Y12, Y7, Y7
 	ADDQ $32, DI
-	ADDQ $4, R12
-	CMPQ R12, R14
-	JLT  kloop
-	VMOVDQU Y0, (DX)
-	VMOVDQU Y1, 32(DX)
-	ADDQ $64, DX
+	ADDQ $4, R14
+	CMPQ R14, R8
+	JLT  ak
+	VMOVDQU Y0, (SI)
+	VMOVDQU Y1, 32(SI)
+	MOVQ o1-8(SP), R14
+	VMOVDQU Y2, (SI)(R14*1)
+	VMOVDQU Y3, 32(SI)(R14*1)
+	MOVQ o2-16(SP), R14
+	VMOVDQU Y4, (SI)(R14*1)
+	VMOVDQU Y5, 32(SI)(R14*1)
+	MOVQ o3-24(SP), R14
+	VMOVDQU Y6, (SI)(R14*1)
+	VMOVDQU Y7, 32(SI)(R14*1)
+	ADDQ $64, SI
 	DECQ R9
-	JNZ  blockloop
+	JNZ  ablock
 
-done:
+	LEAQ (AX)(R8*4), AX      // next four qa rows
+	LEAQ (DX)(R10*4), DX     // next four acc rows
+	SUBQ $4, CX
+	JG   agroup
+
+adone:
 	VZEROUPPER
 	RET
 
-// func int8MatVecVNNI(qa []int16, wt []int8, acc []int32)
+// func int8TileVNNI(qa []int16, wt []int8, acc []int32, rows, kPad, nPad int)
 //
-// Same contract and layout as int8MatVecAVX2, fused onto AVX-512
-// VPDPWSSD: one instruction multiplies a k-pair across 16 channels and
-// accumulates into the int32 lanes. Two k-pairs per iteration keep two
-// independent accumulator chains.
-TEXT ·int8MatVecVNNI(SB), NOSPLIT, $0-72
-	MOVQ qa_base+0(FP), SI
-	MOVQ qa_len+8(FP), R8
-	MOVQ wt_base+24(FP), DI
+// Same contract and layout as int8TileAVX2, fused onto AVX-512 VPDPWSSD:
+// one instruction multiplies a k-pair across 16 channels by a row's
+// broadcast activation pair and accumulates into the int32 lanes. Each
+// weight k-quad is sign-extended once into Z8 (first pair) and Z9
+// (second pair); row r accumulates the two phases in Z(2r) and Z(2r+1),
+// eight independent chains, summed once per block.
+TEXT ·int8TileVNNI(SB), NOSPLIT, $24-96
+	MOVQ qa_base+0(FP), AX
+	MOVQ wt_base+24(FP), R13
 	MOVQ acc_base+48(FP), DX
-	MOVQ acc_len+56(FP), R9
-	MOVQ R8, R14
-	SHLQ $1, R14
-	SHRQ $4, R9
-	TESTQ R9, R9
-	JZ   done
+	MOVQ rows+72(FP), CX
+	MOVQ kPad+80(FP), R8
+	MOVQ nPad+88(FP), R10
+	SHLQ $1, R8
+	SHLQ $2, R10
+	TESTQ R8, R8
+	JZ   vdone
+	TESTQ R10, R10
+	JZ   vdone
+	TESTQ CX, CX
+	JLE  vdone
 
-blockloop:
+vgroup:
+	TILEROWS
+	MOVQ R13, DI
+	MOVQ DX, SI
+	MOVQ R10, R9
+	SHRQ $6, R9
+
+vblock:
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
-	XORQ R12, R12
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	XORQ R14, R14
 
-kloop:
-	VPBROADCASTD (SI)(R12*1), Z2
-	VPBROADCASTD 4(SI)(R12*1), Z3
-	VPMOVSXBW (DI), Z4
-	VPMOVSXBW 32(DI), Z5
-	VPDPWSSD Z4, Z2, Z0
-	VPDPWSSD Z5, Z3, Z1
+vk:
+	VPMOVSXBW (DI), Z8
+	VPMOVSXBW 32(DI), Z9
+	VPDPWSSD.BCST (AX)(R14*1), Z8, Z0
+	VPDPWSSD.BCST 4(AX)(R14*1), Z9, Z1
+	VPDPWSSD.BCST (BX)(R14*1), Z8, Z2
+	VPDPWSSD.BCST 4(BX)(R14*1), Z9, Z3
+	VPDPWSSD.BCST (R11)(R14*1), Z8, Z4
+	VPDPWSSD.BCST 4(R11)(R14*1), Z9, Z5
+	VPDPWSSD.BCST (R12)(R14*1), Z8, Z6
+	VPDPWSSD.BCST 4(R12)(R14*1), Z9, Z7
 	ADDQ $64, DI
-	ADDQ $8, R12
-	CMPQ R12, R14
-	JLT  kloop
+	ADDQ $8, R14
+	CMPQ R14, R8
+	JLT  vk
 	VPADDD Z1, Z0, Z0
-	VMOVDQU32 Z0, (DX)
-	ADDQ $64, DX
+	VPADDD Z3, Z2, Z2
+	VPADDD Z5, Z4, Z4
+	VPADDD Z7, Z6, Z6
+	VMOVDQU32 Z0, (SI)
+	MOVQ o1-8(SP), R14
+	VMOVDQU32 Z2, (SI)(R14*1)
+	MOVQ o2-16(SP), R14
+	VMOVDQU32 Z4, (SI)(R14*1)
+	MOVQ o3-24(SP), R14
+	VMOVDQU32 Z6, (SI)(R14*1)
+	ADDQ $64, SI
 	DECQ R9
-	JNZ  blockloop
+	JNZ  vblock
 
-done:
+	LEAQ (AX)(R8*4), AX
+	LEAQ (DX)(R10*4), DX
+	SUBQ $4, CX
+	JG   vgroup
+
+vdone:
 	VZEROUPPER
 	RET
 
@@ -306,84 +415,233 @@ DATA cabs<>+24(SB)/4, $0x7FFFFFFF
 DATA cabs<>+28(SB)/4, $0x7FFFFFFF
 GLOBL cabs<>(SB), RODATA, $32
 
-// func maxAbs32Asm(v []float32) float32
-//
-// Returns max_i |v[i]|; len(v) must be a multiple of 8 and nonzero.
-TEXT ·maxAbs32Asm(SB), NOSPLIT, $0-28
-	MOVQ v_base+0(FP), SI
-	MOVQ v_len+8(FP), R8
-	VXORPS Y0, Y0, Y0
-	VMOVUPS cabs<>(SB), Y2
-	SHRQ $3, R8
+DATA c127<>+0(SB)/4, $0x42FE0000 // 127.0
+GLOBL c127<>(SB), RODATA, $4
 
-maloop:
-	VMOVUPS (SI), Y1
-	VANDPS Y2, Y1, Y1
+// func quantTileAsm(x []float32, k, kPad int, qa []int16, rowMax []float32)
+//
+// Per row of k floats: rowMax = max|x| (8-lane VMAXPS over k &^ 7, then
+// the scalar tail), inv = 127/rowMax (0 for an all-zero row), then
+// qa = round(x·inv) by VCVTPS2DQ/VPACKSSDW over k &^ 7 and VCVTSS2SI for
+// the tail, both nearest-even under MXCSR, then qa[k:kPad] = 0.
+TEXT ·quantTileAsm(SB), NOSPLIT, $0-88
+	MOVQ x_base+0(FP), SI
+	MOVQ k+24(FP), R8
+	MOVQ kPad+32(FP), R9
+	MOVQ qa_base+40(FP), DI
+	MOVQ rowMax_base+64(FP), DX
+	MOVQ rowMax_len+72(FP), CX
+	VMOVUPS cabs<>(SB), Y7
+	VMOVSS c127<>(SB), X6
+	MOVQ R8, R11
+	ANDQ $-8, R11            // k &^ 7
+	TESTQ CX, CX
+	JZ   qdone
+
+qrow:
+	VXORPS Y0, Y0, Y0
+	XORQ BX, BX
+	CMPQ BX, R11
+	JGE  qmaxred
+
+qmaxvec:
+	VANDPS (SI)(BX*4), Y7, Y1
 	VMAXPS Y1, Y0, Y0
-	ADDQ $32, SI
-	DECQ R8
-	JNZ  maloop
+	ADDQ $8, BX
+	CMPQ BX, R11
+	JLT  qmaxvec
+
+qmaxred:
 	VEXTRACTF128 $1, Y0, X1
 	VMAXPS X1, X0, X0
 	VPSHUFD $0x4E, X0, X1
 	VMAXPS X1, X0, X0
 	VPSHUFD $0xB1, X0, X1
 	VMAXPS X1, X0, X0
-	VMOVSS X0, ret+24(FP)
-	VZEROUPPER
-	RET
 
-// func quantRow32Asm(x []float32, inv float32, qa []int16)
-//
-// qa[i] = int16(round-to-nearest(x[i]·inv)); len(x) must be a multiple of
-// 8 (qa at least as long). Rounding is MXCSR nearest-even, the same rule
-// as the scalar quantRow32Tail.
-TEXT ·quantRow32Asm(SB), NOSPLIT, $0-56
-	MOVQ x_base+0(FP), SI
-	MOVQ x_len+8(FP), R8
-	VBROADCASTSS inv+24(FP), Y2
-	MOVQ qa_base+32(FP), DI
-	SHRQ $3, R8
+qmaxtail:
+	CMPQ BX, R8
+	JGE  qscale
+	VMOVSS (SI)(BX*4), X1
+	VANDPS X7, X1, X1
+	VMAXSS X1, X0, X0
+	INCQ BX
+	JMP  qmaxtail
 
-qrloop:
-	VMOVUPS (SI), Y0
-	VMULPS Y2, Y0, Y0
+qscale:
+	VMOVSS X0, (DX)
+	VXORPS X2, X2, X2
+	VUCOMISS X2, X0
+	JNE  qinv
+	JPS  qinv
+	JMP  qbcast              // all-zero row: inv = 0
+
+qinv:
+	VDIVSS X0, X6, X2        // 127 / rowMax
+
+qbcast:
+	VBROADCASTSS X2, Y2
+	XORQ BX, BX
+	CMPQ BX, R11
+	JGE  qtail
+
+qvec:
+	VMULPS (SI)(BX*4), Y2, Y0
 	VCVTPS2DQ Y0, Y0
 	VEXTRACTI128 $1, Y0, X1
 	VPACKSSDW X1, X0, X0
-	VMOVDQU X0, (DI)
-	ADDQ $32, SI
-	ADDQ $16, DI
-	DECQ R8
-	JNZ  qrloop
+	VMOVDQU X0, (DI)(BX*2)
+	ADDQ $8, BX
+	CMPQ BX, R11
+	JLT  qvec
+
+qtail:
+	CMPQ BX, R8
+	JGE  qpad
+	VMULSS (SI)(BX*4), X2, X0
+	VCVTSS2SI X0, AX
+	MOVW AX, (DI)(BX*2)
+	INCQ BX
+	JMP  qtail
+
+qpad:
+	CMPQ BX, R9
+	JGE  qnext
+	MOVW $0, (DI)(BX*2)
+	INCQ BX
+	JMP  qpad
+
+qnext:
+	LEAQ (SI)(R8*4), SI
+	LEAQ (DI)(R9*2), DI
+	ADDQ $4, DX
+	DECQ CX
+	JNZ  qrow
+
+qdone:
 	VZEROUPPER
 	RET
 
-// func dequantRow32Asm(acc []int32, scales []float32, rowScale float32, bias, out []float32)
+// func dequantTileAsm(acc []int32, nPad int, rowMax, scales, bias, out []float32)
 //
-// out[j] = float32(acc[j])·rowScale·scales[j] + bias[j]; len(out) must be
-// a multiple of 8, acc/scales/bias at least as long.
-TEXT ·dequantRow32Asm(SB), NOSPLIT, $0-104
+// Per row of n = len(scales) outputs: out = float32(acc)·(rowMax/127)·
+// scales (+ bias unless bias is empty), 8 lanes then a scalar tail, every
+// product rounded before the add; a row with rowMax 0 gets a copy of bias
+// (or zeros) instead. acc rows are nPad int32s apart, out rows n floats.
+TEXT ·dequantTileAsm(SB), NOSPLIT, $0-128
 	MOVQ acc_base+0(FP), SI
-	MOVQ scales_base+24(FP), R10
-	VBROADCASTSS rowScale+48(FP), Y2
-	MOVQ bias_base+56(FP), R11
-	MOVQ out_base+80(FP), DI
-	MOVQ out_len+88(FP), R8
-	SHRQ $3, R8
+	MOVQ nPad+24(FP), R9
+	SHLQ $2, R9              // acc row stride in bytes
+	MOVQ rowMax_base+32(FP), DX
+	MOVQ rowMax_len+40(FP), CX
+	MOVQ scales_base+56(FP), R10
+	MOVQ scales_len+64(FP), R8
+	MOVQ bias_base+80(FP), R11
+	MOVQ bias_len+88(FP), R12
+	MOVQ out_base+104(FP), DI
+	VMOVSS c127<>(SB), X6
+	VXORPS Y7, Y7, Y7
+	MOVQ R8, R13
+	ANDQ $-8, R13            // n &^ 7
+	TESTQ CX, CX
+	JZ   ddone
 
-dqloop:
-	VCVTDQ2PS (SI), Y0
+drow:
+	VMOVSS (DX), X0
+	VUCOMISS X7, X0
+	JNE  dscale
+	JPS  dscale
+	XORQ BX, BX
+	TESTQ R12, R12
+	JNZ  dcopyvec
+
+dzerovec:                    // all-zero row, no bias: zeros
+	CMPQ BX, R13
+	JGE  dzerotail
+	VMOVUPS Y7, (DI)(BX*4)
+	ADDQ $8, BX
+	JMP  dzerovec
+
+dzerotail:
+	CMPQ BX, R8
+	JGE  dnext
+	MOVL $0, (DI)(BX*4)
+	INCQ BX
+	JMP  dzerotail
+
+dcopyvec:                    // all-zero row: the bias
+	CMPQ BX, R13
+	JGE  dcopytail
+	VMOVUPS (R11)(BX*4), Y0
+	VMOVUPS Y0, (DI)(BX*4)
+	ADDQ $8, BX
+	JMP  dcopyvec
+
+dcopytail:
+	CMPQ BX, R8
+	JGE  dnext
+	MOVL (R11)(BX*4), AX
+	MOVL AX, (DI)(BX*4)
+	INCQ BX
+	JMP  dcopytail
+
+dscale:
+	VDIVSS X6, X0, X2        // rowMax / 127
+	VBROADCASTSS X2, Y2
+	XORQ BX, BX
+	TESTQ R12, R12
+	JZ   dnobvec
+
+dbvec:
+	CMPQ BX, R13
+	JGE  dbtail
+	VCVTDQ2PS (SI)(BX*4), Y0
 	VMULPS Y2, Y0, Y0
-	VMULPS (R10), Y0, Y0
-	VADDPS (R11), Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, DI
-	DECQ R8
-	JNZ  dqloop
+	VMULPS (R10)(BX*4), Y0, Y0
+	VADDPS (R11)(BX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(BX*4)
+	ADDQ $8, BX
+	JMP  dbvec
+
+dbtail:
+	CMPQ BX, R8
+	JGE  dnext
+	VCVTSI2SSL (SI)(BX*4), X7, X0
+	VMULSS X2, X0, X0
+	VMULSS (R10)(BX*4), X0, X0
+	VADDSS (R11)(BX*4), X0, X0
+	VMOVSS X0, (DI)(BX*4)
+	INCQ BX
+	JMP  dbtail
+
+dnobvec:
+	CMPQ BX, R13
+	JGE  dnobtail
+	VCVTDQ2PS (SI)(BX*4), Y0
+	VMULPS Y2, Y0, Y0
+	VMULPS (R10)(BX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(BX*4)
+	ADDQ $8, BX
+	JMP  dnobvec
+
+dnobtail:
+	CMPQ BX, R8
+	JGE  dnext
+	VCVTSI2SSL (SI)(BX*4), X7, X0
+	VMULSS X2, X0, X0
+	VMULSS (R10)(BX*4), X0, X0
+	VMOVSS X0, (DI)(BX*4)
+	INCQ BX
+	JMP  dnobtail
+
+dnext:
+	ADDQ R9, SI
+	LEAQ (DI)(R8*4), DI
+	ADDQ $4, DX
+	DECQ CX
+	JNZ  drow
+
+ddone:
 	VZEROUPPER
 	RET
 

@@ -7,61 +7,87 @@ import "math"
 // against: the integer kernels, LayerNorm and attention bit for bit, the
 // vector exp and GELU within float32 noise.
 
-// int8MatVecGo computes acc[j] = Σ_k qa[k]·wt(k,j) in int32 over the
+// quantTileGo quantizes a tile of len(rowMax) rows of x, each k wide,
+// into qa, one kPad-wide row each: rowMax[i] = max|x_i|, then
+// qa_i[c] = round(x_i[c]·127/rowMax[i]) half to even, as quantTileAsm's
+// VCVTPS2DQ and VCVTSS2SI do under the default MXCSR, and the pad lanes
+// [k, kPad) zero. An all-zero row records rowMax 0 and quantizes to zeros.
+func quantTileGo(x []float32, k, kPad int, qa []int16, rowMax []float32) {
+	for i := range rowMax {
+		xrow := x[i*k : (i+1)*k]
+		qrow := qa[i*kPad : (i+1)*kPad]
+		m := float32(0)
+		for _, v := range xrow {
+			if v < 0 {
+				v = -v
+			}
+			if v > m {
+				m = v
+			}
+		}
+		rowMax[i] = m
+		inv := float32(0)
+		if m != 0 {
+			inv = 127 / m
+		}
+		for c, v := range xrow {
+			qrow[c] = int16(math.RoundToEven(float64(v * inv)))
+		}
+		clear(qrow[k:])
+	}
+}
+
+// int8TileGo computes acc_i[j] = Σ_k qa_i[k]·wt(k,j) in int32 for rows
+// quantized rows (qa: kPad-wide rows, acc: nPad-wide rows) over the
 // blocked channel-pair weight layout (see Int8Matrix): block jb holds
 // channels jb·16..jb·16+15, 32 consecutive bytes carry one k-pair across
 // the block's 16 channels, channel-major within the pair.
-func int8MatVecGo(qa []int16, wt []int8, acc []int32) {
-	kPad := len(qa)
-	for jb := 0; jb < len(acc)/int8NPadAlign; jb++ {
-		block := wt[jb*kPad*int8NPadAlign : (jb+1)*kPad*int8NPadAlign]
-		arow := acc[jb*int8NPadAlign : (jb+1)*int8NPadAlign]
-		for jl := range arow {
-			var s int32
-			off := jl * 2
-			for k := 0; k < kPad; k += 2 {
-				s += int32(qa[k])*int32(block[k*int8NPadAlign+off]) +
-					int32(qa[k+1])*int32(block[k*int8NPadAlign+off+1])
+func int8TileGo(qa []int16, wt []int8, acc []int32, rows, kPad, nPad int) {
+	for i := 0; i < rows; i++ {
+		qrow := qa[i*kPad : (i+1)*kPad]
+		for jb := 0; jb < nPad/int8NPadAlign; jb++ {
+			block := wt[jb*kPad*int8NPadAlign : (jb+1)*kPad*int8NPadAlign]
+			arow := acc[i*nPad+jb*int8NPadAlign : i*nPad+(jb+1)*int8NPadAlign]
+			for jl := range arow {
+				var s int32
+				off := jl * 2
+				for k := 0; k < kPad; k += 2 {
+					s += int32(qrow[k])*int32(block[k*int8NPadAlign+off]) +
+						int32(qrow[k+1])*int32(block[k*int8NPadAlign+off+1])
+				}
+				arow[jl] = s
 			}
-			arow[jl] = s
 		}
 	}
 }
 
-// maxAbs32Tail folds the remaining elements into a running max-abs.
-func maxAbs32Tail(v []float32, m float32) float32 {
-	for _, x := range v {
-		if x < 0 {
-			x = -x
+// dequantTileGo writes out_i[j] = acc_i[j]·(rowMax[i]/127)·scales[j]
+// (+ bias[j] when bias is non-nil) for len(rowMax) rows of
+// n = len(scales) outputs (acc: nPad-wide rows, out: n-wide rows). A row
+// whose rowMax is 0 was all zeros and gets exactly the bias (or zeros).
+// The float32 conversion rounds the product before the bias add, as
+// dequantTileAsm does, on hosts that would otherwise fuse the two.
+func dequantTileGo(acc []int32, nPad int, rowMax, scales, bias, out []float32) {
+	n := len(scales)
+	for i, m := range rowMax {
+		arow := acc[i*nPad : i*nPad+n]
+		orow := out[i*n : (i+1)*n]
+		switch {
+		case m == 0 && bias != nil:
+			copy(orow, bias)
+		case m == 0:
+			clear(orow)
+		case bias != nil:
+			rowScale := m / 127
+			for j := range orow {
+				orow[j] = float32(float32(arow[j])*rowScale*scales[j]) + bias[j]
+			}
+		default:
+			rowScale := m / 127
+			for j := range orow {
+				orow[j] = float32(arow[j]) * rowScale * scales[j]
+			}
 		}
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// quantRow32Tail is the scalar quantizer. It rounds half to even, as
-// quantRow32Asm's VCVTPS2DQ does under the default MXCSR, so a row
-// quantizes by one rule whichever part of it the vector loop covers.
-func quantRow32Tail(x []float32, inv float32, qa []int16) {
-	for i, v := range x {
-		qa[i] = int16(math.RoundToEven(float64(v * inv)))
-	}
-}
-
-// dequantRow32Tail is the scalar dequantizer; bias may be nil. The
-// float32 conversion rounds the product before the bias add, as
-// dequantRow32Asm does, on hosts that would otherwise fuse the two.
-func dequantRow32Tail(acc []int32, scales []float32, rowScale float32, bias, out []float32) {
-	if bias != nil {
-		for j := range out {
-			out[j] = float32(float32(acc[j])*rowScale*scales[j]) + bias[j]
-		}
-		return
-	}
-	for j := range out {
-		out[j] = float32(acc[j]) * rowScale * scales[j]
 	}
 }
 

@@ -5,16 +5,19 @@ package tensor
 // Non-amd64 builds run the low-precision kernels through the pure-Go
 // fallbacks; the int8 path still works, just slower.
 
-func int8MatVec(qa []int16, wt []int8, acc []int32) { int8MatVecGo(qa, wt, acc) }
-func expShiftInPlace(v []float32, shift float32)    { expShiftGo(v, shift) }
-func geluInPlace(v []float32)                       { geluGo(v) }
+func expShiftInPlace(v []float32, shift float32) { expShiftGo(v, shift) }
+func geluInPlace(v []float32)                    { geluGo(v) }
 
-func maxAbs32(v []float32) float32 { return maxAbs32Tail(v, 0) }
+func quantTile(x []float32, k, kPad int, qa []int16, rowMax []float32) {
+	quantTileGo(x, k, kPad, qa, rowMax)
+}
 
-func quantRow32(x []float32, inv float32, qa []int16) { quantRow32Tail(x, inv, qa) }
+func int8Tile(qa []int16, wt []int8, acc []int32, rows, kPad, nPad int) {
+	int8TileGo(qa, wt, acc, rows, kPad, nPad)
+}
 
-func dequantRow32(acc []int32, scales []float32, rowScale float32, bias, out []float32) {
-	dequantRow32Tail(acc, scales, rowScale, bias, out)
+func dequantTile(acc []int32, nPad int, rowMax, scales, bias, out []float32) {
+	dequantTileGo(acc, nPad, rowMax, scales, bias, out)
 }
 
 func addLayerNormRow(x, resid, gamma, beta []float32, eps float32, out []float32) {
