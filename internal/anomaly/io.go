@@ -111,13 +111,8 @@ func RestoreRetrieval(st *RetrievalState) (*Retrieval, error) {
 // a truncated or bit-flipped gob stream produces — before any Row call can
 // panic on them.
 func validMatrix(m *tensor.Matrix) error {
-	switch {
-	case m == nil:
+	if m == nil {
 		return fmt.Errorf("missing matrix")
-	case m.Rows < 1 || m.Cols < 1:
-		return fmt.Errorf("empty %dx%d matrix", m.Rows, m.Cols)
-	case len(m.Data) != m.Rows*m.Cols:
-		return fmt.Errorf("%dx%d matrix backed by %d values", m.Rows, m.Cols, len(m.Data))
 	}
-	return nil
+	return m.Validate()
 }

@@ -20,9 +20,10 @@ type InferScratch struct {
 	// ff holds the FFN expansion.
 	x, q, k, v, attn, resid *tensor.Matrix
 	ff                      *tensor.Matrix
-	// scores holds one head's post-softmax attention matrix, capacity
-	// MaxSeqLen².
-	scores []float64
+	// scores holds one head's post-softmax attention matrix and kt one
+	// sequence's transposed K: capacities MaxSeqLen² and
+	// MaxSeqLen·Hidden.
+	scores, kt []float64
 
 	// Float32 mirrors of the buffers above, allocated instead of the
 	// float64 set on the int8 path (see infer32.go).
@@ -96,6 +97,7 @@ func (s *InferScratch) grow(n int) {
 	s.resid = tensor.NewMatrix(n, s.cfg.Hidden)
 	s.ff = tensor.NewMatrix(n, s.cfg.FFN)
 	s.scores = make([]float64, s.cfg.MaxSeqLen*s.cfg.MaxSeqLen)
+	s.kt = make([]float64, s.cfg.MaxSeqLen*s.cfg.Hidden)
 }
 
 // view reslices a capacity-sized buffer to the batch's live row count
@@ -159,7 +161,7 @@ func (e *Encoder) InferForward(batch Batch, s *InferScratch) (*tensor.Matrix, er
 		tensor.InferLinearInto(x, blk.WQ.W.Val, blk.WQ.B.Val, q)
 		tensor.InferLinearInto(x, blk.WK.W.Val, blk.WK.B.Val, k)
 		tensor.InferLinearInto(x, blk.WV.W.Val, blk.WV.B.Val, v)
-		tensor.InferAttentionInto(q, k, v, e.cfg.Heads, batch.Lens, s.scores, attn)
+		tensor.InferAttentionInto(q, k, v, e.cfg.Heads, batch.Lens, s.scores, s.kt, attn)
 		tensor.InferLinearInto(attn, blk.WO.W.Val, blk.WO.B.Val, resid)
 		x.AddInPlace(resid)
 		tensor.InferLayerNormInto(x, blk.AttnNorm.Gamma.Val, blk.AttnNorm.Beta.Val, blk.AttnNorm.Eps, x)

@@ -1,9 +1,14 @@
 package model
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	_ "unsafe" // go:linkname for the haveSIMD test hook
 
 	"clmids/internal/tensor"
 )
@@ -169,6 +174,62 @@ func TestInferForwardAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("steady-state %s inference allocates %.1f objects/op, want 0", prec, allocs)
+		}
+	}
+}
+
+// forwardBitsGolden is the sha256 of hashForwardBits over goldenEncoder
+// on tinyBatch, computed when every float64 kernel was scalar Go. Any
+// kernel that reorders a float64 sum or fuses a multiply-add changes it.
+const forwardBitsGolden = "4642e25a543f9a5cbbb0d1e125b134e73be7e2a87217e929fe9726eccd53031c"
+
+// hashForwardBits digests the float64 bits of InferForward's hidden
+// states and InferEmbedInto's pooled rows, with their shapes.
+func hashForwardBits(t *testing.T, enc *Encoder, batch Batch) string {
+	t.Helper()
+	h := sha256.New()
+	put := func(m *tensor.Matrix) {
+		binary.Write(h, binary.LittleEndian, []int64{int64(m.Rows), int64(m.Cols)})
+		for _, v := range m.Data {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
+	}
+	scratch := NewInferScratch(enc.Config(), batch.Tokens())
+	hidden, err := enc.InferForward(batch, scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(hidden)
+	emb := tensor.NewMatrix(batch.Size(), enc.Config().Hidden)
+	if err := enc.InferEmbedInto(batch, scratch, emb, 0); err != nil {
+		t.Fatal(err)
+	}
+	put(emb)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// haveSIMD is the tensor package's kernel gate. It is reached through
+// linkname so a test here can clear it, which routes every kernel to its
+// pure-Go mirror, and check the forward on both dispatch paths.
+//
+//go:linkname haveSIMD clmids/internal/tensor.haveSIMD
+var haveSIMD bool
+
+// TestInferForwardBitsGolden pins the float64 forward's bits, not just
+// its agreement with the tape: TestInferForwardGolden compares two paths
+// that share the GEMM kernel, so it cannot see a kernel that drifts. It
+// runs once on the Go mirrors and once on the host's kernels.
+func TestInferForwardBitsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the constant is amd64's: Go fuses float64 multiply-adds on arm64, ppc64le, s390x and riscv64")
+	}
+	enc := goldenEncoder(t)
+	host := haveSIMD
+	defer func() { haveSIMD = host }()
+	for _, simd := range []bool{false, host} {
+		haveSIMD = simd
+		if got := hashForwardBits(t, enc, tinyBatch()); got != forwardBitsGolden {
+			t.Errorf("float64 forward changed (SIMD kernels %v): sha256 %s, want %s", simd, got, forwardBitsGolden)
 		}
 	}
 }

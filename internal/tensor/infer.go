@@ -19,33 +19,26 @@ import (
 
 // InferMatMulInto computes out = a·b serially with the tiled kernel,
 // overwriting out. Results are bitwise identical to MatMulInto.
-func InferMatMulInto(a, b, out *Matrix) {
-	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: InferMatMul shapes %dx%d · %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
-	}
-	out.Zero()
-	matMulRows(a, b, out, 0, a.Rows)
-}
+func InferMatMulInto(a, b, out *Matrix) { InferLinearInto(a, b, nil, out) }
 
-// InferLinearInto computes out = x·w + bias (bias broadcast over rows; may
-// be nil for no bias), matching Linear.Forward's value bitwise: the matmul
-// accumulates first, the bias is added after.
+// InferLinearInto computes out = x·w + bias serially (bias broadcast over
+// rows; may be nil for no bias), overwriting out and matching
+// Linear.Forward's value bitwise: the matmul accumulates first, the bias is
+// added after, in the GEMM's store.
 func InferLinearInto(x, w, bias, out *Matrix) {
-	InferMatMulInto(x, w, out)
-	if bias == nil {
-		return
+	if x.Cols != w.Rows || out.Rows != x.Rows || out.Cols != w.Cols {
+		panic(fmt.Sprintf("tensor: InferLinear shapes %dx%d · %dx%d -> %dx%d",
+			x.Rows, x.Cols, w.Rows, w.Cols, out.Rows, out.Cols))
 	}
-	if bias.Rows != 1 || bias.Cols != out.Cols {
-		panic(fmt.Sprintf("tensor: InferLinear bias %dx%d for %d-wide output",
-			bias.Rows, bias.Cols, out.Cols))
-	}
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		for j, bv := range bias.Data {
-			row[j] += bv
+	var b []float64
+	if bias != nil {
+		if bias.Rows != 1 || bias.Cols != out.Cols {
+			panic(fmt.Sprintf("tensor: InferLinear bias %dx%d for %d-wide output",
+				bias.Rows, bias.Cols, out.Cols))
 		}
+		b = bias.Data
 	}
+	matMulRows(x, w, b, out, 0, x.Rows)
 }
 
 // InferLayerNormInto normalizes each row of x and applies the learned
@@ -94,9 +87,12 @@ func InferGELUInPlace(x *Matrix) {
 // forward pass (same layout contract as Attention: q/k/v are [sum(lens),
 // hidden], sequences own consecutive rows, attention never crosses sequence
 // boundaries) writing into out. scores is caller-owned scratch with
-// capacity at least max(lens)²; post-softmax attention rows are built there
-// head by head and never retained.
-func InferAttentionInto(q, k, v *Matrix, heads int, lens []int, scores []float64, out *Matrix) {
+// capacity at least max(lens)², where post-softmax attention rows are built
+// head by head and never retained; kt is scratch with capacity at least
+// max(lens)·hidden for one sequence's transposed K. Results are bitwise
+// the tape's Attention: the AVX2 kernels (attentionF64Asm) vectorize only
+// across independent outputs.
+func InferAttentionInto(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
 	hidden := q.Cols
 	if hidden%heads != 0 {
 		panic(fmt.Sprintf("tensor: hidden %d not divisible by heads %d", hidden, heads))
@@ -117,12 +113,21 @@ func InferAttentionInto(q, k, v *Matrix, heads int, lens []int, scores []float64
 	if total != q.Rows {
 		panic(fmt.Sprintf("tensor: InferAttention lens sum %d != %d rows", total, q.Rows))
 	}
-	if len(scores) < maxS*maxS {
-		panic(fmt.Sprintf("tensor: InferAttention scratch %d < %d", len(scores), maxS*maxS))
+	if len(scores) < maxS*maxS || len(kt) < maxS*hidden {
+		panic(fmt.Sprintf("tensor: InferAttention scratch %d/%d < %d/%d",
+			len(scores), len(kt), maxS*maxS, maxS*hidden))
 	}
-	d := hidden / heads
-	scale := 1 / math.Sqrt(float64(d))
+	attentionF64(q, k, v, heads, lens, scores, kt, out)
+}
 
+// attentionF64Go is the scalar attention forward, the arithmetic of the
+// tape's Attention: per query row, dot products c ascending from +0 times
+// the scale, softmaxInto, then AV accumulated j ascending into the zeroed
+// out row, skipping zero weights. It is the portable path and the mirror
+// attentionF64Asm is tested against; kt is unused.
+func attentionF64Go(q, k, v *Matrix, heads int, lens []int, scores, _ []float64, out *Matrix) {
+	d := q.Cols / heads
+	scale := 1 / math.Sqrt(float64(d))
 	out.Zero()
 	off := 0
 	for _, S := range lens {

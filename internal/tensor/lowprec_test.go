@@ -499,7 +499,7 @@ func TestInferKernels32MatchFloat64(t *testing.T) {
 		// Attention.
 		q, k, v := randM(T, H), randM(T, H), randM(T, H)
 		wantA := NewMatrix(T, H)
-		InferAttentionInto(q, k, v, heads, lens, make([]float64, 36), wantA)
+		InferAttentionInto(q, k, v, heads, lens, make([]float64, 36), make([]float64, 6*H), wantA)
 		gotA := NewMatrix32(T, H)
 		InferAttentionInto32(Narrow(q), Narrow(k), Narrow(v), heads, lens, make([]float32, 8), make([]float32, 8*H), gotA)
 		check("attention", wantA, gotA, 1e-4)
@@ -530,29 +530,34 @@ func benchBatchLens(rng *rand.Rand) (lens []int, T int) {
 	return lens, T
 }
 
+// linearShapes are the default encoder's three linear weight shapes: the
+// QKV and output projections 48→48, FFN in 48→96 and FFN out 96→48.
+var linearShapes = []struct{ K, N int }{{48, 48}, {48, 96}, {96, 48}}
+
+// BenchmarkLinearF64 runs the float64 linear at the default encoder's
+// three weight shapes over 512 token rows and reports ns/row.
 func BenchmarkLinearF64(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	w := NewMatrix(48, 96)
-	for i := range w.Data {
-		w.Data[i] = rng.NormFloat64() * 0.2
-	}
-	bias := NewMatrix(1, 96)
-	x := NewMatrix(256, 48)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	out := NewMatrix(256, 96)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		InferLinearInto(x, w, bias, out)
+	for _, shape := range linearShapes {
+		b.Run(fmt.Sprintf("%dx%d", shape.K, shape.N), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			const rows = 512
+			w := randMatrix(rng, shape.K, shape.N)
+			bias := randMatrix(rng, 1, shape.N)
+			x := randMatrix(rng, rows, shape.K)
+			out := NewMatrix(rows, shape.N)
+			for b.Loop() {
+				InferLinearInto(x, w, bias, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }
 
 // BenchmarkLinearInt8 runs the int8 linear at the default encoder's three
-// weight shapes (QKV and output projections 48→48, FFN in 48→96, FFN out
-// 96→48) over the token rows of a 512-line batch, and reports ns/line.
+// weight shapes over the token rows of a 512-line batch, and reports
+// ns/line.
 func BenchmarkLinearInt8(b *testing.B) {
-	for _, shape := range []struct{ K, N int }{{48, 48}, {48, 96}, {96, 48}} {
+	for _, shape := range linearShapes {
 		b.Run(fmt.Sprintf("%dx%d", shape.K, shape.N), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
 			lens, T := benchBatchLens(rng)
@@ -587,4 +592,18 @@ func BenchmarkAttention32(b *testing.B) {
 	for b.Loop() {
 		InferAttentionInto32(q, k, v, 4, lens, scores, kt, out)
 	}
+}
+
+// BenchmarkAttentionF64 runs the float64 attention over the same 512-line
+// batch as BenchmarkAttention32 and reports ns per token row.
+func BenchmarkAttentionF64(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	lens, T := benchBatchLens(rng)
+	q, k, v := randMatrix(rng, T, 48), randMatrix(rng, T, 48), randMatrix(rng, T, 48)
+	out := NewMatrix(T, 48)
+	scores, kt := make([]float64, 20*20), make([]float64, 20*48)
+	for b.Loop() {
+		InferAttentionInto(q, k, v, 4, lens, scores, kt, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*T), "ns/row")
 }

@@ -39,6 +39,20 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
+// Validate reports an error unless m has at least one row and one column
+// and Data holds exactly Rows·Cols values. It divides instead of
+// multiplying, so a decoded header whose product overflows to len(Data)
+// cannot pass; decoders of untrusted bytes call it before any Row.
+func (m *Matrix) Validate() error {
+	switch {
+	case m.Rows < 1 || m.Cols < 1:
+		return fmt.Errorf("empty %dx%d matrix", m.Rows, m.Cols)
+	case len(m.Data)%m.Cols != 0 || len(m.Data)/m.Cols != m.Rows:
+		return fmt.Errorf("%dx%d matrix backed by %d values", m.Rows, m.Cols, len(m.Data))
+	}
+	return nil
+}
+
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
@@ -124,15 +138,19 @@ func panelRows(cols int) int {
 	return r
 }
 
-// matMulRows computes out rows [lo,hi) of a·b with the i-k-j loop order,
+// matMulRowsGo overwrites out rows [lo,hi) with a·b, plus bias (one
+// value per column) when bias is non-nil: the matmul accumulates first,
+// from +0, and the bias is added after. It runs the i-k-j loop order,
 // cache-blocked over k so a panel of b rows stays resident across the rows
 // of a, and register-blocked four k-rows at a time so each output element
 // is loaded and stored once per four multiply-adds instead of once per
 // one. Both blockings keep k ascending per output element, so results are
-// bitwise identical to the naive triple loop. out rows must be pre-zeroed.
-func matMulRows(a, b, out *Matrix, lo, hi int) {
+// bitwise identical to the naive triple loop. It is the portable GEMM and
+// the mirror gemmF64Asm is tested against.
+func matMulRowsGo(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
 	bk := panelRows(b.Cols)
 	n := b.Cols
+	clear(out.Data[lo*n : hi*n])
 	for k0 := 0; k0 < b.Rows; k0 += bk {
 		k1 := k0 + bk
 		if k1 > b.Rows {
@@ -166,6 +184,15 @@ func matMulRows(a, b, out *Matrix, lo, hi int) {
 			}
 		}
 	}
+	if bias == nil {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		orow := out.Data[i*n : (i+1)*n]
+		for j, bv := range bias[:n] {
+			orow[j] += bv
+		}
+	}
 }
 
 // MatMulInto computes out = a·b, overwriting out. Shapes must agree.
@@ -176,9 +203,8 @@ func MatMulInto(a, b, out *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	out.Zero()
 	parallelRows(a.Rows, func(lo, hi int) {
-		matMulRows(a, b, out, lo, hi)
+		matMulRows(a, b, nil, out, lo, hi)
 	})
 }
 

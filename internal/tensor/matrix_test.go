@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -150,4 +151,101 @@ func BenchmarkMatMul128(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatMulInto(x, y, out)
 	}
+}
+
+// specialValues are the float64 edge cases the GEMM and attention tests
+// mix into their inputs: both zeros, both infinities, NaN, subnormals and
+// a value whose products overflow.
+var specialValues = []float64{
+	math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+	5e-324, -2.5e-310, math.MaxFloat64,
+}
+
+// randSpecial64 draws n values from N(0, scale²), replacing about one in
+// every `every` (every ≤ 0: none) with a specialValues entry.
+func randSpecial64(rng *rand.Rand, n int, scale float64, every int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		if every > 0 && rng.Intn(every) == 0 {
+			out[i] = specialValues[rng.Intn(len(specialValues))]
+			continue
+		}
+		out[i] = rng.NormFloat64() * scale
+	}
+	return out
+}
+
+// sameBits64 fails the test at the first element whose bits differ. Two
+// NaNs match whatever their payloads: when both operands of an add are
+// NaN, x86 returns the first one's, and the Go compiler may commute an
+// add, so only NaN-ness is part of the contract.
+func sameBits64(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for i, w := range want {
+		g := got[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s [%d]: kernel %g (%#016x), go %g (%#016x)", name, i,
+				g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// guardF64 is the sentinel written past the end of an output; a kernel
+// that stores beyond its rows overwrites it.
+var guardF64 = math.Float64frombits(0x5EA15EA15EA15EA1)
+
+// guardedMatrix returns a zero-filled rows×cols matrix whose backing
+// array carries `tail` guard values past Data's end.
+func guardedMatrix(rows, cols, tail int) *Matrix {
+	buf := make([]float64, rows*cols+tail)
+	for i := range buf[rows*cols:] {
+		buf[rows*cols+i] = guardF64
+	}
+	return &Matrix{Rows: rows, Cols: cols, Data: buf[:rows*cols]}
+}
+
+// checkGuard fails if anything past m.Data's end lost its guard value.
+func checkGuard(t *testing.T, name string, m *Matrix) {
+	t.Helper()
+	for i, v := range m.Data[len(m.Data):cap(m.Data)] {
+		if math.Float64bits(v) != math.Float64bits(guardF64) {
+			t.Fatalf("%s: wrote %g past the output at +%d", name, v, i)
+		}
+	}
+}
+
+// checkLinearMatchesGo runs one InferLinearInto case through the
+// dispatched GEMM and through matMulRowsGo and requires the same bits.
+func checkLinearMatchesGo(t *testing.T, rng *rand.Rand, rows, K, N int, withBias bool, every int) {
+	t.Helper()
+	x := FromSlice(rows, K, randSpecial64(rng, rows*K, 1, every))
+	w := FromSlice(K, N, randSpecial64(rng, K*N, 0.3, every))
+	var bias *Matrix
+	var b []float64
+	if withBias {
+		bias = FromSlice(1, N, randSpecial64(rng, N, 1, every))
+		b = bias.Data
+	}
+	want := NewMatrix(rows, N)
+	want.Fill(7) // the mirror must overwrite, not accumulate
+	matMulRowsGo(x, w, b, want, 0, rows)
+	got := guardedMatrix(rows, N, 8)
+	got.Fill(-7)
+	InferLinearInto(x, w, bias, got)
+	name := fmt.Sprintf("rows=%d K=%d N=%d bias=%v", rows, K, N, withBias)
+	sameBits64(t, name, got.Data, want.Data)
+	checkGuard(t, name, got)
+}
+
+// FuzzInferLinear checks the float64 linear (the AVX2 GEMM with its fused
+// bias where the host has it) bit for bit against matMulRowsGo over fuzzed
+// shapes (rows 1–40, K 0–128, N 1–720), seeds, bias presence and density
+// of special values (-0, ±Inf, NaN, subnormals).
+func FuzzInferLinear(f *testing.F) {
+	f.Add(uint8(9), uint8(48), uint16(96), int64(1), true, uint8(0))
+	f.Add(uint8(3), uint8(97), uint16(700), int64(2), false, uint8(7))
+	f.Fuzz(func(t *testing.T, rows8, k8 uint8, n16 uint16, seed int64, withBias bool, every uint8) {
+		rows, K, N := 1+int(rows8)%40, int(k8)%129, 1+int(n16)%720
+		checkLinearMatchesGo(t, rand.New(rand.NewSource(seed)), rows, K, N, withBias, int(every))
+	})
 }

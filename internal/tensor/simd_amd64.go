@@ -1,17 +1,26 @@
 package tensor
 
-// SIMD backends for the low-precision serve path. The float64 kernels stay
-// pure Go — they are the bitwise-golden reference — but the int8 path and
-// its float32 activation kernels exist to trade exactness for speed, so
-// on amd64 they dispatch to AVX2/FMA (and, for the int8 accumulation,
-// AVX-512 VNNI when present) assembly after a runtime CPUID check; pure-Go
-// fallbacks cover older hosts and other architectures. The LayerNorm and
-// attention kernels are bitwise equal to their Go mirrors (same lane
-// order, no FMA, and the attention mirror runs the same vector exp); the
-// vector exp and GELU differ from the scalar fastExp32/fastTanh32 in the
-// last bits, inside the int8 path's documented tolerance. Within one
-// process the kernels are deterministic, so dedup, score-memo hits, and
-// repeated scoring stay exactly reproducible.
+import "math"
+
+// SIMD backends. On amd64 the kernels dispatch to AVX2 assembly (and, for
+// the int8 accumulation, AVX-512 VNNI when present) after a runtime CPUID
+// check; pure-Go mirrors cover older hosts and other architectures.
+//
+// The float64 kernels (the GEMM behind every linear and attention's QKᵀ
+// and AV) are asm, bitwise equal to their Go mirrors: each output element
+// sees the Go loop's multiplies and adds in the Go loop's order — VMULPD
+// then VADDPD, never FMA, from +0, k ascending — and the vectors run only
+// across independent outputs, never along a sum. float64 stays the
+// bitwise-golden path.
+//
+// The int8 path and its float32 activation kernels exist to trade
+// exactness for speed. The LayerNorm and attention kernels are bitwise
+// equal to their Go mirrors (same lane order, no FMA, and the attention
+// mirror runs the same vector exp); the vector exp and GELU differ from
+// the scalar fastExp32/fastTanh32 in the last bits, inside the int8
+// path's documented tolerance. Within one process the kernels are
+// deterministic, so dedup, score-memo hits, and repeated scoring stay
+// exactly reproducible.
 
 // haveSIMD gates the AVX2 kernels: AVX2 + FMA + OS-enabled YMM state.
 // haveVNNI additionally gates the AVX-512 VNNI int8 matmul kernel.
@@ -92,6 +101,82 @@ func addLayerNormRowAsm(x, resid, gamma, beta []float32, eps float32, out []floa
 //
 //go:noescape
 func attnRowAsm(q, kt, v, scores, out []float32, scale float32, vStride, S int)
+
+// gemmF64Asm is the AVX2 form of matMulRowsGo, bitwise equal to it:
+// out[i][j] = (Σ_k a[i][k]·b[k][j]) + bias[j] for i < rows and j < n, the
+// sum from +0 with k ascending and each product rounded before it is
+// added, the bias (nil for none, else len ≥ n) added once at the store.
+// Row strides are lda, ldb and ldo elements; out is overwritten. A 4-row ×
+// 8-column block keeps eight YMM accumulators; the last 1–7 columns run
+// in masked strips of up to four and the last 1–3 rows repeat their last
+// row.
+//
+//go:noescape
+func gemmF64Asm(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int)
+
+// attnAVF64Asm is attention's AV for one head, bitwise the scalar loop:
+// out[i·stride+c] = Σ_j a[i·S+j]·v[j·stride+c] for i < S and c < d, j
+// ascending from +0 and every ±0 weight skipped, four c lanes per YMM.
+//
+//go:noescape
+func attnAVF64Asm(a, v, out []float64, S, d, stride int)
+
+// matMulRows overwrites out rows [lo,hi) with a·b (+ bias) on the AVX2
+// GEMM, or on its Go mirror without AVX2.
+func matMulRows(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
+	if !haveSIMD {
+		matMulRowsGo(a, b, bias, out, lo, hi)
+		return
+	}
+	if lo < hi {
+		gemmF64Asm(a.Data[lo*a.Cols:hi*a.Cols], b.Data, bias, out.Data[lo*out.Cols:hi*out.Cols],
+			hi-lo, a.Cols, b.Cols, a.Cols, b.Cols, out.Cols)
+	}
+}
+
+// attentionF64 dispatches the float64 attention forward to the AVX2
+// kernels or the scalar mirror.
+func attentionF64(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
+	if haveSIMD {
+		attentionF64Asm(q, k, v, heads, lens, scores, kt, out)
+		return
+	}
+	attentionF64Go(q, k, v, heads, lens, scores, kt, out)
+}
+
+// attentionF64Asm is attentionF64Go on the AVX2 kernels, bitwise equal to
+// it. Per sequence, K is transposed once into kt (hidden×S, head h's d×S
+// panel in rows [h·d, (h+1)·d)); per head, gemmF64Asm computes the S×S dot
+// products (c ascending from +0), Go scales and softmaxes each row with
+// the scalar softmaxInto, and attnAVF64Asm writes AV into out.
+func attentionF64Asm(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
+	hidden := q.Cols
+	d := hidden / heads
+	scale := 1 / math.Sqrt(float64(d))
+	off := 0
+	for _, S := range lens {
+		panel := kt[:hidden*S]
+		for j := 0; j < S; j++ {
+			for c, x := range k.Data[(off+j)*hidden : (off+j+1)*hidden] {
+				panel[c*S+j] = x
+			}
+		}
+		A := scores[:S*S]
+		for h := 0; h < heads; h++ {
+			lo, hi := off*hidden+h*d, (off+S-1)*hidden+(h+1)*d
+			gemmF64Asm(q.Data[lo:hi], panel[h*d*S:(h+1)*d*S], nil, A, S, d, S, hidden, S, S)
+			for i := 0; i < S; i++ {
+				srow := A[i*S : (i+1)*S]
+				for j := range srow {
+					srow[j] *= scale
+				}
+				softmaxInto(srow, srow)
+			}
+			attnAVF64Asm(A, v.Data[lo:hi], out.Data[lo:hi], S, d, hidden)
+		}
+		off += S
+	}
+}
 
 // quantTile dispatches the quantize pass of one row tile.
 func quantTile(x []float32, k, kPad int, qa []int16, rowMax []float32) {

@@ -1,6 +1,8 @@
-// AVX2/FMA and AVX-512 VNNI kernels for the low-precision serve path (see
-// simd_amd64.go). The float64 kernels are deliberately NOT implemented
-// here: float64 is the bitwise-golden path and stays pure Go.
+// AVX2 and AVX-512 VNNI kernels (see simd_amd64.go). The float64 kernels
+// (gemmF64Asm, attnAVF64Asm) are bitwise equal to their Go mirrors: they
+// vectorize across independent outputs only and round every product
+// before adding it (VMULPD then VADDPD, never FMA), so float64 stays the
+// bitwise-golden path. The rest serve the low-precision int8 path.
 
 #include "textflag.h"
 
@@ -1176,6 +1178,327 @@ av4loop:
 	JLT  av4loop
 	VMULPS X15, X0, X0
 	VMOVUPS X0, (CX)(R10*4)
+
+avdone:
+	VZEROUPPER
+	RET
+
+// Lane masks for 0–4 live float64 lanes: entry r (at byte 32·r) enables
+// lanes 0..r-1.
+DATA f64mask<>+0(SB)/8, $0
+DATA f64mask<>+8(SB)/8, $0
+DATA f64mask<>+16(SB)/8, $0
+DATA f64mask<>+24(SB)/8, $0
+DATA f64mask<>+32(SB)/8, $-1
+DATA f64mask<>+40(SB)/8, $0
+DATA f64mask<>+48(SB)/8, $0
+DATA f64mask<>+56(SB)/8, $0
+DATA f64mask<>+64(SB)/8, $-1
+DATA f64mask<>+72(SB)/8, $-1
+DATA f64mask<>+80(SB)/8, $0
+DATA f64mask<>+88(SB)/8, $0
+DATA f64mask<>+96(SB)/8, $-1
+DATA f64mask<>+104(SB)/8, $-1
+DATA f64mask<>+112(SB)/8, $-1
+DATA f64mask<>+120(SB)/8, $0
+DATA f64mask<>+128(SB)/8, $-1
+DATA f64mask<>+136(SB)/8, $-1
+DATA f64mask<>+144(SB)/8, $-1
+DATA f64mask<>+152(SB)/8, $-1
+GLOBL f64mask<>(SB), RODATA, $160
+
+// GEMMROW r, lo, hi accumulates the broadcast a[r][k] (row pointer r,
+// k byte offset R14) times the b strip in Y8/Y9 into lo/hi: the product
+// rounds (VMULPD) before it is added (VADDPD), never fused.
+#define GEMMROW(r, lo, hi) \
+	VBROADCASTSD (r)(R14*1), Y10 \
+	VMULPD       Y8, Y10, Y11    \
+	VMULPD       Y9, Y10, Y12    \
+	VADDPD       Y11, lo, lo     \
+	VADDPD       Y12, hi, hi
+
+// GEMMROW4 is GEMMROW for the masked ≤4-column strip in Y8.
+#define GEMMROW4(r, acc) \
+	VBROADCASTSD (r)(R14*1), Y10 \
+	VMULPD       Y8, Y10, Y11    \
+	VADDPD       Y11, acc, acc
+
+// func gemmF64Asm(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int)
+//
+// out[i][j] = (Σ_k a[i][k]·b[k][j]) + bias[j] for i < rows, j < n, with
+// row strides lda, ldb and ldo in elements; bias may be nil. Four rows at a
+// time (the last group of 1–3 repeats its last row in the missing slots,
+// which only rewrites that row's own values): an 8-column strip keeps
+// the four rows in Y0–Y7 (row r in Y(2r), Y(2r+1)); the last 1–7 columns
+// run in masked strips of up to 4 (Y0, Y2, Y4, Y6; mask in Y15). Every
+// accumulator starts at +0 and adds k ascending over the whole of k, and
+// the bias is added once at the store: the Go loop's order, per element.
+TEXT ·gemmF64Asm(SB), NOSPLIT, $32-144
+	MOVQ a_base+0(FP), AX
+	MOVQ out_base+72(FP), DX
+	MOVQ rows+96(FP), CX
+	MOVQ k+104(FP), R8
+	MOVQ n+112(FP), R9
+	MOVQ ldb+128(FP), R13
+	MOVQ ldo+136(FP), R10
+	SHLQ $3, R8              // k bound in bytes
+	SHLQ $3, R9
+	MOVQ R9, nb-32(SP)       // column bound in bytes
+	SHLQ $3, R13             // b row stride in bytes
+	SHLQ $3, R10             // out row stride in bytes
+	TESTQ R9, R9
+	JZ   gdone
+	TESTQ CX, CX
+	JLE  gdone
+
+ggroup:
+	// a rows 1–3 in BX, R11, R12 and out row offsets 1–3 in o1–o3,
+	// repeating the last row when fewer than four are left.
+	MOVQ    lda+120(FP), R9
+	SHLQ    $3, R9
+	LEAQ    (AX)(R9*1), BX
+	CMPQ    CX, $1
+	CMOVQLE AX, BX
+	LEAQ    (BX)(R9*1), R11
+	CMPQ    CX, $2
+	CMOVQLE BX, R11
+	LEAQ    (R11)(R9*1), R12
+	CMPQ    CX, $3
+	CMOVQLE R11, R12
+	XORQ    R14, R14
+	CMPQ    CX, $1
+	CMOVQGT R10, R14
+	MOVQ    R14, o1-8(SP)
+	LEAQ    (R14)(R10*1), R9
+	CMPQ    CX, $2
+	CMOVQLE R14, R9
+	MOVQ    R9, o2-16(SP)
+	LEAQ    (R9)(R10*1), R14
+	CMPQ    CX, $3
+	CMOVQLE R9, R14
+	MOVQ    R14, o3-24(SP)
+	XORQ    R9, R9           // column byte offset
+
+gstrip8:
+	LEAQ 64(R9), DI
+	CMPQ DI, nb-32(SP)
+	JGT  gtail
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ  b_base+24(FP), DI
+	ADDQ  R9, DI             // b[0][j]
+	XORQ  R14, R14
+	TESTQ R8, R8
+	JZ    gstore8
+
+gk8:
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	GEMMROW(AX, Y0, Y1)
+	GEMMROW(BX, Y2, Y3)
+	GEMMROW(R11, Y4, Y5)
+	GEMMROW(R12, Y6, Y7)
+	ADDQ R13, DI
+	ADDQ $8, R14
+	CMPQ R14, R8
+	JLT  gk8
+
+gstore8:
+	MOVQ  bias_base+48(FP), DI
+	TESTQ DI, DI
+	JZ    gput8
+	VMOVUPD (DI)(R9*1), Y8
+	VMOVUPD 32(DI)(R9*1), Y9
+	VADDPD  Y8, Y0, Y0
+	VADDPD  Y9, Y1, Y1
+	VADDPD  Y8, Y2, Y2
+	VADDPD  Y9, Y3, Y3
+	VADDPD  Y8, Y4, Y4
+	VADDPD  Y9, Y5, Y5
+	VADDPD  Y8, Y6, Y6
+	VADDPD  Y9, Y7, Y7
+
+gput8:
+	LEAQ    (DX)(R9*1), SI
+	VMOVUPD Y0, (SI)
+	VMOVUPD Y1, 32(SI)
+	MOVQ    o1-8(SP), DI
+	VMOVUPD Y2, (SI)(DI*1)
+	VMOVUPD Y3, 32(SI)(DI*1)
+	MOVQ    o2-16(SP), DI
+	VMOVUPD Y4, (SI)(DI*1)
+	VMOVUPD Y5, 32(SI)(DI*1)
+	MOVQ    o3-24(SP), DI
+	VMOVUPD Y6, (SI)(DI*1)
+	VMOVUPD Y7, 32(SI)(DI*1)
+	ADDQ    $64, R9
+	JMP     gstrip8
+
+gtail:
+	// Strips of min(4, columns left) lanes under the mask in Y15.
+	MOVQ    nb-32(SP), DI
+	SUBQ    R9, DI
+	JLE     gnext
+	MOVQ    $32, SI
+	CMPQ    DI, SI
+	CMOVQGT SI, DI
+	LEAQ    f64mask<>(SB), SI
+	VMOVUPD (SI)(DI*4), Y15
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y4, Y4, Y4
+	VXORPD  Y6, Y6, Y6
+	MOVQ    b_base+24(FP), DI
+	ADDQ    R9, DI
+	XORQ    R14, R14
+	TESTQ   R8, R8
+	JZ      gstore4
+
+gk4:
+	VMASKMOVPD (DI), Y15, Y8
+	GEMMROW4(AX, Y0)
+	GEMMROW4(BX, Y2)
+	GEMMROW4(R11, Y4)
+	GEMMROW4(R12, Y6)
+	ADDQ R13, DI
+	ADDQ $8, R14
+	CMPQ R14, R8
+	JLT  gk4
+
+gstore4:
+	MOVQ  bias_base+48(FP), DI
+	TESTQ DI, DI
+	JZ    gput4
+	ADDQ  R9, DI
+	VMASKMOVPD (DI), Y15, Y8
+	VADDPD Y8, Y0, Y0
+	VADDPD Y8, Y2, Y2
+	VADDPD Y8, Y4, Y4
+	VADDPD Y8, Y6, Y6
+
+gput4:
+	LEAQ       (DX)(R9*1), SI
+	VMASKMOVPD Y0, Y15, (SI)
+	MOVQ       o1-8(SP), DI
+	ADDQ       SI, DI
+	VMASKMOVPD Y2, Y15, (DI)
+	MOVQ       o2-16(SP), DI
+	ADDQ       SI, DI
+	VMASKMOVPD Y4, Y15, (DI)
+	MOVQ       o3-24(SP), DI
+	ADDQ       SI, DI
+	VMASKMOVPD Y6, Y15, (DI)
+	ADDQ       $32, R9
+	JMP        gtail
+
+gnext:
+	MOVQ lda+120(FP), R9
+	SHLQ $5, R9              // four a rows in bytes
+	ADDQ R9, AX
+	LEAQ (DX)(R10*4), DX     // four out rows
+	SUBQ $4, CX
+	JG   ggroup
+
+gdone:
+	VZEROUPPER
+	RET
+
+// LANEMASK loads into m the mask of min(4, max(0, left/8)) lanes, for
+// left bytes of the row still to go (BX and R14 are clobbered).
+#define LANEMASK(left, m) \
+	MOVQ    left, BX       \
+	XORQ    R14, R14       \
+	CMPQ    BX, R14        \
+	CMOVQLT R14, BX        \
+	MOVQ    $32, R14       \
+	CMPQ    BX, R14        \
+	CMOVQGT R14, BX        \
+	VMOVUPD (R13)(BX*4), m
+
+// AVSTRIP multiplies the broadcast weight in Y4 by the masked v strip at
+// off(DX) and adds the product into acc.
+#define AVSTRIP(off, m, acc) \
+	VMASKMOVPD off(DX), m, Y5 \
+	VMULPD     Y5, Y4, Y5     \
+	VADDPD     Y5, acc, acc
+
+// func attnAVF64Asm(a, v, out []float64, S, d, stride int)
+//
+// AV for one head: out[i·stride+c] = Σ_j a[i·S+j]·v[j·stride+c] for i < S
+// and c < d, j ascending from +0, skipping every j whose weight is ±0 as
+// the scalar loop does (0·Inf and 0·NaN would otherwise turn a sum into
+// NaN). One pass over j per row covers 16 columns in four masked strips
+// (Y0–Y3, masks Y12–Y15; a strip past d has an empty mask and is never
+// stored).
+TEXT ·attnAVF64Asm(SB), NOSPLIT, $0-96
+	MOVQ a_base+0(FP), SI
+	MOVQ out_base+48(FP), DI
+	MOVQ S+72(FP), CX
+	MOVQ d+80(FP), R10
+	MOVQ stride+88(FP), R9
+	SHLQ $3, R10             // row width in bytes
+	SHLQ $3, R9              // v and out row stride in bytes
+	LEAQ f64mask<>(SB), R13
+	TESTQ CX, CX
+	JLE  avdone
+	TESTQ R10, R10
+	JLE  avdone
+	MOVQ CX, R12             // rows left
+
+avrow:
+	XORQ R11, R11            // column byte offset of the pass
+
+avpass:
+	MOVQ R10, AX
+	SUBQ R11, AX             // bytes left in the row
+	LANEMASK(AX, Y12)
+	SUBQ $32, AX
+	LANEMASK(AX, Y13)
+	SUBQ $32, AX
+	LANEMASK(AX, Y14)
+	SUBQ $32, AX
+	LANEMASK(AX, Y15)
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ v_base+24(FP), DX
+	ADDQ R11, DX             // v[0][c]
+	XORQ R8, R8
+
+avj:
+	MOVQ (SI)(R8*8), AX
+	SHLQ $1, AX              // drop the sign: ±0 becomes 0
+	JZ   avskip
+	VBROADCASTSD (SI)(R8*8), Y4
+	AVSTRIP(0, Y12, Y0)
+	AVSTRIP(32, Y13, Y1)
+	AVSTRIP(64, Y14, Y2)
+	AVSTRIP(96, Y15, Y3)
+
+avskip:
+	ADDQ R9, DX
+	INCQ R8
+	CMPQ R8, CX
+	JLT  avj
+	LEAQ (DI)(R11*1), AX
+	VMASKMOVPD Y0, Y12, (AX)
+	VMASKMOVPD Y1, Y13, 32(AX)
+	VMASKMOVPD Y2, Y14, 64(AX)
+	VMASKMOVPD Y3, Y15, 96(AX)
+	ADDQ $128, R11
+	CMPQ R11, R10
+	JLT  avpass
+	LEAQ (SI)(CX*8), SI      // next row of a
+	ADDQ R9, DI              // next out row
+	DECQ R12
+	JNZ  avrow
 
 avdone:
 	VZEROUPPER

@@ -1,12 +1,13 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// ---- amd64 SIMD kernels vs their pure-Go mirrors ----
+// ---- amd64 SIMD kernels vs their pure-Go mirrors: float64 and low precision ----
 
 // sameBits32 fails the test at the first element whose bits differ.
 func sameBits32(t *testing.T, name string, got, want []float32) {
@@ -261,6 +262,83 @@ func TestExpGeluVectorKernels(t *testing.T) {
 		want := 0.5 * float64(x) * (1 + math.Tanh(u))
 		if diff := math.Abs(float64(gelu[i]) - want); diff > 1e-4*(1+math.Abs(want)) {
 			t.Fatalf("vgelu(%g) = %g, want %g", x, gelu[i], want)
+		}
+	}
+}
+
+// TestF64GemmKernelsMatchGo pins gemmF64Asm, behind InferLinearInto, to
+// matMulRowsGo bit for bit: every row count through two groups of four
+// plus a tail, K on both sides of the 4-k unroll and the bench widths, N
+// through every 8-column strip and masked tail up to 17 plus the encoder
+// widths and the 700-wide MLM head, with and without a bias, on plain
+// inputs and on inputs laced with -0, ±Inf, NaN and subnormals, without
+// writing past the output.
+func TestF64GemmKernelsMatchGo(t *testing.T) {
+	if !haveSIMD {
+		t.Skip("no AVX2/FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(30))
+	ns := []int{48, 96, 700}
+	for n := 1; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	for rows := 1; rows <= 9; rows++ {
+		for _, K := range []int{1, 3, 4, 5, 47, 48, 96, 97} {
+			for _, N := range ns {
+				for _, withBias := range []bool{false, true} {
+					for _, every := range []int{0, 5} {
+						checkLinearMatchesGo(t, rng, rows, K, N, withBias, every)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestF64AttentionMatchesGo runs packed batches of several sequences
+// through attentionF64Asm and attentionF64Go and requires the same bits,
+// across head widths that take full and masked 4-lane strips and
+// sequence lengths on both sides of each strip edge. Inputs come plain,
+// laced with special values, and scaled up so that softmax weights
+// underflow to exactly 0 against a V holding infinities: the kernel must
+// skip those weights as the scalar loop does.
+func TestF64AttentionMatchesGo(t *testing.T) {
+	if !haveSIMD {
+		t.Skip("no AVX2/FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(31))
+	lengths := []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 20}
+	for _, d := range []int{1, 2, 3, 4, 5, 8, 12, 16, 20} {
+		for _, heads := range []int{1, 3} {
+			hidden := d * heads
+			for _, S := range lengths {
+				for _, input := range []struct {
+					scale float64
+					every int
+				}{{1, 0}, {1, 7}, {40, 0}} {
+					lens := []int{lengths[rng.Intn(len(lengths))], S, lengths[rng.Intn(len(lengths))]}
+					T, maxS := 0, 0
+					for _, l := range lens {
+						T += l
+						maxS = max(maxS, l)
+					}
+					q := FromSlice(T, hidden, randSpecial64(rng, T*hidden, input.scale, input.every))
+					k := FromSlice(T, hidden, randSpecial64(rng, T*hidden, input.scale, input.every))
+					v := FromSlice(T, hidden, randSpecial64(rng, T*hidden, 1, input.every))
+					if input.scale > 1 {
+						v.Data[rng.Intn(len(v.Data))] = math.Inf(1)
+					}
+					scores, kt := make([]float64, maxS*maxS), make([]float64, maxS*hidden)
+					want := NewMatrix(T, hidden)
+					got := guardedMatrix(T, hidden, 8)
+					got.Fill(3) // the kernel overwrites every output
+					attentionF64Go(q, k, v, heads, lens, scores, kt, want)
+					attentionF64Asm(q, k, v, heads, lens, scores, kt, got)
+					name := fmt.Sprintf("d=%d heads=%d lens=%v scale=%g every=%d", d, heads, lens, input.scale, input.every)
+					sameBits64(t, name, got.Data, want.Data)
+					checkGuard(t, name, got)
+				}
+			}
 		}
 	}
 }

@@ -2,8 +2,16 @@
 
 package tensor
 
-// Non-amd64 builds run the low-precision kernels through the pure-Go
-// fallbacks; the int8 path still works, just slower.
+// Non-amd64 builds run every kernel through its pure-Go mirror: the
+// float64 path gives the same bits, the int8 path works, just slower.
+
+func matMulRows(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
+	matMulRowsGo(a, b, bias, out, lo, hi)
+}
+
+func attentionF64(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
+	attentionF64Go(q, k, v, heads, lens, scores, kt, out)
+}
 
 func expShiftInPlace(v []float32, shift float32) { expShiftGo(v, shift) }
 func geluInPlace(v []float32)                    { geluGo(v) }

@@ -201,7 +201,7 @@ func restoreClassifier(h *classifierHead, engine *Engine, hidden int) (*Classifi
 	for name, m := range map[string]*tensor.Matrix{
 		"L1 weights": h.L1W, "L1 bias": h.L1B, "L2 weights": h.L2W, "L2 bias": h.L2B,
 	} {
-		if m == nil || m.Rows < 1 || m.Cols < 1 || len(m.Data) != m.Rows*m.Cols {
+		if m == nil || m.Validate() != nil {
 			return nil, fmt.Errorf("tuning: classifier head %s malformed", name)
 		}
 	}
@@ -232,8 +232,8 @@ func validLoadedPCA(p *linalg.PCA, hidden int) error {
 	if p == nil || p.W == nil {
 		return fmt.Errorf("missing projection")
 	}
-	if p.W.Rows < 1 || p.W.Cols < 1 || len(p.W.Data) != p.W.Rows*p.W.Cols {
-		return fmt.Errorf("projection %dx%d backed by %d values", p.W.Rows, p.W.Cols, len(p.W.Data))
+	if err := p.W.Validate(); err != nil {
+		return fmt.Errorf("projection: %w", err)
 	}
 	if p.W.Cols != hidden || len(p.Mean) != hidden {
 		return fmt.Errorf("projection dim %d (mean %d), backbone hidden %d", p.W.Cols, len(p.Mean), hidden)
