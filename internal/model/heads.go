@@ -40,25 +40,6 @@ func (h *MLMHead) Params() []*tensor.Tensor {
 	return append(out, h.Bias)
 }
 
-// Pooler is the BERT pooler: tanh(W·h_cls + b), applied to the [CLS] hidden
-// state before classification.
-type Pooler struct {
-	Dense *nn.Linear
-}
-
-// NewPooler builds a pooler for the architecture.
-func NewPooler(cfg Config, rng *rand.Rand) *Pooler {
-	return &Pooler{Dense: nn.NewLinear(cfg.Hidden, cfg.Hidden, nn.TruncatedNormal{Std: 0.02}, rng)}
-}
-
-// Forward applies the pooling transform.
-func (p *Pooler) Forward(cls *tensor.Tensor) *tensor.Tensor {
-	return tensor.Tanh(p.Dense.Forward(cls))
-}
-
-// Params implements nn.Layer.
-func (p *Pooler) Params() []*tensor.Tensor { return p.Dense.Params() }
-
 // Model bundles the encoder with its pre-training head so the pair can be
 // trained, saved, and loaded as a unit.
 type Model struct {

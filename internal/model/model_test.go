@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"clmids/internal/nn"
-	"clmids/internal/tensor"
 )
 
 func tinyConfig() Config {
@@ -232,22 +231,6 @@ func TestMLMLossDecreases(t *testing.T) {
 	}
 	if !(last < first*0.5) {
 		t.Fatalf("MLM loss did not drop: first %.4f last %.4f", first, last)
-	}
-}
-
-func TestPooler(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cfg := tinyConfig()
-	p := NewPooler(cfg, rng)
-	x := tensor.Const(tensor.NewMatrix(3, cfg.Hidden))
-	y := p.Forward(x)
-	if y.Rows() != 3 || y.Cols() != cfg.Hidden {
-		t.Fatalf("pooler out %dx%d", y.Rows(), y.Cols())
-	}
-	for _, v := range y.Val.Data {
-		if v < -1 || v > 1 {
-			t.Fatalf("pooler output %v outside tanh range", v)
-		}
 	}
 }
 

@@ -75,13 +75,8 @@ func InferLayerNormInto(x, gamma, beta *Matrix, eps float64, out *Matrix) {
 }
 
 // InferGELUInPlace applies the tanh-approximated GELU elementwise in place,
-// matching the GELU op's forward arithmetic.
-func InferGELUInPlace(x *Matrix) {
-	for i, v := range x.Data {
-		u := geluConst * (v + 0.044715*v*v*v)
-		x.Data[i] = 0.5 * v * (1 + math.Tanh(u))
-	}
-}
+// on the GELU op's forward kernel.
+func InferGELUInPlace(x *Matrix) { geluRow(x.Data, x.Data) }
 
 // InferAttentionInto runs the fused multi-head scaled-dot-product attention
 // forward pass (same layout contract as Attention: q/k/v are [sum(lens),
@@ -123,8 +118,9 @@ func InferAttentionInto(q, k, v *Matrix, heads int, lens []int, scores, kt []flo
 // attentionF64Go is the scalar attention forward, the arithmetic of the
 // tape's Attention: per query row, dot products c ascending from +0 times
 // the scale, softmaxInto, then AV accumulated j ascending into the zeroed
-// out row, skipping zero weights. It is the portable path and the mirror
-// attentionF64Asm is tested against; kt is unused.
+// out row, skipping zero weights, every product rounded before it is
+// added. It is the portable path and the mirror attentionF64Asm is tested
+// against; kt is unused.
 func attentionF64Go(q, k, v *Matrix, heads int, lens []int, scores, _ []float64, out *Matrix) {
 	d := q.Cols / heads
 	scale := 1 / math.Sqrt(float64(d))
@@ -141,7 +137,7 @@ func attentionF64Go(q, k, v *Matrix, heads int, lens []int, scores, _ []float64,
 					krow := k.Row(off + j)[hOff : hOff+d]
 					dot := 0.0
 					for c := 0; c < d; c++ {
-						dot += qrow[c] * krow[c]
+						dot += float64(qrow[c] * krow[c])
 					}
 					srow[j] = dot * scale
 				}
@@ -156,7 +152,7 @@ func attentionF64Go(q, k, v *Matrix, heads int, lens []int, scores, _ []float64,
 					}
 					vrow := v.Row(off + j)[hOff : hOff+d]
 					for c := 0; c < d; c++ {
-						orow[c] += a * vrow[c]
+						orow[c] += float64(a * vrow[c])
 					}
 				}
 			}

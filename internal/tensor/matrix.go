@@ -145,8 +145,9 @@ func panelRows(cols int) int {
 // of a, and register-blocked four k-rows at a time so each output element
 // is loaded and stored once per four multiply-adds instead of once per
 // one. Both blockings keep k ascending per output element, so results are
-// bitwise identical to the naive triple loop. It is the portable GEMM and
-// the mirror gemmF64Asm is tested against.
+// bitwise identical to the naive triple loop, and every product is rounded
+// before it is added (float64(a*b)), so no compiler fuses the two. It is
+// the portable GEMM and the mirror gemmF64Asm is tested against.
 func matMulRowsGo(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
 	bk := panelRows(b.Cols)
 	n := b.Cols
@@ -168,10 +169,10 @@ func matMulRowsGo(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
 				b3 := b.Data[(k+3)*n : (k+4)*n : (k+4)*n]
 				for j := range orow {
 					s := orow[j]
-					s += a0 * b0[j]
-					s += a1 * b1[j]
-					s += a2 * b2[j]
-					s += a3 * b3[j]
+					s += float64(a0 * b0[j])
+					s += float64(a1 * b1[j])
+					s += float64(a2 * b2[j])
+					s += float64(a3 * b3[j])
 					orow[j] = s
 				}
 			}
@@ -179,7 +180,7 @@ func matMulRowsGo(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
 				av := arow[k]
 				brow := b.Data[k*n : (k+1)*n : (k+1)*n]
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -231,7 +232,7 @@ func MatMulATBInto(a, b, out *Matrix) {
 			}
 			orow := out.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}

@@ -277,46 +277,6 @@ func Log(a *Tensor) *Tensor {
 	return out
 }
 
-// Tanh applies the hyperbolic tangent elementwise.
-func Tanh(a *Tensor) *Tensor {
-	val := NewMatrix(a.Val.Rows, a.Val.Cols)
-	for i, v := range a.Val.Data {
-		val.Data[i] = math.Tanh(v)
-	}
-	var out *Tensor
-	out = newNode("tanh", val, func() {
-		if !a.needGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i := range g.Data {
-			y := out.Val.Data[i]
-			g.Data[i] += out.Grad.Data[i] * (1 - y*y)
-		}
-	}, a)
-	return out
-}
-
-// Sigmoid applies the logistic function elementwise.
-func Sigmoid(a *Tensor) *Tensor {
-	val := NewMatrix(a.Val.Rows, a.Val.Cols)
-	for i, v := range a.Val.Data {
-		val.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	var out *Tensor
-	out = newNode("sigmoid", val, func() {
-		if !a.needGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i := range g.Data {
-			y := out.Val.Data[i]
-			g.Data[i] += out.Grad.Data[i] * y * (1 - y)
-		}
-	}, a)
-	return out
-}
-
 // ReLU applies max(0, x) elementwise.
 func ReLU(a *Tensor) *Tensor {
 	val := NewMatrix(a.Val.Rows, a.Val.Cols)
@@ -340,17 +300,11 @@ func ReLU(a *Tensor) *Tensor {
 	return out
 }
 
-// geluConst is sqrt(2/pi), used by the tanh approximation of GELU.
-var geluConst = math.Sqrt(2 / math.Pi)
-
 // GELU applies the Gaussian error linear unit (tanh approximation, as in
-// BERT) elementwise.
+// BERT) elementwise, on the same kernel as InferGELUInPlace.
 func GELU(a *Tensor) *Tensor {
 	val := NewMatrix(a.Val.Rows, a.Val.Cols)
-	for i, x := range a.Val.Data {
-		u := geluConst * (x + 0.044715*x*x*x)
-		val.Data[i] = 0.5 * x * (1 + math.Tanh(u))
-	}
+	geluRow(a.Val.Data, val.Data)
 	var out *Tensor
 	out = newNode("gelu", val, func() {
 		if !a.needGrad {
@@ -359,11 +313,11 @@ func GELU(a *Tensor) *Tensor {
 		g := a.ensureGrad()
 		for i := range g.Data {
 			x := a.Val.Data[i]
-			u := geluConst * (x + 0.044715*x*x*x)
-			t := math.Tanh(u)
-			du := geluConst * (1 + 3*0.044715*x*x)
-			d := 0.5*(1+t) + 0.5*x*(1-t*t)*du
-			g.Data[i] += out.Grad.Data[i] * d
+			u := float64(geluConst * (x + float64(0.044715*x*x*x)))
+			t := tanhF64(u)
+			du := geluConst * (1 + float64(3*0.044715*x*x))
+			d := float64(0.5*(1+t)) + float64(0.5*x*(1-float64(t*t))*du)
+			g.Data[i] += float64(out.Grad.Data[i] * d)
 		}
 	}, a)
 	return out

@@ -33,7 +33,9 @@ func SoftmaxRows(a *Tensor) *Tensor {
 	return out
 }
 
-// softmaxInto writes softmax(src) into dst (same length), max-shifted.
+// softmaxInto writes softmax(src) into dst (same length; dst may alias
+// src), max-shifted: the max and the sum run in j order, the exps on
+// expF64 (expShiftSum).
 func softmaxInto(src, dst []float64) {
 	maxv := math.Inf(-1)
 	for _, v := range src {
@@ -41,13 +43,7 @@ func softmaxInto(src, dst []float64) {
 			maxv = v
 		}
 	}
-	sum := 0.0
-	for j, v := range src {
-		e := math.Exp(v - maxv)
-		dst[j] = e
-		sum += e
-	}
-	inv := 1 / sum
+	inv := 1 / expShiftSum(src, dst, maxv)
 	for j := range dst {
 		dst[j] *= inv
 	}
@@ -279,7 +275,7 @@ func Attention(q, k, v *Tensor, heads int, lens []int) *Tensor {
 					krow := k.Val.Row(off + j)[hOff : hOff+d]
 					dot := 0.0
 					for c := 0; c < d; c++ {
-						dot += qrow[c] * krow[c]
+						dot += float64(qrow[c] * krow[c])
 					}
 					srow[j] = dot * scale
 				}
@@ -296,7 +292,7 @@ func Attention(q, k, v *Tensor, heads int, lens []int) *Tensor {
 					}
 					vrow := v.Val.Row(off + j)[hOff : hOff+d]
 					for c := 0; c < d; c++ {
-						orow[c] += a * vrow[c]
+						orow[c] += float64(a * vrow[c])
 					}
 				}
 			}

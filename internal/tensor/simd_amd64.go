@@ -6,12 +6,14 @@ import "math"
 // the int8 accumulation, AVX-512 VNNI when present) after a runtime CPUID
 // check; pure-Go mirrors cover older hosts and other architectures.
 //
-// The float64 kernels (the GEMM behind every linear and attention's QKᵀ
-// and AV) are asm, bitwise equal to their Go mirrors: each output element
-// sees the Go loop's multiplies and adds in the Go loop's order — VMULPD
-// then VADDPD, never FMA, from +0, k ascending — and the vectors run only
-// across independent outputs, never along a sum. float64 stays the
-// bitwise-golden path.
+// The float64 kernels (the GEMM behind every linear, attention's QKᵀ and
+// AV, softmax's exp pass and the GELU row) are asm, bitwise equal to their
+// Go mirrors: each output element sees the Go code's operations in the Go
+// code's order — VMULPD then VADDPD, never FMA; sums from +0, k ascending
+// — and the vectors run only across independent outputs, never along a
+// sum. The exp and tanh lanes run exactly the operations of the scalar
+// ports expF64 and tanhF64 (exp.go), so the float64 bits are the same on
+// every amd64 host, with or without AVX2 or FMA.
 //
 // The int8 path and its float32 activation kernels exist to trade
 // exactness for speed. The LayerNorm and attention kernels are bitwise
@@ -121,6 +123,55 @@ func gemmF64Asm(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int)
 //go:noescape
 func attnAVF64Asm(a, v, out []float64, S, d, stride int)
 
+// expShiftSumAsm is the AVX2 form of expShiftSumGo for a prefix of src:
+// four lanes at a time, dst[j] = expF64(src[j] − shift) in expF64's
+// operations (lanes with |x| < 2⁻²⁸ blended to 1+x, y·2^k through the
+// exponent bits), each group's values added to sum in j order. The last
+// 1–3 lanes run masked. It stops before the first group with a lane
+// outside [−708, 709] or NaN and returns the number of elements done
+// and the running sum; the caller runs that group on the scalar port.
+//
+//go:noescape
+func expShiftSumAsm(src, dst []float64, shift, sum float64) (n int, total float64)
+
+// geluF64Asm is the AVX2 form of geluRowGo, bitwise equal to it: four
+// lanes at a time, u, then tanh's rational branch (|u| < 0.625) and its
+// exp branch (1 − 2/(e^{2|u|}+1)) with one VDIVPD for both, a branch no
+// lane takes skipped, and ±1 beyond MAXLOG/2. The last 1–3 lanes run
+// masked; out may alias x.
+//
+//go:noescape
+func geluF64Asm(x, out []float64)
+
+// expShiftSum writes dst[j] = expF64(src[j] − shift) and returns their sum
+// in j order, on the AVX2 kernel with the scalar port for groups it
+// declines, or on expShiftSumGo without AVX2.
+func expShiftSum(src, dst []float64, shift float64) float64 {
+	if !haveSIMD {
+		return expShiftSumGo(src, dst, shift, 0)
+	}
+	sum := 0.0
+	for {
+		n, s := expShiftSumAsm(src, dst, shift, sum)
+		if n == len(src) {
+			return s
+		}
+		g := min(n+4, len(src))
+		sum = expShiftSumGo(src[n:g], dst[n:g], shift, s)
+		src, dst = src[g:], dst[g:]
+	}
+}
+
+// geluRow writes out[i] = geluF64(x[i]) on the AVX2 kernel, or on
+// geluRowGo without AVX2.
+func geluRow(x, out []float64) {
+	if haveSIMD {
+		geluF64Asm(x, out)
+		return
+	}
+	geluRowGo(x, out)
+}
+
 // matMulRows overwrites out rows [lo,hi) with a·b (+ bias) on the AVX2
 // GEMM, or on its Go mirror without AVX2.
 func matMulRows(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
@@ -147,8 +198,8 @@ func attentionF64(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, 
 // attentionF64Asm is attentionF64Go on the AVX2 kernels, bitwise equal to
 // it. Per sequence, K is transposed once into kt (hidden×S, head h's d×S
 // panel in rows [h·d, (h+1)·d)); per head, gemmF64Asm computes the S×S dot
-// products (c ascending from +0), Go scales and softmaxes each row with
-// the scalar softmaxInto, and attnAVF64Asm writes AV into out.
+// products (c ascending from +0), Go scales each row and softmaxInto
+// normalizes it, and attnAVF64Asm writes AV into out.
 func attentionF64Asm(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
 	hidden := q.Cols
 	d := hidden / heads

@@ -1,8 +1,10 @@
 // AVX2 and AVX-512 VNNI kernels (see simd_amd64.go). The float64 kernels
-// (gemmF64Asm, attnAVF64Asm) are bitwise equal to their Go mirrors: they
-// vectorize across independent outputs only and round every product
-// before adding it (VMULPD then VADDPD, never FMA), so float64 stays the
-// bitwise-golden path. The rest serve the low-precision int8 path.
+// (gemmF64Asm, attnAVF64Asm, expShiftSumAsm, geluF64Asm) are bitwise equal
+// to their Go mirrors: they vectorize across independent outputs only and
+// round every product before adding it (VMULPD then VADDPD, never FMA),
+// and the exp and tanh lanes run the scalar ports' operations in their
+// order, so float64 stays the bitwise-golden path on every amd64 host.
+// The rest serve the low-precision int8 path.
 
 #include "textflag.h"
 
@@ -1501,5 +1503,392 @@ avskip:
 	JNZ  avrow
 
 avdone:
+	VZEROUPPER
+	RET
+
+// 4-lane float64 constants for expF64 and tanhF64 (exp.go).
+DATA f64half<>+0(SB)/8, $0x3FE0000000000000 // 0.5
+DATA f64half<>+8(SB)/8, $0x3FE0000000000000
+DATA f64half<>+16(SB)/8, $0x3FE0000000000000
+DATA f64half<>+24(SB)/8, $0x3FE0000000000000
+GLOBL f64half<>(SB), RODATA, $32
+
+DATA f64one<>+0(SB)/8, $0x3FF0000000000000 // 1
+DATA f64one<>+8(SB)/8, $0x3FF0000000000000
+DATA f64one<>+16(SB)/8, $0x3FF0000000000000
+DATA f64one<>+24(SB)/8, $0x3FF0000000000000
+GLOBL f64one<>(SB), RODATA, $32
+
+DATA f64two<>+0(SB)/8, $0x4000000000000000 // 2
+DATA f64two<>+8(SB)/8, $0x4000000000000000
+DATA f64two<>+16(SB)/8, $0x4000000000000000
+DATA f64two<>+24(SB)/8, $0x4000000000000000
+GLOBL f64two<>(SB), RODATA, $32
+
+DATA f64log2e<>+0(SB)/8, $0x3FF71547652B82FE // Log2e
+DATA f64log2e<>+8(SB)/8, $0x3FF71547652B82FE
+DATA f64log2e<>+16(SB)/8, $0x3FF71547652B82FE
+DATA f64log2e<>+24(SB)/8, $0x3FF71547652B82FE
+GLOBL f64log2e<>(SB), RODATA, $32
+
+DATA f64ln2hi<>+0(SB)/8, $0x3FE62E42FEE00000 // Ln2Hi
+DATA f64ln2hi<>+8(SB)/8, $0x3FE62E42FEE00000
+DATA f64ln2hi<>+16(SB)/8, $0x3FE62E42FEE00000
+DATA f64ln2hi<>+24(SB)/8, $0x3FE62E42FEE00000
+GLOBL f64ln2hi<>(SB), RODATA, $32
+
+DATA f64ln2lo<>+0(SB)/8, $0x3DEA39EF35793C76 // Ln2Lo
+DATA f64ln2lo<>+8(SB)/8, $0x3DEA39EF35793C76
+DATA f64ln2lo<>+16(SB)/8, $0x3DEA39EF35793C76
+DATA f64ln2lo<>+24(SB)/8, $0x3DEA39EF35793C76
+GLOBL f64ln2lo<>(SB), RODATA, $32
+
+DATA f64p1<>+0(SB)/8, $0x3FC5555555555555 // P1
+DATA f64p1<>+8(SB)/8, $0x3FC5555555555555
+DATA f64p1<>+16(SB)/8, $0x3FC5555555555555
+DATA f64p1<>+24(SB)/8, $0x3FC5555555555555
+GLOBL f64p1<>(SB), RODATA, $32
+
+DATA f64p2<>+0(SB)/8, $0xBF66C16C16BEBD93 // P2
+DATA f64p2<>+8(SB)/8, $0xBF66C16C16BEBD93
+DATA f64p2<>+16(SB)/8, $0xBF66C16C16BEBD93
+DATA f64p2<>+24(SB)/8, $0xBF66C16C16BEBD93
+GLOBL f64p2<>(SB), RODATA, $32
+
+DATA f64p3<>+0(SB)/8, $0x3F11566AAF25DE2C // P3
+DATA f64p3<>+8(SB)/8, $0x3F11566AAF25DE2C
+DATA f64p3<>+16(SB)/8, $0x3F11566AAF25DE2C
+DATA f64p3<>+24(SB)/8, $0x3F11566AAF25DE2C
+GLOBL f64p3<>(SB), RODATA, $32
+
+DATA f64p4<>+0(SB)/8, $0xBEBBBD41C5D26BF1 // P4
+DATA f64p4<>+8(SB)/8, $0xBEBBBD41C5D26BF1
+DATA f64p4<>+16(SB)/8, $0xBEBBBD41C5D26BF1
+DATA f64p4<>+24(SB)/8, $0xBEBBBD41C5D26BF1
+GLOBL f64p4<>(SB), RODATA, $32
+
+DATA f64p5<>+0(SB)/8, $0x3E66376972BEA4D0 // P5
+DATA f64p5<>+8(SB)/8, $0x3E66376972BEA4D0
+DATA f64p5<>+16(SB)/8, $0x3E66376972BEA4D0
+DATA f64p5<>+24(SB)/8, $0x3E66376972BEA4D0
+GLOBL f64p5<>(SB), RODATA, $32
+
+DATA f64nearzero<>+0(SB)/8, $0x3E30000000000000 // 2⁻²⁸
+DATA f64nearzero<>+8(SB)/8, $0x3E30000000000000
+DATA f64nearzero<>+16(SB)/8, $0x3E30000000000000
+DATA f64nearzero<>+24(SB)/8, $0x3E30000000000000
+GLOBL f64nearzero<>(SB), RODATA, $32
+
+DATA f64explo<>+0(SB)/8, $0xC086200000000000 // -708
+DATA f64explo<>+8(SB)/8, $0xC086200000000000
+DATA f64explo<>+16(SB)/8, $0xC086200000000000
+DATA f64explo<>+24(SB)/8, $0xC086200000000000
+GLOBL f64explo<>(SB), RODATA, $32
+
+DATA f64exphi<>+0(SB)/8, $0x4086280000000000 // 709
+DATA f64exphi<>+8(SB)/8, $0x4086280000000000
+DATA f64exphi<>+16(SB)/8, $0x4086280000000000
+DATA f64exphi<>+24(SB)/8, $0x4086280000000000
+GLOBL f64exphi<>(SB), RODATA, $32
+
+DATA f64gelua<>+0(SB)/8, $0x3FA6E4E26D4801F7 // 0.044715
+DATA f64gelua<>+8(SB)/8, $0x3FA6E4E26D4801F7
+DATA f64gelua<>+16(SB)/8, $0x3FA6E4E26D4801F7
+DATA f64gelua<>+24(SB)/8, $0x3FA6E4E26D4801F7
+GLOBL f64gelua<>(SB), RODATA, $32
+
+DATA f64geluc<>+0(SB)/8, $0x3FE9884533D43651 // √(2/π)
+DATA f64geluc<>+8(SB)/8, $0x3FE9884533D43651
+DATA f64geluc<>+16(SB)/8, $0x3FE9884533D43651
+DATA f64geluc<>+24(SB)/8, $0x3FE9884533D43651
+GLOBL f64geluc<>(SB), RODATA, $32
+
+DATA f64tanhsat<>+0(SB)/8, $0x404601E678FC457B // MAXLOG/2
+DATA f64tanhsat<>+8(SB)/8, $0x404601E678FC457B
+DATA f64tanhsat<>+16(SB)/8, $0x404601E678FC457B
+DATA f64tanhsat<>+24(SB)/8, $0x404601E678FC457B
+GLOBL f64tanhsat<>(SB), RODATA, $32
+
+DATA f64tanhexp<>+0(SB)/8, $0x3FE4000000000000 // 0.625
+DATA f64tanhexp<>+8(SB)/8, $0x3FE4000000000000
+DATA f64tanhexp<>+16(SB)/8, $0x3FE4000000000000
+DATA f64tanhexp<>+24(SB)/8, $0x3FE4000000000000
+GLOBL f64tanhexp<>(SB), RODATA, $32
+
+DATA f64tp0<>+0(SB)/8, $0xBFEEDC5BAAFD6F4B // tanhP[0]
+DATA f64tp0<>+8(SB)/8, $0xBFEEDC5BAAFD6F4B
+DATA f64tp0<>+16(SB)/8, $0xBFEEDC5BAAFD6F4B
+DATA f64tp0<>+24(SB)/8, $0xBFEEDC5BAAFD6F4B
+GLOBL f64tp0<>(SB), RODATA, $32
+
+DATA f64tp1<>+0(SB)/8, $0xC058D26A0E26682D // tanhP[1]
+DATA f64tp1<>+8(SB)/8, $0xC058D26A0E26682D
+DATA f64tp1<>+16(SB)/8, $0xC058D26A0E26682D
+DATA f64tp1<>+24(SB)/8, $0xC058D26A0E26682D
+GLOBL f64tp1<>(SB), RODATA, $32
+
+DATA f64tp2<>+0(SB)/8, $0xC0993AC030580563 // tanhP[2]
+DATA f64tp2<>+8(SB)/8, $0xC0993AC030580563
+DATA f64tp2<>+16(SB)/8, $0xC0993AC030580563
+DATA f64tp2<>+24(SB)/8, $0xC0993AC030580563
+GLOBL f64tp2<>(SB), RODATA, $32
+
+DATA f64tq0<>+0(SB)/8, $0x405C33F28A581B86 // tanhQ[0]
+DATA f64tq0<>+8(SB)/8, $0x405C33F28A581B86
+DATA f64tq0<>+16(SB)/8, $0x405C33F28A581B86
+DATA f64tq0<>+24(SB)/8, $0x405C33F28A581B86
+GLOBL f64tq0<>(SB), RODATA, $32
+
+DATA f64tq1<>+0(SB)/8, $0x40A176FA0E5535FA // tanhQ[1]
+DATA f64tq1<>+8(SB)/8, $0x40A176FA0E5535FA
+DATA f64tq1<>+16(SB)/8, $0x40A176FA0E5535FA
+DATA f64tq1<>+24(SB)/8, $0x40A176FA0E5535FA
+GLOBL f64tq1<>(SB), RODATA, $32
+
+DATA f64tq2<>+0(SB)/8, $0x40B2EC102442040C // tanhQ[2]
+DATA f64tq2<>+8(SB)/8, $0x40B2EC102442040C
+DATA f64tq2<>+16(SB)/8, $0x40B2EC102442040C
+DATA f64tq2<>+24(SB)/8, $0x40B2EC102442040C
+GLOBL f64tq2<>(SB), RODATA, $32
+
+DATA f64sign<>+0(SB)/8, $0x8000000000000000
+DATA f64sign<>+8(SB)/8, $0x8000000000000000
+DATA f64sign<>+16(SB)/8, $0x8000000000000000
+DATA f64sign<>+24(SB)/8, $0x8000000000000000
+GLOBL f64sign<>(SB), RODATA, $32
+
+DATA f64abs<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF
+DATA f64abs<>+8(SB)/8, $0x7FFFFFFFFFFFFFFF
+DATA f64abs<>+16(SB)/8, $0x7FFFFFFFFFFFFFFF
+DATA f64abs<>+24(SB)/8, $0x7FFFFFFFFFFFFFFF
+GLOBL f64abs<>(SB), RODATA, $32
+
+// EXPF64CORE sets Y1 = expF64(Y0) lane by lane for lanes with x in
+// [−708, 709] and |x| ≥ 2⁻²⁸ (callers blend or decline the others), in
+// expF64's operations and order, every product rounded (VMULPD, never
+// FMA): k = trunc(Log2e·x ± 0.5), hi = x − k·Ln2Hi, lo = k·Ln2Lo,
+// r = hi − lo, the expmulti polynomial, then y·2^k by adding k to the
+// exponent bits, exact there (k ∈ [−1021, 1023]). Clobbers Y2–Y6.
+#define EXPF64CORE \
+	VANDPD      f64sign<>(SB), Y0, Y2  \
+	VORPD       f64half<>(SB), Y2, Y2  \
+	VMULPD      f64log2e<>(SB), Y0, Y3 \
+	VADDPD      Y2, Y3, Y3             \
+	VCVTTPD2DQY Y3, X4                 \
+	VCVTDQ2PD   X4, Y3                 \
+	VPMOVSXDQ   X4, Y4                 \
+	VPSLLQ      $52, Y4, Y4            \
+	VMULPD      f64ln2hi<>(SB), Y3, Y2 \
+	VSUBPD      Y2, Y0, Y2             \
+	VMULPD      f64ln2lo<>(SB), Y3, Y3 \
+	VSUBPD      Y3, Y2, Y5             \
+	VMULPD      Y5, Y5, Y6             \
+	VMULPD      f64p5<>(SB), Y6, Y1    \
+	VADDPD      f64p4<>(SB), Y1, Y1    \
+	VMULPD      Y6, Y1, Y1             \
+	VADDPD      f64p3<>(SB), Y1, Y1    \
+	VMULPD      Y6, Y1, Y1             \
+	VADDPD      f64p2<>(SB), Y1, Y1    \
+	VMULPD      Y6, Y1, Y1             \
+	VADDPD      f64p1<>(SB), Y1, Y1    \
+	VMULPD      Y6, Y1, Y1             \
+	VSUBPD      Y1, Y5, Y1             \
+	VMULPD      Y1, Y5, Y6             \
+	VMOVUPD     f64two<>(SB), Y5       \
+	VSUBPD      Y1, Y5, Y1             \
+	VDIVPD      Y1, Y6, Y6             \
+	VSUBPD      Y6, Y3, Y6             \
+	VSUBPD      Y2, Y6, Y6             \
+	VMOVUPD     f64one<>(SB), Y1       \
+	VSUBPD      Y6, Y1, Y1             \
+	VPADDQ      Y4, Y1, Y1
+
+// func expShiftSumAsm(src, dst []float64, shift, sum float64) (n int, total float64)
+//
+// dst[j] = expF64(src[j] − shift), four lanes per group, the last 1–3
+// under the lane mask in Y13 (live-lane bits in R9); each group's values
+// are added to the running sum in X14 in j order. A group with a live
+// lane outside [−708, 709], or NaN, is left untouched: the kernel returns
+// its index and the sum so far.
+TEXT ·expShiftSumAsm(SB), NOSPLIT, $0-80
+	MOVQ src_base+0(FP), SI
+	MOVQ src_len+8(FP), CX
+	MOVQ dst_base+24(FP), DI
+	VBROADCASTSD shift+48(FP), Y15
+	VMOVSD sum+56(FP), X14
+	LEAQ f64mask<>(SB), R8
+	XORQ AX, AX              // element index
+
+esgroup:
+	MOVQ CX, DX
+	SUBQ AX, DX              // elements left
+	JLE  esdone
+	CMPQ DX, $4
+	JLT  estail
+	MOVQ $4, DX
+	MOVQ $15, R9
+	VMOVUPD (SI)(AX*8), Y0
+	JMP  esx
+
+estail:
+	MOVQ       DX, R9
+	SHLQ       $5, R9
+	VMOVUPD    (R8)(R9*1), Y13
+	VMOVMSKPD  Y13, R9
+	VMASKMOVPD (SI)(AX*8), Y13, Y0
+
+esx:
+	VSUBPD    Y15, Y0, Y0    // x = v − shift
+	VCMPPD    $13, f64explo<>(SB), Y0, Y1 // x ≥ −708
+	VCMPPD    $2, f64exphi<>(SB), Y0, Y2  // x ≤ 709
+	VANDPD    Y2, Y1, Y1
+	VMOVMSKPD Y1, R10
+	ANDQ      R9, R10
+	CMPQ      R10, R9
+	JNE       esdone
+	EXPF64CORE
+	VANDPD    f64abs<>(SB), Y0, Y2
+	VCMPPD    $1, f64nearzero<>(SB), Y2, Y2 // |x| < 2⁻²⁸
+	VADDPD    f64one<>(SB), Y0, Y3          // 1 + x
+	VBLENDVPD Y2, Y3, Y1, Y1
+	CMPQ      DX, $4
+	JLT       esmstore
+	VMOVUPD   Y1, (DI)(AX*8)
+	JMP       essum
+
+esmstore:
+	VMASKMOVPD Y1, Y13, (DI)(AX*8)
+
+essum:
+	// sum += e_j lane by lane, j ascending, live lanes only.
+	VADDSD       X1, X14, X14
+	CMPQ         DX, $2
+	JLT          esnext
+	VUNPCKHPD    X1, X1, X2
+	VADDSD       X2, X14, X14
+	CMPQ         DX, $3
+	JLT          esnext
+	VEXTRACTF128 $1, Y1, X3
+	VADDSD       X3, X14, X14
+	CMPQ         DX, $4
+	JLT          esnext
+	VUNPCKHPD    X3, X3, X3
+	VADDSD       X3, X14, X14
+
+esnext:
+	ADDQ DX, AX
+	JMP  esgroup
+
+esdone:
+	MOVQ   AX, n+64(FP)
+	VMOVSD X14, total+72(FP)
+	VZEROUPPER
+	RET
+
+// func geluF64Asm(x, out []float64)
+//
+// out[i] = geluF64(x[i]), four lanes per group, the last 1–3 under the
+// lane mask in Y13 (live-lane bits in R9). Per lane: v in Y14, u in Y7,
+// z = |u| in Y8, the saturated lanes (z > MAXLOG/2) in Y9 and the exp
+// lanes (0.625 ≤ z ≤ MAXLOG/2) in Y10; the rest, NaN included, take the
+// rational branch. Both branches end in one division N/D (Y11/Y12): the
+// rational branch's u·s·num / den, the exp branch's 2 / (e^{2z}+1).
+TEXT ·geluF64Asm(SB), NOSPLIT, $0-48
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ out_base+24(FP), DI
+	LEAQ f64mask<>(SB), R8
+	XORQ AX, AX              // element index
+
+gegroup:
+	MOVQ CX, DX
+	SUBQ AX, DX              // elements left
+	JLE  gedone
+	CMPQ DX, $4
+	JLT  getail
+	MOVQ $4, DX
+	MOVQ $15, R9
+	VMOVUPD (SI)(AX*8), Y14
+	JMP  geu
+
+getail:
+	MOVQ       DX, R9
+	SHLQ       $5, R9
+	VMOVUPD    (R8)(R9*1), Y13
+	VMOVMSKPD  Y13, R9
+	VMASKMOVPD (SI)(AX*8), Y13, Y14
+
+geu:
+	// u = √(2/π)·(v + ((0.044715·v)·v)·v)
+	VMULPD  f64gelua<>(SB), Y14, Y7
+	VMULPD  Y14, Y7, Y7
+	VMULPD  Y14, Y7, Y7
+	VADDPD  Y7, Y14, Y7
+	VMULPD  f64geluc<>(SB), Y7, Y7
+	VANDPD  f64abs<>(SB), Y7, Y8
+	VCMPPD  $14, f64tanhsat<>(SB), Y8, Y9  // z > MAXLOG/2
+	VCMPPD  $13, f64tanhexp<>(SB), Y8, Y10 // z ≥ 0.625
+	VANDNPD Y10, Y9, Y10
+	VORPD   Y9, Y10, Y1
+	VMOVMSKPD Y1, R10
+	ANDQ    R9, R10
+	CMPQ    R10, R9
+	JNE     gepoly
+	VMOVUPD f64one<>(SB), Y11 // no rational lane: N = D = 1
+	VMOVUPD Y11, Y12
+	JMP     geexp
+
+gepoly:
+	// s = u·u; num = (P0·s + P1)·s + P2; den = ((s + Q0)·s + Q1)·s + Q2;
+	// N = (u·s)·num.
+	VMULPD Y7, Y7, Y1
+	VMULPD f64tp0<>(SB), Y1, Y2
+	VADDPD f64tp1<>(SB), Y2, Y2
+	VMULPD Y1, Y2, Y2
+	VADDPD f64tp2<>(SB), Y2, Y2
+	VADDPD f64tq0<>(SB), Y1, Y12
+	VMULPD Y1, Y12, Y12
+	VADDPD f64tq1<>(SB), Y12, Y12
+	VMULPD Y1, Y12, Y12
+	VADDPD f64tq2<>(SB), Y12, Y12
+	VMULPD Y1, Y7, Y11
+	VMULPD Y2, Y11, Y11
+
+geexp:
+	VMOVMSKPD Y10, R10
+	ANDQ      R9, R10
+	JZ        gediv
+	VADDPD    Y8, Y8, Y0     // 2z ∈ [1.25, 88.03]
+	EXPF64CORE
+	VADDPD    f64one<>(SB), Y1, Y1
+	VBLENDVPD Y10, Y1, Y12, Y12            // D = e^{2z} + 1
+	VBLENDVPD Y10, f64two<>(SB), Y11, Y11  // N = 2
+
+gediv:
+	VDIVPD    Y12, Y11, Y11  // q = N/D
+	VADDPD    Y11, Y7, Y1    // rational: u + q
+	VMOVUPD   f64one<>(SB), Y2
+	VSUBPD    Y11, Y2, Y2    // exp: 1 − q
+	VANDPD    f64sign<>(SB), Y7, Y3
+	VXORPD    Y3, Y2, Y2     // negated where u < 0
+	VBLENDVPD Y10, Y2, Y1, Y1
+	VORPD     f64one<>(SB), Y3, Y3 // ±1
+	VBLENDVPD Y9, Y3, Y1, Y1       // tanh(u)
+	VADDPD    f64one<>(SB), Y1, Y1 // 1 + tanh(u)
+	VMULPD    f64half<>(SB), Y14, Y2
+	VMULPD    Y1, Y2, Y1           // 0.5·v·(1 + tanh(u))
+	CMPQ      DX, $4
+	JLT       gemstore
+	VMOVUPD   Y1, (DI)(AX*8)
+	JMP       genext
+
+gemstore:
+	VMASKMOVPD Y1, Y13, (DI)(AX*8)
+
+genext:
+	ADDQ DX, AX
+	JMP  gegroup
+
+gedone:
 	VZEROUPPER
 	RET

@@ -342,3 +342,38 @@ func TestF64AttentionMatchesGo(t *testing.T) {
 		}
 	}
 }
+
+// TestF64ExpGELUKernelsMatchGo pins softmax's exp pass (expShiftSumAsm
+// with its scalar fallback) and geluF64Asm to the scalar ports bit for
+// bit, sum included: every length through ten 4-lane groups, so each
+// masked tail runs, shifts of 0, −Inf and an element of the row, on plain
+// inputs, on inputs wide enough to leave the kernel's [−708, 709] range
+// and to take every tanh branch, and on inputs laced with the exp and
+// GELU edge values. A row the kernel can take whole must not fall back.
+func TestF64ExpGELUKernelsMatchGo(t *testing.T) {
+	if !haveSIMD {
+		t.Skip("no AVX2/FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(33))
+	for n := 1; n <= 40; n++ {
+		for _, input := range []struct {
+			scale float64
+			every int
+		}{{1, 0}, {3, 0}, {300, 0}, {1, 3}, {20, 2}} {
+			src := randEdge64(rng, n, input.scale, input.every)
+			for _, shift := range []float64{0, math.Inf(-1), src[rng.Intn(n)]} {
+				checkExpGELUMatchesGo(t, src, shift)
+			}
+			if input.every == 0 && input.scale < 100 {
+				top := math.Inf(-1)
+				for _, v := range src {
+					top = max(top, v)
+				}
+				dst := make([]float64, n)
+				if done, _ := expShiftSumAsm(src, dst, top, 0); done != n {
+					t.Fatalf("n=%d: the kernel declined a row it can take at element %d", n, done)
+				}
+			}
+		}
+	}
+}

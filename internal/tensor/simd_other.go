@@ -13,6 +13,12 @@ func attentionF64(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, 
 	attentionF64Go(q, k, v, heads, lens, scores, kt, out)
 }
 
+func expShiftSum(src, dst []float64, shift float64) float64 {
+	return expShiftSumGo(src, dst, shift, 0)
+}
+
+func geluRow(x, out []float64) { geluRowGo(x, out) }
+
 func expShiftInPlace(v []float32, shift float32) { expShiftGo(v, shift) }
 func geluInPlace(v []float32)                    { geluGo(v) }
 

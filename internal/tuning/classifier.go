@@ -212,10 +212,12 @@ func (c *Classifier) ScoreFeatures(feats *tensor.Matrix) []float64 {
 	out := make([]float64, feats.Rows)
 	for i := 0; i < feats.Rows; i++ {
 		row := logits.Row(i)
-		// Two-class softmax probability of class 1, numerically stable.
+		// Two-class softmax probability of class 1, numerically stable, on
+		// the float64 path's exp so the score's bits do not depend on the
+		// host's FMA.
 		m := math.Max(row[0], row[1])
-		e0 := math.Exp(row[0] - m)
-		e1 := math.Exp(row[1] - m)
+		e0 := tensor.Exp(row[0] - m)
+		e1 := tensor.Exp(row[1] - m)
 		out[i] = e1 / (e0 + e1)
 	}
 	return out
