@@ -1,38 +1,15 @@
-// Package anomaly implements the detectors that operate in the command-line
-// embedding space (§III): PCA reconstruction error (Eq. 1), isolation
-// forest, a linear one-class SVM, and k-nearest-neighbour scoring — plus the
-// supervised, noise-robust retrieval method of §IV-D.
-//
-// All detectors follow the same contract: Fit on a matrix of embeddings
-// (one row per command line), then Score rows, with higher scores meaning
-// more anomalous / more likely intrusion.
+// Package anomaly implements the two detection heads that operate in the
+// command-line embedding space: PCA reconstruction error (§III, Eq. 1)
+// and the supervised, noise-robust retrieval method of §IV-D. Higher
+// scores mean more anomalous / more likely intrusion.
 package anomaly
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"clmids/internal/linalg"
 	"clmids/internal/tensor"
 )
-
-// Detector is the shared scoring contract.
-type Detector interface {
-	// Fit trains the detector on embeddings (one row per line).
-	Fit(x *tensor.Matrix) error
-	// Score rates a single embedding; higher is more anomalous.
-	Score(row []float64) float64
-}
-
-// Scores applies d.Score to every row of x.
-func Scores(d Detector, x *tensor.Matrix) []float64 {
-	out := make([]float64, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		out[i] = d.Score(x.Row(i))
-	}
-	return out
-}
 
 // PCADetector scores by PCA reconstruction error (Eq. 1). Scoring after
 // Fit is read-only, so one fitted detector is safely shared across
@@ -44,9 +21,7 @@ type PCADetector struct {
 	pca *linalg.PCA
 }
 
-var _ Detector = (*PCADetector)(nil)
-
-// Fit implements Detector.
+// Fit fits the PCA on embeddings (one row per line).
 func (d *PCADetector) Fit(x *tensor.Matrix) error {
 	p, err := linalg.FitPCA(x, d.Opts)
 	if err != nil {
@@ -56,7 +31,7 @@ func (d *PCADetector) Fit(x *tensor.Matrix) error {
 	return nil
 }
 
-// Score implements Detector.
+// Score rates a single embedding by its reconstruction error.
 func (d *PCADetector) Score(row []float64) float64 {
 	if d.pca == nil {
 		panic("anomaly: PCADetector.Score before Fit")
@@ -64,12 +39,21 @@ func (d *PCADetector) Score(row []float64) float64 {
 	return d.pca.ReconstructionError(row)
 }
 
+// Scores applies Score to every row of x.
+func (d *PCADetector) Scores(x *tensor.Matrix) []float64 {
+	out := make([]float64, x.Rows)
+	for i := 0; i < x.Rows; i++ {
+		out[i] = d.Score(x.Row(i))
+	}
+	return out
+}
+
 // PCA exposes the fitted model (nil before Fit); reconstruction-based
 // tuning reuses it.
 func (d *PCADetector) PCA() *linalg.PCA { return d.pca }
 
-// Standardizer z-scores embeddings per dimension; the SVM-style detectors
-// are scale-sensitive and fit it internally. Apply allocates its output
+// Standardizer z-scores embeddings per dimension; the classifier head
+// fits it over its training embeddings. Apply allocates its output
 // and never mutates the fitted statistics, so one fitted Standardizer is
 // safely shared across concurrent scorer replicas.
 type Standardizer struct {
@@ -110,150 +94,4 @@ func (s *Standardizer) Apply(row []float64) []float64 {
 		out[j] = (v - s.Mean[j]) / s.Std[j]
 	}
 	return out
-}
-
-// OneClassSVM is a linear ν-one-class SVM (Schölkopf et al.) trained by
-// full-batch subgradient descent on the primal objective
-// ½‖w‖² − ρ + 1/(νn)·Σ max(0, ρ−⟨w,x⟩).
-//
-// The formulation separates the data from the origin, so inputs are scaled
-// per dimension but deliberately NOT mean-centered: centering would place
-// the cloud on top of the origin and make it unseparable. Transformer
-// mean-pooled embeddings have a strong nonzero mean, which is exactly the
-// regime where the linear machine works. For data without that property use
-// SVDD, which is translation-invariant.
-type OneClassSVM struct {
-	// Nu bounds the fraction of training outliers; default 0.1.
-	Nu float64
-	// Epochs of full-batch descent; default 200.
-	Epochs int
-	// LR is the descent step; default 0.01.
-	LR float64
-
-	w   []float64
-	rho float64
-	std *Standardizer
-}
-
-var _ Detector = (*OneClassSVM)(nil)
-
-// Fit implements Detector.
-func (d *OneClassSVM) Fit(x *tensor.Matrix) error {
-	if x.Rows < 2 {
-		return fmt.Errorf("anomaly: OneClassSVM needs at least 2 rows")
-	}
-	nu := d.Nu
-	if nu <= 0 || nu > 1 {
-		nu = 0.1
-	}
-	epochs := d.Epochs
-	if epochs <= 0 {
-		epochs = 200
-	}
-	lr := d.LR
-	if lr <= 0 {
-		lr = 0.01
-	}
-	d.std = FitStandardizer(x)
-	for j := range d.std.Mean {
-		d.std.Mean[j] = 0 // scale-only: keep the cloud away from the origin
-	}
-	n, dim := x.Rows, x.Cols
-	rows := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		rows[i] = d.std.Apply(x.Row(i))
-	}
-
-	w := make([]float64, dim)
-	rho := 0.0
-	coef := 1 / (nu * float64(n))
-	gw := make([]float64, dim)
-	for e := 0; e < epochs; e++ {
-		copy(gw, w) // ∂(½‖w‖²)
-		grho := -1.0
-		for i := 0; i < n; i++ {
-			if linalg.Dot(w, rows[i]) < rho {
-				for j, v := range rows[i] {
-					gw[j] -= coef * v
-				}
-				grho += coef
-			}
-		}
-		for j := range w {
-			w[j] -= lr * gw[j]
-		}
-		rho -= lr * grho
-	}
-	d.w = w
-	d.rho = rho
-	return nil
-}
-
-// Score implements Detector: margin violation ρ − ⟨w,x⟩.
-func (d *OneClassSVM) Score(row []float64) float64 {
-	if d.w == nil {
-		panic("anomaly: OneClassSVM.Score before Fit")
-	}
-	return d.rho - linalg.Dot(d.w, d.std.Apply(row))
-}
-
-// KNNDetector scores by the mean Euclidean distance to the k nearest
-// training embeddings — the plain unsupervised variant.
-type KNNDetector struct {
-	// K is the neighbourhood size; default 5.
-	K int
-
-	train *tensor.Matrix
-}
-
-var _ Detector = (*KNNDetector)(nil)
-
-// Fit implements Detector (stores the training matrix).
-func (d *KNNDetector) Fit(x *tensor.Matrix) error {
-	if x.Rows == 0 {
-		return fmt.Errorf("anomaly: KNN needs at least 1 row")
-	}
-	d.train = x
-	return nil
-}
-
-// Score implements Detector.
-func (d *KNNDetector) Score(row []float64) float64 {
-	if d.train == nil {
-		panic("anomaly: KNNDetector.Score before Fit")
-	}
-	k := d.K
-	if k <= 0 {
-		k = 5
-	}
-	if k > d.train.Rows {
-		k = d.train.Rows
-	}
-	dists := nearestDistances(d.train, row, k, linalg.Euclidean)
-	sum := 0.0
-	for _, v := range dists {
-		sum += v
-	}
-	return sum / float64(len(dists))
-}
-
-// nearestDistances returns the k smallest metric(row, train-row) values,
-// ascending, via a bounded max-heap-free selection (insertion into a small
-// sorted slice — k is tiny).
-func nearestDistances(train *tensor.Matrix, row []float64, k int, metric func(a, b []float64) float64) []float64 {
-	best := make([]float64, 0, k)
-	for i := 0; i < train.Rows; i++ {
-		dst := metric(train.Row(i), row)
-		if len(best) < k {
-			best = append(best, dst)
-			sort.Float64s(best)
-			continue
-		}
-		if dst < best[k-1] {
-			pos := sort.SearchFloat64s(best, dst)
-			copy(best[pos+1:], best[pos:k-1])
-			best[pos] = dst
-		}
-	}
-	return best
 }

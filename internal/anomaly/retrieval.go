@@ -135,8 +135,9 @@ func (r *Retrieval) ScoreBatch(x *tensor.Matrix) []float64 {
 
 // MajorityVote is the textbook kNN baseline the paper rejects: the verdict
 // of the k nearest neighbours (by cosine similarity) among ALL training
-// lines, malicious or benign. Exposed so the ablation experiment can show
-// why the modification matters under label noise.
+// lines, malicious or benign. Exposed so BenchmarkAblationRetrievalNoise
+// (paper_bench_test.go) can show why the modification matters under label
+// noise.
 func (r *Retrieval) MajorityVote(row []float64, k int) bool {
 	if r.all == nil {
 		panic("anomaly: Retrieval.MajorityVote before FitLabeled")

@@ -65,21 +65,26 @@ type Tokenizer struct {
 	scratch sync.Pool
 }
 
+// seedVocab returns the seed vocabulary in ID order: the specials, then
+// the 256 byte symbols.
+func seedVocab() []string {
+	out := make([]string, 0, baseVocab)
+	out = append(out, PadToken, UnkToken, ClsToken, SepToken, MaskToken)
+	for b := 0; b < 256; b++ {
+		out = append(out, string([]byte{byte(b)}))
+	}
+	return out
+}
+
 // newSeeded returns a tokenizer holding only specials and byte symbols.
 func newSeeded() *Tokenizer {
 	t := &Tokenizer{
 		vocab: make(map[string]int, baseVocab),
-		inv:   make([]string, 0, baseVocab),
+		inv:   seedVocab(),
 		ranks: make(map[pair]int),
 	}
-	for _, s := range []string{PadToken, UnkToken, ClsToken, SepToken, MaskToken} {
-		t.vocab[s] = len(t.inv)
-		t.inv = append(t.inv, s)
-	}
-	for b := 0; b < 256; b++ {
-		s := string([]byte{byte(b)})
-		t.vocab[s] = len(t.inv)
-		t.inv = append(t.inv, s)
+	for id, s := range t.inv {
+		t.vocab[s] = id
 	}
 	t.finalize()
 	return t
@@ -211,6 +216,13 @@ func IsSpecial(id int) bool { return id >= 0 && id < NumSpecials }
 func (t *Tokenizer) validate() error {
 	if len(t.inv) < baseVocab {
 		return fmt.Errorf("bpe: vocabulary too small: %d < %d", len(t.inv), baseVocab)
+	}
+	// Encode maps byte b straight to ID NumSpecials+b, so the seed
+	// vocabulary must sit at its fixed IDs.
+	for i, s := range seedVocab() {
+		if t.inv[i] != s {
+			return fmt.Errorf("bpe: id %d is %q, want %q", i, t.inv[i], s)
+		}
 	}
 	for i, s := range t.inv {
 		if got, ok := t.vocab[s]; !ok || got != i {

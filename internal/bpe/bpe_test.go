@@ -2,8 +2,11 @@ package bpe
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -183,16 +186,54 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
+	movedByte := seedVocab()
+	movedByte[NumSpecials+'a'] = "zz"
 	bad := []string{
 		"",
 		"not-a-header",
 		"clmids-bpe v1\nvocab -5\n",
 		"clmids-bpe v1\nvocab 999\n\"a\"\n", // truncated vocab
+		// A repeated merge pair: its ranks are not dense, so Save could
+		// not write them back.
+		savedText(append(seedVocab(), "ab"), `"a" "b"`, `"a" "b"`),
+		// A byte symbol away from ID NumSpecials+b, where Encode puts it.
+		savedText(append(movedByte, "a")),
 	}
 	for _, in := range bad {
 		if _, err := Load(strings.NewReader(in)); err == nil {
 			t.Errorf("Load(%q): expected error", in)
 		}
+	}
+}
+
+// savedText writes a tokenizer.txt by hand from a vocabulary in ID order
+// and quoted merge lines, so tests can build states Save never writes.
+func savedText(inv []string, merges ...string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\nvocab %d\n", formatHeader, len(inv))
+	for _, tok := range inv {
+		b.WriteString(strconv.Quote(tok) + "\n")
+	}
+	fmt.Fprintf(&b, "merges %d\n", len(merges))
+	for _, m := range merges {
+		b.WriteString(m + "\n")
+	}
+	return b.String()
+}
+
+// TestLoadHeaderDoesNotPreallocate: the vocab count is untrusted, so a
+// file that claims 2^24 tokens and ends must fail without allocating for
+// them.
+func TestLoadHeaderDoesNotPreallocate(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(strings.NewReader(formatHeader + "\nvocab 16777216\n"))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated tokenizer accepted")
+	}
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 16 {
+		t.Fatalf("Load allocated %d MB for a 30-byte file", mb)
 	}
 }
 

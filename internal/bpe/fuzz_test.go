@@ -1,6 +1,7 @@
 package bpe
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +75,33 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			if m[0] != ClsID || m[len(m)-1] != SepID {
 				t.Fatalf("EncodeForModel(%q, %d) frame broken: %v", line, maxLen, m)
 			}
+		}
+	})
+}
+
+// FuzzTokenizerLoad: Load either rejects tokenizer.txt bytes with an error
+// or accepts a state that Save writes and that Load and Save again
+// reproduce byte for byte. It never panics. Seeds (testdata/fuzz) hold a
+// trained tokenizer's saved state and a file that repeats a merge pair.
+func FuzzTokenizerLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tok, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := tok.Save(&first); err != nil {
+			t.Fatalf("Save of a loaded tokenizer: %v", err)
+		}
+		again, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Load of a saved tokenizer: %v", err)
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatalf("second Save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Save, Load, Save changed the bytes:\n%q\n%q", first.Bytes(), second.Bytes())
 		}
 	})
 }

@@ -73,9 +73,11 @@ func Load(r io.Reader) (*Tokenizer, error) {
 		return nil, fmt.Errorf("bpe: implausible vocab size %d", n)
 	}
 
+	// The header is untrusted: grow the tables as lines arrive instead of
+	// sizing them from n, so a short file claiming 2^24 tokens fails at
+	// EOF without first allocating hundreds of megabytes.
 	t := &Tokenizer{
-		vocab: make(map[string]int, n),
-		inv:   make([]string, 0, n),
+		vocab: make(map[string]int),
 		ranks: make(map[pair]int),
 	}
 	for i := 0; i < n; i++ {
@@ -107,6 +109,11 @@ func Load(r io.Reader) (*Tokenizer, error) {
 		a, b, err := splitQuotedPair(line)
 		if err != nil {
 			return nil, fmt.Errorf("bpe: bad merge line %q: %w", line, err)
+		}
+		// Ranks must stay dense 0..m-1 for Save; a repeated pair would
+		// overwrite its earlier rank and leave a hole.
+		if _, dup := t.ranks[pair{a, b}]; dup {
+			return nil, fmt.Errorf("bpe: merge %d (%q,%q) repeats an earlier merge", i, a, b)
 		}
 		t.ranks[pair{a, b}] = i
 	}

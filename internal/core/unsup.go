@@ -149,7 +149,7 @@ func RunUnsupervised(cfg UnsupConfig) (*UnsupResults, error) {
 	if cfg.Normalize {
 		normalizeRows(testEmb)
 	}
-	scores := anomaly.Scores(det, testEmb)
+	scores := det.Scores(testEmb)
 
 	idx := make([]int, len(entries))
 	for i := range idx {

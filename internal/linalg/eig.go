@@ -110,44 +110,6 @@ func SymEig(a *tensor.Matrix) ([]float64, *tensor.Matrix, error) {
 	return sortedVals, sortedVecs, nil
 }
 
-// SVDThin computes the thin singular value decomposition A = U·diag(S)·Vᵀ
-// for A with Rows >= Cols, via the eigendecomposition of AᵀA. Singular
-// values are returned in descending order; U is [Rows, Cols] and V is
-// [Cols, Cols]. Columns of U corresponding to (near-)zero singular values
-// are zero.
-func SVDThin(a *tensor.Matrix) (u *tensor.Matrix, s []float64, v *tensor.Matrix, err error) {
-	if a.Rows < a.Cols {
-		return nil, nil, nil, fmt.Errorf("linalg: SVDThin needs Rows >= Cols, got %dx%d", a.Rows, a.Cols)
-	}
-	ata := tensor.NewMatrix(a.Cols, a.Cols)
-	tensor.MatMulATBInto(a, a, ata)
-	vals, vecs, err := SymEig(ata)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s = make([]float64, a.Cols)
-	for i, ev := range vals {
-		if ev < 0 {
-			ev = 0 // numerical noise
-		}
-		s[i] = math.Sqrt(ev)
-	}
-	u = tensor.MatMul(a, vecs)
-	for j := 0; j < a.Cols; j++ {
-		if s[j] > 1e-12 {
-			inv := 1 / s[j]
-			for i := 0; i < a.Rows; i++ {
-				u.Set(i, j, u.At(i, j)*inv)
-			}
-		} else {
-			for i := 0; i < a.Rows; i++ {
-				u.Set(i, j, 0)
-			}
-		}
-	}
-	return u, s, vecs, nil
-}
-
 // Dot returns the inner product of equal-length vectors.
 func Dot(a, b []float64) float64 {
 	s := 0.0
@@ -167,14 +129,4 @@ func Cosine(a, b []float64) float64 {
 		return 0
 	}
 	return Dot(a, b) / (na * nb)
-}
-
-// Euclidean returns the Euclidean distance between two vectors.
-func Euclidean(a, b []float64) float64 {
-	s := 0.0
-	for i, v := range a {
-		d := v - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }

@@ -172,22 +172,3 @@ func (p *PCA) ResidualOperator() *tensor.Matrix {
 	}
 	return m
 }
-
-// ExplainedVarianceRatio returns the fraction of total variance captured by
-// the kept components.
-func (p *PCA) ExplainedVarianceRatio() float64 {
-	total, kept := 0.0, 0.0
-	for i, v := range p.Eigenvalues {
-		if v < 0 {
-			v = 0
-		}
-		total += v
-		if i < p.Kept() {
-			kept += v
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return kept / total
-}

@@ -1,13 +1,12 @@
 // Package nn provides neural-network building blocks over the tensor
-// autograd engine: parameterized layers, weight initializers, optimizers
-// (SGD, AdamW), gradient clipping, and learning-rate schedules.
+// autograd engine: parameterized layers, weight initializers, the AdamW
+// optimizer, gradient clipping, and a warmup-linear learning-rate schedule.
 //
 // Layers expose their parameters through the Params method so optimizers
 // and serialization can enumerate them uniformly.
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -207,17 +206,4 @@ func CollectParams(layers ...Layer) []*tensor.Tensor {
 		out = append(out, l.Params()...)
 	}
 	return out
-}
-
-// validateFinite returns an error if any parameter holds NaN or Inf; used by
-// training loops to fail fast on divergence.
-func validateFinite(params []*tensor.Tensor) error {
-	for i, p := range params {
-		for _, v := range p.Val.Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("nn: parameter %d contains non-finite value", i)
-			}
-		}
-	}
-	return nil
 }

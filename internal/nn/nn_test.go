@@ -144,27 +144,6 @@ func matrixStd(m *tensor.Matrix) float64 {
 	return math.Sqrt(sq / float64(len(m.Data)))
 }
 
-func TestSGDQuadratic(t *testing.T) {
-	// Minimize ||x - c||^2; SGD with momentum must reach c.
-	target := []float64{3, -2, 0.5}
-	x := tensor.Var(tensor.NewMatrix(1, 3))
-	c := tensor.Const(tensor.FromSlice(1, 3, target))
-	opt := NewSGD([]*tensor.Tensor{x}, 0.1, 0.9, 0)
-	for i := 0; i < 200; i++ {
-		d := tensor.Sub(x, c)
-		loss := tensor.SumAll(tensor.Mul(d, d))
-		if err := loss.Backward(); err != nil {
-			t.Fatal(err)
-		}
-		opt.Step()
-	}
-	for i, want := range target {
-		if math.Abs(x.Val.Data[i]-want) > 1e-4 {
-			t.Fatalf("x[%d] = %v, want %v", i, x.Val.Data[i], want)
-		}
-	}
-}
-
 func TestAdamWWeightDecayExcludesBiases(t *testing.T) {
 	w := tensor.Var(tensor.FromSlice(2, 2, []float64{1, 1, 1, 1}))
 	b := tensor.Var(tensor.FromSlice(1, 2, []float64{1, 1}))
@@ -220,18 +199,6 @@ func TestSchedules(t *testing.T) {
 		t.Errorf("mid-decay = %v", mid)
 	}
 
-	wc := WarmupCosine{Peak: 2.0, Warmup: 5, Total: 105}
-	if got := wc.At(4); math.Abs(got-2.0) > 1e-12 {
-		t.Errorf("cosine warmup end = %v", got)
-	}
-	if got := wc.At(105); math.Abs(got) > 1e-9 {
-		t.Errorf("cosine end = %v", got)
-	}
-
-	cs := ConstantSchedule{LRValue: 0.5}
-	if cs.At(0) != 0.5 || cs.At(1e6) != 0.5 {
-		t.Error("constant schedule not constant")
-	}
 }
 
 func TestCountAndCollectParams(t *testing.T) {
@@ -244,16 +211,5 @@ func TestCountAndCollectParams(t *testing.T) {
 	ps := CollectParams(l1, ln)
 	if len(ps) != 4 {
 		t.Fatalf("CollectParams = %d tensors", len(ps))
-	}
-}
-
-func TestValidateFinite(t *testing.T) {
-	p := tensor.Var(tensor.FromSlice(1, 2, []float64{1, 2}))
-	if err := validateFinite([]*tensor.Tensor{p}); err != nil {
-		t.Fatalf("finite params flagged: %v", err)
-	}
-	p.Val.Data[1] = math.NaN()
-	if err := validateFinite([]*tensor.Tensor{p}); err == nil {
-		t.Fatal("NaN not detected")
 	}
 }

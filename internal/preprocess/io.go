@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"clmids/internal/modality"
 )
 
 // state is the serialized form of a fitted Preprocessor.
@@ -35,6 +37,9 @@ func Load(r io.Reader) (*Preprocessor, error) {
 	}
 	if st.Format != stateFormat {
 		return nil, fmt.Errorf("preprocess: unknown state format %q", st.Format)
+	}
+	if err := modality.Validate(st.Config.Modality); err != nil {
+		return nil, fmt.Errorf("preprocess: %w", err)
 	}
 	p := New(st.Config)
 	if st.Freq != nil {

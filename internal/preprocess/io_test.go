@@ -2,8 +2,11 @@ package preprocess
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"clmids/internal/modality"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -36,5 +39,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader("nope")); err == nil {
 		t.Error("non-JSON accepted")
+	}
+	// An unregistered modality is a load error, not a panic inside New.
+	unknown := `{"format":"clmids-preprocess v1","config":{"Modality":"xyz"}}`
+	if _, err := Load(strings.NewReader(unknown)); !errors.Is(err, modality.ErrUnknown) {
+		t.Errorf("unknown modality: Load = %v, want modality.ErrUnknown", err)
 	}
 }

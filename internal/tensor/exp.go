@@ -8,9 +8,9 @@ import "math"
 // (float64(a*b)), so no compiler fuses the two into an FMA. math.Exp
 // itself is not the same bit for bit on every host: on amd64 it runs an
 // asm routine that takes an FMA path when the CPU has FMA, and math.Tanh
-// calls it. Softmax (attention, SoftmaxRows, CrossEntropy) and
-// GELU (the tape op and InferGELUInPlace) run on these ports, so the
-// float64 forward and training give the same bits on every amd64 host.
+// calls it. Softmax (attention, CrossEntropy) and GELU (the tape op and
+// InferGELUInPlace) run on these ports, so the float64 forward and
+// training give the same bits on every amd64 host.
 
 // Constants of math/exp.go's exp and expmulti.
 const (

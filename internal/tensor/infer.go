@@ -17,10 +17,6 @@ import (
 // one level up, across batches (see internal/tuning's engine), which avoids
 // oversubscribing cores with nested goroutine fan-out.
 
-// InferMatMulInto computes out = a·b serially with the tiled kernel,
-// overwriting out. Results are bitwise identical to MatMulInto.
-func InferMatMulInto(a, b, out *Matrix) { InferLinearInto(a, b, nil, out) }
-
 // InferLinearInto computes out = x·w + bias serially (bias broadcast over
 // rows; may be nil for no bias), overwriting out and matching
 // Linear.Forward's value bitwise: the matmul accumulates first, the bias is

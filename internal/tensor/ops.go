@@ -252,12 +252,6 @@ func SumAll(a *Tensor) *Tensor {
 	return out
 }
 
-// MeanAll reduces the whole matrix to its mean as a 1×1 scalar.
-func MeanAll(a *Tensor) *Tensor {
-	n := len(a.Val.Data)
-	return Scale(SumAll(a), 1/float64(n))
-}
-
 // Log applies the natural logarithm elementwise; inputs must be positive.
 func Log(a *Tensor) *Tensor {
 	val := NewMatrix(a.Val.Rows, a.Val.Cols)

@@ -5,34 +5,6 @@ import (
 	"math"
 )
 
-// SoftmaxRows applies a numerically stable softmax to each row.
-func SoftmaxRows(a *Tensor) *Tensor {
-	val := NewMatrix(a.Val.Rows, a.Val.Cols)
-	for i := 0; i < a.Val.Rows; i++ {
-		softmaxInto(a.Val.Row(i), val.Row(i))
-	}
-	var out *Tensor
-	out = newNode("softmax", val, func() {
-		if !a.needGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i := 0; i < g.Rows; i++ {
-			y := out.Val.Row(i)
-			gy := out.Grad.Row(i)
-			dot := 0.0
-			for j := range y {
-				dot += y[j] * gy[j]
-			}
-			row := g.Row(i)
-			for j := range y {
-				row[j] += y[j] * (gy[j] - dot)
-			}
-		}
-	}, a)
-	return out
-}
-
 // softmaxInto writes softmax(src) into dst (same length; dst may alias
 // src), max-shifted: the max and the sum run in j order, the exps on
 // expF64 (expShiftSum).

@@ -8,9 +8,9 @@ import (
 	"testing/quick"
 )
 
-// TestQuickSoftmaxRowsIsDistribution: every output row is a probability
-// distribution, and adding a constant to a row leaves it unchanged
-// (shift invariance).
+// TestQuickSoftmaxRowsIsDistribution: softmaxInto turns every row into a
+// probability distribution, and adding a constant to a row leaves it
+// unchanged (shift invariance).
 func TestQuickSoftmaxRowsIsDistribution(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 100,
@@ -20,11 +20,18 @@ func TestQuickSoftmaxRowsIsDistribution(t *testing.T) {
 			values[1] = reflect.ValueOf(r.NormFloat64() * 10)
 		},
 	}
+	softmax := func(m *Matrix) *Matrix {
+		y := NewMatrix(m.Rows, m.Cols)
+		for i := 0; i < m.Rows; i++ {
+			softmaxInto(m.Row(i), y.Row(i))
+		}
+		return y
+	}
 	prop := func(m *Matrix, shift float64) bool {
-		y := SoftmaxRows(Const(m))
-		for i := 0; i < y.Rows(); i++ {
+		y := softmax(m)
+		for i := 0; i < y.Rows; i++ {
 			sum := 0.0
-			for _, v := range y.Val.Row(i) {
+			for _, v := range y.Row(i) {
 				if v < 0 || v > 1 {
 					return false
 				}
@@ -38,9 +45,9 @@ func TestQuickSoftmaxRowsIsDistribution(t *testing.T) {
 		for i := range shifted.Data {
 			shifted.Data[i] += shift
 		}
-		y2 := SoftmaxRows(Const(shifted))
-		for i := range y.Val.Data {
-			if math.Abs(y.Val.Data[i]-y2.Val.Data[i]) > 1e-9 {
+		y2 := softmax(shifted)
+		for i := range y.Data {
+			if math.Abs(y.Data[i]-y2.Data[i]) > 1e-9 {
 				return false
 			}
 		}

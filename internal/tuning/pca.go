@@ -62,7 +62,7 @@ func NewPCAScorer(engine *Engine, det *anomaly.PCADetector) *PCAScorer {
 // backbone.
 func (s *PCAScorer) Score(lines []string) ([]float64, error) {
 	return s.engine.Score(lines, FeatureMean, func(emb *tensor.Matrix) []float64 {
-		return anomaly.Scores(s.det, emb)
+		return s.det.Scores(emb)
 	})
 }
 
