@@ -389,18 +389,41 @@ type work struct {
 	pos []int
 }
 
-// Route scores one chunk of events across the fleet: partition by ring,
-// deliver each group with migration/retry, fail surviving events
-// over to successors as replicas fall out, and return verdicts in input
-// order. An error means some events were definitively not scored (none
-// are silently dropped: the caller sees either a full verdict set or an
-// error).
+// Route scores one chunk of events across the fleet and returns verdicts
+// in input order: routeLines, then one DecodeVerdict per line. An error
+// means some events were definitively not scored (none are silently
+// dropped: the caller sees either a full verdict set or an error).
 func (rt *Router) Route(ctx context.Context, events []stream.Event) ([]stream.Verdict, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
-	rt.events.Add(int64(len(events)))
+	buf, err := rt.routeLines(ctx, events, nil)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]stream.Verdict, len(events))
+	for i := range out {
+		n := bytes.IndexByte(buf, '\n')
+		if n < 0 || !serve.DecodeVerdict(buf[:n], &out[i]) {
+			return nil, fmt.Errorf("fleet: routed %q, not %d canonical verdict lines", buf, len(events)-i)
+		}
+		buf = buf[n+1:]
+	}
+	return out, nil
+}
+
+// routeLines scores one chunk of events across the fleet: partition by
+// ring, deliver each group with migration/retry, fail surviving events
+// over to successors as replicas fall out, and append the replicas'
+// verdict lines to buf in input order, each as the replica sent it when it
+// is in the canonical shape. This is the router's /score submit.
+func (rt *Router) routeLines(ctx context.Context, events []stream.Event, buf []byte) ([]byte, error) {
+	if len(events) == 0 {
+		return buf, nil
+	}
+	rt.events.Add(int64(len(events)))
+	out := &scatter{lines: make([][]byte, len(events))}
+	defer out.release()
 	pos := make([]int, len(events))
 	for i := range pos {
 		pos[i] = i
@@ -414,14 +437,14 @@ func (rt *Router) Route(ctx context.Context, events []stream.Event) ([]stream.Ve
 			if firstErr == nil {
 				firstErr = errUnroutable
 			}
-			return nil, fmt.Errorf("fleet: giving up after %d failovers: %w", depth-1, firstErr)
+			return buf, fmt.Errorf("fleet: giving up after %d failovers: %w", depth-1, firstErr)
 		}
 		groups := rt.partition(pending)
 		if groups == nil {
 			if firstErr != nil {
-				return nil, fmt.Errorf("%w (last error: %v)", ErrNoReplicas, firstErr)
+				return buf, fmt.Errorf("%w (last error: %v)", ErrNoReplicas, firstErr)
 			}
-			return nil, ErrNoReplicas
+			return buf, ErrNoReplicas
 		}
 		if depth > 0 {
 			rt.failovers.Add(1)
@@ -448,17 +471,47 @@ func (rt *Router) Route(ctx context.Context, events []stream.Event) ([]stream.Ve
 		}
 		wg.Wait()
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return buf, err
 		}
 		// A terminal error (overload budget exhausted, unparsable echo)
 		// stops the chunk: retrying elsewhere cannot help.
 		if firstErr != nil && !errors.Is(firstErr, errFailover) {
-			return nil, firstErr
+			return buf, firstErr
 		}
 		firstErr = nil
 		pending = failed
 	}
-	return out, nil
+	for _, line := range out.lines {
+		buf = append(buf, line...)
+	}
+	return buf, nil
+}
+
+// scatter holds one routed chunk's verdict lines by input position, and
+// the replies whose buffers they point into until the chunk is assembled.
+type scatter struct {
+	lines [][]byte
+
+	mu      sync.Mutex
+	replies []*reply
+}
+
+// keep scatters rp's lines to the positions of the events they answer and
+// holds rp until release.
+func (s *scatter) keep(rp *reply, pos []int) {
+	for k := range rp.ends {
+		s.lines[pos[k]] = rp.line(k)
+	}
+	s.mu.Lock()
+	s.replies = append(s.replies, rp)
+	s.mu.Unlock()
+}
+
+// release recycles every reply the chunk held.
+func (s *scatter) release() {
+	for _, rp := range s.replies {
+		rp.free()
+	}
 }
 
 // errFailover wraps group failures that should re-route to a successor
@@ -488,11 +541,11 @@ func (rt *Router) partition(pending []work) map[string]work {
 
 // deliverGroup sends one replica's share of a chunk: migrate any users
 // whose windows live elsewhere, then score with retry/backoff.
-// Verdicts received are committed — they scatter into out and fold into
-// the shadows immediately, so a mid-group failure re-routes only the
+// Verdicts received are committed — their lines scatter into out and fold
+// into the shadows immediately, so a mid-group failure re-routes only the
 // unanswered suffix. Returns the remaining (unscored) work; err wraps
 // errFailover when the caller should re-route it.
-func (rt *Router) deliverGroup(ctx context.Context, addr string, g work, out []stream.Verdict) (work, error) {
+func (rt *Router) deliverGroup(ctx context.Context, addr string, g work, out *scatter) (work, error) {
 	rep := rt.byAddr[addr]
 	if rep == nil {
 		return g, errFailover
@@ -507,13 +560,14 @@ func (rt *Router) deliverGroup(ctx context.Context, addr string, g work, out []s
 		if attempt > 0 {
 			rt.retries.Add(1)
 		}
-		verdicts, class, retryAfter, err := rt.scoreOnce(ctx, rep, g.evs)
-		if len(verdicts) > 0 {
-			rt.applyVerdicts(addr, verdicts)
-			for i, v := range verdicts {
-				out[g.pos[i]] = v
-			}
-			g = work{evs: g.evs[len(verdicts):], pos: g.pos[len(verdicts):]}
+		rp, class, retryAfter, err := rt.scoreOnce(ctx, rep, g.evs)
+		if rp != nil && len(rp.ends) > 0 {
+			n := len(rp.ends)
+			rt.applyVerdicts(addr, g.evs[:n], rp)
+			out.keep(rp, g.pos)
+			g = work{evs: g.evs[n:], pos: g.pos[n:]}
+		} else {
+			rp.free()
 		}
 		if len(g.evs) == 0 {
 			return work{}, nil
@@ -726,10 +780,56 @@ const (
 	classUnparsable
 )
 
-// scoreOnce performs one NDJSON /score exchange. Verdicts returned are
-// committed on the replica even when err != nil (a torn stream yields the
-// committed prefix plus a transport class for the rest).
-func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Event) ([]stream.Verdict, int, time.Duration, error) {
+// reply is the committed verdict lines of one /score response, kept in a
+// pooled buffer: line k is buf[ends[k-1]:ends[k]] (from 0 for k = 0),
+// newline included, and times[k] and scores[k] are its time and
+// context_score.
+type reply struct {
+	buf    []byte
+	ends   []int
+	times  []int64
+	scores []float64
+}
+
+// replies recycles scoreOnce's replies.
+var replies = sync.Pool{New: func() any { return new(reply) }}
+
+// maxPooledReply is the largest reply buffer the pool keeps: a default
+// 512-event chunk of ordinary lines fills about an eighth of it.
+const maxPooledReply = 1 << 20
+
+func newReply() *reply {
+	rp := replies.Get().(*reply)
+	rp.buf, rp.ends, rp.times, rp.scores = rp.buf[:0], rp.ends[:0], rp.times[:0], rp.scores[:0]
+	return rp
+}
+
+// free returns rp to the pool unless long lines grew its buffer past
+// maxPooledReply; nothing may use its lines afterwards. A nil rp is a
+// no-op.
+func (rp *reply) free() {
+	if rp != nil && cap(rp.buf) <= maxPooledReply {
+		replies.Put(rp)
+	}
+}
+
+// line returns verdict line k, newline included.
+func (rp *reply) line(k int) []byte {
+	start := 0
+	if k > 0 {
+		start = rp.ends[k-1]
+	}
+	return rp.buf[start:rp.ends[k]]
+}
+
+// scoreOnce performs one NDJSON /score exchange. The verdict lines of the
+// reply it returns are committed on the replica even when err != nil (a
+// torn stream yields the committed prefix plus a transport class for the
+// rest). A line in the canonical verdict shape is kept byte for byte; any
+// other line encoding/json decodes as a verdict is re-encoded by
+// AppendVerdict. The reply is nil when no response body was read; the
+// caller frees it.
+func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Event) (*reply, int, time.Duration, error) {
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
@@ -770,7 +870,7 @@ func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Even
 		return nil, classInternal, 0, fmt.Errorf("replica %s: HTTP %d", rep.addr, resp.StatusCode)
 	}
 
-	verdicts := make([]stream.Verdict, 0, len(evs))
+	rp := newReply()
 	br := readers.Get().(*bufio.Reader)
 	br.Reset(resp.Body)
 	defer func() {
@@ -784,13 +884,16 @@ func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Even
 			break
 		}
 		if err != nil {
-			return verdicts, classTransport, 0, fmt.Errorf("replica %s: response stream: %v", rep.addr, err)
+			return rp, classTransport, 0, fmt.Errorf("replica %s: response stream: %v", rep.addr, err)
 		}
 		if len(line) == 0 {
 			continue
 		}
-		var v stream.Verdict
-		if !serve.DecodeVerdict(line, &v) {
+		start := len(rp.buf)
+		t, score, ok := serve.ScanVerdict(line)
+		if ok {
+			rp.buf = append(append(rp.buf, line...), '\n')
+		} else {
 			// Error records, and any line not in the canonical verdict shape.
 			var probe struct {
 				Error string `json:"error"`
@@ -804,22 +907,29 @@ func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Even
 				case serve.CodeUnparsable:
 					class = classUnparsable
 				}
-				return verdicts, class, 0, fmt.Errorf("replica %s: %s", rep.addr, probe.Error)
+				return rp, class, 0, fmt.Errorf("replica %s: %s", rep.addr, probe.Error)
 			}
+			var v stream.Verdict
 			if err := json.Unmarshal(line, &v); err != nil {
-				return verdicts, classTransport, 0, fmt.Errorf("replica %s: bad verdict line: %v", rep.addr, err)
+				return rp, classTransport, 0, fmt.Errorf("replica %s: bad verdict line: %v", rep.addr, err)
 			}
+			// JSON numbers are finite, so the re-encode cannot fail.
+			rp.buf, _ = serve.AppendVerdict(rp.buf, &v)
+			t, score = v.Time, v.ContextScore
 		}
-		if len(verdicts) == len(evs) {
-			return verdicts, classTransport, 0, fmt.Errorf("replica %s: more verdicts than events", rep.addr)
+		if len(rp.ends) == len(evs) {
+			rp.buf = rp.buf[:start]
+			return rp, classTransport, 0, fmt.Errorf("replica %s: more verdicts than events", rep.addr)
 		}
-		verdicts = append(verdicts, v)
+		rp.ends = append(rp.ends, len(rp.buf))
+		rp.times = append(rp.times, t)
+		rp.scores = append(rp.scores, score)
 	}
-	if len(verdicts) < len(evs) {
+	if len(rp.ends) < len(evs) {
 		// Torn mid-response: the prefix committed, the suffix is unknown.
-		return verdicts, classTransport, 0, fmt.Errorf("replica %s: response truncated at %d/%d verdicts", rep.addr, len(verdicts), len(evs))
+		return rp, classTransport, 0, fmt.Errorf("replica %s: response truncated at %d/%d verdicts", rep.addr, len(rp.ends), len(evs))
 	}
-	return verdicts, classOK, 0, nil
+	return rp, classOK, 0, nil
 }
 
 // readers recycles scoreOnce's response readers.

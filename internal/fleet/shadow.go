@@ -9,12 +9,13 @@ import (
 )
 
 // The router mirrors each user's session window on whatever replica owns
-// them. It sees every committed verdict, and a Verdict carries exactly the
-// fields a stream.WindowEntry needs (Time, Line, ContextScore), so by
-// folding the verdict stream through stream.SessionWindow.Append — the
-// same idle-gap and trim rules the replica's detector applies — the router
-// holds a faithful copy of each user's window without ever asking replicas
-// for it. When a replica dies mid-session (kill -9 — nothing to export),
+// them. It sees every committed verdict line, and a stream.WindowEntry
+// needs only the verdict's time and context_score (serve.ScanVerdict reads
+// them without decoding the line) plus the event's line, which the router
+// sent. So by folding the verdict stream through
+// stream.SessionWindow.Append — the same idle-gap and trim rules the
+// replica's detector applies — the router holds a faithful copy of each
+// user's window without ever asking replicas for it. When a replica dies mid-session (kill -9 — nothing to export),
 // the shadow is serialized through stream.WriteSessionsCheckpoint and
 // imported into the failover successor, so an attack chain split across
 // the crash still trips its session alarm with byte-identical scores.
@@ -64,21 +65,24 @@ func (rt *Router) ExportShadow(w io.Writer, users []string) error {
 	return err
 }
 
-// applyVerdicts folds a successful group's verdicts into the shadow map,
-// records ownership, advances the high-water mark, and occasionally sweeps
-// idle shadows so the map tracks live sessions, not history.
-func (rt *Router) applyVerdicts(addr string, verdicts []stream.Verdict) {
+// applyVerdicts folds a successful group's committed verdicts into the
+// shadow map, records ownership, advances the high-water mark, and
+// occasionally sweeps idle shadows so the map tracks live sessions, not
+// history. Verdict k answers evs[k]: the user and the line come from the
+// event, the time and the context score from rp.
+func (rt *Router) applyVerdicts(addr string, evs []stream.Event, rp *reply) {
 	rt.mu.Lock()
-	for _, v := range verdicts {
-		sw := rt.shadows[v.User]
+	for k := range evs {
+		ev, t := &evs[k], rp.times[k]
+		sw := rt.shadows[ev.User]
 		if sw == nil {
-			sw = &stream.SessionWindow{User: v.User}
-			rt.shadows[v.User] = sw
+			sw = &stream.SessionWindow{User: ev.User}
+			rt.shadows[ev.User] = sw
 		}
-		sw.Append(stream.WindowEntry{Time: v.Time, Line: v.Line, Score: v.ContextScore}, rt.sessCfg)
-		rt.owners[v.User] = addr
-		if v.Time > rt.highWater {
-			rt.highWater = v.Time
+		sw.Append(stream.WindowEntry{Time: t, Line: ev.Line, Score: rp.scores[k]}, rt.sessCfg)
+		rt.owners[ev.User] = addr
+		if t > rt.highWater {
+			rt.highWater = t
 		}
 	}
 	// Sweep at most once per idle-timeout of event time: a shadow idle

@@ -130,6 +130,43 @@ func DecodeVerdict(line []byte, v *stream.Verdict) bool {
 	return true
 }
 
+// ScanVerdict reports whether line (without its newline) is a verdict in
+// the canonical shape AppendVerdict writes — exactly the lines
+// DecodeVerdict accepts — and returns the two fields the fleet router's
+// shadow windows need, time and context_score, bit-equal to what
+// DecodeVerdict decodes. It allocates nothing: strings are validated, not
+// unescaped, and line_score and session_score are range-checked from their
+// literals.
+func ScanVerdict(line []byte) (t int64, contextScore float64, ok bool) {
+	p := parser{b: line, ok: true}
+	p.lit(`{"user":`)
+	p.skipStr()
+	p.lit(`,"time":`)
+	t = p.integer(64)
+	p.lit(`,"line":`)
+	p.skipStr()
+	if p.opt(`,"context":`) {
+		p.skipStr()
+	}
+	p.lit(`,"line_score":`)
+	p.finite()
+	p.lit(`,"context_score":`)
+	contextScore = p.float()
+	p.lit(`,"session_score":`)
+	p.finite()
+	p.lit(`,"session_lines":`)
+	p.integer(strconv.IntSize)
+	p.lit(`,"line_alert":`)
+	p.boolean()
+	p.lit(`,"session_alert":`)
+	p.boolean()
+	p.lit(`}`)
+	if !p.end() {
+		return 0, 0, false
+	}
+	return t, contextScore, true
+}
+
 // ---- encoding ----
 
 // htmlSafe marks the ASCII bytes json.Encoder copies through unescaped.
@@ -347,6 +384,48 @@ func (p *parser) unquote(start, i int) []byte {
 	return nil
 }
 
+// skipStr consumes a JSON string that str would accept, without decoding
+// it: the same bytes fail (a control byte, a bad escape, no closing
+// quote), and invalid UTF-8, which decodes to U+FFFD, passes.
+func (p *parser) skipStr() {
+	if !p.ok || p.i >= len(p.b) || p.b[p.i] != '"' {
+		p.ok = false
+		return
+	}
+	b := p.b
+	for i := p.i + 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			p.i = i + 1
+			return
+		case c == '\\':
+			if i+1 == len(b) {
+				p.ok = false
+				return
+			}
+			switch b[i+1] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				i++
+			case 'u':
+				// A surrogate's partner, valid or not, is checked as an
+				// escape of its own, as unquote reads it.
+				if getu4(b[i:]) < 0 {
+					p.ok = false
+					return
+				}
+				i += 5
+			default:
+				p.ok = false
+				return
+			}
+		case c < ' ':
+			p.ok = false
+			return
+		}
+	}
+	p.ok = false
+}
+
 // getu4 decodes the \uXXXX escape at the start of s, or returns -1.
 func getu4(s []byte) rune {
 	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
@@ -427,6 +506,21 @@ func (p *parser) integer(bits int) int64 {
 	if !p.ok {
 		return 0
 	}
+	// Up to 18 digits, with no fraction or exponent, fit 64 bits.
+	d := num
+	if d[0] == '-' {
+		d = d[1:]
+	}
+	if bits == 64 && len(d) <= 18 && digits(d, 0) == len(d) {
+		var n int64
+		for _, c := range d {
+			n = n*10 + int64(c-'0')
+		}
+		if len(d) < len(num) {
+			n = -n
+		}
+		return n
+	}
 	n, err := strconv.ParseInt(string(num), 10, bits)
 	if err != nil {
 		p.ok = false
@@ -446,6 +540,52 @@ func (p *parser) float() float64 {
 		p.ok = false
 	}
 	return f
+}
+
+// finite consumes a number that float would accept, without computing its
+// value when the literal alone shows it is below 1e308 in magnitude:
+// ParseFloat fails only on overflow (an underflow rounds to zero), so
+// only a literal that might reach the float64 maximum is parsed.
+func (p *parser) finite() {
+	num := p.number()
+	if !p.ok {
+		return
+	}
+	// The integer part has no leading zeros, so |num| < 10^(digits+exp).
+	i := 0
+	if num[0] == '-' {
+		i++
+	}
+	whole := digits(num, i) - i
+	i += whole
+	if i < len(num) && num[i] == '.' {
+		i = digits(num, i+1)
+	}
+	exp := 0
+	if i < len(num) {
+		// An exponent; more than four digits of it is left to ParseFloat.
+		i++
+		neg := num[i] == '-'
+		if num[i] == '+' || neg {
+			i++
+		}
+		if len(num)-i > 4 {
+			exp = math.MaxInt32
+		} else {
+			for _, c := range num[i:] {
+				exp = exp*10 + int(c-'0')
+			}
+			if neg {
+				exp = -exp
+			}
+		}
+	}
+	if whole+exp <= 308 {
+		return
+	}
+	if _, err := strconv.ParseFloat(string(num), 64); err != nil {
+		p.ok = false
+	}
 }
 
 // boolean consumes true or false.

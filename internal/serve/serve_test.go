@@ -346,10 +346,10 @@ func handleScoreRequest(n int) (handle func()) {
 
 // handleScoreAllocBudget is the allocation count of one 512-event
 // handleScoreRequest, as measured when the budget was set, with every
-// verdict-buffer pool Get missing (1818; 1797 with a warm pool): under
+// verdict-buffer pool Get missing (1293; 1285 with a warm pool): under
 // -race sync.Pool drops Puts at random, and the budget must hold there
 // too. A handler change that allocates per line breaks it by hundreds.
-const handleScoreAllocBudget = 1818
+const handleScoreAllocBudget = 1293
 
 // TestHandleScoreAllocs pins the handler's allocations per request.
 // Allocation counts do not jitter with host load the way ns/line does, so
