@@ -353,3 +353,16 @@ func scoreHTTP(t *testing.T, baseURL string, evs []stream.Event) []stream.Verdic
 	}
 	return out
 }
+
+// groupUsers returns the distinct users in evs, order-preserving.
+func groupUsers(evs []stream.Event) []string {
+	seen := make(map[string]bool, len(evs))
+	users := make([]string, 0, len(evs))
+	for _, ev := range evs {
+		if !seen[ev.User] {
+			seen[ev.User] = true
+			users = append(users, ev.User)
+		}
+	}
+	return users
+}

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -73,6 +75,40 @@ func (rt *Router) Stats() RouterStats {
 	st.Imports = rt.imports.Load()
 	st.Exports = rt.exports.Load()
 	return st
+}
+
+// Route scores one chunk of events across the fleet and returns verdicts
+// in input order: each event written with AppendRawEvent, routeLines, then
+// one DecodeVerdict per line. An error means some events were
+// definitively not scored (none are silently dropped: the caller sees
+// either a full verdict set or an error).
+func (rt *Router) Route(ctx context.Context, events []stream.Event) ([]stream.Verdict, error) {
+	if len(events) == 0 {
+		return nil, nil
+	}
+	buf, err := rt.routeLines(ctx, rawEvents(events), nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]stream.Verdict, len(events))
+	for i := range out {
+		n := bytes.IndexByte(buf, '\n')
+		if n < 0 || !serve.DecodeVerdict(buf[:n], &out[i]) {
+			return nil, fmt.Errorf("fleet: routed %q, not %d canonical verdict lines", buf, len(events)-i)
+		}
+		buf = buf[n+1:]
+	}
+	return out, nil
+}
+
+// rawEvents writes events as the router carries them, in one buffer.
+func rawEvents(events []stream.Event) []serve.RawEvent {
+	raw := make([]serve.RawEvent, len(events))
+	var text []byte
+	for i := range events {
+		text, raw[i] = serve.AppendRawEvent(text, &events[i])
+	}
+	return raw
 }
 
 // Handler is the router's HTTP surface — protocol-identical to a replica

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -48,9 +49,30 @@ func eventBody(evs []stream.Event) []byte {
 	return b
 }
 
+// mixedLines are request lines of every kind the router meets: canonical
+// ones it forwards as they came, and ones it must decode and write again —
+// an empty user, a \u escape the encoder does not write, unescaped HTML
+// characters, an extra field (clmgen's JSONL has label and family), other
+// whitespace — plus one line no replica can parse.
+var mixedLines = []string{
+	`{"user":"alice","time":1700000000,"line":"ls -la"}`,
+	`{"user":"eve,\u003croot\u003e\u0026\"ops\"","time":1700000001,"line":"id \u0026\u0026 whoami"}`,
+	`{"user":"","time":1700000002,"line":"uname -a"}`,
+	`{"user":"\u0041lice","time":1700000003,"line":"pwd"}`,
+	`{"user":"alice","time":1700000004,"line":"echo <a> && cat /etc/passwd"}`,
+	`{"line":"ps aux","user":"carol","time":1700000005,"label":"benign","family":"routine"}`,
+	`{ "user": "dave", "time": 1700000006, "line": "df -h" }`,
+	`{"user":`,
+	`{"user":"alice","time":1700000007,"line":"exit"}`,
+}
+
+// mixedBody is mixedLines as one request body.
+func mixedBody() []byte { return []byte(strings.Join(mixedLines, "\n") + "\n") }
+
 // The router's /score response is byte-identical to a single node's for
 // the same requests — including a user whose name holds a comma and the
-// characters the encoder escapes — not merely equal once decoded.
+// characters the encoder escapes, the mixed lines, and a timeless line —
+// not merely equal once decoded.
 func TestFleetBodyMatchesSingleNode(t *testing.T) {
 	reps := []*testReplica{newTestReplica(t), newTestReplica(t), newTestReplica(t)}
 	rt := newTestRouter(t, nil, reps...)
@@ -80,6 +102,90 @@ func TestFleetBodyMatchesSingleNode(t *testing.T) {
 	}
 	if !bytes.Contains(all, []byte(`"user":"eve,\u003croot\u003e\u0026\"ops\""`)) {
 		t.Fatal("no verdict for the odd user, escaped as encoding/json writes it")
+	}
+	got, want := postScore(t, front.URL, mixedBody()), postScore(t, single.URL, mixedBody())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("router body for the mixed lines differs from the single node's:\nrouter %q\nsingle %q", got, want)
+	}
+	if !bytes.Contains(got, []byte(`"code":"unparsable","line":8}`)) {
+		t.Fatalf("no error record for the unparsable line: %q", got)
+	}
+	// Both sides stamp a timeless line with their own clock; a try that
+	// straddles a second boundary is repeated with a fresh user.
+	for try := 0; ; try++ {
+		before := time.Now().Unix()
+		body := []byte(fmt.Sprintf(`{"user":"stamp-%d","line":"ls"}`+"\n", try))
+		got, want := postScore(t, front.URL, body), postScore(t, single.URL, body)
+		if bytes.Equal(got, want) {
+			break
+		}
+		if time.Now().Unix() == before || try == 5 {
+			t.Fatalf("router body for a timeless line differs from the single node's:\nrouter %q\nsingle %q", got, want)
+		}
+	}
+}
+
+// The router forwards each request line to its replica as the bytes the
+// replica would get if the router decoded every line and wrote it again
+// with AppendEvent: a canonical line as it came, any other line rewritten
+// canonically, a timeless one stamped once. The error record for the
+// unparsable line keeps its place in the response.
+func TestRouterForwardsRequestLines(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		bodies []byte
+	)
+	stub := newStubReplica(t, func(n int64, w http.ResponseWriter, r *http.Request) bool {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies = append(bodies, body...)
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		return true
+	})
+	rt := newTestRouter(t, nil, &testReplica{srv: stub.srv})
+	waitHealthy(t, rt, 1)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	lines := append(slices.Clone(mixedLines), `{"user":"bob","line":"whoami"}`)
+	before := time.Now().Unix()
+	out := postScore(t, front.URL, []byte(strings.Join(lines, "\n")+"\n"))
+	after := time.Now().Unix()
+
+	mu.Lock()
+	defer mu.Unlock()
+	sent := bytes.SplitAfter(bodies, []byte("\n"))
+	replies := bytes.SplitAfter(out, []byte("\n"))
+	var want []byte
+	k := 0
+	for i, line := range lines {
+		var ev stream.Event
+		if json.Unmarshal([]byte(line), &ev) != nil {
+			if !bytes.Contains(replies[i], []byte(`"code":"unparsable"`)) {
+				t.Fatalf("response line %d is %q, want the unparsable line's error record", i, replies[i])
+			}
+			continue
+		}
+		if ev.Time == 0 {
+			// The router's stamp, read back from what it sent.
+			var got stream.Event
+			if k < len(sent) && json.Unmarshal(sent[k], &got) == nil && got.Time >= before && got.Time <= after {
+				ev.Time = got.Time
+			}
+		}
+		if ev.User == "" {
+			ev.User = "-"
+		}
+		want = serve.AppendEvent(want, &ev)
+		var v stream.Verdict
+		if err := json.Unmarshal(replies[i], &v); err != nil || v.User != ev.User || v.Time != ev.Time || v.Line != ev.Line {
+			t.Fatalf("response line %d is %q (%v), want the verdict for %+v", i, replies[i], err, ev)
+		}
+		k++
+	}
+	if !bytes.Equal(bodies, want) {
+		t.Fatalf("the replica received\n%s\nwant what AppendEvent writes for each decoded line\n%s", bodies, want)
 	}
 }
 
@@ -199,7 +305,7 @@ func TestScoreOnceClassifiesLines(t *testing.T) {
 	ev := []stream.Event{{User: "u", Time: 5, Line: "x"}}
 	for _, tc := range cases {
 		script(tc.body)
-		rp, class, _, err := rt.scoreOnce(context.Background(), rt.byAddr[stub.srv.URL], ev)
+		rp, class, _, err := rt.scoreOnce(context.Background(), rt.byAddr[stub.srv.URL], rawEvents(ev), []int{0})
 		var lines []byte
 		for k := range rp.ends {
 			lines = append(lines, rp.line(k)...)

@@ -18,7 +18,8 @@ import (
 // fnv1a is the same FNV-1a math stream.shardOf uses, one level up: the
 // fleet ring and the in-process shard router agree on the hash family, so
 // the fleet tier is the natural outer ring of the same partitioning story.
-// The []byte form hashes vnode labels without a string allocation.
+// The []byte form hashes vnode labels and the router's request users
+// without a string allocation.
 func fnv1a[T string | []byte](s T) uint32 {
 	h := uint32(2166136261) // FNV-1a offset basis
 	for i := 0; i < len(s); i++ {
@@ -80,11 +81,13 @@ func (r *Ring) Empty() bool { return len(r.points) == 0 }
 
 // Lookup returns the replica owning user: the first virtual point at or
 // clockwise of hash(user), wrapping at the top. "" on an empty ring.
-func (r *Ring) Lookup(user string) string {
+func (r *Ring) Lookup(user string) string { return r.owner(fnv1a(user)) }
+
+// owner returns the replica owning the user that hashes to h.
+func (r *Ring) owner(h uint32) string {
 	if len(r.points) == 0 {
 		return ""
 	}
-	h := fnv1a(user)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0

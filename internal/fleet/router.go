@@ -382,53 +382,23 @@ func (rt *Router) Ready() bool {
 
 // ---- routing ----
 
-// work is a set of events (with their positions in the originating chunk)
-// still awaiting verdicts.
-type work struct {
-	evs []stream.Event
-	pos []int
-}
-
-// Route scores one chunk of events across the fleet and returns verdicts
-// in input order: routeLines, then one DecodeVerdict per line. An error
-// means some events were definitively not scored (none are silently
-// dropped: the caller sees either a full verdict set or an error).
-func (rt *Router) Route(ctx context.Context, events []stream.Event) ([]stream.Verdict, error) {
-	if len(events) == 0 {
-		return nil, nil
-	}
-	buf, err := rt.routeLines(ctx, events, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]stream.Verdict, len(events))
-	for i := range out {
-		n := bytes.IndexByte(buf, '\n')
-		if n < 0 || !serve.DecodeVerdict(buf[:n], &out[i]) {
-			return nil, fmt.Errorf("fleet: routed %q, not %d canonical verdict lines", buf, len(events)-i)
-		}
-		buf = buf[n+1:]
-	}
-	return out, nil
-}
-
 // routeLines scores one chunk of events across the fleet: partition by
 // ring, deliver each group with migration/retry, fail surviving events
 // over to successors as replicas fall out, and append the replicas'
 // verdict lines to buf in input order, each as the replica sent it when it
 // is in the canonical shape. This is the router's /score submit.
-func (rt *Router) routeLines(ctx context.Context, events []stream.Event, buf []byte) ([]byte, error) {
-	if len(events) == 0 {
+func (rt *Router) routeLines(ctx context.Context, evs []serve.RawEvent, buf []byte) ([]byte, error) {
+	if len(evs) == 0 {
 		return buf, nil
 	}
-	rt.events.Add(int64(len(events)))
-	out := &scatter{lines: make([][]byte, len(events))}
+	rt.events.Add(int64(len(evs)))
+	out := &scatter{lines: make([][]byte, len(evs))}
 	defer out.release()
-	pos := make([]int, len(events))
-	for i := range pos {
-		pos[i] = i
+	// pending holds the positions of the events still awaiting verdicts.
+	pending := make([]int, len(evs))
+	for i := range pending {
+		pending[i] = i
 	}
-	pending := []work{{evs: events, pos: pos}}
 	var firstErr error
 	// Each depth re-partitions over the current (post-ejection) ring, so
 	// the loop terminates once every replica has had its chance.
@@ -439,7 +409,7 @@ func (rt *Router) routeLines(ctx context.Context, events []stream.Event, buf []b
 			}
 			return buf, fmt.Errorf("fleet: giving up after %d failovers: %w", depth-1, firstErr)
 		}
-		groups := rt.partition(pending)
+		groups := rt.partition(evs, pending)
 		if groups == nil {
 			if firstErr != nil {
 				return buf, fmt.Errorf("%w (last error: %v)", ErrNoReplicas, firstErr)
@@ -452,22 +422,20 @@ func (rt *Router) routeLines(ctx context.Context, events []stream.Event, buf []b
 		var (
 			wg     sync.WaitGroup
 			resMu  sync.Mutex
-			failed []work
+			failed []int
 		)
-		for addr, g := range groups {
+		for addr, pos := range groups {
 			wg.Add(1)
-			go func(addr string, g work) {
+			go func(addr string, pos []int) {
 				defer wg.Done()
-				rem, err := rt.deliverGroup(ctx, addr, g, out)
+				rem, err := rt.deliverGroup(ctx, addr, evs, pos, out)
 				resMu.Lock()
-				if len(rem.evs) > 0 {
-					failed = append(failed, rem)
-				}
+				failed = append(failed, rem...)
 				if err != nil && firstErr == nil {
 					firstErr = err
 				}
 				resMu.Unlock()
-			}(addr, g)
+			}(addr, pos)
 		}
 		wg.Wait()
 		if err := ctx.Err(); err != nil {
@@ -518,41 +486,49 @@ func (s *scatter) release() {
 // rather than abort the chunk.
 var errFailover = errors.New("fleet: failover")
 
-// partition splits pending work by the current ring owner of each event's
-// user, preserving per-user event order. nil when the ring is empty.
-func (rt *Router) partition(pending []work) map[string]work {
+// partition groups the pending positions by the current ring owner of
+// each event's user, preserving per-user event order. nil when the ring
+// is empty.
+func (rt *Router) partition(evs []serve.RawEvent, pending []int) map[string][]int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.ring.Empty() || !rt.sessCfgKnown {
 		return nil
 	}
-	groups := make(map[string]work)
-	for _, w := range pending {
-		for i, ev := range w.evs {
-			addr := rt.ring.Lookup(ev.User)
-			g := groups[addr]
-			g.evs = append(g.evs, ev)
-			g.pos = append(g.pos, w.pos[i])
-			groups[addr] = g
-		}
+	// Count each owner's share first, so every group is an exact slice of
+	// one backing array.
+	owners := make([]string, len(pending))
+	counts := make(map[string]int, len(rt.reps))
+	for i, p := range pending {
+		owners[i] = rt.ring.owner(fnv1a(evs[p].User))
+		counts[owners[i]]++
+	}
+	backing := make([]int, len(pending))
+	groups := make(map[string][]int, len(counts))
+	for addr, n := range counts {
+		groups[addr], backing = backing[:0:n], backing[n:]
+	}
+	for i, p := range pending {
+		groups[owners[i]] = append(groups[owners[i]], p)
 	}
 	return groups
 }
 
 // deliverGroup sends one replica's share of a chunk: migrate any users
 // whose windows live elsewhere, then score with retry/backoff.
-// Verdicts received are committed — their lines scatter into out and fold
-// into the shadows immediately, so a mid-group failure re-routes only the
-// unanswered suffix. Returns the remaining (unscored) work; err wraps
-// errFailover when the caller should re-route it.
-func (rt *Router) deliverGroup(ctx context.Context, addr string, g work, out *scatter) (work, error) {
+// The group is the events of evs at positions pos. Verdicts received are
+// committed — their lines scatter into out and fold into the shadows
+// immediately, so a mid-group failure re-routes only the unanswered
+// suffix. Returns the positions still unscored; err wraps errFailover when
+// the caller should re-route them.
+func (rt *Router) deliverGroup(ctx context.Context, addr string, evs []serve.RawEvent, pos []int, out *scatter) ([]int, error) {
 	rep := rt.byAddr[addr]
 	if rep == nil {
-		return g, errFailover
+		return pos, errFailover
 	}
-	if err := rt.migrate(ctx, rep, groupUsers(g.evs)); err != nil {
+	if err := rt.migrate(ctx, rep, evs, pos); err != nil {
 		rt.eject(rep, fmt.Sprintf("session import failed: %v", err))
-		return g, fmt.Errorf("%w: %v", errFailover, err)
+		return pos, fmt.Errorf("%w: %v", errFailover, err)
 	}
 	backoff := rt.cfg.RetryBase
 	lastClass := classInternal
@@ -560,17 +536,17 @@ func (rt *Router) deliverGroup(ctx context.Context, addr string, g work, out *sc
 		if attempt > 0 {
 			rt.retries.Add(1)
 		}
-		rp, class, retryAfter, err := rt.scoreOnce(ctx, rep, g.evs)
+		rp, class, retryAfter, err := rt.scoreOnce(ctx, rep, evs, pos)
 		if rp != nil && len(rp.ends) > 0 {
 			n := len(rp.ends)
-			rt.applyVerdicts(addr, g.evs[:n], rp)
-			out.keep(rp, g.pos)
-			g = work{evs: g.evs[n:], pos: g.pos[n:]}
+			rt.applyVerdicts(addr, evs, pos[:n], rp)
+			out.keep(rp, pos)
+			pos = pos[n:]
 		} else {
 			rp.free()
 		}
-		if len(g.evs) == 0 {
-			return work{}, nil
+		if len(pos) == 0 {
+			return nil, nil
 		}
 		lastClass = class
 		switch class {
@@ -580,30 +556,31 @@ func (rt *Router) deliverGroup(ctx context.Context, addr string, g work, out *sc
 			// show. Eject — its window state is superseded by the shadows —
 			// and fail the remainder over.
 			rt.eject(rep, fmt.Sprintf("score failed: %v", err))
-			return g, fmt.Errorf("%w: %v", errFailover, err)
+			return pos, fmt.Errorf("%w: %v", errFailover, err)
 		case classOverloaded:
 			// Shed is pre-ingestion by contract, so the same target retries
 			// safely; honor Retry-After when it outlasts our own backoff.
 			if !rt.sleepBackoff(ctx, &backoff, retryAfter) {
-				return g, ctx.Err()
+				return pos, ctx.Err()
 			}
 		case classInternal:
 			// The batch rolled back server-side (Process aborts atomically);
 			// retry the same target after backoff.
 			if !rt.sleepBackoff(ctx, &backoff, 0) {
-				return g, ctx.Err()
+				return pos, ctx.Err()
 			}
 		case classUnparsable:
-			// The replica rejected router-marshaled JSON: a protocol bug,
-			// not a fleet-health problem. Abort the chunk loudly.
-			return g, fmt.Errorf("fleet: replica %s rejected router event encoding: %v", addr, err)
+			// The replica rejected an event line the router sent, which is
+			// always canonical: a protocol bug, not a fleet-health problem.
+			// Abort the chunk loudly.
+			return pos, fmt.Errorf("fleet: replica %s rejected router event encoding: %v", addr, err)
 		}
 		// If a probe ejected the replica while we backed off, re-route now.
 		rt.mu.Lock()
 		alive := rep.ready && !rep.draining
 		rt.mu.Unlock()
 		if !alive {
-			return g, fmt.Errorf("%w: %s left rotation during retries", errFailover, addr)
+			return pos, fmt.Errorf("%w: %s left rotation during retries", errFailover, addr)
 		}
 	}
 	// Retry budget exhausted. Persistent overload surfaces to the client
@@ -612,24 +589,11 @@ func (rt *Router) deliverGroup(ctx context.Context, addr string, g work, out *sc
 	// cascade it. Persistent internal errors mark the replica sick:
 	// eject it and fail the remainder over.
 	if lastClass == classOverloaded {
-		return g, fmt.Errorf("fleet: replica %s still overloaded after %d attempts: %w",
+		return pos, fmt.Errorf("fleet: replica %s still overloaded after %d attempts: %w",
 			addr, rt.cfg.RetryMax, stream.ErrOverloaded)
 	}
 	rt.eject(rep, "retry budget exhausted")
-	return g, fmt.Errorf("%w: %s retry budget exhausted", errFailover, addr)
-}
-
-// groupUsers returns the distinct users in evs, order-preserving.
-func groupUsers(evs []stream.Event) []string {
-	seen := make(map[string]bool, len(evs))
-	users := make([]string, 0, len(evs))
-	for _, ev := range evs {
-		if !seen[ev.User] {
-			seen[ev.User] = true
-			users = append(users, ev.User)
-		}
-	}
-	return users
+	return pos, fmt.Errorf("%w: %s retry budget exhausted", errFailover, addr)
 }
 
 // sleepBackoff sleeps the jittered capped-exponential delay (or
@@ -658,18 +622,26 @@ func (rt *Router) sleepBackoff(ctx context.Context, backoff *time.Duration, retr
 
 // ---- session migration ----
 
-// migrate lands the windows of any listed users whose sessions live on a
-// different replica onto target before their events are scored there —
-// the import-before-route rule that keeps an attack chain intact across
-// failovers and ring moves. The source of truth is the old owner's live
-// export when it is reachable (a drain), and the router's shadow windows
-// when it is not (a crash).
-func (rt *Router) migrate(ctx context.Context, target *replica, users []string) error {
+// migrate lands the windows of the users of evs at positions pos whose
+// sessions live on a different replica onto target before their events
+// are scored there — the import-before-route rule that keeps an attack
+// chain intact across failovers and ring moves. The source of truth is the
+// old owner's live export when it is reachable (a drain), and the
+// router's shadow windows when it is not (a crash).
+func (rt *Router) migrate(ctx context.Context, target *replica, evs []serve.RawEvent, pos []int) error {
+	var (
+		movers map[string][]string
+		seen   map[string]bool
+	)
 	rt.mu.Lock()
-	movers := make(map[string][]string)
-	for _, u := range users {
-		if o := rt.owners[u]; o != "" && o != target.addr {
-			movers[o] = append(movers[o], u)
+	for _, p := range pos {
+		u := evs[p].User
+		if o := rt.owners[string(u)]; o != "" && o != target.addr && !seen[string(u)] {
+			if seen == nil {
+				movers, seen = make(map[string][]string), make(map[string]bool)
+			}
+			seen[string(u)] = true
+			movers[o] = append(movers[o], string(u))
 		}
 	}
 	rt.mu.Unlock()
@@ -822,30 +794,30 @@ func (rp *reply) line(k int) []byte {
 	return rp.buf[start:rp.ends[k]]
 }
 
-// scoreOnce performs one NDJSON /score exchange. The verdict lines of the
-// reply it returns are committed on the replica even when err != nil (a
-// torn stream yields the committed prefix plus a transport class for the
-// rest). A line in the canonical verdict shape is kept byte for byte; any
-// other line encoding/json decodes as a verdict is re-encoded by
-// AppendVerdict. The reply is nil when no response body was read; the
+// scoreOnce performs one NDJSON /score exchange for the events of evs at
+// positions pos, sending each event's line as it is. The verdict lines of
+// the reply it returns are committed on the replica even when err != nil
+// (a torn stream yields the committed prefix plus a transport class for
+// the rest). A line that is the canonical verdict for its event
+// (serve.ScanVerdictFor) is kept byte for byte; any other line
+// encoding/json decodes as a verdict is re-encoded by AppendVerdict. The
+// reply is nil when no response body was read; the
 // caller frees it.
-func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Event) (*reply, int, time.Duration, error) {
+func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []serve.RawEvent, pos []int) (*reply, int, time.Duration, error) {
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
 
 	// Not pooled: the transport may still read a request body after Do
-	// returns, so its bytes must outlive this call. Sized for unescaped
-	// strings and the widest time.
-	const fixed = len(`{"user":"","time":,"line":""}`+"\n") + len("-9223372036854775808")
-	size := 0
-	for i := range evs {
-		size += len(evs[i].User) + len(evs[i].Line) + fixed
+	// returns, so its bytes must outlive this call.
+	size := len(pos)
+	for _, p := range pos {
+		size += len(evs[p].Line)
 	}
 	body := make([]byte, 0, size)
-	for i := range evs {
-		body = serve.AppendEvent(body, &evs[i])
+	for _, p := range pos {
+		body = append(append(body, evs[p].Line...), '\n')
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.addr+"/score", bytes.NewReader(body))
 	if err != nil {
@@ -890,11 +862,18 @@ func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Even
 			continue
 		}
 		start := len(rp.buf)
-		t, score, ok := serve.ScanVerdict(line)
+		// A verdict echoes its event's line: check the echo against the
+		// bytes sent, and scan only the rest.
+		t, score, ok := int64(0), 0.0, false
+		if k := len(rp.ends); k < len(pos) {
+			t = evs[pos[k]].Time
+			score, ok = serve.ScanVerdictFor(line, evs[pos[k]].Line)
+		}
 		if ok {
 			rp.buf = append(append(rp.buf, line...), '\n')
 		} else {
-			// Error records, and any line not in the canonical verdict shape.
+			// Error records, and any line that is not the canonical verdict
+			// for its event.
 			var probe struct {
 				Error string `json:"error"`
 				Code  string `json:"code"`
@@ -917,7 +896,7 @@ func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Even
 			rp.buf, _ = serve.AppendVerdict(rp.buf, &v)
 			t, score = v.Time, v.ContextScore
 		}
-		if len(rp.ends) == len(evs) {
+		if len(rp.ends) == len(pos) {
 			rp.buf = rp.buf[:start]
 			return rp, classTransport, 0, fmt.Errorf("replica %s: more verdicts than events", rep.addr)
 		}
@@ -925,9 +904,9 @@ func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []stream.Even
 		rp.times = append(rp.times, t)
 		rp.scores = append(rp.scores, score)
 	}
-	if len(rp.ends) < len(evs) {
+	if len(rp.ends) < len(pos) {
 		// Torn mid-response: the prefix committed, the suffix is unknown.
-		return rp, classTransport, 0, fmt.Errorf("replica %s: response truncated at %d/%d verdicts", rep.addr, len(rp.ends), len(evs))
+		return rp, classTransport, 0, fmt.Errorf("replica %s: response truncated at %d/%d verdicts", rep.addr, len(rp.ends), len(pos))
 	}
 	return rp, classOK, 0, nil
 }

@@ -5,14 +5,15 @@ import (
 	"io"
 	"slices"
 
+	"clmids/internal/serve"
 	"clmids/internal/stream"
 )
 
 // The router mirrors each user's session window on whatever replica owns
 // them. It sees every committed verdict line, and a stream.WindowEntry
-// needs only the verdict's time and context_score (serve.ScanVerdict reads
-// them without decoding the line) plus the event's line, which the router
-// sent. So by folding the verdict stream through
+// needs only the verdict's time and context_score (serve.ScanVerdictFor
+// reads them without decoding the line) plus the event's line, which the
+// router sent. So by folding the verdict stream through
 // stream.SessionWindow.Append — the same idle-gap and trim rules the
 // replica's detector applies — the router holds a faithful copy of each
 // user's window without ever asking replicas for it. When a replica dies mid-session (kill -9 — nothing to export),
@@ -68,32 +69,35 @@ func (rt *Router) ExportShadow(w io.Writer, users []string) error {
 // applyVerdicts folds a successful group's committed verdicts into the
 // shadow map, records ownership, advances the high-water mark, and
 // occasionally sweeps idle shadows so the map tracks live sessions, not
-// history. Verdict k answers evs[k]: the user and the line come from the
-// event, the time and the context score from rp.
-func (rt *Router) applyVerdicts(addr string, evs []stream.Event, rp *reply) {
+// history. Verdict k answers the event at evs[pos[k]]: the user and the
+// line come from the event, the time and the context score from rp.
+func (rt *Router) applyVerdicts(addr string, evs []serve.RawEvent, pos []int, rp *reply) {
 	rt.mu.Lock()
-	for k := range evs {
-		ev, t := &evs[k], rp.times[k]
-		sw := rt.shadows[ev.User]
+	for k, p := range pos {
+		ev, t := &evs[p], rp.times[k]
+		sw := rt.shadows[string(ev.User)]
 		if sw == nil {
-			sw = &stream.SessionWindow{User: ev.User}
-			rt.shadows[ev.User] = sw
+			user := string(ev.User)
+			sw = &stream.SessionWindow{User: user}
+			rt.shadows[user] = sw
 		}
-		sw.Append(stream.WindowEntry{Time: t, Line: ev.Line, Score: rp.scores[k]}, rt.sessCfg)
-		rt.owners[ev.User] = addr
+		sw.Append(stream.WindowEntry{Time: t, Line: ev.Text(), Score: rp.scores[k]}, rt.sessCfg)
+		rt.owners[sw.User] = addr
 		if t > rt.highWater {
 			rt.highWater = t
 		}
 	}
 	// Sweep at most once per idle-timeout of event time: a shadow idle
-	// past IdleTimeout can never extend a session again (the next event
-	// starts fresh), so dropping it — and its ownership pin — is free.
+	// past IdleTimeout of the fleet-wide high-water mark is dropped to
+	// bound memory. Its ownership pin stays. Event time is per user, so
+	// the user's own next event may still continue the session on the
+	// replica, and if the ring has moved the user meanwhile, the pin is
+	// what makes migrate export the live window from the old owner.
 	if rt.highWater-rt.lastSweep > rt.sessCfg.IdleTimeout && rt.sessCfg.IdleTimeout > 0 {
 		rt.lastSweep = rt.highWater
 		for u, sw := range rt.shadows {
 			if rt.highWater-sw.Last > rt.sessCfg.IdleTimeout {
 				delete(rt.shadows, u)
-				delete(rt.owners, u)
 			}
 		}
 	}

@@ -131,3 +131,62 @@ func TestShadowMatchesReplicaExport(t *testing.T) {
 	}
 	t.Logf("%d windows compared, %d idle resets, %d full windows", compared, resets, trims)
 }
+
+// The idle-shadow sweep runs on the fleet-wide high-water mark of event
+// time, but event time is per user: a user idle by that mark may still
+// continue a session on its next event. The sweep must not drop that
+// user's ownership pin, or a ring move in between would send the user to
+// a replica that starts an empty window. Schedule: one replica out of the
+// ring, three events for a user the full ring gives that replica, another
+// user's event 5000 s later (IdleTimeout is 600), readmit the replica,
+// then the first user's next event 10 s after its last one.
+func TestIdleSweepKeepsOwnership(t *testing.T) {
+	a, b := newTestReplica(t), newTestReplica(t)
+	rt := newTestRouter(t, nil, a, b)
+	waitHealthy(t, rt, 2)
+	ring := BuildRing([]string{a.srv.URL, b.srv.URL})
+	user := ""
+	for i := 0; user == ""; i++ {
+		if u := fmt.Sprintf("sweep-user-%d", i); ring.Lookup(u) == a.srv.URL {
+			user = u
+		}
+	}
+	a.kill()
+	waitHealthy(t, rt, 1)
+
+	const base = 1_700_000_000
+	lines := pickLines(4, func(s float64) bool { return s >= 0.5 })
+	steps := [][]stream.Event{
+		{{User: user, Time: base, Line: lines[0]}, {User: user, Time: base + 10, Line: lines[1]}, {User: user, Time: base + 20, Line: lines[2]}},
+		{{User: "sweep-other", Time: base + 5020, Line: lines[0]}},
+		{{User: user, Time: base + 30, Line: lines[3]}},
+	}
+	ref := newTestService(t)
+	defer ref.Close()
+	var got, want []stream.Verdict
+	for i, evs := range steps {
+		if i == 2 {
+			a.revive()
+			waitHealthy(t, rt, 2)
+		}
+		vs, err := rt.Route(context.Background(), evs)
+		if err != nil {
+			t.Fatalf("step %d: route: %v", i, err)
+		}
+		rv, err := ref.Submit(evs)
+		if err != nil {
+			t.Fatalf("step %d: reference submit: %v", i, err)
+		}
+		got, want = append(got, vs...), append(want, rv...)
+	}
+	if a.svc.Stats().Events != 1 {
+		t.Fatalf("the readmitted replica scored %d events, want the last one", a.svc.Stats().Events)
+	}
+	last := got[len(got)-1]
+	if last.SessionLines != 4 || last.Context == "" {
+		t.Fatalf("after the ring move the user's event got %d session lines and context %q, want 4 and the joined context", last.SessionLines, last.Context)
+	}
+	if g, w := verdictJSON(t, got), verdictJSON(t, want); g != w {
+		t.Fatalf("fleet verdicts diverge from single node:\nfleet: %s\nref:   %s", g, w)
+	}
+}

