@@ -213,13 +213,19 @@ func TestCloseUnblocksBlockedSubmit(t *testing.T) {
 // TestShedPolicy: with shed configured, a full queue rejects immediately
 // with ErrOverloaded instead of blocking, and the rejection is counted.
 func TestShedPolicy(t *testing.T) {
-	sc := &slowScorer{gate: make(chan struct{})}
+	sc := &slowScorer{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
 	det := NewDetector(sc, DefaultConfig())
 	svc := NewService(det, ServiceConfig{
 		QueueRequests: 1, BatchEvents: 1, Overload: OverloadShed,
 	})
 	defer svc.Close()
+	// Deferred after Close, so it runs first: a failing check below must
+	// not leave Close waiting on a worker held in Score.
+	var release sync.Once
+	defer release.Do(func() { close(sc.gate) })
 
+	// The first request must be in Score, not queued, before the second
+	// is sent; otherwise the second finds the queue full and is shed.
 	var accepted sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		accepted.Add(1)
@@ -229,6 +235,13 @@ func TestShedPolicy(t *testing.T) {
 				t.Errorf("accepted submit %d: %v", i, err)
 			}
 		}(i)
+		if i == 0 {
+			select {
+			case <-sc.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("worker never entered Score")
+			}
+		}
 	}
 	waitForQueueDepth(t, svc, 1)
 
@@ -248,7 +261,7 @@ func TestShedPolicy(t *testing.T) {
 	if st := svc.Stats(); st.ShedRequests < 1 || st.OverloadPolicy != "shed" {
 		t.Fatalf("shed not surfaced in stats: %+v", st)
 	}
-	close(sc.gate)
+	release.Do(func() { close(sc.gate) })
 	accepted.Wait()
 }
 

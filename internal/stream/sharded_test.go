@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -352,10 +353,11 @@ type cacheStatScorer struct {
 func (c *cacheStatScorer) CacheStats() tuning.CacheStats { return c.stats }
 
 // TestShardedServiceCacheStats: per-shard service stats surface each
-// scorer's memo counters and hit rate.
+// scorer's memo counters, the admissions its memo declined, and its hit
+// rate.
 func TestShardedServiceCacheStats(t *testing.T) {
 	scorers := []tuning.Scorer{
-		&cacheStatScorer{stats: tuning.CacheStats{Hits: 30, Misses: 10, Entries: 7}},
+		&cacheStatScorer{stats: tuning.CacheStats{Hits: 30, Misses: 10, Entries: 7, Declined: 4}},
 		&cacheStatScorer{stats: tuning.CacheStats{Hits: 0, Misses: 0, Entries: 0}},
 	}
 	sharded, err := NewShardedDetector(scorers, DefaultConfig())
@@ -374,6 +376,13 @@ func TestShardedServiceCacheStats(t *testing.T) {
 	}
 	if got := st.Shards[0].CacheHitRate; got != 0.75 {
 		t.Fatalf("shard 0 hit rate %g, want 0.75", got)
+	}
+	body, err := json.Marshal(st.Shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), `"cache":{"hits":30,"misses":10,"entries":7,"declined":4}`) {
+		t.Fatalf("shard 0 /stats object lacks the memo's declined count: %s", body)
 	}
 	if st.Shards[1].Cache == nil || st.Shards[1].CacheHitRate != 0 {
 		t.Fatalf("shard 1 cache stats: %+v rate %g", st.Shards[1].Cache, st.Shards[1].CacheHitRate)

@@ -175,6 +175,7 @@ func (c *CascadeScorer) CacheStats() CacheStats {
 			out.Hits += st.Hits
 			out.Misses += st.Misses
 			out.Entries += st.Entries
+			out.Declined += st.Declined
 		}
 	}
 	return out

@@ -21,10 +21,11 @@ import (
 // arena.
 //
 // Score puts a score memo in front of that path: an LRU keyed by the exact
-// scorer input that holds the method head's final score. Real command logs
-// are duplicate-heavy, and a repeated input costs one memo probe, skipping
-// the tokenizer, the backbone and the head. EmbedLines and CLSLines are
-// uncached; they serve training and experiments.
+// scorer input that holds the method head's final score, behind a TinyLFU
+// admission filter that keeps one-off lines from evicting recurring ones.
+// Real command logs are duplicate-heavy, and a repeated input costs one memo
+// probe, skipping the tokenizer, the backbone and the head. EmbedLines and
+// CLSLines are uncached; they serve training and experiments.
 //
 // An Engine must only be used while its encoder's weights are frozen:
 // memoized scores are never invalidated. Methods are safe for concurrent
@@ -71,6 +72,13 @@ type EngineConfig struct {
 // per engine at hidden width 48. A memo entry (key bytes, list node, map
 // slot, one float64) measures about 165 B with a 61-byte key, so 16,384
 // entries take about 2.7 MB.
+//
+// Once full, the memo admits a missed input only if a frequency sketch
+// estimates it strictly more frequent than the least-recently-used entry
+// it would replace; otherwise the score is returned but not kept. The
+// sketch (four rows of 16,384 4-bit counters that count hits and misses,
+// halved every 163,840 recorded accesses) takes 32 KiB per engine, built
+// when the memo first fills.
 func DefaultEngineConfig() EngineConfig {
 	return EngineConfig{BatchLines: embedBatchSize, BatchTokens: 2048, CacheLines: 16384}
 }
@@ -136,11 +144,13 @@ func (e *Engine) Clone() *Engine {
 
 // CacheStats is a snapshot of an engine's score-memo counters. Hits and
 // Misses count memo probes of distinct inputs (a within-call duplicate
-// never probes); Entries is the live entry count.
+// never probes); Entries is the live entry count; Declined counts missed
+// inputs whose scores the admission filter kept out of a full memo.
 type CacheStats struct {
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Entries int   `json:"entries"`
+	Hits     int64 `json:"hits"`
+	Misses   int64 `json:"misses"`
+	Entries  int   `json:"entries"`
+	Declined int64 `json:"declined"`
 
 	// EncodedHits and EncodedMisses are always zero: the token-sequence LRU
 	// they counted is gone. They stay only because the benchmark still
@@ -161,7 +171,8 @@ func (s CacheStats) HitRate() float64 {
 // CacheStats snapshots the engine's memo counters. With the memo disabled
 // every probe of it counts as a miss.
 func (e *Engine) CacheStats() CacheStats {
-	return CacheStats{Hits: e.memoHits.Load(), Misses: e.memoMisses.Load(), Entries: e.memo.len()}
+	entries, declined := e.memo.stats()
+	return CacheStats{Hits: e.memoHits.Load(), Misses: e.memoMisses.Load(), Entries: entries, Declined: declined}
 }
 
 // Feature selects the backbone output a method head reads.
@@ -426,28 +437,43 @@ func (e *Engine) fanOut(n int, worker func() error) error {
 }
 
 // lruCache is the score memo: a mutex-guarded LRU from exact scorer input
-// to final score. A nil *lruCache is a disabled memo that never hits.
+// to final score, behind a TinyLFU admission filter (Einziger, Friedman &
+// Manes, ACM ToS 2017). Until the memo first fills it is a plain LRU. From
+// then on every access is recorded in a frequency sketch, a hit in get and
+// a miss in its put, and a new key replaces the LRU tail only if the
+// sketch estimates it more frequent than the tail; otherwise its score is
+// declined. A line seen once then cannot push out a line that recurs. A
+// nil *lruCache is a disabled memo that never hits.
 type lruCache struct {
-	mu    sync.Mutex
-	cap   int
-	items map[string]*lruEntry
-	head  *lruEntry // most recent
-	tail  *lruEntry // least recent
+	mu       sync.Mutex
+	cap      int
+	items    map[string]*lruEntry
+	head     *lruEntry   // most recent
+	tail     *lruEntry   // least recent
+	freq     *freqSketch // access frequencies; built when the memo first fills
+	declined int64       // puts the admission filter refused
 }
 
+// lruEntry keeps its key's hash so that a hit, or the entry's turn as the
+// tail, reads the sketch without hashing the key again. The hash rounds
+// the node up to 48 bytes, the size class it had already.
 type lruEntry struct {
 	key        string
+	hash       uint64
 	score      float64
 	prev, next *lruEntry
 }
 
-// newLRUCache sizes nothing up front: the map grows with the entries, so
-// an engine that never scores (training, experiments) costs no memo bytes.
+// newLRUCache sizes nothing up front: the map grows with the entries and
+// the sketch is built on the first put into a full memo, so an engine that
+// never scores (training, experiments) or never fills its memo pays no
+// bytes for either.
 func newLRUCache(capacity int) *lruCache {
 	return &lruCache{cap: capacity, items: make(map[string]*lruEntry)}
 }
 
-// get returns the memoized score and refreshes the entry.
+// get returns the memoized score and refreshes the entry, recording the
+// hit once the sketch exists.
 func (c *lruCache) get(key string) (float64, bool) {
 	if c == nil {
 		return 0, false
@@ -458,41 +484,62 @@ func (c *lruCache) get(key string) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
+	if c.freq != nil {
+		c.freq.add(ent.hash)
+	}
 	c.moveToFront(ent)
 	return ent.score, true
 }
 
-// put inserts score under key, evicting the least-recently-used entry when
-// full. A key already present is only refreshed: a concurrent caller
-// computed the same bits.
+// put offers score under key after a miss, recording the miss once the
+// memo is full. A key already present is only refreshed: a concurrent
+// caller computed the same bits. Into a full memo the key is admitted,
+// replacing the least-recently-used entry, only if the sketch estimates it
+// strictly more frequent than that entry.
 func (c *lruCache) put(key string, score float64) {
 	if c == nil {
 		return
 	}
+	h := hashKey(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.freq == nil && len(c.items) == c.cap {
+		c.freq = newFreqSketch(c.cap)
+	}
+	if c.freq != nil {
+		c.freq.add(h)
+	}
 	if ent, ok := c.items[key]; ok {
 		c.moveToFront(ent)
 		return
 	}
-	ent := &lruEntry{key: key, score: score}
-	c.items[key] = ent
-	c.pushFront(ent)
-	if len(c.items) > c.cap {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.items, lru.key)
+	if len(c.items) < c.cap {
+		ent := &lruEntry{key: key, hash: h, score: score}
+		c.items[key] = ent
+		c.pushFront(ent)
+		return
 	}
+	victim := c.tail
+	if c.freq.estimate(h) <= c.freq.estimate(victim.hash) {
+		c.declined++
+		return
+	}
+	// The victim's node carries the newcomer: admission allocates no node.
+	c.unlink(victim)
+	delete(c.items, victim.key)
+	victim.key, victim.hash, victim.score = key, h, score
+	c.items[key] = victim
+	c.pushFront(victim)
 }
 
-// len reports the live entry count.
-func (c *lruCache) len() int {
+// stats reports the live entry count and the puts the filter declined.
+func (c *lruCache) stats() (entries int, declined int64) {
 	if c == nil {
-		return 0
+		return 0, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.items)
+	return len(c.items), c.declined
 }
 
 func (c *lruCache) pushFront(ent *lruEntry) {
@@ -527,4 +574,104 @@ func (c *lruCache) moveToFront(ent *lruEntry) {
 	}
 	c.unlink(ent)
 	c.pushFront(ent)
+}
+
+// Frequency sketch geometry: four rows of 4-bit saturating counters, packed
+// sixteen to a word.
+const (
+	sketchRows     = 4
+	sketchMax      = 15
+	sketchAgeEvery = 10 // recorded accesses between halvings, per memo entry
+)
+
+// freqSketch is TinyLFU's frequency estimator, a count-min sketch. Each
+// row is the next power of two at or above the memo's capacity wide (at
+// least 16), so a 16,384-entry memo's sketch is 4 × 16,384 × 4 bits =
+// 32 KiB. Every counter is halved after sketchAgeEvery × capacity recorded
+// accesses (TinyLFU's reset), so the estimates follow recent traffic.
+type freqSketch struct {
+	words  []uint64 // sketchRows rows of width counters each
+	width  uint64   // counters per row, a power of two
+	added  int      // accesses recorded since the last halving
+	period int      // recorded accesses between halvings
+}
+
+func newFreqSketch(capacity int) *freqSketch {
+	width := uint64(16)
+	for width < uint64(capacity) {
+		width <<= 1
+	}
+	return &freqSketch{
+		words:  make([]uint64, sketchRows*width/16),
+		width:  width,
+		period: sketchAgeEvery * capacity,
+	}
+}
+
+// sketchSeeds remix the key's hash once per row, so two keys that share a
+// counter in one row rarely share it in another.
+var sketchSeeds = [sketchRows]uint64{0xc3a5c85c97cb3127, 0xb492b66fbe98f273, 0x9ae16a3b2f90404f, 0xcbf29ce484222325}
+
+// index returns the position of row r's counter for hash h among all the
+// sketch's counters.
+func (s *freqSketch) index(h uint64, r int) uint64 {
+	x := (h + sketchSeeds[r]) * sketchSeeds[r]
+	x += x >> 32
+	return uint64(r)*s.width + x&(s.width-1)
+}
+
+// count returns the counter at position i.
+func (s *freqSketch) count(i uint64) uint64 {
+	return s.words[i/16] >> (i % 16 * 4) & sketchMax
+}
+
+// add records one occurrence of h, saturating each counter at sketchMax,
+// and ages the sketch every period recorded accesses.
+func (s *freqSketch) add(h uint64) {
+	for r := 0; r < sketchRows; r++ {
+		if i := s.index(h, r); s.count(i) < sketchMax {
+			s.words[i/16] += 1 << (i % 16 * 4)
+		}
+	}
+	if s.added++; s.added >= s.period {
+		s.age()
+	}
+}
+
+// estimate returns h's smallest counter: an upper bound on its recorded
+// occurrences since the halvings, tight unless every row collides.
+func (s *freqSketch) estimate(h uint64) uint64 {
+	est := uint64(sketchMax)
+	for r := 0; r < sketchRows; r++ {
+		est = min(est, s.count(s.index(h, r)))
+	}
+	return est
+}
+
+// age halves every counter at once: shifting a word right one bit halves
+// all sixteen nibbles, and the mask drops each nibble's low bit that
+// shifted into its neighbour.
+func (s *freqSketch) age() {
+	for j := range s.words {
+		s.words[j] = s.words[j] >> 1 & 0x7777777777777777
+	}
+	s.added = 0
+}
+
+// hashKey is 64-bit FNV-1a over the key, finished with murmur3's fmix64 so
+// every output bit depends on every input byte. It is fixed, not seeded per
+// process like hash/maphash, so the memo's contents are a function of its
+// input sequence alone.
+func hashKey(key string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }

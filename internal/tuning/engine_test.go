@@ -2,6 +2,7 @@ package tuning
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -238,32 +239,254 @@ func TestNormalizeLine(t *testing.T) {
 	}
 }
 
+// TestLRUCache pins the memo's admission rule. Below capacity every put is
+// kept. Once the memo is full every access is recorded in the frequency
+// sketch, a hit in get and a miss in its put, and a new key replaces the
+// least-recently-used entry only if its estimate is strictly greater; a
+// tie is declined and counted.
 func TestLRUCache(t *testing.T) {
 	c := newLRUCache(2)
 	c.put("a", 1)
 	c.put("b", 2)
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing")
+	if v, ok := c.get("a"); !ok || v != 1 {
+		t.Fatalf("a = %v, %v", v, ok)
 	}
-	c.put("c", 3) // evicts b (a was refreshed)
+	// The residents that filled the memo were never recorded (estimate 0),
+	// so the first recorded newcomer replaces the tail, b.
+	c.put("c", 3)
 	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
+		t.Error("b (the LRU tail) should have made way for c")
 	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a should survive")
+	// d replaces a (estimate 0); e then ties the new tail c at one
+	// recorded miss and is declined, and its second miss wins.
+	c.put("d", 4)
+	c.put("e", 5)
+	if _, ok := c.get("e"); ok {
+		t.Error("e was admitted on a tie with the tail")
 	}
-	if v, ok := c.get("c"); !ok || v != 3 {
-		t.Errorf("c = %v, %v", v, ok)
+	if _, declined := c.stats(); declined != 1 {
+		t.Errorf("declined = %d, want 1", declined)
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	c.put("e", 5)
+	if _, ok := c.get("c"); ok {
+		t.Error("c should have been replaced by the more frequent e")
+	}
+	// Hits count: d's hit lifts it to two, so f, the next newcomer, is
+	// declined at one and two recorded misses and admitted at three.
+	for _, want := range []struct {
+		key   string
+		score float64
+	}{{"d", 4}, {"e", 5}} {
+		if v, ok := c.get(want.key); !ok || v != want.score {
+			t.Errorf("%s = %v, %v; want %v", want.key, v, ok, want.score)
+		}
+	}
+	for miss := 1; miss <= 3; miss++ {
+		c.put("f", 6)
+		if _, ok := c.items["f"]; ok != (miss == 3) {
+			t.Errorf("after f's miss %d admitted = %v", miss, ok)
+		}
+	}
+	if _, ok := c.items["d"]; ok {
+		t.Error("d, the tail, should have made way for f")
+	}
+	// A put of a present key keeps the entry and its score: a concurrent
+	// caller computed the same bits.
+	c.put("e", 7)
+	if v, _ := c.get("e"); v != 5 {
+		t.Errorf("e = %v after re-put, want 5", v)
+	}
+	if n, declined := c.stats(); n != 2 || declined != 3 {
+		t.Errorf("len, declined = %d, %d; want 2, 3", n, declined)
 	}
 	// A disabled (nil) memo never hits and holds nothing.
 	var off *lruCache
 	off.put("a", 1)
-	if _, ok := off.get("a"); ok || off.len() != 0 {
+	if _, ok := off.get("a"); ok {
 		t.Error("nil memo stored an entry")
 	}
+	if n, declined := off.stats(); n != 0 || declined != 0 {
+		t.Errorf("nil memo stats %d, %d", n, declined)
+	}
+}
+
+// TestMemoKeepsHotSetUnderScan pins what the admission filter is for: a
+// hot set of half the memo's capacity, probed once per round, survives
+// rounds of capacity-many one-off keys in between. A plain LRU of the same
+// capacity would hold none of it: each round's one-offs are enough to push
+// every hot key out before it is probed again. Hits are free: a memo hit
+// allocates nothing.
+func TestMemoKeepsHotSetUnderScan(t *testing.T) {
+	const n = 1024
+	c := newLRUCache(n)
+	probe := func(key string) {
+		if _, ok := c.get(key); !ok {
+			c.put(key, float64(len(key)))
+		}
+	}
+	hot := make([]string, n/2)
+	for i := range hot {
+		hot[i] = fmt.Sprintf("hot %d", i)
+	}
+	for round, scan := 0, 0; round < 10; round++ {
+		for _, key := range hot {
+			probe(key)
+		}
+		for end := scan + n; scan < end; scan++ {
+			probe(fmt.Sprintf("one-off %d", scan))
+		}
+	}
+	held := 0
+	for _, key := range hot {
+		if _, ok := c.items[key]; ok {
+			held++
+		}
+	}
+	if held < len(hot)*9/10 {
+		t.Fatalf("memo holds %d of %d hot keys after 10·cap one-offs, want ≥ 90%%", held, len(hot))
+	}
+	if entries, _ := c.stats(); entries > c.cap {
+		t.Fatalf("memo holds %d entries, cap %d", entries, c.cap)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.get(hot[0]) }); allocs != 0 {
+		t.Errorf("memo hit allocates %v times, want 0", allocs)
+	}
+}
+
+// memoRefHash and memoRefPos are the fuzz reference's key hash and
+// counter positions, written out apart from hashKey and freqSketch.index
+// so that an indexing fault (overlapping rows, a mask that drops a row,
+// seeds that collide) shows as a counter that differs from the reference.
+func memoRefHash(key string) uint64 {
+	f := fnv.New64a()
+	f.Write([]byte(key))
+	h := f.Sum64()
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+func memoRefPos(h uint64, row int, width uint64) uint64 {
+	seed := [4]uint64{0xc3a5c85c97cb3127, 0xb492b66fbe98f273, 0x9ae16a3b2f90404f, 0xcbf29ce484222325}[row]
+	x := (h + seed) * seed
+	return uint64(row)*width + (x+x>>32)&(width-1)
+}
+
+// FuzzMemoOps runs a schedule of memo operations decoded from the fuzz
+// bytes against a reference model: a map of the first score put per key
+// (a re-put of a present key keeps it), and one plain integer per sketch
+// counter. The first byte sets the capacity (1–8); each later byte is one
+// operation on one of 16 keys (high nibble): a put (low bits 0–1), a get
+// (2), or a forced halving of the sketch (3). Small capacities also age
+// the sketch on their own every 10–80 recorded accesses. Checked after
+// every step:
+//   - a hit returns the reference's score for its key;
+//   - the memo never holds more than its capacity, and its list and map
+//     agree;
+//   - no counter wraps: every packed 4-bit counter equals its reference
+//     integer, which saturates at 15 and halves when the sketch ages, so a
+//     counter that wrapped, or carried into its neighbour, differs.
+func FuzzMemoOps(f *testing.F) {
+	// The 16 keys spread over a 16-wide sketch's rows: no two share a
+	// counter in every row, which a seed collision would make them do.
+	for i := 0; i < 16; i++ {
+		for j := i + 1; j < 16; j++ {
+			hi, hj := memoRefHash(fmt.Sprintf("key %d", i)), memoRefHash(fmt.Sprintf("key %d", j))
+			shared := 0
+			for r := 0; r < sketchRows; r++ {
+				if memoRefPos(hi, r, 16) == memoRefPos(hj, r, 16) {
+					shared++
+				}
+			}
+			if shared == sketchRows {
+				f.Fatalf("key %d and key %d share a counter in all %d rows", i, j, sketchRows)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		c := newLRUCache(1 + int(ops[0]%8))
+		first := make(map[string]float64)
+		var cells []uint64 // reference counters, by sketch position
+		var added int      // recorded accesses since the last halving
+		age := func() {
+			for i := range cells {
+				cells[i] /= 2
+			}
+			added = 0
+		}
+		record := func(key string) {
+			if cells == nil {
+				cells = make([]uint64, sketchRows*c.freq.width)
+			}
+			h := memoRefHash(key)
+			for r := 0; r < sketchRows; r++ {
+				i := memoRefPos(h, r, c.freq.width)
+				cells[i] = min(cells[i]+1, sketchMax)
+			}
+			if added++; added == sketchAgeEvery*c.cap {
+				age()
+			}
+		}
+		for step, op := range ops[1:] {
+			key := fmt.Sprintf("key %d", op>>4)
+			_, present := c.items[key]
+			switch op & 3 {
+			case 0, 1:
+				recorded := c.freq != nil || len(c.items) == c.cap
+				c.put(key, float64(step))
+				if !present {
+					first[key] = float64(step)
+				}
+				if recorded {
+					record(key)
+				}
+			case 2:
+				v, ok := c.get(key)
+				if ok != present {
+					t.Fatalf("step %d: get(%q) hit %v, resident %v", step, key, ok, present)
+				}
+				if ok && v != first[key] {
+					t.Fatalf("step %d: get(%q) = %v, first put %v", step, key, v, first[key])
+				}
+				if ok && c.freq != nil {
+					record(key)
+				}
+			case 3:
+				if c.freq != nil {
+					c.freq.age()
+					age()
+				}
+			}
+			for key := range first {
+				if _, ok := c.items[key]; !ok {
+					delete(first, key)
+				}
+			}
+
+			n, _ := c.stats()
+			if n > c.cap {
+				t.Fatalf("step %d: %d entries, cap %d", step, n, c.cap)
+			}
+			linked := 0
+			for ent := c.head; ent != nil; ent = ent.next {
+				if c.items[ent.key] != ent {
+					t.Fatalf("step %d: listed key %q not mapped to its node", step, ent.key)
+				}
+				linked++
+			}
+			if linked != n {
+				t.Fatalf("step %d: %d listed entries, %d mapped", step, linked, n)
+			}
+			for i, want := range cells {
+				if got := c.freq.count(uint64(i)); got != want {
+					t.Fatalf("step %d: counter %d is %d, reference %d", step, i, got, want)
+				}
+			}
+		}
+	})
 }
 
 // TestEngineManyLines pushes a larger deduplicated workload through the
