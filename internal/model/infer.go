@@ -155,7 +155,7 @@ func (e *Encoder) InferForward(batch Batch, s *InferScratch) (*tensor.Matrix, er
 			row++
 		}
 	}
-	tensor.InferLayerNormInto(x, e.EmbNorm.Gamma.Val, e.EmbNorm.Beta.Val, e.EmbNorm.Eps, x)
+	tensor.InferAddLayerNormInto(x, nil, e.EmbNorm.Gamma.Val, e.EmbNorm.Beta.Val, e.EmbNorm.Eps, x)
 
 	for _, blk := range e.Blocks {
 		tensor.InferLinearInto(x, blk.WQ.W.Val, blk.WQ.B.Val, q)
@@ -163,14 +163,12 @@ func (e *Encoder) InferForward(batch Batch, s *InferScratch) (*tensor.Matrix, er
 		tensor.InferLinearInto(x, blk.WV.W.Val, blk.WV.B.Val, v)
 		tensor.InferAttentionInto(q, k, v, e.cfg.Heads, batch.Lens, s.scores, s.kt, attn)
 		tensor.InferLinearInto(attn, blk.WO.W.Val, blk.WO.B.Val, resid)
-		x.AddInPlace(resid)
-		tensor.InferLayerNormInto(x, blk.AttnNorm.Gamma.Val, blk.AttnNorm.Beta.Val, blk.AttnNorm.Eps, x)
+		tensor.InferAddLayerNormInto(x, resid, blk.AttnNorm.Gamma.Val, blk.AttnNorm.Beta.Val, blk.AttnNorm.Eps, x)
 
 		tensor.InferLinearInto(x, blk.FF1.W.Val, blk.FF1.B.Val, ff)
 		tensor.InferGELUInPlace(ff)
 		tensor.InferLinearInto(ff, blk.FF2.W.Val, blk.FF2.B.Val, resid)
-		x.AddInPlace(resid)
-		tensor.InferLayerNormInto(x, blk.FFNorm.Gamma.Val, blk.FFNorm.Beta.Val, blk.FFNorm.Eps, x)
+		tensor.InferAddLayerNormInto(x, resid, blk.FFNorm.Gamma.Val, blk.FFNorm.Beta.Val, blk.FFNorm.Eps, x)
 	}
 	return x, nil
 }

@@ -8,7 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	_ "unsafe" // go:linkname for the haveSIMD test hook
+	_ "unsafe" // go:linkname for the kernel gate test hooks
 
 	"clmids/internal/tensor"
 )
@@ -180,7 +180,7 @@ func TestInferForwardAllocFree(t *testing.T) {
 
 // forwardBitsGolden is the sha256 of hashForwardBits over goldenEncoder
 // on tinyBatch, computed on the Go mirrors with softmax and GELU on the
-// tensor package's own exp and tanh. It is the same on both dispatch paths
+// tensor package's own exp and tanh. It is the same on every tier
 // and with or without FMA (GODEBUG=cpu.fma=off). Any kernel that reorders
 // a float64 sum, fuses a multiply-add or calls math.Exp changes it.
 const forwardBitsGolden = "89dcb4638052ed6007d3889191421aec27bfdacc28d23d296d137bb46464f6cc"
@@ -210,28 +210,87 @@ func hashForwardBits(t *testing.T, enc *Encoder, batch Batch) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// haveSIMD is the tensor package's kernel gate. It is reached through
-// linkname so a test here can clear it, which routes every kernel to its
-// pure-Go mirror, and check the forward on both dispatch paths.
+// haveSIMD and haveAVX512 are the tensor package's kernel gates. They are
+// reached through linkname so a test here can clear them, which routes
+// every kernel to its pure-Go mirror (haveSIMD) or the float64 GEMM to
+// its AVX2 kernel (haveAVX512), and check the forward on every tier.
 //
 //go:linkname haveSIMD clmids/internal/tensor.haveSIMD
 var haveSIMD bool
 
+//go:linkname haveAVX512 clmids/internal/tensor.haveAVX512
+var haveAVX512 bool
+
+// withF64Backends calls fn once per float64 kernel tier this host can
+// run (pure Go, AVX2, AVX-512), with the gates set to select it, and
+// restores the gates afterwards.
+func withF64Backends(fn func(tier string)) {
+	simd, avx512 := haveSIMD, haveAVX512
+	defer func() { haveSIMD, haveAVX512 = simd, avx512 }()
+	haveSIMD, haveAVX512 = false, false
+	fn("go")
+	if simd {
+		haveSIMD = true
+		fn("avx2")
+	}
+	if avx512 {
+		haveAVX512 = true
+		fn("avx512")
+	}
+}
+
 // TestInferForwardBitsGolden pins the float64 forward's bits, not just
 // its agreement with the tape: TestInferForwardGolden compares two paths
 // that share the GEMM kernel, so it cannot see a kernel that drifts. It
-// runs once on the Go mirrors and once on the host's kernels.
+// runs on the Go mirrors and on each of the host's kernel tiers.
 func TestInferForwardBitsGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the constant is amd64's: no other host has checked it, and Go may fuse LayerNorm's multiply-adds on arm64, ppc64le, s390x and riscv64")
 	}
 	enc := goldenEncoder(t)
-	host := haveSIMD
-	defer func() { haveSIMD = host }()
-	for _, simd := range []bool{false, host} {
-		haveSIMD = simd
+	withF64Backends(func(tier string) {
 		if got := hashForwardBits(t, enc, tinyBatch()); got != forwardBitsGolden {
-			t.Errorf("float64 forward changed (SIMD kernels %v): sha256 %s, want %s", simd, got, forwardBitsGolden)
+			t.Errorf("float64 forward changed (%s kernels): sha256 %s, want %s", tier, got, forwardBitsGolden)
 		}
+	})
+}
+
+// BenchmarkInferForwardF64 runs the float64 forward over 32-line batches
+// (lines of 4–20 tokens) on every kernel tier the host has, at the shapes
+// clmtrain's defaults build (the bench bundle's: hidden 48, FFN 96) and at
+// Default's (hidden 64, FFN 128), both 2 layers and 4 heads over a
+// 700-token vocabulary, and reports ns/token: it sizes a forward-kernel
+// change without an end-to-end run.
+func BenchmarkInferForwardF64(b *testing.B) {
+	bench := Default(700)
+	bench.MaxSeqLen, bench.Hidden, bench.FFN = 48, 48, 96
+	for _, shape := range []struct {
+		name string
+		cfg  Config
+	}{{"h48", bench}, {"h64", Default(700)}} {
+		rng := rand.New(rand.NewSource(38))
+		enc, err := NewEncoder(shape.cfg, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lines := make([][]int, 32)
+		for i := range lines {
+			lines[i] = make([]int, 4+rng.Intn(17))
+			for j := range lines[i] {
+				lines[i][j] = rng.Intn(shape.cfg.VocabSize)
+			}
+		}
+		batch := NewBatch(lines)
+		scratch := NewInferScratch(shape.cfg, batch.Tokens())
+		withF64Backends(func(tier string) {
+			b.Run(shape.name+"/"+tier, func(b *testing.B) {
+				for b.Loop() {
+					if _, err := enc.InferForward(batch, scratch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Tokens()), "ns/token")
+			})
+		})
 	}
 }

@@ -37,36 +37,124 @@ func InferLinearInto(x, w, bias, out *Matrix) {
 	matMulRows(x, w, b, out, 0, x.Rows)
 }
 
-// InferLayerNormInto normalizes each row of x and applies the learned
-// scale gamma and shift beta (both 1×n), writing into out. out may alias x
-// (in-place normalization). Arithmetic matches the LayerNorm op.
-func InferLayerNormInto(x, gamma, beta *Matrix, eps float64, out *Matrix) {
+// InferAddLayerNormInto adds resid into x (x += resid; resid may be nil,
+// as for the embedding LayerNorm), then normalizes each row of x and
+// applies the learned scale gamma and shift beta (both 1×n), writing into
+// out; out may alias x. Each row runs an AddInPlace and the LayerNorm
+// op's arithmetic in their order: the residual add, the mean's sum, the
+// variance's sum, the normalization. Four rows run together as four
+// independent add chains, which reorders no row's sums, so the bits are
+// those of the two-step form.
+func InferAddLayerNormInto(x, resid, gamma, beta *Matrix, eps float64, out *Matrix) {
 	n := x.Cols
 	if gamma.Rows != 1 || gamma.Cols != n || beta.Rows != 1 || beta.Cols != n {
-		panic(fmt.Sprintf("tensor: InferLayerNorm params must be 1x%d", n))
+		panic(fmt.Sprintf("tensor: InferAddLayerNorm params must be 1x%d", n))
 	}
 	if out.Rows != x.Rows || out.Cols != n {
-		panic(fmt.Sprintf("tensor: InferLayerNorm out %dx%d for %dx%d input",
+		panic(fmt.Sprintf("tensor: InferAddLayerNorm out %dx%d for %dx%d input",
 			out.Rows, out.Cols, x.Rows, n))
 	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		mean := 0.0
-		for _, v := range row {
+	if resid != nil && !resid.SameShape(x) {
+		panic(fmt.Sprintf("tensor: InferAddLayerNorm resid %dx%d for %dx%d input",
+			resid.Rows, resid.Cols, x.Rows, n))
+	}
+	rows := func(m *Matrix, i, c int) []float64 {
+		if m == nil {
+			return nil
+		}
+		return m.Data[i*n : (i+c)*n]
+	}
+	i := 0
+	for ; i+4 <= x.Rows; i += 4 {
+		addLayerNormRows4(rows(x, i, 4), rows(resid, i, 4), gamma.Data, beta.Data, eps, rows(out, i, 4))
+	}
+	for ; i < x.Rows; i++ {
+		addLayerNormRow64(rows(x, i, 1), rows(resid, i, 1), gamma.Data, beta.Data, eps, rows(out, i, 1))
+	}
+}
+
+// addLayerNormRow64 is InferAddLayerNormInto for one row: x += r (r may
+// be nil), then out = LayerNorm(x)·gamma + beta.
+func addLayerNormRow64(x, r, gamma, beta []float64, eps float64, out []float64) {
+	mean := 0.0
+	if r != nil {
+		r = r[:len(x)]
+		for j := range x {
+			x[j] += r[j]
+			mean += x[j]
+		}
+	} else {
+		for _, v := range x {
 			mean += v
 		}
-		mean /= float64(n)
-		varr := 0.0
-		for _, v := range row {
-			d := v - mean
-			varr += d * d
+	}
+	mean /= float64(len(x))
+	varr := 0.0
+	for _, v := range x {
+		d := v - mean
+		varr += d * d
+	}
+	varr /= float64(len(x))
+	normRow64(x, mean, 1/math.Sqrt(varr+eps), gamma, beta, out)
+}
+
+// addLayerNormRows4 is addLayerNormRow64 for four consecutive rows of
+// x, r and out, their mean and variance sums interleaved as four
+// independent chains.
+func addLayerNormRows4(x, r, gamma, beta []float64, eps float64, out []float64) {
+	n := len(gamma)
+	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:4*n]
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	var m0, m1, m2, m3 float64
+	if r != nil {
+		r0, r1, r2, r3 := r[:n], r[n:2*n], r[2*n:3*n], r[3*n:4*n]
+		r0, r1, r2, r3 = r0[:len(x0)], r1[:len(x0)], r2[:len(x0)], r3[:len(x0)]
+		for j := range x0 {
+			x0[j] += r0[j]
+			x1[j] += r1[j]
+			x2[j] += r2[j]
+			x3[j] += r3[j]
+			m0 += x0[j]
+			m1 += x1[j]
+			m2 += x2[j]
+			m3 += x3[j]
 		}
-		varr /= float64(n)
-		is := 1 / math.Sqrt(varr+eps)
-		dst := out.Row(i)
-		for j, v := range row {
-			dst[j] = (v-mean)*is*gamma.Data[j] + beta.Data[j]
+	} else {
+		for j := range x0 {
+			m0 += x0[j]
+			m1 += x1[j]
+			m2 += x2[j]
+			m3 += x3[j]
 		}
+	}
+	fn := float64(n)
+	m0 /= fn
+	m1 /= fn
+	m2 /= fn
+	m3 /= fn
+	var v0, v1, v2, v3 float64
+	for j := range x0 {
+		d0 := x0[j] - m0
+		d1 := x1[j] - m1
+		d2 := x2[j] - m2
+		d3 := x3[j] - m3
+		v0 += d0 * d0
+		v1 += d1 * d1
+		v2 += d2 * d2
+		v3 += d3 * d3
+	}
+	normRow64(x0, m0, 1/math.Sqrt(v0/fn+eps), gamma, beta, out[:n])
+	normRow64(x1, m1, 1/math.Sqrt(v1/fn+eps), gamma, beta, out[n:2*n])
+	normRow64(x2, m2, 1/math.Sqrt(v2/fn+eps), gamma, beta, out[2*n:3*n])
+	normRow64(x3, m3, 1/math.Sqrt(v3/fn+eps), gamma, beta, out[3*n:4*n])
+}
+
+// normRow64 writes out[j] = (x[j]−mean)·is·gamma[j] + beta[j], the
+// LayerNorm op's expression; out may alias x.
+func normRow64(x []float64, mean, is float64, gamma, beta, out []float64) {
+	gamma, beta, out = gamma[:len(x)], beta[:len(x)], out[:len(x)]
+	for j, v := range x {
+		out[j] = (v-mean)*is*gamma[j] + beta[j]
 	}
 }
 

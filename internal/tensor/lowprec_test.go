@@ -476,15 +476,13 @@ func TestInferKernels32MatchFloat64(t *testing.T) {
 
 		// LayerNorm, alone and after a residual add.
 		wantLN := NewMatrix(T, H)
-		InferLayerNormInto(x, gamma, beta, 1e-5, wantLN)
+		InferAddLayerNormInto(x, nil, gamma, beta, 1e-5, wantLN)
 		gotLN := NewMatrix32(T, H)
 		InferAddLayerNormInto32(Narrow(x), nil, Narrow(gamma), Narrow(beta), 1e-5, gotLN)
 		check("layernorm", wantLN, gotLN, 1e-4)
 
 		resid := randM(T, H)
-		sum := x.Clone()
-		sum.AddInPlace(resid)
-		InferLayerNormInto(sum, gamma, beta, 1e-5, wantLN)
+		InferAddLayerNormInto(x.Clone(), resid, gamma, beta, 1e-5, wantLN)
 		x32 := Narrow(x)
 		InferAddLayerNormInto32(x32, Narrow(resid), Narrow(gamma), Narrow(beta), 1e-5, x32)
 		check("add+layernorm", wantLN, x32, 1e-4)
@@ -535,22 +533,25 @@ func benchBatchLens(rng *rand.Rand) (lens []int, T int) {
 var linearShapes = []struct{ K, N int }{{48, 48}, {48, 96}, {96, 48}}
 
 // BenchmarkLinearF64 runs the float64 linear at the default encoder's
-// three weight shapes over 512 token rows and reports ns/row.
+// three weight shapes over 512 token rows on every GEMM tier the host has
+// and reports ns/row.
 func BenchmarkLinearF64(b *testing.B) {
-	for _, shape := range linearShapes {
-		b.Run(fmt.Sprintf("%dx%d", shape.K, shape.N), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(5))
-			const rows = 512
-			w := randMatrix(rng, shape.K, shape.N)
-			bias := randMatrix(rng, 1, shape.N)
-			x := randMatrix(rng, rows, shape.K)
-			out := NewMatrix(rows, shape.N)
-			for b.Loop() {
-				InferLinearInto(x, w, bias, out)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-		})
-	}
+	withF64Backends(func(tier string) {
+		for _, shape := range linearShapes {
+			b.Run(fmt.Sprintf("%s/%dx%d", tier, shape.K, shape.N), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(5))
+				const rows = 512
+				w := randMatrix(rng, shape.K, shape.N)
+				bias := randMatrix(rng, 1, shape.N)
+				x := randMatrix(rng, rows, shape.K)
+				out := NewMatrix(rows, shape.N)
+				for b.Loop() {
+					InferLinearInto(x, w, bias, out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+		}
+	})
 }
 
 // BenchmarkLinearInt8 runs the int8 linear at the default encoder's three

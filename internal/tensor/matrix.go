@@ -147,7 +147,8 @@ func panelRows(cols int) int {
 // one. Both blockings keep k ascending per output element, so results are
 // bitwise identical to the naive triple loop, and every product is rounded
 // before it is added (float64(a*b)), so no compiler fuses the two. It is
-// the portable GEMM and the mirror gemmF64Asm is tested against.
+// the portable GEMM and the mirror gemmF64AVX2 and gemmF64AVX512 are
+// tested against.
 func matMulRowsGo(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
 	bk := panelRows(b.Cols)
 	n := b.Cols

@@ -237,15 +237,18 @@ func checkLinearMatchesGo(t *testing.T, rng *rand.Rand, rows, K, N int, withBias
 	checkGuard(t, name, got)
 }
 
-// FuzzInferLinear checks the float64 linear (the AVX2 GEMM with its fused
-// bias where the host has it) bit for bit against matMulRowsGo over fuzzed
-// shapes (rows 1–40, K 0–128, N 1–720), seeds, bias presence and density
-// of special values (-0, ±Inf, NaN, subnormals).
+// FuzzInferLinear checks the float64 linear (the GEMM with its fused bias)
+// bit for bit against matMulRowsGo on every tier the host has (pure Go,
+// AVX2, AVX-512) over fuzzed shapes (rows 1–40, K 0–128, N 1–720), seeds,
+// bias presence and density of special values (-0, ±Inf, NaN,
+// subnormals).
 func FuzzInferLinear(f *testing.F) {
 	f.Add(uint8(9), uint8(48), uint16(96), int64(1), true, uint8(0))
 	f.Add(uint8(3), uint8(97), uint16(700), int64(2), false, uint8(7))
 	f.Fuzz(func(t *testing.T, rows8, k8 uint8, n16 uint16, seed int64, withBias bool, every uint8) {
 		rows, K, N := 1+int(rows8)%40, int(k8)%129, 1+int(n16)%720
-		checkLinearMatchesGo(t, rand.New(rand.NewSource(seed)), rows, K, N, withBias, int(every))
+		withF64Backends(func(string) {
+			checkLinearMatchesGo(t, rand.New(rand.NewSource(seed)), rows, K, N, withBias, int(every))
+		})
 	})
 }

@@ -3,8 +3,9 @@ package tensor
 import "math"
 
 // SIMD backends. On amd64 the kernels dispatch to AVX2 assembly (and, for
-// the int8 accumulation, AVX-512 VNNI when present) after a runtime CPUID
-// check; pure-Go mirrors cover older hosts and other architectures.
+// the float64 GEMM and the int8 accumulation, AVX-512 when present) after
+// a runtime CPUID check; pure-Go mirrors cover older hosts and other
+// architectures.
 //
 // The float64 kernels (the GEMM behind every linear, attention's QKᵀ and
 // AV, softmax's exp pass and the GELU row) are asm, bitwise equal to their
@@ -25,15 +26,21 @@ import "math"
 // exactly reproducible.
 
 // haveSIMD gates the AVX2 kernels: AVX2 + FMA + OS-enabled YMM state.
-// haveVNNI additionally gates the AVX-512 VNNI int8 matmul kernel.
+// haveAVX512 additionally gates the ZMM float64 GEMM, and haveVNNI the
+// AVX-512 VNNI int8 matmul kernel.
 var (
-	haveSIMD = x86HasAVX2FMA()
-	haveVNNI = haveSIMD && x86HasAVX512VNNI()
+	haveSIMD   = x86HasAVX2FMA()
+	haveAVX512 = haveSIMD && x86HasAVX512F()
+	haveVNNI   = haveSIMD && x86HasAVX512VNNI()
 )
 
 // x86HasAVX2FMA reports CPUID support for AVX2 and FMA with OS-saved YMM
 // registers (implemented in simd_amd64.s).
 func x86HasAVX2FMA() bool
+
+// x86HasAVX512F reports CPUID support for AVX-512 F with OS-saved ZMM and
+// opmask state (implemented in simd_amd64.s).
+func x86HasAVX512F() bool
 
 // x86HasAVX512VNNI reports CPUID support for AVX-512 F/BW/VNNI with
 // OS-saved ZMM and opmask state (implemented in simd_amd64.s).
@@ -104,7 +111,7 @@ func addLayerNormRowAsm(x, resid, gamma, beta []float32, eps float32, out []floa
 //go:noescape
 func attnRowAsm(q, kt, v, scores, out []float32, scale float32, vStride, S int)
 
-// gemmF64Asm is the AVX2 form of matMulRowsGo, bitwise equal to it:
+// gemmF64AVX2 is the AVX2 form of matMulRowsGo, bitwise equal to it:
 // out[i][j] = (Σ_k a[i][k]·b[k][j]) + bias[j] for i < rows and j < n, the
 // sum from +0 with k ascending and each product rounded before it is
 // added, the bias (nil for none, else len ≥ n) added once at the store.
@@ -114,7 +121,25 @@ func attnRowAsm(q, kt, v, scores, out []float32, scale float32, vStride, S int)
 // row.
 //
 //go:noescape
-func gemmF64Asm(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int)
+func gemmF64AVX2(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int)
+
+// gemmF64AVX512 is gemmF64AVX2 on ZMM, bitwise equal to it and to
+// matMulRowsGo: a 4-row × 16-column block keeps eight ZMM accumulators,
+// the last 1–15 columns run as one strip under opmasks, and the last 1–3
+// rows repeat their last row.
+//
+//go:noescape
+func gemmF64AVX512(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int)
+
+// gemmF64 runs the float64 GEMM (gemmF64AVX2's contract) on the widest
+// kernel the host has. Callers check haveSIMD first.
+func gemmF64(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int) {
+	if haveAVX512 {
+		gemmF64AVX512(a, b, bias, out, rows, k, n, lda, ldb, ldo)
+		return
+	}
+	gemmF64AVX2(a, b, bias, out, rows, k, n, lda, ldb, ldo)
+}
 
 // attnAVF64Asm is attention's AV for one head, bitwise the scalar loop:
 // out[i·stride+c] = Σ_j a[i·S+j]·v[j·stride+c] for i < S and c < d, j
@@ -172,15 +197,15 @@ func geluRow(x, out []float64) {
 	geluRowGo(x, out)
 }
 
-// matMulRows overwrites out rows [lo,hi) with a·b (+ bias) on the AVX2
-// GEMM, or on its Go mirror without AVX2.
+// matMulRows overwrites out rows [lo,hi) with a·b (+ bias) on gemmF64,
+// or on its Go mirror without AVX2.
 func matMulRows(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
 	if !haveSIMD {
 		matMulRowsGo(a, b, bias, out, lo, hi)
 		return
 	}
 	if lo < hi {
-		gemmF64Asm(a.Data[lo*a.Cols:hi*a.Cols], b.Data, bias, out.Data[lo*out.Cols:hi*out.Cols],
+		gemmF64(a.Data[lo*a.Cols:hi*a.Cols], b.Data, bias, out.Data[lo*out.Cols:hi*out.Cols],
 			hi-lo, a.Cols, b.Cols, a.Cols, b.Cols, out.Cols)
 	}
 }
@@ -197,7 +222,7 @@ func attentionF64(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, 
 
 // attentionF64Asm is attentionF64Go on the AVX2 kernels, bitwise equal to
 // it. Per sequence, K is transposed once into kt (hidden×S, head h's d×S
-// panel in rows [h·d, (h+1)·d)); per head, gemmF64Asm computes the S×S dot
+// panel in rows [h·d, (h+1)·d)); per head, gemmF64 computes the S×S dot
 // products (c ascending from +0), Go scales each row and softmaxInto
 // normalizes it, and attnAVF64Asm writes AV into out.
 func attentionF64Asm(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
@@ -215,7 +240,7 @@ func attentionF64Asm(q, k, v *Matrix, heads int, lens []int, scores, kt []float6
 		A := scores[:S*S]
 		for h := 0; h < heads; h++ {
 			lo, hi := off*hidden+h*d, (off+S-1)*hidden+(h+1)*d
-			gemmF64Asm(q.Data[lo:hi], panel[h*d*S:(h+1)*d*S], nil, A, S, d, S, hidden, S, S)
+			gemmF64(q.Data[lo:hi], panel[h*d*S:(h+1)*d*S], nil, A, S, d, S, hidden, S, S)
 			for i := 0; i < S; i++ {
 				srow := A[i*S : (i+1)*S]
 				for j := range srow {

@@ -1,9 +1,10 @@
-// AVX2 and AVX-512 VNNI kernels (see simd_amd64.go). The float64 kernels
-// (gemmF64Asm, attnAVF64Asm, expShiftSumAsm, geluF64Asm) are bitwise equal
-// to their Go mirrors: they vectorize across independent outputs only and
-// round every product before adding it (VMULPD then VADDPD, never FMA),
-// and the exp and tanh lanes run the scalar ports' operations in their
-// order, so float64 stays the bitwise-golden path on every amd64 host.
+// AVX2 and AVX-512 kernels (see simd_amd64.go). The float64 kernels
+// (gemmF64AVX2, gemmF64AVX512, attnAVF64Asm, expShiftSumAsm, geluF64Asm)
+// are bitwise equal to their Go mirrors: they vectorize across independent
+// outputs only and round every product before adding it (VMULPD then
+// VADDPD, never FMA), and the exp and tanh lanes run the scalar ports'
+// operations in their order, so float64 stays the bitwise-golden path on
+// every amd64 host.
 // The rest serve the low-precision int8 path.
 
 #include "textflag.h"
@@ -171,6 +172,36 @@ TEXT ·x86HasAVX2FMA(SB), NOSPLIT, $0-1
 	RET
 
 no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func x86HasAVX512F() bool
+//
+// Requires OSXSAVE with full ZMM/opmask state (XCR0[7:5] and [2:1]) and
+// AVX512F (CPUID.7.0:EBX[16]).
+TEXT ·x86HasAVX512F(SB), NOSPLIT, $0-1
+	MOVL $0, AX
+	CPUID
+	CMPL AX, $7
+	JLT  fno
+	MOVL $1, AX
+	CPUID
+	TESTL $(1<<27), CX
+	JZ   fno
+	MOVL $0, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  fno
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	TESTL $(1<<16), BX
+	JZ   fno
+	MOVB $1, ret+0(FP)
+	RET
+
+fno:
 	MOVB $0, ret+0(FP)
 	RET
 
@@ -1225,7 +1256,76 @@ GLOBL f64mask<>(SB), RODATA, $160
 	VMULPD       Y8, Y10, Y11    \
 	VADDPD       Y11, acc, acc
 
-// func gemmF64Asm(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int)
+// GEMMROWZ is GEMMROW on ZMM: the 16-column strip in Z8/Z9.
+#define GEMMROWZ(r, lo, hi) \
+	VBROADCASTSD (r)(R14*1), Z10 \
+	VMULPD       Z8, Z10, Z11    \
+	VMULPD       Z9, Z10, Z12    \
+	VADDPD       Z11, lo, lo     \
+	VADDPD       Z12, hi, hi
+
+// GEMMENTER loads the GEMM arguments both kernels share: a rows in AX,
+// out in DX, rows left in CX, the k bound in bytes in R8, the column
+// bound in bytes at nb, the b and out row strides in bytes in R13 and
+// R10. It jumps to done when there is nothing to write.
+#define GEMMENTER(done) \
+	MOVQ  a_base+0(FP), AX    \
+	MOVQ  out_base+72(FP), DX \
+	MOVQ  rows+96(FP), CX     \
+	MOVQ  k+104(FP), R8       \
+	MOVQ  n+112(FP), R9       \
+	MOVQ  ldb+128(FP), R13    \
+	MOVQ  ldo+136(FP), R10    \
+	SHLQ  $3, R8              \
+	SHLQ  $3, R9              \
+	MOVQ  R9, nb-32(SP)       \
+	SHLQ  $3, R13             \
+	SHLQ  $3, R10             \
+	TESTQ R9, R9              \
+	JZ    done                \
+	TESTQ CX, CX              \
+	JLE   done
+
+// GEMMROWS points BX, R11, R12 at a rows 1–3 of the group at AX and
+// stores out row offsets 1–3 in o1–o3, repeating the last row when fewer
+// than four are left (CX): its values are computed and stored again,
+// and nothing outside the output is touched. R9 and R14 are clobbered.
+#define GEMMROWS \
+	MOVQ    lda+120(FP), R9 \
+	SHLQ    $3, R9          \
+	LEAQ    (AX)(R9*1), BX  \
+	CMPQ    CX, $1          \
+	CMOVQLE AX, BX          \
+	LEAQ    (BX)(R9*1), R11 \
+	CMPQ    CX, $2          \
+	CMOVQLE BX, R11         \
+	LEAQ    (R11)(R9*1), R12 \
+	CMPQ    CX, $3          \
+	CMOVQLE R11, R12        \
+	XORQ    R14, R14        \
+	CMPQ    CX, $1          \
+	CMOVQGT R10, R14        \
+	MOVQ    R14, o1-8(SP)   \
+	LEAQ    (R14)(R10*1), R9 \
+	CMPQ    CX, $2          \
+	CMOVQLE R14, R9         \
+	MOVQ    R9, o2-16(SP)   \
+	LEAQ    (R9)(R10*1), R14 \
+	CMPQ    CX, $3          \
+	CMOVQLE R9, R14         \
+	MOVQ    R14, o3-24(SP)
+
+// GEMMNEXT advances AX and DX four rows and loops to group while rows
+// are left.
+#define GEMMNEXT(group) \
+	MOVQ lda+120(FP), R9 \
+	SHLQ $5, R9          \
+	ADDQ R9, AX          \
+	LEAQ (DX)(R10*4), DX \
+	SUBQ $4, CX          \
+	JG   group
+
+// func gemmF64AVX2(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int)
 //
 // out[i][j] = (Σ_k a[i][k]·b[k][j]) + bias[j] for i < rows, j < n, with
 // row strides lda, ldb and ldo in elements; bias may be nil. Four rows at a
@@ -1235,52 +1335,12 @@ GLOBL f64mask<>(SB), RODATA, $160
 // run in masked strips of up to 4 (Y0, Y2, Y4, Y6; mask in Y15). Every
 // accumulator starts at +0 and adds k ascending over the whole of k, and
 // the bias is added once at the store: the Go loop's order, per element.
-TEXT ·gemmF64Asm(SB), NOSPLIT, $32-144
-	MOVQ a_base+0(FP), AX
-	MOVQ out_base+72(FP), DX
-	MOVQ rows+96(FP), CX
-	MOVQ k+104(FP), R8
-	MOVQ n+112(FP), R9
-	MOVQ ldb+128(FP), R13
-	MOVQ ldo+136(FP), R10
-	SHLQ $3, R8              // k bound in bytes
-	SHLQ $3, R9
-	MOVQ R9, nb-32(SP)       // column bound in bytes
-	SHLQ $3, R13             // b row stride in bytes
-	SHLQ $3, R10             // out row stride in bytes
-	TESTQ R9, R9
-	JZ   gdone
-	TESTQ CX, CX
-	JLE  gdone
+TEXT ·gemmF64AVX2(SB), NOSPLIT, $32-144
+	GEMMENTER(gdone)
 
 ggroup:
-	// a rows 1–3 in BX, R11, R12 and out row offsets 1–3 in o1–o3,
-	// repeating the last row when fewer than four are left.
-	MOVQ    lda+120(FP), R9
-	SHLQ    $3, R9
-	LEAQ    (AX)(R9*1), BX
-	CMPQ    CX, $1
-	CMOVQLE AX, BX
-	LEAQ    (BX)(R9*1), R11
-	CMPQ    CX, $2
-	CMOVQLE BX, R11
-	LEAQ    (R11)(R9*1), R12
-	CMPQ    CX, $3
-	CMOVQLE R11, R12
-	XORQ    R14, R14
-	CMPQ    CX, $1
-	CMOVQGT R10, R14
-	MOVQ    R14, o1-8(SP)
-	LEAQ    (R14)(R10*1), R9
-	CMPQ    CX, $2
-	CMOVQLE R14, R9
-	MOVQ    R9, o2-16(SP)
-	LEAQ    (R9)(R10*1), R14
-	CMPQ    CX, $3
-	CMOVQLE R9, R14
-	MOVQ    R14, o3-24(SP)
-	XORQ    R9, R9           // column byte offset
-
+	GEMMROWS
+	XORQ R9, R9              // column byte offset
 gstrip8:
 	LEAQ 64(R9), DI
 	CMPQ DI, nb-32(SP)
@@ -1400,14 +1460,122 @@ gput4:
 	JMP        gtail
 
 gnext:
-	MOVQ lda+120(FP), R9
-	SHLQ $5, R9              // four a rows in bytes
-	ADDQ R9, AX
-	LEAQ (DX)(R10*4), DX     // four out rows
-	SUBQ $4, CX
-	JG   ggroup
+	GEMMNEXT(ggroup)
 
 gdone:
+	VZEROUPPER
+	RET
+
+// Opmasks for 0–16 live float64 columns of a 16-column ZMM strip: entry
+// c (at byte 2·c) enables columns 0..c-1; its low byte masks the strip's
+// first eight columns and its high byte the second eight.
+DATA gemmzmask<>+0(SB)/2, $0x0000
+DATA gemmzmask<>+2(SB)/2, $0x0001
+DATA gemmzmask<>+4(SB)/2, $0x0003
+DATA gemmzmask<>+6(SB)/2, $0x0007
+DATA gemmzmask<>+8(SB)/2, $0x000F
+DATA gemmzmask<>+10(SB)/2, $0x001F
+DATA gemmzmask<>+12(SB)/2, $0x003F
+DATA gemmzmask<>+14(SB)/2, $0x007F
+DATA gemmzmask<>+16(SB)/2, $0x00FF
+DATA gemmzmask<>+18(SB)/2, $0x01FF
+DATA gemmzmask<>+20(SB)/2, $0x03FF
+DATA gemmzmask<>+22(SB)/2, $0x07FF
+DATA gemmzmask<>+24(SB)/2, $0x0FFF
+DATA gemmzmask<>+26(SB)/2, $0x1FFF
+DATA gemmzmask<>+28(SB)/2, $0x3FFF
+DATA gemmzmask<>+30(SB)/2, $0x7FFF
+DATA gemmzmask<>+32(SB)/2, $0xFFFF
+GLOBL gemmzmask<>(SB), RODATA, $34
+
+// func gemmF64AVX512(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int)
+//
+// gemmF64AVX2's contract on ZMM: four rows at a time (the last group of
+// 1–3 repeats its last row), a 16-column strip keeps the four rows in
+// Z0–Z7 (row r in Z(2r), Z(2r+1)), and b loads twice per k. The last
+// 1–15 columns run as one more strip under the opmasks K1 (its first
+// eight columns) and K2 (the second eight): masked-off lanes are neither
+// loaded nor stored. Every accumulator starts at +0 and adds k ascending,
+// and the bias is added once at the store, as in the Go loop.
+TEXT ·gemmF64AVX512(SB), NOSPLIT, $32-144
+	GEMMENTER(zdone)
+
+zgroup:
+	GEMMROWS
+	XORQ R9, R9              // column byte offset
+
+zstrip:
+	MOVQ     nb-32(SP), DI
+	SUBQ     R9, DI          // column bytes left
+	JLE      znext
+	MOVQ     $128, SI
+	CMPQ     DI, SI
+	CMOVQGT  SI, DI
+	SHRQ     $2, DI          // min(16, columns left), times 2
+	LEAQ     gemmzmask<>(SB), SI
+	KMOVW    (SI)(DI*1), K1
+	KSHIFTRW $8, K1, K2
+	VXORPD Z0, Z0, Z0
+	VXORPD Z1, Z1, Z1
+	VXORPD Z2, Z2, Z2
+	VXORPD Z3, Z3, Z3
+	VXORPD Z4, Z4, Z4
+	VXORPD Z5, Z5, Z5
+	VXORPD Z6, Z6, Z6
+	VXORPD Z7, Z7, Z7
+	MOVQ  b_base+24(FP), DI
+	ADDQ  R9, DI             // b[0][j]
+	XORQ  R14, R14
+	TESTQ R8, R8
+	JZ    zstore
+
+zk:
+	VMOVUPD.Z (DI), K1, Z8
+	VMOVUPD.Z 64(DI), K2, Z9
+	GEMMROWZ(AX, Z0, Z1)
+	GEMMROWZ(BX, Z2, Z3)
+	GEMMROWZ(R11, Z4, Z5)
+	GEMMROWZ(R12, Z6, Z7)
+	ADDQ R13, DI
+	ADDQ $8, R14
+	CMPQ R14, R8
+	JLT  zk
+
+zstore:
+	MOVQ  bias_base+48(FP), DI
+	TESTQ DI, DI
+	JZ    zput
+	VMOVUPD.Z (DI)(R9*1), K1, Z8
+	VMOVUPD.Z 64(DI)(R9*1), K2, Z9
+	VADDPD    Z8, Z0, Z0
+	VADDPD    Z9, Z1, Z1
+	VADDPD    Z8, Z2, Z2
+	VADDPD    Z9, Z3, Z3
+	VADDPD    Z8, Z4, Z4
+	VADDPD    Z9, Z5, Z5
+	VADDPD    Z8, Z6, Z6
+	VADDPD    Z9, Z7, Z7
+
+zput:
+	LEAQ    (DX)(R9*1), SI
+	VMOVUPD Z0, K1, (SI)
+	VMOVUPD Z1, K2, 64(SI)
+	MOVQ    o1-8(SP), DI
+	VMOVUPD Z2, K1, (SI)(DI*1)
+	VMOVUPD Z3, K2, 64(SI)(DI*1)
+	MOVQ    o2-16(SP), DI
+	VMOVUPD Z4, K1, (SI)(DI*1)
+	VMOVUPD Z5, K2, 64(SI)(DI*1)
+	MOVQ    o3-24(SP), DI
+	VMOVUPD Z6, K1, (SI)(DI*1)
+	VMOVUPD Z7, K2, 64(SI)(DI*1)
+	ADDQ    $128, R9
+	JMP     zstrip
+
+znext:
+	GEMMNEXT(zgroup)
+
+zdone:
 	VZEROUPPER
 	RET
 

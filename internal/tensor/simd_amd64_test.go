@@ -38,6 +38,24 @@ func withQuantBackends(fn func(backend string)) {
 	}
 }
 
+// withF64Backends calls fn once per float64 kernel tier this host can
+// run (pure Go, AVX2, AVX-512), with the dispatch gates set to select it,
+// and restores the gates afterwards.
+func withF64Backends(fn func(tier string)) {
+	simd, avx512 := haveSIMD, haveAVX512
+	defer func() { haveSIMD, haveAVX512 = simd, avx512 }()
+	haveSIMD, haveAVX512 = false, false
+	fn("go")
+	if simd {
+		haveSIMD = true
+		fn("avx2")
+	}
+	if avx512 {
+		haveAVX512 = true
+		fn("avx512")
+	}
+}
+
 // tileGuard is the sentinel the tile kernel tests fill past the end of
 // each output slice; a kernel that writes beyond its rows overwrites it.
 const tileGuard = 0x5EA1
@@ -266,46 +284,51 @@ func TestExpGeluVectorKernels(t *testing.T) {
 	}
 }
 
-// TestF64GemmKernelsMatchGo pins gemmF64Asm, behind InferLinearInto, to
-// matMulRowsGo bit for bit: every row count through two groups of four
-// plus a tail, K on both sides of the 4-k unroll and the bench widths, N
-// through every 8-column strip and masked tail up to 17 plus the encoder
-// widths and the 700-wide MLM head, with and without a bias, on plain
-// inputs and on inputs laced with -0, ±Inf, NaN and subnormals, without
-// writing past the output.
+// TestF64GemmKernelsMatchGo pins the GEMM behind InferLinearInto to
+// matMulRowsGo bit for bit on every tier: every row count through two
+// groups of four plus a tail, K on both sides of the 4-k unroll and the
+// bench widths, N through every 8- and 16-column strip and masked tail up
+// to 33 plus the encoder widths and the 700-wide MLM head, with and
+// without a bias, on plain inputs and on inputs laced with -0, ±Inf, NaN
+// and subnormals, without writing past the output.
 func TestF64GemmKernelsMatchGo(t *testing.T) {
-	if !haveSIMD {
-		t.Skip("no AVX2/FMA on this host")
-	}
-	rng := rand.New(rand.NewSource(30))
 	ns := []int{48, 96, 700}
-	for n := 1; n <= 17; n++ {
+	for n := 1; n <= 33; n++ {
 		ns = append(ns, n)
 	}
-	for rows := 1; rows <= 9; rows++ {
-		for _, K := range []int{1, 3, 4, 5, 47, 48, 96, 97} {
-			for _, N := range ns {
-				for _, withBias := range []bool{false, true} {
-					for _, every := range []int{0, 5} {
-						checkLinearMatchesGo(t, rng, rows, K, N, withBias, every)
+	withF64Backends(func(tier string) {
+		t.Run(tier, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(30))
+			for rows := 1; rows <= 9; rows++ {
+				for _, K := range []int{1, 3, 4, 5, 47, 48, 96, 97} {
+					for _, N := range ns {
+						for _, withBias := range []bool{false, true} {
+							for _, every := range []int{0, 5} {
+								checkLinearMatchesGo(t, rng, rows, K, N, withBias, every)
+							}
+						}
 					}
 				}
 			}
-		}
-	}
+		})
+	})
 }
 
 // TestF64AttentionMatchesGo runs packed batches of several sequences
-// through attentionF64Asm and attentionF64Go and requires the same bits,
-// across head widths that take full and masked 4-lane strips and
-// sequence lengths on both sides of each strip edge. Inputs come plain,
-// laced with special values, and scaled up so that softmax weights
-// underflow to exactly 0 against a V holding infinities: the kernel must
-// skip those weights as the scalar loop does.
+// through the dispatched attention and attentionF64Go on every tier and
+// requires the same bits, across head widths that take full and masked
+// 4-lane strips and sequence lengths on both sides of each strip edge
+// (QKᵀ's GEMM is S columns wide). Inputs come plain, laced with special
+// values, and scaled up so that softmax weights underflow to exactly 0
+// against a V holding infinities: the kernel must skip those weights as
+// the scalar loop does.
 func TestF64AttentionMatchesGo(t *testing.T) {
-	if !haveSIMD {
-		t.Skip("no AVX2/FMA on this host")
-	}
+	withF64Backends(func(tier string) {
+		t.Run(tier, testF64AttentionMatchesGo)
+	})
+}
+
+func testF64AttentionMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	lengths := []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 20}
 	for _, d := range []int{1, 2, 3, 4, 5, 8, 12, 16, 20} {
@@ -333,7 +356,7 @@ func TestF64AttentionMatchesGo(t *testing.T) {
 					got := guardedMatrix(T, hidden, 8)
 					got.Fill(3) // the kernel overwrites every output
 					attentionF64Go(q, k, v, heads, lens, scores, kt, want)
-					attentionF64Asm(q, k, v, heads, lens, scores, kt, got)
+					attentionF64(q, k, v, heads, lens, scores, kt, got)
 					name := fmt.Sprintf("d=%d heads=%d lens=%v scale=%g every=%d", d, heads, lens, input.scale, input.every)
 					sameBits64(t, name, got.Data, want.Data)
 					checkGuard(t, name, got)
