@@ -87,6 +87,9 @@ type testReplica struct {
 
 	reloads       chan string // versions served by the stub /reload
 	unreadyWindow time.Duration
+	// scoreStatus, when set, is the HTTP status /score answers with while
+	// every other route, the probes included, keeps working.
+	scoreStatus atomic.Int32
 }
 
 func newTestReplica(t *testing.T) *testReplica {
@@ -141,6 +144,13 @@ func newReplicaOver(t *testing.T, svc *stream.Service) *testReplica {
 		}
 		inner.ServeHTTP(w, r)
 	})
+	mux.HandleFunc("/score", func(w http.ResponseWriter, r *http.Request) {
+		if code := rep.scoreStatus.Load(); code != 0 {
+			http.Error(w, "score unavailable", int(code))
+			return
+		}
+		inner.ServeHTTP(w, r)
+	})
 	mux.Handle("/", inner)
 	rep.srv = httptest.NewServer(rep.fault.Wrap(mux))
 	t.Cleanup(func() {
@@ -172,11 +182,6 @@ func newTestRouter(t *testing.T, mutate func(*Config), reps ...*testReplica) *Ro
 		Replicas:       addrs,
 		ProbeInterval:  20 * time.Millisecond,
 		RequestTimeout: 5 * time.Second,
-		RetryMax:       3,
-		RetryBase:      5 * time.Millisecond,
-		RetryCap:       50 * time.Millisecond,
-		ReloadWait:     5 * time.Second,
-		Seed:           42,
 		Logf:           t.Logf,
 	}
 	if mutate != nil {

@@ -40,19 +40,39 @@ func (rt *Router) RollingReload(ctx context.Context, dir string) ([]ReplicaReloa
 	if dir == "" {
 		dir = rt.cfg.BundleDir
 	}
+	wait, poll := rt.cfg.reloadWait(), rt.cfg.ProbeInterval/2
 	var done []ReplicaReload
 	for _, rep := range rt.reps {
 		drained := len(rt.reps) > 1
 		if drained {
-			if err := rt.waitOthersReady(ctx, rep); err != nil {
+			lagging := ""
+			err := waitUntil(ctx, wait, poll, func() bool {
+				lagging = rt.lagging(rep)
+				return lagging == ""
+			})
+			if err == nil && lagging != "" {
+				err = fmt.Errorf("replica %s not healthy (one-out-at-a-time guard)", lagging)
+			}
+			if err != nil {
 				return done, fmt.Errorf("fleet: reload halted before %s: %w", rep.addr, err)
 			}
 			rt.setDraining(rep, true)
-			rt.waitIdle(ctx, rep)
+			// Let in-flight data-path calls settle, but bounded: a wedged
+			// call must not hang the deploy — the reload proceeds and the
+			// straggler fails over like any transport error. A cancelled
+			// ctx fails the reload call next.
+			waitUntil(ctx, wait, 10*time.Millisecond, func() bool { return rep.inflight.Load() == 0 })
 		}
 		version, err := rt.reloadOne(ctx, rep, dir)
 		if err == nil {
-			err = rt.waitReadyz(ctx, rep)
+			ready := false
+			err = waitUntil(ctx, wait, poll, func() bool {
+				ready = rt.checkReady(rep)
+				return ready
+			})
+			if err == nil && !ready {
+				err = fmt.Errorf("not ready within %s after reload", wait)
+			}
 		}
 		if drained {
 			rt.setDraining(rep, false)
@@ -62,7 +82,7 @@ func (rt *Router) RollingReload(ctx context.Context, dir string) ([]ReplicaReloa
 		}
 		// The replica answered /readyz itself; don't make its users wait
 		// readmitAfter probe ticks to come home.
-		rt.forceReady(rep)
+		rt.admit(rep, true, readmitAfter)
 		done = append(done, ReplicaReload{Addr: rep.addr, Version: version})
 		rt.cfg.Logf("fleet: replica %s reloaded to %s", rep.addr, version)
 	}
@@ -76,129 +96,31 @@ func (rt *Router) setDraining(rep *replica, v bool) {
 	rt.mu.Unlock()
 }
 
-// forceReady readmits a replica that just answered /readyz directly,
-// short-circuiting the probe state machine.
-func (rt *Router) forceReady(rep *replica) {
-	if !rt.verifyConfigIfNeeded(rep) {
-		return
-	}
+// lagging names a replica other than rep that is not healthy (ready,
+// config-verified, not draining), or returns "" when there is none.
+func (rt *Router) lagging(rep *replica) string {
 	rt.mu.Lock()
-	rep.consecFails = 0
-	rep.consecOKs = readmitAfter
-	if !rep.ready && rep.cfgOK {
-		rep.ready = true
-		rep.readmissions++
-	}
-	rt.rebuildRingLocked()
-	rt.mu.Unlock()
-}
-
-func (rt *Router) verifyConfigIfNeeded(rep *replica) bool {
-	rt.mu.Lock()
-	ok := rep.cfgOK
-	rt.mu.Unlock()
-	if ok {
-		return true
-	}
-	return rt.verifyConfig(rep)
-}
-
-// waitOthersReady blocks until every replica other than rep is healthy
-// (ready, config-verified, not draining), or ReloadWait/ctx expires.
-func (rt *Router) waitOthersReady(ctx context.Context, rep *replica) error {
-	deadline := time.Now().Add(rt.cfg.ReloadWait)
-	for {
-		rt.mu.Lock()
-		lagging := ""
-		for _, other := range rt.reps {
-			if other != rep && !(other.ready && other.cfgOK && !other.draining) {
-				lagging = other.addr
-				break
-			}
-		}
-		rt.mu.Unlock()
-		if lagging == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replica %s not healthy (one-out-at-a-time guard)", lagging)
-		}
-		if err := sleepCtx(ctx, rt.cfg.ProbeInterval/2); err != nil {
-			return err
+	defer rt.mu.Unlock()
+	for _, other := range rt.reps {
+		if other != rep && !(other.ready && other.cfgOK && !other.draining) {
+			return other.addr
 		}
 	}
-}
-
-// waitIdle waits for rep's in-flight data-path calls to settle (bounded;
-// a wedged call must not hang the deploy — the reload proceeds and the
-// straggler fails over like any transport error).
-func (rt *Router) waitIdle(ctx context.Context, rep *replica) {
-	deadline := time.Now().Add(rt.cfg.ReloadWait)
-	for rep.inflight.Load() > 0 && time.Now().Before(deadline) {
-		if err := sleepCtx(ctx, 10*time.Millisecond); err != nil {
-			return
-		}
-	}
+	return ""
 }
 
 // reloadOne POSTs /reload?bundle=dir to one replica and returns the new
 // bundle version.
 func (rt *Router) reloadOne(ctx context.Context, rep *replica, dir string) (string, error) {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ReloadWait)
-	defer cancel()
-	u := rep.addr + "/reload"
+	path := "/reload"
 	if dir != "" {
-		u += "?bundle=" + url.QueryEscape(dir)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("HTTP %d: %s", resp.StatusCode, body)
+		path += "?bundle=" + url.QueryEscape(dir)
 	}
 	var out struct {
 		Version string `json:"version"`
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return "", err
-	}
-	return out.Version, nil
-}
-
-// waitReadyz polls the replica's /readyz until it answers 200 or
-// ReloadWait/ctx expires.
-func (rt *Router) waitReadyz(ctx context.Context, rep *replica) error {
-	deadline := time.Now().Add(rt.cfg.ReloadWait)
-	for {
-		if rt.checkReady(rep) {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("not ready within %s after reload", rt.cfg.ReloadWait)
-		}
-		if err := sleepCtx(ctx, rt.cfg.ProbeInterval/2); err != nil {
-			return err
-		}
-	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	err := rt.request(ctx, rep, false, rt.cfg.reloadWait(), http.MethodPost, path, nil, func(body io.Reader) error {
+		return json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&out)
+	})
+	return out.Version, err
 }

@@ -23,6 +23,9 @@ import (
 )
 
 // Config parameterizes a Router. Zero values take the documented defaults.
+// Retries and rolling reloads have no settings of their own: the retry
+// backoff scales with ProbeInterval, the reload waits with RequestTimeout,
+// and each replica gets 4 attempts per chunk.
 type Config struct {
 	// Replicas are the downstream clmserve base URLs
 	// (e.g. http://127.0.0.1:8081). At least one is required; membership is
@@ -30,34 +33,23 @@ type Config struct {
 	// membership).
 	Replicas []string
 	// ProbeInterval is the health-probe period per replica, and the bound
-	// on each probe request (default 500ms).
+	// on each probe request (default 500ms). The retry backoff scales with
+	// it: ProbeInterval/10 before the first retry, doubling up to
+	// 4×ProbeInterval.
 	ProbeInterval time.Duration
 	// RequestTimeout bounds each proxied /score, export, and import call
-	// (default 15s).
+	// (default 15s). Twice it bounds, per replica, each wait inside a
+	// rolling reload.
 	RequestTimeout time.Duration
-	// RetryMax is the attempt budget per target for retryable failures
-	// (429/5xx) before giving up on it; RetryBase/RetryCap shape the capped
-	// exponential backoff between attempts (jittered; Retry-After from a
-	// 429 overrides when longer). Defaults 4, 50ms, 2s.
-	RetryMax  int
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// Chunk caps events per proxied Submit (default 512).
 	Chunk int
 	// BundleDir is the default rolling-reload source (empty: /reload
 	// requires ?bundle=dir).
 	BundleDir string
-	// ReloadWait bounds, per replica, the waits inside a rolling reload:
-	// for the rest of the fleet to be healthy, for the drained replica to
-	// go idle, and for /readyz after the reload. Default 30s.
-	ReloadWait time.Duration
 	// Client is the HTTP client for all downstream calls (default: a
 	// dedicated client with no global timeout — per-call contexts bound
 	// every request).
 	Client *http.Client
-	// Seed seeds backoff jitter and fixes it for reproducible tests
-	// (default 1).
-	Seed int64
 	// Logf receives operational events (ejections, readmissions, failovers,
 	// reloads). Default: discard.
 	Logf func(format string, args ...any)
@@ -69,6 +61,24 @@ type Config struct {
 // only smooth flapping.
 const ejectAfter, readmitAfter = 2, 2
 
+// retryAttempts is the attempt budget per target for retryable failures
+// (429/5xx) before the router gives up on it; jitterSeed seeds the backoff
+// jitter, so a run's retry delays replay.
+const retryAttempts, jitterSeed = 4, 1
+
+// backoff returns the delay before the first retry and the cap the
+// jittered exponential backoff doubles up to: 50ms and 2s at the default
+// ProbeInterval. A 429's Retry-After overrides when longer.
+func (c Config) backoff() (base, ceiling time.Duration) {
+	return c.ProbeInterval / 10, 4 * c.ProbeInterval
+}
+
+// reloadWait bounds, per replica, each wait inside a rolling reload: for
+// the rest of the fleet to be healthy, for the drained replica to go idle,
+// for its /reload, and for /readyz after it. 30s at the default
+// RequestTimeout.
+func (c Config) reloadWait() time.Duration { return 2 * c.RequestTimeout }
+
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
@@ -76,26 +86,11 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 15 * time.Second
 	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 4
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 2 * time.Second
-	}
 	if c.Chunk <= 0 {
 		c.Chunk = 512
 	}
-	if c.ReloadWait <= 0 {
-		c.ReloadWait = 30 * time.Second
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -172,7 +167,7 @@ func New(cfg Config) (*Router, error) {
 		owners:  make(map[string]string),
 		shadows: make(map[string]*stream.SessionWindow),
 		ring:    BuildRing(nil),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     rand.New(rand.NewSource(jitterSeed)),
 		stop:    make(chan struct{}),
 	}
 	for _, a := range cfg.Replicas {
@@ -230,63 +225,31 @@ func (rt *Router) probeLoop(rep *replica) {
 	}
 }
 
-// probeOnce checks /readyz and, on the edge back to healthy, re-verifies
-// the replica's session config and modality off /stats before readmitting:
-// a replica whose semantics drifted from the fleet's never rejoins the
-// ring, because mirrored shadow windows and migrated checkpoints would
-// silently mis-score there.
-func (rt *Router) probeOnce(rep *replica) {
-	ok := rt.checkReady(rep)
-	if ok {
-		rt.mu.Lock()
-		verified := rep.cfgOK
-		rt.mu.Unlock()
-		if !verified {
-			ok = rt.verifyConfig(rep)
-		}
-	}
-	rt.noteProbe(rep, ok)
-}
+// probeOnce checks /readyz and advances rep's state machine by the answer.
+func (rt *Router) probeOnce(rep *replica) { rt.admit(rep, rt.checkReady(rep), 1) }
 
 func (rt *Router) checkReady(rep *replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeInterval)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.addr+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	return rt.request(context.Background(), rep, false, rt.cfg.ProbeInterval, http.MethodGet, "/readyz", nil, nil) == nil
 }
 
-// verifyConfig fetches /stats and checks the replica's session config and
-// modality against the fleet's. The first verified replica donates the
-// fleet-wide reference.
+// verifyConfig reports whether rep's session config and modality match the
+// fleet's, fetching its /stats unless it is verified already. The first
+// verified replica donates the fleet-wide reference.
 func (rt *Router) verifyConfig(rep *replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeInterval)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.addr+"/stats", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false
+	rt.mu.Lock()
+	verified := rep.cfgOK
+	rt.mu.Unlock()
+	if verified {
+		return true
 	}
 	var st struct {
 		Config   stream.Config `json:"config"`
 		Modality string        `json:"modality"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
+	err := rt.request(context.Background(), rep, false, rt.cfg.ProbeInterval, http.MethodGet, "/stats", nil, func(body io.Reader) error {
+		return json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&st)
+	})
+	if err != nil {
 		return false
 	}
 	rt.mu.Lock()
@@ -307,15 +270,21 @@ func (rt *Router) verifyConfig(rep *replica) bool {
 	return true
 }
 
-// noteProbe advances the ejection/readmission state machine: ejectAfter
-// consecutive failures take a replica out of the ring, readmitAfter
-// consecutive successes put it back.
-func (rt *Router) noteProbe(rep *replica, ok bool) {
+// admit advances the ejection/readmission state machine by one /readyz
+// answer, which counts as oks successes when ok: ejectAfter consecutive
+// failures take a replica out of the ring, readmitAfter consecutive
+// successes put it back. A passing answer counts only once the replica's
+// session config and modality are re-verified off /stats (verifyConfig):
+// a replica whose semantics drifted from the fleet's never rejoins the
+// ring, because mirrored shadow windows and migrated checkpoints would
+// silently mis-score there.
+func (rt *Router) admit(rep *replica, ok bool, oks int) {
+	ok = ok && rt.verifyConfig(rep)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if ok {
 		rep.consecFails = 0
-		rep.consecOKs++
+		rep.consecOKs += oks
 		if !rep.ready && rep.consecOKs >= readmitAfter && rep.cfgOK {
 			rep.ready = true
 			rep.readmissions++
@@ -523,16 +492,13 @@ func (rt *Router) partition(evs []serve.RawEvent, pending []int) map[string][]in
 // the caller should re-route them.
 func (rt *Router) deliverGroup(ctx context.Context, addr string, evs []serve.RawEvent, pos []int, out *scatter) ([]int, error) {
 	rep := rt.byAddr[addr]
-	if rep == nil {
-		return pos, errFailover
-	}
 	if err := rt.migrate(ctx, rep, evs, pos); err != nil {
 		rt.eject(rep, fmt.Sprintf("session import failed: %v", err))
 		return pos, fmt.Errorf("%w: %v", errFailover, err)
 	}
-	backoff := rt.cfg.RetryBase
+	delay, ceiling := rt.cfg.backoff()
 	lastClass := classInternal
-	for attempt := 0; attempt < rt.cfg.RetryMax; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
 			rt.retries.Add(1)
 		}
@@ -550,25 +516,25 @@ func (rt *Router) deliverGroup(ctx context.Context, addr string, evs []serve.Raw
 		}
 		lastClass = class
 		switch class {
-		case classTransport, classNotReady:
-			// The connection tore or the replica bounced mid-stream: events
-			// past the last verdict may be half-ingested with no verdict to
-			// show. Eject — its window state is superseded by the shadows —
-			// and fail the remainder over.
+		case classTransport:
+			// The connection tore, the replica bounced mid-stream, or it
+			// answered 503: events past the last verdict may be
+			// half-ingested with no verdict to show. Eject — its window
+			// state is superseded by the shadows — and fail the remainder
+			// over.
 			rt.eject(rep, fmt.Sprintf("score failed: %v", err))
 			return pos, fmt.Errorf("%w: %v", errFailover, err)
-		case classOverloaded:
-			// Shed is pre-ingestion by contract, so the same target retries
-			// safely; honor Retry-After when it outlasts our own backoff.
-			if !rt.sleepBackoff(ctx, &backoff, retryAfter) {
-				return pos, ctx.Err()
+		case classOverloaded, classInternal:
+			// Shed is pre-ingestion by contract, and an internal error
+			// rolled the batch back server-side (Process aborts
+			// atomically), so the same target retries safely after a
+			// jittered backoff; a 429's Retry-After wins when it outlasts
+			// our own.
+			d := rt.jitter(delay, retryAfter)
+			if err := waitUntil(ctx, d, d, nil); err != nil {
+				return pos, err
 			}
-		case classInternal:
-			// The batch rolled back server-side (Process aborts atomically);
-			// retry the same target after backoff.
-			if !rt.sleepBackoff(ctx, &backoff, 0) {
-				return pos, ctx.Err()
-			}
+			delay = min(2*delay, ceiling)
 		case classUnparsable:
 			// The replica rejected an event line the router sent, which is
 			// always canonical: a protocol bug, not a fleet-health problem.
@@ -590,34 +556,40 @@ func (rt *Router) deliverGroup(ctx context.Context, addr string, evs []serve.Raw
 	// eject it and fail the remainder over.
 	if lastClass == classOverloaded {
 		return pos, fmt.Errorf("fleet: replica %s still overloaded after %d attempts: %w",
-			addr, rt.cfg.RetryMax, stream.ErrOverloaded)
+			addr, retryAttempts, stream.ErrOverloaded)
 	}
 	rt.eject(rep, "retry budget exhausted")
 	return pos, fmt.Errorf("%w: %s retry budget exhausted", errFailover, addr)
 }
 
-// sleepBackoff sleeps the jittered capped-exponential delay (or
-// retryAfter when longer), returning false if ctx expired first.
-func (rt *Router) sleepBackoff(ctx context.Context, backoff *time.Duration, retryAfter time.Duration) bool {
-	d := *backoff
-	*backoff *= 2
-	if *backoff > rt.cfg.RetryCap {
-		*backoff = rt.cfg.RetryCap
-	}
+// jitter draws a retry delay uniformly from [d/2, d], or returns
+// retryAfter when that is longer.
+func (rt *Router) jitter(d, retryAfter time.Duration) time.Duration {
 	rt.rngMu.Lock()
-	jittered := d/2 + time.Duration(rt.rng.Int63n(int64(d/2)+1))
+	d = d/2 + time.Duration(rt.rng.Int63n(int64(d/2)+1))
 	rt.rngMu.Unlock()
-	if retryAfter > jittered {
-		jittered = retryAfter
+	return max(d, retryAfter)
+}
+
+// waitUntil polls done every step until it holds or limit has passed, and
+// returns ctx's error if ctx ends first. A nil done never holds, so
+// waitUntil(ctx, d, d, nil) sleeps d.
+func waitUntil(ctx context.Context, limit, step time.Duration, done func() bool) error {
+	deadline := time.Now().Add(limit)
+	for done == nil || !done() {
+		left := time.Until(deadline)
+		if left <= 0 {
+			return nil
+		}
+		t := time.NewTimer(min(left, step))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		case <-t.C:
+		}
 	}
-	t := time.NewTimer(jittered)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
+	return nil
 }
 
 // ---- session migration ----
@@ -659,7 +631,7 @@ func (rt *Router) migrate(ctx context.Context, target *replica, evs []serve.RawE
 		var buf *bytes.Buffer
 		old := rt.byAddr[oldAddr]
 		rt.mu.Lock()
-		reachable := old != nil && old.ready
+		reachable := old.ready
 		rt.mu.Unlock()
 		if reachable {
 			if b, err := rt.exportFrom(ctx, old, us); err == nil {
@@ -689,55 +661,62 @@ func (rt *Router) migrate(ctx context.Context, target *replica, evs []serve.RawE
 
 // exportFrom pulls the named users' windows off a live replica.
 func (rt *Router) exportFrom(ctx context.Context, rep *replica, users []string) (*bytes.Buffer, error) {
-	rep.inflight.Add(1)
-	defer rep.inflight.Add(-1)
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
-	defer cancel()
-	// One users= parameter per user: a name may hold any byte, a comma too.
-	u := rep.addr + "/sessions/export?" + url.Values{"users": users}.Encode()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("export from %s: HTTP %d", rep.addr, resp.StatusCode)
-	}
 	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, resp.Body); err != nil {
+	// One users= parameter per user: a name may hold any byte, a comma too.
+	path := "/sessions/export?" + url.Values{"users": users}.Encode()
+	err := rt.request(ctx, rep, true, rt.cfg.RequestTimeout, http.MethodPost, path, nil, func(body io.Reader) error {
 		// A torn export body would fail the import checksum anyway; fail
 		// fast here and let the caller fall back to shadows.
-		return nil, err
-	}
-	return &buf, nil
+		_, err := buf.ReadFrom(body)
+		return err
+	})
+	return &buf, err
 }
 
 // importTo lands a checkpoint on target's /sessions/import.
 func (rt *Router) importTo(ctx context.Context, rep *replica, buf *bytes.Buffer) error {
-	rep.inflight.Add(1)
-	defer rep.inflight.Add(-1)
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
+	return rt.request(ctx, rep, true, rt.cfg.RequestTimeout, http.MethodPost, "/sessions/import", buf.Bytes(), nil)
+}
+
+// request makes one call to rep under timeout and hands a 200 reply's body
+// to read (nil: the body is not needed). Any other status is an error
+// carrying the start of the reply. A data-path call (data) counts in
+// rep.inflight, the drain gate of a rolling reload. The rest of the body
+// is drained, so the connection is reused.
+func (rt *Router) request(ctx context.Context, rep *replica, data bool, timeout time.Duration, method, path string, body []byte, read func(io.Reader) error) error {
+	if data {
+		rep.inflight.Add(1)
+		defer rep.inflight.Add(-1)
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.addr+"/sessions/import", bytes.NewReader(buf.Bytes()))
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, rep.addr+path, rd)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
+	}
 	resp, err := rt.cfg.Client.Do(req)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("import to %s: HTTP %d: %s", rep.addr, resp.StatusCode, strings.TrimSpace(string(body)))
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("%s %s: HTTP %d: %s", method, req.URL.Path, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return nil
+	if read == nil {
+		return nil
+	}
+	return read(resp.Body)
 }
 
 // ---- scoring ----
@@ -747,7 +726,6 @@ const (
 	classOK = iota
 	classTransport
 	classOverloaded
-	classNotReady
 	classInternal
 	classUnparsable
 )
@@ -829,16 +807,15 @@ func (rt *Router) scoreOnce(ctx context.Context, rep *replica, evs []serve.RawEv
 		return nil, classTransport, 0, err
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests:
+	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, classOverloaded, parseRetryAfter(resp.Header.Get("Retry-After")), fmt.Errorf("replica %s overloaded", rep.addr)
-	case http.StatusServiceUnavailable:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, classNotReady, 0, fmt.Errorf("replica %s not ready", rep.addr)
-	default:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		switch resp.StatusCode {
+		case http.StatusTooManyRequests:
+			return nil, classOverloaded, parseRetryAfter(resp.Header.Get("Retry-After")), fmt.Errorf("replica %s overloaded", rep.addr)
+		case http.StatusServiceUnavailable:
+			// Not serving, whatever its probes say: fail over.
+			return nil, classTransport, 0, fmt.Errorf("replica %s not ready", rep.addr)
+		}
 		return nil, classInternal, 0, fmt.Errorf("replica %s: HTTP %d", rep.addr, resp.StatusCode)
 	}
 
@@ -940,9 +917,6 @@ func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
 // parseRetryAfter reads a delay-seconds Retry-After value ("1", "2");
 // HTTP-date forms are ignored (treated as no hint).
 func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
 	if secs, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && secs >= 0 {
 		return time.Duration(secs) * time.Second
 	}

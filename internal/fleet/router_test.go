@@ -287,6 +287,9 @@ func TestPersistentOverloadSurfacesAsShed(t *testing.T) {
 	if !errors.Is(err, stream.ErrOverloaded) {
 		t.Fatalf("want ErrOverloaded through the router, got %v", err)
 	}
+	if n := stub.scores.Load(); n != retryAttempts {
+		t.Fatalf("the overloaded replica got %d attempts, want the budget of %d", n, retryAttempts)
+	}
 }
 
 // A response torn mid-stream commits the prefix and fails the suffix over:
@@ -555,5 +558,176 @@ func TestRouterSurfaceLifecycle(t *testing.T) {
 	defer r2.Body.Close()
 	if r2.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("score with dead fleet: want 503, got %d", r2.StatusCode)
+	}
+}
+
+// A replica whose probes pass but whose /score answers 503 is not
+// serving, whatever its /readyz says: the router ejects it without a
+// retry and fails its chunk over, and the verdicts still match a single
+// node.
+func TestScoreUnavailableEjectsAndFailsOver(t *testing.T) {
+	reps := []*testReplica{newTestReplica(t), newTestReplica(t)}
+	rt := newTestRouter(t, nil, reps...)
+	waitHealthy(t, rt, 2)
+
+	ref := newTestService(t)
+	defer ref.Close()
+
+	events := chainEventsFor(spreadUsers(rt, 8), 6)
+	chunks := chunked(events, 10)
+	var sick *testReplica
+	var fleetVerdicts, refVerdicts []stream.Verdict
+	for i, chunk := range chunks {
+		if i == len(chunks)/2 {
+			// Break whichever replica owns the attack user, so the chain
+			// straddles the failover.
+			rt.mu.Lock()
+			owner := rt.ring.Lookup("mallory")
+			rt.mu.Unlock()
+			for _, rep := range reps {
+				if rep.srv.URL == owner {
+					sick = rep
+				}
+			}
+			sick.scoreStatus.Store(http.StatusServiceUnavailable)
+		}
+		vs, err := rt.Route(context.Background(), chunk)
+		if err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+		fleetVerdicts = append(fleetVerdicts, vs...)
+		rv, err := ref.Submit(chunk)
+		if err != nil {
+			t.Fatalf("reference submit: %v", err)
+		}
+		refVerdicts = append(refVerdicts, rv...)
+	}
+	if got, want := verdictJSON(t, fleetVerdicts), verdictJSON(t, refVerdicts); got != want {
+		t.Fatalf("verdicts across a 503 failover diverge from single node:\nfleet: %.400s\nref:   %.400s", got, want)
+	}
+	st := rt.Stats()
+	if st.Failovers == 0 || st.Retries != 0 {
+		t.Fatalf("want failovers and no retries, stats: %+v", st)
+	}
+	for _, r := range st.Replicas {
+		if r.Addr == sick.srv.URL && r.Ejections == 0 {
+			t.Fatalf("replica answering 503 never ejected: %+v", r)
+		}
+	}
+}
+
+// A replica whose /score keeps answering 500 while its probes pass gets
+// the whole attempt budget on the same target, then is ejected, and the
+// chunk fails over to its successor.
+func TestPersistentInternalErrorEjectsAfterBudget(t *testing.T) {
+	sick := newStubReplica(t, func(n int64, w http.ResponseWriter, r *http.Request) bool {
+		http.Error(w, "boom", http.StatusInternalServerError)
+		return false
+	})
+	good := newStubReplica(t, nil)
+	rt := newTestRouter(t, nil, &testReplica{srv: sick.srv}, &testReplica{srv: good.srv})
+	waitHealthy(t, rt, 2)
+
+	ring := BuildRing([]string{sick.srv.URL, good.srv.URL})
+	var evs []stream.Event
+	for i := 0; len(evs) < 3 && i < 10000; i++ {
+		if u := fmt.Sprintf("sick-user-%d", i); ring.Lookup(u) == sick.srv.URL {
+			evs = append(evs, stream.Event{User: u, Time: int64(100 + i), Line: "y"})
+		}
+	}
+	vs, err := rt.Route(context.Background(), evs)
+	if err != nil {
+		t.Fatalf("Route past a replica answering 500: %v", err)
+	}
+	for i, v := range vs {
+		if v.User != evs[i].User || v.Time != evs[i].Time || v.Line != evs[i].Line {
+			t.Fatalf("verdict %d is %+v, want one for %+v", i, v, evs[i])
+		}
+	}
+	budget := int64(retryAttempts)
+	if n := sick.scores.Load(); n != budget {
+		t.Fatalf("the failing replica got %d attempts, want the budget of %d", n, budget)
+	}
+	st := rt.Stats()
+	if st.Retries != budget-1 || st.Failovers != 1 || good.scores.Load() != 1 {
+		t.Fatalf("want %d retries, one failover to the good replica; stats: %+v", budget-1, st)
+	}
+	for _, r := range st.Replicas {
+		if r.Addr == sick.srv.URL && r.Ejections == 0 {
+			t.Fatalf("replica answering 500 never ejected: %+v", r)
+		}
+	}
+}
+
+// A rolling reload never takes a second replica out of rotation: with one
+// replica already down it stops before the healthy one, with the
+// one-out-at-a-time error, having drained and reloaded nothing.
+func TestRollingReloadHaltsWhileAnotherIsDown(t *testing.T) {
+	healthy, down := newTestReplica(t), newTestReplica(t)
+	down.kill()
+	rt := newTestRouter(t, func(c *Config) {
+		c.RequestTimeout = 100 * time.Millisecond
+	}, healthy, down)
+	waitHealthy(t, rt, 1)
+
+	// Watch from the side for any drain while the reload runs.
+	stop := make(chan struct{})
+	drained := make(chan string, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				close(drained)
+				return
+			case <-time.After(time.Millisecond):
+			}
+			for _, r := range rt.Stats().Replicas {
+				if r.Draining {
+					select {
+					case drained <- r.Addr:
+					default:
+					}
+				}
+			}
+		}
+	}()
+	done, err := rt.RollingReload(context.Background(), "next")
+	close(stop)
+	if addr, ok := <-drained; ok {
+		t.Fatalf("reload drained %s while another replica was down", addr)
+	}
+	if err == nil || !strings.Contains(err.Error(), "one-out-at-a-time") || len(done) != 0 {
+		t.Fatalf("want the one-out-at-a-time error and nothing reloaded, got %v, %+v", err, done)
+	}
+	for _, rep := range []*testReplica{healthy, down} {
+		select {
+		case v := <-rep.reloads:
+			t.Fatalf("replica %s reloaded to %s", rep.srv.URL, v)
+		default:
+		}
+	}
+	st := rt.Stats()
+	for _, r := range st.Replicas {
+		if r.Addr == healthy.srv.URL && (!r.Ready || r.Draining) {
+			t.Fatalf("healthy replica left rotation: %+v", r)
+		}
+	}
+	if st.HealthyReplicas != 1 {
+		t.Fatalf("want the healthy replica in rotation, stats: %+v", st)
+	}
+}
+
+// At clmserve's defaults (-probe-interval 500ms, -request-timeout 15s),
+// the derived timings are the values the retry and reload knobs they
+// replaced defaulted to: backoff from 50ms up to 2s, 4 attempts, and 30s
+// for each wait inside a rolling reload.
+func TestRouterTimingsAtDefaults(t *testing.T) {
+	for _, cfg := range []Config{{}, {ProbeInterval: 500 * time.Millisecond, RequestTimeout: 15 * time.Second}} {
+		cfg = cfg.withDefaults()
+		base, ceiling := cfg.backoff()
+		if base != 50*time.Millisecond || ceiling != 2*time.Second || retryAttempts != 4 || cfg.reloadWait() != 30*time.Second {
+			t.Fatalf("backoff %v up to %v, %d attempts, reload wait %v; want 50ms up to 2s, 4, 30s",
+				base, ceiling, retryAttempts, cfg.reloadWait())
+		}
 	}
 }

@@ -74,10 +74,6 @@ func BenchmarkRouterScore(b *testing.B) {
 		Replicas:       []string{echoReplica(b), echoReplica(b)},
 		ProbeInterval:  time.Second,
 		RequestTimeout: 5 * time.Second,
-		RetryMax:       3,
-		RetryBase:      5 * time.Millisecond,
-		RetryCap:       50 * time.Millisecond,
-		Seed:           42,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -427,4 +428,199 @@ func TestScoreStampsWithDaemonClock(t *testing.T) {
 	if second := respond(); !bytes.Equal(first, second) {
 		t.Fatalf("identical requests to fresh daemons differ:\n%s\n%s", first, second)
 	}
+}
+
+// holdScorer is lenScorer, except that a batch with an input containing
+// "hold" says so on entered, then waits for release.
+type holdScorer struct{ entered, release chan struct{} }
+
+func (h holdScorer) Score(lines []string) ([]float64, error) {
+	for _, l := range lines {
+		if strings.Contains(l, "hold") {
+			select {
+			case h.entered <- struct{}{}:
+			default:
+			}
+			<-h.release
+		}
+	}
+	return lenScorer{}.Score(lines)
+}
+
+// TestScoreAbortedClientLeavesCleanBuffers: a client that goes away
+// mid-response must not leave the handler's pooled buffers dirty, or held
+// by a batch still queued for scoring: the next request on the same
+// handler gets the bytes a fresh handler returns for it. The client goes
+// once while the handler waits for the rest of its body (the server sees
+// the body read fail), and once while a chunk waits in a shard queue (the
+// request's context ends, and the chunk stays queued).
+func TestScoreAbortedClientLeavesCleanBuffers(t *testing.T) {
+	handler := func(t *testing.T, sc tuning.Scorer) (http.Handler, *stream.Service) {
+		sd, err := stream.NewShardedDetector([]tuning.Scorer{sc}, stream.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := stream.NewShardedService(sd, stream.ServiceConfig{})
+		t.Cleanup(svc.Close)
+		d := NewDaemon("", false)
+		d.Attach(svc, "shell")
+		return NewHandler(d, 2), svc
+	}
+	within := func(t *testing.T, what string, ch <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	events := func(user string, t0 int, lines ...string) []byte {
+		var b []byte
+		for i, l := range lines {
+			b = AppendEvent(b, &stream.Event{User: user, Time: int64(t0 + i), Line: l})
+		}
+		return b
+	}
+	// The follow-up request: users the aborted one never names, lines of
+	// mixed lengths, several chunks.
+	var follow []byte
+	for i := 0; i < 9; i++ {
+		follow = append(follow, events(fmt.Sprintf("next%d", i%3), 100+i, strings.Repeat("x", 1+i*7))...)
+	}
+	fresh := httptest.NewRecorder()
+	h, _ := handler(t, lenScorer{})
+	h.ServeHTTP(fresh, httptest.NewRequest(http.MethodPost, "/score", bytes.NewReader(follow)))
+	if fresh.Code != http.StatusOK {
+		t.Fatalf("fresh handler: status %d: %s", fresh.Code, fresh.Body)
+	}
+	check := func(t *testing.T, got []byte) {
+		t.Helper()
+		if !bytes.Equal(got, fresh.Body.Bytes()) {
+			t.Fatalf("after an aborted request the handler answered\n%s\nwhere a fresh one answers\n%s", got, fresh.Body)
+		}
+	}
+
+	t.Run("waiting for body", func(t *testing.T) {
+		h, _ := handler(t, lenScorer{})
+		finished := make(chan struct{}, 2)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(flushingWriter{w}, r)
+			finished <- struct{}{}
+		}))
+		defer srv.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		pr, pw := io.Pipe()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/score", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp *http.Response
+		responded := make(chan struct{})
+		go func() {
+			defer close(responded)
+			resp, err = srv.Client().Do(req)
+		}()
+		// One full chunk, whose verdicts the client reads before it goes.
+		if _, err := pw.Write(events("gone", 1, "ls -la", "id")); err != nil {
+			t.Fatal(err)
+		}
+		within(t, "response headers", responded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(resp.Body)
+		for i := 0; i < 2; i++ {
+			if _, err := br.ReadBytes('\n'); err != nil {
+				t.Fatalf("verdict %d: %v", i, err)
+			}
+		}
+		cancel()
+		pw.CloseWithError(context.Canceled)
+		within(t, "the aborted request's handler", finished)
+		resp.Body.Close()
+		again, err := http.Post(srv.URL+"/score", "application/x-ndjson", bytes.NewReader(follow))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(again.Body)
+		again.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, got)
+	})
+
+	// A buffer given back reaches the next request only through the same
+	// P's pool cache, so a few rounds make a leak show.
+	for round := 0; round < 6; round++ {
+		t.Run(fmt.Sprintf("chunk queued/%d", round), func(t *testing.T) {
+			hs := holdScorer{entered: make(chan struct{}, 1), release: make(chan struct{})}
+			h, svc := handler(t, hs)
+			queued := func(n int) {
+				t.Helper()
+				for deadline := time.Now().Add(5 * time.Second); svc.Stats().QueueDepth < n; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting for %d queued requests", n)
+					}
+				}
+			}
+			release := sync.OnceFunc(func() { close(hs.release) })
+			defer release()
+			serve := func(ctx context.Context, body io.Reader, w http.ResponseWriter) <-chan struct{} {
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/score", body).WithContext(ctx))
+				}()
+				return done
+			}
+			// The aborted request's first chunk is answered.
+			ctx, cancel := context.WithCancel(context.Background())
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			wrote := make(chan struct{}, 1)
+			finished := serve(ctx, pr, signalWriter{httptest.NewRecorder(), wrote})
+			if _, err := pw.Write(events("gone", 1, "ls -la", "id")); err != nil {
+				t.Fatal(err)
+			}
+			within(t, "the first chunk's verdicts", wrote)
+			// Its second chunk queues behind another request's, whose
+			// scoring holds, and the client goes before it is scored: the
+			// queued chunk still points into the aborted request's buffers.
+			blocker := serve(context.Background(), bytes.NewReader(events("blocker", 1, "hold")), httptest.NewRecorder())
+			within(t, "the blocker's scoring", hs.entered)
+			if _, err := pw.Write(events("gone", 3, "uname -a", "whoami")); err != nil {
+				t.Fatal(err)
+			}
+			queued(1)
+			cancel()
+			within(t, "the aborted request's handler", finished)
+			// The follow-up decodes its first chunk, and queues it too,
+			// before scoring resumes: buffers the aborted request gave back
+			// early would be overwritten here, under its queued chunk.
+			again := httptest.NewRecorder()
+			answered := serve(context.Background(), bytes.NewReader(follow), again)
+			queued(2)
+			release()
+			within(t, "the follow-up's answer", answered)
+			within(t, "the blocker's answer", blocker)
+			check(t, again.Body.Bytes())
+		})
+	}
+}
+
+// signalWriter is a ResponseRecorder that says so on wrote after each
+// Write.
+type signalWriter struct {
+	*httptest.ResponseRecorder
+	wrote chan struct{}
+}
+
+func (w signalWriter) Write(b []byte) (int, error) {
+	n, err := w.ResponseRecorder.Write(b)
+	select {
+	case w.wrote <- struct{}{}:
+	default:
+	}
+	return n, err
 }
