@@ -43,9 +43,9 @@
 // weights, so shards score concurrently while per-user event order — and
 // every verdict — stays identical to the unsharded detector. When a
 // shard's worker falls behind, -overload decides what /score does: block
-// (HTTP-level backpressure through TCP, the default), shed (429 +
-// Retry-After), or degrade (keep accepting and downshift saturated shards
-// to int8, recovering on calm — see internal/stream).
+// (HTTP-level backpressure through TCP, the default) or shed (429 +
+// Retry-After). Load never changes the served precision: only the bundle
+// picks it, and a cascade bundle already serves at int8 triage speed.
 // A malformed NDJSON line yields a per-line error record in the response
 // stream; the connection and every well-formed line keep scoring.
 //
@@ -99,9 +99,7 @@ func run(args []string) error {
 	maxLines := fs.Int("max-session-lines", 64, "sliding window length per session")
 	queue := fs.Int("queue", 64, "bounded ingest queue per shard (requests); full queue blocks /score")
 	batch := fs.Int("batch", 512, "events coalesced per scoring batch per shard")
-	overload := fs.String("overload", "block", "full-queue policy: block (backpressure) | shed (429 + Retry-After) | degrade (downshift saturated shards to int8, recover on calm)")
-	degradeAfter := fs.Duration("degrade-after", 2*time.Second, "sustained saturation before the degrade policy downshifts a shard to int8")
-	recoverAfter := fs.Duration("recover-after", 15*time.Second, "sustained calm before a degraded shard shifts back to its native precision")
+	overload := fs.String("overload", "block", "full-queue policy: block (backpressure) | shed (429 + Retry-After)")
 	checkpoint := fs.String("checkpoint", "", "session checkpoint file: restored at startup, rewritten every -checkpoint-interval and after draining (empty disables)")
 	ckptInterval := fs.Duration("checkpoint-interval", time.Minute, "how often to rewrite the session checkpoint")
 	shards := fs.Int("shards", 0, "detector shards keyed by hash(user) (0 = GOMAXPROCS); each shard scores concurrently on its own scorer replica")
@@ -232,8 +230,6 @@ func run(args []string) error {
 		QueueRequests: *queue,
 		BatchEvents:   *batch,
 		Overload:      overloadPolicy,
-		DegradeAfter:  *degradeAfter,
-		RecoverAfter:  *recoverAfter,
 	})
 
 	// Restore the previous run's sessions before any traffic: a missing

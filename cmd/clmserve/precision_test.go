@@ -19,14 +19,30 @@ import (
 )
 
 // TestRunRejectsServeOverrideFlags: the bundle manifest alone decides the
-// served stack, so -precision and -cascade are not flags; either fails at
-// flag parsing, before any bundle or model loads.
+// served stack, so -precision and -cascade are not flags, and neither are
+// the two timers of the load-driven int8 downshift that once overrode it;
+// each fails at flag parsing, before any bundle or model loads.
 func TestRunRejectsServeOverrideFlags(t *testing.T) {
-	for _, flags := range [][]string{{"-precision", "int8"}, {"-cascade"}} {
+	for _, flags := range [][]string{
+		{"-precision", "int8"},
+		{"-cascade"},
+		{"-degrade-after", "2s"},
+		{"-recover-after", "15s"},
+	} {
 		err := run(append(flags, "-bundle", "/nonexistent", "-addr", "127.0.0.1:0"))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%v: %v", flags, err)
 		}
+	}
+}
+
+// TestRunRejectsDegradePolicy: degrade is no longer an -overload value. It
+// fails before the bundle loads (the bundle path does not exist, so a later
+// failure would name it), and the error lists the two policies left.
+func TestRunRejectsDegradePolicy(t *testing.T) {
+	err := run([]string{"-overload", "degrade", "-bundle", "/nonexistent", "-addr", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), "block | shed") || strings.Contains(err.Error(), "nonexistent") {
+		t.Fatalf("-overload degrade: %v", err)
 	}
 }
 

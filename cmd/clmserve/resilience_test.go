@@ -1,9 +1,8 @@
 package main
 
 // Daemon-level resilience drills: damaged-artifact reloads under live
-// traffic, the checkpoint kill-and-restart drill through the same
-// serve.WriteCheckpointFile the daemon runs, and /readyz surfacing degraded
-// shards. These ride the shared training fixture but build their own
+// traffic and the checkpoint kill-and-restart drill through the same
+// serve.WriteCheckpointFile the daemon runs. These ride the shared training fixture but build their own
 // services — the fixture's shared service is mutated by other tests.
 
 import (
@@ -18,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"clmids/internal/core"
 	"clmids/internal/faults"
@@ -227,98 +225,5 @@ func TestCheckpointKillRestartService(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("restarted service diverged from uninterrupted run")
-	}
-}
-
-// TestReadyzReportsDegraded: a shard pushed down the precision ladder shows
-// up in /readyz (still 200 — degraded capacity beats none) and clears after
-// recovery. Uses the real fixture scorer: the downshift exercises
-// tuning.AtPrecision against an actual engine-backed scorer.
-func TestReadyzReportsDegraded(t *testing.T) {
-	f := getFixture(t)
-	gate := &faults.Gate{}
-	scfg := stream.ServiceConfig{
-		QueueRequests: 2, BatchEvents: 8,
-		Overload:     stream.OverloadDegrade,
-		DegradeAfter: 50 * time.Millisecond,
-		RecoverAfter: 50 * time.Millisecond,
-		OverloadTick: time.Hour, // tests drive PollOverload directly
-	}
-	svc := fixtureService(t, f, scfg, gate.Wrap)
-	defer svc.Close()
-	d := serve.NewDaemon("", false)
-	d.Attach(svc, "shell")
-	srv := httptest.NewServer(serve.NewHandler(d, 32))
-	defer srv.Close()
-
-	readyz := func() (int, string) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, string(body)
-	}
-	if code, body := readyz(); code != http.StatusOK || strings.Contains(body, "degraded") {
-		t.Fatalf("healthy /readyz: %d %q", code, body)
-	}
-
-	// Wedge scoring and fill the queues past high water. Each wedged worker
-	// may have coalesced up to BatchEvents requests before blocking, so
-	// submit enough that one of the two shards must still queue two: 2 ×
-	// (BatchEvents + QueueRequests). Release on every exit, or a failure
-	// leaves Close waiting on the wedged batch.
-	gate.Hold()
-	defer gate.Release()
-	var wg sync.WaitGroup
-	for i := 0; i < 2*(scfg.BatchEvents+scfg.QueueRequests); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			svc.Submit([]stream.Event{{User: fmt.Sprintf("hot-%d", i), Time: int64(i), Line: "ls"}})
-		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for svc.Stats().QueueDepth < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("queues never saturated")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t0 := time.Now()
-	svc.PollOverload(t0)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		svc.PollOverload(t0.Add(scfg.DegradeAfter)) // blocks behind the wedged batch
-	}()
-	time.Sleep(10 * time.Millisecond)
-	gate.Release()
-	<-done
-	wg.Wait()
-
-	if n := svc.DegradedShards(); n == 0 {
-		t.Fatal("sustained saturation did not degrade any shard")
-	}
-	if code, body := readyz(); code != http.StatusOK || !strings.Contains(body, "degraded=") {
-		t.Fatalf("degraded /readyz: %d %q, want 200 with degraded count", code, body)
-	}
-
-	// Sustained calm recovers every shard to native precision.
-	t1 := time.Now()
-	svc.PollOverload(t1)
-	svc.PollOverload(t1.Add(scfg.RecoverAfter))
-	if n := svc.DegradedShards(); n != 0 {
-		t.Fatalf("%d shards still degraded after recovery window", n)
-	}
-	if _, body := readyz(); strings.Contains(body, "degraded") {
-		t.Fatalf("recovered /readyz still reports degradation: %q", body)
-	}
-
-	// And the degraded episode did not wedge scoring.
-	if _, err := svc.Submit([]stream.Event{{User: "post", Time: 999, Line: "pwd"}}); err != nil {
-		t.Fatalf("post-recovery submit: %v", err)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clmids/internal/model"
 	"clmids/internal/tuning"
 )
 
@@ -64,9 +63,8 @@ func (c *Control) Injected() int64 { return c.injected.Load() }
 
 // Scorer wraps an inner scorer with scheduled faults. The zero schedule
 // injects nothing; fields combine (a call can both stall and then error).
-// It forwards Replicable, CacheStatser, and PrecisionSwitcher to the inner
-// scorer so a faulted scorer still fans out across shards, reports cache
-// stats, and rides the degrade policy's int8 downshift.
+// It forwards Replicable and CacheStatser to the inner scorer so a faulted
+// scorer still fans out across shards and reports cache stats.
 type Scorer struct {
 	Inner tuning.Scorer
 	Ctl   *Control
@@ -89,7 +87,6 @@ type Scorer struct {
 }
 
 var _ tuning.Replicable = (*Scorer)(nil)
-var _ tuning.PrecisionSwitcher = (*Scorer)(nil)
 
 // hits reports whether schedule `every` fires on call n.
 func (f *Scorer) hits(n int64, every int) bool {
@@ -145,28 +142,6 @@ func (f *Scorer) CacheStats() tuning.CacheStats {
 	return tuning.CacheStats{}
 }
 
-// Precision reports the inner scorer's serving rung (float64 when the
-// inner scorer does not report one — stubs are float64 by construction).
-func (f *Scorer) Precision() model.Precision {
-	if p, ok := tuning.ScorerPrecision(f.Inner); ok {
-		return p
-	}
-	return model.PrecisionFloat64
-}
-
-// AtPrecision returns a same-schedule injector wrapping the inner scorer's
-// variant at p, so the degrade policy can downshift straight through a
-// fault wrapper.
-func (f *Scorer) AtPrecision(p model.Precision) (tuning.Scorer, error) {
-	inner, err := tuning.AtPrecision(f.Inner, p)
-	if err != nil {
-		return nil, err
-	}
-	c := *f
-	c.Inner = inner
-	return &c, nil
-}
-
 // Gate wedges scoring on demand: Hold makes every wrapped Score call block
 // until Release. It simulates a stalled dependency (saturated CPU, slow
 // page-in) so drills can fill queues deterministically and watch the
@@ -213,8 +188,8 @@ type gatedScorer struct {
 }
 
 // Wrap returns a scorer that waits for the gate before delegating. The
-// wrapper replicates (replicas share the gate) and forwards precision
-// switching, like Scorer.
+// wrapper replicates (replicas share the gate) and forwards cache stats,
+// like Scorer.
 func (g *Gate) Wrap(s tuning.Scorer) tuning.Scorer {
 	return &gatedScorer{inner: s, gate: g}
 }
@@ -239,21 +214,6 @@ func (gs *gatedScorer) CacheStats() tuning.CacheStats {
 		return cs.CacheStats()
 	}
 	return tuning.CacheStats{}
-}
-
-func (gs *gatedScorer) Precision() model.Precision {
-	if p, ok := tuning.ScorerPrecision(gs.inner); ok {
-		return p
-	}
-	return model.PrecisionFloat64
-}
-
-func (gs *gatedScorer) AtPrecision(p model.Precision) (tuning.Scorer, error) {
-	inner, err := tuning.AtPrecision(gs.inner, p)
-	if err != nil {
-		return nil, err
-	}
-	return &gatedScorer{inner: inner, gate: gs.gate}, nil
 }
 
 // CorruptBundleCopy copies the bundle directory at src to dst and flips

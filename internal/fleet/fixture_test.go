@@ -90,6 +90,9 @@ type testReplica struct {
 	// scoreStatus, when set, is the HTTP status /score answers with while
 	// every other route, the probes included, keeps working.
 	scoreStatus atomic.Int32
+	// reloadStatus, when set, is the HTTP status the stub /reload answers
+	// with, reloading nothing.
+	reloadStatus atomic.Int32
 }
 
 func newTestReplica(t *testing.T) *testReplica {
@@ -126,6 +129,10 @@ func newReplicaOver(t *testing.T, svc *stream.Service) *testReplica {
 	var unreadyUntil atomic.Int64 // unix nanoseconds
 	mux := http.NewServeMux()
 	mux.HandleFunc("/reload", func(w http.ResponseWriter, r *http.Request) {
+		if code := rep.reloadStatus.Load(); code != 0 {
+			http.Error(w, "reload refused", int(code))
+			return
+		}
 		version := "v-" + r.URL.Query().Get("bundle")
 		select {
 		case rep.reloads <- version:

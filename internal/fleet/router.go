@@ -529,7 +529,10 @@ func (rt *Router) deliverGroup(ctx context.Context, addr string, evs []serve.Raw
 			// rolled the batch back server-side (Process aborts
 			// atomically), so the same target retries safely after a
 			// jittered backoff; a 429's Retry-After wins when it outlasts
-			// our own.
+			// our own. After the last attempt there is nothing to wait for.
+			if attempt == retryAttempts-1 {
+				continue
+			}
 			d := rt.jitter(delay, retryAfter)
 			if err := waitUntil(ctx, d, d, nil); err != nil {
 				return pos, err

@@ -272,23 +272,49 @@ func TestOverloadRetriesSameReplica(t *testing.T) {
 	}
 }
 
+// budgetTestProbe is the ProbeInterval of the tests that spend a whole
+// retry budget. It sets the backoff base to 25ms, so the delay a fifth
+// attempt would follow is 200ms, jittered to no less than 100ms.
+const budgetTestProbe = 250 * time.Millisecond
+
+// lastAttemptSlack is how long Route may take after the replica receives
+// the last attempt of its budget: half the delay one more attempt would
+// follow, the shortest that delay's jitter draws. A backoff spent after
+// the budget is gone cannot fit under it.
+func lastAttemptSlack(rt *Router) time.Duration {
+	d, ceiling := rt.cfg.backoff()
+	for i := 1; i < retryAttempts; i++ {
+		d = min(2*d, ceiling)
+	}
+	return d / 2
+}
+
 // Persistent overload surfaces as ErrOverloaded (the router's 429), not as
-// a failover that would dump the load on a neighbor.
+// a failover that would dump the load on a neighbor, and as soon as the
+// last attempt of the budget is answered.
 func TestPersistentOverloadSurfacesAsShed(t *testing.T) {
+	var last atomic.Int64 // unix nanoseconds the last attempt arrived
 	stub := newStubReplica(t, func(n int64, w http.ResponseWriter, r *http.Request) bool {
+		if n == retryAttempts {
+			last.Store(time.Now().UnixNano())
+		}
 		w.Header().Set("Retry-After", "0")
 		http.Error(w, "shed", http.StatusTooManyRequests)
 		return false
 	})
-	rt := newTestRouter(t, nil, &testReplica{srv: stub.srv})
+	rt := newTestRouter(t, func(c *Config) { c.ProbeInterval = budgetTestProbe }, &testReplica{srv: stub.srv})
 	waitHealthy(t, rt, 1)
 
 	_, err := rt.Route(context.Background(), []stream.Event{{User: "u", Time: 1, Line: "x"}})
+	tail := time.Since(time.Unix(0, last.Load()))
 	if !errors.Is(err, stream.ErrOverloaded) {
 		t.Fatalf("want ErrOverloaded through the router, got %v", err)
 	}
 	if n := stub.scores.Load(); n != retryAttempts {
 		t.Fatalf("the overloaded replica got %d attempts, want the budget of %d", n, retryAttempts)
+	}
+	if slack := lastAttemptSlack(rt); tail >= slack {
+		t.Fatalf("Route returned %v after the last attempt, want under %v: a backoff ran with no attempt left", tail, slack)
 	}
 }
 
@@ -618,14 +644,20 @@ func TestScoreUnavailableEjectsAndFailsOver(t *testing.T) {
 
 // A replica whose /score keeps answering 500 while its probes pass gets
 // the whole attempt budget on the same target, then is ejected, and the
-// chunk fails over to its successor.
+// chunk fails over to its successor without waiting after the last
+// attempt.
 func TestPersistentInternalErrorEjectsAfterBudget(t *testing.T) {
+	var last atomic.Int64 // unix nanoseconds the last attempt arrived
 	sick := newStubReplica(t, func(n int64, w http.ResponseWriter, r *http.Request) bool {
+		if n == retryAttempts {
+			last.Store(time.Now().UnixNano())
+		}
 		http.Error(w, "boom", http.StatusInternalServerError)
 		return false
 	})
 	good := newStubReplica(t, nil)
-	rt := newTestRouter(t, nil, &testReplica{srv: sick.srv}, &testReplica{srv: good.srv})
+	rt := newTestRouter(t, func(c *Config) { c.ProbeInterval = budgetTestProbe },
+		&testReplica{srv: sick.srv}, &testReplica{srv: good.srv})
 	waitHealthy(t, rt, 2)
 
 	ring := BuildRing([]string{sick.srv.URL, good.srv.URL})
@@ -636,8 +668,12 @@ func TestPersistentInternalErrorEjectsAfterBudget(t *testing.T) {
 		}
 	}
 	vs, err := rt.Route(context.Background(), evs)
+	tail := time.Since(time.Unix(0, last.Load()))
 	if err != nil {
 		t.Fatalf("Route past a replica answering 500: %v", err)
+	}
+	if slack := lastAttemptSlack(rt); tail >= slack {
+		t.Fatalf("Route returned %v after the last attempt, want under %v: a backoff ran with no attempt left", tail, slack)
 	}
 	for i, v := range vs {
 		if v.User != evs[i].User || v.Time != evs[i].Time || v.Line != evs[i].Line {
@@ -715,6 +751,42 @@ func TestRollingReloadHaltsWhileAnotherIsDown(t *testing.T) {
 	if st.HealthyReplicas != 1 {
 		t.Fatalf("want the healthy replica in rotation, stats: %+v", st)
 	}
+}
+
+// A replica that refuses a reload (a replica's /reload answers 409 to a
+// bundle of another modality than the one it serves) halts the rolling
+// reload with an error naming it, and leaves it as it was: undrained,
+// ready, config-verified and in the ring, like every other replica.
+func TestRollingReloadRefusedLeavesReplicaInRotation(t *testing.T) {
+	first, refusing := newTestReplica(t), newTestReplica(t)
+	refusing.reloadStatus.Store(http.StatusConflict)
+	rt := newTestRouter(t, nil, first, refusing)
+	waitHealthy(t, rt, 2)
+
+	done, err := rt.RollingReload(context.Background(), "other-modality")
+	if err == nil || !strings.Contains(err.Error(), refusing.srv.URL) || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("want an error naming %s and its 409, got %v", refusing.srv.URL, err)
+	}
+	if len(done) != 1 || done[0].Addr != first.srv.URL {
+		t.Fatalf("want only %s reloaded, got %+v", first.srv.URL, done)
+	}
+	select {
+	case v := <-refusing.reloads:
+		t.Fatalf("refusing replica reloaded to %s", v)
+	default:
+	}
+	rt.mu.Lock()
+	inRing := map[string]bool{}
+	for _, p := range rt.ring.points {
+		inRing[p.addr] = true
+	}
+	for _, rep := range rt.reps {
+		if !rep.ready || !rep.cfgOK || rep.draining || !inRing[rep.addr] {
+			t.Errorf("replica %s: ready %v, cfgOK %v, draining %v, in ring %v",
+				rep.addr, rep.ready, rep.cfgOK, rep.draining, inRing[rep.addr])
+		}
+	}
+	rt.mu.Unlock()
 }
 
 // At clmserve's defaults (-probe-interval 500ms, -request-timeout 15s),

@@ -275,10 +275,7 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	// Readiness: route traffic here only once the scorer serves. A shard
-	// held at int8 by the degrade policy is still ready —
-	// degraded capacity beats no capacity — but the state is surfaced so
-	// operators and probes can see it.
+	// Readiness: route traffic here only once the scorer serves.
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		svc, ok := d.Service()
 		if !ok {
@@ -291,9 +288,6 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 		}
 		if m := svc.Modality(); m != "" {
 			line += " modality=" + m
-		}
-		if n := svc.DegradedShards(); n > 0 {
-			line += fmt.Sprintf(" degraded=%d", n)
 		}
 		fmt.Fprintln(w, line)
 	})

@@ -3,16 +3,11 @@ package stream
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"clmids/internal/faults"
-	"clmids/internal/model"
-	"clmids/internal/tuning"
 )
 
 // poisonScorer panics reproducibly whenever any input contains "POISON",
@@ -263,197 +258,6 @@ func TestShedPolicy(t *testing.T) {
 	}
 	release.Do(func() { close(sc.gate) })
 	accepted.Wait()
-}
-
-// precScorer is a Replicable PrecisionSwitcher stub: it scores every line
-// with a constant and remembers which precision it serves at, so
-// degradation tests can watch shifts without a real model. The gate
-// (shared by every replica and precision variant) lets tests hold a batch
-// in flight.
-type precScorer struct {
-	prec  model.Precision
-	gate  *faults.Gate // nil = never blocks
-	score float64
-}
-
-func (p *precScorer) Score(lines []string) ([]float64, error) {
-	if p.gate != nil {
-		p.gate.Wait()
-	}
-	out := make([]float64, len(lines))
-	for i := range out {
-		out[i] = p.score
-	}
-	return out, nil
-}
-
-func (p *precScorer) Replicate() tuning.Scorer { c := *p; return &c }
-
-func (p *precScorer) Precision() model.Precision { return p.prec }
-
-func (p *precScorer) AtPrecision(prec model.Precision) (tuning.Scorer, error) {
-	if !prec.Valid() {
-		return nil, fmt.Errorf("bad precision %q", prec)
-	}
-	c := *p
-	c.prec = prec
-	return &c, nil
-}
-
-// TestDegradePolicyDownshiftAndRecover drives the hysteresis clock
-// deterministically through PollOverload: sustained saturation downshifts
-// the shard to int8 in one step, further saturation has nowhere lower to
-// go, sustained calm shifts it back to float64, and verdicts keep flowing
-// throughout.
-func TestDegradePolicyDownshiftAndRecover(t *testing.T) {
-	gate := &faults.Gate{}
-	gate.Hold()
-	sc := &precScorer{prec: model.PrecisionFloat64, gate: gate, score: 0.1}
-	det := NewDetector(sc, DefaultConfig())
-	cfg := ServiceConfig{
-		QueueRequests: 2, BatchEvents: 1,
-		Overload: OverloadDegrade,
-		// The monitor's own ticks must not interfere with the synthetic
-		// clock below.
-		OverloadTick: time.Hour,
-	}
-	cfg = cfg.withDefaults()
-	svc := NewService(det, cfg)
-	defer svc.Close()
-
-	// saturate holds one request in flight (blocked on the gate) with two
-	// queued behind it, sweeps across a full DegradeAfter stretch, then
-	// releases the gate and waits for the requests to finish.
-	saturate := func(from int) {
-		t.Helper()
-		gate.Hold()
-		var wg sync.WaitGroup
-		for i := from; i < from+3; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if _, err := svc.Submit([]Event{ev("u", int64(i), "x")}); err != nil {
-					t.Errorf("submit %d: %v", i, err)
-				}
-			}(i)
-		}
-		waitForQueueDepth(t, svc, 2)
-		t0 := time.Now()
-		svc.PollOverload(t0) // arms the overload clock
-		swept := make(chan struct{})
-		go func() {
-			// A sweep that decides to downshift blocks in SwapScorer until
-			// the in-flight batch commits.
-			svc.PollOverload(t0.Add(cfg.DegradeAfter))
-			close(swept)
-		}()
-		time.Sleep(10 * time.Millisecond)
-		gate.Release()
-		select {
-		case <-swept:
-		case <-time.After(5 * time.Second):
-			t.Fatal("saturated sweep never completed")
-		}
-		wg.Wait()
-	}
-
-	saturate(0)
-	st := svc.Stats()
-	if st.DegradedShards != 1 || !st.Shards[0].Degraded {
-		t.Fatalf("shard not degraded after sustained overload: %+v", st.Shards[0])
-	}
-	if st.Shards[0].Precision != string(model.PrecisionInt8) || st.Shards[0].Downshifts != 1 {
-		t.Fatalf("downshift: precision %q downs %d, want int8/1",
-			st.Shards[0].Precision, st.Shards[0].Downshifts)
-	}
-
-	// A calm sweep resets the overload clock, then a second saturated
-	// stretch: int8 is the only step down, so nothing shifts.
-	svc.PollOverload(time.Now())
-	saturate(3)
-	if st := svc.Stats(); st.Shards[0].Precision != string(model.PrecisionInt8) || st.Shards[0].Downshifts != 1 {
-		t.Fatalf("second saturation: precision %q downs %d, want int8/1",
-			st.Shards[0].Precision, st.Shards[0].Downshifts)
-	}
-
-	// Recovery: a calm stretch of RecoverAfter shifts back to native.
-	t2 := time.Now()
-	svc.PollOverload(t2)
-	svc.PollOverload(t2.Add(cfg.RecoverAfter / 2))
-	if st := svc.Stats(); !st.Shards[0].Degraded {
-		t.Fatalf("recovered before RecoverAfter: %+v", st.Shards[0])
-	}
-	svc.PollOverload(t2.Add(cfg.RecoverAfter))
-	st = svc.Stats()
-	if st.Shards[0].Precision != string(model.PrecisionFloat64) || st.Shards[0].Degraded {
-		t.Fatalf("recovery incomplete: %+v", st.Shards[0])
-	}
-	if st.Shards[0].Upshifts != 1 || st.Shards[0].Downshifts != 1 {
-		t.Fatalf("shift counters %d down / %d up, want 1/1", st.Shards[0].Downshifts, st.Shards[0].Upshifts)
-	}
-	if st.DegradedShards != 0 {
-		t.Fatalf("DegradedShards = %d after recovery", st.DegradedShards)
-	}
-
-	// The service still serves, at native precision.
-	vs, err := svc.Submit([]Event{ev("u", 99, "done")})
-	if err != nil || len(vs) != 1 || vs[0].LineScore != 0.1 {
-		t.Fatalf("post-recovery submit: %v %+v", err, vs)
-	}
-}
-
-// TestSwapScorerResetsDegradation: a hot reload under the degrade policy
-// rebinds the degrade state to the incoming scorer — the new artifact serves at
-// its native rung with fresh shift counters.
-func TestSwapScorerResetsDegradation(t *testing.T) {
-	sc := &precScorer{prec: model.PrecisionFloat64, score: 0.1}
-	det := NewDetector(sc, DefaultConfig())
-	cfg := ServiceConfig{QueueRequests: 2, BatchEvents: 1, Overload: OverloadDegrade, OverloadTick: time.Hour}
-	cfg = cfg.withDefaults()
-	svc := NewService(det, cfg)
-	defer svc.Close()
-
-	// Degrade by hand: force the hysteresis through two sweeps with the
-	// queue artificially saturated via a held gate.
-	gate := &faults.Gate{}
-	gate.Hold()
-	sc.gate = gate
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			svc.Submit([]Event{ev("u", int64(i), "x")})
-		}(i)
-	}
-	waitForQueueDepth(t, svc, 2)
-	t0 := time.Now()
-	svc.PollOverload(t0)
-	done := make(chan struct{})
-	go func() { svc.PollOverload(t0.Add(cfg.DegradeAfter)); close(done) }()
-	time.Sleep(10 * time.Millisecond)
-	gate.Release()
-	<-done
-	wg.Wait()
-	if st := svc.Stats(); !st.Shards[0].Degraded {
-		t.Fatal("setup failed to degrade the shard")
-	}
-
-	next := &precScorer{prec: model.PrecisionFloat64, score: 0.2}
-	if err := svc.SwapScorer(next, "v2"); err != nil {
-		t.Fatal(err)
-	}
-	st := svc.Stats()
-	if st.Shards[0].Degraded || st.Shards[0].Precision != string(model.PrecisionFloat64) {
-		t.Fatalf("reload did not reset degradation: %+v", st.Shards[0])
-	}
-	if st.Shards[0].Downshifts != 0 {
-		t.Fatalf("reload kept old shift counters: %+v", st.Shards[0])
-	}
-	vs, err := svc.Submit([]Event{ev("u", 50, "y")})
-	if err != nil || vs[0].LineScore != 0.2 {
-		t.Fatalf("new scorer not serving after reload: %v %+v", err, vs)
-	}
 }
 
 // waitForQueueDepth spins until the single-shard service's queue holds n

@@ -32,21 +32,15 @@ type ServiceConfig struct {
 	BatchEvents int
 
 	// Overload selects what happens when a shard queue saturates: block
-	// (default), shed (ErrOverloaded), or degrade (block + int8
-	// downshift under sustained overload). See OverloadPolicy.
+	// (default) or shed (ErrOverloaded). See OverloadPolicy.
 	Overload OverloadPolicy
-	// HighWaterFrac is the queue-depth fraction at which a shard counts as
-	// saturated for the degrade policy. Default 0.75.
-	HighWaterFrac float64
-	// DegradeAfter is how long a shard must stay saturated before the
-	// degrade policy downshifts it to int8. Default 2s.
+
+	// DegradeAfter and RecoverAfter are ignored. They timed a precision
+	// downshift policy that no longer exists (the bundle alone picks the
+	// precision) and stay only so the benchmark's call still compiles;
+	// they go when the benchmark next changes.
 	DegradeAfter time.Duration
-	// RecoverAfter is how long a degraded shard must stay calm before it
-	// shifts back to its native precision. Default 15s (recovery is deliberately much
-	// slower than degradation: flapping costs a scorer swap each way).
 	RecoverAfter time.Duration
-	// OverloadTick is the monitor's sampling interval. Default 250ms.
-	OverloadTick time.Duration
 }
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
@@ -55,18 +49,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	}
 	if c.BatchEvents <= 0 {
 		c.BatchEvents = 512
-	}
-	if c.HighWaterFrac <= 0 || c.HighWaterFrac > 1 {
-		c.HighWaterFrac = 0.75
-	}
-	if c.DegradeAfter <= 0 {
-		c.DegradeAfter = 2 * time.Second
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 15 * time.Second
-	}
-	if c.OverloadTick <= 0 {
-		c.OverloadTick = 250 * time.Millisecond
 	}
 	return c
 }
@@ -88,13 +70,6 @@ type ShardServiceStats struct {
 	// Precision is the shard scorer's serving precision (a cascade reports
 	// its confirm rung's), empty when the scorer does not report one.
 	Precision string `json:"precision,omitempty"`
-	// Degraded reports whether the degrade policy currently holds this
-	// shard at int8 below its native precision.
-	Degraded bool `json:"degraded"`
-	// Downshifts / Upshifts count this shard's precision shifts since the
-	// scorer was (re)bound.
-	Downshifts int64 `json:"downshifts,omitempty"`
-	Upshifts   int64 `json:"upshifts,omitempty"`
 }
 
 // ServiceStats aggregates detector counters and queue state across shards;
@@ -110,14 +85,10 @@ type ServiceStats struct {
 	QueueDepth int `json:"queue_depth"`
 	// QueueCapacity is the configured bound summed across shards.
 	QueueCapacity int `json:"queue_capacity"`
-	// OverloadPolicy is the configured policy ("block" | "shed" |
-	// "degrade").
+	// OverloadPolicy is the configured policy ("block" | "shed").
 	OverloadPolicy string `json:"overload_policy"`
 	// ShedRequests counts Submits rejected with ErrOverloaded.
 	ShedRequests int64 `json:"shed_requests"`
-	// DegradedShards counts shards currently serving below native
-	// precision.
-	DegradedShards int `json:"degraded_shards"`
 	// Shards is the per-shard breakdown.
 	Shards []ShardServiceStats `json:"shards"`
 }
@@ -147,9 +118,8 @@ type svcShard struct {
 // batches — one Detector.Process per batch, so the engine sees large
 // deduplicated requests even when producers send line by line. What a full
 // shard queue means is the overload policy's call: block (backpressure,
-// bounded by the Submit context), shed (ErrOverloaded), or degrade (block,
-// plus precision downshift under sustained saturation). Close drains every
-// accepted request on every shard before returning.
+// bounded by the Submit context) or shed (ErrOverloaded). Close drains
+// every accepted request on every shard before returning.
 //
 // One worker per shard is deliberate: per-user event order must survive
 // queuing, and hash routing guarantees a user's events always meet the
@@ -159,7 +129,9 @@ type svcShard struct {
 //
 // The embedded ShardedDetector supplies the session surface: checkpoints
 // (Save/Restore/Export/ImportSessions), EvictIdle, HighWater, Config,
-// ScorerVersion and Modality.
+// ScorerVersion and Modality, and the hot reload (SwapScorer: queued
+// requests keep queueing, an in-flight batch finishes on the old scorer,
+// every later batch scores on the new one).
 type Service struct {
 	*ShardedDetector
 	cfg    ServiceConfig
@@ -171,14 +143,6 @@ type Service struct {
 	inflight sync.WaitGroup // admitted Submits not yet done sending
 
 	shed atomic.Int64
-
-	// degMu serializes everything that decides which scorer a shard should
-	// run: the overload monitor's shift sweeps and SwapScorer's rebind.
-	// Lock order is degMu → (detector) procMu; nothing acquires them the
-	// other way.
-	degMu       sync.Mutex
-	deg         []*shardDegrade
-	monitorDone chan struct{}
 }
 
 // NewService starts a single-shard service over det — the unsharded
@@ -187,17 +151,14 @@ func NewService(det *Detector, cfg ServiceConfig) *Service {
 	return NewShardedService(&ShardedDetector{dets: []*Detector{det}}, cfg)
 }
 
-// NewShardedService starts one queue + coalescing worker per shard of sd,
-// plus — under the degrade policy — the overload monitor.
+// NewShardedService starts one queue + coalescing worker per shard of sd.
 func NewShardedService(sd *ShardedDetector, cfg ServiceConfig) *Service {
 	s := &Service{
 		ShardedDetector: sd,
 		cfg:             cfg.withDefaults(),
 		closing:         make(chan struct{}),
-		monitorDone:     make(chan struct{}),
 	}
 	s.shards = make([]*svcShard, sd.Shards())
-	s.deg = make([]*shardDegrade, sd.Shards())
 	for i := range s.shards {
 		sh := &svcShard{
 			det:   sd.Shard(i),
@@ -205,16 +166,7 @@ func NewShardedService(sd *ShardedDetector, cfg ServiceConfig) *Service {
 			done:  make(chan struct{}),
 		}
 		s.shards[i] = sh
-		s.deg[i] = &shardDegrade{}
 		go s.worker(sh)
-	}
-	s.degMu.Lock()
-	s.initDegrade()
-	s.degMu.Unlock()
-	if s.cfg.Overload == OverloadDegrade {
-		go s.monitor()
-	} else {
-		close(s.monitorDone)
 	}
 	return s
 }
@@ -377,10 +329,9 @@ func (s *Service) send(ctx context.Context, sh *svcShard, req request) error {
 }
 
 // Close stops intake, drains every accepted request on every shard through
-// its detector, and waits for the shard workers and the overload monitor
-// to exit. Producers blocked on a full queue unblock with ErrClosed; every
-// request accepted before Close began still gets its reply. Safe to call
-// more than once.
+// its detector, and waits for the shard workers to exit. Producers blocked
+// on a full queue unblock with ErrClosed; every request accepted before
+// Close began still gets its reply. Safe to call more than once.
 func (s *Service) Close() {
 	s.mu.Lock()
 	already := s.closed
@@ -396,14 +347,13 @@ func (s *Service) Close() {
 			close(sh.queue)
 		}
 	}
-	<-s.monitorDone
 	for _, sh := range s.shards {
 		<-sh.done
 	}
 }
 
-// Stats snapshots detector counters plus queue, overload, and degradation
-// state, aggregated across shards, with the per-shard breakdown attached.
+// Stats snapshots detector counters plus queue and overload state,
+// aggregated across shards, with the per-shard breakdown attached.
 func (s *Service) Stats() ServiceStats {
 	st := ServiceStats{
 		Stats:          s.ShardedDetector.Stats(),
@@ -431,36 +381,11 @@ func (s *Service) Stats() ServiceStats {
 			}
 			ss.Precision = string(p)
 		}
-		if dg := s.deg[i]; dg != nil {
-			ss.Degraded = dg.degraded.Load()
-			ss.Downshifts, ss.Upshifts = dg.downs.Load(), dg.ups.Load()
-			if ss.Degraded {
-				st.DegradedShards++
-			}
-		}
 		st.QueueDepth += ss.QueueDepth
 		st.QueueCapacity += ss.QueueCapacity
 		st.Shards[i] = ss
 	}
 	return st
-}
-
-// SwapScorer hot-reloads the service's scorer across every shard without
-// stopping intake: queued requests keep queueing, in-flight batches finish
-// on the old scorer, and every batch after the swap scores on the new one
-// (ShardedDetector.SwapScorer semantics — atomic between batches, nothing
-// dropped, no mixed batch). Holding degMu across the swap and the rebind
-// keeps the overload monitor from installing a precision variant of the
-// outgoing scorer after the new one lands; the new artifact starts at its
-// native rung.
-func (s *Service) SwapScorer(sc tuning.Scorer, version string) error {
-	s.degMu.Lock()
-	defer s.degMu.Unlock()
-	if err := s.ShardedDetector.SwapScorer(sc, version); err != nil {
-		return err
-	}
-	s.initDegrade()
-	return nil
 }
 
 // CloseTimeout is Close bounded by a deadline: it drains like Close but

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"clmids/internal/model"
 )
 
 // CascadeParams are the calibrated cascade thresholds; they ride the bundle
@@ -64,10 +62,10 @@ type CascadeStatser interface {
 
 // CascadeScorer composes the two rungs behind the plain Scorer interface.
 // It is replicable (replicas share the frozen model artifacts and carry
-// their own engines, score memos, and counters), cache-aware (CacheStats
-// sums both rungs), and precision-switchable (the degrade policy moves the
-// confirm rung to int8, so an overloaded shard confirms escalations at int8
-// instead of stalling).
+// their own engines, score memos, and counters) and cache-aware
+// (CacheStats sums both rungs). Its serving precision (ScorerPrecision) is
+// the confirm rung's, the rung that defines its accuracy contract; the
+// triage rung is int8 by construction. Both rungs are fixed by the bundle.
 type CascadeScorer struct {
 	triage  Scorer
 	confirm Scorer
@@ -179,31 +177,4 @@ func (c *CascadeScorer) CacheStats() CacheStats {
 		}
 	}
 	return out
-}
-
-// Precision reports the confirm rung's serving precision — the rung that
-// defines the cascade's accuracy contract. The triage rung is pinned at its
-// own (low) precision by construction.
-func (c *CascadeScorer) Precision() model.Precision {
-	if p, ok := ScorerPrecision(c.confirm); ok {
-		return p
-	}
-	return model.PrecisionFloat64
-}
-
-// AtPrecision returns an independent cascade whose confirm rung serves at
-// precision p while the triage rung and thresholds are unchanged — the
-// degradation lever the streaming layer's overload policy pulls. Degrading
-// a cascade therefore cheapens only the escalation band; int8 triage
-// already costs as little as it can.
-func (c *CascadeScorer) AtPrecision(p model.Precision) (Scorer, error) {
-	if !p.Valid() {
-		return nil, fmt.Errorf("tuning: unknown precision %q", p)
-	}
-	confirm, err := AtPrecision(c.confirm, p)
-	if err != nil {
-		return nil, fmt.Errorf("tuning: cascade confirm rung: %w", err)
-	}
-	triage := c.triage.(Replicable).Replicate()
-	return NewCascadeScorer(nil, triage, confirm, c.params)
 }
