@@ -2,8 +2,12 @@ package model
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"clmids/internal/nn"
@@ -232,6 +236,71 @@ func TestMLMLossDecreases(t *testing.T) {
 	if !(last < first*0.5) {
 		t.Fatalf("MLM loss did not drop: first %.4f last %.4f", first, last)
 	}
+}
+
+// trainStepBitsGolden is the sha256 of hashTrainSteps: the loss bits of
+// three MLM+AdamW steps with dropout, then the bits of every parameter.
+// It is the same on every float64 kernel tier and with or without FMA
+// (GODEBUG=cpu.fma=off), so a change to the tape's forward or backward
+// arithmetic, or to a kernel the tape runs, shows here.
+const trainStepBitsGolden = "751f0b833f7e2c9046caf4653a1eb793b24655f218de2c1258dd32bb0dbf3e28"
+
+// hashTrainSteps runs three MLM+AdamW steps on tinyConfig (dropout on)
+// from fixed seeds and digests each step's loss bits and the final
+// parameters' bits, with their shapes.
+func hashTrainSteps(t *testing.T) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(41))
+	m, err := NewModel(tinyConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatch([][]int{
+		{2, 10, 4, 12, 3, 13, 14}, // 4 = [MASK]
+		{2, 4, 21, 22, 3},
+		{2, 30, 31, 4, 3},
+		{2, 40, 3},
+	})
+	labels := []int{
+		-100, -100, 11, -100, -100, -100, -100,
+		-100, 20, -100, -100, -100,
+		-100, -100, -100, 32, -100,
+		-100, 41, -100,
+	}
+	opt := nn.NewAdamW(m.Params(), 3e-3, 0.01)
+	h := sha256.New()
+	for step := 0; step < 3; step++ {
+		loss, err := m.MLMLoss(b, labels, -100, true, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.Write(h, binary.LittleEndian, math.Float64bits(loss.Item()))
+		if err := loss.Backward(); err != nil {
+			t.Fatal(err)
+		}
+		opt.Step()
+	}
+	for _, p := range m.Params() {
+		binary.Write(h, binary.LittleEndian, []int64{int64(p.Val.Rows), int64(p.Val.Cols)})
+		for _, v := range p.Val.Data {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTrainStepBitsGolden pins training's bits on each of the host's
+// float64 kernel tiers: the forward, the backward and the optimizer
+// together. TestInferForwardBitsGolden pins only the inference forward.
+func TestTrainStepBitsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the constant is amd64's: no other host has checked it, and Go may fuse multiply-adds on arm64, ppc64le, s390x and riscv64")
+	}
+	withF64Backends(func(tier string) {
+		if got := hashTrainSteps(t); got != trainStepBitsGolden {
+			t.Errorf("training steps changed (%s kernels): sha256 %s, want %s", tier, got, trainStepBitsGolden)
+		}
+	})
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
