@@ -88,7 +88,9 @@ func (e *Encoder) Params() []*tensor.Tensor {
 
 // Forward runs the encoder over a batch and returns the hidden states,
 // shaped [batch.Tokens(), Hidden]. When train is true, dropout is applied
-// using rng (which must be non-nil if Config.Dropout > 0).
+// using rng (which must be non-nil if Config.Dropout > 0). Its tape ops
+// take their values from the kernels InferForward runs, in the same
+// order, so the two differ only in dropout and the tape.
 func (e *Encoder) Forward(batch Batch, train bool, rng *rand.Rand) (*tensor.Tensor, error) {
 	if err := batch.Validate(e.cfg.VocabSize, e.cfg.MaxSeqLen); err != nil {
 		return nil, err
@@ -111,8 +113,7 @@ func (e *Encoder) Forward(batch Batch, train bool, rng *rand.Rand) (*tensor.Tens
 		}
 	}
 
-	x := tensor.Add(e.TokEmb.Forward(batch.IDs), e.PosEmb.Forward(positions))
-	x = e.EmbNorm.Forward(x)
+	x := e.EmbNorm.ForwardAdd(e.TokEmb.Forward(batch.IDs), e.PosEmb.Forward(positions))
 	x = tensor.Dropout(x, drop, rng)
 
 	for _, blk := range e.Blocks {
@@ -122,28 +123,18 @@ func (e *Encoder) Forward(batch Batch, train bool, rng *rand.Rand) (*tensor.Tens
 		attn := tensor.Attention(q, k, v, e.cfg.Heads, batch.Lens)
 		attn = blk.WO.Forward(attn)
 		attn = tensor.Dropout(attn, drop, rng)
-		x = blk.AttnNorm.Forward(tensor.Add(x, attn))
+		x = blk.AttnNorm.ForwardAdd(x, attn)
 
 		ff := blk.FF2.Forward(tensor.GELU(blk.FF1.Forward(x)))
 		ff = tensor.Dropout(ff, drop, rng)
-		x = blk.FFNorm.Forward(tensor.Add(x, ff))
+		x = blk.FFNorm.ForwardAdd(x, ff)
 	}
 	return x, nil
 }
 
-// EmbedLines produces one embedding per sequence by average pooling all
-// token hidden states — the command-line embedding f(t) of Eq. (1).
-// The returned matrix is detached from the graph.
-func (e *Encoder) EmbedLines(batch Batch) (*tensor.Matrix, error) {
-	h, err := e.Forward(batch, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.MeanPool(h, batch.Lens).Val, nil
-}
-
-// MeanPoolTensor returns the differentiable mean-pooled embeddings; used by
-// reconstruction-based tuning, which backpropagates through f(t).
+// MeanPoolTensor returns the differentiable mean-pooled embeddings, the
+// command-line embedding f(t) of Eq. (1); used by reconstruction-based
+// tuning, which backpropagates through f(t).
 func (e *Encoder) MeanPoolTensor(batch Batch, train bool, rng *rand.Rand) (*tensor.Tensor, error) {
 	h, err := e.Forward(batch, train, rng)
 	if err != nil {

@@ -20,9 +20,9 @@ type InferScratch struct {
 	// ff holds the FFN expansion.
 	x, q, k, v, attn, resid *tensor.Matrix
 	ff                      *tensor.Matrix
-	// scores holds one head's post-softmax attention matrix and kt one
-	// sequence's transposed K: capacities MaxSeqLen² and
-	// MaxSeqLen·Hidden.
+	// scores holds one sequence's post-softmax attention matrices, one
+	// S×S block per head, and kt its transposed K: capacities
+	// Heads·MaxSeqLen² and MaxSeqLen·Hidden.
 	scores, kt []float64
 
 	// Float32 mirrors of the buffers above, allocated instead of the
@@ -96,7 +96,7 @@ func (s *InferScratch) grow(n int) {
 	s.attn = tensor.NewMatrix(n, s.cfg.Hidden)
 	s.resid = tensor.NewMatrix(n, s.cfg.Hidden)
 	s.ff = tensor.NewMatrix(n, s.cfg.FFN)
-	s.scores = make([]float64, s.cfg.MaxSeqLen*s.cfg.MaxSeqLen)
+	s.scores = make([]float64, s.cfg.Heads*s.cfg.MaxSeqLen*s.cfg.MaxSeqLen)
 	s.kt = make([]float64, s.cfg.MaxSeqLen*s.cfg.Hidden)
 }
 
@@ -175,7 +175,7 @@ func (e *Encoder) InferForward(batch Batch, s *InferScratch) (*tensor.Matrix, er
 
 // InferEmbedInto mean-pools the tape-free hidden states into dst rows
 // [dstRow, dstRow+batch.Size()) — the inference-path equivalent of
-// EmbedLines for one batch. The forward pass runs at the scratch's
+// MeanPoolTensor for one batch. The forward pass runs at the scratch's
 // precision rung; dst rows are always canonical float64, so downstream
 // consumers (detector heads) never see precision.
 func (e *Encoder) InferEmbedInto(batch Batch, s *InferScratch, dst *tensor.Matrix, dstRow int) error {

@@ -186,12 +186,12 @@ func TestEmbedAndCLS(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := tinyBatch()
-	emb, err := enc.EmbedLines(b)
+	emb, err := enc.MeanPoolTensor(b, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if emb.Rows != 3 || emb.Cols != 16 {
-		t.Fatalf("embeddings %dx%d, want 3x16", emb.Rows, emb.Cols)
+	if emb.Rows() != 3 || emb.Cols() != 16 {
+		t.Fatalf("embeddings %dx%d, want 3x16", emb.Rows(), emb.Cols())
 	}
 	cls, err := enc.CLSTensor(b, false, nil)
 	if err != nil {

@@ -73,6 +73,12 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return tensor.LayerNorm(x, l.Gamma, l.Beta, l.Eps)
 }
 
+// ForwardAdd normalizes each row of x + r as one fused node, the
+// residual add and LayerNorm of a post-LN block.
+func (l *LayerNorm) ForwardAdd(x, r *tensor.Tensor) *tensor.Tensor {
+	return tensor.AddLayerNorm(x, r, l.Gamma, l.Beta, l.Eps)
+}
+
 // Params implements Layer.
 func (l *LayerNorm) Params() []*tensor.Tensor { return []*tensor.Tensor{l.Gamma, l.Beta} }
 

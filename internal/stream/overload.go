@@ -50,6 +50,3 @@ func ParseOverloadPolicy(s string) (OverloadPolicy, error) {
 		return 0, fmt.Errorf("stream: unknown overload policy %q (want block | shed)", s)
 	}
 }
-
-// OverloadPolicy returns the service's configured overload policy.
-func (s *Service) OverloadPolicy() OverloadPolicy { return s.cfg.Overload }

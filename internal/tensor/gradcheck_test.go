@@ -134,6 +134,14 @@ func TestGradLayerNorm(t *testing.T) {
 	checkGrad(t, "layernorm", []*Tensor{a, gamma, beta}, func() *Tensor {
 		return SumAll(Mul(LayerNorm(a, gamma, beta, 1e-5), w))
 	})
+
+	// The fused residual form over 9 rows: two 4-row kernel groups and a
+	// 1-row tail, whose row stats backward reads.
+	x, res := randVar(r, 9, 6), randVar(r, 9, 6)
+	w9 := Const(randMatrix(r, 9, 6))
+	checkGrad(t, "add+layernorm", []*Tensor{x, res, gamma, beta}, func() *Tensor {
+		return SumAll(Mul(AddLayerNorm(x, res, gamma, beta, 1e-5), w9))
+	})
 }
 
 func TestGradCrossEntropy(t *testing.T) {

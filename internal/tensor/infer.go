@@ -5,17 +5,18 @@ import (
 	"math"
 )
 
-// Forward-only inference kernels.
+// Forward kernels, shared by inference and training.
 //
-// The autograd ops in ops.go/ops_nn.go allocate a fresh value matrix (and
-// often saved intermediates) per call and record a backward closure on the
-// tape — pure overhead when only the value is wanted. The Infer* kernels
-// below compute the identical forward arithmetic, in the identical
-// floating-point order, but write into caller-owned buffers and record
-// nothing, so a scoring loop that reuses its buffers runs allocation-free.
-// They are single-threaded on purpose: at inference time parallelism lives
-// one level up, across batches (see internal/tuning's engine), which avoids
-// oversubscribing cores with nested goroutine fan-out.
+// The Infer* kernels write into caller-owned buffers and record nothing on
+// the tape, so a scoring loop that reuses its buffers runs allocation-free.
+// The tape ops in ops_nn.go take their values from these same kernels —
+// AddLayerNorm from addLayerNormInto, Attention from attentionF64,
+// MeanPool from InferMeanPoolInto — and keep only what backward needs, so
+// training and serving run one forward arithmetic on every kernel tier.
+// The kernels are single-threaded on purpose: at inference time
+// parallelism lives one level up, across batches (see internal/tuning's
+// engine), which avoids oversubscribing cores with nested goroutine
+// fan-out.
 
 // InferLinearInto computes out = x·w + bias serially (bias broadcast over
 // rows; may be nil for no bias), overwriting out and matching
@@ -40,22 +41,28 @@ func InferLinearInto(x, w, bias, out *Matrix) {
 // InferAddLayerNormInto adds resid into x (x += resid; resid may be nil,
 // as for the embedding LayerNorm), then normalizes each row of x and
 // applies the learned scale gamma and shift beta (both 1×n), writing into
-// out; out may alias x. Each row runs an AddInPlace and the LayerNorm
-// op's arithmetic in their order: the residual add, the mean's sum, the
-// variance's sum, the normalization. Four rows run together as four
-// independent add chains, which reorders no row's sums, so the bits are
-// those of the two-step form.
+// out; out may alias x. Each row runs the residual add, the mean's sum,
+// the variance's sum and the normalization, in that order. Four rows run
+// together as four independent add chains, which reorders no row's sums,
+// so the bits are those of one row at a time.
 func InferAddLayerNormInto(x, resid, gamma, beta *Matrix, eps float64, out *Matrix) {
+	addLayerNormInto(x, resid, gamma, beta, eps, out, nil)
+}
+
+// addLayerNormInto is InferAddLayerNormInto that, when stats is non-nil
+// (2·x.Rows long), also records row i's mean in stats[2i] and its
+// 1/σ in stats[2i+1]: the AddLayerNorm op keeps them for backward.
+func addLayerNormInto(x, resid, gamma, beta *Matrix, eps float64, out *Matrix, stats []float64) {
 	n := x.Cols
 	if gamma.Rows != 1 || gamma.Cols != n || beta.Rows != 1 || beta.Cols != n {
-		panic(fmt.Sprintf("tensor: InferAddLayerNorm params must be 1x%d", n))
+		panic(fmt.Sprintf("tensor: AddLayerNorm params must be 1x%d", n))
 	}
 	if out.Rows != x.Rows || out.Cols != n {
-		panic(fmt.Sprintf("tensor: InferAddLayerNorm out %dx%d for %dx%d input",
+		panic(fmt.Sprintf("tensor: AddLayerNorm out %dx%d for %dx%d input",
 			out.Rows, out.Cols, x.Rows, n))
 	}
 	if resid != nil && !resid.SameShape(x) {
-		panic(fmt.Sprintf("tensor: InferAddLayerNorm resid %dx%d for %dx%d input",
+		panic(fmt.Sprintf("tensor: AddLayerNorm resid %dx%d for %dx%d input",
 			resid.Rows, resid.Cols, x.Rows, n))
 	}
 	rows := func(m *Matrix, i, c int) []float64 {
@@ -64,18 +71,25 @@ func InferAddLayerNormInto(x, resid, gamma, beta *Matrix, eps float64, out *Matr
 		}
 		return m.Data[i*n : (i+c)*n]
 	}
+	st := func(i, c int) []float64 {
+		if stats == nil {
+			return nil
+		}
+		return stats[2*i : 2*(i+c)]
+	}
 	i := 0
 	for ; i+4 <= x.Rows; i += 4 {
-		addLayerNormRows4(rows(x, i, 4), rows(resid, i, 4), gamma.Data, beta.Data, eps, rows(out, i, 4))
+		addLayerNormRows4(rows(x, i, 4), rows(resid, i, 4), gamma.Data, beta.Data, eps, rows(out, i, 4), st(i, 4))
 	}
 	for ; i < x.Rows; i++ {
-		addLayerNormRow64(rows(x, i, 1), rows(resid, i, 1), gamma.Data, beta.Data, eps, rows(out, i, 1))
+		addLayerNormRow64(rows(x, i, 1), rows(resid, i, 1), gamma.Data, beta.Data, eps, rows(out, i, 1), st(i, 1))
 	}
 }
 
-// addLayerNormRow64 is InferAddLayerNormInto for one row: x += r (r may
-// be nil), then out = LayerNorm(x)·gamma + beta.
-func addLayerNormRow64(x, r, gamma, beta []float64, eps float64, out []float64) {
+// addLayerNormRow64 is addLayerNormInto for one row: x += r (r may be
+// nil), then out = LayerNorm(x)·gamma + beta, and stats (nil or 2 long)
+// gets the mean and 1/σ.
+func addLayerNormRow64(x, r, gamma, beta []float64, eps float64, out, stats []float64) {
 	mean := 0.0
 	if r != nil {
 		r = r[:len(x)]
@@ -95,13 +109,13 @@ func addLayerNormRow64(x, r, gamma, beta []float64, eps float64, out []float64) 
 		varr += d * d
 	}
 	varr /= float64(len(x))
-	normRow64(x, mean, 1/math.Sqrt(varr+eps), gamma, beta, out)
+	normRow64(x, mean, 1/math.Sqrt(varr+eps), gamma, beta, out, stats)
 }
 
 // addLayerNormRows4 is addLayerNormRow64 for four consecutive rows of
-// x, r and out, their mean and variance sums interleaved as four
-// independent chains.
-func addLayerNormRows4(x, r, gamma, beta []float64, eps float64, out []float64) {
+// x, r and out (stats: nil or 8 long), their mean and variance sums
+// interleaved as four independent chains.
+func addLayerNormRows4(x, r, gamma, beta []float64, eps float64, out, stats []float64) {
 	n := len(gamma)
 	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:4*n]
 	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
@@ -143,15 +157,22 @@ func addLayerNormRows4(x, r, gamma, beta []float64, eps float64, out []float64) 
 		v2 += d2 * d2
 		v3 += d3 * d3
 	}
-	normRow64(x0, m0, 1/math.Sqrt(v0/fn+eps), gamma, beta, out[:n])
-	normRow64(x1, m1, 1/math.Sqrt(v1/fn+eps), gamma, beta, out[n:2*n])
-	normRow64(x2, m2, 1/math.Sqrt(v2/fn+eps), gamma, beta, out[2*n:3*n])
-	normRow64(x3, m3, 1/math.Sqrt(v3/fn+eps), gamma, beta, out[3*n:4*n])
+	var s0, s1, s2, s3 []float64
+	if stats != nil {
+		s0, s1, s2, s3 = stats[0:2], stats[2:4], stats[4:6], stats[6:8]
+	}
+	normRow64(x0, m0, 1/math.Sqrt(v0/fn+eps), gamma, beta, out[:n], s0)
+	normRow64(x1, m1, 1/math.Sqrt(v1/fn+eps), gamma, beta, out[n:2*n], s1)
+	normRow64(x2, m2, 1/math.Sqrt(v2/fn+eps), gamma, beta, out[2*n:3*n], s2)
+	normRow64(x3, m3, 1/math.Sqrt(v3/fn+eps), gamma, beta, out[3*n:4*n], s3)
 }
 
-// normRow64 writes out[j] = (x[j]−mean)·is·gamma[j] + beta[j], the
-// LayerNorm op's expression; out may alias x.
-func normRow64(x []float64, mean, is float64, gamma, beta, out []float64) {
+// normRow64 writes out[j] = (x[j]−mean)·is·gamma[j] + beta[j]; out may
+// alias x. A non-nil stats gets mean and is.
+func normRow64(x []float64, mean, is float64, gamma, beta, out, stats []float64) {
+	if stats != nil {
+		stats[0], stats[1] = mean, is
+	}
 	gamma, beta, out = gamma[:len(x)], beta[:len(x)], out[:len(x)]
 	for j, v := range x {
 		out[j] = (v-mean)*is*gamma[j] + beta[j]
@@ -165,46 +186,54 @@ func InferGELUInPlace(x *Matrix) { geluRow(x.Data, x.Data) }
 // InferAttentionInto runs the fused multi-head scaled-dot-product attention
 // forward pass (same layout contract as Attention: q/k/v are [sum(lens),
 // hidden], sequences own consecutive rows, attention never crosses sequence
-// boundaries) writing into out. scores is caller-owned scratch with
-// capacity at least max(lens)², where post-softmax attention rows are built
-// head by head and never retained; kt is scratch with capacity at least
-// max(lens)·hidden for one sequence's transposed K. Results are bitwise
-// the tape's Attention: the AVX2 kernels (attentionF64Asm) vectorize only
-// across independent outputs.
+// boundaries) writing into out. scores is caller-owned scratch of at least
+// heads·max(lens)²: for each sequence in turn, head h's post-softmax S×S
+// matrix is built in scores[h·S², (h+1)·S²), where the Attention op keeps
+// it for backward; kt is scratch of at least max(lens)·hidden for one
+// sequence's transposed K. The AVX2 kernels (attentionF64Asm) vectorize
+// only across independent outputs, so every tier gives attentionF64Go's
+// bits.
 func InferAttentionInto(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
-	hidden := q.Cols
-	if hidden%heads != 0 {
-		panic(fmt.Sprintf("tensor: hidden %d not divisible by heads %d", hidden, heads))
+	if !q.SameShape(out) {
+		panic("tensor: Attention q/out shape mismatch")
 	}
-	if !q.SameShape(k) || !q.SameShape(v) || !q.SameShape(out) {
-		panic("tensor: InferAttention q/k/v/out shape mismatch")
-	}
-	total, maxS := 0, 0
-	for _, l := range lens {
-		if l <= 0 {
-			panic("tensor: InferAttention sequence length must be positive")
-		}
-		total += l
-		if l > maxS {
-			maxS = l
-		}
-	}
-	if total != q.Rows {
-		panic(fmt.Sprintf("tensor: InferAttention lens sum %d != %d rows", total, q.Rows))
-	}
-	if len(scores) < maxS*maxS || len(kt) < maxS*hidden {
+	maxS := checkAttention(q, k, v, heads, lens)
+	if len(scores) < heads*maxS*maxS || len(kt) < maxS*q.Cols {
 		panic(fmt.Sprintf("tensor: InferAttention scratch %d/%d < %d/%d",
-			len(scores), len(kt), maxS*maxS, maxS*hidden))
+			len(scores), len(kt), heads*maxS*maxS, maxS*q.Cols))
 	}
 	attentionF64(q, k, v, heads, lens, scores, kt, out)
 }
 
-// attentionF64Go is the scalar attention forward, the arithmetic of the
-// tape's Attention: per query row, dot products c ascending from +0 times
-// the scale, softmaxInto, then AV accumulated j ascending into the zeroed
-// out row, skipping zero weights, every product rounded before it is
-// added. It is the portable path and the mirror attentionF64Asm is tested
-// against; kt is unused.
+// checkAttention panics unless q, k and v share one shape whose width
+// heads divides and whose rows the positive lens cover exactly, and
+// returns max(lens).
+func checkAttention(q, k, v *Matrix, heads int, lens []int) int {
+	if q.Cols%heads != 0 {
+		panic(fmt.Sprintf("tensor: hidden %d not divisible by heads %d", q.Cols, heads))
+	}
+	if !q.SameShape(k) || !q.SameShape(v) {
+		panic("tensor: Attention q/k/v shape mismatch")
+	}
+	total, maxS := 0, 0
+	for _, l := range lens {
+		if l <= 0 {
+			panic("tensor: Attention sequence length must be positive")
+		}
+		total += l
+		maxS = max(maxS, l)
+	}
+	if total != q.Rows {
+		panic(fmt.Sprintf("tensor: Attention lens sum %d != %d rows", total, q.Rows))
+	}
+	return maxS
+}
+
+// attentionF64Go is the scalar attention forward: per query row, dot
+// products c ascending from +0 times the scale, softmaxInto, then AV
+// accumulated j ascending into the zeroed out row, skipping zero weights,
+// every product rounded before it is added. It is the portable path and
+// the mirror attentionF64Asm is tested against; kt is unused.
 func attentionF64Go(q, k, v *Matrix, heads int, lens []int, scores, _ []float64, out *Matrix) {
 	d := q.Cols / heads
 	scale := 1 / math.Sqrt(float64(d))
@@ -213,7 +242,7 @@ func attentionF64Go(q, k, v *Matrix, heads int, lens []int, scores, _ []float64,
 	for _, S := range lens {
 		for h := 0; h < heads; h++ {
 			hOff := h * d
-			A := scores[:S*S]
+			A := scores[h*S*S : (h+1)*S*S]
 			for i := 0; i < S; i++ {
 				qrow := q.Row(off + i)[hOff : hOff+d]
 				srow := A[i*S : (i+1)*S]
@@ -247,17 +276,18 @@ func attentionF64Go(q, k, v *Matrix, heads int, lens []int, scores, _ []float64,
 
 // InferMeanPoolInto average-pools token rows into one row per segment
 // (segment s owns lens[s] consecutive rows of x), writing segment s to
-// dst.Row(dstRow+s). Arithmetic matches the MeanPool op.
+// dst.Row(dstRow+s): the rows summed in order from +0, then scaled by
+// 1/lens[s]. The MeanPool op takes its value from here.
 func InferMeanPoolInto(x *Matrix, lens []int, dst *Matrix, dstRow int) {
 	total := 0
 	for _, l := range lens {
 		if l <= 0 {
-			panic("tensor: InferMeanPool segment length must be positive")
+			panic("tensor: MeanPool segment length must be positive")
 		}
 		total += l
 	}
 	if total != x.Rows {
-		panic(fmt.Sprintf("tensor: InferMeanPool lens sum %d != %d rows", total, x.Rows))
+		panic(fmt.Sprintf("tensor: MeanPool lens sum %d != %d rows", total, x.Rows))
 	}
 	if dst.Cols != x.Cols || dstRow < 0 || dstRow+len(lens) > dst.Rows {
 		panic(fmt.Sprintf("tensor: InferMeanPool dst %dx%d cannot hold %d segments at row %d",

@@ -497,7 +497,7 @@ func TestInferKernels32MatchFloat64(t *testing.T) {
 		// Attention.
 		q, k, v := randM(T, H), randM(T, H), randM(T, H)
 		wantA := NewMatrix(T, H)
-		InferAttentionInto(q, k, v, heads, lens, make([]float64, 36), make([]float64, 6*H), wantA)
+		InferAttentionInto(q, k, v, heads, lens, make([]float64, heads*36), make([]float64, 6*H), wantA)
 		gotA := NewMatrix32(T, H)
 		InferAttentionInto32(Narrow(q), Narrow(k), Narrow(v), heads, lens, make([]float32, 8), make([]float32, 8*H), gotA)
 		check("attention", wantA, gotA, 1e-4)
@@ -602,7 +602,7 @@ func BenchmarkAttentionF64(b *testing.B) {
 	lens, T := benchBatchLens(rng)
 	q, k, v := randMatrix(rng, T, 48), randMatrix(rng, T, 48), randMatrix(rng, T, 48)
 	out := NewMatrix(T, 48)
-	scores, kt := make([]float64, 20*20), make([]float64, 20*48)
+	scores, kt := make([]float64, 4*20*20), make([]float64, 20*48)
 	for b.Loop() {
 		InferAttentionInto(q, k, v, 4, lens, scores, kt, out)
 	}

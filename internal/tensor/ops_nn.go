@@ -24,41 +24,32 @@ func softmaxInto(src, dst []float64) {
 // LayerNorm normalizes each row of a to zero mean and unit variance, then
 // applies the learned scale gamma and shift beta (both 1×n).
 func LayerNorm(a, gamma, beta *Tensor, eps float64) *Tensor {
-	n := a.Val.Cols
-	if gamma.Val.Rows != 1 || gamma.Val.Cols != n || beta.Val.Rows != 1 || beta.Val.Cols != n {
-		panic(fmt.Sprintf("tensor: LayerNorm params must be 1x%d", n))
+	return AddLayerNorm(a, nil, gamma, beta, eps)
+}
+
+// AddLayerNorm is LayerNorm(a + r) as one node (r may be nil), its value
+// from InferAddLayerNormInto's kernel. The kernel adds r into a clone of
+// a, since a's value also feeds other nodes. Backward recomputes
+// x̂ = (sum − mean)·(1/σ) from the saved sum and row stats, the forward's
+// own expression, and adds the same dx into a and r.
+func AddLayerNorm(a, r, gamma, beta *Tensor, eps float64) *Tensor {
+	sum, rv := a.Val, (*Matrix)(nil)
+	if r != nil {
+		sum, rv = a.Val.Clone(), r.Val
 	}
-	val := NewMatrix(a.Val.Rows, n)
-	xhat := NewMatrix(a.Val.Rows, n) // saved for backward
-	invStd := make([]float64, a.Val.Rows)
-	for i := 0; i < a.Val.Rows; i++ {
-		row := a.Val.Row(i)
-		mean := 0.0
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float64(n)
-		varr := 0.0
-		for _, v := range row {
-			d := v - mean
-			varr += d * d
-		}
-		varr /= float64(n)
-		is := 1 / math.Sqrt(varr+eps)
-		invStd[i] = is
-		xr := xhat.Row(i)
-		vr := val.Row(i)
-		for j, v := range row {
-			h := (v - mean) * is
-			xr[j] = h
-			vr[j] = h*gamma.Val.Data[j] + beta.Val.Data[j]
-		}
-	}
+	n := sum.Cols
+	val := NewMatrix(sum.Rows, n)
+	stats := make([]float64, 2*sum.Rows) // row i's mean and 1/σ
+	addLayerNormInto(sum, rv, gamma.Val, beta.Val, eps, val, stats)
 	var out *Tensor
 	out = newNode("layernorm", val, func() {
+		xr := make([]float64, n) // row i's x̂
 		for i := 0; i < out.Grad.Rows; i++ {
 			gy := out.Grad.Row(i)
-			xr := xhat.Row(i)
+			mean, is := stats[2*i], stats[2*i+1]
+			for j, v := range sum.Row(i) {
+				xr[j] = (v - mean) * is
+			}
 			if gamma.needGrad {
 				gg := gamma.ensureGrad()
 				for j := range gy {
@@ -71,24 +62,29 @@ func LayerNorm(a, gamma, beta *Tensor, eps float64) *Tensor {
 					gb.Data[j] += gy[j]
 				}
 			}
-			if a.needGrad {
-				// dx = (1/σ) * (dy*γ - mean(dy*γ) - x̂ * mean(dy*γ*x̂))
-				m1, m2 := 0.0, 0.0
-				for j := range gy {
-					t := gy[j] * gamma.Val.Data[j]
-					m1 += t
-					m2 += t * xr[j]
+			if !a.needGrad && (r == nil || !r.needGrad) {
+				continue
+			}
+			// dx = (1/σ) * (dy*γ - mean(dy*γ) - x̂ * mean(dy*γ*x̂))
+			m1, m2 := 0.0, 0.0
+			for j := range gy {
+				t := gy[j] * gamma.Val.Data[j]
+				m1 += t
+				m2 += t * xr[j]
+			}
+			m1 /= float64(n)
+			m2 /= float64(n)
+			for _, in := range [2]*Tensor{a, r} {
+				if in == nil || !in.needGrad {
+					continue
 				}
-				m1 /= float64(n)
-				m2 /= float64(n)
-				ga := a.ensureGrad().Row(i)
+				g := in.ensureGrad().Row(i)
 				for j := range gy {
-					t := gy[j] * gamma.Val.Data[j]
-					ga[j] += invStd[i] * (t - m1 - xr[j]*m2)
+					g[j] += is * (gy[j]*gamma.Val.Data[j] - m1 - xr[j]*m2)
 				}
 			}
 		}
-	}, a, gamma, beta)
+	}, a, r, gamma, beta)
 	return out
 }
 
@@ -148,55 +144,30 @@ func CrossEntropy(logits *Tensor, labels []int, ignoreIndex int) *Tensor {
 
 // MeanPool averages token rows into one row per segment: x is
 // [sum(lens), n] where segment s owns lens[s] consecutive rows; the result
-// is [len(lens), n]. Rows beyond a segment's length do not exist (callers
-// pass only real tokens). This is the command-line embedding f(t) used by
-// the PCA detector (§III).
+// is [len(lens), n], its value from InferMeanPoolInto. Rows beyond a
+// segment's length do not exist (callers pass only real tokens). This is
+// the command-line embedding f(t) used by the PCA detector (§III).
 func MeanPool(x *Tensor, lens []int) *Tensor {
-	total := 0
-	for _, l := range lens {
-		if l <= 0 {
-			panic("tensor: MeanPool segment length must be positive")
-		}
-		total += l
-	}
-	if total != x.Val.Rows {
-		panic(fmt.Sprintf("tensor: MeanPool lens sum %d != %d rows", total, x.Val.Rows))
-	}
 	val := NewMatrix(len(lens), x.Val.Cols)
-	offs := make([]int, len(lens))
-	off := 0
-	for s, l := range lens {
-		offs[s] = off
-		dst := val.Row(s)
-		for r := off; r < off+l; r++ {
-			src := x.Val.Row(r)
-			for j, v := range src {
-				dst[j] += v
-			}
-		}
-		inv := 1 / float64(l)
-		for j := range dst {
-			dst[j] *= inv
-		}
-		off += l
-	}
-	segLens := make([]int, len(lens))
-	copy(segLens, lens)
+	InferMeanPoolInto(x.Val, lens, val, 0)
+	segLens := append([]int(nil), lens...)
 	var out *Tensor
 	out = newNode("meanpool", val, func() {
 		if !x.needGrad {
 			return
 		}
 		g := x.ensureGrad()
+		off := 0
 		for s, l := range segLens {
 			inv := 1 / float64(l)
 			grow := out.Grad.Row(s)
-			for r := offs[s]; r < offs[s]+l; r++ {
+			for r := off; r < off+l; r++ {
 				dst := g.Row(r)
 				for j, v := range grow {
 					dst[j] += v * inv
 				}
 			}
+			off += l
 		}
 	}, x)
 	return out
@@ -206,73 +177,31 @@ func MeanPool(x *Tensor, lens []int) *Tensor {
 // transformer encoder. q, k, v are [sum(lens), hidden] where each sequence s
 // owns lens[s] consecutive rows. heads must divide hidden. The output has
 // the same shape as q. Attention never crosses sequence boundaries, which
-// implements per-line isolation without padding.
+// implements per-line isolation without padding. The value comes from
+// InferAttentionInto's kernel, run once per sequence on its rows; the
+// post-softmax matrices it leaves in its scores scratch are kept for
+// backward.
 func Attention(q, k, v *Tensor, heads int, lens []int) *Tensor {
+	maxS := checkAttention(q.Val, k.Val, v.Val, heads, lens)
 	hidden := q.Val.Cols
-	if hidden%heads != 0 {
-		panic(fmt.Sprintf("tensor: hidden %d not divisible by heads %d", hidden, heads))
-	}
-	if !q.Val.SameShape(k.Val) || !q.Val.SameShape(v.Val) {
-		panic("tensor: Attention q/k/v shape mismatch")
-	}
-	total := 0
-	for _, l := range lens {
-		if l <= 0 {
-			panic("tensor: Attention sequence length must be positive")
-		}
-		total += l
-	}
-	if total != q.Val.Rows {
-		panic(fmt.Sprintf("tensor: Attention lens sum %d != %d rows", total, q.Val.Rows))
-	}
 	d := hidden / heads
 	scale := 1 / math.Sqrt(float64(d))
 
 	val := NewMatrix(q.Val.Rows, hidden)
-	// attn[s][h] is the [S,S] post-softmax attention matrix, saved for the
-	// backward pass.
-	attn := make([][][]float64, len(lens))
-
+	// attn[s] holds sequence s's post-softmax matrices, head h's S×S block
+	// at [h·S², (h+1)·S²).
+	attn := make([][]float64, len(lens))
+	kt := make([]float64, maxS*hidden)
 	off := 0
 	for s, S := range lens {
-		attn[s] = make([][]float64, heads)
-		for h := 0; h < heads; h++ {
-			hOff := h * d
-			A := make([]float64, S*S)
-			// scores = Q·Kᵀ·scale, then row softmax.
-			for i := 0; i < S; i++ {
-				qrow := q.Val.Row(off + i)[hOff : hOff+d]
-				srow := A[i*S : (i+1)*S]
-				for j := 0; j < S; j++ {
-					krow := k.Val.Row(off + j)[hOff : hOff+d]
-					dot := 0.0
-					for c := 0; c < d; c++ {
-						dot += float64(qrow[c] * krow[c])
-					}
-					srow[j] = dot * scale
-				}
-				softmaxInto(srow, srow)
-			}
-			attn[s][h] = A
-			// out = A·V
-			for i := 0; i < S; i++ {
-				arow := A[i*S : (i+1)*S]
-				orow := val.Row(off + i)[hOff : hOff+d]
-				for j, a := range arow {
-					if a == 0 {
-						continue
-					}
-					vrow := v.Val.Row(off + j)[hOff : hOff+d]
-					for c := 0; c < d; c++ {
-						orow[c] += float64(a * vrow[c])
-					}
-				}
-			}
+		rows := func(m *Matrix) *Matrix {
+			return &Matrix{Rows: S, Cols: hidden, Data: m.Data[off*hidden : (off+S)*hidden]}
 		}
+		attn[s] = make([]float64, heads*S*S)
+		attentionF64(rows(q.Val), rows(k.Val), rows(v.Val), heads, lens[s:s+1], attn[s], kt, rows(val))
 		off += S
 	}
-	segLens := make([]int, len(lens))
-	copy(segLens, lens)
+	segLens := append([]int(nil), lens...)
 
 	var out *Tensor
 	out = newNode("attention", val, func() {
@@ -295,7 +224,7 @@ func Attention(q, k, v *Tensor, heads int, lens []int) *Tensor {
 			dA = dA[:S*S]
 			for h := 0; h < heads; h++ {
 				hOff := h * d
-				A := attn[s][h]
+				A := attn[s][h*S*S : (h+1)*S*S]
 				// dA = dOut·Vᵀ ; dV += Aᵀ·dOut
 				for i := 0; i < S; i++ {
 					gorow := out.Grad.Row(off + i)[hOff : hOff+d]

@@ -237,8 +237,8 @@ func attentionF64Asm(q, k, v *Matrix, heads int, lens []int, scores, kt []float6
 				panel[c*S+j] = x
 			}
 		}
-		A := scores[:S*S]
 		for h := 0; h < heads; h++ {
+			A := scores[h*S*S : (h+1)*S*S]
 			lo, hi := off*hidden+h*d, (off+S-1)*hidden+(h+1)*d
 			gemmF64(q.Data[lo:hi], panel[h*d*S:(h+1)*d*S], nil, A, S, d, S, hidden, S, S)
 			for i := 0; i < S; i++ {

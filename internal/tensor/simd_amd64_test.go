@@ -321,7 +321,9 @@ func TestF64GemmKernelsMatchGo(t *testing.T) {
 // (QKᵀ's GEMM is S columns wide). Inputs come plain, laced with special
 // values, and scaled up so that softmax weights underflow to exactly 0
 // against a V holding infinities: the kernel must skip those weights as
-// the scalar loop does.
+// the scalar loop does. The whole scores scratch must match too, every
+// head's post-softmax block at [h·S², (h+1)·S²): the Attention op's
+// backward reads it.
 func TestF64AttentionMatchesGo(t *testing.T) {
 	withF64Backends(func(tier string) {
 		t.Run(tier, testF64AttentionMatchesGo)
@@ -351,14 +353,16 @@ func testF64AttentionMatchesGo(t *testing.T) {
 					if input.scale > 1 {
 						v.Data[rng.Intn(len(v.Data))] = math.Inf(1)
 					}
-					scores, kt := make([]float64, maxS*maxS), make([]float64, maxS*hidden)
+					kt := make([]float64, maxS*hidden)
+					wantScores, gotScores := make([]float64, heads*maxS*maxS), make([]float64, heads*maxS*maxS)
 					want := NewMatrix(T, hidden)
 					got := guardedMatrix(T, hidden, 8)
 					got.Fill(3) // the kernel overwrites every output
-					attentionF64Go(q, k, v, heads, lens, scores, kt, want)
-					attentionF64(q, k, v, heads, lens, scores, kt, got)
+					attentionF64Go(q, k, v, heads, lens, wantScores, kt, want)
+					attentionF64(q, k, v, heads, lens, gotScores, kt, got)
 					name := fmt.Sprintf("d=%d heads=%d lens=%v scale=%g every=%d", d, heads, lens, input.scale, input.every)
 					sameBits64(t, name, got.Data, want.Data)
+					sameBits64(t, "scores "+name, gotScores, wantScores)
 					checkGuard(t, name, got)
 				}
 			}
