@@ -127,7 +127,7 @@ func (rt *Router) Handler() http.Handler {
 			http.Error(w, ErrNoReplicas.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		serve.HandleScoreLines(rt.routeLines, rt.cfg.Chunk, w, r)
+		serve.HandleScoreLines(rt.routeLines, rt.cfg.Chunk, rt.now, w, r)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -189,9 +189,10 @@ func TestRouterForwardsRequestLines(t *testing.T) {
 	}
 }
 
-// A timeless event is stamped once, by the router: the replica receives
-// it with a time, so it never stamps it again, and the client's verdict
-// and the router's shadow window carry that same time.
+// A timeless event is stamped once, by the router, from the router's
+// clock: the replica receives it with that time, so it never stamps it
+// again, and the client's verdict and the router's shadow window carry
+// that same time.
 func TestRouterStampsTimelessEventsOnce(t *testing.T) {
 	var (
 		mu       sync.Mutex
@@ -212,22 +213,21 @@ func TestRouterStampsTimelessEventsOnce(t *testing.T) {
 		return true
 	})
 	rt := newTestRouter(t, nil, &testReplica{srv: stub.srv})
+	const stamped = 1_700_000_000
+	rt.now = func() time.Time { return time.Unix(stamped, 0) }
 	waitHealthy(t, rt, 1)
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	before := time.Now().Unix()
 	out := postScore(t, front.URL, []byte(`{"user":"stamp","line":"ls -la"}`+"\n"))
-	after := time.Now().Unix()
 
 	mu.Lock()
 	defer mu.Unlock()
 	if len(received) != 1 {
 		t.Fatalf("replica received %d events, want 1", len(received))
 	}
-	stamped := received[0].Time
-	if stamped < before || stamped > after {
-		t.Fatalf("replica received time %d, want the router's stamp in [%d, %d]", stamped, before, after)
+	if received[0].Time != stamped {
+		t.Fatalf("replica received time %d, want the router clock's %d", received[0].Time, stamped)
 	}
 	var v stream.Verdict
 	if err := json.Unmarshal(out, &v); err != nil {

@@ -147,6 +147,10 @@ type Router struct {
 
 	reloadMu sync.Mutex // serializes rolling reloads
 
+	// now stamps events that arrive without a time. It is time.Now except
+	// in tests, which fix it so what the replicas receive is reproducible.
+	now func() time.Time
+
 	events, retries, failovers, imports, exports atomic.Int64
 
 	stopOnce sync.Once
@@ -169,6 +173,7 @@ func New(cfg Config) (*Router, error) {
 		ring:    BuildRing(nil),
 		rng:     rand.New(rand.NewSource(jitterSeed)),
 		stop:    make(chan struct{}),
+		now:     time.Now,
 	}
 	for _, a := range cfg.Replicas {
 		a = strings.TrimRight(a, "/")

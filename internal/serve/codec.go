@@ -42,27 +42,40 @@ func AppendEvent(b []byte, ev *stream.Event) []byte {
 // score it returns b unchanged and an error, where json.Encoder writes
 // nothing and returns one.
 func AppendVerdict(b []byte, v *stream.Verdict) ([]byte, error) {
+	return appendVerdict(b, v, nil, nil)
+}
+
+// appendVerdict is AppendVerdict with two shortcuts that write the same
+// bytes. A non-empty echo is the verdict's {"user":…,"time":…,"line":…
+// prefix, taken from the canonical request line of the event v answers:
+// AppendEvent writes that line as exactly this prefix and a closing brace.
+// A non-nil scores formats the three scores through that table.
+func appendVerdict(b []byte, v *stream.Verdict, echo []byte, scores *scoreTable) ([]byte, error) {
 	for _, f := range [...]float64{v.LineScore, v.ContextScore, v.SessionScore} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return b, fmt.Errorf("serve: verdict for user %q at time %d has non-finite score %v", v.User, v.Time, f)
 		}
 	}
-	b = append(b, `{"user":`...)
-	b = appendString(b, v.User)
-	b = append(b, `,"time":`...)
-	b = strconv.AppendInt(b, v.Time, 10)
-	b = append(b, `,"line":`...)
-	b = appendString(b, v.Line)
+	if len(echo) > 0 {
+		b = append(b, echo...)
+	} else {
+		b = append(b, `{"user":`...)
+		b = appendString(b, v.User)
+		b = append(b, `,"time":`...)
+		b = strconv.AppendInt(b, v.Time, 10)
+		b = append(b, `,"line":`...)
+		b = appendString(b, v.Line)
+	}
 	if v.Context != "" {
 		b = append(b, `,"context":`...)
 		b = appendString(b, v.Context)
 	}
 	b = append(b, `,"line_score":`...)
-	b = appendFloat(b, v.LineScore)
+	b = scores.appendFloat(b, v.LineScore)
 	b = append(b, `,"context_score":`...)
-	b = appendFloat(b, v.ContextScore)
+	b = scores.appendFloat(b, v.ContextScore)
 	b = append(b, `,"session_score":`...)
-	b = appendFloat(b, v.SessionScore)
+	b = scores.appendFloat(b, v.SessionScore)
 	b = append(b, `,"session_lines":`...)
 	b = strconv.AppendInt(b, int64(v.SessionLines), 10)
 	b = append(b, `,"line_alert":`...)
@@ -74,22 +87,26 @@ func AppendVerdict(b []byte, v *stream.Verdict) ([]byte, error) {
 
 // DecodeEvent decodes one NDJSON line (without its newline) into ev. The
 // result and the error, text included, are those of json.Unmarshal(line,
-// ev): a canonical {"user":…,"time":…,"line":…} line is parsed by hand,
-// anything else by encoding/json.
-func DecodeEvent(line []byte, ev *stream.Event) error {
+// ev): a {"user":…,"time":…,"line":…} line is parsed by hand, anything
+// else by encoding/json. It also reports whether line is canonical, the
+// test ScanEvent makes: AppendEvent writes ev back as exactly line. The
+// same pass that decodes the line answers that.
+func DecodeEvent(line []byte, ev *stream.Event) (canonical bool, err error) {
 	p := parser{b: line, ok: true}
 	p.lit(`{"user":`)
 	user := p.str()
 	p.lit(`,"time":`)
+	num := p.i
 	t := p.integer(64)
 	p.lit(`,"line":`)
 	text := p.str()
 	p.lit(`}`)
 	if !p.end() {
-		return json.Unmarshal(line, ev)
+		return false, json.Unmarshal(line, ev)
 	}
 	*ev = stream.Event{User: string(user), Time: t, Line: string(text)}
-	return nil
+	// AppendInt writes 0, never -0.
+	return !p.noncanon && (t != 0 || line[num] != '-'), nil
 }
 
 // DecodeVerdict decodes one NDJSON line (without its newline) in the
@@ -223,28 +240,21 @@ func (e *RawEvent) Text() string {
 // It returns the decoded user and the time. It allocates nothing unless
 // the user holds an escape (a name with a quote, a backslash, <, >, & or
 // a control byte in it), whose decoded bytes it then returns in a new
-// slice; otherwise user aliases line.
+// slice; otherwise user aliases line. The command line is checked, not
+// decoded.
 func ScanEvent(line []byte) (user []byte, t int64, ok bool) {
 	p := parser{b: line, ok: true}
 	p.lit(`{"user":`)
-	at := p.i
-	user, escaped := p.canonStr()
+	user = p.str()
 	p.lit(`,"time":`)
 	num := p.i
 	t = p.integer(64)
-	// AppendInt writes 0, never -0.
-	if p.ok && t == 0 && line[num] == '-' {
-		p.ok = false
-	}
 	p.lit(`,"line":`)
-	p.canonStr()
+	p.skipStr()
 	p.lit(`}`)
-	if !p.end() {
+	// AppendInt writes 0, never -0.
+	if !p.end() || p.noncanon || t == 0 && line[num] == '-' {
 		return nil, 0, false
-	}
-	if escaped {
-		q := parser{b: line, i: at, ok: true}
-		user = q.str()
 	}
 	return user, t, true
 }
@@ -333,15 +343,64 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
+// scoreTableBits sizes scoreTable: 2^14 slots of 32 bytes, 512 KB, well
+// inside a core's L2. A replica in the memo-hit steady state repeats a few
+// thousand distinct scores; fewer slots let them evict each other.
+const scoreTableBits = 14
+
+// scoreHash is the multiplier that spreads a float64's bits over the
+// table's slots (Fibonacci hashing: the product's top bits pick the slot).
+const scoreHash = 0x9e3779b97f4a7c15
+
+// scoreTable is a direct-mapped table of appendFloat's output keyed by the
+// float64's bits, so a score that recurs is formatted once and copied
+// after. A memo hit returns the same float64 for the same input, so on
+// warm traffic the distinct scores are few. An entry only ever holds
+// appendFloat's bytes for its own bits, so a hit writes what appendFloat
+// would; a score that maps to a taken slot replaces its entry.
+type scoreTable [1 << scoreTableBits]scoreEntry
+
+type scoreEntry struct {
+	bits uint64
+	n    uint8 // len(text) in use; 0 marks an empty slot
+	text [23]byte
+}
+
+// appendFloat appends a finite f as the package's appendFloat does. A nil
+// table formats it afresh; so does a table for output longer than a slot
+// holds (a negative 17-digit score), which it does not keep.
+func (t *scoreTable) appendFloat(b []byte, f float64) []byte {
+	if t == nil {
+		return appendFloat(b, f)
+	}
+	bits := math.Float64bits(f)
+	e := &t[bits*scoreHash>>(64-scoreTableBits)]
+	if e.bits == bits && e.n != 0 {
+		return append(b, e.text[:e.n]...)
+	}
+	start := len(b)
+	b = appendFloat(b, f)
+	if n := len(b) - start; n <= len(e.text) {
+		e.bits, e.n = bits, uint8(n)
+		copy(e.text[:], b[start:])
+	}
+	return b
+}
+
 // ---- decoding ----
 
 // parser walks one line in a fixed shape. The first deviation clears ok
 // and every later step is a no-op, so a decoder reads as the shape it
-// expects and checks ok once, at end.
+// expects and checks ok once, at end. The string steps also note a string
+// not written the way appendString writes what it decodes to.
 type parser struct {
 	b  []byte
 	i  int
 	ok bool
+	// noncanon is set once a string consumed holds a raw <, > or &, a raw
+	// U+2028 or U+2029, invalid UTF-8, or an escape appendString would
+	// write otherwise (\/, \u0041, \u003C, \ufffd).
+	noncanon bool
 }
 
 // lit consumes the literal s.
@@ -375,6 +434,8 @@ func (p *parser) str() []byte {
 	start := p.i + 1
 	for i := start; i < len(b); {
 		switch c := b[i]; {
+		case c < utf8.RuneSelf && htmlSafe[c]:
+			i++
 		case c == '"':
 			p.i = i + 1
 			return b[start:i]
@@ -384,17 +445,29 @@ func (p *parser) str() []byte {
 			p.ok = false
 			return nil
 		case c < utf8.RuneSelf:
+			// <, > or &: appendString escapes it.
+			p.noncanon = true
 			i++
 		default:
 			r, size := utf8.DecodeRune(b[i:])
 			if r == utf8.RuneError && size == 1 {
 				return p.unquote(start, i)
 			}
+			p.noteRune(r, size)
 			i += size
 		}
 	}
 	p.ok = false
 	return nil
+}
+
+// noteRune notes raw non-ASCII input appendString would write otherwise:
+// invalid UTF-8 (the rune decoded from size bytes is U+FFFD, size 1), or
+// U+2028 or U+2029.
+func (p *parser) noteRune(r rune, size int) {
+	if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+		p.noncanon = true
+	}
 }
 
 // unquote finishes str for a string that needs rewriting from b[i] on —
@@ -412,6 +485,9 @@ func (p *parser) unquote(start, i int) []byte {
 			if i+1 == len(b) {
 				p.ok = false
 				return nil
+			}
+			if canonEscape(b[i:]) == 0 {
+				p.noncanon = true
 			}
 			switch e := b[i+1]; e {
 			case '"', '\\', '/':
@@ -454,10 +530,14 @@ func (p *parser) unquote(start, i int) []byte {
 			p.ok = false
 			return nil
 		case c < utf8.RuneSelf:
+			if !htmlSafe[c] {
+				p.noncanon = true
+			}
 			t = append(t, c)
 			i++
 		default:
 			r, size := utf8.DecodeRune(b[i:])
+			p.noteRune(r, size)
 			t = utf8.AppendRune(t, r)
 			i += size
 		}
@@ -468,15 +548,18 @@ func (p *parser) unquote(start, i int) []byte {
 
 // skipStr consumes a JSON string that str would accept, without decoding
 // it: the same bytes fail (a control byte, a bad escape, no closing
-// quote), and invalid UTF-8, which decodes to U+FFFD, passes.
+// quote), and invalid UTF-8, which decodes to U+FFFD, passes. It notes a
+// string that is not canonical as str does.
 func (p *parser) skipStr() {
 	if !p.ok || p.i >= len(p.b) || p.b[p.i] != '"' {
 		p.ok = false
 		return
 	}
 	b := p.b
-	for i := p.i + 1; i < len(b); i++ {
+	for i := p.i + 1; i < len(b); {
 		switch c := b[i]; {
+		case c < utf8.RuneSelf && htmlSafe[c]:
+			i++
 		case c == '"':
 			p.i = i + 1
 			return
@@ -485,9 +568,12 @@ func (p *parser) skipStr() {
 				p.ok = false
 				return
 			}
+			if canonEscape(b[i:]) == 0 {
+				p.noncanon = true
+			}
 			switch b[i+1] {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				i++
+				i += 2
 			case 'u':
 				// A surrogate's partner, valid or not, is checked as an
 				// escape of its own, as unquote reads it.
@@ -495,7 +581,7 @@ func (p *parser) skipStr() {
 					p.ok = false
 					return
 				}
-				i += 5
+				i += 6
 			default:
 				p.ok = false
 				return
@@ -503,53 +589,17 @@ func (p *parser) skipStr() {
 		case c < ' ':
 			p.ok = false
 			return
-		}
-	}
-	p.ok = false
-}
-
-// canonStr consumes a JSON string in exactly the form appendString writes
-// for the value it decodes to, and returns its raw content and whether
-// that holds an escape. Every other string fails: one with a raw <, > or
-// &, a raw U+2028 or U+2029, invalid UTF-8, or an escape appendString
-// would write otherwise (\/, \u0041, \u003C, \ufffd).
-func (p *parser) canonStr() (s []byte, escaped bool) {
-	if !p.ok || p.i >= len(p.b) || p.b[p.i] != '"' {
-		p.ok = false
-		return nil, false
-	}
-	b := p.b
-	start := p.i + 1
-	for i := start; i < len(b); {
-		switch c := b[i]; {
-		case c == '"':
-			p.i = i + 1
-			return b[start:i], escaped
-		case c < utf8.RuneSelf && htmlSafe[c]:
-			i++
-		case c == '\\':
-			n := canonEscape(b[i:])
-			if n == 0 {
-				p.ok = false
-				return nil, false
-			}
-			escaped = true
-			i += n
 		case c < utf8.RuneSelf:
-			// A control byte, <, > or &: appendString escapes it.
-			p.ok = false
-			return nil, false
+			// <, > or &: appendString escapes it.
+			p.noncanon = true
+			i++
 		default:
 			r, size := utf8.DecodeRune(b[i:])
-			if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
-				p.ok = false
-				return nil, false
-			}
+			p.noteRune(r, size)
 			i += size
 		}
 	}
 	p.ok = false
-	return nil, false
 }
 
 // canonEscape returns the length of the escape at the start of s if it is

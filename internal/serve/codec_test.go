@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"clmids/internal/stream"
 )
@@ -65,18 +67,91 @@ func FuzzAppendVerdict(f *testing.F) {
 	})
 }
 
+// FuzzReplicaVerdict pins the replica's path from a request line to its
+// verdict line (decodeEvent, then encodeVerdicts with its echo of the
+// line and its score table) to encoding/json: the bytes, or the refusal,
+// are json.Encoder.Encode's for the verdict built from json.Unmarshal of
+// the line, stamped with the same clock. The table starts with an entry
+// of another score in each score's slot, and the verdict is encoded twice,
+// so both a colliding miss and a hit are checked. The seeds cover
+// canonical lines and lines that are not (escapes appendString writes
+// otherwise, raw <>&, U+2028, invalid UTF-8, reordered keys, clmgen's
+// extra fields), lines that need a stamp, and the float cutoffs.
+func FuzzReplicaVerdict(f *testing.F) {
+	now := func() time.Time { return time.Unix(1_700_000_000, 0) }
+	f.Fuzz(func(t *testing.T, line []byte, ls, cs, ss float64) {
+		var ev stream.Event
+		wantErr := json.Unmarshal(line, &ev)
+		bufs := new(eventBufs)
+		for _, f := range []float64{ls, cs, ss} {
+			collide(t, &bufs.x, f)
+		}
+		bufs.slots = append(bufs.slots, stream.Event{})
+		err := decodeEvent(line, &bufs.slots[0], bufs, now)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decodeEvent(%q) error %v, json.Unmarshal error %v", line, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		stamp(&ev, now)
+		v := stream.Verdict{User: ev.User, Time: ev.Time, Line: ev.Line, LineScore: ls, ContextScore: cs, SessionScore: ss, SessionLines: 1}
+		want, jsonErr := jsonLine(&v)
+		encode := encodeVerdicts(func(_ context.Context, evs []stream.Event) ([]stream.Verdict, error) {
+			return []stream.Verdict{{User: evs[0].User, Time: evs[0].Time, Line: evs[0].Line,
+				LineScore: ls, ContextScore: cs, SessionScore: ss, SessionLines: 1}}, nil
+		})
+		for pass := 0; pass < 2; pass++ {
+			got, err := encode(context.Background(), bufs.slots, bufs)
+			if (err != nil) != (jsonErr != nil) {
+				t.Fatalf("encode error %v, json.Encoder error %v", err, jsonErr)
+			}
+			if err == nil && !bytes.Equal(got, want) {
+				t.Fatalf("pass %d: verdict for %q\n got %q\nwant %q", pass, line, got, want)
+			}
+		}
+	})
+}
+
+// collide fills the score table slot f maps to with the entry of another
+// score.
+func collide(t *testing.T, tab *scoreTable, f float64) {
+	// The inverse of scoreHash modulo 2^64, by Newton's iteration.
+	inv := uint64(scoreHash)
+	for i := 0; i < 5; i++ {
+		inv *= 2 - scoreHash*inv
+	}
+	h := math.Float64bits(f) * scoreHash
+	slot := &tab[h>>(64-scoreTableBits)]
+	// h^d keeps h's top bits, so the score it comes from shares f's slot;
+	// its text must fit one.
+	for d := uint64(1); d < 1<<20; d++ {
+		if g := math.Float64frombits((h ^ d) * inv); !math.IsNaN(g) && !math.IsInf(g, 0) {
+			if tab.appendFloat(nil, g); slot.n != 0 {
+				return
+			}
+		}
+	}
+	t.Fatalf("no colliding score for %v", f)
+}
+
 // FuzzDecodeEvent pins DecodeEvent to json.Unmarshal on arbitrary bytes:
-// the same Event, and the same error, text included.
+// the same Event, and the same error, text included. It calls a line
+// canonical exactly when AppendEvent writes the decoded Event back as that
+// line.
 func FuzzDecodeEvent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want, got stream.Event
 		wantErr := json.Unmarshal(data, &want)
-		err := DecodeEvent(data, &got)
+		canonical, err := DecodeEvent(data, &got)
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("DecodeEvent(%q) error %v, json.Unmarshal error %v", data, err, wantErr)
 		}
 		if got != want {
 			t.Fatalf("DecodeEvent(%q) = %+v, json.Unmarshal = %+v", data, got, want)
+		}
+		if want := err == nil && string(AppendEvent(nil, &got)) == string(data)+"\n"; canonical != want {
+			t.Fatalf("DecodeEvent(%q) canonical = %v, want %v", data, canonical, want)
 		}
 	})
 }
@@ -172,7 +247,10 @@ func FuzzScanVerdict(f *testing.F) {
 func FuzzScanEvent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ev stream.Event
-		canonical := DecodeEvent(data, &ev) == nil && string(AppendEvent(nil, &ev)) == string(data)+"\n"
+		canonical, err := DecodeEvent(data, &ev)
+		if want := err == nil && string(AppendEvent(nil, &ev)) == string(data)+"\n"; canonical != want {
+			t.Fatalf("DecodeEvent(%q) canonical = %v, want %v", data, canonical, want)
+		}
 		user, tm, ok := ScanEvent(data)
 		if ok != canonical {
 			t.Fatalf("ScanEvent(%q) ok = %v, canonical = %v", data, ok, canonical)
@@ -260,7 +338,7 @@ func TestCodecCoversEveryField(t *testing.T) {
 		t.Errorf("AppendEvent misses a field:\n got %s\nwant %s", got, want)
 	}
 	var dev stream.Event
-	if err := DecodeEvent(want[:len(want)-1], &dev); err != nil || dev != ev {
+	if _, err := DecodeEvent(want[:len(want)-1], &dev); err != nil || dev != ev {
 		t.Errorf("DecodeEvent = %+v, %v; want %+v", dev, err, ev)
 	}
 

