@@ -21,9 +21,9 @@ type InferScratch struct {
 	x, q, k, v, attn, resid *tensor.Matrix
 	ff                      *tensor.Matrix
 	// scores holds one sequence's post-softmax attention matrices, one
-	// S×S block per head, and kt its transposed K: capacities
-	// Heads·MaxSeqLen² and MaxSeqLen·Hidden.
-	scores, kt []float64
+	// S×S block per head (capacity Heads·MaxSeqLen²), and work the
+	// attention kernel's scratch (tensor.AttentionWorkLen).
+	scores, work []float64
 
 	// Float32 mirrors of the buffers above, allocated instead of the
 	// float64 set on the int8 path (see infer32.go).
@@ -97,7 +97,7 @@ func (s *InferScratch) grow(n int) {
 	s.resid = tensor.NewMatrix(n, s.cfg.Hidden)
 	s.ff = tensor.NewMatrix(n, s.cfg.FFN)
 	s.scores = make([]float64, s.cfg.Heads*s.cfg.MaxSeqLen*s.cfg.MaxSeqLen)
-	s.kt = make([]float64, s.cfg.MaxSeqLen*s.cfg.Hidden)
+	s.work = make([]float64, tensor.AttentionWorkLen(s.cfg.MaxSeqLen, s.cfg.Hidden))
 }
 
 // view reslices a capacity-sized buffer to the batch's live row count
@@ -161,7 +161,7 @@ func (e *Encoder) InferForward(batch Batch, s *InferScratch) (*tensor.Matrix, er
 		tensor.InferLinearInto(x, blk.WQ.W.Val, blk.WQ.B.Val, q)
 		tensor.InferLinearInto(x, blk.WK.W.Val, blk.WK.B.Val, k)
 		tensor.InferLinearInto(x, blk.WV.W.Val, blk.WV.B.Val, v)
-		tensor.InferAttentionInto(q, k, v, e.cfg.Heads, batch.Lens, s.scores, s.kt, attn)
+		tensor.InferAttentionInto(q, k, v, e.cfg.Heads, batch.Lens, s.scores, s.work, attn)
 		tensor.InferLinearInto(attn, blk.WO.W.Val, blk.WO.B.Val, resid)
 		tensor.InferAddLayerNormInto(x, resid, blk.AttnNorm.Gamma.Val, blk.AttnNorm.Beta.Val, blk.AttnNorm.Eps, x)
 

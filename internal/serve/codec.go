@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -104,7 +105,14 @@ func DecodeEvent(line []byte, ev *stream.Event) (canonical bool, err error) {
 	if !p.end() {
 		return false, json.Unmarshal(line, ev)
 	}
-	*ev = stream.Event{User: string(user), Time: t, Line: string(text)}
+	// One allocation holds both strings. It copies only the two fields,
+	// so sessions and the memo that keep them never pin the whole line.
+	var sb strings.Builder
+	sb.Grow(len(user) + len(text))
+	sb.Write(user)
+	sb.Write(text)
+	both := sb.String()
+	*ev = stream.Event{User: both[:len(user)], Time: t, Line: both[len(user):]}
 	// AppendInt writes 0, never -0.
 	return !p.noncanon && (t != 0 || line[num] != '-'), nil
 }

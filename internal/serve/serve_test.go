@@ -355,10 +355,10 @@ func handleScoreRequest(n int, distinct bool) (handle func()) {
 
 // handleScoreAllocBudget is the allocation count of one 512-event
 // handleScoreRequest, as measured when the budget was set, with every
-// verdict-buffer pool Get missing (1293; 1285 with a warm pool): under
+// verdict-buffer pool Get missing (781; 771 with a warm pool): under
 // -race sync.Pool drops Puts at random, and the budget must hold there
 // too. A handler change that allocates per line breaks it by hundreds.
-const handleScoreAllocBudget = 1293
+const handleScoreAllocBudget = 781
 
 // TestHandleScoreAllocs pins the handler's allocations per request.
 // Allocation counts do not jitter with host load the way ns/line does, so

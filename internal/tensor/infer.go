@@ -189,21 +189,27 @@ func InferGELUInPlace(x *Matrix) { geluRow(x.Data, x.Data) }
 // boundaries) writing into out. scores is caller-owned scratch of at least
 // heads·max(lens)²: for each sequence in turn, head h's post-softmax S×S
 // matrix is built in scores[h·S², (h+1)·S²), where the Attention op keeps
-// it for backward; kt is scratch of at least max(lens)·hidden for one
-// sequence's transposed K. The AVX2 kernels (attentionF64Asm) vectorize
-// only across independent outputs, so every tier gives attentionF64Go's
-// bits.
-func InferAttentionInto(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
+// it for backward; work is scratch of at least
+// AttentionWorkLen(max(lens), hidden). On the AVX2 and AVX-512 tiers one
+// kernel call covers a whole (sequence, head), lane i holding query row i
+// (attentionF64Asm); each lane runs one row of attentionF64Go in its
+// order, so every tier gives the same bits.
+func InferAttentionInto(q, k, v *Matrix, heads int, lens []int, scores, work []float64, out *Matrix) {
 	if !q.SameShape(out) {
 		panic("tensor: Attention q/out shape mismatch")
 	}
 	maxS := checkAttention(q, k, v, heads, lens)
-	if len(scores) < heads*maxS*maxS || len(kt) < maxS*q.Cols {
+	if len(scores) < heads*maxS*maxS || len(work) < AttentionWorkLen(maxS, q.Cols) {
 		panic(fmt.Sprintf("tensor: InferAttention scratch %d/%d < %d/%d",
-			len(scores), len(kt), heads*maxS*maxS, maxS*q.Cols))
+			len(scores), len(work), heads*maxS*maxS, AttentionWorkLen(maxS, q.Cols)))
 	}
-	attentionF64(q, k, v, heads, lens, scores, kt, out)
+	attentionF64(q, k, v, heads, lens, scores, work, out)
 }
+
+// AttentionWorkLen is the length of the work scratch InferAttentionInto
+// needs for sequences of up to maxS tokens, hidden wide: room for one lane
+// group's transposed Q and score columns at up to eight lanes.
+func AttentionWorkLen(maxS, hidden int) int { return 8 * (maxS + hidden) }
 
 // checkAttention panics unless q, k and v share one shape whose width
 // heads divides and whose rows the positive lens cover exactly, and
@@ -229,48 +235,51 @@ func checkAttention(q, k, v *Matrix, heads int, lens []int) int {
 	return maxS
 }
 
-// attentionF64Go is the scalar attention forward: per query row, dot
-// products c ascending from +0 times the scale, softmaxInto, then AV
-// accumulated j ascending into the zeroed out row, skipping zero weights,
-// every product rounded before it is added. It is the portable path and
-// the mirror attentionF64Asm is tested against; kt is unused.
+// attentionF64Go is the scalar attention forward, one query row at a
+// time (attnRowF64). It is the portable path and the mirror
+// attentionF64Asm is tested against; work is unused.
 func attentionF64Go(q, k, v *Matrix, heads int, lens []int, scores, _ []float64, out *Matrix) {
 	d := q.Cols / heads
 	scale := 1 / math.Sqrt(float64(d))
-	out.Zero()
 	off := 0
 	for _, S := range lens {
 		for h := 0; h < heads; h++ {
-			hOff := h * d
-			A := scores[h*S*S : (h+1)*S*S]
 			for i := 0; i < S; i++ {
-				qrow := q.Row(off + i)[hOff : hOff+d]
-				srow := A[i*S : (i+1)*S]
-				for j := 0; j < S; j++ {
-					krow := k.Row(off + j)[hOff : hOff+d]
-					dot := 0.0
-					for c := 0; c < d; c++ {
-						dot += float64(qrow[c] * krow[c])
-					}
-					srow[j] = dot * scale
-				}
-				softmaxInto(srow, srow)
-			}
-			for i := 0; i < S; i++ {
-				arow := A[i*S : (i+1)*S]
-				orow := out.Row(off + i)[hOff : hOff+d]
-				for j, a := range arow {
-					if a == 0 {
-						continue
-					}
-					vrow := v.Row(off + j)[hOff : hOff+d]
-					for c := 0; c < d; c++ {
-						orow[c] += float64(a * vrow[c])
-					}
-				}
+				attnRowF64(q, k, v, off, S, h*d, d, i, scale, scores[h*S*S:(h+1)*S*S], out)
 			}
 		}
 		off += S
+	}
+}
+
+// attnRowF64 computes query row i of the sequence at row off for the head
+// at columns [hOff, hOff+d): dot products c ascending from +0 times the
+// scale into row i of the head's S×S block A, softmaxInto in place, then
+// AV accumulated j ascending into the row's cleared out columns, skipping
+// zero weights, every product rounded before it is added. The SIMD
+// kernels send here the rows they decline.
+func attnRowF64(q, k, v *Matrix, off, S, hOff, d, i int, scale float64, A []float64, out *Matrix) {
+	qrow := q.Row(off + i)[hOff : hOff+d]
+	srow := A[i*S : (i+1)*S]
+	for j := range srow {
+		krow := k.Row(off + j)[hOff : hOff+d]
+		dot := 0.0
+		for c, x := range qrow {
+			dot += float64(x * krow[c])
+		}
+		srow[j] = dot * scale
+	}
+	softmaxInto(srow, srow)
+	orow := out.Row(off + i)[hOff : hOff+d]
+	clear(orow)
+	for j, a := range srow {
+		if a == 0 {
+			continue
+		}
+		vrow := v.Row(off + j)[hOff : hOff+d]
+		for c, x := range vrow {
+			orow[c] += float64(a * x)
+		}
 	}
 }
 

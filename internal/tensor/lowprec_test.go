@@ -497,7 +497,7 @@ func TestInferKernels32MatchFloat64(t *testing.T) {
 		// Attention.
 		q, k, v := randM(T, H), randM(T, H), randM(T, H)
 		wantA := NewMatrix(T, H)
-		InferAttentionInto(q, k, v, heads, lens, make([]float64, heads*36), make([]float64, 6*H), wantA)
+		InferAttentionInto(q, k, v, heads, lens, make([]float64, heads*36), make([]float64, AttentionWorkLen(6, H)), wantA)
 		gotA := NewMatrix32(T, H)
 		InferAttentionInto32(Narrow(q), Narrow(k), Narrow(v), heads, lens, make([]float32, 8), make([]float32, 8*H), gotA)
 		check("attention", wantA, gotA, 1e-4)
@@ -596,15 +596,20 @@ func BenchmarkAttention32(b *testing.B) {
 }
 
 // BenchmarkAttentionF64 runs the float64 attention over the same 512-line
-// batch as BenchmarkAttention32 and reports ns per token row.
+// batch as BenchmarkAttention32 on every tier the host has and reports ns
+// per token row.
 func BenchmarkAttentionF64(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	lens, T := benchBatchLens(rng)
-	q, k, v := randMatrix(rng, T, 48), randMatrix(rng, T, 48), randMatrix(rng, T, 48)
-	out := NewMatrix(T, 48)
-	scores, kt := make([]float64, 4*20*20), make([]float64, 20*48)
-	for b.Loop() {
-		InferAttentionInto(q, k, v, 4, lens, scores, kt, out)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*T), "ns/row")
+	withF64Backends(func(tier string) {
+		b.Run(tier, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(6))
+			lens, T := benchBatchLens(rng)
+			q, k, v := randMatrix(rng, T, 48), randMatrix(rng, T, 48), randMatrix(rng, T, 48)
+			out := NewMatrix(T, 48)
+			scores, work := make([]float64, 4*20*20), make([]float64, AttentionWorkLen(20, 48))
+			for b.Loop() {
+				InferAttentionInto(q, k, v, 4, lens, scores, work, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*T), "ns/row")
+		})
+	})
 }

@@ -191,14 +191,14 @@ func Attention(q, k, v *Tensor, heads int, lens []int) *Tensor {
 	// attn[s] holds sequence s's post-softmax matrices, head h's S×S block
 	// at [h·S², (h+1)·S²).
 	attn := make([][]float64, len(lens))
-	kt := make([]float64, maxS*hidden)
+	work := make([]float64, AttentionWorkLen(maxS, hidden))
 	off := 0
 	for s, S := range lens {
 		rows := func(m *Matrix) *Matrix {
 			return &Matrix{Rows: S, Cols: hidden, Data: m.Data[off*hidden : (off+S)*hidden]}
 		}
 		attn[s] = make([]float64, heads*S*S)
-		attentionF64(rows(q.Val), rows(k.Val), rows(v.Val), heads, lens[s:s+1], attn[s], kt, rows(val))
+		attentionF64(rows(q.Val), rows(k.Val), rows(v.Val), heads, lens[s:s+1], attn[s], work, rows(val))
 		off += S
 	}
 	segLens := append([]int(nil), lens...)

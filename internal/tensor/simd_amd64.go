@@ -1,18 +1,20 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SIMD backends. On amd64 the kernels dispatch to AVX2 assembly (and, for
-// the float64 GEMM and the int8 accumulation, AVX-512 when present) after
-// a runtime CPUID check; pure-Go mirrors cover older hosts and other
-// architectures.
+// the float64 GEMM and attention and the int8 accumulation, AVX-512 when
+// present) after a runtime CPUID check; pure-Go mirrors cover older hosts
+// and other architectures.
 //
-// The float64 kernels (the GEMM behind every linear, attention's QKᵀ and
-// AV, softmax's exp pass and the GELU row) are asm, bitwise equal to their
-// Go mirrors: each output element sees the Go code's operations in the Go
-// code's order — VMULPD then VADDPD, never FMA; sums from +0, k ascending
-// — and the vectors run only across independent outputs, never along a
-// sum. The exp and tanh lanes run exactly the operations of the scalar
+// The float64 kernels (the GEMM behind every linear, attention, softmax's
+// exp pass and the GELU row) are asm, bitwise equal to their Go mirrors:
+// each output element sees the Go code's operations in the Go code's
+// order — VMULPD then VADDPD, never FMA; sums from +0, k ascending — and
+// the vectors run only across independent outputs, never along a sum. The exp and tanh lanes run exactly the operations of the scalar
 // ports expF64 and tanhF64 (exp.go), so the float64 bits are the same on
 // every amd64 host, with or without AVX2 or FMA.
 //
@@ -26,8 +28,8 @@ import "math"
 // exactly reproducible.
 
 // haveSIMD gates the AVX2 kernels: AVX2 + FMA + OS-enabled YMM state.
-// haveAVX512 additionally gates the ZMM float64 GEMM, and haveVNNI the
-// AVX-512 VNNI int8 matmul kernel.
+// haveAVX512 additionally gates the ZMM float64 GEMM and attention, and
+// haveVNNI the AVX-512 VNNI int8 matmul kernel.
 var (
 	haveSIMD   = x86HasAVX2FMA()
 	haveAVX512 = haveSIMD && x86HasAVX512F()
@@ -141,12 +143,29 @@ func gemmF64(a, b, bias, out []float64, rows, k, n, lda, ldb, ldo int) {
 	gemmF64AVX2(a, b, bias, out, rows, k, n, lda, ldb, ldo)
 }
 
-// attnAVF64Asm is attention's AV for one head, bitwise the scalar loop:
-// out[i·stride+c] = Σ_j a[i·S+j]·v[j·stride+c] for i < S and c < d, j
-// ascending from +0 and every ±0 weight skipped, four c lanes per YMM.
+// attnF64AVX2 is one (sequence, head) of attentionF64Go on AVX2, four
+// query rows at a time, lane l holding row i0+l: per lane the row's
+// scores (products rounded, c ascending from +0, then the scale), the max
+// (v > max, first wins, NaN never wins), the exp-sum in j order on
+// expF64's operations, the row times 1/sum into a[i·S+j], and AV into
+// out[i·stride+c], j ascending from +0. The scalar loop skips ±0 weights,
+// but a row the kernel keeps has none: every exp argument lies in
+// [−708, 0], so each weight is at least e^−708/S > 0, and AV adds every
+// product. q, k, v and out start at the head's first column of the
+// sequence's first row, row stride stride; work holds AttentionWorkLen's
+// room. Starting at row, it runs every lane group and returns (rows, 0),
+// or stops after the first group in which a live lane's exp argument
+// leaves [−708, 709] or is NaN and returns that group's first row and
+// its lane mask: the caller redoes those rows on the scalar port
+// (attnRowF64); the group's other rows are done.
 //
 //go:noescape
-func attnAVF64Asm(a, v, out []float64, S, d, stride int)
+func attnF64AVX2(q, k, v, a, out, work []float64, rows, d, stride int, scale float64, row int) (stop, bad int)
+
+// attnF64AVX512 is attnF64AVX2 on ZMM, eight query rows at a time.
+//
+//go:noescape
+func attnF64AVX512(q, k, v, a, out, work []float64, rows, d, stride int, scale float64, row int) (stop, bad int)
 
 // expShiftSumAsm is the AVX2 form of expShiftSumGo for a prefix of src:
 // four lanes at a time, dst[j] = expF64(src[j] − shift) in expF64's
@@ -210,45 +229,45 @@ func matMulRows(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
 	}
 }
 
-// attentionF64 dispatches the float64 attention forward to the AVX2
-// kernels or the scalar mirror.
-func attentionF64(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
+// attentionF64 dispatches the float64 attention forward to the SIMD
+// kernel or the scalar mirror.
+func attentionF64(q, k, v *Matrix, heads int, lens []int, scores, work []float64, out *Matrix) {
 	if haveSIMD {
-		attentionF64Asm(q, k, v, heads, lens, scores, kt, out)
+		attentionF64Asm(q, k, v, heads, lens, scores, work, out)
 		return
 	}
-	attentionF64Go(q, k, v, heads, lens, scores, kt, out)
+	attentionF64Go(q, k, v, heads, lens, scores, work, out)
 }
 
-// attentionF64Asm is attentionF64Go on the AVX2 kernels, bitwise equal to
-// it. Per sequence, K is transposed once into kt (hidden×S, head h's d×S
-// panel in rows [h·d, (h+1)·d)); per head, gemmF64 computes the S×S dot
-// products (c ascending from +0), Go scales each row and softmaxInto
-// normalizes it, and attnAVF64Asm writes AV into out.
-func attentionF64Asm(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
+// attnKernel returns the widest attention kernel the host has and its
+// lane count.
+func attnKernel() (kernel func(q, k, v, a, out, work []float64, rows, d, stride int, scale float64, row int) (stop, bad int), lanes int) {
+	if haveAVX512 {
+		return attnF64AVX512, 8
+	}
+	return attnF64AVX2, 4
+}
+
+// attentionF64Asm is attentionF64Go with one kernel call per (sequence,
+// head), on ZMM where the host has AVX-512F: bitwise equal, the rows the
+// kernel declines run on attnRowF64.
+func attentionF64Asm(q, k, v *Matrix, heads int, lens []int, scores, work []float64, out *Matrix) {
+	kernel, lanes := attnKernel()
 	hidden := q.Cols
 	d := hidden / heads
 	scale := 1 / math.Sqrt(float64(d))
 	off := 0
 	for _, S := range lens {
-		panel := kt[:hidden*S]
-		for j := 0; j < S; j++ {
-			for c, x := range k.Data[(off+j)*hidden : (off+j+1)*hidden] {
-				panel[c*S+j] = x
-			}
-		}
 		for h := 0; h < heads; h++ {
 			A := scores[h*S*S : (h+1)*S*S]
 			lo, hi := off*hidden+h*d, (off+S-1)*hidden+(h+1)*d
-			gemmF64(q.Data[lo:hi], panel[h*d*S:(h+1)*d*S], nil, A, S, d, S, hidden, S, S)
-			for i := 0; i < S; i++ {
-				srow := A[i*S : (i+1)*S]
-				for j := range srow {
-					srow[j] *= scale
+			for i := 0; i < S; i += lanes {
+				var bad int
+				i, bad = kernel(q.Data[lo:hi], k.Data[lo:hi], v.Data[lo:hi], A, out.Data[lo:hi], work, S, d, hidden, scale, i)
+				for ; bad != 0; bad &= bad - 1 {
+					attnRowF64(q, k, v, off, S, h*d, d, i+bits.TrailingZeros(uint(bad)), scale, A, out)
 				}
-				softmaxInto(srow, srow)
 			}
-			attnAVF64Asm(A, v.Data[lo:hi], out.Data[lo:hi], S, d, hidden)
 		}
 		off += S
 	}

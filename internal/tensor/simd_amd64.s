@@ -1,5 +1,6 @@
 // AVX2 and AVX-512 kernels (see simd_amd64.go). The float64 kernels
-// (gemmF64AVX2, gemmF64AVX512, attnAVF64Asm, expShiftSumAsm, geluF64Asm)
+// (gemmF64AVX2, gemmF64AVX512, attnF64AVX2, attnF64AVX512, expShiftSumAsm,
+// geluF64Asm)
 // are bitwise equal to their Go mirrors: they vectorize across independent
 // outputs only and round every product before adding it (VMULPD then
 // VADDPD, never FMA), and the exp and tanh lanes run the scalar ports'
@@ -1579,101 +1580,6 @@ zdone:
 	VZEROUPPER
 	RET
 
-// LANEMASK loads into m the mask of min(4, max(0, left/8)) lanes, for
-// left bytes of the row still to go (BX and R14 are clobbered).
-#define LANEMASK(left, m) \
-	MOVQ    left, BX       \
-	XORQ    R14, R14       \
-	CMPQ    BX, R14        \
-	CMOVQLT R14, BX        \
-	MOVQ    $32, R14       \
-	CMPQ    BX, R14        \
-	CMOVQGT R14, BX        \
-	VMOVUPD (R13)(BX*4), m
-
-// AVSTRIP multiplies the broadcast weight in Y4 by the masked v strip at
-// off(DX) and adds the product into acc.
-#define AVSTRIP(off, m, acc) \
-	VMASKMOVPD off(DX), m, Y5 \
-	VMULPD     Y5, Y4, Y5     \
-	VADDPD     Y5, acc, acc
-
-// func attnAVF64Asm(a, v, out []float64, S, d, stride int)
-//
-// AV for one head: out[i·stride+c] = Σ_j a[i·S+j]·v[j·stride+c] for i < S
-// and c < d, j ascending from +0, skipping every j whose weight is ±0 as
-// the scalar loop does (0·Inf and 0·NaN would otherwise turn a sum into
-// NaN). One pass over j per row covers 16 columns in four masked strips
-// (Y0–Y3, masks Y12–Y15; a strip past d has an empty mask and is never
-// stored).
-TEXT ·attnAVF64Asm(SB), NOSPLIT, $0-96
-	MOVQ a_base+0(FP), SI
-	MOVQ out_base+48(FP), DI
-	MOVQ S+72(FP), CX
-	MOVQ d+80(FP), R10
-	MOVQ stride+88(FP), R9
-	SHLQ $3, R10             // row width in bytes
-	SHLQ $3, R9              // v and out row stride in bytes
-	LEAQ f64mask<>(SB), R13
-	TESTQ CX, CX
-	JLE  avdone
-	TESTQ R10, R10
-	JLE  avdone
-	MOVQ CX, R12             // rows left
-
-avrow:
-	XORQ R11, R11            // column byte offset of the pass
-
-avpass:
-	MOVQ R10, AX
-	SUBQ R11, AX             // bytes left in the row
-	LANEMASK(AX, Y12)
-	SUBQ $32, AX
-	LANEMASK(AX, Y13)
-	SUBQ $32, AX
-	LANEMASK(AX, Y14)
-	SUBQ $32, AX
-	LANEMASK(AX, Y15)
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ v_base+24(FP), DX
-	ADDQ R11, DX             // v[0][c]
-	XORQ R8, R8
-
-avj:
-	MOVQ (SI)(R8*8), AX
-	SHLQ $1, AX              // drop the sign: ±0 becomes 0
-	JZ   avskip
-	VBROADCASTSD (SI)(R8*8), Y4
-	AVSTRIP(0, Y12, Y0)
-	AVSTRIP(32, Y13, Y1)
-	AVSTRIP(64, Y14, Y2)
-	AVSTRIP(96, Y15, Y3)
-
-avskip:
-	ADDQ R9, DX
-	INCQ R8
-	CMPQ R8, CX
-	JLT  avj
-	LEAQ (DI)(R11*1), AX
-	VMASKMOVPD Y0, Y12, (AX)
-	VMASKMOVPD Y1, Y13, 32(AX)
-	VMASKMOVPD Y2, Y14, 64(AX)
-	VMASKMOVPD Y3, Y15, 96(AX)
-	ADDQ $128, R11
-	CMPQ R11, R10
-	JLT  avpass
-	LEAQ (SI)(CX*8), SI      // next row of a
-	ADDQ R9, DI              // next out row
-	DECQ R12
-	JNZ  avrow
-
-avdone:
-	VZEROUPPER
-	RET
-
 // 4-lane float64 constants for expF64 and tanhF64 (exp.go).
 DATA f64half<>+0(SB)/8, $0x3FE0000000000000 // 0.5
 DATA f64half<>+8(SB)/8, $0x3FE0000000000000
@@ -2058,5 +1964,681 @@ genext:
 	JMP  gegroup
 
 gedone:
+	VZEROUPPER
+	RET
+
+DATA f64neginf<>+0(SB)/8, $0xFFF0000000000000 // −Inf, the max's start
+GLOBL f64neginf<>(SB), RODATA, $8
+
+// ZEXPF64CORE is EXPF64CORE on ZMM: Z0 in, Z1 out, the same operations in
+// the same order on eight lanes. Clobbers Z2–Z6.
+#define ZEXPF64CORE \
+	VPANDQ.BCST  f64sign<>(SB), Z0, Z2  \
+	VPORQ.BCST   f64half<>(SB), Z2, Z2  \
+	VMULPD.BCST  f64log2e<>(SB), Z0, Z3 \
+	VADDPD       Z2, Z3, Z3             \
+	VCVTTPD2DQ   Z3, Y4                 \
+	VCVTDQ2PD    Y4, Z3                 \
+	VPMOVSXDQ    Y4, Z4                 \
+	VPSLLQ       $52, Z4, Z4            \
+	VMULPD.BCST  f64ln2hi<>(SB), Z3, Z2 \
+	VSUBPD       Z2, Z0, Z2             \
+	VMULPD.BCST  f64ln2lo<>(SB), Z3, Z3 \
+	VSUBPD       Z3, Z2, Z5             \
+	VMULPD       Z5, Z5, Z6             \
+	VMULPD.BCST  f64p5<>(SB), Z6, Z1    \
+	VADDPD.BCST  f64p4<>(SB), Z1, Z1    \
+	VMULPD       Z6, Z1, Z1             \
+	VADDPD.BCST  f64p3<>(SB), Z1, Z1    \
+	VMULPD       Z6, Z1, Z1             \
+	VADDPD.BCST  f64p2<>(SB), Z1, Z1    \
+	VMULPD       Z6, Z1, Z1             \
+	VADDPD.BCST  f64p1<>(SB), Z1, Z1    \
+	VMULPD       Z6, Z1, Z1             \
+	VSUBPD       Z1, Z5, Z1             \
+	VMULPD       Z1, Z5, Z6             \
+	VBROADCASTSD f64two<>(SB), Z5       \
+	VSUBPD       Z1, Z5, Z1             \
+	VDIVPD       Z1, Z6, Z6             \
+	VSUBPD       Z6, Z3, Z6             \
+	VSUBPD       Z2, Z6, Z6             \
+	VBROADCASTSD f64one<>(SB), Z1       \
+	VSUBPD       Z6, Z1, Z1             \
+	VPADDQ       Z4, Z1, Z1
+
+// The attention kernels share one layout. Lane l of a group holds query
+// row i0+l; work holds the group's transposed Q (qT: column c's lanes at
+// c·lb bytes, lb = 8·lanes), then its score columns (Wt: column j's
+// lanes at d·lb + j·lb). On AVX2, which has no scatter, qT's room takes
+// the AV columns once the scores are done, and scalar copies move the
+// live lanes of Wt and of the AV columns into a and out. Registers: S in
+// CX, d and the row stride in bytes in R8 and R9, work in R13, i0 in AX,
+// the group's live lanes in DX.
+
+// ATTNENTER loads the shared arguments.
+#define ATTNENTER \
+	MOVQ rows+144(FP), CX       \
+	MOVQ d+152(FP), R8          \
+	MOVQ stride+160(FP), R9     \
+	MOVQ work_base+120(FP), R13 \
+	MOVQ row+176(FP), AX        \
+	SHLQ $3, R8                 \
+	SHLQ $3, R9
+
+// ATTNLANES sets DX to min(n, S − i0), or jumps to done when no row is
+// left.
+#define ATTNLANES(n, done) \
+	MOVQ    CX, DX \
+	SUBQ    AX, DX \
+	JLE     done   \
+	MOVQ    n, BX  \
+	CMPQ    DX, BX \
+	CMOVQGT BX, DX
+
+// ATTNQT copies the live rows' Q into qT (lb = 8·sc); the caller has
+// zeroed the dead lanes.
+#define ATTNQT(sc) \
+	MOVQ  q_base+0(FP), SI \
+	MOVQ  AX, BX           \
+	IMULQ R9, BX           \
+	ADDQ  BX, SI           \
+	MOVQ  R13, DI          \
+	MOVQ  DX, R10          \
+aqrow:                     \
+	XORQ  R14, R14         \
+	JMP   aqnext           \
+aqcol:                     \
+	MOVQ  (SI)(R14*1), BX  \
+	MOVQ  BX, (DI)(R14*sc) \
+	ADDQ  $8, R14          \
+aqnext:                    \
+	CMPQ  R14, R8          \
+	JLT   aqcol            \
+	ADDQ  R9, SI           \
+	ADDQ  $8, DI           \
+	DECQ  R10              \
+	JNZ   aqrow
+
+// ATTNACOPY copies the live lanes of Wt (lb bytes a column, at d·lb) into
+// rows i0.. of a, row-major S wide.
+#define ATTNACOPY(sc, lb) \
+	MOVQ  a_base+72(FP), DI \
+	MOVQ  AX, BX            \
+	IMULQ CX, BX            \
+	LEAQ  (DI)(BX*8), DI    \
+	LEAQ  (R13)(R8*sc), SI  \
+	MOVQ  DX, R10           \
+acrow:                      \
+	MOVQ  SI, R11           \
+	XORQ  R14, R14          \
+accol:                      \
+	MOVQ  (R11), BX         \
+	MOVQ  BX, (DI)(R14*8)   \
+	ADDQ  $lb, R11          \
+	INCQ  R14               \
+	CMPQ  R14, CX           \
+	JLT   accol             \
+	ADDQ  $8, SI            \
+	LEAQ  (DI)(CX*8), DI    \
+	DECQ  R10               \
+	JNZ   acrow
+
+// ATTNOCOPY copies the live lanes of the AV columns in qT's room into
+// rows i0.. of out.
+#define ATTNOCOPY(sc) \
+	MOVQ  out_base+96(FP), DI \
+	MOVQ  AX, BX              \
+	IMULQ R9, BX              \
+	ADDQ  BX, DI              \
+	MOVQ  R13, SI             \
+	MOVQ  DX, R10             \
+ocrow:                        \
+	XORQ  R14, R14            \
+	JMP   ocnext              \
+occol:                        \
+	MOVQ  (SI)(R14*sc), BX    \
+	MOVQ  BX, (DI)(R14*1)     \
+	ADDQ  $8, R14             \
+ocnext:                       \
+	CMPQ  R14, R8             \
+	JLT   occol               \
+	ADDQ  $8, SI              \
+	ADDQ  R9, DI              \
+	DECQ  R10                 \
+	JNZ   ocrow
+
+// func attnF64AVX2(q, k, v, a, out, work []float64, rows, d, stride int, scale float64, row int) (stop, bad int)
+//
+// Per group of four rows: qT; the scores four columns j at a time (Y0–Y3,
+// each from +0, c ascending, then times the scale in Y11) into Wt, the max
+// in Y13 taken in j order by VMAXPD (s > max ? s : max, so NaN never wins
+// and the first of equal values stays); the exps in j order, summed into
+// Y14, Y15 keeping the lanes whose arguments were all in range; Wt times
+// 1/sum; then AV four columns c at a time, j ascending from +0.
+TEXT ·attnF64AVX2(SB), NOSPLIT, $0-200
+	ATTNENTER
+	VBROADCASTSD scale+168(FP), Y11
+	VXORPD       Y10, Y10, Y10
+
+yagroup:
+	ATTNLANES($4, yadone)
+	CMPQ DX, $4
+	JEQ  yaq
+	XORQ R14, R14
+	JMP  yaqzt
+
+yaqz:
+	VMOVUPD Y10, (R13)(R14*4)
+	ADDQ    $8, R14
+
+yaqzt:
+	CMPQ R14, R8
+	JLT  yaqz
+
+yaq:
+	ATTNQT(4)
+	VBROADCASTSD f64neginf<>(SB), Y13
+	LEAQ         (R13)(R8*4), DI // Wt column j
+	MOVQ         k_base+24(FP), BX // k row j
+	MOVQ         CX, SI          // columns left
+
+yas4:
+	CMPQ   SI, $4
+	JLT    yas1
+	LEAQ   (BX)(R9*1), R10
+	LEAQ   (BX)(R9*2), R11
+	LEAQ   (R10)(R9*2), R12
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   R14, R14
+	JMP    yas4t
+
+yas4c:
+	VMOVUPD      (R13)(R14*4), Y8
+	VBROADCASTSD (BX)(R14*1), Y4
+	VBROADCASTSD (R10)(R14*1), Y5
+	VBROADCASTSD (R11)(R14*1), Y6
+	VBROADCASTSD (R12)(R14*1), Y7
+	VMULPD       Y4, Y8, Y4
+	VMULPD       Y5, Y8, Y5
+	VMULPD       Y6, Y8, Y6
+	VMULPD       Y7, Y8, Y7
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y7, Y3, Y3
+	ADDQ         $8, R14
+
+yas4t:
+	CMPQ    R14, R8
+	JLT     yas4c
+	VMULPD  Y11, Y0, Y0
+	VMULPD  Y11, Y1, Y1
+	VMULPD  Y11, Y2, Y2
+	VMULPD  Y11, Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMAXPD  Y13, Y0, Y13
+	VMAXPD  Y13, Y1, Y13
+	VMAXPD  Y13, Y2, Y13
+	VMAXPD  Y13, Y3, Y13
+	ADDQ    $128, DI
+	LEAQ    (R12)(R9*1), BX
+	SUBQ    $4, SI
+	JMP     yas4
+
+yas1:
+	TESTQ  SI, SI
+	JZ     yaexp
+	VXORPD Y0, Y0, Y0
+	XORQ   R14, R14
+	JMP    yas1t
+
+yas1c:
+	VMOVUPD      (R13)(R14*4), Y8
+	VBROADCASTSD (BX)(R14*1), Y4
+	VMULPD       Y4, Y8, Y4
+	VADDPD       Y4, Y0, Y0
+	ADDQ         $8, R14
+
+yas1t:
+	CMPQ    R14, R8
+	JLT     yas1c
+	VMULPD  Y11, Y0, Y0
+	VMOVUPD Y0, (DI)
+	VMAXPD  Y13, Y0, Y13
+	ADDQ    $32, DI
+	ADDQ    R9, BX
+	DECQ    SI
+	JMP     yas1
+
+yaexp:
+	LEAQ     (R13)(R8*4), DI
+	MOVQ     CX, SI
+	VXORPD   Y14, Y14, Y14
+	VPCMPEQQ Y15, Y15, Y15
+
+yae:
+	VMOVUPD   (DI), Y0
+	VSUBPD    Y13, Y0, Y0                 // x = s − max
+	VCMPPD    $13, f64explo<>(SB), Y0, Y1 // x ≥ −708
+	VCMPPD    $2, f64exphi<>(SB), Y0, Y2  // x ≤ 709
+	VANDPD    Y1, Y15, Y15
+	VANDPD    Y2, Y15, Y15
+	EXPF64CORE
+	VANDPD    f64abs<>(SB), Y0, Y2
+	VCMPPD    $1, f64nearzero<>(SB), Y2, Y2 // |x| < 2⁻²⁸
+	VADDPD    f64one<>(SB), Y0, Y3          // 1 + x
+	VBLENDVPD Y2, Y3, Y1, Y1
+	VMOVUPD   Y1, (DI)
+	VADDPD    Y1, Y14, Y14
+	ADDQ      $32, DI
+	DECQ      SI
+	JNZ       yae
+	VMOVUPD   f64one<>(SB), Y1
+	VDIVPD    Y14, Y1, Y14                  // 1/sum
+	LEAQ      (R13)(R8*4), DI
+	MOVQ      CX, SI
+
+yan:
+	VMOVUPD (DI), Y0
+	VMULPD  Y14, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	DECQ    SI
+	JNZ     yan
+	ATTNACOPY(4, 32)
+	XORQ    R14, R14                    // column c, in bytes
+
+yav4:
+	MOVQ   R8, BX
+	SUBQ   R14, BX
+	CMPQ   BX, $32
+	JLT    yav1
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ   (R13)(R8*4), DI
+	MOVQ   v_base+48(FP), SI
+	ADDQ   R14, SI                      // v[0][c]
+	MOVQ   CX, R10
+
+yav4j:
+	VMOVUPD      (DI), Y8
+	VBROADCASTSD (SI), Y4
+	VBROADCASTSD 8(SI), Y5
+	VBROADCASTSD 16(SI), Y6
+	VBROADCASTSD 24(SI), Y7
+	VMULPD       Y4, Y8, Y4
+	VMULPD       Y5, Y8, Y5
+	VMULPD       Y6, Y8, Y6
+	VMULPD       Y7, Y8, Y7
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y7, Y3, Y3
+	ADDQ         $32, DI
+	ADDQ         R9, SI
+	DECQ         R10
+	JNZ          yav4j
+	VMOVUPD      Y0, (R13)(R14*4)
+	VMOVUPD      Y1, 32(R13)(R14*4)
+	VMOVUPD      Y2, 64(R13)(R14*4)
+	VMOVUPD      Y3, 96(R13)(R14*4)
+	ADDQ         $32, R14
+	JMP          yav4
+
+yav1:
+	CMPQ   R14, R8
+	JGE    yaout
+	VXORPD Y0, Y0, Y0
+	LEAQ   (R13)(R8*4), DI
+	MOVQ   v_base+48(FP), SI
+	ADDQ   R14, SI
+	MOVQ   CX, R10
+
+yav1j:
+	VMOVUPD      (DI), Y8
+	VBROADCASTSD (SI), Y4
+	VMULPD       Y4, Y8, Y4
+	VADDPD       Y4, Y0, Y0
+	ADDQ         $32, DI
+	ADDQ         R9, SI
+	DECQ         R10
+	JNZ          yav1j
+	VMOVUPD      Y0, (R13)(R14*4)
+	ADDQ         $8, R14
+	JMP          yav1
+
+yaout:
+	ATTNOCOPY(4)
+	VMOVMSKPD Y15, R10
+	NOTQ      R10
+	LEAQ      gemmzmask<>(SB), BX
+	MOVWQZX   (BX)(DX*2), BX        // live lanes
+	ANDQ      R10, BX
+	JNZ       yabad
+	ADDQ      $4, AX
+	JMP       yagroup
+
+yabad:
+	MOVQ AX, stop+184(FP)
+	MOVQ BX, bad+192(FP)
+	VZEROUPPER
+	RET
+
+yadone:
+	MOVQ CX, stop+184(FP)
+	MOVQ $0, bad+192(FP)
+	VZEROUPPER
+	RET
+
+DATA f64iota<>+0(SB)/8, $0
+DATA f64iota<>+8(SB)/8, $1
+DATA f64iota<>+16(SB)/8, $2
+DATA f64iota<>+24(SB)/8, $3
+DATA f64iota<>+32(SB)/8, $4
+DATA f64iota<>+40(SB)/8, $5
+DATA f64iota<>+48(SB)/8, $6
+DATA f64iota<>+56(SB)/8, $7
+GLOBL f64iota<>(SB), RODATA, $64
+
+// ZAVSCATTER stores AV column z of the live rows to off(R11), row l at
+// l·stride (Z26).
+#define ZAVSCATTER(z, off) \
+	KMOVW       K7, K1 \
+	VSCATTERQPD z, K1, off(R11)(Z26*1)
+
+// func attnF64AVX512(q, k, v, a, out, work []float64, rows, d, stride int, scale float64, row int) (stop, bad int)
+//
+// attnF64AVX2 on ZMM, eight rows a group, the lanes moved by gather and
+// scatter instead of scalar copies: qT column c is one VGATHERQPD of the
+// live rows (indices l·stride in Z26; dead lanes stay 0), and each column
+// of a and of AV is one VSCATTERQPD to the live rows (indices l·S·8 in
+// Z27, l·stride in Z26). The live lanes are in K7, the scale in Z31, the
+// max in Z30 and the sum in Z29; K6 keeps the live lanes whose arguments
+// were all in range. AV runs eight, four, then one column at a time.
+TEXT ·attnF64AVX512(SB), NOSPLIT, $0-200
+	ATTNENTER
+	VBROADCASTSD scale+168(FP), Z31
+	VMOVDQU64    f64iota<>(SB), Z25
+	VPBROADCASTQ R9, Z26
+	VPMULUDQ     Z25, Z26, Z26
+	MOVQ         CX, BX
+	SHLQ         $3, BX
+	VPBROADCASTQ BX, Z27
+	VPMULUDQ     Z25, Z27, Z27
+
+zagroup:
+	ATTNLANES($8, zadone)
+	LEAQ  gemmzmask<>(SB), BX
+	KMOVW (BX)(DX*2), K7
+	MOVQ  q_base+0(FP), SI
+	MOVQ  AX, BX
+	IMULQ R9, BX
+	ADDQ  BX, SI                 // q[i0][0]
+	XORQ  R14, R14
+	JMP   zaqt
+
+zaqc:
+	KMOVW      K7, K1
+	VPXORQ     Z8, Z8, Z8
+	VGATHERQPD (SI)(Z26*1), K1, Z8
+	VMOVUPD    Z8, (R13)(R14*8)
+	ADDQ       $8, SI
+	ADDQ       $8, R14
+
+zaqt:
+	CMPQ         R14, R8
+	JLT          zaqc
+	VBROADCASTSD f64neginf<>(SB), Z30
+	LEAQ         (R13)(R8*8), DI
+	MOVQ         k_base+24(FP), BX
+	MOVQ         CX, SI
+
+zas4:
+	CMPQ   SI, $4
+	JLT    zas1
+	LEAQ   (BX)(R9*1), R10
+	LEAQ   (BX)(R9*2), R11
+	LEAQ   (R10)(R9*2), R12
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	XORQ   R14, R14
+	JMP    zas4t
+
+zas4c:
+	VMOVUPD     (R13)(R14*8), Z8
+	VMULPD.BCST (BX)(R14*1), Z8, Z9
+	VMULPD.BCST (R10)(R14*1), Z8, Z10
+	VMULPD.BCST (R11)(R14*1), Z8, Z11
+	VMULPD.BCST (R12)(R14*1), Z8, Z12
+	VADDPD      Z9, Z0, Z0
+	VADDPD      Z10, Z1, Z1
+	VADDPD      Z11, Z2, Z2
+	VADDPD      Z12, Z3, Z3
+	ADDQ        $8, R14
+
+zas4t:
+	CMPQ    R14, R8
+	JLT     zas4c
+	VMULPD  Z31, Z0, Z0
+	VMULPD  Z31, Z1, Z1
+	VMULPD  Z31, Z2, Z2
+	VMULPD  Z31, Z3, Z3
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMAXPD  Z30, Z0, Z30
+	VMAXPD  Z30, Z1, Z30
+	VMAXPD  Z30, Z2, Z30
+	VMAXPD  Z30, Z3, Z30
+	ADDQ    $256, DI
+	LEAQ    (R12)(R9*1), BX
+	SUBQ    $4, SI
+	JMP     zas4
+
+zas1:
+	TESTQ  SI, SI
+	JZ     zaexp
+	VPXORQ Z0, Z0, Z0
+	XORQ   R14, R14
+	JMP    zas1t
+
+zas1c:
+	VMOVUPD     (R13)(R14*8), Z8
+	VMULPD.BCST (BX)(R14*1), Z8, Z9
+	VADDPD      Z9, Z0, Z0
+	ADDQ        $8, R14
+
+zas1t:
+	CMPQ    R14, R8
+	JLT     zas1c
+	VMULPD  Z31, Z0, Z0
+	VMOVUPD Z0, (DI)
+	VMAXPD  Z30, Z0, Z30
+	ADDQ    $64, DI
+	ADDQ    R9, BX
+	DECQ    SI
+	JMP     zas1
+
+zaexp:
+	LEAQ   (R13)(R8*8), DI
+	MOVQ   CX, SI
+	VPXORQ Z29, Z29, Z29
+	KMOVW  K7, K6
+
+zae:
+	VMOVUPD     (DI), Z0
+	VSUBPD      Z30, Z0, Z0
+	VCMPPD.BCST $13, f64explo<>(SB), Z0, K6, K6
+	VCMPPD.BCST $2, f64exphi<>(SB), Z0, K6, K6
+	ZEXPF64CORE
+	VPANDQ.BCST f64abs<>(SB), Z0, Z2
+	VCMPPD.BCST $1, f64nearzero<>(SB), Z2, K1
+	VADDPD.BCST f64one<>(SB), Z0, K1, Z1
+	VMOVUPD     Z1, (DI)
+	VADDPD      Z1, Z29, Z29
+	ADDQ        $64, DI
+	DECQ        SI
+	JNZ         zae
+
+zanorm:
+	VBROADCASTSD f64one<>(SB), Z1
+	VDIVPD       Z29, Z1, Z29
+	MOVQ         a_base+72(FP), R10
+	MOVQ         AX, BX
+	IMULQ        CX, BX
+	LEAQ         (R10)(BX*8), R10 // a[i0][0]
+	LEAQ         (R13)(R8*8), DI
+	MOVQ         CX, SI
+
+zan:
+	VMOVUPD     (DI), Z0
+	VMULPD      Z29, Z0, Z0
+	VMOVUPD     Z0, (DI)
+	KMOVW       K7, K1
+	VSCATTERQPD Z0, K1, (R10)(Z27*1)
+	ADDQ        $64, DI
+	ADDQ        $8, R10
+	DECQ        SI
+	JNZ         zan
+	MOVQ        out_base+96(FP), R11
+	MOVQ        AX, BX
+	IMULQ       R9, BX
+	ADDQ        BX, R11          // out[i0][c]
+	MOVQ        v_base+48(FP), R12 // v[0][c]
+	MOVQ        R8, R14          // column bytes left
+
+zav8:
+	CMPQ   R14, $64
+	JLT    zav4
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	LEAQ   (R13)(R8*8), DI
+	MOVQ   R12, SI
+	MOVQ   CX, R10
+
+zav8j:
+	VMOVUPD     (DI), Z8
+	VMULPD.BCST (SI), Z8, Z9
+	VMULPD.BCST 8(SI), Z8, Z10
+	VMULPD.BCST 16(SI), Z8, Z11
+	VMULPD.BCST 24(SI), Z8, Z12
+	VMULPD.BCST 32(SI), Z8, Z13
+	VMULPD.BCST 40(SI), Z8, Z14
+	VMULPD.BCST 48(SI), Z8, Z15
+	VMULPD.BCST 56(SI), Z8, Z16
+	VADDPD      Z9, Z0, Z0
+	VADDPD      Z10, Z1, Z1
+	VADDPD      Z11, Z2, Z2
+	VADDPD      Z12, Z3, Z3
+	VADDPD      Z13, Z4, Z4
+	VADDPD      Z14, Z5, Z5
+	VADDPD      Z15, Z6, Z6
+	VADDPD      Z16, Z7, Z7
+	ADDQ        $64, DI
+	ADDQ        R9, SI
+	DECQ        R10
+	JNZ         zav8j
+	ZAVSCATTER(Z0, 0)
+	ZAVSCATTER(Z1, 8)
+	ZAVSCATTER(Z2, 16)
+	ZAVSCATTER(Z3, 24)
+	ZAVSCATTER(Z4, 32)
+	ZAVSCATTER(Z5, 40)
+	ZAVSCATTER(Z6, 48)
+	ZAVSCATTER(Z7, 56)
+	ADDQ        $64, R11
+	ADDQ        $64, R12
+	SUBQ        $64, R14
+	JMP         zav8
+
+zav4:
+	CMPQ   R14, $32
+	JLT    zav1
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	LEAQ   (R13)(R8*8), DI
+	MOVQ   R12, SI
+	MOVQ   CX, R10
+
+zav4j:
+	VMOVUPD     (DI), Z8
+	VMULPD.BCST (SI), Z8, Z9
+	VMULPD.BCST 8(SI), Z8, Z10
+	VMULPD.BCST 16(SI), Z8, Z11
+	VMULPD.BCST 24(SI), Z8, Z12
+	VADDPD      Z9, Z0, Z0
+	VADDPD      Z10, Z1, Z1
+	VADDPD      Z11, Z2, Z2
+	VADDPD      Z12, Z3, Z3
+	ADDQ        $64, DI
+	ADDQ        R9, SI
+	DECQ        R10
+	JNZ         zav4j
+	ZAVSCATTER(Z0, 0)
+	ZAVSCATTER(Z1, 8)
+	ZAVSCATTER(Z2, 16)
+	ZAVSCATTER(Z3, 24)
+	ADDQ        $32, R11
+	ADDQ        $32, R12
+	SUBQ        $32, R14
+
+zav1:
+	TESTQ  R14, R14
+	JZ     zaend
+	VPXORQ Z0, Z0, Z0
+	LEAQ   (R13)(R8*8), DI
+	MOVQ   R12, SI
+	MOVQ   CX, R10
+
+zav1j:
+	VMOVUPD     (DI), Z8
+	VMULPD.BCST (SI), Z8, Z9
+	VADDPD      Z9, Z0, Z0
+	ADDQ        $64, DI
+	ADDQ        R9, SI
+	DECQ        R10
+	JNZ         zav1j
+	ZAVSCATTER(Z0, 0)
+	ADDQ        $8, R11
+	ADDQ        $8, R12
+	SUBQ        $8, R14
+	JMP         zav1
+
+zaend:
+	KMOVW K7, BX
+	KMOVW K6, R10
+	XORQ  R10, BX
+	JNZ   zabad
+	ADDQ  $8, AX
+	JMP   zagroup
+
+zabad:
+	MOVQ AX, stop+184(FP)
+	MOVQ BX, bad+192(FP)
+	VZEROUPPER
+	RET
+
+zadone:
+	MOVQ CX, stop+184(FP)
+	MOVQ $0, bad+192(FP)
 	VZEROUPPER
 	RET

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -316,14 +317,17 @@ func TestF64GemmKernelsMatchGo(t *testing.T) {
 
 // TestF64AttentionMatchesGo runs packed batches of several sequences
 // through the dispatched attention and attentionF64Go on every tier and
-// requires the same bits, across head widths that take full and masked
-// 4-lane strips and sequence lengths on both sides of each strip edge
-// (QKᵀ's GEMM is S columns wide). Inputs come plain, laced with special
-// values, and scaled up so that softmax weights underflow to exactly 0
-// against a V holding infinities: the kernel must skip those weights as
-// the scalar loop does. The whole scores scratch must match too, every
-// head's post-softmax block at [h·S², (h+1)·S²): the Attention op's
-// backward reads it.
+// requires the same bits, across head widths that take full and partial
+// AV column blocks and sequence lengths on both sides of each lane-group
+// edge (4 lanes on AVX2, 8 on AVX-512) up to the default encoder's
+// MaxSeqLen of 64. Inputs come plain, laced with special values, and
+// scaled up so that most rows' exp arguments leave [−708, 709] and their
+// weights underflow to 0 against a V holding infinities: the kernel must
+// hand those rows to the scalar port, which skips the zero weights. One
+// more sequence scales up a single query row, so that only that row
+// falls back while the rest of its lane group stays on the kernel.
+// The whole scores scratch must match too, every head's post-softmax
+// block at [h·S², (h+1)·S²): the Attention op's backward reads it.
 func TestF64AttentionMatchesGo(t *testing.T) {
 	withF64Backends(func(tier string) {
 		t.Run(tier, testF64AttentionMatchesGo)
@@ -332,7 +336,7 @@ func TestF64AttentionMatchesGo(t *testing.T) {
 
 func testF64AttentionMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	lengths := []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 20}
+	lengths := []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 20, 31, 32, 33, 48, 64}
 	for _, d := range []int{1, 2, 3, 4, 5, 8, 12, 16, 20} {
 		for _, heads := range []int{1, 3} {
 			hidden := d * heads
@@ -342,32 +346,100 @@ func testF64AttentionMatchesGo(t *testing.T) {
 					every int
 				}{{1, 0}, {1, 7}, {40, 0}} {
 					lens := []int{lengths[rng.Intn(len(lengths))], S, lengths[rng.Intn(len(lengths))]}
-					T, maxS := 0, 0
-					for _, l := range lens {
-						T += l
-						maxS = max(maxS, l)
-					}
+					T := lens[0] + lens[1] + lens[2]
 					q := FromSlice(T, hidden, randSpecial64(rng, T*hidden, input.scale, input.every))
 					k := FromSlice(T, hidden, randSpecial64(rng, T*hidden, input.scale, input.every))
 					v := FromSlice(T, hidden, randSpecial64(rng, T*hidden, 1, input.every))
 					if input.scale > 1 {
 						v.Data[rng.Intn(len(v.Data))] = math.Inf(1)
 					}
-					kt := make([]float64, maxS*hidden)
-					wantScores, gotScores := make([]float64, heads*maxS*maxS), make([]float64, heads*maxS*maxS)
-					want := NewMatrix(T, hidden)
-					got := guardedMatrix(T, hidden, 8)
-					got.Fill(3) // the kernel overwrites every output
-					attentionF64Go(q, k, v, heads, lens, wantScores, kt, want)
-					attentionF64(q, k, v, heads, lens, gotScores, kt, got)
 					name := fmt.Sprintf("d=%d heads=%d lens=%v scale=%g every=%d", d, heads, lens, input.scale, input.every)
-					sameBits64(t, name, got.Data, want.Data)
-					sameBits64(t, "scores "+name, gotScores, wantScores)
-					checkGuard(t, name, got)
+					checkAttentionMatchesGo(t, name, q, k, v, heads, lens)
 				}
 			}
 		}
 	}
+
+	// Row 5 of a 20-row sequence, scaled by 10⁴: its scores spread far
+	// past 708, no other row's do.
+	const S, hidden = 20, 12
+	q := FromSlice(S, hidden, randSpecial64(rng, S*hidden, 1, 0))
+	k := FromSlice(S, hidden, randSpecial64(rng, S*hidden, 1, 0))
+	v := FromSlice(S, hidden, randSpecial64(rng, S*hidden, 1, 0))
+	for c := range q.Row(5) {
+		q.Row(5)[c] *= 1e4
+	}
+	checkAttentionMatchesGo(t, "one fallback row", q, k, v, 1, []int{S})
+	if haveSIMD {
+		kernel, _ := attnKernel()
+		work := make([]float64, AttentionWorkLen(S, hidden))
+		stop, bad := kernel(q.Data, k.Data, v.Data, make([]float64, S*S), NewMatrix(S, hidden).Data,
+			work, S, hidden, hidden, 1/math.Sqrt(hidden), 0)
+		if stop+bits.TrailingZeros(uint(bad)) != 5 || bad&(bad-1) != 0 {
+			t.Fatalf("kernel declined rows %#b of the group at row %d, want row 5 alone", bad, stop)
+		}
+	}
+}
+
+// checkAttentionMatchesGo runs one packed batch through the dispatched
+// attention and attentionF64Go and requires the same bits in the output
+// and in every head's scores block, and nothing written past either.
+func checkAttentionMatchesGo(t *testing.T, name string, q, k, v *Matrix, heads int, lens []int) {
+	t.Helper()
+	maxS := 0
+	for _, l := range lens {
+		maxS = max(maxS, l)
+	}
+	hidden := q.Cols
+	work := make([]float64, AttentionWorkLen(maxS, hidden))
+	wantScores := make([]float64, heads*maxS*maxS)
+	gotScores := guarded(make([]float64, heads*maxS*maxS))
+	want := NewMatrix(q.Rows, hidden)
+	got := guardedMatrix(q.Rows, hidden, 8)
+	got.Fill(3) // the kernel overwrites every output
+	attentionF64Go(q, k, v, heads, lens, wantScores, work, want)
+	attentionF64(q, k, v, heads, lens, gotScores, work, got)
+	sameBits64(t, name, got.Data, want.Data)
+	sameBits64(t, "scores "+name, gotScores, wantScores)
+	checkGuard(t, name, got)
+	checkGuard64(t, "scores "+name, gotScores)
+}
+
+// FuzzAttentionF64 checks the float64 attention on the host's widest
+// kernel bit for bit against attentionF64Go over fuzzed head counts
+// (1–4), head widths (1–24), one to three sequences of 1–64 rows, input
+// scales, densities of special values (NaN, ±Inf, −0, subnormals) and one
+// query row scaled by up to 2⁶³, which sends that row, or every row when
+// the scale is large, to the scalar fallback.
+func FuzzAttentionF64(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(12), uint8(20), uint8(0), uint8(0), 1.0, uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(5), uint8(9), uint8(63), uint8(33), 3.0, uint8(5), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, heads8, d8, n0, n1, n2 uint8, scale float64, every, big uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		heads, d := 1+int(heads8)%4, 1+int(d8)%24
+		hidden := heads * d
+		lens := []int{1 + int(n0)%64}
+		for _, n := range []uint8{n1, n2} {
+			if n != 0 {
+				lens = append(lens, 1+int(n)%64)
+			}
+		}
+		T := 0
+		for _, l := range lens {
+			T += l
+		}
+		q := FromSlice(T, hidden, randSpecial64(rng, T*hidden, scale, int(every)))
+		k := FromSlice(T, hidden, randSpecial64(rng, T*hidden, scale, int(every)))
+		v := FromSlice(T, hidden, randSpecial64(rng, T*hidden, 1, int(every)))
+		if big != 0 {
+			row := q.Row(rng.Intn(T))
+			for c := range row {
+				row[c] *= math.Ldexp(1, int(big)%64)
+			}
+		}
+		name := fmt.Sprintf("heads=%d d=%d lens=%v scale=%g every=%d big=%d", heads, d, lens, scale, every, big)
+		checkAttentionMatchesGo(t, name, q, k, v, heads, lens)
+	})
 }
 
 // TestF64ExpGELUKernelsMatchGo pins softmax's exp pass (expShiftSumAsm

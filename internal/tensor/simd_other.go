@@ -9,8 +9,8 @@ func matMulRows(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
 	matMulRowsGo(a, b, bias, out, lo, hi)
 }
 
-func attentionF64(q, k, v *Matrix, heads int, lens []int, scores, kt []float64, out *Matrix) {
-	attentionF64Go(q, k, v, heads, lens, scores, kt, out)
+func attentionF64(q, k, v *Matrix, heads int, lens []int, scores, work []float64, out *Matrix) {
+	attentionF64Go(q, k, v, heads, lens, scores, work, out)
 }
 
 func expShiftSum(src, dst []float64, shift float64) float64 {
