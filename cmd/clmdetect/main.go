@@ -1,11 +1,12 @@
 // Command clmdetect scores command lines for intrusion likelihood with a
 // versioned scorer bundle (-bundle dir, built by clmtrain -bundle). The
 // bundle carries the backbone, tokenizer, and one of the paper's detection
-// heads, and its manifest alone decides what scores: the method, float64
-// or int8, and the scoring cascade when the bundle carries a cascade
-// section (clmtrain -cascade; batch mode then prints the per-rung split).
-// No baseline log is read and no tuning runs. Lines also matched by the simulated commercial IDS rules
-// are marked, showing where detection generalizes beyond them.
+// heads, and its manifest alone decides what scores: the method, and the
+// scoring cascade when the bundle carries a cascade section (clmtrain's
+// default; batch mode then prints the per-rung split), else the float64
+// scorer alone. No baseline log is read and no tuning runs. Lines also
+// matched by the simulated commercial IDS rules are marked, showing where
+// detection generalizes beyond them.
 //
 // Batch usage:
 //
@@ -51,7 +52,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("clmdetect", flag.ContinueOnError)
-	bundle := fs.String("bundle", "", "scorer bundle directory built by clmtrain -bundle (required; the manifest selects the method, precision and cascade)")
+	bundle := fs.String("bundle", "", "scorer bundle directory built by clmtrain -bundle (required; the manifest selects the method and whether the cascade serves)")
 	input := fs.String("input", "-", "lines to score: JSONL, plain text, or - for stdin")
 	top := fs.Int("top", 20, "how many highest-scored lines to print (batch mode)")
 	modalityPin := fs.String("modality", "", "expected log modality ("+modality.FlagHelp()+"): a bundle trained for another modality is rejected; empty accepts whatever the bundle carries")

@@ -5,10 +5,11 @@
 // see internal/core). No baseline corpus is read and no tuning runs at
 // startup — the bundle carries the backbone, tokenizer, and method head,
 // and the daemon is ready as soon as they deserialize. The manifest alone
-// decides the served stack: method, float64 or int8, and the scoring
-// cascade when the bundle carries a cascade section (clmtrain -cascade);
-// no flag overrides it, and a reload serves exactly what the new bundle
-// says.
+// decides the served stack: the method, and the scoring cascade (int8
+// triage, float64 confirm) when the bundle carries a cascade section,
+// as clmtrain writes by default, or the float64 scorer alone when it does
+// not (clmtrain -cascade=false); no flag overrides it, and a reload serves
+// exactly what the new bundle says.
 //
 // Usage:
 //
@@ -24,8 +25,8 @@
 //	              503 until the scorer is ready.
 //	GET  /stats   JSON snapshot of detector + queue counters, aggregated
 //	              and per shard (queue depth, memo hit rate, active scorer
-//	              bundle version, serving precision; on a cascade bundle,
-//	              the per-rung traffic split: triaged / escalated).
+//	              bundle version; on a cascade bundle, the per-rung
+//	              traffic split: triaged / escalated).
 //	GET  /healthz liveness: 200 from the moment the socket is open, even
 //	              while the bundle is still loading.
 //	GET  /readyz  readiness: 503 until the scorer is serving — the probe

@@ -7,15 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"clmids/internal/core"
-	"clmids/internal/model"
 	"clmids/internal/serve"
 	"clmids/internal/stream"
-	"clmids/internal/tuning"
 )
 
 // TestRunRejectsServeOverrideFlags: the bundle manifest alone decides the
@@ -92,78 +91,83 @@ func TestPprofMuxIsolation(t *testing.T) {
 	}
 }
 
-// TestReloadSwapsPrecision: hot-reloading an int8 bundle over a float64
-// one swaps the serving precision shard-wide — the zero-downtime ladder
-// climb the bundle layer promises.
+// TestReloadSwapsPrecision: hot-reloads walk one live daemon float64 ->
+// cascade -> float64, and /stats carries the cascade block (with traffic
+// through its int8 triage rung) exactly while the cascade serves. A plain
+// int8 bundle from an older build is refused, and the float64 scorer keeps
+// serving under its version.
 func TestReloadSwapsPrecision(t *testing.T) {
 	f := getFixture(t)
-	// Own service (the shared fixture one is closed by the drain test):
-	// fresh replicas over the same frozen scorer, two shards.
-	replicas, err := core.ReplicateScorer(f.bs.Scorer, 2)
+	f64Dir, cascadeDir := filepath.Join(t.TempDir(), "f64"), filepath.Join(t.TempDir(), "cascade")
+	bs := *f.bs
+	if _, err := core.SaveBundle(f64Dir, f.pl, &bs, ""); err != nil {
+		t.Fatal(err)
+	}
+	art, err := core.CalibrateCascade(f.bs.Scorer, f.test.Lines())
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := stream.NewShardedDetector(replicas, stream.DefaultConfig())
+	bs.Cascade = art
+	if _, err := core.SaveBundle(cascadeDir, f.pl, &bs, ""); err != nil {
+		t.Fatal(err)
+	}
+	// An older build's plain int8 bundle: the float64 bundle's sections
+	// under a manifest that says int8.
+	int8Dir := filepath.Join(t.TempDir(), "int8")
+	if err := os.CopyFS(int8Dir, os.DirFS(f64Dir)); err != nil {
+		t.Fatal(err)
+	}
+	mj, err := os.ReadFile(filepath.Join(int8Dir, core.ManifestFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := stream.NewShardedService(det, stream.ServiceConfig{QueueRequests: 8, BatchEvents: 64})
-	defer svc.Close()
-	d := serve.NewDaemon("", false)
-	d.Attach(svc, "shell")
-	srv := httptest.NewServer(serve.NewHandler(d, 32))
-	defer srv.Close()
-
-	dir := t.TempDir()
-	f.bs.Config.Precision = model.PrecisionInt8
-	man, err := core.SaveBundle(dir, f.pl, f.bs, "int8-swap-v1")
-	f.bs.Config.Precision = ""
-	if err != nil {
+	mj = bytes.Replace(mj, []byte(`"format"`), []byte(`"precision": "int8", "format"`), 1)
+	if err := os.WriteFile(filepath.Join(int8Dir, core.ManifestFile), mj, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if man.Precision != string(model.PrecisionInt8) {
-		t.Fatalf("manifest precision %q", man.Precision)
-	}
-	resp, err := http.Post(srv.URL+"/reload?bundle="+dir, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload int8 bundle: %d", resp.StatusCode)
-	}
-	if got := svc.ScorerVersion(); got != man.Version {
-		t.Fatalf("version %q after int8 reload, want %q", got, man.Version)
 	}
 
-	// Scoring flows at the new rung.
-	resp, err = http.Post(srv.URL+"/score", "application/x-ndjson",
-		strings.NewReader(`{"user":"i8","time":5,"line":"ls -la /srv"}`+"\n"))
-	if err != nil {
-		t.Fatal(err)
+	live := coldDaemon(t, f64Dir)
+	reload := func(dir string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(live+"/reload?bundle="+dir, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-reload /score %d", resp.StatusCode)
+	for step, dir := range []string{cascadeDir, f64Dir} {
+		if code, body := reload(dir); code != http.StatusOK {
+			t.Fatalf("step %d: reload %s: %d %s", step, dir, code, body)
+		}
+		postScore(t, live, goldenChunk(t, f, fmt.Sprintf("s%d-", step)))
+		st := getStats(t, live)
+		if onCascade := dir == cascadeDir; (st.Cascade != nil) != onCascade {
+			t.Fatalf("step %d (%s): cascade block %+v, want present=%v", step, dir, st.Cascade, onCascade)
+		} else if onCascade && st.Cascade.Triaged == 0 {
+			t.Fatalf("step %d: cascade served no traffic: %+v", step, st.Cascade)
+		}
 	}
 
-	// The loaded bundle really serves int8 (spot-check via a fresh load).
-	lb, err := core.LoadScorerBundle(dir)
-	if err != nil {
-		t.Fatal(err)
+	before := getStats(t, live).ScorerVersion
+	code, body := reload(int8Dir)
+	if code == http.StatusOK || !strings.Contains(body, "int8") || !strings.Contains(body, "retrain") {
+		t.Fatalf("reload of an int8 bundle: %d %s", code, body)
 	}
-	if p, _ := tuning.ScorerPrecision(lb.Scorer); p != model.PrecisionInt8 {
-		t.Fatalf("int8 bundle loads at %q", p)
+	st := getStats(t, live)
+	if st.ScorerVersion != before || st.Cascade != nil {
+		t.Fatalf("refused reload changed the served stack: version %q (was %q), cascade %+v", st.ScorerVersion, before, st.Cascade)
 	}
+	postScore(t, live, goldenChunk(t, f, "after-"))
 }
 
-// TestReloadFollowsManifest: one live daemon reloads a float64, a cascade,
-// an int8 and the float64 bundle again, and after each reload serves
-// exactly what that bundle's manifest says — /stats carries the cascade
-// block only on the cascade bundle, every shard reports the manifest
-// precision, and a golden chunk's verdict bytes equal those of a daemon
-// cold-started on the same bundle. The cascade -> float64 step is the one
-// a cascade-sticky reload rule would refuse.
+// TestReloadFollowsManifest: one live daemon reloads a float64, a cascade
+// and the float64 bundle again, and after each reload serves exactly what
+// that bundle's manifest says — /stats carries the cascade block only on
+// the cascade bundle, and a golden chunk's verdict bytes equal those of a
+// daemon cold-started on the same bundle. The cascade -> float64 step is
+// the one a cascade-sticky reload rule would refuse.
 func TestReloadFollowsManifest(t *testing.T) {
 	f := getFixture(t)
 	save := func(name string, edit func(*core.BuiltScorer)) string {
@@ -177,7 +181,6 @@ func TestReloadFollowsManifest(t *testing.T) {
 		return dir
 	}
 	f64Dir := save("f64", func(*core.BuiltScorer) {})
-	int8Dir := save("int8", func(bs *core.BuiltScorer) { bs.Config.Precision = model.PrecisionInt8 })
 	art, err := core.CalibrateCascade(f.bs.Scorer, f.test.Lines())
 	if err != nil {
 		t.Fatal(err)
@@ -186,14 +189,12 @@ func TestReloadFollowsManifest(t *testing.T) {
 
 	live := coldDaemon(t, f64Dir)
 	for step, tc := range []struct {
-		dir       string
-		precision model.Precision
-		cascade   bool
+		dir     string
+		cascade bool
 	}{
-		{f64Dir, model.PrecisionFloat64, false},
-		{cascadeDir, model.PrecisionFloat64, true},
-		{int8Dir, model.PrecisionInt8, false},
-		{f64Dir, model.PrecisionFloat64, false},
+		{f64Dir, false},
+		{cascadeDir, true},
+		{f64Dir, false},
 	} {
 		name := filepath.Base(tc.dir)
 		resp, err := http.Post(live+"/reload?bundle="+tc.dir, "", nil)
@@ -219,11 +220,6 @@ func TestReloadFollowsManifest(t *testing.T) {
 		}
 		if tc.cascade && st.Cascade.Triaged == 0 {
 			t.Fatalf("step %d (%s): cascade served no traffic: %+v", step, name, st.Cascade)
-		}
-		for _, ss := range st.Shards {
-			if ss.Precision != string(tc.precision) {
-				t.Fatalf("step %d (%s): shard %d serves %q, want %q", step, name, ss.Shard, ss.Precision, tc.precision)
-			}
 		}
 	}
 }

@@ -15,8 +15,10 @@
 // (internal/core): the train-once half of train-once / serve-many.
 // clmserve -bundle and clmdetect -bundle then cold-start from it with no
 // baseline corpus and no tuning, serving exactly what its manifest
-// records: the method, -precision (float64 | int8), and with -cascade the
-// scoring cascade.
+// records: the method and the stack. By default the bundle carries a
+// calibrated scoring cascade (int8 triage, float64 confirm); -cascade=false
+// writes a float64-only bundle instead. Both kinds share the same four
+// data sections.
 //
 //	clmtrain -data data/train.jsonl -out model/ \
 //	         -bundle bundle/ -method retrieval
@@ -65,24 +67,11 @@ func run(args []string) error {
 	method := fs.String("method", "retrieval", "bundle detection method: classifier | retrieval | reconstruction | pca")
 	bundleEpochs := fs.Int("bundle-epochs", 8, "bundle classifier tuning epochs")
 	bundleVersion := fs.String("bundle-version", "", "bundle version label (default: content-derived)")
-	precision := fs.String("precision", "", "bundle serve-path precision: float64 | int8 (int8 serves weights lowered from model.gob at load; the head is trained in float64 either way)")
-	cascade := fs.Bool("cascade", false, "calibrate the scoring cascade (int8 triage -> f64 confirm) against the training log and emit its escalation threshold with the bundle")
+	cascade := fs.Bool("cascade", true, "with -bundle, calibrate the scoring cascade (int8 triage -> f64 confirm) against the training log and emit its escalation threshold with the bundle; -cascade=false writes a float64-only bundle")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	// Validate before the minutes of pre-training, not after.
-	prec, err := model.ParsePrecision(*precision)
-	if err != nil {
-		return err
-	}
-	if *cascade {
-		if *bundle == "" {
-			return fmt.Errorf("-cascade needs -bundle: the cascade artifact rides the bundle format")
-		}
-		if prec.Low() {
-			return fmt.Errorf("-cascade and -precision int8 are mutually exclusive: cascade bundles pin int8 triage under a float64 confirm rung")
-		}
-	}
 	if err := modality.Validate(*mod); err != nil {
 		return err
 	}
@@ -158,7 +147,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("tuning %s head over %d baseline lines...\n", *method, len(baseLines))
 	bs, err := core.BuildScorerFull(pl, core.ScorerConfig{
-		Method: *method, Epochs: *bundleEpochs, Seed: *seed, Precision: prec,
+		Method: *method, Epochs: *bundleEpochs, Seed: *seed,
 	}, baseLines, labels)
 	if err != nil {
 		return err

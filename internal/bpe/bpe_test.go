@@ -295,19 +295,6 @@ func TestQuickNoUnknownForBytes(t *testing.T) {
 	}
 }
 
-func TestTopTokens(t *testing.T) {
-	tok := trainSample(t, 600)
-	top := tok.TopTokens(5)
-	if len(top) == 0 {
-		t.Fatal("no learned tokens")
-	}
-	for i := 1; i < len(top); i++ {
-		if len(top[i]) > len(top[i-1]) {
-			t.Fatalf("TopTokens not sorted by length: %q before %q", top[i-1], top[i])
-		}
-	}
-}
-
 func BenchmarkEncode(b *testing.B) {
 	tok := trainSample(b, 800)
 	line := "docker run --rm -it -v /srv/data:/data ubuntu bash -c 'ls -la /data'"

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -156,22 +155,4 @@ func splitQuotedPair(line string) (string, string, error) {
 		return "", "", err
 	}
 	return a, b, nil
-}
-
-// TopTokens returns up to n longest learned tokens, longest first; useful
-// for qualitative inspection of what the vocabulary captured (command names,
-// flag clusters, URL fragments).
-func (t *Tokenizer) TopTokens(n int) []string {
-	learned := make([]string, 0, len(t.inv))
-	learned = append(learned, t.inv[baseVocab:]...)
-	sort.Slice(learned, func(i, j int) bool {
-		if len(learned[i]) != len(learned[j]) {
-			return len(learned[i]) > len(learned[j])
-		}
-		return learned[i] < learned[j]
-	})
-	if n > len(learned) {
-		n = len(learned)
-	}
-	return learned[:n]
 }

@@ -34,8 +34,11 @@ import (
 //	model.gob         serving backbone weights
 //	scorer.bin        method head (tuning.SaveScorerHead)
 //
-// Every bundle has these four data sections, whatever its precision or
-// cascade: an int8 serving path lowers model.gob's weights at load
+// A bundle serves one of two stacks: the scoring cascade (clmtrain's
+// default), whose manifest carries a cascade block, or the float64 scorer
+// alone (clmtrain -cascade=false). Both have these four data sections, and
+// one training run writes them byte-identically for either: the cascade's
+// int8 triage rung lowers model.gob's weights at load
 // (model.Encoder.Lowered), so the served int8 weights have one source.
 //
 // Every section serializes deterministically, so re-saving the same built
@@ -59,20 +62,21 @@ var ErrBundleCorrupt = errors.New("core: bundle corrupt")
 var ErrModalityMismatch = errors.New("core: bundle modality mismatch")
 
 // ErrBundleUnsupported flags an intact manifest this build cannot serve:
-// a different bundle format, or an unknown method or precision. Retraining
-// the bundle with this build's clmtrain fixes it; an unknown modality is
+// a different bundle format, an unknown method, or a precision other than
+// float64 (an older build's float32 or plain int8 bundle). Retraining the
+// bundle with this build's clmtrain fixes it; an unknown modality is
 // modality.ErrUnknown instead.
 var ErrBundleUnsupported = errors.New("core: bundle unsupported")
 
 // File names inside a bundle directory (preprocessFile, tokenizerFile and
 // modelFile are shared with the pipeline layout in io.go). The legacy
 // files are sections older builds wrote and this one no longer reads:
-// quantFile held int8 and cascade bundles' pre-lowered backbone weights,
+// quantFile held older cascade bundles' pre-lowered backbone weights,
 // rarityFile older cascade bundles' rarity pre-filter. When a manifest
 // still checksums one, load verifies it and ignores it. The format stays
 // clmids-bundle v1: a build from before quant.gob was dropped refuses a
-// newer int8 or cascade bundle as corrupt (no quant.gob checksum), which
-// fails closed.
+// newer cascade bundle as corrupt (no quant.gob checksum), which fails
+// closed.
 const (
 	manifestFile = "manifest.json"
 	scorerFile   = "scorer.bin"
@@ -114,16 +118,17 @@ type BundleManifest struct {
 	Modality string `json:"modality,omitempty"`
 	// Config is the ScorerConfig the head was built with.
 	Config ScorerConfig `json:"config"`
-	// Precision is the serve-path precision the bundle was emitted for;
-	// empty or "float64" means the canonical path. "int8" makes loading
-	// build the scorer's engine at int8, lowering model.gob's weights.
-	// A "float32" manifest (an older build's middle rung) is refused with
-	// a retrain instruction.
+	// Precision is read, never written: a bundle's scorer is float64 (a
+	// cascade derives its int8 triage rung at load), so this build writes
+	// none. Older builds wrote "int8" (a plain int8 bundle) or "float32";
+	// load refuses either with ErrBundleUnsupported and a retrain
+	// instruction that names the value.
 	Precision string `json:"precision,omitempty"`
-	// Cascade carries the calibrated cascade thresholds when the bundle was
-	// emitted with clmtrain -cascade; nil otherwise. The triage rung runs
-	// at int8 on model.gob's lowered weights, and the confirm rung is
-	// always the canonical float64 path.
+	// Cascade carries the calibrated cascade thresholds of a cascade
+	// bundle (clmtrain's default); nil for a float64-only bundle
+	// (clmtrain -cascade=false). The triage rung runs at int8 on
+	// model.gob's lowered weights, and the confirm rung is always the
+	// canonical float64 path.
 	Cascade *tuning.CascadeParams `json:"cascade,omitempty"`
 	// CreatedUnix is the save time (informational; not part of Version).
 	CreatedUnix int64            `json:"created_unix"`
@@ -151,13 +156,6 @@ func SaveBundle(dir string, pl *Pipeline, bs *BuiltScorer, version string) (*Bun
 		return nil, fmt.Errorf("core: creating %s: %w", dir, err)
 	}
 
-	prec := bs.Config.Precision
-	if !prec.Valid() {
-		return nil, fmt.Errorf("core: unknown precision %q", prec)
-	}
-	if bs.Cascade != nil && prec.Low() {
-		return nil, fmt.Errorf("core: cascade bundles pin the confirm rung at float64; emit with the default precision")
-	}
 	sections := []struct {
 		name string
 		save func(*bytes.Buffer) error
@@ -176,9 +174,6 @@ func SaveBundle(dir string, pl *Pipeline, bs *BuiltScorer, version string) (*Bun
 		CreatedUnix: time.Now().Unix(),
 		Provenance:  bs.Provenance,
 		Checksums:   make(map[string]string, len(sections)),
-	}
-	if prec.Low() {
-		m.Precision = string(prec)
 	}
 	if bs.Cascade != nil {
 		params := bs.Cascade.Params
@@ -212,10 +207,9 @@ func SaveBundle(dir string, pl *Pipeline, bs *BuiltScorer, version string) (*Bun
 // deriveVersion hashes the section checksums (in file-name order) into a
 // short content address: two bundles with identical sections always get
 // the same derived version, regardless of when or where they were saved.
-// The int8 and cascade bundles of one training run share every section,
-// so a non-default precision and the cascade block, which decide what the
-// bundle serves, are hashed too; a float64 bundle hashes its checksums
-// alone.
+// The cascade and float64 bundles of one training run share every section,
+// so the cascade block, which decides what the bundle serves, is hashed
+// too; a float64 bundle hashes its checksums alone.
 func deriveVersion(m *BundleManifest) string {
 	names := make([]string, 0, len(m.Checksums))
 	for name := range m.Checksums {
@@ -225,9 +219,6 @@ func deriveVersion(m *BundleManifest) string {
 	h := sha256.New()
 	for _, name := range names {
 		fmt.Fprintf(h, "%s %s\n", name, m.Checksums[name])
-	}
-	if m.Precision != "" {
-		fmt.Fprintf(h, "precision %s\n", m.Precision)
 	}
 	if m.Cascade != nil {
 		fmt.Fprintf(h, "cascade %+v\n", *m.Cascade)
@@ -270,9 +261,8 @@ type LoadedBundle struct {
 
 // Serving returns the scorer stack the manifest says to serve: the
 // cascade over Scorer when the bundle carries a cascade section, Scorer
-// itself (already at the manifest precision) otherwise. clmserve,
-// clmdetect and hot reloads all serve through it, so no flag overrides
-// the bundle.
+// itself otherwise. clmserve, clmdetect and hot reloads all serve through
+// it, so no flag overrides the bundle.
 func (lb *LoadedBundle) Serving() (tuning.Scorer, error) {
 	if lb.Cascade == nil {
 		return lb.Scorer, nil
@@ -300,14 +290,14 @@ func (lb *LoadedBundle) CheckModality(want string) error {
 // manifest format and every section checksum, then deserializes the
 // backbone, tokenizer, and head into the same memoizing engine-backed
 // scorer BuildScorer would have produced — no baseline corpus, no tuning.
-// Scores are byte-identical to the freshly built scorer's at the manifest's
-// precision; an int8 engine lowers the backbone's weights when it is built.
+// Scores are byte-identical to the freshly built scorer's; a cascade's int8
+// triage rung lowers the backbone's weights when Serving builds it.
 func LoadScorerBundle(dir string) (*LoadedBundle, error) {
 	mj, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
 		return nil, fmt.Errorf("core: reading bundle manifest: %w", err)
 	}
-	m, prec, err := parseManifest(mj)
+	m, err := parseManifest(mj)
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +340,7 @@ func LoadScorerBundle(dir string) (*LoadedBundle, error) {
 	if lb.Model, err = model.Load(bytes.NewReader(raw[modelFile])); err != nil {
 		return nil, fmt.Errorf("core: bundle %s: %w", modelFile, err)
 	}
-	scorer, method, err := tuning.LoadScorerHeadPrec(bytes.NewReader(raw[scorerFile]), lb.Model.Encoder, lb.Tok, prec)
+	scorer, method, err := tuning.LoadScorerHead(bytes.NewReader(raw[scorerFile]), lb.Model.Encoder, lb.Tok)
 	if err != nil {
 		return nil, fmt.Errorf("core: bundle %s: %w", scorerFile, err)
 	}
@@ -368,33 +358,30 @@ func LoadScorerBundle(dir string) (*LoadedBundle, error) {
 // format, method, modality and precision, and the cascade block. An
 // unparseable manifest or an impossible cascade block is ErrBundleCorrupt;
 // an intact one this build cannot serve is ErrBundleUnsupported or
-// modality.ErrUnknown. It also returns the serving precision the manifest
-// names. A valid manifest re-marshals to one that parses equal.
-func parseManifest(mj []byte) (*BundleManifest, model.Precision, error) {
+// modality.ErrUnknown. A valid manifest re-marshals to one that parses
+// equal.
+func parseManifest(mj []byte) (*BundleManifest, error) {
 	var m BundleManifest
 	if err := json.Unmarshal(mj, &m); err != nil {
-		return nil, "", fmt.Errorf("%w: parsing manifest: %v", ErrBundleCorrupt, err)
+		return nil, fmt.Errorf("%w: parsing manifest: %v", ErrBundleCorrupt, err)
 	}
 	if m.Format != BundleFormat {
-		return nil, "", fmt.Errorf("%w: unknown bundle format %q (this build reads %q)", ErrBundleUnsupported, m.Format, BundleFormat)
+		return nil, fmt.Errorf("%w: unknown bundle format %q (this build reads %q)", ErrBundleUnsupported, m.Format, BundleFormat)
 	}
 	if err := ValidateMethod(m.Method); err != nil {
-		return nil, "", fmt.Errorf("%w: %v", ErrBundleUnsupported, err)
+		return nil, fmt.Errorf("%w: %v", ErrBundleUnsupported, err)
 	}
 	if err := modality.Validate(m.Modality); err != nil {
-		return nil, "", fmt.Errorf("core: bundle manifest: %w", err)
+		return nil, fmt.Errorf("core: bundle manifest: %w", err)
 	}
-	prec, err := model.ParsePrecision(m.Precision)
-	if err != nil {
-		return nil, "", fmt.Errorf("%w: %v", ErrBundleUnsupported, err)
+	if m.Precision != "" && m.Precision != string(model.PrecisionFloat64) {
+		return nil, fmt.Errorf("%w: precision %q is no longer served; retrain the bundle with clmtrain -bundle (a cascade: int8 triage, float64 confirm) or clmtrain -bundle -cascade=false (float64 only)",
+			ErrBundleUnsupported, m.Precision)
 	}
 	if m.Cascade != nil {
-		if prec.Low() {
-			return nil, "", fmt.Errorf("%w: cascade bundle declares low confirm precision %q", ErrBundleCorrupt, m.Precision)
-		}
 		if err := m.Cascade.Validate(); err != nil {
-			return nil, "", fmt.Errorf("%w: %v", ErrBundleCorrupt, err)
+			return nil, fmt.Errorf("%w: %v", ErrBundleCorrupt, err)
 		}
 	}
-	return &m, prec, nil
+	return &m, nil
 }

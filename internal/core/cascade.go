@@ -64,7 +64,7 @@ func CalibrateCascade(confirm tuning.Scorer, lines []string) (*CascadeArtifact, 
 // its own engine — so one backbone serves both rungs.
 func BuildCascade(confirm tuning.Scorer, art *CascadeArtifact) (*tuning.CascadeScorer, error) {
 	if art == nil {
-		return nil, fmt.Errorf("core: no cascade artifact (retrain the bundle with -cascade)")
+		return nil, fmt.Errorf("core: no cascade artifact (retrain the bundle with clmtrain -bundle, which calibrates one by default)")
 	}
 	triage, err := tuning.AtPrecision(confirm, model.PrecisionInt8)
 	if err != nil {

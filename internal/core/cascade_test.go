@@ -11,7 +11,6 @@ import (
 	"slices"
 	"testing"
 
-	"clmids/internal/model"
 	"clmids/internal/tuning"
 )
 
@@ -65,109 +64,102 @@ func TestCalibrateCascadeShape(t *testing.T) {
 }
 
 // TestCascadeBundleRoundTrip pins the cascade's train-once / serve-many
-// contract: a cascade bundle restores a cascade that scores byte-identically
-// to the one composed from the freshly calibrated artifact.
+// contract for every method, since a cascade is the bundle clmtrain writes
+// by default: a cascade bundle restores a cascade that scores
+// byte-identically to the one composed from the freshly calibrated
+// artifact. Reconstruction is the case to watch: its triage rung is its
+// tuned backbone, lowered to int8.
 func TestCascadeBundleRoundTrip(t *testing.T) {
 	f := getBundleFixture(t)
-	bs, err := BuildScorerFull(f.pl, ScorerConfig{Method: "retrieval", Seed: 7}, f.baseLines, f.labels)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	art, err := CalibrateCascade(bs.Scorer, f.baseLines)
-	if err != nil {
-		t.Fatalf("calibrate: %v", err)
-	}
-	bs.Cascade = art
-	fresh, err := BuildCascade(bs.Scorer, art)
-	if err != nil {
-		t.Fatalf("compose fresh: %v", err)
-	}
-	want, err := fresh.Score(f.evalLines)
-	if err != nil {
-		t.Fatalf("fresh cascade score: %v", err)
-	}
+	for _, method := range ScorerMethods() {
+		t.Run(method, func(t *testing.T) {
+			bs, err := BuildScorerFull(f.pl, ScorerConfig{Method: method, Epochs: 2, Seed: 7}, f.baseLines, f.labels)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			art, err := CalibrateCascade(bs.Scorer, f.baseLines)
+			if err != nil {
+				t.Fatalf("calibrate: %v", err)
+			}
+			bs.Cascade = art
+			fresh, err := BuildCascade(bs.Scorer, art)
+			if err != nil {
+				t.Fatalf("compose fresh: %v", err)
+			}
+			want, err := fresh.Score(f.evalLines)
+			if err != nil {
+				t.Fatalf("fresh cascade score: %v", err)
+			}
 
-	dir := t.TempDir()
-	man, err := SaveBundle(dir, f.pl, bs, "")
-	if err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if man.Cascade == nil {
-		t.Fatal("manifest carries no cascade block")
-	}
-	if man.Precision != "" {
-		t.Fatalf("cascade bundle declares precision %q, want the float64 confirm default", man.Precision)
-	}
-	files := SectionFiles(man)
-	if want := []string{preprocessFile, tokenizerFile, modelFile, scorerFile}; !slices.Equal(files, want) {
-		t.Fatalf("cascade bundle sections %v, want %v", files, want)
-	}
-	for _, name := range files {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("section %s missing on disk: %v", name, err)
-		}
-		if _, ok := man.Checksums[name]; !ok {
-			t.Fatalf("section %s has no manifest checksum", name)
-		}
-	}
-	for _, legacy := range legacyFiles {
-		if _, err := os.Stat(filepath.Join(dir, legacy)); !os.IsNotExist(err) {
-			t.Fatalf("cascade bundle wrote %s: %v", legacy, err)
-		}
-	}
-	// The float64 bundle of the same run shares every section; only the
-	// cascade block tells the two apart, and the derived version hashes it.
-	plain := *bs
-	plain.Cascade = nil
-	f64m, err := SaveBundle(t.TempDir(), f.pl, &plain, "")
-	if err != nil {
-		t.Fatalf("save float64: %v", err)
-	}
-	if f64m.Version == man.Version {
-		t.Fatalf("cascade and float64 bundles share version %s", man.Version)
-	}
+			dir := t.TempDir()
+			man, err := SaveBundle(dir, f.pl, bs, "")
+			if err != nil {
+				t.Fatalf("save: %v", err)
+			}
+			if man.Cascade == nil {
+				t.Fatal("manifest carries no cascade block")
+			}
+			files := SectionFiles(man)
+			if want := []string{preprocessFile, tokenizerFile, modelFile, scorerFile}; !slices.Equal(files, want) {
+				t.Fatalf("cascade bundle sections %v, want %v", files, want)
+			}
+			for _, name := range files {
+				if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+					t.Fatalf("section %s missing on disk: %v", name, err)
+				}
+				if _, ok := man.Checksums[name]; !ok {
+					t.Fatalf("section %s has no manifest checksum", name)
+				}
+			}
+			for _, legacy := range legacyFiles {
+				if _, err := os.Stat(filepath.Join(dir, legacy)); !os.IsNotExist(err) {
+					t.Fatalf("cascade bundle wrote %s: %v", legacy, err)
+				}
+			}
 
-	lb, err := LoadScorerBundle(dir)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if lb.Cascade == nil {
-		t.Fatal("loaded bundle carries no cascade artifact")
-	}
-	if lb.Cascade.Params != art.Params {
-		t.Fatalf("loaded params %+v != calibrated %+v", lb.Cascade.Params, art.Params)
-	}
-	// The manifest's cascade section makes Serving compose the cascade.
-	loaded, err := lb.Serving()
-	if err != nil {
-		t.Fatalf("compose loaded: %v", err)
-	}
-	if _, ok := loaded.(*tuning.CascadeScorer); !ok {
-		t.Fatalf("cascade bundle serves %T, want *tuning.CascadeScorer", loaded)
-	}
-	got, err := loaded.Score(f.evalLines)
-	if err != nil {
-		t.Fatalf("loaded cascade score: %v", err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("line %d diverges across bundle round-trip: fresh %v, loaded %v", i, want[i], got[i])
-		}
-	}
+			lb, err := LoadScorerBundle(dir)
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			if lb.Cascade == nil {
+				t.Fatal("loaded bundle carries no cascade artifact")
+			}
+			if lb.Cascade.Params != art.Params {
+				t.Fatalf("loaded params %+v != calibrated %+v", lb.Cascade.Params, art.Params)
+			}
+			// The manifest's cascade section makes Serving compose the cascade.
+			loaded, err := lb.Serving()
+			if err != nil {
+				t.Fatalf("compose loaded: %v", err)
+			}
+			if _, ok := loaded.(*tuning.CascadeScorer); !ok {
+				t.Fatalf("cascade bundle serves %T, want *tuning.CascadeScorer", loaded)
+			}
+			got, err := loaded.Score(f.evalLines)
+			if err != nil {
+				t.Fatalf("loaded cascade score: %v", err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("line %d diverges across bundle round-trip: fresh %v, loaded %v", i, want[i], got[i])
+				}
+			}
 
-	// Cascade scorers replicate for sharded serving, counters isolated.
-	reps, err := ReplicateScorer(loaded, 3)
-	if err != nil {
-		t.Fatalf("replicate: %v", err)
-	}
-	rgot, err := reps[2].Score(f.evalLines[:10])
-	if err != nil {
-		t.Fatalf("replica score: %v", err)
-	}
-	for i := range rgot {
-		if rgot[i] != want[i] {
-			t.Fatalf("replica diverges at line %d: %v vs %v", i, rgot[i], want[i])
-		}
+			// Cascade scorers replicate for sharded serving, counters isolated.
+			reps, err := ReplicateScorer(loaded, 3)
+			if err != nil {
+				t.Fatalf("replicate: %v", err)
+			}
+			rgot, err := reps[2].Score(f.evalLines[:10])
+			if err != nil {
+				t.Fatalf("replica score: %v", err)
+			}
+			for i := range rgot {
+				if rgot[i] != want[i] {
+					t.Fatalf("replica diverges at line %d: %v vs %v", i, rgot[i], want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -312,19 +304,4 @@ func servedScores(t *testing.T, dir string, lines []string) []float64 {
 		t.Fatalf("score %s: %v", dir, err)
 	}
 	return scores
-}
-
-// TestCascadeBundleRejectsLowPrecision: the confirm rung is the float64
-// path by construction; emitting a cascade bundle at a low rung is refused
-// up front.
-func TestCascadeBundleRejectsLowPrecision(t *testing.T) {
-	f := getBundleFixture(t)
-	bs, err := BuildScorerFull(f.pl, ScorerConfig{Method: "pca", Seed: 7, Precision: model.PrecisionInt8}, f.baseLines, nil)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	bs.Cascade = &CascadeArtifact{Params: tuning.CascadeParams{}}
-	if _, err := SaveBundle(t.TempDir(), f.pl, bs, ""); err == nil {
-		t.Fatal("cascade bundle at int8 precision accepted")
-	}
 }

@@ -18,11 +18,6 @@ type ScorerConfig struct {
 	Epochs int
 	// Seed drives tuning randomness.
 	Seed int64
-	// Precision selects the serve-path arithmetic rung (float64 when
-	// empty). Heads always train in float64, so two same-seed builds carry
-	// identical heads regardless of Precision; only the serving engine's
-	// backbone forward changes.
-	Precision model.Precision
 }
 
 // ScorerMethods lists the valid ScorerConfig.Method values.
@@ -96,10 +91,6 @@ func BuildScorer(pl *Pipeline, cfg ScorerConfig, baseLines []string, labels []bo
 // SaveBundle, and serving processes restore it with LoadScorerBundle
 // without re-tuning anything.
 func BuildScorerFull(pl *Pipeline, cfg ScorerConfig, baseLines []string, labels []bool) (*BuiltScorer, error) {
-	if !cfg.Precision.Valid() {
-		// Reject before minutes of tuning, not after.
-		return nil, fmt.Errorf("core: unknown precision %q (want float64 | int8)", cfg.Precision)
-	}
 	bs := &BuiltScorer{
 		Backbone: pl.Model,
 		Config:   cfg,
@@ -146,14 +137,6 @@ func BuildScorerFull(pl *Pipeline, cfg ScorerConfig, baseLines []string, labels 
 	}
 	if err != nil {
 		return nil, err
-	}
-	// Tuning ran (and always runs) in float64; honor a requested low rung
-	// by rebinding the serving engine only. The trained head, fitted
-	// artifacts, and the float64 backbone weights are untouched.
-	if bs.Config.Precision.Low() {
-		if err := tuning.SetScorerPrecision(bs.Scorer, bs.Config.Precision); err != nil {
-			return nil, err
-		}
 	}
 	return bs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"clmids/internal/modality"
 	"clmids/internal/shell"
 )
 
@@ -129,7 +130,7 @@ func TestTypoLinesUseLowFrequencyNames(t *testing.T) {
 	}
 	// Typo command names must never collide with the legitimate set.
 	legit := make(map[string]bool)
-	for _, n := range BenignCommandNames() {
+	for _, n := range modality.ShellBenignCommandNames() {
 		legit[n] = true
 	}
 	sawTypo := false

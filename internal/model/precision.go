@@ -10,11 +10,7 @@
 // float64 backbone at load and never stored.
 package model
 
-import (
-	"fmt"
-
-	"clmids/internal/tensor"
-)
+import "clmids/internal/tensor"
 
 // Precision selects the serve-path arithmetic. The zero value means
 // float64 (the canonical path); int8 quarters weight traffic and
@@ -26,23 +22,6 @@ const (
 	PrecisionFloat64 Precision = "float64"
 	PrecisionInt8    Precision = "int8"
 )
-
-// ParsePrecision maps flag/manifest spellings to a Precision. The empty
-// string is float64 so zero-valued configs keep today's exact behavior.
-// float32 was a serving precision once; it is rejected with a pointer to
-// the replacement rather than as an unknown spelling.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "", "f64", "float64":
-		return PrecisionFloat64, nil
-	case "int8", "i8":
-		return PrecisionInt8, nil
-	case "f32", "float32":
-		return "", fmt.Errorf("model: float32 precision is no longer served; retrain the bundle with -precision int8 or the default float64")
-	default:
-		return "", fmt.Errorf("model: unknown precision %q (want float64 | int8)", s)
-	}
-}
 
 // Valid reports whether p is a serving precision ("" counts as float64).
 func (p Precision) Valid() bool {

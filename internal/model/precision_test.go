@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"clmids/internal/tensor"
@@ -18,27 +17,9 @@ import (
 // six linear layers per block.
 const int8Tol = 0.15
 
-func TestParsePrecision(t *testing.T) {
-	for in, want := range map[string]Precision{
-		"": PrecisionFloat64, "f64": PrecisionFloat64, "float64": PrecisionFloat64,
-		"i8": PrecisionInt8, "int8": PrecisionInt8,
-	} {
-		got, err := ParsePrecision(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePrecision(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParsePrecision("bfloat16"); err == nil {
-		t.Error("ParsePrecision accepted an unknown rung")
-	}
-	// float32 is no longer served: both spellings fail with an error that
-	// names it and points at the replacement.
-	for _, in := range []string{"float32", "f32"} {
-		_, err := ParsePrecision(in)
-		if err == nil || !strings.Contains(err.Error(), "float32") || !strings.Contains(err.Error(), "-precision int8") {
-			t.Errorf("ParsePrecision(%q) = %v; want a float32 retrain error", in, err)
-		}
-	}
+// TestPrecisionValid: float64 (or empty) and int8 are the two rungs;
+// float32 is no longer one.
+func TestPrecisionValid(t *testing.T) {
 	if Precision("float32").Valid() || Precision("float32").Low() {
 		t.Error("float32 still counts as a serving precision")
 	}

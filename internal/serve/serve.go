@@ -102,7 +102,7 @@ var ErrNoBundle = errors.New("no bundle directory: started without -bundle; pass
 // Reload loads the bundle at dir (default: the active bundle directory)
 // and hot-swaps the stack its manifest describes (LoadedBundle.Serving)
 // into every shard, returning the new version: a reload may move a daemon
-// between float64, int8 and cascade bundles. A
+// between float64 and cascade bundles. A
 // successful explicit reload rebinds the active directory, so SIGHUP and
 // parameterless reloads keep refreshing whatever is currently serving.
 // The expensive part — deserializing and replicating — happens before the

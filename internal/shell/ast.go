@@ -150,17 +150,27 @@ func (p *Pipeline) String() string {
 	return b.String()
 }
 
-// String implements Node.
+// String implements Node. Redirects follow the words, except when the
+// line would then start with a "!" word: the parser reads a leading "!"
+// as pipeline negation, so `<0 !` prints as "< 0 !", not "! < 0".
 func (c *SimpleCommand) String() string {
 	parts := make([]string, 0, len(c.Assignments)+len(c.Words)+len(c.Redirects))
 	for _, a := range c.Assignments {
 		parts = append(parts, a.Raw)
 	}
-	for _, w := range c.Words {
-		parts = append(parts, w.Raw)
+	redirectsFirst := len(c.Assignments) == 0 && len(c.Words) > 0 && c.Words[0].Raw == "!"
+	if !redirectsFirst {
+		for _, w := range c.Words {
+			parts = append(parts, w.Raw)
+		}
 	}
 	for _, r := range c.Redirects {
 		parts = append(parts, r.String())
+	}
+	if redirectsFirst {
+		for _, w := range c.Words {
+			parts = append(parts, w.Raw)
+		}
 	}
 	return strings.Join(parts, " ")
 }

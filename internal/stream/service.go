@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clmids/internal/model"
 	"clmids/internal/tuning"
 )
 
@@ -67,9 +66,6 @@ type ShardServiceStats struct {
 	Cache *tuning.CacheStats `json:"cache,omitempty"`
 	// CacheHitRate is Cache's hit rate, 0 without cache stats.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Precision is the shard scorer's serving precision (a cascade reports
-	// its confirm rung's), empty when the scorer does not report one.
-	Precision string `json:"precision,omitempty"`
 }
 
 // ServiceStats aggregates detector counters and queue state across shards;
@@ -381,17 +377,10 @@ func (s *Service) Stats() ServiceStats {
 			QueueDepth:    len(sh.queue),
 			QueueCapacity: s.cfg.QueueRequests,
 		}
-		sc := sh.det.scorerRef()
-		if cs, ok := sc.(tuning.CacheStatser); ok {
+		if cs, ok := sh.det.scorerRef().(tuning.CacheStatser); ok {
 			c := cs.CacheStats()
 			ss.Cache = &c
 			ss.CacheHitRate = c.HitRate()
-		}
-		if p, ok := tuning.ScorerPrecision(sc); ok {
-			if p == "" {
-				p = model.PrecisionFloat64
-			}
-			ss.Precision = string(p)
 		}
 		st.QueueDepth += ss.QueueDepth
 		st.QueueCapacity += ss.QueueCapacity

@@ -126,6 +126,3 @@ func topoSort(root *Tensor) []*Tensor {
 	}
 	return order
 }
-
-// Detach returns a constant copy of t's value, cutting the graph.
-func (t *Tensor) Detach() *Tensor { return Const(t.Val.Clone()) }

@@ -63,9 +63,9 @@ type CascadeStatser interface {
 // CascadeScorer composes the two rungs behind the plain Scorer interface.
 // It is replicable (replicas share the frozen model artifacts and carry
 // their own engines, score memos, and counters) and cache-aware
-// (CacheStats sums both rungs). Its serving precision (ScorerPrecision) is
-// the confirm rung's, the rung that defines its accuracy contract; the
-// triage rung is int8 by construction. Both rungs are fixed by the bundle.
+// (CacheStats sums both rungs). The confirm rung is float64, the rung that
+// defines its accuracy contract; the triage rung is int8 by construction.
+// Both rungs are fixed by the bundle.
 type CascadeScorer struct {
 	triage  Scorer
 	confirm Scorer

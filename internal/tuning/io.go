@@ -126,21 +126,11 @@ func SaveScorerHead(w io.Writer, s Scorer) error {
 // LoadScorerHead reads a head written by SaveScorerHead and rebuilds the
 // serving scorer over the (frozen) backbone and tokenizer it was trained
 // with — for the reconstruction method that backbone is the tuned encoder.
-// The returned scorer holds a fresh default-configured memoizing engine
-// and is Replicable, exactly like a freshly built one. The method name is
-// returned so callers can cross-check it against manifest metadata.
+// The returned scorer holds a fresh default-configured float64 memoizing
+// engine and is Replicable, exactly like a freshly built one; AtPrecision
+// derives an int8 rung from it. The method name is returned so callers can
+// cross-check it against manifest metadata.
 func LoadScorerHead(r io.Reader, enc *model.Encoder, tok *bpe.Tokenizer) (Scorer, string, error) {
-	return LoadScorerHeadPrec(r, enc, tok, model.PrecisionFloat64)
-}
-
-// LoadScorerHeadPrec is LoadScorerHead with the serving engine built at
-// the given precision rung — the restore half of quantized bundles. The
-// head itself is precision-free (it was trained, and is applied, in
-// float64); only the backbone forward runs at prec.
-func LoadScorerHeadPrec(r io.Reader, enc *model.Encoder, tok *bpe.Tokenizer, prec model.Precision) (Scorer, string, error) {
-	if !prec.Valid() {
-		return nil, "", fmt.Errorf("tuning: unknown precision %q", prec)
-	}
 	var snap headSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, "", fmt.Errorf("tuning: decoding scorer head: %w", err)
@@ -148,9 +138,7 @@ func LoadScorerHeadPrec(r io.Reader, enc *model.Encoder, tok *bpe.Tokenizer, pre
 	if snap.Format != headFormat {
 		return nil, "", fmt.Errorf("tuning: unknown scorer-head format %q", snap.Format)
 	}
-	ecfg := DefaultEngineConfig()
-	ecfg.Precision = prec
-	engine := NewEngine(enc, tok, ecfg)
+	engine := NewEngine(enc, tok, DefaultEngineConfig())
 	hidden := enc.Config().Hidden
 	switch snap.Method {
 	case MethodClassifier:

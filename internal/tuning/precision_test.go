@@ -116,54 +116,12 @@ func TestEnginePrecisionParity(t *testing.T) {
 	}
 }
 
-// TestSetScorerPrecision rebinds a built scorer's engine across rungs and
-// checks scores stay within the ladder tolerance of the float64 ones.
-func TestSetScorerPrecision(t *testing.T) {
-	sc := testPCAScorer(t)
-	lines := testLines(t)
-	want, err := sc.Score(lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := ScorerPrecision(sc); !ok || p != model.PrecisionFloat64 {
-		t.Fatalf("fresh scorer precision %v %v", p, ok)
-	}
-	if err := SetScorerPrecision(sc, model.PrecisionInt8); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := ScorerPrecision(sc); p != model.PrecisionInt8 {
-		t.Fatalf("precision %q after set", p)
-	}
-	got, err := sc.Score(lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if d := math.Abs(want[i] - got[i]); d > 0.2*(1+math.Abs(want[i])) {
-			t.Errorf("line %d: int8 %g vs f64 %g", i, got[i], want[i])
-		}
-	}
-	// And back: float64 scoring must be bitwise-identical to the original.
-	if err := SetScorerPrecision(sc, model.PrecisionFloat64); err != nil {
-		t.Fatal(err)
-	}
-	back, err := sc.Score(lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != back[i] {
-			t.Fatalf("line %d: round-trip to float64 not bitwise (%g vs %g)", i, back[i], want[i])
-		}
-	}
-	if err := SetScorerPrecision(sc, "int4"); err == nil {
-		t.Error("SetScorerPrecision accepted an unknown rung")
-	}
-}
-
-// TestLoadScorerHeadPrec: a head loaded at a low rung scores like the
-// original within tolerance, and replicas inherit the rung.
-func TestLoadScorerHeadPrec(t *testing.T) {
+// TestAtPrecision derives an int8 rung from a float64 scorer loaded from
+// its head, the way a cascade bundle builds its triage rung: the original
+// keeps serving bitwise at float64, the int8 scores stay within the ladder
+// tolerance, a float64 rung derived back from the int8 one is bitwise
+// golden, and replicas of the int8 rung inherit it.
+func TestAtPrecision(t *testing.T) {
 	sc := testPCAScorer(t)
 	lines := testLines(t)
 	want, err := sc.Score(lines)
@@ -175,32 +133,61 @@ func TestLoadScorerHeadPrec(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc, tok := testBackbone(t)
-	loaded, method, err := LoadScorerHeadPrec(bytes.NewReader(buf.Bytes()), enc, tok, model.PrecisionInt8)
+	loaded, method, err := LoadScorerHead(bytes.NewReader(buf.Bytes()), enc, tok)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if method != MethodPCA {
 		t.Fatalf("method %q", method)
 	}
-	if p, _ := ScorerPrecision(loaded); p != model.PrecisionInt8 {
-		t.Fatalf("loaded precision %q", p)
+	if p := engineOf(loaded).Precision(); p != model.PrecisionFloat64 {
+		t.Fatalf("loaded head serves at %q", p)
 	}
-	got, err := loaded.Score(lines)
+
+	low, err := AtPrecision(loaded, model.PrecisionInt8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := engineOf(low).Precision(); p != model.PrecisionInt8 {
+		t.Fatalf("derived rung serves at %q", p)
+	}
+	if p := engineOf(loaded).Precision(); p != model.PrecisionFloat64 {
+		t.Fatalf("AtPrecision moved the original to %q", p)
+	}
+	got, err := low.Score(lines)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if d := math.Abs(want[i] - got[i]); d > 0.2*(1+math.Abs(want[i])) {
-			t.Errorf("line %d: int8-loaded %g vs f64 %g", i, got[i], want[i])
+			t.Errorf("line %d: int8 %g vs f64 %g", i, got[i], want[i])
 		}
 	}
+	bitwise := func(name string, s Scorer) {
+		t.Helper()
+		back, err := s.Score(lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if want[i] != back[i] {
+				t.Fatalf("%s: line %d not bitwise float64 (%g vs %g)", name, i, back[i], want[i])
+			}
+		}
+	}
+	bitwise("original", loaded)
+	high, err := AtPrecision(low, model.PrecisionFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwise("derived float64", high)
 
-	reps, err := Replicas(loaded, 3)
+	reps, err := Replicas(low, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ri, r := range reps {
-		if p, _ := ScorerPrecision(r); p != model.PrecisionInt8 {
+		if p := engineOf(r).Precision(); p != model.PrecisionInt8 {
 			t.Fatalf("replica %d precision %q", ri, p)
 		}
 		rs, err := r.Score(lines)
@@ -212,5 +199,8 @@ func TestLoadScorerHeadPrec(t *testing.T) {
 				t.Fatalf("replica %d diverges at line %d", ri, i)
 			}
 		}
+	}
+	if _, err := AtPrecision(loaded, "int4"); err == nil {
+		t.Error("AtPrecision accepted an unknown rung")
 	}
 }

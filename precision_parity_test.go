@@ -67,12 +67,8 @@ func parityFixture(t *testing.T) (tuning.Scorer, *corpus.Dataset, *corpus.Datase
 // given rung (the float64 original is never mutated).
 func atPrecision(t *testing.T, s tuning.Scorer, prec model.Precision) tuning.Scorer {
 	t.Helper()
-	reps, err := tuning.Replicas(s, 2)
+	r, err := tuning.AtPrecision(s, prec)
 	if err != nil {
-		t.Fatal(err)
-	}
-	r := reps[1]
-	if err := tuning.SetScorerPrecision(r, prec); err != nil {
 		t.Fatal(err)
 	}
 	return r
