@@ -116,42 +116,28 @@ func TestEnginePrecisionParity(t *testing.T) {
 	}
 }
 
-// TestAtPrecision derives an int8 rung from a float64 scorer loaded from
-// its head, the way a cascade bundle builds its triage rung: the original
-// keeps serving bitwise at float64, the int8 scores stay within the ladder
-// tolerance, a float64 rung derived back from the int8 one is bitwise
-// golden, and replicas of the int8 rung inherit it.
-func TestAtPrecision(t *testing.T) {
+// TestSetScorerPrecision derives an int8 rung from a float64 scorer with
+// AtPrecision: the int8 scores stay within the ladder tolerance, the
+// original keeps serving bitwise at float64, a float64 rung derived back
+// from the int8 one is bitwise golden, and an unknown rung is refused.
+func TestSetScorerPrecision(t *testing.T) {
 	sc := testPCAScorer(t)
 	lines := testLines(t)
 	want, err := sc.Score(lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveScorerHead(&buf, sc); err != nil {
-		t.Fatal(err)
+	if p := engineOf(sc).Precision(); p != model.PrecisionFloat64 {
+		t.Fatalf("fresh scorer serves at %q", p)
 	}
-	enc, tok := testBackbone(t)
-	loaded, method, err := LoadScorerHead(bytes.NewReader(buf.Bytes()), enc, tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if method != MethodPCA {
-		t.Fatalf("method %q", method)
-	}
-	if p := engineOf(loaded).Precision(); p != model.PrecisionFloat64 {
-		t.Fatalf("loaded head serves at %q", p)
-	}
-
-	low, err := AtPrecision(loaded, model.PrecisionInt8)
+	low, err := AtPrecision(sc, model.PrecisionInt8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p := engineOf(low).Precision(); p != model.PrecisionInt8 {
 		t.Fatalf("derived rung serves at %q", p)
 	}
-	if p := engineOf(loaded).Precision(); p != model.PrecisionFloat64 {
+	if p := engineOf(sc).Precision(); p != model.PrecisionFloat64 {
 		t.Fatalf("AtPrecision moved the original to %q", p)
 	}
 	got, err := low.Score(lines)
@@ -175,12 +161,59 @@ func TestAtPrecision(t *testing.T) {
 			}
 		}
 	}
-	bitwise("original", loaded)
+	bitwise("original", sc)
 	high, err := AtPrecision(low, model.PrecisionFloat64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bitwise("derived float64", high)
+	if _, err := AtPrecision(sc, "int4"); err == nil {
+		t.Error("AtPrecision accepted an unknown rung")
+	}
+}
+
+// TestLoadScorerHeadPrec loads a head at float64 and derives its int8 rung,
+// the way a cascade bundle builds its triage rung: the loaded head serves
+// at float64, the int8 rung scores like the original within tolerance, and
+// replicas of the int8 rung inherit it.
+func TestLoadScorerHeadPrec(t *testing.T) {
+	sc := testPCAScorer(t)
+	lines := testLines(t)
+	want, err := sc.Score(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveScorerHead(&buf, sc); err != nil {
+		t.Fatal(err)
+	}
+	enc, tok := testBackbone(t)
+	loaded, method, err := LoadScorerHead(bytes.NewReader(buf.Bytes()), enc, tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if method != MethodPCA {
+		t.Fatalf("method %q", method)
+	}
+	if p := engineOf(loaded).Precision(); p != model.PrecisionFloat64 {
+		t.Fatalf("loaded head serves at %q", p)
+	}
+	low, err := AtPrecision(loaded, model.PrecisionInt8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := engineOf(low).Precision(); p != model.PrecisionInt8 {
+		t.Fatalf("derived rung serves at %q", p)
+	}
+	got, err := low.Score(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if d := math.Abs(want[i] - got[i]); d > 0.2*(1+math.Abs(want[i])) {
+			t.Errorf("line %d: int8-loaded %g vs f64 %g", i, got[i], want[i])
+		}
+	}
 
 	reps, err := Replicas(low, 3)
 	if err != nil {
@@ -199,8 +232,5 @@ func TestAtPrecision(t *testing.T) {
 				t.Fatalf("replica %d diverges at line %d", ri, i)
 			}
 		}
-	}
-	if _, err := AtPrecision(loaded, "int4"); err == nil {
-		t.Error("AtPrecision accepted an unknown rung")
 	}
 }
