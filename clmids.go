@@ -31,6 +31,7 @@ import (
 	"clmids/internal/core"
 	"clmids/internal/corpus"
 	"clmids/internal/model"
+	"clmids/internal/stream"
 	"clmids/internal/tuning"
 )
 
@@ -55,10 +56,9 @@ type (
 	ClassifierConfig = tuning.ClassifierConfig
 	// ReconsConfig controls reconstruction-based tuning (§IV-A).
 	ReconsConfig = tuning.ReconsConfig
-	// ContextConfig controls multi-line input construction (§IV-C).
-	ContextConfig = tuning.ContextConfig
-	// TimedLine is a command line with session context.
-	TimedLine = tuning.TimedLine
+	// Event is one logged command line with its user and execution time,
+	// the unit of multi-line input construction (§IV-C).
+	Event = stream.Event
 
 	// ExperimentConfig controls a full reproduction run (§V).
 	ExperimentConfig = core.ExperimentConfig
@@ -138,20 +138,17 @@ func DefaultClassifierConfig() ClassifierConfig { return tuning.DefaultClassifie
 // components kept).
 func DefaultReconsConfig() ReconsConfig { return tuning.DefaultReconsConfig() }
 
-// DefaultContextConfig returns the §IV-C recipe (3 contiguous lines).
-func DefaultContextConfig() ContextConfig { return tuning.DefaultContextConfig() }
-
 // TrainClassifier builds classification-based tuning (§IV-B) on a trained
 // pipeline.
 func TrainClassifier(p *Pipeline, lines []string, labels []bool, cfg ClassifierConfig) (Scorer, error) {
 	return p.NewClassifier(lines, labels, cfg)
 }
 
-// TrainMultiLineClassifier builds the multi-line variant (§IV-C): inputs
-// are built with BuildContexts and classified with the same head.
-func TrainMultiLineClassifier(p *Pipeline, log []TimedLine, labels []bool, ctx ContextConfig, cfg ClassifierConfig) (Scorer, error) {
-	contexts := tuning.BuildContexts(log, ctx)
-	return p.NewClassifier(contexts, labels, cfg)
+// TrainMultiLineClassifier builds the multi-line variant (§IV-C): the
+// log's inputs are built with BuildContexts(log, window) and classified
+// with the same head.
+func TrainMultiLineClassifier(p *Pipeline, log []Event, labels []bool, window int, cfg ClassifierConfig) (Scorer, error) {
+	return p.NewClassifier(BuildContexts(log, window), labels, cfg)
 }
 
 // TrainReconstruction builds reconstruction-based tuning (§IV-A) on a
@@ -193,10 +190,13 @@ func ReplicateScorer(s Scorer, n int) ([]Scorer, error) {
 	return core.ReplicateScorer(s, n)
 }
 
-// BuildContexts converts a timestamp-ordered log into multi-line inputs
-// (§IV-C).
-func BuildContexts(log []TimedLine, cfg ContextConfig) []string {
-	return tuning.BuildContexts(log, cfg)
+// BuildContexts converts a time-ordered log into §IV-C multi-line inputs
+// of up to window lines (the paper uses 3): the scoring inputs a
+// streaming detector with that context window builds for the same log.
+func BuildContexts(log []Event, window int) []string {
+	cfg := stream.DefaultConfig()
+	cfg.ContextWindow = window
+	return stream.BuildContexts(log, cfg)
 }
 
 // TinyExperiment and SmallExperiment size the reproduction for one CPU.

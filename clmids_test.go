@@ -76,25 +76,25 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Multi-line classifier over a synthetic session log.
-	var log []TimedLine
+	var log []Event
 	mlLabels := make([]bool, 0)
 	clock := int64(0)
 	for i := 0; i < 40; i++ {
 		clock += 5
-		log = append(log, TimedLine{User: "u", Time: clock, Line: train.Samples[i].Line})
+		log = append(log, Event{User: "u", Time: clock, Line: train.Samples[i].Line})
 		mlLabels = append(mlLabels, labels[i])
 	}
 	if !anyTrue(mlLabels) {
 		mlLabels[0] = true // guarantee supervision has a positive
 	}
-	if _, err := TrainMultiLineClassifier(p, log, mlLabels, DefaultContextConfig(), ccfg2); err != nil {
+	if _, err := TrainMultiLineClassifier(p, log, mlLabels, 3, ccfg2); err != nil {
 		t.Fatalf("multi-line classifier: %v", err)
 	}
 
-	// Contexts built through the facade behave like the internal ones.
-	ctxs := BuildContexts(log[:3], DefaultContextConfig())
-	if len(ctxs) != 3 {
-		t.Fatalf("BuildContexts returned %d items", len(ctxs))
+	// Three in-gap lines of one user: the third input joins all three.
+	ctxs := BuildContexts(log[:3], 3)
+	if want := log[0].Line + " ; " + log[1].Line + " ; " + log[2].Line; len(ctxs) != 3 || ctxs[2] != want {
+		t.Fatalf("BuildContexts = %q, want 3 inputs ending in %q", ctxs, want)
 	}
 }
 

@@ -94,8 +94,8 @@ func TestPprofMuxIsolation(t *testing.T) {
 // TestReloadSwapsPrecision: hot-reloads walk one live daemon float64 ->
 // cascade -> float64, and /stats carries the cascade block (with traffic
 // through its int8 triage rung) exactly while the cascade serves. A plain
-// int8 bundle from an older build is refused, and the float64 scorer keeps
-// serving under its version.
+// int8 bundle from an older build is refused with a 422, and the float64
+// scorer keeps serving under its version.
 func TestReloadSwapsPrecision(t *testing.T) {
 	f := getFixture(t)
 	f64Dir, cascadeDir := filepath.Join(t.TempDir(), "f64"), filepath.Join(t.TempDir(), "cascade")
@@ -152,7 +152,7 @@ func TestReloadSwapsPrecision(t *testing.T) {
 
 	before := getStats(t, live).ScorerVersion
 	code, body := reload(int8Dir)
-	if code == http.StatusOK || !strings.Contains(body, "int8") || !strings.Contains(body, "retrain") {
+	if code != http.StatusUnprocessableEntity || !strings.Contains(body, "int8") || !strings.Contains(body, "retrain") {
 		t.Fatalf("reload of an int8 bundle: %d %s", code, body)
 	}
 	st := getStats(t, live)

@@ -49,7 +49,7 @@ func fixtureService(t *testing.T, f *serveFixture, scfg stream.ServiceConfig, wr
 
 // TestReloadDamagedBundleUnderLoad: every way a bundle artifact can arrive
 // damaged — any section flipped or torn, the manifest mangled — must fail
-// the /reload with a 500 and an explanation, while the old scorer keeps
+// the /reload with a 422 and an explanation, while the old scorer keeps
 // serving the concurrent /score traffic and /readyz stays ready throughout.
 func TestReloadDamagedBundleUnderLoad(t *testing.T) {
 	f := getFixture(t)
@@ -143,8 +143,8 @@ func TestReloadDamagedBundleUnderLoad(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("%s: reload status %d (%s), want 500", dmg.name, resp.StatusCode, body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: reload status %d (%s), want 422", dmg.name, resp.StatusCode, body)
 		}
 		if len(body) == 0 {
 			t.Fatalf("%s: empty reload error body", dmg.name)

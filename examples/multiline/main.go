@@ -27,12 +27,12 @@ func main() {
 		"grep -i error /var/log/app.log", "docker ps -a", "git status",
 		"cd /srv/deploy", "tail -n 50 /var/log/nginx.log", "echo done",
 	}
-	var log_ []clmids.TimedLine
+	var log_ []clmids.Event
 	var labels []bool
 	clock := int64(0)
 	add := func(user, line string, intrusion bool) {
 		clock += 7
-		log_ = append(log_, clmids.TimedLine{User: user, Time: clock, Line: line})
+		log_ = append(log_, clmids.Event{User: user, Time: clock, Line: line})
 		labels = append(labels, intrusion)
 	}
 	for i := 0; i < 220; i++ {
@@ -58,7 +58,8 @@ func main() {
 	for i, t := range log_ {
 		lines[i] = t.Line
 	}
-	contexts := clmids.BuildContexts(log_, clmids.DefaultContextConfig())
+	const window = 3 // the paper's three contiguous lines
+	contexts := clmids.BuildContexts(log_, window)
 	pretrainCorpus := append(append([]string{}, lines...), contexts...)
 	pipeline, err := clmids.Build(pretrainCorpus, clmids.TinyExperiment().Pipeline)
 	if err != nil {
@@ -72,8 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	multi, err := clmids.TrainMultiLineClassifier(pipeline, log_, labels,
-		clmids.DefaultContextConfig(), tcfg)
+	multi, err := clmids.TrainMultiLineClassifier(pipeline, log_, labels, window, tcfg)
 	if err != nil {
 		log.Fatal(err)
 	}

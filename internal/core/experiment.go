@@ -11,6 +11,7 @@ import (
 	"clmids/internal/model"
 	"clmids/internal/preprocess"
 	"clmids/internal/pretrain"
+	"clmids/internal/stream"
 	"clmids/internal/tensor"
 	"clmids/internal/tuning"
 )
@@ -39,10 +40,12 @@ type ExperimentConfig struct {
 	// TopVs are the v values for PO@v. The paper uses 100 and 1000 on 10M
 	// test lines; scaled-down corpora use proportionally smaller values.
 	TopVs []int
-	// Classifier, Recons, Context configure the tuning methods.
+	// Classifier and Recons configure the tuning methods.
 	Classifier tuning.ClassifierConfig
 	Recons     tuning.ReconsConfig
-	Context    tuning.ContextConfig
+	// ContextWindow is the number of in-gap session lines joined into each
+	// multi-line input (§IV-C; the paper uses 3).
+	ContextWindow int
 	// RetrievalK is the neighbour count (paper: 1).
 	RetrievalK int
 	// Ensemble enables the §V-C future-work ensemble of all methods.
@@ -83,17 +86,17 @@ func TinyExperiment() ExperimentConfig {
 	rec.LR = 5e-4
 
 	return ExperimentConfig{
-		Corpus:       ccfg,
-		Pipeline:     pcfg,
-		Noise:        commercial.DefaultNoise(),
-		Runs:         2,
-		RecallTarget: 1.0,
-		TopVs:        []int{5, 20},
-		Classifier:   clf,
-		Recons:       rec,
-		Context:      tuning.DefaultContextConfig(),
-		RetrievalK:   1,
-		Seed:         1,
+		Corpus:        ccfg,
+		Pipeline:      pcfg,
+		Noise:         commercial.DefaultNoise(),
+		Runs:          2,
+		RecallTarget:  1.0,
+		TopVs:         []int{5, 20},
+		Classifier:    clf,
+		Recons:        rec,
+		ContextWindow: 3,
+		RetrievalK:    1,
+		Seed:          1,
 	}
 }
 
@@ -282,16 +285,18 @@ func Run(cfg ExperimentConfig) (*Results, error) {
 		len(keptTrain), countTrue(trainLabels), len(items))
 
 	// ---- Multi-line contexts (train and test).
-	trainTimed := make([]tuning.TimedLine, len(keptTrainSamples))
+	ctxCfg := stream.DefaultConfig()
+	ctxCfg.ContextWindow = cfg.ContextWindow
+	trainTimed := make([]stream.Event, len(keptTrainSamples))
 	for i, s := range keptTrainSamples {
-		trainTimed[i] = tuning.TimedLine{User: s.User, Time: s.Time, Line: keptTrain[i]}
+		trainTimed[i] = stream.Event{User: s.User, Time: s.Time, Line: keptTrain[i]}
 	}
-	trainContexts := tuning.BuildContexts(trainTimed, cfg.Context)
-	testTimed := make([]tuning.TimedLine, len(items))
+	trainContexts := stream.BuildContexts(trainTimed, ctxCfg)
+	testTimed := make([]stream.Event, len(items))
 	for i, it := range items {
-		testTimed[i] = tuning.TimedLine{User: it.sample.User, Time: it.sample.Time, Line: it.line}
+		testTimed[i] = stream.Event{User: it.sample.User, Time: it.sample.Time, Line: it.line}
 	}
-	testContexts := tuning.BuildContexts(testTimed, cfg.Context)
+	testContexts := stream.BuildContexts(testTimed, ctxCfg)
 	for i := range items {
 		items[i].context = testContexts[i]
 	}

@@ -37,16 +37,11 @@ type InferScratch struct {
 	qs tensor.QuantScratch
 }
 
-// NewInferScratch allocates an arena able to run batches of up to maxTokens
-// total tokens (raised to cfg.MaxSeqLen so one full-length line always
-// fits), on the canonical float64 rung.
-func NewInferScratch(cfg Config, maxTokens int) *InferScratch {
-	return NewInferScratchPrec(cfg, maxTokens, PrecisionFloat64)
-}
-
-// NewInferScratchPrec allocates an arena for the given precision: the
-// float64 buffer set for PrecisionFloat64, the float32 activation set plus
-// the quantization scratch for PrecisionInt8.
+// NewInferScratchPrec allocates an arena able to run batches of up to
+// maxTokens total tokens (raised to cfg.MaxSeqLen so one full-length line
+// always fits) at the given precision: the float64 buffer set for
+// PrecisionFloat64, the float32 activation set plus the quantization
+// scratch for PrecisionInt8.
 func NewInferScratchPrec(cfg Config, maxTokens int, prec Precision) *InferScratch {
 	if prec == "" {
 		prec = PrecisionFloat64

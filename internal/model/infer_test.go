@@ -42,7 +42,7 @@ func TestInferForwardGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := NewInferScratch(enc.Config(), batch.Tokens())
+	scratch := NewInferScratchPrec(enc.Config(), batch.Tokens(), PrecisionFloat64)
 	got, err := enc.InferForward(batch, scratch)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestInferEmbedAndCLSGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := tinyBatch()
-	scratch := NewInferScratch(enc.Config(), batch.Tokens())
+	scratch := NewInferScratchPrec(enc.Config(), batch.Tokens(), PrecisionFloat64)
 
 	wantEmb, err := enc.MeanPoolTensor(batch, false, nil)
 	if err != nil {
@@ -102,7 +102,7 @@ func TestInferForwardErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := NewInferScratch(enc.Config(), 64)
+	scratch := NewInferScratchPrec(enc.Config(), 64, PrecisionFloat64)
 	if _, err := enc.InferForward(tinyBatch(), nil); err == nil {
 		t.Error("nil scratch accepted")
 	}
@@ -116,7 +116,7 @@ func TestInferForwardErrors(t *testing.T) {
 	other := tinyConfig()
 	other.Hidden = 32
 	other.FFN = 64
-	if _, err := enc.InferForward(tinyBatch(), NewInferScratch(other, 64)); err == nil {
+	if _, err := enc.InferForward(tinyBatch(), NewInferScratchPrec(other, 64, PrecisionFloat64)); err == nil {
 		t.Error("mismatched scratch accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestInferScratchGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := NewInferScratch(enc.Config(), 1) // raised to MaxSeqLen, still < batch
+	scratch := NewInferScratchPrec(enc.Config(), 1, PrecisionFloat64) // raised to MaxSeqLen, still < batch
 	var seqs [][]int
 	for s := 0; s < 8; s++ {
 		seqs = append(seqs, []int{2, 10 + s, 11, 12, 3})
@@ -196,7 +196,7 @@ func hashForwardBits(t *testing.T, enc *Encoder, batch Batch) string {
 			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
 		}
 	}
-	scratch := NewInferScratch(enc.Config(), batch.Tokens())
+	scratch := NewInferScratchPrec(enc.Config(), batch.Tokens(), PrecisionFloat64)
 	hidden, err := enc.InferForward(batch, scratch)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func BenchmarkInferForwardF64(b *testing.B) {
 			}
 		}
 		batch := NewBatch(lines)
-		scratch := NewInferScratch(shape.cfg, batch.Tokens())
+		scratch := NewInferScratchPrec(shape.cfg, batch.Tokens(), PrecisionFloat64)
 		withF64Backends(func(tier string) {
 			b.Run(shape.name+"/"+tier, func(b *testing.B) {
 				for b.Loop() {

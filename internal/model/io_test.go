@@ -191,7 +191,7 @@ func FuzzModelLoad(f *testing.F) {
 
 		enc := m.Encoder
 		batch := NewBatch([][]int{{2, 3}})
-		if _, err := enc.InferForward(batch, NewInferScratch(enc.Config(), batch.Tokens())); err != nil {
+		if _, err := enc.InferForward(batch, NewInferScratchPrec(enc.Config(), batch.Tokens(), PrecisionFloat64)); err != nil {
 			t.Fatalf("float64 forward: %v", err)
 		}
 		enc.Lowered()

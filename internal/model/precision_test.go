@@ -36,7 +36,7 @@ func TestInferForward32MatchesFloat64(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := tinyBatch()
-	want, err := enc.InferForward(batch, NewInferScratch(enc.Config(), batch.Tokens()))
+	want, err := enc.InferForward(batch, NewInferScratchPrec(enc.Config(), batch.Tokens(), PrecisionFloat64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestInferEmbedCLSDispatch(t *testing.T) {
 	batch := tinyBatch()
 	wantEmb := tensor.NewMatrix(batch.Size(), enc.Config().Hidden)
 	wantCLS := tensor.NewMatrix(batch.Size(), enc.Config().Hidden)
-	f64s := NewInferScratch(enc.Config(), batch.Tokens())
+	f64s := NewInferScratchPrec(enc.Config(), batch.Tokens(), PrecisionFloat64)
 	if err := enc.InferEmbedInto(batch, f64s, wantEmb, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -213,6 +213,10 @@ func NewHandler(d *Daemon, chunk int) http.Handler {
 				// The bundle is fine, it just serves a different log type
 				// than this server: a conflict, not a server fault.
 				status = http.StatusConflict
+			case errors.Is(err, core.ErrBundleCorrupt), errors.Is(err, core.ErrBundleUnsupported):
+				// The bundle itself is bad: retrying cannot help, and the
+				// old scorer keeps serving.
+				status = http.StatusUnprocessableEntity
 			}
 			http.Error(w, err.Error(), status)
 			return

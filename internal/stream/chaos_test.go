@@ -28,7 +28,6 @@ func TestChaosSoak(t *testing.T) {
 		perProducer = 150
 	)
 	cfg := shardedTestConfig()
-	cfg.QuarantineScore = 0.5
 
 	ctl := faults.NewControl()
 	gate := &faults.Gate{}

@@ -163,14 +163,12 @@ func readCheckpoint(r io.Reader) (checkpointHeader, []SessionWindow, error) {
 func sessionsCompatible(a, b Config) error {
 	type key struct {
 		cw  int
-		gap int64
 		it  int64
 		max int
 		agg Aggregation
-		dec float64
 	}
-	ka := key{a.ContextWindow, a.ContextGap, a.IdleTimeout, a.MaxSessionLines, a.Aggregation, a.Decay}
-	kb := key{b.ContextWindow, b.ContextGap, b.IdleTimeout, b.MaxSessionLines, b.Aggregation, b.Decay}
+	ka := key{a.ContextWindow, a.IdleTimeout, a.MaxSessionLines, a.Aggregation}
+	kb := key{b.ContextWindow, b.IdleTimeout, b.MaxSessionLines, b.Aggregation}
 	if ka != kb {
 		return fmt.Errorf("%w: checkpoint session config %+v vs detector %+v",
 			ErrCheckpointIncompatible, ka, kb)

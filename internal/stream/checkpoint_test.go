@@ -3,6 +3,8 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -268,4 +270,59 @@ func oneShard(t *testing.T, sc tuning.Scorer, cfg Config) *ShardedDetector {
 func statsNoSample(s Stats) Stats {
 	s.QuarantineSample = nil
 	return s
+}
+
+// TestRestoreTenFieldConfigCheckpoint: a checkpoint whose header carries
+// the ten-field Config of earlier builds (ContextGap, Decay,
+// QuarantineScore and MaxQuarantine were fields then) still restores, and
+// the restored detector serves the rest of the stream exactly as an
+// uninterrupted one. The fixture holds the first 25 of these events,
+// saved from two shards over hashScorer.
+func TestRestoreTenFieldConfigCheckpoint(t *testing.T) {
+	data, err := os.ReadFile("testdata/checkpoint-ten-field-config")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"ContextGap":600`)) || !bytes.Contains(data, []byte(`"MaxQuarantine":1024`)) {
+		t.Fatal("fixture header lacks the ten-field config")
+	}
+	cfg := DefaultConfig()
+	cfg.ContextWindow = 3
+	cfg.IdleTimeout = 900
+	cfg.MaxSessionLines = 8
+	cfg.SessionThreshold = 0.6
+	var events []Event
+	for i := 0; i < 40; i++ {
+		events = append(events, ev(fmt.Sprintf("u%d", i%5), int64(1000+90*i), fmt.Sprintf("cmd%d --arg %d", i%7, i%3)))
+	}
+
+	ref := NewDetector(&hashScorer{}, cfg)
+	if _, err := ref.Process(events[:25]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Process(events[25:])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sd, err := NewShardedDetector([]tuning.Scorer{&hashScorer{}, &hashScorer{}, &hashScorer{}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd.SetModality("shell")
+	if err := sd.RestoreSessions(bytes.NewReader(data)); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	svc := NewShardedService(sd, ServiceConfig{})
+	defer svc.Close()
+	got, err := svc.Submit(events[25:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored verdicts differ from an uninterrupted run:\n got %+v\nwant %+v", got, want)
+	}
+	if st := sd.Stats(); st.Events != 40 || st.SessionAlerts != ref.Stats().SessionAlerts {
+		t.Fatalf("restored stats %+v, reference %+v", st, ref.Stats())
+	}
 }

@@ -35,10 +35,8 @@ func (p *poisonScorer) Score(lines []string) ([]float64, error) {
 // bisection, quarantined, served the quarantine score — and the rest of
 // the batch scores normally in the same Process call.
 func TestPoisonLineQuarantined(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.QuarantineScore = 0.99
 	sc := &poisonScorer{}
-	det := NewDetector(sc, cfg)
+	det := NewDetector(sc, DefaultConfig())
 
 	vs, err := det.Process([]Event{
 		ev("a", 1, "ls"), ev("b", 1, "POISON"), ev("c", 1, "pwd"), ev("d", 1, "id"),
@@ -52,7 +50,7 @@ func TestPoisonLineQuarantined(t *testing.T) {
 	for _, v := range vs {
 		want := 0.1
 		if v.Line == "POISON" {
-			want = cfg.QuarantineScore
+			want = quarantineScore
 		}
 		if v.LineScore != want {
 			t.Fatalf("verdict for %q scored %v, want %v", v.Line, v.LineScore, want)
@@ -78,7 +76,7 @@ func TestPoisonLineQuarantined(t *testing.T) {
 	before := sc.calls.Load()
 	panics := st.ScorerPanics
 	vs, err = det.Process([]Event{ev("b", 2, "POISON")})
-	if err != nil || vs[0].LineScore != cfg.QuarantineScore {
+	if err != nil || vs[0].LineScore != quarantineScore {
 		t.Fatalf("quarantined line rescored: %v %+v", err, vs)
 	}
 	st = det.Stats()
@@ -97,9 +95,7 @@ func TestPoisonLineQuarantined(t *testing.T) {
 // a later batch failing with a plain error rolls sessions back but keeps
 // the quarantine set and panic counters.
 func TestQuarantineSurvivesAbortedBatch(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.QuarantineScore = 0.5
-	det := NewDetector(&poisonScorer{}, cfg)
+	det := NewDetector(&poisonScorer{}, DefaultConfig())
 	if _, err := det.Process([]Event{ev("a", 1, "POISON")}); err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +115,7 @@ func TestQuarantineSurvivesAbortedBatch(t *testing.T) {
 // worker.
 func TestSubmitContextCancel(t *testing.T) {
 	sc := &slowScorer{gate: make(chan struct{})}
-	det := NewDetector(sc, DefaultConfig())
-	svc := NewService(det, ServiceConfig{QueueRequests: 1, BatchEvents: 1})
+	svc := oneShardService(t, sc, ServiceConfig{QueueRequests: 1, BatchEvents: 1})
 	var once sync.Once
 	release := func() { once.Do(func() { close(sc.gate) }) }
 	defer svc.Close()
@@ -155,8 +150,7 @@ func TestSubmitContextCancel(t *testing.T) {
 // verdicts.
 func TestCloseUnblocksBlockedSubmit(t *testing.T) {
 	sc := &slowScorer{gate: make(chan struct{})}
-	det := NewDetector(sc, DefaultConfig())
-	svc := NewService(det, ServiceConfig{QueueRequests: 1, BatchEvents: 1})
+	svc := oneShardService(t, sc, ServiceConfig{QueueRequests: 1, BatchEvents: 1})
 
 	var accepted sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -209,8 +203,7 @@ func TestCloseUnblocksBlockedSubmit(t *testing.T) {
 // with ErrOverloaded instead of blocking, and the rejection is counted.
 func TestShedPolicy(t *testing.T) {
 	sc := &slowScorer{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-	det := NewDetector(sc, DefaultConfig())
-	svc := NewService(det, ServiceConfig{
+	svc := oneShardService(t, sc, ServiceConfig{
 		QueueRequests: 1, BatchEvents: 1, Overload: OverloadShed,
 	})
 	defer svc.Close()

@@ -141,12 +141,6 @@ type Service struct {
 	shed atomic.Int64
 }
 
-// NewService starts a single-shard service over det — the unsharded
-// configuration, kept for callers that bring their own Detector.
-func NewService(det *Detector, cfg ServiceConfig) *Service {
-	return NewShardedService(&ShardedDetector{dets: []*Detector{det}}, cfg)
-}
-
 // NewShardedService starts one queue + coalescing worker per shard of sd.
 func NewShardedService(sd *ShardedDetector, cfg ServiceConfig) *Service {
 	s := &Service{

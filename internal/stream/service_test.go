@@ -10,6 +10,17 @@ import (
 	"clmids/internal/tuning"
 )
 
+// oneShardService starts a single-shard service over sc under
+// DefaultConfig.
+func oneShardService(t *testing.T, sc tuning.Scorer, cfg ServiceConfig) *Service {
+	t.Helper()
+	sd, err := NewShardedDetector([]tuning.Scorer{sc}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewShardedService(sd, cfg)
+}
+
 // slowScorer blocks until released, so tests can pile up queued requests.
 // An optional entered channel (buffered, non-blocking send) lets a test
 // wait until the worker is actually inside Score.
@@ -34,8 +45,7 @@ func (s *slowScorer) Score(lines []string) ([]float64, error) {
 // TestServiceDrainOnClose: every request accepted before Close gets its
 // verdicts; Submit after Close is refused.
 func TestServiceDrainOnClose(t *testing.T) {
-	det := NewDetector(&stubScorer{def: 0.1}, DefaultConfig())
-	svc := NewService(det, ServiceConfig{QueueRequests: 8, BatchEvents: 16})
+	svc := oneShardService(t, &stubScorer{def: 0.1}, ServiceConfig{QueueRequests: 8, BatchEvents: 16})
 
 	const producers = 6
 	const perProducer = 20
@@ -79,8 +89,7 @@ func TestServiceDrainOnClose(t *testing.T) {
 // answered (graceful drain).
 func TestServiceBackpressureAndDrain(t *testing.T) {
 	scorer := &slowScorer{gate: make(chan struct{})}
-	det := NewDetector(scorer, DefaultConfig())
-	svc := NewService(det, ServiceConfig{QueueRequests: 2, BatchEvents: 1})
+	svc := oneShardService(t, scorer, ServiceConfig{QueueRequests: 2, BatchEvents: 1})
 
 	var replies atomic.Int64
 	var wg sync.WaitGroup
@@ -118,8 +127,7 @@ func TestServiceBackpressureAndDrain(t *testing.T) {
 // Detector.Process (and so one Score call).
 func TestServiceCoalescing(t *testing.T) {
 	scorer := &slowScorer{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-	det := NewDetector(scorer, DefaultConfig())
-	svc := NewService(det, ServiceConfig{QueueRequests: 16, BatchEvents: 64})
+	svc := oneShardService(t, scorer, ServiceConfig{QueueRequests: 16, BatchEvents: 64})
 
 	var wg sync.WaitGroup
 	submit := func(i int) {
@@ -171,7 +179,7 @@ const submitAllocBudget = 11
 // long-running daemon. Allocation counts do not jitter with host load, so
 // this holds where a lines/s gate would not.
 func TestServiceSubmitAllocs(t *testing.T) {
-	svc := NewService(NewDetector(&stubScorer{def: 0.1}, DefaultConfig()), ServiceConfig{})
+	svc := oneShardService(t, &stubScorer{def: 0.1}, ServiceConfig{})
 	defer svc.Close()
 	testSubmitAllocs(t, svc, submitAllocBudget)
 }

@@ -46,6 +46,20 @@ func shardedTestConfig() Config {
 	return cfg
 }
 
+// loopEvents replays ds's samples as n events, looping as often as
+// needed; each pass shifts times forward by the corpus span, so event time
+// stays monotonic.
+func loopEvents(ds *corpus.Dataset, n int) []Event {
+	s := ds.Samples
+	span := s[len(s)-1].Time - s[0].Time + 1
+	out := make([]Event, n)
+	for i := range out {
+		x := s[i%len(s)]
+		out[i] = Event{User: x.User, Time: x.Time + int64(i/len(s))*span, Line: x.Line}
+	}
+	return out
+}
+
 // replayEvents materializes a few looping passes over a generated corpus
 // as a single event stream with many interleaved users.
 func replayEvents(t *testing.T, users, total int) []Event {
@@ -59,18 +73,10 @@ func replayEvents(t *testing.T, users, total int) []Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := corpus.NewReplayer(test, true)
-	events := make([]Event, 0, total)
-	for _, s := range rep.NextBatch(total) {
-		events = append(events, Event{User: s.User, Time: s.Time, Line: s.Line})
-	}
-	if len(events) != total {
-		t.Fatalf("replayer produced %d events, want %d", len(events), total)
-	}
-	return events
+	return loopEvents(test, total)
 }
 
-// TestShardedEquivalence is the sharding invariant: a corpus.Replayer
+// TestShardedEquivalence is the sharding invariant: a looped corpus
 // stream submitted through a 4-shard service yields byte-identical
 // per-event verdicts and identical aggregate stats to the unsharded
 // detector — sharding changes throughput, never results. (ScoredInputs is
@@ -388,7 +394,7 @@ func TestShardedServiceCacheStats(t *testing.T) {
 		t.Fatalf("shard 1 cache stats: %+v rate %g", st.Shards[1].Cache, st.Shards[1].CacheHitRate)
 	}
 	// Plain scorers expose no cache: the field stays nil.
-	plain := NewService(NewDetector(&hashScorer{}, DefaultConfig()), ServiceConfig{})
+	plain := oneShardService(t, &hashScorer{}, ServiceConfig{})
 	defer plain.Close()
 	if ps := plain.Stats(); ps.Shards[0].Cache != nil {
 		t.Fatalf("plain scorer reported cache stats: %+v", ps.Shards[0].Cache)

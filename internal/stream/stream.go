@@ -63,8 +63,7 @@ const (
 	// AggMean scores a session by the mean over its window.
 	AggMean
 	// AggDecay scores a session by an exponentially decayed weighted mean:
-	// the newest line has weight 1, each step back multiplies by Decay.
-	// Low Decay approaches AggMax on the newest line; Decay 1 is AggMean.
+	// the newest line has weight 1, each step back multiplies it by 0.7.
 	AggDecay
 )
 
@@ -104,10 +103,6 @@ type Config struct {
 	// one) joined into each scoring input, the §IV-C multi-line input
 	// built online. 1 scores every line alone. Default 1.
 	ContextWindow int
-	// ContextGap is the largest event-time gap in seconds between
-	// consecutive context lines; older lines are not attached (the paper:
-	// lines "whose execution time is too long ago"). Default 600.
-	ContextGap int64
 	// IdleTimeout is the event-time gap in seconds that closes a session.
 	// Default 1800.
 	IdleTimeout int64
@@ -115,38 +110,44 @@ type Config struct {
 	MaxSessionLines int
 	// Aggregation combines window line scores into the session score.
 	Aggregation Aggregation
-	// Decay is the per-step weight multiplier for AggDecay, in (0, 1].
-	// Default 0.7.
-	Decay float64
 	// LineThreshold fires a LineAlert when a raw line's own score reaches
 	// it — what a per-line detector would flag. 0 disables.
 	LineThreshold float64
 	// SessionThreshold fires a SessionAlert when the session score reaches
 	// it. 0 disables.
 	SessionThreshold float64
-	// QuarantineScore is the score assigned to quarantined (poison) scoring
-	// inputs — lines the scorer reproducibly panics on. The default 0 is
-	// neutral: a quarantined line neither trips alerts nor dilutes session
-	// aggregates upward.
-	QuarantineScore float64
-	// MaxQuarantine bounds the remembered poison-input set; beyond it,
-	// poison lines are still isolated per batch (and counted) but not
-	// remembered across batches. Default 1024.
-	MaxQuarantine int
 }
 
+// Fixed session and resilience rules: no deployment tunes them, so they
+// are not Config fields.
+const (
+	// contextGap is the largest event-time gap in seconds between
+	// consecutive context lines; older lines are not attached (the paper:
+	// lines "whose execution time is too long ago").
+	contextGap = 600
+	// decay is AggDecay's per-step weight multiplier.
+	decay = 0.7
+	// quarantineScore is the score served for quarantined (poison) scoring
+	// inputs — lines the scorer reproducibly panics on. 0 is neutral: a
+	// quarantined line neither trips alerts nor dilutes session aggregates
+	// upward.
+	quarantineScore = 0.0
+	// maxQuarantine bounds the remembered poison-input set; beyond it,
+	// poison lines are still isolated per batch (and counted) but not
+	// remembered across batches.
+	maxQuarantine = 1024
+)
+
 // DefaultConfig returns the deployment defaults: single-line scoring,
-// 10-minute context gap, 30-minute sessions, 64-line windows, decayed
-// aggregation. Thresholds stay 0 (disabled) because score scales are
-// method-specific; services must set them explicitly.
+// 30-minute sessions, 64-line windows, decayed aggregation. Thresholds
+// stay 0 (disabled) because score scales are method-specific; services
+// must set them explicitly.
 func DefaultConfig() Config {
 	return Config{
 		ContextWindow:   1,
-		ContextGap:      600,
 		IdleTimeout:     1800,
 		MaxSessionLines: 64,
 		Aggregation:     AggDecay,
-		Decay:           0.7,
 	}
 }
 
@@ -154,20 +155,11 @@ func (c Config) withDefaults() Config {
 	if c.ContextWindow <= 0 {
 		c.ContextWindow = 1
 	}
-	if c.ContextGap <= 0 {
-		c.ContextGap = 600
-	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 1800
 	}
 	if c.MaxSessionLines <= 0 {
 		c.MaxSessionLines = 64
-	}
-	if c.Decay <= 0 || c.Decay > 1 {
-		c.Decay = 0.7
-	}
-	if c.MaxQuarantine <= 0 {
-		c.MaxQuarantine = 1024
 	}
 	return c
 }
@@ -305,7 +297,7 @@ func (w *SessionWindow) Append(e WindowEntry, cfg Config) (closed bool) {
 }
 
 // tail copies the newest n lines of w (nil: no session yet) into a
-// scratch window a batch's context joins can grow without touching w.
+// scratch window the context joins can grow without touching w.
 func (w *SessionWindow) tail(n int) *SessionWindow {
 	t := &SessionWindow{Entries: make([]WindowEntry, 0, n+1)}
 	if w != nil {
@@ -313,6 +305,72 @@ func (w *SessionWindow) tail(n int) *SessionWindow {
 		t.Entries = append(t.Entries, w.Entries[max(0, len(w.Entries)-n):]...)
 	}
 	return t
+}
+
+// contextTails is the one implementation of the §IV-C rule, shared by
+// Detector.sessionize and BuildContexts: per-user window tails kept by the
+// SessionWindow.Append rules with the window capped at ContextWindow (a
+// join reaches back no further, and never past the sliding window), and
+// the join of each newest line with its in-gap predecessors.
+type contextTails struct {
+	cfg   Config // resolved session rules, MaxSessionLines capped at ContextWindow
+	tails map[string]*SessionWindow
+}
+
+// newContextTails starts empty tails under resolved cfg. With
+// ContextWindow 1 nothing ever attaches, so it keeps no tails at all.
+func newContextTails(cfg Config) contextTails {
+	c := contextTails{cfg: cfg}
+	c.cfg.MaxSessionLines = min(cfg.ContextWindow, cfg.MaxSessionLines)
+	if cfg.ContextWindow > 1 {
+		c.tails = make(map[string]*SessionWindow)
+	}
+	return c
+}
+
+// join appends ev to its user's tail — seeded from sessions[ev.User] (nil
+// map or entry: no session yet) the first time the user appears — and
+// returns the user's in-gap lines, oldest first, joined with the shell
+// separator. Empty when nothing attaches.
+func (c *contextTails) join(ev Event, sessions map[string]*SessionWindow) string {
+	if c.tails == nil {
+		return ""
+	}
+	t := c.tails[ev.User]
+	if t == nil {
+		t = sessions[ev.User].tail(c.cfg.MaxSessionLines)
+		c.tails[ev.User] = t
+	}
+	t.Append(WindowEntry{Time: ev.Time, Line: ev.Line}, c.cfg)
+	tail := t.Entries
+	lo := len(tail) - 1
+	for lo > 0 && tail[lo].Time-tail[lo-1].Time <= contextGap {
+		lo--
+	}
+	if lo == len(tail)-1 {
+		return ""
+	}
+	parts := make([]string, 0, len(tail)-lo)
+	for _, e := range tail[lo:] {
+		parts = append(parts, e.Line)
+	}
+	return strings.Join(parts, " ; ")
+}
+
+// BuildContexts returns, for each event of a time-ordered log, the scoring
+// input a fresh Detector with cfg builds for it: the §IV-C context join,
+// or the line itself when nothing attaches. A multi-line classifier
+// trained on its output is trained on exactly the inputs the detector
+// serves.
+func BuildContexts(events []Event, cfg Config) []string {
+	c := newContextTails(cfg.withDefaults())
+	out := make([]string, len(events))
+	for i, ev := range events {
+		if out[i] = c.join(ev, nil); out[i] == "" {
+			out[i] = ev.Line
+		}
+	}
+	return out
 }
 
 // Detector is the synchronous streaming core. Methods are safe for
@@ -374,7 +432,7 @@ type pending struct {
 //
 // A panicking scorer does not propagate: the panic is recovered, the batch
 // bisected to isolate the poison input, which is quarantined (scored at
-// QuarantineScore, counted and sampled in Stats, skipped in future
+// quarantineScore, counted and sampled in Stats, skipped in future
 // batches), and the batch commits normally — the detector keeps serving.
 func (d *Detector) Process(events []Event) ([]Verdict, error) {
 	if len(events) == 0 {
@@ -392,9 +450,9 @@ func (d *Detector) Process(events []Event) ([]Verdict, error) {
 
 // sessionize runs pass 1 under the state lock: it builds each event's
 // scoring inputs (deduplicated), the raw line and, when ContextWindow > 1,
-// its §IV-C context join. Session windows are only read: the join comes
-// from a per-batch copy of each user's window tail that follows the same
-// SessionWindow.Append rules, so a failed batch has nothing to undo.
+// its §IV-C context join. Session windows are only read: the joins come
+// from per-batch copies of the users' window tails (contextTails), so a
+// failed batch has nothing to undo.
 func (d *Detector) sessionize(events []Event) ([]string, []pending) {
 	inputs := make([]string, 0, len(events))
 	inputAt := make(map[string]int, len(events))
@@ -406,14 +464,7 @@ func (d *Detector) sessionize(events []Event) ([]string, []pending) {
 		inputs = append(inputs, s)
 		return len(inputs) - 1
 	}
-	// A join reaches back at most ContextWindow lines and never past the
-	// sliding window, so a tail that long is all it needs.
-	tailCfg := d.cfg
-	tailCfg.MaxSessionLines = min(d.cfg.ContextWindow, d.cfg.MaxSessionLines)
-	var tails map[string]*SessionWindow
-	if d.cfg.ContextWindow > 1 {
-		tails = make(map[string]*SessionWindow)
-	}
+	ctx := newContextTails(d.cfg)
 	pend := make([]pending, len(events))
 
 	d.mu.Lock()
@@ -422,39 +473,12 @@ func (d *Detector) sessionize(events []Event) ([]string, []pending) {
 	for i, ev := range events {
 		p := pending{raw: intern(ev.Line)}
 		p.ctx = p.raw
-		if d.cfg.ContextWindow > 1 {
-			tail := tails[ev.User]
-			if tail == nil {
-				tail = d.sessions[ev.User].tail(tailCfg.MaxSessionLines)
-				tails[ev.User] = tail
-			}
-			tail.Append(WindowEntry{Time: ev.Time, Line: ev.Line}, tailCfg)
-			if p.ctxS = d.contextJoin(tail.Entries); p.ctxS != "" {
-				p.ctx = intern(p.ctxS)
-			}
+		if p.ctxS = ctx.join(ev, d.sessions); p.ctxS != "" {
+			p.ctx = intern(p.ctxS)
 		}
 		pend[i] = p
 	}
 	return inputs, pend
-}
-
-// contextJoin builds the §IV-C multi-line input for the newest line of a
-// sessionize tail: preceding lines attach while consecutive gaps stay
-// within ContextGap, joined with the shell separator — the online
-// equivalent of tuning.BuildContexts. Empty when nothing attaches.
-func (d *Detector) contextJoin(tail []WindowEntry) string {
-	lo := len(tail) - 1
-	for lo > 0 && tail[lo].Time-tail[lo-1].Time <= d.cfg.ContextGap {
-		lo--
-	}
-	if lo == len(tail)-1 {
-		return ""
-	}
-	parts := make([]string, 0, len(tail)-lo)
-	for _, e := range tail[lo:] {
-		parts = append(parts, e.Line)
-	}
-	return strings.Join(parts, " ; ")
 }
 
 // score runs pass 2 (no state lock, so Stats stays responsive): one
@@ -474,7 +498,7 @@ func (d *Detector) score(inputs []string) ([]float64, error) {
 		d.mu.Lock()
 		for i, in := range inputs {
 			if _, poison := d.quar[in]; poison {
-				scores[i] = d.cfg.QuarantineScore
+				scores[i] = quarantineScore
 				hits++
 				continue
 			}
@@ -548,7 +572,7 @@ func (d *Detector) bisect(sc tuning.Scorer, inputs []string, out []float64) erro
 		if panicked {
 			d.notePanic()
 			d.quarantine(inputs[0])
-			out[0] = d.cfg.QuarantineScore
+			out[0] = quarantineScore
 			return nil
 		}
 		if err != nil {
@@ -585,7 +609,7 @@ func (d *Detector) notePanic() {
 	d.mu.Unlock()
 }
 
-// quarantine remembers a poison input (bounded by MaxQuarantine) and
+// quarantine remembers a poison input (bounded by maxQuarantine) and
 // records the counter + sample surfaced in Stats.
 func (d *Detector) quarantine(input string) {
 	d.mu.Lock()
@@ -593,7 +617,7 @@ func (d *Detector) quarantine(input string) {
 	if d.quar == nil {
 		d.quar = make(map[string]struct{})
 	}
-	if _, dup := d.quar[input]; !dup && len(d.quar) < d.cfg.MaxQuarantine {
+	if _, dup := d.quar[input]; !dup && len(d.quar) < maxQuarantine {
 		d.quar[input] = struct{}{}
 		d.quarLen.Store(int64(len(d.quar)))
 	}
@@ -659,7 +683,7 @@ func (d *Detector) aggregate(window []WindowEntry) float64 {
 		for k := len(window) - 1; k >= 0; k-- {
 			num += w * window[k].Score
 			den += w
-			w *= d.cfg.Decay
+			w *= decay
 		}
 		return num / den
 	default: // AggMax

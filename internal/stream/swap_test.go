@@ -98,7 +98,7 @@ func TestSwapScorerRejectsNonReplicable(t *testing.T) {
 }
 
 // TestSwapScorerUnderLoad is the hot-reload acceptance test: a 4-shard
-// service scores a Replayer stream from several producers while the scorer
+// service scores a looped corpus stream from several producers while the scorer
 // is swapped repeatedly, shard by shard. Every event must be scored (zero
 // drops), every returned score must be one of the known generations, and
 // no shard's part of a Submit may observe two generations — each shard's
@@ -147,18 +147,12 @@ func TestSwapScorerUnderLoad(t *testing.T) {
 			// Each producer owns a disjoint user population (sharded
 			// detectors require per-user time order, which concurrent
 			// producers sharing users would violate).
-			rep := corpus.NewReplayer(train, true)
+			events := loopEvents(train, batches*batchSize)
+			for i := range events {
+				events[i].User = fmt.Sprintf("p%d-%s", p, events[i].User)
+			}
 			for b := 0; b < batches; b++ {
-				samples := rep.NextBatch(batchSize)
-				events := make([]Event, len(samples))
-				for i, s := range samples {
-					events[i] = Event{
-						User: fmt.Sprintf("p%d-%s", p, s.User),
-						Time: s.Time,
-						Line: s.Line,
-					}
-				}
-				vs, err := svc.Submit(events)
+				vs, err := svc.Submit(events[b*batchSize : (b+1)*batchSize])
 				if err != nil {
 					t.Errorf("producer %d batch %d: %v", p, b, err)
 					return

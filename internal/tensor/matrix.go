@@ -12,7 +12,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 )
@@ -111,15 +110,6 @@ func (m *Matrix) AxpyInPlace(alpha float64, o *Matrix) {
 	for i, v := range o.Data {
 		m.Data[i] += alpha * v
 	}
-}
-
-// Norm2 returns the Frobenius norm.
-func (m *Matrix) Norm2() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // panelRows sizes a cache panel: how many rows of a width-cols float64

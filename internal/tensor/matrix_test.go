@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,9 +121,6 @@ func TestTransposeOf(t *testing.T) {
 
 func TestMatrixHelpers(t *testing.T) {
 	m := FromSlice(2, 2, []float64{3, 4, 0, 0})
-	if got := m.Norm2(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) == 99 {
@@ -136,7 +134,7 @@ func TestMatrixHelpers(t *testing.T) {
 		}
 	}
 	m.Zero()
-	if m.Norm2() != 0 {
+	if slices.ContainsFunc(m.Data, func(v float64) bool { return v != 0 }) {
 		t.Error("Zero did not clear")
 	}
 }

